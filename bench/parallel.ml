@@ -98,10 +98,38 @@ let ppg_results : ppg_row list ref = ref []
 let e2e_result : e2e_row option ref = ref None
 let history_results : history_data option ref = ref None
 
+let bench_json = "BENCH_pipeline.json"
+
+(* The speedup section's members sit at the top level of the file; every
+   other section nests under one key. *)
+let speedup_keys =
+  [
+    "bench"; "program"; "scales"; "analysis_domains";
+    "recommended_domain_count"; "sequential_seconds"; "parallel_seconds";
+    "speedup"; "phases";
+  ]
+
+let section_keys = [ speedup_keys; [ "engine" ]; [ "ppg" ]; [ "history" ] ]
+
+(* Top-level members of the JSON already on disk; [] when it is absent
+   or unreadable. *)
+let committed_members () =
+  match In_channel.with_open_bin bench_json In_channel.input_all with
+  | exception Sys_error _ -> []
+  | s -> (
+      match Scalana_obs.Obs.Json.of_string s with
+      | Ok (Scalana_obs.Obs.Json.Obj members) -> members
+      | Ok _ | Error _ -> [])
+
+(* Sections measured in this invocation replace their committed text;
+   every other committed member is kept, so a lone `--only` run never
+   erases the sections it did not measure. *)
 let write_bench_json () =
-  let oc = open_out "BENCH_pipeline.json" in
+  let committed = committed_members () in
   let sections = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> sections := s :: !sections) fmt in
+  let add keys fmt =
+    Printf.ksprintf (fun s -> sections := (keys, s) :: !sections) fmt
+  in
   (match !speedup_results with
   | None -> ()
   | Some d ->
@@ -114,7 +142,7 @@ let write_bench_json () =
                  calls total)
              d.phases)
       in
-      add
+      add speedup_keys
         "  \"bench\": \"pipeline_parallel_speedup\",\n\
         \  \"program\": \"zeusmp\",\n\
         \  \"scales\": [%s],\n\
@@ -142,7 +170,7 @@ let write_bench_json () =
           r.np r.events r.wall_s evs (engine_baseline r.np)
           (evs /. engine_baseline r.np)
       in
-      add
+      add [ "engine" ]
         "  \"engine\": {\n\
         \  \"bench\": \"engine_events_per_second\",\n\
         \  \"program\": \"cg-weak\",\n\
@@ -174,7 +202,7 @@ let write_bench_json () =
               (String.concat ", " (List.map string_of_int e.e_scales))
               e.e_wall_s e.e_ppg_bytes
       in
-      add
+      add [ "ppg" ]
         "  \"ppg\": {\n\
         \  \"bench\": \"ppg_memory\",\n\
         \  \"program\": \"cg-weak\",\n\
@@ -184,7 +212,7 @@ let write_bench_json () =
   (match !history_results with
   | None -> ()
   | Some h ->
-      add
+      add [ "history" ]
         "  \"history\": {\n\
         \  \"bench\": \"history_ledger\",\n\
         \  \"program\": \"cg\",\n\
@@ -196,8 +224,31 @@ let write_bench_json () =
         h.hist_entries h.append_s
         (h.append_s /. float_of_int h.hist_entries)
         h.load_s h.hdiff_s);
-  Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" (List.rev !sections));
-  close_out oc
+  let kept keys =
+    let module J = Scalana_obs.Obs.Json in
+    List.filter_map
+      (fun k ->
+        Option.map
+          (fun v ->
+            Printf.sprintf "  %s: %s" (J.to_string (J.Str k)) (J.to_string v))
+          (List.assoc_opt k committed))
+      keys
+  in
+  let unknown =
+    List.filter
+      (fun k -> not (List.exists (List.mem k) section_keys))
+      (List.map fst committed)
+  in
+  let parts =
+    List.concat_map
+      (fun keys ->
+        match List.assoc_opt keys !sections with
+        | Some measured -> [ measured ]
+        | None -> kept keys)
+      (section_keys @ [ unknown ])
+  in
+  Out_channel.with_open_bin bench_json (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" parts))
 
 let pipeline_parallel () =
   Util.section

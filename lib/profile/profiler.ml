@@ -29,7 +29,7 @@ let default_config =
 
 type t = {
   cfg : config;
-  index : Index.t;
+  resolver : Index.Resolver.t;  (* per run: see Index.Resolver *)
   data : Profdata.t;
   next_tick : float array;  (* per rank *)
   rngs : Random.State.t array;  (* per rank, deterministic *)
@@ -38,7 +38,7 @@ type t = {
 let create ?(config = default_config) ~index ~nprocs () =
   {
     cfg = config;
-    index;
+    resolver = Index.Resolver.create index;
     data = Profdata.create ~nprocs;
     next_tick = Array.make nprocs (1.0 /. config.freq);
     rngs =
@@ -60,9 +60,6 @@ let ticks t ~rank ~start ~stop =
   done;
   !n
 
-let resolve t (ctx : Instrument.ctx) =
-  Index.find t.index ~callpath:ctx.callpath ~loc:ctx.loc
-
 let on_interval t (ctx : Instrument.ctx) ~stop activity =
   let n = ticks t ~rank:ctx.rank ~start:ctx.time ~stop in
   if n = 0 then 0.0
@@ -70,7 +67,9 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
     let period = 1.0 /. t.cfg.freq in
     let est_time = float_of_int n *. period in
     t.data.total_samples <- t.data.total_samples + n;
-    (match resolve t ctx with
+    (match
+       Index.Resolver.find t.resolver ~callpath:ctx.callpath ~loc:ctx.loc
+     with
     | None -> t.data.unattributed_samples <- t.data.unattributed_samples + n
     | Some vid ->
         let v = Profdata.vector t.data ~rank:ctx.rank ~vertex:vid in
@@ -99,7 +98,9 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
 let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
   t.data.mpi_calls_seen <- t.data.mpi_calls_seen + 1;
   let overhead = ref t.cfg.per_call_cost in
-  (match resolve t ctx with
+  (match
+     Index.Resolver.find t.resolver ~callpath:ctx.callpath ~loc:ctx.loc
+   with
   | None -> ()
   | Some vid -> (
       let v = Profdata.vector t.data ~rank:ctx.rank ~vertex:vid in
@@ -120,7 +121,8 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
             List.iter
               (fun (d : Instrument.peer_dep) ->
                 match
-                  Index.find t.index ~callpath:d.peer_callpath ~loc:d.peer_loc
+                  Index.Resolver.find t.resolver ~callpath:d.peer_callpath
+                    ~loc:d.peer_loc
                 with
                 | None -> ()
                 | Some send_vid ->
@@ -143,7 +145,9 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
   !overhead
 
 let on_icall t (ctx : Instrument.ctx) ~target =
-  (match resolve t ctx with
+  (match
+     Index.Resolver.find t.resolver ~callpath:ctx.callpath ~loc:ctx.loc
+   with
   | Some vid -> Profdata.record_icall t.data ~callsite_vertex:vid ~target
   | None -> ());
   t.cfg.per_call_cost

@@ -73,7 +73,7 @@ type t = {
 
 type recorder = {
   r_cfg : config;
-  r_index : Index.t;
+  r_resolver : Index.Resolver.t;  (* per run: see Index.Resolver *)
   r_nprocs : int;
   mutable r_count : int;  (* recorded intervals + messages *)
   r_last : interval option array;  (* per-rank tail, the merge target *)
@@ -88,7 +88,7 @@ type recorder = {
 let create ?(config = default_config) ~index ~nprocs () =
   {
     r_cfg = config;
-    r_index = index;
+    r_resolver = Index.Resolver.create index;
     r_nprocs = nprocs;
     r_count = 0;
     r_last = Array.make nprocs None;
@@ -99,9 +99,6 @@ let create ?(config = default_config) ~index ~nprocs () =
     r_merged = 0;
     r_elapsed = 0.0;
   }
-
-let resolve r (ctx : Instrument.ctx) =
-  Index.find r.r_index ~callpath:ctx.callpath ~loc:ctx.loc
 
 let has_budget r = r.r_count < r.r_cfg.max_events
 
@@ -139,8 +136,10 @@ let record_compute r ~rank ~vertex ~start ~stop ~label =
 let on_interval r (ctx : Instrument.ctx) ~stop activity =
   (match activity with
   | Instrument.Compute { label; _ } ->
-      record_compute r ~rank:ctx.rank ~vertex:(resolve r ctx) ~start:ctx.time
-        ~stop ~label
+      let vertex =
+        Index.Resolver.find r.r_resolver ~callpath:ctx.callpath ~loc:ctx.loc
+      in
+      record_compute r ~rank:ctx.rank ~vertex ~start:ctx.time ~stop ~label
   | Instrument.Mpi_span _ -> ()  (* MPI intervals come from on_mpi_exit *));
   0.0
 
@@ -148,7 +147,9 @@ let on_mpi_exit r (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
   let rank = ctx.rank in
   r.r_blocked.(rank) <- r.r_blocked.(rank) +. info.wait_seconds;
   if r.r_elapsed < info.exit_time then r.r_elapsed <- info.exit_time;
-  let vertex = resolve r ctx in
+  let vertex =
+    Index.Resolver.find r.r_resolver ~callpath:ctx.callpath ~loc:ctx.loc
+  in
   if has_budget r then
     push_interval r
       {

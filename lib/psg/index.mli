@@ -20,3 +20,18 @@ val find : t -> callpath:Loc.t list -> loc:Loc.t -> int option
 val exact : t -> callpath:Loc.t list -> loc:Loc.t -> int option
 
 val size : t -> int
+
+(** Per-run memo of {!find}: each distinct (call path, location) is
+    resolved once, later lookups are one structural hash.  Answers,
+    [None] included, equal {!find}'s on the index as it stood when the
+    context was first seen — so create one per run, after the last
+    {!index_contracted_subtree}, and drop it when the run ends. *)
+module Resolver : sig
+  type index := t
+  type t
+
+  val create : index -> t
+
+  (** Same answer as [Index.find] on the resolver's index. *)
+  val find : t -> callpath:Loc.t list -> loc:Loc.t -> int option
+end

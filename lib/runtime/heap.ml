@@ -5,10 +5,7 @@
    this exact push/pop algorithm produces, and the simulator's
    deterministic semantics (wildcard matching order, last-arrival ranks)
    are defined in terms of it — treat the sift procedures as a frozen
-   contract, not an implementation detail.  [Indexed] below shares the
-   same sift code and therefore the same layout evolution under
-   push/pop, while additionally tracking payload positions so keys can
-   be re-keyed in place instead of popped and re-pushed. *)
+   contract, not an implementation detail. *)
 
 type t = {
   mutable keys : float array;
@@ -91,118 +88,3 @@ let pop t =
     let key = t.keys.(0) in
     Some (key, pop_val t)
   end
-
-(* Fixed-capacity min-heap whose payloads are 0..n-1, each present at
-   most once, with a position index enabling in-place re-keying.  Push
-   and pop use the same sift procedures as [t] above, so a pure
-   push/pop workload evolves the same array layout (same tie order). *)
-module Indexed = struct
-  type h = {
-    ikeys : float array;
-    ivals : int array;
-    ipos : int array;  (* payload -> heap index, -1 when absent *)
-    mutable isize : int;
-  }
-
-  let create n =
-    let n = max 1 n in
-    {
-      ikeys = Array.make n 0.0;
-      ivals = Array.make n 0;
-      ipos = Array.make n (-1);
-      isize = 0;
-    }
-
-  let is_empty h = h.isize = 0
-  let length h = h.isize
-  let mem h v = h.ipos.(v) >= 0
-  let key h v = h.ikeys.(h.ipos.(v))
-
-  let iswap h i j =
-    let k = h.ikeys.(i) and v = h.ivals.(i) in
-    h.ikeys.(i) <- h.ikeys.(j);
-    h.ivals.(i) <- h.ivals.(j);
-    h.ikeys.(j) <- k;
-    h.ivals.(j) <- v;
-    h.ipos.(h.ivals.(i)) <- i;
-    h.ipos.(h.ivals.(j)) <- j
-
-  let sift_up h start =
-    let i = ref start in
-    while !i > 0 && h.ikeys.((!i - 1) / 2) > h.ikeys.(!i) do
-      iswap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let sift_down h start =
-    let i = ref start in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.isize && h.ikeys.(l) < h.ikeys.(!smallest) then smallest := l;
-      if r < h.isize && h.ikeys.(r) < h.ikeys.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        iswap h !i !smallest;
-        i := !smallest
-      end
-      else continue_ := false
-    done
-
-  let push h k v =
-    if h.ipos.(v) >= 0 then invalid_arg "Heap.Indexed.push: payload present";
-    if h.isize = Array.length h.ikeys then
-      invalid_arg "Heap.Indexed.push: full";
-    let i = h.isize in
-    h.ikeys.(i) <- k;
-    h.ivals.(i) <- v;
-    h.ipos.(v) <- i;
-    h.isize <- h.isize + 1;
-    sift_up h i
-
-  let pop_val h =
-    if h.isize = 0 then -1
-    else begin
-      let value = h.ivals.(0) in
-      h.ipos.(value) <- -1;
-      h.isize <- h.isize - 1;
-      if h.isize > 0 then begin
-        h.ikeys.(0) <- h.ikeys.(h.isize);
-        h.ivals.(0) <- h.ivals.(h.isize);
-        h.ipos.(h.ivals.(0)) <- 0;
-        sift_down h 0
-      end;
-      value
-    end
-
-  let min_key h =
-    if h.isize = 0 then invalid_arg "Heap.Indexed.min_key: empty heap";
-    h.ikeys.(0)
-
-  let min_val h =
-    if h.isize = 0 then invalid_arg "Heap.Indexed.min_val: empty heap";
-    h.ivals.(0)
-
-  (* Lower the key of a present payload in place: one sift-up from its
-     current position instead of a remove + push. *)
-  let decrease_key h k v =
-    let i = h.ipos.(v) in
-    if i < 0 then invalid_arg "Heap.Indexed.decrease_key: payload absent";
-    if k > h.ikeys.(i) then
-      invalid_arg "Heap.Indexed.decrease_key: key increases";
-    h.ikeys.(i) <- k;
-    sift_up h i
-
-  (* Replace the minimum entry with (k, v) in one sift-down — the
-     pop-then-push cycle without the intermediate restructuring. *)
-  let replace_min h k v =
-    if h.isize = 0 then invalid_arg "Heap.Indexed.replace_min: empty heap";
-    let old = h.ivals.(0) in
-    if v <> old && h.ipos.(v) >= 0 then
-      invalid_arg "Heap.Indexed.replace_min: payload present";
-    h.ipos.(old) <- -1;
-    h.ikeys.(0) <- k;
-    h.ivals.(0) <- v;
-    h.ipos.(v) <- 0;
-    sift_down h 0
-end

@@ -5,7 +5,7 @@
     sift procedures and is part of the simulator's deterministic
     semantics (it decides which of two equal-clock processes runs first,
     hence wildcard matching order and last-arrival ranks).  The sift
-    code is therefore a frozen contract shared by {!t} and {!Indexed}. *)
+    code is therefore a frozen contract. *)
 
 type t
 
@@ -22,44 +22,3 @@ val pop_val : t -> int
 
 (** Key of the minimum entry; raises [Invalid_argument] when empty. *)
 val min_key : t -> float
-
-(** Fixed-capacity variant whose payloads are [0..n-1], each present at
-    most once.  A position index adds in-place {!Indexed.decrease_key}
-    and {!Indexed.replace_min}, avoiding pop/push cycles when an entry
-    is merely re-keyed.  Push/pop evolve the same array layout as {!t}
-    under the same operation sequence. *)
-module Indexed : sig
-  type h
-
-  (** [create n] — empty heap accepting payloads [0..n-1]. *)
-  val create : int -> h
-
-  val is_empty : h -> bool
-  val length : h -> int
-
-  (** [mem h v] — is payload [v] currently in the heap? *)
-  val mem : h -> int -> bool
-
-  (** Current key of a present payload. *)
-  val key : h -> int -> float
-
-  (** Raises [Invalid_argument] when the payload is already present or
-      the heap is full. *)
-  val push : h -> float -> int -> unit
-
-  (** Payload of the minimum entry, or [-1] when empty. *)
-  val pop_val : h -> int
-
-  val min_key : h -> float
-  val min_val : h -> int
-
-  (** [decrease_key h k v] lowers present payload [v]'s key to [k] with
-      one in-place sift-up.  Raises [Invalid_argument] if [v] is absent
-      or [k] is larger than the current key. *)
-  val decrease_key : h -> float -> int -> unit
-
-  (** [replace_min h k v] replaces the minimum entry with [(k, v)] in
-      one sift-down — a fused pop+push.  Raises [Invalid_argument] when
-      empty or when [v] is a different, already-present payload. *)
-  val replace_min : h -> float -> int -> unit
-end

@@ -277,6 +277,213 @@ let test_timeline_zero_overhead () =
   let _, instrumented = timeline_run ~nprocs:4 prog in
   check_float "idealized observer" bare.Exec.elapsed instrumented.Exec.elapsed
 
+(* --- resolver --- *)
+
+(* A zero-overhead tool handing every hook context to [on_ctx] (with
+   the label of a compute span) and every matched send's context to
+   [on_peer]. *)
+let context_tool ?(on_peer = fun ~callpath:_ ~loc:_ -> ()) on_ctx =
+  {
+    (Instrument.nil "contexts") with
+    Instrument.on_interval =
+      (fun c ~stop:_ act ->
+        (match act with
+        | Instrument.Compute { label; _ } -> on_ctx c ~label
+        | Instrument.Mpi_span _ -> on_ctx c ~label:None);
+        0.0);
+    on_mpi_enter = (fun c _ -> on_ctx c ~label:None; 0.0);
+    on_mpi_exit =
+      (fun c info ->
+        on_ctx c ~label:None;
+        List.iter
+          (fun (d : Instrument.peer_dep) ->
+            on_peer ~callpath:d.peer_callpath ~loc:d.peer_loc)
+          info.deps;
+        0.0);
+    on_icall = (fun c ~target:_ -> on_ctx c ~label:None; 0.0);
+  }
+
+(* One helper reached from two call sites: the same statement owns a
+   different vertex under each call path. *)
+let two_callers_program () =
+  let open Expr.Infix in
+  let b = Builder.create ~file:"two.mmp" ~name:"two" () in
+  Builder.func b "halo" (fun () ->
+      [
+        Builder.comp b ~label:"pack" ~flops:(i 400_000) ~mem:(i 100_000) ();
+        Builder.sendrecv b
+          ~dest:((rank + i 1) % np)
+          ~sbytes:(i 1024)
+          ~src:((rank - i 1 + np) % np)
+          ~rbytes:(i 1024) ();
+      ]);
+  Builder.func b "main" (fun () ->
+      [
+        Builder.loop b ~label:"outer" ~var:"it" ~count:(i 5) (fun () ->
+            [
+              Builder.call b "halo";
+              Builder.comp b ~label:"solve" ~flops:(i 2_000_000) ~mem:(i 500_000) ();
+              Builder.call b "halo";
+            ]);
+      ]);
+  Builder.program b
+
+(* The memo against the string-keyed lookup it stands in for, on every
+   context a run presents: each hook's (call path, loc) and each matched
+   send's, over the whole registry plus [two_callers_program]. *)
+let test_resolver_matches_find () =
+  let programs =
+    ("two-callers", two_callers_program (), Costmodel.default)
+    :: List.map
+         (fun (e : Scalana_apps.Registry.entry) -> (e.name, e.make (), e.cost))
+         Scalana_apps.Registry.all
+  in
+  List.iter
+    (fun (name, prog, cost) ->
+      let _, _, _, index = static_of prog in
+      List.iter
+        (fun nprocs ->
+          let resolver = Index.Resolver.create index in
+          let lookups = ref 0 and mismatches = ref 0 in
+          let agree ~callpath ~loc =
+            incr lookups;
+            if
+              Index.Resolver.find resolver ~callpath ~loc
+              <> Index.find index ~callpath ~loc
+            then incr mismatches
+          in
+          let tool =
+            context_tool ~on_peer:agree (fun (c : Instrument.ctx) ~label:_ ->
+                agree ~callpath:c.callpath ~loc:c.loc)
+          in
+          let cfg = Exec.config ~nprocs ~cost ~tools:[ tool ] () in
+          ignore (Exec.run ~cfg prog : Exec.result);
+          let what = Printf.sprintf "%s np=%d" name nprocs in
+          check_bool (what ^ " contexts seen") true (!lookups > 0);
+          check_int (what ^ " resolver = find") 0 !mismatches)
+        [ 4; 16 ])
+    programs
+
+(* The fixture above really has one statement under two vertices. *)
+let test_resolver_call_path_matters () =
+  let _, _, _, index = static_of (two_callers_program ()) in
+  let resolver = Index.Resolver.create index in
+  let pack = ref [] in
+  let tool =
+    context_tool (fun (c : Instrument.ctx) ~label ->
+        if label = Some "pack" then pack := (c.callpath, c.loc) :: !pack)
+  in
+  ignore (run ~nprocs:2 ~tools:[ tool ] (two_callers_program ()) : Exec.result);
+  let vertices =
+    List.sort_uniq compare
+      (List.map
+         (fun (callpath, loc) -> Index.Resolver.find resolver ~callpath ~loc)
+         !pack)
+  in
+  check_int "two vertices for one statement" 2 (List.length vertices);
+  check_bool "both attributed" true (not (List.mem None vertices))
+
+(* Splicing an indirect call grows the index; only a resolver created
+   afterwards sees the new vertices — a resolver must not outlive its
+   run. *)
+let test_resolver_after_refinement () =
+  let prog = recursion_program () in
+  let locals, _, contraction, index = static_of prog in
+  let site =
+    List.hd
+      (Psg.find_all
+         (fun v ->
+           match v.Vertex.kind with
+           | Vertex.Callsite { callee = None; _ } -> true
+           | _ -> false)
+         contraction.Contract.psg)
+  in
+  let comp_loc =
+    match (Ast.find_func prog "alpha").fbody with
+    | s :: _ -> s.Ast.loc
+    | [] -> assert false
+  in
+  let callpath = site.Vertex.callpath @ [ site.Vertex.loc ] in
+  let stale = Index.Resolver.create index in
+  let before = Index.Resolver.find stale ~callpath ~loc:comp_loc in
+  check_bool "unrefined: the callsite owns it" true
+    (before = Some site.Vertex.id);
+  match
+    Inter.refine_indirect contraction.Contract.psg ~locals
+      ~callsite:site.Vertex.id ~target:"alpha"
+  with
+  | None -> Alcotest.fail "refinement failed"
+  | Some sub_root ->
+      Index.index_contracted_subtree index sub_root;
+      let fresh = Index.Resolver.create index in
+      let after = Index.Resolver.find fresh ~callpath ~loc:comp_loc in
+      check_bool "fresh resolver = find" true
+        (after = Index.find index ~callpath ~loc:comp_loc);
+      check_bool "spliced vertex" true
+        (match after with
+        | Some vid ->
+            List.mem vid
+              (Psg.subtree_vertices contraction.Contract.psg sub_root)
+        | None -> false);
+      check_bool "stale resolver keeps its run's answer" true
+        (Index.Resolver.find stale ~callpath ~loc:comp_loc = before)
+
+(* Recursive re-entries carry extra call frames the PSG never expanded;
+   the resolver folds them exactly as [find] does. *)
+let test_resolver_recursion () =
+  let prog = recursion_program () in
+  let _, _, _, index = static_of prog in
+  let walk = ref [] in
+  let tool =
+    context_tool (fun (c : Instrument.ctx) ~label ->
+        if label = Some "walk_work" then walk := c :: !walk)
+  in
+  ignore (run ~nprocs:2 ~tools:[ tool ] prog : Exec.result);
+  let depth (c : Instrument.ctx) = List.length c.callpath in
+  let deepest =
+    List.fold_left (fun a c -> if depth c > depth a then c else a)
+      (List.hd !walk) !walk
+  in
+  check_bool "re-entered" true (depth deepest >= 3);
+  let resolver = Index.Resolver.create index in
+  let find () =
+    Index.Resolver.find resolver ~callpath:deepest.callpath ~loc:deepest.loc
+  in
+  let expected =
+    Index.find index ~callpath:deepest.callpath ~loc:deepest.loc
+  in
+  check_bool "re-entry attributed" true (expected <> None);
+  check_bool "miss = find" true (find () = expected);
+  check_bool "hit = find" true (find () = expected)
+
+(* Unknown contexts stay [None] on every lookup, and enough of them to
+   grow the memo several times leave every answer, known ones included,
+   where [find] puts it. *)
+let test_resolver_unknown_loc () =
+  let prog = ring_program () in
+  let _, full, _, index = static_of prog in
+  let known =
+    List.map (fun v -> (v.Vertex.callpath, v.Vertex.loc)) (Psg.find_all (fun _ -> true) full)
+  in
+  let unknown =
+    List.init 1000 (fun n ->
+        ([ Loc.v ~file:"nope.mmp" ~line:n ], Loc.v ~file:"nope.mmp" ~line:(n + 1)))
+  in
+  let resolver = Index.Resolver.create index in
+  let all_agree () =
+    List.for_all
+      (fun (callpath, loc) ->
+        Index.Resolver.find resolver ~callpath ~loc
+        = Index.find index ~callpath ~loc)
+      (known @ unknown)
+  in
+  check_bool "first lookups = find" true (all_agree ());
+  check_bool "repeated lookups = find" true (all_agree ());
+  check_bool "unknown stays None" true
+    (List.for_all
+       (fun (callpath, loc) -> Index.Resolver.find resolver ~callpath ~loc = None)
+       unknown)
+
 (* profiler overhead is charged to the clocks *)
 let test_profiler_overhead_positive () =
   let prog = ring_program ~niter:30 ~work:2_000_000 () in
@@ -329,5 +536,18 @@ let () =
             test_timeline_truncation;
           Alcotest.test_case "zero overhead" `Quick
             test_timeline_zero_overhead;
+        ] );
+      ( "resolver",
+        [
+          Alcotest.test_case "registry contexts = Index.find" `Quick
+            test_resolver_matches_find;
+          Alcotest.test_case "call path separates one statement" `Quick
+            test_resolver_call_path_matters;
+          Alcotest.test_case "fresh after refinement" `Quick
+            test_resolver_after_refinement;
+          Alcotest.test_case "recursive re-entry folds" `Quick
+            test_resolver_recursion;
+          Alcotest.test_case "unknown contexts stay None" `Quick
+            test_resolver_unknown_loc;
         ] );
     ]

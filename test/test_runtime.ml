@@ -34,111 +34,6 @@ let test_heap_empty () =
       check_int "value" 7 v
   | None -> Alcotest.fail "pop"
 
-(* Key lists for the Indexed properties: up to 32 keys drawn from a
-   coarse grid so duplicates (the tie cases) are common. *)
-let keys_arb = Prop.list_of ~max_len:32 (Prop.float_range 0.0 16.0)
-
-let drain_indexed h =
-  let rec go acc =
-    if Heap.Indexed.is_empty h then List.rev acc
-    else
-      let k = Heap.Indexed.min_key h in
-      let v = Heap.Indexed.pop_val h in
-      go ((k, v) :: acc)
-  in
-  go []
-
-let sorted_keys kvs =
-  let ks = List.map fst kvs in
-  List.sort compare ks = ks
-
-let heap_indexed_sorted =
-  Prop.test ~count:300 "indexed heap pops sorted" keys_arb (fun keys ->
-      let n = List.length keys in
-      let h = Heap.Indexed.create n in
-      List.iteri (fun i k -> Heap.Indexed.push h k i) keys;
-      let out = drain_indexed h in
-      sorted_keys out
-      && List.sort compare (List.map snd out) = List.init n Fun.id)
-
-(* The doc's frozen-contract claim, verified directly: under the same
-   push sequence both heap variants evolve the same array layout, so
-   their pop sequences agree payload-for-payload — including the tie
-   order among equal keys. *)
-let heap_indexed_matches_plain =
-  Prop.test ~count:300 "indexed tie order = plain heap" keys_arb (fun keys ->
-      let n = List.length keys in
-      let plain = Heap.create () in
-      let idx = Heap.Indexed.create n in
-      List.iteri
-        (fun i k ->
-          Heap.push plain k i;
-          Heap.Indexed.push idx k i)
-        keys;
-      let rec agree () =
-        let a = Heap.pop_val plain in
-        let b = Heap.Indexed.pop_val idx in
-        a = b && (a = -1 || agree ())
-      in
-      agree ())
-
-let heap_decrease_key =
-  Prop.test ~count:300 "decrease_key preserves invariant"
-    (Prop.pair keys_arb (Prop.list_of ~max_len:16 (Prop.int_range 0 1023)))
-    (fun (keys, picks) ->
-      let n = List.length keys in
-      let h = Heap.Indexed.create n in
-      List.iteri (fun i k -> Heap.Indexed.push h k i) keys;
-      let expected = Array.of_list keys in
-      List.iter
-        (fun pick ->
-          if n > 0 then begin
-            let v = pick mod n in
-            let k = Heap.Indexed.key h v /. 2.0 in
-            Heap.Indexed.decrease_key h k v;
-            expected.(v) <- k
-          end)
-        picks;
-      let out = drain_indexed h in
-      sorted_keys out
-      && List.for_all (fun (k, v) -> k = expected.(v)) out
-      && List.length out = n)
-
-let heap_replace_min =
-  Prop.test ~count:300 "replace_min = pop+push"
-    (Prop.pair keys_arb (Prop.float_range 0.0 16.0))
-    (fun (keys, k') ->
-      let n = List.length keys in
-      n = 0
-      ||
-      let h = Heap.Indexed.create n in
-      List.iteri (fun i k -> Heap.Indexed.push h k i) keys;
-      let v = Heap.Indexed.min_val h in
-      Heap.Indexed.replace_min h k' v;
-      let out = drain_indexed h in
-      sorted_keys out
-      && List.length out = n
-      && List.exists (fun (k, pv) -> pv = v && k = k') out)
-
-let test_heap_indexed_errors () =
-  let h = Heap.Indexed.create 4 in
-  Heap.Indexed.push h 5.0 2;
-  (match Heap.Indexed.push h 1.0 2 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "duplicate push");
-  (match Heap.Indexed.decrease_key h 9.0 2 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "key increase");
-  (match Heap.Indexed.decrease_key h 1.0 3 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "absent payload");
-  Heap.Indexed.decrease_key h 1.0 2;
-  check_float "decreased" 1.0 (Heap.Indexed.key h 2);
-  check_int "pops it" 2 (Heap.Indexed.pop_val h);
-  match Heap.Indexed.replace_min h 0.0 0 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "replace_min on empty"
-
 (* --- pmu / cost model --- *)
 
 let test_pmu_arith () =
@@ -870,11 +765,6 @@ let () =
         [
           heap_sorted;
           Alcotest.test_case "empty/one" `Quick test_heap_empty;
-          heap_indexed_sorted;
-          heap_indexed_matches_plain;
-          heap_decrease_key;
-          heap_replace_min;
-          Alcotest.test_case "indexed errors" `Quick test_heap_indexed_errors;
         ] );
       ( "models",
         [
