@@ -145,7 +145,12 @@ let fig7 () =
   | f :: _ ->
       let v = Scalana_psg.Psg.vertex psg f.vertex in
       let _, ppg = Scalana_ppg.Crossscale.largest pipe.crossscale in
-      let times = Scalana_ppg.Ppg.times_across_ranks ppg ~vertex:f.vertex in
+      let times =
+        match Scalana_ppg.Ppg.row_offset ppg ~vertex:f.vertex with
+        | Some off ->
+            Array.sub (Scalana_ppg.Ppg.times_col ppg) off ppg.Scalana_ppg.Ppg.nprocs
+        | None -> [||]
+      in
       Printf.printf "      vertex %s: [%s]\n"
         (Scalana_psg.Vertex.label v)
         (bars times);

@@ -38,13 +38,9 @@ let make_tests () =
       (Staged.stage (fun () ->
            List.iter
              (fun vertex ->
-               let series =
-                 List.map
-                   (fun (n, a) ->
-                     (n, Scalana_detect.Aggregate.apply Scalana_detect.Aggregate.Mean a))
-                   (Scalana_ppg.Crossscale.series zeus.crossscale ~vertex)
-               in
-               ignore (Scalana_detect.Loglog.fit series))
+               ignore
+                 (Scalana_detect.Nonscalable.evidence
+                    Scalana_detect.Aggregate.Mean zeus.crossscale ~vertex))
              (Scalana_ppg.Crossscale.touched_vertices zeus.crossscale)));
     Test.make ~name:"fig8_ppg_build"
       (Staged.stage (fun () -> Scalana_ppg.Ppg.build ~psg data));
@@ -117,9 +113,14 @@ let make_tests () =
       (Staged.stage (fun () ->
            List.iter
              (fun vertex ->
-               ignore
-                 (Scalana_detect.Aggregate.apply (Scalana_detect.Aggregate.Kmeans 3)
-                    (Scalana_ppg.Ppg.times_across_ranks ppg ~vertex)))
+               match Scalana_ppg.Ppg.row_offset ppg ~vertex with
+               | Some off ->
+                   ignore
+                     (Scalana_detect.Aggregate.apply
+                        (Scalana_detect.Aggregate.Kmeans 3)
+                        (Scalana_ppg.Ppg.times_col ppg) ~off
+                        ~len:ppg.Scalana_ppg.Ppg.nprocs)
+               | None -> ())
              (Scalana_profile.Profdata.touched_vertices data)));
   ]
   (* the simulator engine's two hot structures, at the scales the

@@ -37,12 +37,15 @@ white-space:pre;overflow-x:auto;border-radius:4px}
 .bar{fill:#4a7fb5}.bar.hot{fill:#c33}
 .meta{color:#777;font-size:.85em}|}
 
-(* Per-rank bar chart as inline SVG; deviating ranks highlighted. *)
-let svg_bars ?(width = 640) ?(height = 80) ~hot values =
+(* Per-rank bar chart as inline SVG over the row slice [off, off + len)
+   of [col]; deviating ranks highlighted. *)
+let svg_bars ?(width = 640) ?(height = 80) ~hot col ~off ~len =
   (* quarantined values (NaN / negative) render as empty bars instead of
      breaking the SVG geometry *)
   let values =
-    Array.map (fun v -> if Float.is_nan v || v < 0.0 then 0.0 else v) values
+    Array.init len (fun i ->
+        let v = col.(off + i) in
+        if Float.is_nan v || v < 0.0 then 0.0 else v)
   in
   let n = Array.length values in
   if n = 0 then ""
@@ -238,12 +241,15 @@ let render (pipe : Pipeline.t) =
     (fun i (f : Abnormal.finding) ->
       if i < 6 then begin
         let v = Psg.vertex psg f.vertex in
-        let times = Scalana_ppg.Ppg.times_across_ranks largest_ppg ~vertex:f.vertex in
         out "<p><b>%s</b> @%s — %d deviating ranks, max %.4fs, median %.4fs</p>%s"
           (esc (Vertex.label v))
           (esc (Loc.to_string v.Vertex.loc))
           (List.length f.ranks) f.max_time f.median_time
-          (svg_bars ~hot:f.ranks times)
+          (match Scalana_ppg.Ppg.row_offset largest_ppg ~vertex:f.vertex with
+          | Some off ->
+              svg_bars ~hot:f.ranks (Scalana_ppg.Ppg.times_col largest_ppg)
+                ~off ~len:largest_ppg.Scalana_ppg.Ppg.nprocs
+          | None -> "")
       end)
     pipe.analysis.abnormal;
 
@@ -290,7 +296,9 @@ let render (pipe : Pipeline.t) =
       out "<p class=\"meta\">blocked %.6fs across ranks · attributed %.1f%%</p>"
         blocked
         (100.0 *. Waitstate.attributed_fraction ws);
-      out "%s" (svg_bars ~hot:[] ws.Waitstate.rank_blocked);
+      out "%s"
+        (svg_bars ~hot:[] ws.Waitstate.rank_blocked ~off:0
+           ~len:(Array.length ws.Waitstate.rank_blocked));
       out "<table><tr><th>class</th><th>attributed</th></tr>";
       List.iter
         (fun (cls, total) ->

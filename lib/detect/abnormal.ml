@@ -35,10 +35,10 @@ let detect_vertex ?(config = default_config) ppg ~vertex =
          deviation scan below skips them naturally (NaN/negative never
          exceed a positive threshold), so a faulted rank can't be
          flagged on garbage *)
-      let max_time = Aggregate.max_clean_slice col ~off ~len in
+      let max_time = Aggregate.max_clean col ~off ~len in
       if max_time < config.min_seconds then None
       else begin
-        let med = Aggregate.median_slice col ~off ~len in
+        let med = Aggregate.median col ~off ~len in
         let threshold =
           if med > 0.0 then config.abnorm_thd *. med else 0.0
         in

@@ -18,47 +18,93 @@ let strategy_name = function
   | Kmeans k -> Printf.sprintf "kmeans(%d)" k
 
 (* Poisoned values (NaN from a broken counter, negative garbage) are
-   quarantined before any merging: [sanitize] returns the surviving
-   values and how many were dropped.  Clean input comes back physically
-   unchanged, so the no-fault paths behave exactly as before. *)
+   quarantined before any merging. *)
 let quarantined x = Float.is_nan x || x < 0.0
 
-let sanitize a =
-  if Array.exists quarantined a then begin
-    let keep =
-      Array.to_list a |> List.filter (fun x -> not (quarantined x))
-    in
-    (Array.of_list keep, Array.length a - List.length keep)
+(* Every function below reads one row slice [off, off + len) of a column
+   in place — in the PPG, one vertex's cells across ranks; a whole array
+   is [~off:0 ~len:(Array.length a)].  Each scan visits the cells in rank
+   order and skips quarantined ones, so over a clean row every statistic
+   is the textbook formula evaluated left to right (the reports' floats
+   depend on that order). *)
+
+let quarantined_in col ~off ~len =
+  let n = ref 0 in
+  for i = off to off + len - 1 do
+    if quarantined col.(i) then incr n
+  done;
+  !n
+
+(* Survivors gathered in rank order, with the count dropped; always a
+   fresh array, so callers may sort it in place. *)
+let sanitize col ~off ~len =
+  let dropped = quarantined_in col ~off ~len in
+  if dropped = 0 then (Array.sub col off len, 0)
+  else begin
+    let keep = Array.make (len - dropped) 0.0 in
+    let j = ref 0 in
+    for i = off to off + len - 1 do
+      if not (quarantined col.(i)) then begin
+        keep.(!j) <- col.(i);
+        incr j
+      end
+    done;
+    (keep, dropped)
   end
-  else (a, 0)
 
-let mean a =
-  let a, _ = sanitize a in
-  if Array.length a = 0 then 0.0
-  else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
+let sum_clean col ~off ~len =
+  let acc = ref 0.0 in
+  for i = off to off + len - 1 do
+    let x = col.(i) in
+    if not (quarantined x) then acc := !acc +. x
+  done;
+  !acc
 
-let median a =
-  let a, _ = sanitize a in
+(* Largest surviving cell, 0.0 floor (the abnormal detector's scan). *)
+let max_clean col ~off ~len =
+  let acc = ref 0.0 in
+  for i = off to off + len - 1 do
+    let x = col.(i) in
+    if not (quarantined x) then acc := Float.max !acc x
+  done;
+  !acc
+
+let mean col ~off ~len =
+  let sum = ref 0.0 and n = ref 0 in
+  for i = off to off + len - 1 do
+    let x = col.(i) in
+    if not (quarantined x) then begin
+      sum := !sum +. x;
+      incr n
+    end
+  done;
+  if !n = 0 then 0.0 else !sum /. float_of_int !n
+
+let median col ~off ~len =
+  let a, _ = sanitize col ~off ~len in
   let n = Array.length a in
   if n = 0 then 0.0
   else begin
-    let b = Array.copy a in
-    Array.sort compare b;
-    if n mod 2 = 1 then b.(n / 2) else (b.((n / 2) - 1) +. b.(n / 2)) /. 2.0
+    Array.sort compare a;
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
   end
 
-let variance a =
-  let a, _ = sanitize a in
-  let m = mean a in
-  if Array.length a = 0 then 0.0
-  else
-    Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 a
-    /. float_of_int (Array.length a)
+let variance col ~off ~len =
+  let m = mean col ~off ~len in
+  let acc = ref 0.0 and n = ref 0 in
+  for i = off to off + len - 1 do
+    let x = col.(i) in
+    if not (quarantined x) then begin
+      acc := !acc +. ((x -. m) *. (x -. m));
+      incr n
+    end
+  done;
+  if !n = 0 then 0.0 else !acc /. float_of_int !n
 
-let stddev a = sqrt (variance a)
-
-(* 1-D k-means (Lloyd's algorithm, deterministic seeding at quantiles). *)
-let kmeans ~k a =
+(* 1-D k-means over the surviving cells (Lloyd's algorithm,
+   deterministic seeding at quantiles). *)
+let kmeans ~k col ~off ~len =
+  let a, _ = sanitize col ~off ~len in
   let n = Array.length a in
   if n = 0 || k <= 0 then [||]
   else begin
@@ -104,97 +150,16 @@ let kmeans ~k a =
     Array.init k (fun c -> (centroids.(c), sizes.(c)))
   end
 
-(* --- slice variants ---
-
-   The same statistics computed directly over a columnar row slice
-   [off, off + len) without materializing the per-vertex array first.
-   Every scan visits cells in rank order, which is exactly the order the
-   array versions see after [sanitize] (survivors keep their relative
-   order), so each slice function is bit-identical to its array
-   counterpart on the copied row — the property the differential suite
-   and the golden reports pin. *)
-
-let quarantined_in_slice col ~off ~len =
-  let n = ref 0 in
-  for i = off to off + len - 1 do
-    if quarantined col.(i) then incr n
-  done;
-  !n
-
-(* Survivors gathered in rank order: the slice analogue of [sanitize],
-   always a fresh array. *)
-let sanitize_slice col ~off ~len =
-  let dropped = quarantined_in_slice col ~off ~len in
-  if dropped = 0 then (Array.sub col off len, 0)
-  else begin
-    let keep = Array.make (len - dropped) 0.0 in
-    let j = ref 0 in
-    for i = off to off + len - 1 do
-      if not (quarantined col.(i)) then begin
-        keep.(!j) <- col.(i);
-        incr j
-      end
-    done;
-    (keep, dropped)
-  end
-
-(* Sum of the surviving cells — [Array.fold_left (+.) 0.0] over the
-   sanitized row, without the row. *)
-let sum_clean_slice col ~off ~len =
-  let acc = ref 0.0 in
-  for i = off to off + len - 1 do
-    let x = col.(i) in
-    if not (quarantined x) then acc := !acc +. x
-  done;
-  !acc
-
-(* Largest surviving cell, 0.0 floor (the abnormal detector's scan). *)
-let max_clean_slice col ~off ~len =
-  let acc = ref 0.0 in
-  for i = off to off + len - 1 do
-    let x = col.(i) in
-    if not (quarantined x) then acc := Float.max !acc x
-  done;
-  !acc
-
-let mean_slice col ~off ~len =
-  let sum = ref 0.0 and n = ref 0 in
-  for i = off to off + len - 1 do
-    let x = col.(i) in
-    if not (quarantined x) then begin
-      sum := !sum +. x;
-      incr n
-    end
-  done;
-  if !n = 0 then 0.0 else !sum /. float_of_int !n
-
-let median_slice col ~off ~len =
-  median (fst (sanitize_slice col ~off ~len))
-
-let variance_slice col ~off ~len =
-  let m = mean_slice col ~off ~len in
-  let acc = ref 0.0 and n = ref 0 in
-  for i = off to off + len - 1 do
-    let x = col.(i) in
-    if not (quarantined x) then begin
-      acc := !acc +. ((x -. m) *. (x -. m));
-      incr n
-    end
-  done;
-  if !n = 0 then 0.0 else !acc /. float_of_int !n
-
-let apply strategy values =
+let apply strategy col ~off ~len =
   match strategy with
   | Single r ->
-      if r < Array.length values && not (quarantined values.(r)) then
-        values.(r)
+      if r >= 0 && r < len && not (quarantined col.(off + r)) then
+        col.(off + r)
       else 0.0
-  | Mean -> mean values
-  | Median -> median values
-  | Variance_weighted -> mean values +. stddev values
+  | Mean -> mean col ~off ~len
+  | Median -> median col ~off ~len
+  | Variance_weighted -> mean col ~off ~len +. sqrt (variance col ~off ~len)
   | Kmeans k -> (
-      let values, _ = sanitize values in
-      let clusters = kmeans ~k values in
       (* centroid of the heaviest (largest-time) populated cluster: the
          "busy group" drives the scaling behaviour *)
       match
@@ -203,22 +168,8 @@ let apply strategy values =
             match acc with
             | None -> if n > 0 then Some (c, n) else None
             | Some (bc, _) -> if n > 0 && c > bc then Some (c, n) else acc)
-          None clusters
+          None
+          (kmeans ~k col ~off ~len)
       with
       | Some (c, _) -> c
       | None -> 0.0)
-
-(* [apply] over a columnar row slice, without the row copy.  For the
-   order-insensitive strategies the scan runs in place; Median and
-   Kmeans gather the survivors first (they need a sortable array), which
-   is still exactly what the array path hands them. *)
-let apply_slice strategy col ~off ~len =
-  match strategy with
-  | Single r ->
-      if r < len && not (quarantined col.(off + r)) then col.(off + r)
-      else 0.0
-  | Mean -> mean_slice col ~off ~len
-  | Median -> median_slice col ~off ~len
-  | Variance_weighted ->
-      mean_slice col ~off ~len +. sqrt (variance_slice col ~off ~len)
-  | Kmeans k -> apply (Kmeans k) (fst (sanitize_slice col ~off ~len))

@@ -14,42 +14,33 @@ val strategy_name : strategy -> string
 (** Is this value quarantined (NaN or negative — a poisoned metric)? *)
 val quarantined : float -> bool
 
-(** Drop quarantined values; returns the survivors and the count dropped.
-    Clean input comes back physically unchanged.  Every merging function
-    below sanitizes its input first. *)
-val sanitize : float array -> float array * int
+(** {2 The kernel}
 
-val mean : float array -> float
-val median : float array -> float
-val variance : float array -> float
-val stddev : float array -> float
+    Every function reads one row slice [off, off + len) of a column in
+    place (in the PPG, one vertex's cells across ranks); a whole array is
+    [~off:0 ~len:(Array.length a)].  Cells are visited in rank order and
+    quarantined cells are skipped, so over a clean row each statistic is
+    the plain textbook formula evaluated left to right. *)
 
-(** 1-D Lloyd's k-means with deterministic quantile seeding; returns
-    (centroid, size) pairs. *)
-val kmeans : k:int -> float array -> (float * int) array
+(** Quarantined cells in the slice (what {!sanitize} drops). *)
+val quarantined_in : float array -> off:int -> len:int -> int
 
-val apply : strategy -> float array -> float
-
-(** {2 Slice variants}
-
-    The same statistics over a columnar row slice [off, off + len)
-    without materializing the per-vertex array first.  Cells are visited
-    in rank order — the order the array versions see after [sanitize] —
-    so each is bit-identical to its array counterpart on a copied row. *)
-
-(** Quarantined cells in the slice (what [sanitize] would drop). *)
-val quarantined_in_slice : float array -> off:int -> len:int -> int
-
-(** Surviving cells gathered in rank order; always a fresh array. *)
-val sanitize_slice : float array -> off:int -> len:int -> float array * int
+(** Surviving cells gathered in rank order, with the count dropped;
+    always a fresh array. *)
+val sanitize : float array -> off:int -> len:int -> float array * int
 
 (** Sum of the surviving cells. *)
-val sum_clean_slice : float array -> off:int -> len:int -> float
+val sum_clean : float array -> off:int -> len:int -> float
 
 (** Largest surviving cell, floored at 0. *)
-val max_clean_slice : float array -> off:int -> len:int -> float
+val max_clean : float array -> off:int -> len:int -> float
 
-val mean_slice : float array -> off:int -> len:int -> float
-val median_slice : float array -> off:int -> len:int -> float
-val variance_slice : float array -> off:int -> len:int -> float
-val apply_slice : strategy -> float array -> off:int -> len:int -> float
+val mean : float array -> off:int -> len:int -> float
+val median : float array -> off:int -> len:int -> float
+val variance : float array -> off:int -> len:int -> float
+
+(** 1-D Lloyd's k-means over the surviving cells with deterministic
+    quantile seeding; returns (centroid, size) pairs. *)
+val kmeans : k:int -> float array -> off:int -> len:int -> (float * int) array
+
+val apply : strategy -> float array -> off:int -> len:int -> float

@@ -7,8 +7,9 @@
    error, which is what makes diffing across code changes useful.
 
    The per-vertex slope is recomputed here for every touched vertex
-   with exactly the detector's recipe (same aggregation strategy, same
-   effective-scale axis), not just for the top-k findings: a regression
+   by the detector's own computation ([Nonscalable.evidence]: same
+   aggregation strategy, same effective-scale axis), not just for the
+   top-k findings: a regression
    is most interesting precisely when a vertex that used to be below
    the reporting threshold climbs over it. *)
 
@@ -60,29 +61,8 @@ let summarize ?(label = "") ?(strategy = Aggregate.Mean) ~psg ~crossscale
   let _, largest_ppg = Crossscale.largest cs in
   let total = Ppg.total_time largest_ppg in
   let eval vertex =
-    let series =
-      List.map
-        (fun (n, ppg) ->
-          match Ppg.row_offset ppg ~vertex with
-          | Some off ->
-              ( n,
-                Aggregate.apply_slice strategy (Ppg.times_col ppg) ~off
-                  ~len:ppg.Ppg.nprocs )
-          | None -> (n, 0.0))
-        cs.Crossscale.runs
-    in
-    let fit =
-      Loglog.fit_scaled
-        (List.map
-           (fun (n, t) -> (Crossscale.effective_scale cs ~nprocs:n, t))
-           series)
-    in
-    let at_largest =
-      match Ppg.row_offset largest_ppg ~vertex with
-      | Some off ->
-          Aggregate.sum_clean_slice (Ppg.times_col largest_ppg) ~off
-            ~len:largest_ppg.Ppg.nprocs
-      | None -> 0.0
+    let ({ fit; at_largest; _ } : Nonscalable.evidence) =
+      Nonscalable.evidence strategy cs ~vertex
     in
     let wait_mix =
       match waitstate with

@@ -14,6 +14,14 @@
 
 open Scalana_ppg
 
+(* Declared before [finding] so the shared field names resolve to
+   [finding] by default. *)
+type evidence = {
+  series : (int * float) list;  (* (nprocs, merged time) *)
+  fit : Loglog.fit;
+  at_largest : float;  (* clean time summed across ranks, largest scale *)
+}
+
 type finding = {
   vertex : int;
   slope : float;
@@ -53,15 +61,50 @@ let default_config =
     min_points = 3;
   }
 
+(* One vertex's scaling evidence, computed the same way by the detector
+   and by Diff: its [strategy]-merged time at every scale, scanned in
+   place over the vertex's column slice (no per-(vertex, scale) array
+   materializes); the log-log fit of that series against *effective*
+   scales (an elastic run's time-weighted mean membership replaces the
+   nominal count on the P axis; for a fixed-membership run the two
+   coincide bit for bit); and its clean time summed across ranks at the
+   largest scale. *)
+let evidence strategy (cs : Crossscale.t) ~vertex =
+  let series =
+    List.map
+      (fun (n, ppg) ->
+        match Ppg.row_offset ppg ~vertex with
+        | Some off ->
+            ( n,
+              Aggregate.apply strategy (Ppg.times_col ppg) ~off
+                ~len:ppg.Ppg.nprocs )
+        | None -> (n, 0.0))
+      cs.Crossscale.runs
+  in
+  Scalana_obs.Obs.Metrics.incr "loglog.fits";
+  let fit =
+    Loglog.fit_scaled
+      (List.map
+         (fun (n, t) -> (Crossscale.effective_scale cs ~nprocs:n, t))
+         series)
+  in
+  let _, largest_ppg = Crossscale.largest cs in
+  let at_largest =
+    match Ppg.row_offset largest_ppg ~vertex with
+    | Some off ->
+        Aggregate.sum_clean (Ppg.times_col largest_ppg) ~off
+          ~len:largest_ppg.Ppg.nprocs
+    | None -> 0.0
+  in
+  { series; fit; at_largest }
+
 let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
   Scalana_obs.Obs.with_span "nonscalable.detect" @@ fun () ->
   let _, largest_ppg = Crossscale.largest cs in
   let total = Ppg.total_time largest_ppg in
   (* per-vertex work is pure (the PPG columns are frozen at build time),
      so the aggregation + fit loop fans out across domains; parallel_map
-     preserves input order, keeping the ranking stable.  Each scale's
-     per-rank values are scanned in place over the vertex's column
-     slice — no per-(vertex, scale) array materializes. *)
+     preserves input order, keeping the ranking stable *)
   let eval vertex =
     let dropped =
       List.fold_left
@@ -69,42 +112,17 @@ let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
           match Ppg.row_offset ppg ~vertex with
           | Some off ->
               acc
-              + Aggregate.quarantined_in_slice (Ppg.times_col ppg) ~off
+              + Aggregate.quarantined_in (Ppg.times_col ppg) ~off
                   ~len:ppg.Ppg.nprocs
           | None -> acc)
         0 cs.Crossscale.runs
     in
-    let series =
-      List.map
-        (fun (n, ppg) ->
-          match Ppg.row_offset ppg ~vertex with
-          | Some off ->
-              ( n,
-                Aggregate.apply_slice config.strategy (Ppg.times_col ppg) ~off
-                  ~len:ppg.Ppg.nprocs )
-          | None -> (n, 0.0))
-        cs.Crossscale.runs
-    in
-    let at_largest =
-      match Ppg.row_offset largest_ppg ~vertex with
-      | Some off ->
-          Aggregate.sum_clean_slice (Ppg.times_col largest_ppg) ~off
-            ~len:largest_ppg.Ppg.nprocs
-      | None -> 0.0
+    let ({ series; fit; at_largest } : evidence) =
+      evidence config.strategy cs ~vertex
     in
     let fraction = if total > 0.0 then at_largest /. total else 0.0 in
     if fraction < config.min_fraction then (None, None, dropped)
     else begin
-      Scalana_obs.Obs.Metrics.incr "loglog.fits";
-      (* fit against *effective* scales: an elastic run's time-weighted
-         mean membership replaces the nominal count on the P axis (for a
-         fixed-membership run the two coincide bit for bit) *)
-      let fit =
-        Loglog.fit_scaled
-          (List.map
-             (fun (n, t) -> (Crossscale.effective_scale cs ~nprocs:n, t))
-             series)
-      in
       if dropped > 0 && fit.Loglog.n < config.min_points then
         ( None,
           Some

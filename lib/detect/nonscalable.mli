@@ -4,6 +4,15 @@
     and vertices that lost too many scale points are reported as
     "insufficient data" instead of being ranked. *)
 
+(** One vertex's scaling evidence: its merged time at every scale, the
+    log-log fit of that series against effective scales, and its clean
+    time summed across ranks at the largest scale. *)
+type evidence = {
+  series : (int * float) list;  (** (nprocs, merged time) *)
+  fit : Loglog.fit;
+  at_largest : float;
+}
+
 type finding = {
   vertex : int;
   slope : float;
@@ -37,6 +46,11 @@ type config = {
 }
 
 val default_config : config
+
+(** The evidence for [vertex] under [strategy] — the one computation
+    behind both the detector's verdicts and {!Diff.summarize}. *)
+val evidence :
+  Aggregate.strategy -> Scalana_ppg.Crossscale.t -> vertex:int -> evidence
 
 (** With [pool], the per-vertex aggregation + log-log fits run in
     parallel; the ranking is identical to the sequential one. *)

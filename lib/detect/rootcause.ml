@@ -42,14 +42,17 @@ type analysis = {
    with no time on the visited rank cannot be causes.  Ties prefer the
    deeper (later) step, i.e. the origin of the delay chain. *)
 let cause_score ppg (s : Backtrack.step) =
-  let times = Ppg.times_across_ranks ppg ~vertex:s.Backtrack.vertex in
-  let own = if s.rank < Array.length times then times.(s.rank) else 0.0 in
-  if own <= 1e-9 || Aggregate.quarantined own then 0.0
-  else begin
-    let med = Aggregate.median times in
-    let deviation = if med > 1e-9 then own /. med else 1000.0 in
-    own *. deviation
-  end
+  match Ppg.row_offset ppg ~vertex:s.Backtrack.vertex with
+  | None -> 0.0
+  | Some off ->
+      let col = Ppg.times_col ppg and len = ppg.Ppg.nprocs in
+      let own = if s.rank < len then col.(off + s.rank) else 0.0 in
+      if own <= 1e-9 || Aggregate.quarantined own then 0.0
+      else begin
+        let med = Aggregate.median col ~off ~len in
+        let deviation = if med > 1e-9 then own /. med else 1000.0 in
+        own *. deviation
+      end
 
 let terminal_cause ppg (path : Backtrack.path) =
   let psg = ppg.Ppg.psg in
@@ -68,12 +71,22 @@ let terminal_cause ppg (path : Backtrack.path) =
 
 (* Pick the start rank for a problematic vertex: the rank spending the
    most time there (for collectives the wait concentrates on early
-   arrivers, and the walk jumps to the true culprit). *)
+   arrivers, and the walk jumps to the true culprit).  Quarantined cells
+   are skipped, so a poisoned rank 0 cannot pin the walk; rank 0 remains
+   the answer only when no cell survives. *)
 let start_rank ppg ~vertex =
-  let times = Ppg.times_across_ranks ppg ~vertex in
-  let best = ref 0 in
-  Array.iteri (fun r t -> if t > times.(!best) then best := r) times;
-  !best
+  match Ppg.row_offset ppg ~vertex with
+  | None -> 0
+  | Some off ->
+      let col = Ppg.times_col ppg in
+      let best = ref (-1) in
+      for r = 0 to ppg.Ppg.nprocs - 1 do
+        let t = col.(off + r) in
+        if (not (Aggregate.quarantined t))
+           && (!best < 0 || t > col.(off + !best))
+        then best := r
+      done;
+      max 0 !best
 
 let analyze ?(ns_config = Nonscalable.default_config)
     ?(ab_config = Abnormal.default_config)
@@ -121,9 +134,6 @@ let analyze ?(ns_config = Nonscalable.default_config)
       | Some s ->
           let vid = s.Backtrack.vertex in
           let v = Psg.vertex psg vid in
-          let times = Ppg.times_across_ranks ppg ~vertex:vid in
-          let med = Aggregate.median times in
-          let mx = Array.fold_left Float.max 0.0 times in
           let cause =
             match Hashtbl.find_opt tbl vid with
             | Some c ->
@@ -139,13 +149,26 @@ let analyze ?(ns_config = Nonscalable.default_config)
                      else s.Backtrack.rank :: c.culprit_ranks);
                 }
             | None ->
+                (* the cause row is read through the quarantine, so a
+                   poisoned rank drops out of the total and the ratio
+                   instead of turning both into NaN *)
+                let total_time, imbalance =
+                  match Ppg.row_offset ppg ~vertex:vid with
+                  | None -> (0.0, infinity)
+                  | Some off ->
+                      let col = Ppg.times_col ppg and len = ppg.Ppg.nprocs in
+                      let med = Aggregate.median col ~off ~len in
+                      ( Aggregate.sum_clean col ~off ~len,
+                        if med > 0.0 then Aggregate.max_clean col ~off ~len /. med
+                        else infinity )
+                in
                 {
                   cause_vertex = vid;
                   cause_loc = v.Vertex.loc;
                   cause_label = Vertex.label v;
                   n_paths = 1;
-                  total_time = Array.fold_left ( +. ) 0.0 times;
-                  imbalance = (if med > 0.0 then mx /. med else infinity);
+                  total_time;
+                  imbalance;
                   culprit_ranks = [ s.Backtrack.rank ];
                   example_path = path;
                   wait_evidence =

@@ -42,10 +42,6 @@ let effective_scale t ~nprocs =
       if Float.is_finite e && e > 0.0 then e else float_of_int nprocs
   | None -> float_of_int nprocs
 
-(* Per-rank times of [vertex] at every scale. *)
-let series t ~vertex =
-  List.map (fun (n, ppg) -> (n, Ppg.times_across_ranks ppg ~vertex)) t.runs
-
 (* Vertices observed in any run. *)
 let touched_vertices t =
   let seen = Hashtbl.create 128 in

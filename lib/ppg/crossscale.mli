@@ -28,8 +28,5 @@ val ppg_at : t -> nprocs:int -> Ppg.t option
     nominal value itself otherwise.  Log-log fits use this axis. *)
 val effective_scale : t -> nprocs:int -> float
 
-(** Per-rank times of [vertex] at every scale. *)
-val series : t -> vertex:int -> (int * float array) list
-
 (** Vertices observed in any run, sorted. *)
 val touched_vertices : t -> int list

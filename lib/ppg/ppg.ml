@@ -2,22 +2,24 @@
 
    The per-process PSG is duplicated logically (every rank shares the
    contracted PSG structure, since SPMD processes share the code); the
-   PPG adds per-(rank, vertex) performance vectors and the inter-process
+   PPG adds per-(rank, vertex) performance data and the inter-process
    communication-dependence edges recorded at runtime.  Backtracking
    (Scalana_detect.Backtrack) walks this structure.
 
-   The store is columnar: every perf-vector component lives in a flat
-   row-major column indexed by (row, rank) where a row is one touched
-   vertex, so a vertex's across-rank values are one contiguous slice and
-   the whole-graph scans the detectors run (aggregation, deviation
+   The store is columnar and holds what detection reads: a vertex's time
+   and sampled wait on every rank.  Each lives in a flat row-major column
+   indexed by (row, rank) where a row is one touched vertex, so a
+   vertex's across-rank values are one contiguous slice and the
+   whole-graph scans the detectors run (aggregation, deviation
    thresholds, log-log fit batches) touch dense float arrays instead of
-   chasing per-rank hash tables.  [build] fills the columns in a single
-   pass over the profile and drops every reference to the boxed
-   [Profdata] vectors afterwards; the accessor API reads the columns, so
-   callers see exactly the values the boxed store served.  Cells no rank
-   reported stay 0.0 (the historical absent-cell value) and poisoned
-   cells keep their NaN/negative payloads bit-for-bit; [present] tells
-   the two apart where it matters (coverage, [perf]). *)
+   chasing per-rank hash tables.  Callers read rows in place through
+   [row_offset] and the column accessors; nothing copies a row out.
+   [build] fills the columns in a single pass over the profile and keeps
+   no reference to the boxed [Profdata] vectors, which stay the record
+   of every other counter (samples, calls, PMU).  Cells no rank reported
+   stay 0.0 (the historical absent-cell value) and poisoned cells keep
+   their NaN/negative payloads bit-for-bit; per-row reporting counts
+   give coverage. *)
 
 open Scalana_psg
 open Scalana_profile
@@ -35,20 +37,11 @@ type t = {
   nprocs : int;
   effective_nprocs : float;  (* copied from the profile at build time *)
   (* columnar store: rows are touched vertices in ascending id order,
-     cell (row, rank) lives at [row * nprocs + rank] in every column *)
+     cell (row, rank) lives at [row * nprocs + rank] in both columns *)
   vids : int array;  (* row -> vertex id, sorted *)
   rows : (int, int) Hashtbl.t;  (* vertex id -> row *)
   times : float array;
   waits : float array;
-  samples : int array;
-  calls : int array;
-  (* PMU components, one column per counter *)
-  tot_ins : float array;
-  tot_lst_ins : float array;
-  tot_cyc : float array;
-  cache_miss : float array;
-  fp_ins : float array;
-  present : Bytes.t;  (* 1 where the rank reported a vector *)
   row_present : int array;  (* row -> number of reporting ranks *)
   total_time : float;  (* precomputed quarantine-aware whole-run total *)
   (* incoming communication dependence per (recv rank, recv vertex) *)
@@ -64,42 +57,6 @@ let row_offset t ~vertex =
   match row t ~vertex with Some r -> Some (r * t.nprocs) | None -> None
 
 let times_col t = t.times
-let waits_col t = t.waits
-
-let time_of t ~rank ~vertex =
-  match row t ~vertex with
-  | Some r when rank >= 0 && rank < t.nprocs -> t.times.((r * t.nprocs) + rank)
-  | _ -> 0.0
-
-let wait_of t ~rank ~vertex =
-  match row t ~vertex with
-  | Some r when rank >= 0 && rank < t.nprocs -> t.waits.((r * t.nprocs) + rank)
-  | _ -> 0.0
-
-(* Reconstructed boxed vector for one present cell — a convenience view
-   for callers outside the scan paths; the columns stay authoritative. *)
-let perf t ~rank ~vertex =
-  match row t ~vertex with
-  | Some r when rank >= 0 && rank < t.nprocs ->
-      let i = (r * t.nprocs) + rank in
-      if Bytes.get t.present i = '\000' then None
-      else
-        Some
-          {
-            Perfvec.time = t.times.(i);
-            samples = t.samples.(i);
-            pmu =
-              {
-                Scalana_runtime.Pmu.tot_ins = t.tot_ins.(i);
-                tot_lst_ins = t.tot_lst_ins.(i);
-                tot_cyc = t.tot_cyc.(i);
-                cache_miss = t.cache_miss.(i);
-                fp_ins = t.fp_ins.(i);
-              };
-            wait = t.waits.(i);
-            calls = t.calls.(i);
-          }
-  | _ -> None
 
 let build ~(psg : Psg.t) (data : Profdata.t) =
   Scalana_obs.Obs.with_span
@@ -140,14 +97,6 @@ let build ~(psg : Psg.t) (data : Profdata.t) =
   let cells = nrows * nprocs in
   let times = Array.make cells 0.0 in
   let waits = Array.make cells 0.0 in
-  let samples = Array.make cells 0 in
-  let calls = Array.make cells 0 in
-  let tot_ins = Array.make cells 0.0 in
-  let tot_lst_ins = Array.make cells 0.0 in
-  let tot_cyc = Array.make cells 0.0 in
-  let cache_miss = Array.make cells 0.0 in
-  let fp_ins = Array.make cells 0.0 in
-  let present = Bytes.make cells '\000' in
   let row_present = Array.make nrows 0 in
   (* the single ingest pass: every (rank, vertex) vector lands in its
      cell once, so table iteration order cannot matter *)
@@ -158,15 +107,6 @@ let build ~(psg : Psg.t) (data : Profdata.t) =
           let i = (r * nprocs) + rank in
           times.(i) <- v.Perfvec.time;
           waits.(i) <- v.Perfvec.wait;
-          samples.(i) <- v.Perfvec.samples;
-          calls.(i) <- v.Perfvec.calls;
-          let p = v.Perfvec.pmu in
-          tot_ins.(i) <- p.Scalana_runtime.Pmu.tot_ins;
-          tot_lst_ins.(i) <- p.Scalana_runtime.Pmu.tot_lst_ins;
-          tot_cyc.(i) <- p.Scalana_runtime.Pmu.tot_cyc;
-          cache_miss.(i) <- p.Scalana_runtime.Pmu.cache_miss;
-          fp_ins.(i) <- p.Scalana_runtime.Pmu.fp_ins;
-          Bytes.set present i '\001';
           row_present.(r) <- row_present.(r) + 1);
   (* the whole-run total keeps the boxed store's exact summation order
      (per-rank table fold, then across ranks), so reports that print it
@@ -189,14 +129,6 @@ let build ~(psg : Psg.t) (data : Profdata.t) =
       rows;
       times;
       waits;
-      samples;
-      calls;
-      tot_ins;
-      tot_lst_ins;
-      tot_cyc;
-      cache_miss;
-      fp_ins;
-      present;
       row_present;
       total_time;
       incoming;
@@ -230,22 +162,6 @@ let critical_edge t ~rank ~vertex =
 
 let coll_late_rank t ~vertex = Hashtbl.find_opt t.coll_late vertex
 
-(* Per-rank values of one vertex (0 where untouched): a fresh copy of
-   the row slice, so callers may sort or scale it freely. *)
-let times_across_ranks t ~vertex =
-  match row t ~vertex with
-  | Some r ->
-      let off = r * t.nprocs in
-      Array.sub t.times off t.nprocs
-  | None -> Array.make t.nprocs 0.0
-
-let waits_across_ranks t ~vertex =
-  match row t ~vertex with
-  | Some r ->
-      let off = r * t.nprocs in
-      Array.sub t.waits off t.nprocs
-  | None -> Array.make t.nprocs 0.0
-
 let total_wait t ~vertex =
   match row t ~vertex with
   | Some r ->
@@ -277,10 +193,7 @@ let n_comm_edges t = Hashtbl.length t.incoming
    the memory bench cross-checks the total against a GC live-words
    delta. *)
 let storage_bytes t =
-  let cells = Array.length t.times in
-  let float_cols = 7 and int_cols = 2 in
-  (cells * 8 * (float_cols + int_cols))
-  + Bytes.length t.present
+  (8 * (Array.length t.times + Array.length t.waits))
   + (8 * Array.length t.row_present)
   + (8 * Array.length t.vids)
   + Hashtbl.fold (fun _ l acc -> acc + (56 * List.length l)) t.incoming 0

@@ -1,14 +1,17 @@
 (** Program Performance Graph (Section III-C): the contracted PSG shared
-    by all ranks, per-(rank, vertex) performance vectors, and the
-    inter-process communication-dependence edges recorded at runtime.
+    by all ranks, each vertex's time and sampled wait on every rank, and
+    the inter-process communication-dependence edges recorded at
+    runtime.
 
-    The store is columnar: each perf-vector component is a flat
-    row-major column over (touched vertex, rank) cells, so across-rank
-    reads are contiguous slices and detector batches scan dense float
-    arrays.  Accessors serve exactly the values the pre-columnar boxed
-    store served (the differential suite in [test/test_ppg.ml] pins
-    this), including 0.0 for cells no rank reported and verbatim
-    NaN/negative payloads for poisoned cells. *)
+    The store is columnar: time and wait are flat row-major columns over
+    (touched vertex, rank) cells, so a vertex's across-rank values are
+    one contiguous slice, read in place through {!row_offset} and the
+    column accessors.  Cells hold exactly the values the pre-columnar
+    boxed store served (the differential suite in [test/test_ppg.ml]
+    pins this), including 0.0 for cells no rank reported and verbatim
+    NaN/negative payloads for poisoned cells.  Every other counter
+    (samples, calls, PMU) stays in the [Profdata] the store is built
+    from. *)
 
 open Scalana_psg
 open Scalana_profile
@@ -29,15 +32,7 @@ type t = {
   rows : (int, int) Hashtbl.t;  (** vertex id -> row *)
   times : float array;  (** cell (row, rank) at [row * nprocs + rank] *)
   waits : float array;
-  samples : int array;
-  calls : int array;
-  tot_ins : float array;
-  tot_lst_ins : float array;
-  tot_cyc : float array;
-  cache_miss : float array;
-  fp_ins : float array;
-  present : Bytes.t;  (** ['\001'] where the rank reported a vector *)
-  row_present : int array;
+  row_present : int array;  (** row -> number of reporting ranks *)
   total_time : float;
   incoming : (int * int, comm_edge list) Hashtbl.t;
   coll_late : (int, int) Hashtbl.t;
@@ -57,26 +52,15 @@ val critical_edge : t -> rank:int -> vertex:int -> comm_edge option
 (** Dominant last-arriving rank at a collective vertex. *)
 val coll_late_rank : t -> vertex:int -> int option
 
-val perf : t -> rank:int -> vertex:int -> Perfvec.t option
-val time_of : t -> rank:int -> vertex:int -> float
-val wait_of : t -> rank:int -> vertex:int -> float
-
-(** Element offset of [vertex]'s row in every column ([nprocs] cells
+(** Element offset of [vertex]'s row in both columns ([nprocs] cells
     wide), for allocation-free slice scans; [None] when no rank reported
-    at [vertex]. *)
+    at [vertex] (every cell of such a row would read 0.0). *)
 val row_offset : t -> vertex:int -> int option
 
-(** The raw columns behind [row_offset] slices.  Read-only by
-    convention: mutating them corrupts the store. *)
+(** The time column behind [row_offset] slices (waits are read through
+    {!total_wait}).  Read-only by convention: mutating it corrupts the
+    store. *)
 val times_col : t -> float array
-
-val waits_col : t -> float array
-
-(** Per-rank times of one vertex (0 where untouched) — a fresh copy of
-    the row slice, free for the caller to reorder. *)
-val times_across_ranks : t -> vertex:int -> float array
-
-val waits_across_ranks : t -> vertex:int -> float array
 
 (** Sampled wait summed across ranks at [vertex] — the profiler-side
     number the timeline-replay wait-state attribution is checked
@@ -93,8 +77,9 @@ val total_time : t -> float
 
 val n_comm_edges : t -> int
 
-(** Bytes retained by the store itself (the columns plus dependence
-    tables), beyond the profile it was built from. *)
+(** Bytes retained by the store itself (the two columns, per-row
+    counts and dependence tables), beyond the profile it was built
+    from. *)
 val storage_bytes : t -> int
 
 (** Vertices any rank reported on, sorted — the detectors' iteration

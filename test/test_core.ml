@@ -446,7 +446,25 @@ let test_pipeline_poison_quarantined () =
     (pipe.quality.Scalana_detect.Quality.quarantined_values > 0);
   check_bool "degraded" true (Scalana.Pipeline.degraded pipe);
   (* the report still renders over the surviving ranks *)
-  check_bool "report renders" true (String.length pipe.report > 100)
+  check_bool "report renders" true (String.length pipe.report > 100);
+  (* and reads the cause rows through the quarantine: no figure in it is
+     NaN ("total=nans", "imbalance=nanx") *)
+  let nan_figure = Str.regexp "[^a-zA-Z]-?nan" in
+  check_bool "no NaN in the report" false
+    (try
+       ignore (Str.search_forward nan_figure pipe.report 0);
+       true
+     with Not_found -> false);
+  (* rank 0 is poisoned everywhere, so no backtracking walk may start
+     there *)
+  let _, largest = Scalana_ppg.Crossscale.largest pipe.crossscale in
+  check_bool "non-scalable vertices found" true
+    (pipe.analysis.Scalana_detect.Rootcause.nonscalable <> []);
+  List.iter
+    (fun (f : Scalana_detect.Nonscalable.finding) ->
+      check_bool "walk does not start on the poisoned rank" true
+        (Scalana_detect.Rootcause.start_rank largest ~vertex:f.vertex <> 0))
+    pipe.analysis.Scalana_detect.Rootcause.nonscalable
 
 let test_pipeline_fault_determinism () =
   (* same seed, same plan: byte-identical degraded reports *)

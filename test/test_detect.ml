@@ -9,27 +9,34 @@ open Testutil
 
 (* --- aggregate --- *)
 
+(* The kernel over a whole array. *)
+let apply strategy a = Aggregate.apply strategy a ~off:0 ~len:(Array.length a)
+let kmeans ~k a = Aggregate.kmeans ~k a ~off:0 ~len:(Array.length a)
+
 let test_aggregate_basic () =
   let a = [| 1.0; 2.0; 3.0; 4.0 |] in
-  check_float "mean" 2.5 (Aggregate.apply Aggregate.Mean a);
-  check_float "median even" 2.5 (Aggregate.apply Aggregate.Median a);
-  check_float "median odd" 2.0 (Aggregate.apply Aggregate.Median [| 1.0; 2.0; 3.0 |]);
-  check_float "single" 3.0 (Aggregate.apply (Aggregate.Single 2) a);
-  check_float "single oob" 0.0 (Aggregate.apply (Aggregate.Single 9) a);
-  check_float "empty mean" 0.0 (Aggregate.apply Aggregate.Mean [||]);
+  check_float "mean" 2.5 (apply Aggregate.Mean a);
+  check_float "median even" 2.5 (apply Aggregate.Median a);
+  check_float "median odd" 2.0 (apply Aggregate.Median [| 1.0; 2.0; 3.0 |]);
+  check_float "single" 3.0 (apply (Aggregate.Single 2) a);
+  check_float "single oob" 0.0 (apply (Aggregate.Single 9) a);
+  (* a negative rank must not read the cell before the slice *)
+  check_float "single negative" 0.0
+    (Aggregate.apply (Aggregate.Single (-1)) [| 7.0; 1.0 |] ~off:1 ~len:1);
+  check_float "empty mean" 0.0 (apply Aggregate.Mean [||]);
   close "variance weighted"
     (2.5 +. sqrt 1.25)
-    (Aggregate.apply Aggregate.Variance_weighted a)
+    (apply Aggregate.Variance_weighted a)
 
 let test_kmeans () =
   (* two clear clusters: 8 small, 2 large *)
   let a = [| 1.0; 1.1; 0.9; 1.0; 1.05; 0.95; 1.0; 1.0; 10.0; 10.2 |] in
-  let clusters = Aggregate.kmeans ~k:2 a in
+  let clusters = kmeans ~k:2 a in
   check_int "two clusters" 2 (Array.length clusters);
   let sizes = Array.map snd clusters |> Array.to_list |> List.sort compare in
   Alcotest.(check (list int)) "cluster sizes" [ 2; 8 ] sizes;
   (* the strategy keeps the heavy (slow) cluster centroid *)
-  let v = Aggregate.apply (Aggregate.Kmeans 2) a in
+  let v = apply (Aggregate.Kmeans 2) a in
   check_bool "heavy cluster" true (v > 9.0 && v < 11.0)
 
 let kmeans_total =
@@ -37,7 +44,7 @@ let kmeans_total =
     QCheck2.Gen.(list_size (int_range 1 50) (float_bound_exclusive 100.0))
     (fun l ->
       let a = Array.of_list l in
-      let clusters = Aggregate.kmeans ~k:3 a in
+      let clusters = kmeans ~k:3 a in
       Array.fold_left (fun acc (_, n) -> acc + n) 0 clusters = Array.length a)
 
 (* --- loglog --- *)
@@ -499,12 +506,151 @@ let prop_sanitize_idempotent =
     (Prop.list_of ~max_len:24 messy_float)
     (fun l ->
       let a = Array.of_list l in
-      let once, dropped = Aggregate.sanitize a in
-      let twice, dropped_again = Aggregate.sanitize once in
+      let whole a = Aggregate.sanitize a ~off:0 ~len:(Array.length a) in
+      let once, dropped = whole a in
+      let twice, dropped_again = whole once in
       dropped_again = 0
-      && twice == once (* clean input passes through physically unchanged *)
+      (* always a fresh array (every empty array is the one [||]) *)
+      && (Array.length once = 0 || twice != once)
+      && List.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+           (Array.to_list once) (Array.to_list twice)
       && dropped = Array.length a - Array.length once
       && not (Array.exists (fun x -> Float.is_nan x || x < 0.0) once))
+
+(* The kernel against a naive reference.  Columns of several rows with
+   NaN, negative and infinite cells, read at a nonzero row offset; each
+   reference is the textbook formula over the list of surviving cells in
+   rank order, and the two must agree to the last bit. *)
+type kernel_case = { col : float array; off : int; len : int }
+
+let kernel_case =
+  let open Prop in
+  {
+    gen =
+      (fun r ->
+        let len = 1 + below r 12 in
+        let rows = 2 + below r 3 in
+        let row = 1 + below r (rows - 1) in
+        { col = Array.init (rows * len) (fun _ -> messy_float.gen r);
+          off = row * len; len });
+    shrink = (fun _ -> []);
+    show =
+      (fun c ->
+        Printf.sprintf "off=%d len=%d col=[%s]" c.off c.len
+          (String.concat "; "
+             (Array.to_list (Array.map (Printf.sprintf "%h") c.col))));
+  }
+
+let ref_mean l =
+  if l = [] then 0.0
+  else List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
+
+let ref_median l =
+  let n = List.length l in
+  let s = List.sort compare l in
+  if n = 0 then 0.0
+  else if n mod 2 = 1 then List.nth s (n / 2)
+  else (List.nth s ((n / 2) - 1) +. List.nth s (n / 2)) /. 2.0
+
+let ref_variance l =
+  let m = ref_mean l in
+  if l = [] then 0.0
+  else
+    List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 l
+    /. float_of_int (List.length l)
+
+(* Lloyd's algorithm on lists: seeds at the same quantiles, nearest
+   centroid by strict distance (ties keep the lower index), centroids
+   re-averaged in rank order, at most 100 rounds. *)
+let ref_kmeans k l =
+  let n = List.length l in
+  if n = 0 || k <= 0 then []
+  else begin
+    let k = min k n in
+    let sorted = List.sort compare l in
+    let seeds =
+      List.init k (fun i -> List.nth sorted (min (n - 1) ((i * n / k) + (n / (2 * k)))))
+    in
+    let nearest cents x =
+      fst
+        (List.fold_left
+           (fun (best, bestd) (i, c) ->
+             let d = abs_float (x -. c) in
+             if d < bestd then (i, d) else (best, bestd))
+           (0, infinity)
+           (List.mapi (fun i c -> (i, c)) cents))
+    in
+    let members assign c =
+      List.filteri (fun i _ -> List.nth assign i = c) l
+    in
+    let update cents assign =
+      List.mapi
+        (fun c old ->
+          match members assign c with
+          | [] -> old
+          | m -> List.fold_left ( +. ) 0.0 m /. float_of_int (List.length m))
+        cents
+    in
+    let rec loop rounds cents assign =
+      if rounds >= 100 then (cents, assign)
+      else begin
+        let assign' = List.map (nearest cents) l in
+        let cents' = update cents assign' in
+        if assign' = assign then (cents', assign')
+        else loop (rounds + 1) cents' assign'
+      end
+    in
+    let cents, assign = loop 0 seeds (List.map (fun _ -> 0) l) in
+    List.mapi (fun c cent -> (cent, List.length (members assign c))) cents
+  end
+
+let ref_apply strategy raw l =
+  match strategy with
+  | Aggregate.Single r -> (
+      match if r < 0 then None else List.nth_opt raw r with
+      | Some x when not (Float.is_nan x || x < 0.0) -> x
+      | _ -> 0.0)
+  | Aggregate.Mean -> ref_mean l
+  | Aggregate.Median -> ref_median l
+  | Aggregate.Variance_weighted -> ref_mean l +. sqrt (ref_variance l)
+  | Aggregate.Kmeans k -> (
+      let heavy =
+        List.fold_left
+          (fun acc (c, n) ->
+            match acc with
+            | None -> if n > 0 then Some c else None
+            | Some bc -> if n > 0 && c > bc then Some c else acc)
+          None (ref_kmeans k l)
+      in
+      match heavy with Some c -> c | None -> 0.0)
+
+let prop_kernel_matches_reference =
+  Prop.test ~count:300 "kernel matches a list reference bit for bit"
+    kernel_case
+    (fun { col; off; len } ->
+      let bits = Int64.bits_of_float in
+      let same a b = bits a = bits b in
+      let raw = Array.to_list (Array.sub col off len) in
+      let l = List.filter (fun x -> not (Float.is_nan x || x < 0.0)) raw in
+      let clean, dropped = Aggregate.sanitize col ~off ~len in
+      let strategies =
+        Aggregate.
+          [ Single (-1); Single 0; Single (len / 2); Single (len - 1);
+            Single len; Mean; Median; Variance_weighted; Kmeans 1; Kmeans 2;
+            Kmeans 3 ]
+      in
+      Aggregate.quarantined_in col ~off ~len = len - List.length l
+      && dropped = len - List.length l
+      && List.equal same (Array.to_list clean) l
+      && same (Aggregate.sum_clean col ~off ~len) (List.fold_left ( +. ) 0.0 l)
+      && same (Aggregate.max_clean col ~off ~len)
+           (List.fold_left Float.max 0.0 l)
+      && same (Aggregate.mean col ~off ~len) (ref_mean l)
+      && same (Aggregate.median col ~off ~len) (ref_median l)
+      && same (Aggregate.variance col ~off ~len) (ref_variance l)
+      && List.for_all
+           (fun s -> same (Aggregate.apply s col ~off ~len) (ref_apply s raw l))
+           strategies)
 
 let prop_fit_recovers_slope =
   Prop.test ~count:200 "fit recovers planted slope (shrinking harness)"
@@ -526,6 +672,7 @@ let () =
           Alcotest.test_case "kmeans clusters" `Quick test_kmeans;
           kmeans_total;
           prop_sanitize_idempotent;
+          prop_kernel_matches_reference;
         ] );
       ( "loglog",
         [

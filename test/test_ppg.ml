@@ -22,6 +22,23 @@ let profile ?(nprocs = 4) ?(record_prob = 1.0) prog =
   ignore (Exec.run ~cfg prog);
   (contraction.Contract.psg, Profiler.data profiler)
 
+(* Row reads through the store's slice contract ([row_offset] into a
+   column): one vertex's cells across ranks, copied out, or a zero row
+   when no rank reported there; and one cell of that row. *)
+let row_of (p : Ppg.t) col ~vertex =
+  match Ppg.row_offset p ~vertex with
+  | Some off -> Array.sub col off p.Ppg.nprocs
+  | None -> Array.make p.Ppg.nprocs 0.0
+
+let cell_of (p : Ppg.t) col ~rank ~vertex =
+  match Ppg.row_offset p ~vertex with
+  | Some off when rank >= 0 && rank < p.Ppg.nprocs -> col.(off + rank)
+  | _ -> 0.0
+
+let times_of p ~vertex = row_of p (Ppg.times_col p) ~vertex
+let time_of p ~rank ~vertex = cell_of p (Ppg.times_col p) ~rank ~vertex
+let wait_of p ~rank ~vertex = cell_of p p.Ppg.waits ~rank ~vertex
+
 (* late-sender chain: rank r+1 waits on rank r's send *)
 let chain_program () =
   let open Expr.Infix in
@@ -121,7 +138,7 @@ let test_ppg_times () =
         | _ -> false)
       (Psg.find_all Vertex.is_comp psg)
   in
-  let times = Ppg.times_across_ranks ppg ~vertex:origin.Vertex.id in
+  let times = times_of ppg ~vertex:origin.Vertex.id in
   check_bool "rank0 dominates" true
     (times.(0) > times.(1) && times.(0) > times.(2) && times.(0) > times.(3));
   check_bool "total positive" true (Ppg.total_time ppg > 0.0)
@@ -138,13 +155,12 @@ let test_crossscale () =
   check_bool "ppg at 16 missing" true (Crossscale.ppg_at cs ~nprocs:16 = None);
   let touched = Crossscale.touched_vertices cs in
   check_bool "touched nonempty" true (touched <> []);
-  (* series per vertex has one entry per scale with per-rank arrays *)
+  (* every scale carries one nprocs-wide row per touched vertex *)
   let v = List.hd touched in
-  let series = Crossscale.series cs ~vertex:v in
-  check_int "two points" 2 (List.length series);
+  check_int "two runs" 2 (List.length cs.Crossscale.runs);
   List.iter
-    (fun (n, arr) -> check_int "array width" n (Array.length arr))
-    series
+    (fun (n, ppg) -> check_int "row width" n (Array.length (times_of ppg ~vertex:v)))
+    cs.Crossscale.runs
 
 (* --- differential equivalence against the frozen pre-columnar builder ---
 
@@ -185,10 +201,10 @@ let view_of_ppg (p : Ppg.t) =
     v_effective = Ppg.effective_nprocs p;
     v_total_time = Ppg.total_time p;
     v_n_comm_edges = Ppg.n_comm_edges p;
-    v_time_of = (fun ~rank ~vertex -> Ppg.time_of p ~rank ~vertex);
-    v_wait_of = (fun ~rank ~vertex -> Ppg.wait_of p ~rank ~vertex);
-    v_times = (fun ~vertex -> Ppg.times_across_ranks p ~vertex);
-    v_waits = (fun ~vertex -> Ppg.waits_across_ranks p ~vertex);
+    v_time_of = (fun ~rank ~vertex -> time_of p ~rank ~vertex);
+    v_wait_of = (fun ~rank ~vertex -> wait_of p ~rank ~vertex);
+    v_times = (fun ~vertex -> times_of p ~vertex);
+    v_waits = (fun ~vertex -> row_of p p.Ppg.waits ~vertex);
     v_coverage = (fun ~vertex -> Ppg.coverage p ~vertex);
     v_total_wait = (fun ~vertex -> Ppg.total_wait p ~vertex);
     v_incoming =
@@ -383,17 +399,17 @@ let prop_sparse_round_trip cells =
   (* present cells come back bit-for-bit (NaN and negatives included) *)
   Hashtbl.iter
     (fun (rank, vid) (t, w, _) ->
-      if not (same_float t (Ppg.time_of ppg ~rank ~vertex:vid)) then
+      if not (same_float t (time_of ppg ~rank ~vertex:vid)) then
         failwith "present time mismatch";
-      if not (same_float w (Ppg.wait_of ppg ~rank ~vertex:vid)) then
+      if not (same_float w (wait_of ppg ~rank ~vertex:vid)) then
         failwith "present wait mismatch")
     m;
   (* absent cells are NaN-safe zeros, never garbage *)
   for vid = 0 to 24 do
     for rank = 0 to prop_nprocs - 1 do
       if not (Hashtbl.mem m (rank, vid)) then begin
-        let t = Ppg.time_of ppg ~rank ~vertex:vid in
-        let w = Ppg.wait_of ppg ~rank ~vertex:vid in
+        let t = time_of ppg ~rank ~vertex:vid in
+        let w = wait_of ppg ~rank ~vertex:vid in
         if not (same_float t 0.0 && same_float w 0.0) then
           failwith "absent cell not a clean zero"
       end
@@ -411,34 +427,49 @@ let prop_sparse_round_trip cells =
   done;
   true
 
+(* Each touched vertex's row slice, read in place from both columns,
+   holds what the frozen boxed store serves cell by cell. *)
 let prop_row_gather_equals_cells cells =
-  let _, ppg = build_sparse cells in
+  let data, ppg = build_sparse cells in
+  let reference = Ppg_reference.build ~psg:(Lazy.force prop_psg) data in
+  let times = Ppg.times_col ppg and waits = ppg.Ppg.waits in
   List.for_all
     (fun vid ->
-      let times = Ppg.times_across_ranks ppg ~vertex:vid in
-      let waits = Ppg.waits_across_ranks ppg ~vertex:vid in
-      Array.length times = prop_nprocs
-      && Array.length waits = prop_nprocs
-      && List.for_all
-           (fun rank ->
-             same_float times.(rank) (Ppg.time_of ppg ~rank ~vertex:vid)
-             && same_float waits.(rank) (Ppg.wait_of ppg ~rank ~vertex:vid))
-           (List.init prop_nprocs Fun.id))
+      match Ppg.row_offset ppg ~vertex:vid with
+      | None -> false
+      | Some off ->
+          off + prop_nprocs <= Array.length times
+          && List.for_all
+               (fun rank ->
+                 same_float times.(off + rank)
+                   (Ppg_reference.time_of reference ~rank ~vertex:vid)
+                 && same_float waits.(off + rank)
+                      (Ppg_reference.wait_of reference ~rank ~vertex:vid))
+               (List.init prop_nprocs Fun.id))
     (Ppg.touched_vertices ppg)
 
-(* Sanitize over column rows: idempotent, and physically the same array
-   when the input is already clean. *)
+(* Sanitize over column rows: idempotent, always a fresh array, and the
+   column it scans in place is left untouched. *)
 let prop_sanitize_idempotent cells =
   let _, ppg = build_sparse cells in
+  let col = Ppg.times_col ppg and len = prop_nprocs in
+  let sanitize = Scalana_detect.Aggregate.sanitize in
   List.for_all
     (fun vid ->
-      let row = Ppg.times_across_ranks ppg ~vertex:vid in
-      let clean1, dropped1 = Scalana_detect.Aggregate.sanitize row in
-      let clean2, dropped2 = Scalana_detect.Aggregate.sanitize clean1 in
-      dropped2 = 0
-      && clean2 == clean1
-      && (dropped1 > 0 || clean1 == row)
-      && Array.for_all (fun x -> not (Float.is_nan x || x < 0.0)) clean1)
+      match Ppg.row_offset ppg ~vertex:vid with
+      | None -> false
+      | Some off ->
+          let before = Array.sub col off len in
+          let clean1, dropped1 = sanitize col ~off ~len in
+          let clean2, dropped2 =
+            sanitize clean1 ~off:0 ~len:(Array.length clean1)
+          in
+          dropped2 = 0
+          && (Array.length clean1 = 0 || clean2 != clean1)
+          && Array.for_all2 same_float clean1 clean2
+          && dropped1 = len - Array.length clean1
+          && Array.for_all2 same_float before (Array.sub col off len)
+          && Array.for_all (fun x -> not (Float.is_nan x || x < 0.0)) clean1)
     (Ppg.touched_vertices ppg)
 
 let () =
