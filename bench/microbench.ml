@@ -138,12 +138,12 @@ let make_tests () =
                  for r = 0 to np - 1 do
                    ignore
                      (Comm.post_recv comm ~rank:r ~src:((r + 1) mod np) ~tag:7
-                        ~bytes:64 ~time:0.0 ~loc ~callpath:[])
+                        ~bytes:64 ~time:0.0 ~loc)
                  done;
                  for r = 0 to np - 1 do
                    ignore
                      (Comm.send comm ~src:r ~dst:((r - 1 + np) mod np) ~tag:7
-                        ~bytes:64 ~time:0.0 ~loc ~callpath:[])
+                        ~bytes:64 ~time:0.0 ~loc ~cctx:0)
                  done;
                  comm.Scalana_runtime.Comm.messages_sent));
           Test.make ~name:(Printf.sprintf "engine_sched_heap_np%d" np)

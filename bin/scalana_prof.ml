@@ -18,7 +18,6 @@ let run session nprocs freq measure_overhead inject_delay inject_ranks
     match inject_delay with
     | None -> Scalana_runtime.Inject.empty
     | Some d ->
-        if d < 0.0 then failwith "--inject-delay must be non-negative";
         let ranks =
           match inject_ranks with [] -> None | ranks -> Some ranks
         in

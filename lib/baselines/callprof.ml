@@ -25,6 +25,7 @@ type t = {
 }
 
 let create ?(config = default_config) ~nprocs () =
+  Instrument.check_freq ~what:"Callprof.create" config.freq;
   {
     cfg = config;
     cct = Cct.create ~nprocs;
@@ -33,18 +34,11 @@ let create ?(config = default_config) ~nprocs () =
     elapsed = 0.0;
   }
 
-let ticks t ~rank ~start ~stop =
-  let period = 1.0 /. t.cfg.freq in
-  if t.next_tick.(rank) < start then t.next_tick.(rank) <- start;
-  let n = ref 0 in
-  while t.next_tick.(rank) < stop do
-    incr n;
-    t.next_tick.(rank) <- t.next_tick.(rank) +. period
-  done;
-  !n
-
 let on_interval t (ctx : Instrument.ctx) ~stop activity =
-  let n = ticks t ~rank:ctx.rank ~start:ctx.time ~stop in
+  let n =
+    Instrument.ticks t.next_tick ~freq:t.cfg.freq ~rank:ctx.rank
+      ~start:ctx.time ~stop
+  in
   if n = 0 then 0.0
   else begin
     t.total_samples <- t.total_samples + n;
@@ -73,6 +67,7 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
 let tool t =
   {
     (Instrument.nil "callprof") with
+    sample_gate = t.next_tick;
     on_interval = (fun ctx ~stop act -> on_interval t ctx ~stop act);
     on_run_end = (fun ~nprocs:_ ~elapsed -> t.elapsed <- elapsed);
   }

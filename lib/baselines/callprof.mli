@@ -10,6 +10,7 @@ val default_config : config
 
 type t
 
+(** Raises [Invalid_argument] unless [freq] is finite and positive. *)
 val create : ?config:config -> nprocs:int -> unit -> t
 val tool : t -> Instrument.t
 val cct : t -> Cct.t

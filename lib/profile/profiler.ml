@@ -31,15 +31,18 @@ type t = {
   cfg : config;
   resolver : Index.Resolver.t;  (* per run: see Index.Resolver *)
   data : Profdata.t;
-  next_tick : float array;  (* per rank *)
+  cells : Perfvec.t array array;  (* per rank, by vertex; see [vector] *)
+  next_tick : float array;  (* per rank; also the tool's sample gate *)
   rngs : Random.State.t array;  (* per rank, deterministic *)
 }
 
 let create ?(config = default_config) ~index ~nprocs () =
+  Instrument.check_freq ~what:"Profiler.create" config.freq;
   {
     cfg = config;
     resolver = Index.Resolver.create index;
     data = Profdata.create ~nprocs;
+    cells = Array.make nprocs [||];
     next_tick = Array.make nprocs (1.0 /. config.freq);
     rngs =
       Array.init nprocs (fun r ->
@@ -48,31 +51,50 @@ let create ?(config = default_config) ~index ~nprocs () =
 
 let data t = t.data
 
-(* Count sampling ticks inside [start, stop) for [rank]; ticks skipped by
-   clock jumps (tool overhead) are dropped, as a real timer would. *)
-let ticks t ~rank ~start ~stop =
-  let period = 1.0 /. t.cfg.freq in
-  if t.next_tick.(rank) < start then t.next_tick.(rank) <- start;
-  let n = ref 0 in
-  while t.next_tick.(rank) < stop do
-    incr n;
-    t.next_tick.(rank) <- t.next_tick.(rank) +. period
-  done;
-  !n
+let resolve t (ctx : Instrument.ctx) =
+  Index.Resolver.find t.resolver ~cctx:ctx.cctx ~callpath:ctx.callpath
+    ~loc:ctx.loc
+
+(* [Profdata.vector], memoised per rank in a vertex-indexed row that
+   grows on demand.  A cell is fetched from [Profdata] on its first
+   touch only, so the per-rank tables see the same insertions in the
+   same order as without the memo. *)
+let untouched = Perfvec.create ()
+
+let vector t ~rank ~vertex =
+  let row = t.cells.(rank) in
+  if vertex < Array.length row && row.(vertex) != untouched then row.(vertex)
+  else begin
+    let row =
+      if vertex < Array.length row then row
+      else begin
+        let grown =
+          Array.make (max (vertex + 1) (2 * Array.length row)) untouched
+        in
+        Array.blit row 0 grown 0 (Array.length row);
+        t.cells.(rank) <- grown;
+        grown
+      end
+    in
+    let v = Profdata.vector t.data ~rank ~vertex in
+    row.(vertex) <- v;
+    v
+  end
 
 let on_interval t (ctx : Instrument.ctx) ~stop activity =
-  let n = ticks t ~rank:ctx.rank ~start:ctx.time ~stop in
+  let n =
+    Instrument.ticks t.next_tick ~freq:t.cfg.freq ~rank:ctx.rank
+      ~start:ctx.time ~stop
+  in
   if n = 0 then 0.0
   else begin
     let period = 1.0 /. t.cfg.freq in
     let est_time = float_of_int n *. period in
     t.data.total_samples <- t.data.total_samples + n;
-    (match
-       Index.Resolver.find t.resolver ~callpath:ctx.callpath ~loc:ctx.loc
-     with
+    (match resolve t ctx with
     | None -> t.data.unattributed_samples <- t.data.unattributed_samples + n
     | Some vid ->
-        let v = Profdata.vector t.data ~rank:ctx.rank ~vertex:vid in
+        let v = vector t ~rank:ctx.rank ~vertex:vid in
         let duration = stop -. ctx.time in
         (* attribute counter deltas at the sampling rate: pmu-rate of the
            span times the sampled time — unbiased like PAPI's interrupt
@@ -98,12 +120,10 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
 let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
   t.data.mpi_calls_seen <- t.data.mpi_calls_seen + 1;
   let overhead = ref t.cfg.per_call_cost in
-  (match
-     Index.Resolver.find t.resolver ~callpath:ctx.callpath ~loc:ctx.loc
-   with
+  (match resolve t ctx with
   | None -> ()
   | Some vid -> (
-      let v = Profdata.vector t.data ~rank:ctx.rank ~vertex:vid in
+      let v = vector t ~rank:ctx.rank ~vertex:vid in
       Perfvec.add_wait v ~wait:info.wait_seconds;
       (* random-sampling instrumentation: record parameters only when the
          draw falls below the threshold (Section III-B2) *)
@@ -121,8 +141,8 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
             List.iter
               (fun (d : Instrument.peer_dep) ->
                 match
-                  Index.Resolver.find t.resolver ~callpath:d.peer_callpath
-                    ~loc:d.peer_loc
+                  Index.Resolver.find t.resolver ~cctx:d.peer_cctx
+                    ~callpath:d.peer_callpath ~loc:d.peer_loc
                 with
                 | None -> ()
                 | Some send_vid ->
@@ -145,9 +165,7 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
   !overhead
 
 let on_icall t (ctx : Instrument.ctx) ~target =
-  (match
-     Index.Resolver.find t.resolver ~callpath:ctx.callpath ~loc:ctx.loc
-   with
+  (match resolve t ctx with
   | Some vid -> Profdata.record_icall t.data ~callsite_vertex:vid ~target
   | None -> ());
   t.cfg.per_call_cost
@@ -155,6 +173,7 @@ let on_icall t (ctx : Instrument.ctx) ~target =
 let tool t =
   {
     (Instrument.nil "scalana") with
+    sample_gate = t.next_tick;
     on_interval = (fun ctx ~stop act -> on_interval t ctx ~stop act);
     on_mpi_exit = (fun ctx info -> on_mpi_exit t ctx info);
     on_icall = (fun ctx ~target -> on_icall t ctx ~target);

@@ -18,8 +18,11 @@ type config = {
 val default_config : config
 type t
 
+(** One profiler serves one run.  Raises [Invalid_argument] unless
+    [freq] is finite and positive. *)
 val create : ?config:config -> index:Index.t -> nprocs:int -> unit -> t
 val data : t -> Profdata.t
 
-(** The {!Instrument.t} hook record to attach to a simulator run. *)
+(** The {!Instrument.t} hook record to attach to a simulator run; its
+    sample gate is the per-rank next-tick array. *)
 val tool : t -> Instrument.t

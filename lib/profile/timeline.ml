@@ -71,13 +71,17 @@ type t = {
   merged : int;
 }
 
+(* A rank's intervals are recorded in the order its clock reaches them,
+   which is (start, stop) order: its clock never runs backwards, and a
+   merge only extends the newest interval.  So each rank keeps its own
+   list, newest first (the head is the merge target), and [capture]
+   lays the lists out in rank order without sorting. *)
 type recorder = {
   r_cfg : config;
   r_resolver : Index.Resolver.t;  (* per run: see Index.Resolver *)
   r_nprocs : int;
   mutable r_count : int;  (* recorded intervals + messages *)
-  r_last : interval option array;  (* per-rank tail, the merge target *)
-  mutable r_intervals : interval list;  (* newest first *)
+  r_intervals : interval list array;  (* per rank, newest first *)
   mutable r_messages : message list;
   r_blocked : float array;
   r_dropped : int array;
@@ -91,8 +95,7 @@ let create ?(config = default_config) ~index ~nprocs () =
     r_resolver = Index.Resolver.create index;
     r_nprocs = nprocs;
     r_count = 0;
-    r_last = Array.make nprocs None;
-    r_intervals = [];
+    r_intervals = Array.make nprocs [];
     r_messages = [];
     r_blocked = Array.make nprocs 0.0;
     r_dropped = Array.make nprocs 0;
@@ -106,16 +109,15 @@ let drop r ~rank = r.r_dropped.(rank) <- r.r_dropped.(rank) + 1
 
 let push_interval r iv =
   r.r_count <- r.r_count + 1;
-  r.r_intervals <- iv :: r.r_intervals;
-  r.r_last.(iv.iv_rank) <- Some iv
+  r.r_intervals.(iv.iv_rank) <- iv :: r.r_intervals.(iv.iv_rank)
 
 (* Graph-guided compression: a compute interval that resolves to the
    vertex of the rank's previous (compute) interval extends it instead
    of recording a new one — the streak of a contracted loop's
    iterations becomes one slice.  Merging costs no budget. *)
 let record_compute r ~rank ~vertex ~start ~stop ~label =
-  match (r.r_last.(rank), vertex) with
-  | Some ({ iv_kind = Compute _; iv_vertex = Some prev; _ } as last), Some v
+  match (r.r_intervals.(rank), vertex) with
+  | ({ iv_kind = Compute _; iv_vertex = Some prev; _ } as last) :: _, Some v
     when prev = v ->
       last.iv_stop <- stop;
       last.iv_merged <- last.iv_merged + 1;
@@ -133,12 +135,14 @@ let record_compute r ~rank ~vertex ~start ~stop ~label =
           }
       else drop r ~rank
 
+let resolve r (ctx : Instrument.ctx) =
+  Index.Resolver.find r.r_resolver ~cctx:ctx.cctx ~callpath:ctx.callpath
+    ~loc:ctx.loc
+
 let on_interval r (ctx : Instrument.ctx) ~stop activity =
   (match activity with
   | Instrument.Compute { label; _ } ->
-      let vertex =
-        Index.Resolver.find r.r_resolver ~callpath:ctx.callpath ~loc:ctx.loc
-      in
+      let vertex = resolve r ctx in
       record_compute r ~rank:ctx.rank ~vertex ~start:ctx.time ~stop ~label
   | Instrument.Mpi_span _ -> ()  (* MPI intervals come from on_mpi_exit *));
   0.0
@@ -147,9 +151,7 @@ let on_mpi_exit r (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
   let rank = ctx.rank in
   r.r_blocked.(rank) <- r.r_blocked.(rank) +. info.wait_seconds;
   if r.r_elapsed < info.exit_time then r.r_elapsed <- info.exit_time;
-  let vertex =
-    Index.Resolver.find r.r_resolver ~callpath:ctx.callpath ~loc:ctx.loc
-  in
+  let vertex = resolve r ctx in
   if has_budget r then
     push_interval r
       {
@@ -212,19 +214,44 @@ let tool r =
         if r.r_elapsed < elapsed then r.r_elapsed <- elapsed);
   }
 
+(* (send time, src, dst, tag) order; [Float.compare] orders floats as
+   the polymorphic [compare] does. *)
+let compare_messages a b =
+  match Float.compare a.msg_send_time b.msg_send_time with
+  | 0 -> (
+      match Int.compare a.msg_src b.msg_src with
+      | 0 -> (
+          match Int.compare a.msg_dst b.msg_dst with
+          | 0 -> Int.compare a.msg_tag b.msg_tag
+          | c -> c)
+      | c -> c)
+  | c -> c
+
+(* The per-rank lists, laid out back to front: the last rank's newest
+   interval goes last. *)
+let capture_intervals r =
+  let total = Array.fold_left (fun n l -> n + List.length l) 0 r.r_intervals in
+  if total = 0 then [||]
+  else begin
+    let rec filler rank =
+      match r.r_intervals.(rank) with iv :: _ -> iv | [] -> filler (rank + 1)
+    in
+    let out = Array.make total (filler 0) in
+    let pos = ref total in
+    for rank = r.r_nprocs - 1 downto 0 do
+      List.iter
+        (fun iv ->
+          decr pos;
+          out.(!pos) <- iv)
+        r.r_intervals.(rank)
+    done;
+    out
+  end
+
 let capture r =
-  let intervals = Array.of_list r.r_intervals in
-  Array.sort
-    (fun a b ->
-      compare (a.iv_rank, a.iv_start, a.iv_stop) (b.iv_rank, b.iv_start, b.iv_stop))
-    intervals;
+  let intervals = capture_intervals r in
   let messages = Array.of_list r.r_messages in
-  Array.sort
-    (fun a b ->
-      compare
-        (a.msg_send_time, a.msg_src, a.msg_dst, a.msg_tag)
-        (b.msg_send_time, b.msg_src, b.msg_dst, b.msg_tag))
-    messages;
+  Array.sort compare_messages messages;
   {
     nprocs = r.r_nprocs;
     elapsed = r.r_elapsed;

@@ -62,8 +62,10 @@ type message = {
   msg_vertex : int option;  (** receive-side vertex *)
 }
 
-(** A captured timeline.  Arrays are sorted: intervals by (rank, start),
-    messages by (send time, src, dst, tag). *)
+(** A captured timeline.  Arrays are sorted: intervals by (rank, start,
+    stop), messages by (send time, src, dst, tag).  Each rank's
+    intervals come out in the order they were recorded, which is that
+    order because a rank's clock never runs backwards. *)
 type t = {
   nprocs : int;
   elapsed : float;
@@ -82,7 +84,8 @@ val create : ?config:config -> index:Index.t -> nprocs:int -> unit -> recorder
     [Prof.run ~extra_tools].  All hooks return 0.0 overhead. *)
 val tool : recorder -> Instrument.t
 
-(** Freeze the recorder into a sorted, immutable timeline. *)
+(** Freeze the recorder into a sorted, immutable timeline.  Intervals
+    are laid out rank by rank, not sorted; only messages are. *)
 val capture : recorder -> t
 
 val total_blocked : t -> float

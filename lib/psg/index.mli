@@ -21,10 +21,13 @@ val exact : t -> callpath:Loc.t list -> loc:Loc.t -> int option
 
 val size : t -> int
 
-(** Per-run memo of {!find}: each distinct (call path, location) is
-    resolved once, later lookups are one structural hash.  Answers,
-    [None] included, equal {!find}'s on the index as it stood when the
-    context was first seen — so create one per run, after the last
+(** Per-run memo of {!find}, keyed by calling-context id: each distinct
+    (context, location) is resolved once, later lookups are an array
+    read and a short list scan.  [cctx] must name [callpath] the way the
+    run's contexts do (equal ids exactly when the call paths are equal),
+    and [callpath] is only read on a miss.  Answers, [None] included,
+    equal {!find}'s on the index as it stood when the context was first
+    seen — so create one per run, after the last
     {!index_contracted_subtree}, and drop it when the run ends. *)
 module Resolver : sig
   type index := t
@@ -32,6 +35,7 @@ module Resolver : sig
 
   val create : index -> t
 
-  (** Same answer as [Index.find] on the resolver's index. *)
-  val find : t -> callpath:Loc.t list -> loc:Loc.t -> int option
+  (** Same answer as [Index.find ~callpath ~loc] on the resolver's
+      index. *)
+  val find : t -> cctx:int -> callpath:Loc.t list -> loc:Loc.t -> int option
 end

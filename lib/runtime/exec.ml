@@ -19,9 +19,12 @@
    the original interpreter sequenced it — simulated times are preserved
    to the last ulp, and the scheduler-heap tie order is untouched, so
    results (and the golden reports derived from them) are byte-identical
-   to the reference engine.  Instrumentation hooks and callpath
+   to the reference engine.  Instrumentation hooks and calling-context
    maintenance are skipped entirely when no tool is attached: a bare run
-   pays nothing for the observability layer. *)
+   pays nothing for the observability layer.  With tools attached, a call
+   moves the rank to an interned calling-context id (no call-path list
+   is rebuilt), and an interval no tool will sample builds no records
+   and calls no hook (see [Instrument.t.sample_gate]). *)
 
 open Scalana_mlang
 module C = Expr.Compiled
@@ -94,10 +97,14 @@ and cnode =
     }
   | KLoop of { slot : int; count : C.expr; body : cstmt array }
   | KBranch of { cond : C.expr; then_ : cstmt array; else_ : cstmt array }
-  | KCall of { callee : cfunc; args : (int * C.expr) array }
+  | KCall of { callee : cfunc; args : (int * C.expr) array; kids : kids }
       (* args: (callee var slot, caller-frame expression) *)
   | KCall_undef of string
-  | KIcall of { selector : C.expr; targets : (string * cfunc option) array }
+  | KIcall of {
+      selector : C.expr;
+      targets : (string * cfunc option) array;
+      kids : kids;
+    }
   | KMpi of { ast : Ast.mpi_call; op : cmpi }
 
 and cmpi =
@@ -119,6 +126,10 @@ and cmpi =
 
 and cpeer = KPAny | KPeer of C.expr
 and ctag = KTAny | KTag of C.expr
+
+(* A call node's cache of the run's context table: (parent context id,
+   child context id) for each context the node has been called from. *)
+and kids = { mutable kids : (int * int) list }
 
 (* Per-function-activation frame: variable slots (inside the compiled
    env) and request slots. *)
@@ -302,13 +313,15 @@ let compile_program ~nprocs ~params (program : Ast.program) =
                       Array.of_list
                         (List.map
                            (fun (n, e) -> (Hashtbl.find cfs.vtbl n, ce e))
-                           args) })
+                           args);
+                    kids = { kids = [] } })
         | Ast.Icall { selector; targets } ->
             KIcall
               { selector = ce selector;
                 targets =
                   Array.of_list
-                    (List.map (fun n -> (n, Hashtbl.find_opt cmap n)) targets) }
+                    (List.map (fun n -> (n, Hashtbl.find_opt cmap n)) targets);
+                kids = { kids = [] } }
         | Ast.Mpi c -> KMpi { ast = c; op = cmpi c }
       in
       { sloc = st.loc; snode = node }
@@ -340,11 +353,57 @@ let st_running = 2
 let st_blocked = 3
 let st_finished = 4
 
+(* --- calling contexts ---
+
+   The run's context table: id 0 is the empty call path, and the child
+   of (parent id, call site) is interned once, so equal ids mean equal
+   call paths.  A call looks its child up in the call node's [kids]
+   first and falls back to [ids] (two call nodes may share a site), so
+   the steady state is one short list probe per call. *)
+type contexts = {
+  mutable paths : Loc.t list array;  (* id -> interned call path *)
+  mutable count : int;
+  ids : (int * Loc.t, int) Hashtbl.t;  (* (parent id, call site) -> id *)
+}
+
+let new_contexts () =
+  { paths = Array.make 16 []; count = 1; ids = Hashtbl.create 16 }
+
+let intern cx ~parent ~site =
+  match Hashtbl.find_opt cx.ids (parent, site) with
+  | Some id -> id
+  | None ->
+      let id = cx.count in
+      if id = Array.length cx.paths then begin
+        let paths = Array.make (2 * id) [] in
+        Array.blit cx.paths 0 paths 0 id;
+        cx.paths <- paths
+      end;
+      cx.paths.(id) <- cx.paths.(parent) @ [ site ];
+      cx.count <- id + 1;
+      Hashtbl.add cx.ids (parent, site) id;
+      id
+
+let rec cached_kid (parent : int) = function
+  | [] -> -1
+  | (p, kid) :: rest -> if p = parent then kid else cached_kid parent rest
+
+let child_context cx (k : kids) ~parent ~site =
+  let kid = cached_kid parent k.kids in
+  if kid >= 0 then kid
+  else begin
+    let kid = intern cx ~parent ~site in
+    k.kids <- (parent, kid) :: k.kids;
+    kid
+  end
+
 (* Per-process state in struct-of-arrays layout, indexed by rank. *)
 type sched = {
   cfg : config;
   cmain : cfunc;
   has_tools : bool;
+  tools : Instrument.t array;
+  gates : float array array;  (* each tool's sample gate, [||] = none *)
   inject_on : bool;
   comm : Comm.t;
   nprocs : int;
@@ -364,7 +423,8 @@ type sched = {
   conts : (float, unit) Effect.Deep.continuation option array;
   resume_at : float array;
   wakes : wake array;
-  callpaths : Loc.t list array;  (* maintained only when has_tools *)
+  cctx : int array;  (* current context id; length 0 without tools *)
+  contexts : contexts;
   kill_at : float array;  (* infinity = no kill fault armed *)
   comp_scale : float array;
   scratch : float array;  (* 5 slots for Costmodel.comp_cost_into *)
@@ -432,15 +492,54 @@ let eval_tag (env : C.env) ~loc = function
   | KTAny -> Comm.any_tag
   | KTag e -> ceval env ~loc e
 
-let ctx_of s rank ~loc =
-  {
-    Instrument.rank;
-    time = s.clock.(rank);
-    loc;
-    callpath = s.callpaths.(rank);
-  }
+let ctx_at s rank ~time ~loc =
+  let cctx = s.cctx.(rank) in
+  { Instrument.rank; time; loc; cctx; callpath = s.contexts.paths.(cctx) }
 
-let tool_sum cfg f = List.fold_left (fun acc tool -> acc +. f tool) 0.0 cfg.tools
+(* Tool [i] takes an interval [start, stop) of [rank] unless its sample
+   gate shows no tick inside, in which case its [on_interval] would be a
+   no-op returning 0.0.  Inlined, like [first_due], so the interval's
+   ends stay unboxed on the hot path. *)
+let[@inline] due s i rank ~start ~stop =
+  let gate = Array.unsafe_get s.gates i in
+  Array.length gate = 0
+  ||
+  let g = gate.(rank) in
+  not (start <= g && stop <= g)
+
+(* The first tool due for the interval, or -1 when none is. *)
+let[@inline] first_due s rank ~start ~stop =
+  let n = Array.length s.tools in
+  let i = ref 0 in
+  while !i < n && not (due s !i rank ~start ~stop) do
+    incr i
+  done;
+  if !i < n then !i else -1
+
+(* Tool overheads are summed in tool order from 0.0, as a fold over every
+   tool would: a skipped tool's term is an exact 0.0, so the floats are
+   the same.  [i0] is the first due tool. *)
+let interval_overhead s i0 (ctx : Instrument.ctx) ~stop act =
+  let acc = ref 0.0 in
+  for i = i0 to Array.length s.tools - 1 do
+    if i = i0 || due s i ctx.rank ~start:ctx.time ~stop then
+      acc := !acc +. s.tools.(i).Instrument.on_interval ctx ~stop act
+  done;
+  !acc
+
+let mpi_exit_overhead s ctx info =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length s.tools - 1 do
+    acc := !acc +. s.tools.(i).Instrument.on_mpi_exit ctx info
+  done;
+  !acc
+
+let icall_overhead s ctx ~target =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length s.tools - 1 do
+    acc := !acc +. s.tools.(i).Instrument.on_icall ctx ~target
+  done;
+  !acc
 
 (* Wait until [r] has completed, advancing the clock to the completion
    (each await computes the same fold the reference engine did). *)
@@ -483,14 +582,15 @@ let await_many s rank (rs : Comm.request array) =
   in
   s.clock.(rank) <- Float.max s.clock.(rank) resume
 
-let dep_of_req (r : Comm.request) =
+let dep_of_req s (r : Comm.request) =
   if Comm.has_matched r && r.Comm.req_kind = `Recv then
     let m = r.Comm.matched in
     [
       {
         Instrument.peer_rank = m.Comm.msg_src;
         peer_loc = m.Comm.send_loc;
-        peer_callpath = m.Comm.send_callpath;
+        peer_cctx = m.Comm.send_cctx;
+        peer_callpath = s.contexts.paths.(m.Comm.send_cctx);
         dep_tag = m.Comm.msg_tag;
         dep_bytes = m.Comm.msg_bytes;
         send_time = m.Comm.send_time;
@@ -567,23 +667,26 @@ and exec_stmt s rank frame (st : cstmt) =
         else seconds
       in
       if s.has_tools then begin
-        let ctx = ctx_of s rank ~loc in
+        let start = s.clock.(rank) in
         accum_comp s rank seconds;
-        let pmu =
-          {
-            Pmu.tot_ins = s.scratch.(0);
-            tot_lst_ins = s.scratch.(1);
-            tot_cyc = s.scratch.(2);
-            cache_miss = s.scratch.(3);
-            fp_ins = s.scratch.(4);
-          }
-        in
-        let overhead =
-          tool_sum s.cfg (fun tool ->
-              tool.Instrument.on_interval ctx ~stop:s.clock.(rank)
-                (Instrument.Compute { pmu; label }))
-        in
-        s.clock.(rank) <- s.clock.(rank) +. overhead
+        let stop = s.clock.(rank) in
+        let i0 = first_due s rank ~start ~stop in
+        if i0 >= 0 then begin
+          let ctx = ctx_at s rank ~time:start ~loc in
+          let pmu =
+            {
+              Pmu.tot_ins = s.scratch.(0);
+              tot_lst_ins = s.scratch.(1);
+              tot_cyc = s.scratch.(2);
+              cache_miss = s.scratch.(3);
+              fp_ins = s.scratch.(4);
+            }
+          in
+          s.clock.(rank) <-
+            stop
+            +. interval_overhead s i0 ctx ~stop
+                 (Instrument.Compute { pmu; label })
+        end
       end
       else accum_comp s rank seconds
   | KLoop { slot; count; body } ->
@@ -599,30 +702,28 @@ and exec_stmt s rank frame (st : cstmt) =
   | KBranch { cond; then_; else_ } ->
       if ceval frame.fenv ~loc cond <> 0 then exec_block s rank frame then_
       else exec_block s rank frame else_
-  | KCall { callee; args } -> call_function s rank ~site:loc callee args frame
+  | KCall { callee; args; kids } ->
+      call_function s rank ~site:loc ~kids callee args frame
   | KCall_undef name ->
       runtime_error ~loc "call to undefined function %S" name
-  | KIcall { selector; targets } ->
+  | KIcall { selector; targets; kids } ->
       let n = Array.length targets in
       if n = 0 then runtime_error ~loc "indirect call with no targets";
       let sel = ceval frame.fenv ~loc selector in
       let idx = ((sel mod n) + n) mod n in
       let target, tf = targets.(idx) in
       if s.has_tools then begin
-        let ctx = ctx_of s rank ~loc in
-        let overhead =
-          tool_sum s.cfg (fun tool -> tool.Instrument.on_icall ctx ~target)
-        in
-        s.clock.(rank) <- s.clock.(rank) +. overhead
+        let ctx = ctx_at s rank ~time:s.clock.(rank) ~loc in
+        s.clock.(rank) <- s.clock.(rank) +. icall_overhead s ctx ~target
       end;
       (match tf with
       | None ->
           runtime_error ~loc "indirect call to undefined function %S" target
-      | Some f -> call_function s rank ~site:loc f [||] frame)
+      | Some f -> call_function s rank ~site:loc ~kids f [||] frame)
   | KMpi { ast; op } -> exec_mpi s rank frame ~loc ast op
 
-and call_function s rank ~site (f : cfunc) (args : (int * C.expr) array)
-    (caller : frame) =
+and call_function s rank ~site ~kids (f : cfunc)
+    (args : (int * C.expr) array) (caller : frame) =
   let callee_frame = new_frame rank f in
   let nargs = Array.length args in
   for i = 0 to nargs - 1 do
@@ -632,31 +733,25 @@ and call_function s rank ~site (f : cfunc) (args : (int * C.expr) array)
     Bytes.unsafe_set callee_frame.fenv.C.c_bound slot '\001'
   done;
   if s.has_tools then begin
-    let saved = s.callpaths.(rank) in
-    s.callpaths.(rank) <- saved @ [ site ];
+    let parent = s.cctx.(rank) in
+    s.cctx.(rank) <- child_context s.contexts kids ~parent ~site;
     exec_block s rank callee_frame f.cf_body;
-    s.callpaths.(rank) <- saved
+    s.cctx.(rank) <- parent
   end
   else exec_block s rank callee_frame f.cf_body
 
 (* MPI execution.  With a tool attached, the reference engine's sequence
-   of hook calls, context records and overhead charges; without one, the
-   hook contexts, dependence edges, send records and collective record
-   are never built (the call path stays [] and the wait is read before
-   any hook closure captures it), so a bare run allocates nothing here.
-   The clock/wait arithmetic is the same on both, with zero overheads
-   elided when no tool is attached. *)
+   of hook calls, context records and overhead charges (the span record
+   only when some tool is due for it); without one, the hook contexts,
+   dependence edges, send records and collective record are never built
+   (messages carry context 0 and the wait is read before any hook
+   closure captures it), so a bare run allocates nothing here.  The
+   clock/wait arithmetic is the same on both, with zero overheads elided
+   when no tool is attached. *)
 and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
   let enter_time = s.clock.(rank) in
-  if s.has_tools then begin
-    let ctx_enter = ctx_of s rank ~loc in
-    let overhead_in =
-      tool_sum s.cfg (fun tool -> tool.Instrument.on_mpi_enter ctx_enter ast)
-    in
-    s.clock.(rank) <- s.clock.(rank) +. overhead_in
-  end;
   let env = frame.fenv in
-  let callpath = s.callpaths.(rank) in
+  let cctx = if s.has_tools then s.cctx.(rank) else 0 in
   let deps = ref [] and sends = ref [] and collective = ref None in
   let wait = ref 0.0 in
   (match op with
@@ -666,7 +761,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let bytes = ceval env ~loc bytes in
       let sreq =
         Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath
+          ~cctx
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
       let t0 = s.clock.(rank) in
@@ -679,20 +774,19 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let bytes = ceval env ~loc bytes in
       let req =
         Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
       let t0 = s.clock.(rank) in
       await_one s rank req;
       wait := s.clock.(rank) -. t0;
-      if s.has_tools then deps := dep_of_req req
+      if s.has_tools then deps := dep_of_req s req
   | KIsend { dest; tag; bytes; slot } ->
       let dst = ceval env ~loc dest in
       let tag = ceval env ~loc tag in
       let bytes = ceval env ~loc bytes in
       let sreq =
         Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath
+          ~cctx
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
       frame.freqs.(slot) <- sreq;
@@ -703,7 +797,6 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let bytes = ceval env ~loc bytes in
       let rreq =
         Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~callpath
       in
       s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
       frame.freqs.(slot) <- rreq
@@ -712,7 +805,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let t0 = s.clock.(rank) in
       await_one s rank r;
       wait := s.clock.(rank) -. t0;
-      if s.has_tools then deps := dep_of_req r
+      if s.has_tools then deps := dep_of_req s r
   | KWaitall { slots } ->
       let rs =
         Array.map (fun (slot, name) -> get_req frame ~loc slot name) slots
@@ -720,7 +813,8 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let t0 = s.clock.(rank) in
       await_many s rank rs;
       wait := s.clock.(rank) -. t0;
-      if s.has_tools then deps := List.concat_map dep_of_req (Array.to_list rs)
+      if s.has_tools then
+        deps := List.concat_map (dep_of_req s) (Array.to_list rs)
   | KSendrecv { dest; stag; sbytes; src; rtag; rbytes } ->
       let dst = ceval env ~loc dest in
       let stag = ceval env ~loc stag in
@@ -730,11 +824,11 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let rbytes = ceval env ~loc rbytes in
       let sreq =
         Comm.send s.comm ~src:rank ~dst ~tag:stag ~bytes:sbytes
-          ~time:s.clock.(rank) ~loc ~callpath
+          ~time:s.clock.(rank) ~loc ~cctx
       in
       let rreq =
         Comm.post_recv s.comm ~rank ~src ~tag:rtag ~bytes:rbytes
-          ~time:s.clock.(rank) ~loc ~callpath
+          ~time:s.clock.(rank) ~loc
       in
       s.clock.(rank) <-
         s.clock.(rank) +. s.net.Network.send_overhead
@@ -744,7 +838,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       wait := s.clock.(rank) -. t0;
       if s.has_tools then begin
         sends := [ (dst, stag, sbytes) ];
-        deps := dep_of_req rreq
+        deps := dep_of_req s rreq
       end
   | KColl { bytes } ->
       let bytes = ceval env ~loc bytes in
@@ -779,11 +873,14 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
   s.wait_sec.(rank) <- s.wait_sec.(rank) +. !wait;
   if s.has_tools then begin
     let wait_seconds = !wait in
-    let ctx_span = { Instrument.rank; time = enter_time; loc; callpath } in
+    let i0 = first_due s rank ~start:enter_time ~stop:exit_time in
     let span_overhead =
-      tool_sum s.cfg (fun tool ->
-          tool.Instrument.on_interval ctx_span ~stop:exit_time
-            (Instrument.Mpi_span { call = ast; wait_seconds }))
+      if i0 < 0 then 0.0
+      else
+        interval_overhead s i0
+          (ctx_at s rank ~time:enter_time ~loc)
+          ~stop:exit_time
+          (Instrument.Mpi_span { call = ast; wait_seconds })
     in
     let exit_info =
       {
@@ -796,9 +893,8 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
         collective = !collective;
       }
     in
-    let ctx_exit = ctx_of s rank ~loc in
     let overhead_out =
-      tool_sum s.cfg (fun tool -> tool.Instrument.on_mpi_exit ctx_exit exit_info)
+      mpi_exit_overhead s (ctx_at s rank ~time:exit_time ~loc) exit_info
     in
     s.clock.(rank) <- s.clock.(rank) +. span_overhead +. overhead_out
   end
@@ -870,16 +966,23 @@ let rec drive s =
 
 (* --- top-level run --- *)
 
+(* A bare run's table: context 0 only, never grown. *)
+let no_contexts = { paths = [| [] |]; count = 1; ids = Hashtbl.create 1 }
+
 let run_body ~cfg (program : Ast.program) =
   let merged_params = merge_params program cfg.params in
   let cmain = compile_program ~nprocs:cfg.nprocs ~params:merged_params program in
   let n = cfg.nprocs in
   let comm = Comm.create ~net:cfg.net ~nprocs:n in
+  let tools = Array.of_list cfg.tools in
+  let has_tools = Array.length tools > 0 in
   let s =
     {
       cfg;
       cmain;
-      has_tools = cfg.tools <> [];
+      has_tools;
+      tools;
+      gates = Array.map (fun t -> t.Instrument.sample_gate) tools;
       inject_on = not (Inject.is_empty cfg.inject);
       comm;
       nprocs = n;
@@ -899,7 +1002,8 @@ let run_body ~cfg (program : Ast.program) =
       conts = Array.make n None;
       resume_at = Array.make n 0.0;
       wakes = Array.make n Wake_none;
-      callpaths = Array.make n [];
+      cctx = Array.make (if has_tools then n else 0) 0;
+      contexts = (if has_tools then new_contexts () else no_contexts);
       kill_at =
         Array.init n (fun rank ->
             match Faults.kill_time cfg.faults ~rank with

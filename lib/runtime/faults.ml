@@ -28,7 +28,11 @@ let plan ?(seed = 42) faults = { seed; faults }
 let is_empty t = t.faults = []
 
 let kill_rank ?(prob = 1.0) ~rank ~after () = Kill_rank { rank; after; prob }
-let clock_skew ~rank ~factor = Clock_skew { rank; factor }
+let clock_skew ~rank ~factor =
+  if not (Float.is_finite factor && factor > 0.0) then
+    Fmt.invalid_arg "Faults.clock_skew: factor %g must be finite and > 0"
+      factor;
+  Clock_skew { rank; factor }
 
 let poison_metric ?ranks ?(prob = 1.0) kind =
   Poison_metric { ranks; kind; prob }

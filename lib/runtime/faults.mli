@@ -24,7 +24,8 @@ val is_empty : plan -> bool
     attempt, so a retry may survive. *)
 val kill_rank : ?prob:float -> rank:int -> after:float -> unit -> fault
 
-(** The rank's computation runs [factor] times slower. *)
+(** The rank's computation runs [factor] times slower.  Raises
+    [Invalid_argument] unless [factor] is finite and positive. *)
 val clock_skew : rank:int -> factor:float -> fault
 
 (** Per-(rank, vertex) chance of the recorded time being NaN/negative

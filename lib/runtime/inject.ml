@@ -18,7 +18,13 @@ type t = { rules : rule list; counters : (int * int, int) Hashtbl.t }
 
 let empty = { rules = []; counters = Hashtbl.create 1 }
 
+(* A non-finite or negative delay would stall or rewind the clock
+   (monotone per-rank clocks are what samplers and the timeline rely
+   on), and [every] is a modulus. *)
 let delay ?ranks ?loc ?(every = 1) seconds =
+  if not (Float.is_finite seconds && seconds >= 0.0) then
+    Fmt.invalid_arg "Inject.delay: %g seconds must be finite and >= 0" seconds;
+  if every < 1 then Fmt.invalid_arg "Inject.delay: every=%d must be >= 1" every;
   { ranks; loc; seconds; every }
 
 let create rules = { rules; counters = Hashtbl.create 64 }

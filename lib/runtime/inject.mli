@@ -11,7 +11,9 @@ val empty : t
 
 (** [delay ?ranks ?loc ?every seconds] — a rule adding [seconds] when one
     of [ranks] (default: all) executes [loc] (default: any computation),
-    on every [every]-th execution (default 1). *)
+    on every [every]-th execution (default 1).  Raises
+    [Invalid_argument] unless [seconds] is finite and [>= 0] and
+    [every >= 1]. *)
 val delay : ?ranks:int list -> ?loc:Loc.t -> ?every:int -> float -> rule
 
 val create : rule list -> t

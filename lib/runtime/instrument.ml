@@ -9,10 +9,14 @@
 
 open Scalana_mlang
 
+(* [cctx] is the run's interned id of [callpath]: equal ids exactly when
+   the call paths are equal, within one run.  [callpath] is the interned
+   list itself, shared by every event of the context. *)
 type ctx = {
   rank : int;
   time : float;  (* local clock at the start of the event *)
   loc : Loc.t;
+  cctx : int;  (* calling-context id of [callpath] *)
   callpath : Loc.t list;  (* call-site locations, outermost first *)
 }
 
@@ -25,6 +29,7 @@ type activity =
 type peer_dep = {
   peer_rank : int;
   peer_loc : Loc.t;
+  peer_cctx : int;  (* the sender's calling-context id *)
   peer_callpath : Loc.t list;
   dep_tag : int;
   dep_bytes : int;
@@ -49,11 +54,15 @@ type mpi_exit = {
   collective : collective_info option;
 }
 
+(* [sample_gate] is a sampling tool's per-rank next-tick array ([||] for
+   none): [on_interval] must be a no-op returning 0.0 for an interval
+   that starts and stops at or before the gate, so the runtime skips
+   those calls and the records they would take. *)
 type t = {
   name : string;
+  sample_gate : float array;
   on_interval : ctx -> stop:float -> activity -> float;
       (* a span of process activity [ctx.time, stop) *)
-  on_mpi_enter : ctx -> Ast.mpi_call -> float;
   on_mpi_exit : ctx -> mpi_exit -> float;
   on_icall : ctx -> target:string -> float;
   on_run_end : nprocs:int -> elapsed:float -> unit;
@@ -62,9 +71,28 @@ type t = {
 let nil name =
   {
     name;
+    sample_gate = [||];
     on_interval = (fun _ ~stop:_ _ -> 0.0);
-    on_mpi_enter = (fun _ _ -> 0.0);
     on_mpi_exit = (fun _ _ -> 0.0);
     on_icall = (fun _ ~target:_ -> 0.0);
     on_run_end = (fun ~nprocs:_ ~elapsed:_ -> ());
   }
+
+(* Count sampling ticks inside [start, stop) for [rank]; ticks skipped by
+   clock jumps (tool overhead) are dropped, as a real timer would.  When
+   both ends are at or before [next_tick.(rank)] nothing changes and 0
+   comes back: the gate contract above. *)
+let ticks next_tick ~freq ~rank ~start ~stop =
+  let period = 1.0 /. freq in
+  if next_tick.(rank) < start then next_tick.(rank) <- start;
+  let n = ref 0 in
+  while next_tick.(rank) < stop do
+    incr n;
+    next_tick.(rank) <- next_tick.(rank) +. period
+  done;
+  !n
+
+let check_freq ~what freq =
+  if not (Float.is_finite freq && freq > 0.0) then
+    Fmt.invalid_arg "%s: sampling frequency %g must be finite and > 0" what
+      freq

@@ -7,10 +7,17 @@
 
 open Scalana_mlang
 
+(** Calling contexts.  The runtime interns each dynamic call path once
+    per run and hands tools its integer id: within one run, two contexts
+    have equal ids exactly when their call paths are equal.  Ids are
+    dense from 0 (the empty call path) and mean nothing across runs, so
+    anything keyed by them lives for one run.  The call path itself is
+    the interned list, shared by every event of the context. *)
 type ctx = {
   rank : int;
   time : float;  (** local clock at the start of the event *)
   loc : Loc.t;
+  cctx : int;  (** calling-context id of [callpath] *)
   callpath : Loc.t list;  (** call-site locations, outermost first *)
 }
 
@@ -23,6 +30,7 @@ type activity =
 type peer_dep = {
   peer_rank : int;
   peer_loc : Loc.t;
+  peer_cctx : int;  (** the sender's calling-context id *)
   peer_callpath : Loc.t list;
   dep_tag : int;
   dep_bytes : int;
@@ -52,13 +60,35 @@ type mpi_exit = {
 
 type t = {
   name : string;
+  sample_gate : float array;
+      (** per-rank gate of a sampling tool, [[||]] for none.  The
+          contract: [on_interval] is a no-op returning [0.0] for an
+          interval [\[start, stop)] with [start <= gate.(rank)] and
+          [stop <= gate.(rank)] — no sample falls inside it — so the
+          runtime skips the call, and the records it would take, for
+          every such interval.  A tool sampling with {!ticks} passes its
+          next-tick array. *)
   on_interval : ctx -> stop:float -> activity -> float;
       (** a span of process activity [ctx.time, stop) *)
-  on_mpi_enter : ctx -> Ast.mpi_call -> float;
   on_mpi_exit : ctx -> mpi_exit -> float;
   on_icall : ctx -> target:string -> float;
   on_run_end : nprocs:int -> elapsed:float -> unit;
 }
 
-(** A tool with no-op hooks, for [{ (nil name) with ... }] updates. *)
+(** A tool with no-op hooks and no gate, for [{ (nil name) with ... }]
+    updates. *)
 val nil : string -> t
+
+(** [ticks next_tick ~freq ~rank ~start ~stop] counts timer ticks inside
+    [\[start, stop)] for [rank] and advances [next_tick.(rank)] past
+    them; ticks skipped by clock jumps (tool overhead) are dropped, as a
+    real timer would.  Returns 0 and leaves [next_tick] alone whenever
+    [start] and [stop] are both at or before [next_tick.(rank)], which
+    is what makes [next_tick] a valid {!t.sample_gate}. *)
+val ticks :
+  float array -> freq:float -> rank:int -> start:float -> stop:float -> int
+
+(** A sampling frequency is usable when it is finite and positive.
+    Raises [Invalid_argument] naming [what] otherwise: a negative period
+    never reaches the interval's end, so {!ticks} would not return. *)
+val check_freq : what:string -> float -> unit

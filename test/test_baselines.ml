@@ -218,6 +218,20 @@ let test_trace_io_malformed () =
   | _ -> Alcotest.fail "expected Malformed"
   | exception Trace_io.Malformed { line_no = 1; _ } -> ()
 
+(* A non-positive or non-finite frequency is refused up front: its
+   sampling period never reaches an interval's end. *)
+let test_callprof_rejects_bad_freq () =
+  List.iter
+    (fun freq ->
+      match
+        Callprof.create
+          ~config:{ Callprof.default_config with freq }
+          ~nprocs:2 ()
+      with
+      | _ -> Alcotest.failf "freq %g accepted" freq
+      | exception Invalid_argument _ -> ())
+    [ -5.0; 0.0; Float.nan; Float.infinity ]
+
 let () =
   Alcotest.run "baselines"
     [
@@ -245,6 +259,8 @@ let () =
             test_callprof_finds_bottleneck_points;
           Alcotest.test_case "overhead charged" `Quick
             test_callprof_overhead_charged;
+          Alcotest.test_case "rejects bad frequencies" `Quick
+            test_callprof_rejects_bad_freq;
         ] );
       ( "trace-io",
         [

@@ -279,10 +279,10 @@ let test_timeline_zero_overhead () =
 
 (* --- resolver --- *)
 
-(* A zero-overhead tool handing every hook context to [on_ctx] (with
-   the label of a compute span) and every matched send's context to
-   [on_peer]. *)
-let context_tool ?(on_peer = fun ~callpath:_ ~loc:_ -> ()) on_ctx =
+(* A zero-overhead, ungated tool handing every hook context to [on_ctx]
+   (with the label of a compute span) and every matched send's context
+   to [on_peer]. *)
+let context_tool ?(on_peer = fun ~cctx:_ ~callpath:_ ~loc:_ -> ()) on_ctx =
   {
     (Instrument.nil "contexts") with
     Instrument.on_interval =
@@ -291,13 +291,13 @@ let context_tool ?(on_peer = fun ~callpath:_ ~loc:_ -> ()) on_ctx =
         | Instrument.Compute { label; _ } -> on_ctx c ~label
         | Instrument.Mpi_span _ -> on_ctx c ~label:None);
         0.0);
-    on_mpi_enter = (fun c _ -> on_ctx c ~label:None; 0.0);
     on_mpi_exit =
       (fun c info ->
         on_ctx c ~label:None;
         List.iter
           (fun (d : Instrument.peer_dep) ->
-            on_peer ~callpath:d.peer_callpath ~loc:d.peer_loc)
+            on_peer ~cctx:d.peer_cctx ~callpath:d.peer_callpath
+              ~loc:d.peer_loc)
           info.deps;
         0.0);
     on_icall = (fun c ~target:_ -> on_ctx c ~label:None; 0.0);
@@ -329,8 +329,10 @@ let two_callers_program () =
   Builder.program b
 
 (* The memo against the string-keyed lookup it stands in for, on every
-   context a run presents: each hook's (call path, loc) and each matched
-   send's, over the whole registry plus [two_callers_program]. *)
+   context a run presents: each hook's (context id, call path, loc) and
+   each matched send's, over the whole registry plus
+   [two_callers_program].  Within a run, equal ids carry one shared call
+   path and distinct ids distinct call paths. *)
 let test_resolver_matches_find () =
   let programs =
     ("two-callers", two_callers_program (), Costmodel.default)
@@ -345,22 +347,32 @@ let test_resolver_matches_find () =
         (fun nprocs ->
           let resolver = Index.Resolver.create index in
           let lookups = ref 0 and mismatches = ref 0 in
-          let agree ~callpath ~loc =
+          let path_of_id = Hashtbl.create 64 in
+          let id_of_path = Hashtbl.create 64 in
+          let id_clashes = ref 0 in
+          let agree ~cctx ~callpath ~loc =
             incr lookups;
             if
-              Index.Resolver.find resolver ~callpath ~loc
+              Index.Resolver.find resolver ~cctx ~callpath ~loc
               <> Index.find index ~callpath ~loc
-            then incr mismatches
+            then incr mismatches;
+            (match Hashtbl.find_opt path_of_id cctx with
+            | Some p -> if p != callpath then incr id_clashes
+            | None -> Hashtbl.add path_of_id cctx callpath);
+            match Hashtbl.find_opt id_of_path callpath with
+            | Some id -> if id <> cctx then incr id_clashes
+            | None -> Hashtbl.add id_of_path callpath cctx
           in
           let tool =
             context_tool ~on_peer:agree (fun (c : Instrument.ctx) ~label:_ ->
-                agree ~callpath:c.callpath ~loc:c.loc)
+                agree ~cctx:c.cctx ~callpath:c.callpath ~loc:c.loc)
           in
           let cfg = Exec.config ~nprocs ~cost ~tools:[ tool ] () in
           ignore (Exec.run ~cfg prog : Exec.result);
           let what = Printf.sprintf "%s np=%d" name nprocs in
           check_bool (what ^ " contexts seen") true (!lookups > 0);
-          check_int (what ^ " resolver = find") 0 !mismatches)
+          check_int (what ^ " resolver = find") 0 !mismatches;
+          check_int (what ^ " ids <=> call paths") 0 !id_clashes)
         [ 4; 16 ])
     programs
 
@@ -371,13 +383,15 @@ let test_resolver_call_path_matters () =
   let pack = ref [] in
   let tool =
     context_tool (fun (c : Instrument.ctx) ~label ->
-        if label = Some "pack" then pack := (c.callpath, c.loc) :: !pack)
+        if label = Some "pack" then pack := c :: !pack)
   in
   ignore (run ~nprocs:2 ~tools:[ tool ] (two_callers_program ()) : Exec.result);
   let vertices =
     List.sort_uniq compare
       (List.map
-         (fun (callpath, loc) -> Index.Resolver.find resolver ~callpath ~loc)
+         (fun (c : Instrument.ctx) ->
+           Index.Resolver.find resolver ~cctx:c.cctx ~callpath:c.callpath
+             ~loc:c.loc)
          !pack)
   in
   check_int "two vertices for one statement" 2 (List.length vertices);
@@ -404,8 +418,9 @@ let test_resolver_after_refinement () =
     | [] -> assert false
   in
   let callpath = site.Vertex.callpath @ [ site.Vertex.loc ] in
+  let cctx = 1 in
   let stale = Index.Resolver.create index in
-  let before = Index.Resolver.find stale ~callpath ~loc:comp_loc in
+  let before = Index.Resolver.find stale ~cctx ~callpath ~loc:comp_loc in
   check_bool "unrefined: the callsite owns it" true
     (before = Some site.Vertex.id);
   match
@@ -416,7 +431,7 @@ let test_resolver_after_refinement () =
   | Some sub_root ->
       Index.index_contracted_subtree index sub_root;
       let fresh = Index.Resolver.create index in
-      let after = Index.Resolver.find fresh ~callpath ~loc:comp_loc in
+      let after = Index.Resolver.find fresh ~cctx ~callpath ~loc:comp_loc in
       check_bool "fresh resolver = find" true
         (after = Index.find index ~callpath ~loc:comp_loc);
       check_bool "spliced vertex" true
@@ -426,7 +441,7 @@ let test_resolver_after_refinement () =
               (Psg.subtree_vertices contraction.Contract.psg sub_root)
         | None -> false);
       check_bool "stale resolver keeps its run's answer" true
-        (Index.Resolver.find stale ~callpath ~loc:comp_loc = before)
+        (Index.Resolver.find stale ~cctx ~callpath ~loc:comp_loc = before)
 
 (* Recursive re-entries carry extra call frames the PSG never expanded;
    the resolver folds them exactly as [find] does. *)
@@ -447,7 +462,8 @@ let test_resolver_recursion () =
   check_bool "re-entered" true (depth deepest >= 3);
   let resolver = Index.Resolver.create index in
   let find () =
-    Index.Resolver.find resolver ~callpath:deepest.callpath ~loc:deepest.loc
+    Index.Resolver.find resolver ~cctx:deepest.cctx ~callpath:deepest.callpath
+      ~loc:deepest.loc
   in
   let expected =
     Index.find index ~callpath:deepest.callpath ~loc:deepest.loc
@@ -458,22 +474,39 @@ let test_resolver_recursion () =
 
 (* Unknown contexts stay [None] on every lookup, and enough of them to
    grow the memo several times leave every answer, known ones included,
-   where [find] puts it. *)
+   where [find] puts it.  Ids are interned here the way a run interns
+   them: one per distinct call path. *)
 let test_resolver_unknown_loc () =
   let prog = ring_program () in
   let _, full, _, index = static_of prog in
+  let ids = Hashtbl.create 64 in
+  let with_id (callpath, loc) =
+    let cctx =
+      match Hashtbl.find_opt ids callpath with
+      | Some id -> id
+      | None ->
+          let id = Hashtbl.length ids in
+          Hashtbl.add ids callpath id;
+          id
+    in
+    (cctx, callpath, loc)
+  in
   let known =
-    List.map (fun v -> (v.Vertex.callpath, v.Vertex.loc)) (Psg.find_all (fun _ -> true) full)
+    List.map
+      (fun v -> with_id (v.Vertex.callpath, v.Vertex.loc))
+      (Psg.find_all (fun _ -> true) full)
   in
   let unknown =
     List.init 1000 (fun n ->
-        ([ Loc.v ~file:"nope.mmp" ~line:n ], Loc.v ~file:"nope.mmp" ~line:(n + 1)))
+        with_id
+          ( [ Loc.v ~file:"nope.mmp" ~line:n ],
+            Loc.v ~file:"nope.mmp" ~line:(n + 1) ))
   in
   let resolver = Index.Resolver.create index in
   let all_agree () =
     List.for_all
-      (fun (callpath, loc) ->
-        Index.Resolver.find resolver ~callpath ~loc
+      (fun (cctx, callpath, loc) ->
+        Index.Resolver.find resolver ~cctx ~callpath ~loc
         = Index.find index ~callpath ~loc)
       (known @ unknown)
   in
@@ -481,7 +514,8 @@ let test_resolver_unknown_loc () =
   check_bool "repeated lookups = find" true (all_agree ());
   check_bool "unknown stays None" true
     (List.for_all
-       (fun (callpath, loc) -> Index.Resolver.find resolver ~callpath ~loc = None)
+       (fun (cctx, callpath, loc) ->
+         Index.Resolver.find resolver ~cctx ~callpath ~loc = None)
        unknown)
 
 (* profiler overhead is charged to the clocks *)
@@ -493,6 +527,145 @@ let test_profiler_overhead_positive () =
     (instrumented.Exec.elapsed > bare.Exec.elapsed);
   check_bool "overhead below 20%" true
     (instrumented.Exec.elapsed < 1.2 *. bare.Exec.elapsed)
+
+(* A frequency whose period never reaches an interval's end is refused
+   before any run: negative, zero, infinite or NaN. *)
+let test_profiler_rejects_bad_freq () =
+  let _, _, _, index = static_of (ring_program ()) in
+  List.iter
+    (fun freq ->
+      match
+        Profiler.create
+          ~config:{ Profiler.default_config with freq }
+          ~index ~nprocs:2 ()
+      with
+      | _ -> Alcotest.failf "freq %g accepted" freq
+      | exception Invalid_argument _ -> ())
+    [ -5.0; 0.0; Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* --- sample gate --- *)
+
+(* The gate only withholds calls that would be no-ops: a profiler run
+   with its gate and a copy run with [sample_gate = [||]] (every
+   interval delivered) end with the same clocks and the same profile —
+   vectors, comm records and counters — bit for bit, while the gated
+   one sees fewer [on_interval] calls. *)
+let test_gate_differential () =
+  let module R = Scalana_apps.Registry in
+  let cases =
+    List.concat_map
+      (fun (e : R.entry) -> List.map (fun np -> (e, np)) [ 4; 16; 64 ])
+      R.all
+    @ [ (R.find "cg-weak", 512) ]
+  in
+  List.iter
+    (fun ((e : R.entry), nprocs) ->
+      let prog = e.make () in
+      let _, _, _, index = static_of prog in
+      let profile ~gated =
+        let profiler = Profiler.create ~index ~nprocs () in
+        let tool = Profiler.tool profiler in
+        let calls = ref 0 in
+        let tool =
+          {
+            tool with
+            Instrument.sample_gate =
+              (if gated then tool.Instrument.sample_gate else [||]);
+            on_interval =
+              (fun ctx ~stop act ->
+                incr calls;
+                tool.Instrument.on_interval ctx ~stop act);
+          }
+        in
+        let cfg = Exec.config ~nprocs ~cost:e.cost ~tools:[ tool ] () in
+        let result = Exec.run ~cfg prog in
+        ( Marshal.to_string result [],
+          Marshal.to_string (Profiler.data profiler) [],
+          !calls )
+      in
+      let r_gated, d_gated, n_gated = profile ~gated:true in
+      let r_all, d_all, n_all = profile ~gated:false in
+      let what = Printf.sprintf "%s np=%d" e.name nprocs in
+      check_bool (what ^ ": same clocks") true (String.equal r_gated r_all);
+      check_bool (what ^ ": same profile") true (String.equal d_gated d_all);
+      check_bool (what ^ ": gate skips intervals") true (n_gated < n_all))
+    cases
+
+(* --- timeline capture --- *)
+
+(* [capture] lays each rank's intervals out in recording order instead
+   of sorting them.  Per rank they are non-decreasing in (start, stop),
+   the result equals the polymorphic-compare sorts [capture] replaced
+   (of a reversed copy, so the sorts really work), and capture allocates
+   little beyond its output arrays. *)
+let test_capture_order () =
+  let module R = Scalana_apps.Registry in
+  let old_interval_order (a : Timeline.interval) (b : Timeline.interval) =
+    compare
+      (a.iv_rank, a.iv_start, a.iv_stop)
+      (b.iv_rank, b.iv_start, b.iv_stop)
+  in
+  let old_message_order (a : Timeline.message) (b : Timeline.message) =
+    compare
+      (a.msg_send_time, a.msg_src, a.msg_dst, a.msg_tag)
+      (b.msg_send_time, b.msg_src, b.msg_dst, b.msg_tag)
+  in
+  let old_sort cmp a =
+    let n = Array.length a in
+    let copy = Array.init n (fun i -> a.(n - 1 - i)) in
+    Array.sort cmp copy;
+    copy
+  in
+  List.iter
+    (fun name ->
+      let e = R.find name in
+      let prog = e.make () in
+      let _, _, _, index = static_of prog in
+      List.iter
+        (fun nprocs ->
+          let what = Printf.sprintf "%s np=%d" name nprocs in
+          let profiler = Profiler.create ~index ~nprocs () in
+          let recorder = Timeline.create ~index ~nprocs () in
+          let tools = [ Profiler.tool profiler; Timeline.tool recorder ] in
+          ignore
+            (Exec.run ~cfg:(Exec.config ~nprocs ~cost:e.cost ~tools ()) prog
+              : Exec.result);
+          (* measured from an empty minor heap: a minor collection
+             inside the region otherwise reported words the run left
+             behind (~160K at cg np=4, where capture itself allocates
+             ~1K) *)
+          Gc.minor ();
+          let before = Gc.allocated_bytes () in
+          let tl = Timeline.capture recorder in
+          let allocated = Gc.allocated_bytes () -. before in
+          let ivs = tl.Timeline.intervals and msgs = tl.Timeline.messages in
+          check_bool (what ^ ": intervals") true (Array.length ivs > 0);
+          let ordered = ref true in
+          for i = 1 to Array.length ivs - 1 do
+            let a = ivs.(i - 1) and b = ivs.(i) in
+            if
+              a.iv_rank > b.iv_rank
+              || a.iv_rank = b.iv_rank
+                 && (a.iv_start > b.iv_start
+                    || (a.iv_start = b.iv_start && a.iv_stop > b.iv_stop))
+            then ordered := false
+          done;
+          check_bool (what ^ ": per-rank (start, stop) order") true !ordered;
+          check_bool (what ^ ": intervals = old sort") true
+            (Array.for_all2 ( == ) ivs (old_sort old_interval_order ivs));
+          check_bool (what ^ ": messages = old sort") true
+            (Array.for_all2 ( = ) msgs (old_sort old_message_order msgs));
+          let output_bytes =
+            8
+            * (Array.length ivs + Array.length msgs + (2 * nprocs) + 4)
+          in
+          check_bool
+            (Printf.sprintf "%s: capture allocated %.0f B, output %d B" what
+               allocated output_bytes)
+            true
+            (allocated <= 4.0 *. float_of_int output_bytes))
+        (R.scales e ~min_np:4 ~max_np:128))
+    [ "cg"; "bt"; "zeusmp"; "mg" ]
 
 let () =
   Alcotest.run "profile"
@@ -511,6 +684,10 @@ let () =
             test_attribution_targets_hot_vertex;
           Alcotest.test_case "wait on MPI vertex" `Quick
             test_wait_recorded_on_mpi_vertex;
+          Alcotest.test_case "rejects bad frequencies" `Quick
+            test_profiler_rejects_bad_freq;
+          Alcotest.test_case "gated = ungated (registry, cg-weak 512)" `Quick
+            test_gate_differential;
         ] );
       ( "interposition",
         [
@@ -536,6 +713,8 @@ let () =
             test_timeline_truncation;
           Alcotest.test_case "zero overhead" `Quick
             test_timeline_zero_overhead;
+          Alcotest.test_case "capture order without sorting" `Quick
+            test_capture_order;
         ] );
       ( "resolver",
         [

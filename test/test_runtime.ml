@@ -758,6 +758,42 @@ let test_exec_clock0_shifts () =
     (fun i w -> close (Printf.sprintf "comp rank %d" i) w r5.Exec.comp_seconds.(i))
     r0.Exec.comp_seconds
 
+(* --- hostile numbers --- *)
+
+(* Unusable values are refused where they are made, with
+   [Invalid_argument] (exit 2 at the command line): a non-finite or
+   negative delay stalls or rewinds a rank's clock, [every = 0] is a zero
+   modulus, and a non-positive skew factor makes computation take no or
+   negative time. *)
+let rejects what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+let test_inject_rejects_bad_seconds () =
+  List.iter
+    (fun d ->
+      rejects (Printf.sprintf "delay %g" d) (fun () -> Inject.delay d))
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1.0; -1e-9 ];
+  ignore (Inject.delay 0.0 : Inject.rule);
+  ignore (Inject.delay 0.5 : Inject.rule)
+
+let test_inject_rejects_bad_every () =
+  List.iter
+    (fun every ->
+      rejects (Printf.sprintf "every %d" every) (fun () ->
+          Inject.delay ~every 0.001))
+    [ 0; -1; min_int ];
+  ignore (Inject.delay ~every:1 0.001 : Inject.rule)
+
+let test_fault_skew_rejects_bad_factor () =
+  List.iter
+    (fun factor ->
+      rejects (Printf.sprintf "factor %g" factor) (fun () ->
+          Faults.clock_skew ~rank:0 ~factor))
+    [ 0.0; -2.0; Float.nan; Float.infinity; Float.neg_infinity ];
+  ignore (Faults.clock_skew ~rank:0 ~factor:0.5 : Faults.fault)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -804,6 +840,10 @@ let () =
           Alcotest.test_case "injection accounting" `Quick
             test_injection_accounting;
           Alcotest.test_case "injection every-n" `Quick test_injection_every;
+          Alcotest.test_case "injection rejects bad seconds" `Quick
+            test_inject_rejects_bad_seconds;
+          Alcotest.test_case "injection rejects every < 1" `Quick
+            test_inject_rejects_bad_every;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "pmu accumulation" `Quick test_pmu_accumulation;
           Alcotest.test_case "recursion and icall" `Quick
@@ -821,6 +861,8 @@ let () =
           Alcotest.test_case "late kill is noop" `Quick
             test_fault_kill_after_end_is_noop;
           Alcotest.test_case "clock skew" `Quick test_fault_clock_skew;
+          Alcotest.test_case "clock skew rejects bad factors" `Quick
+            test_fault_skew_rejects_bad_factor;
           Alcotest.test_case "determinism" `Quick test_fault_determinism;
           Alcotest.test_case "draws keyed on attempt" `Quick
             test_fault_draws_keyed_on_attempt;
