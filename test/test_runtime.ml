@@ -840,10 +840,6 @@ let () =
           Alcotest.test_case "injection accounting" `Quick
             test_injection_accounting;
           Alcotest.test_case "injection every-n" `Quick test_injection_every;
-          Alcotest.test_case "injection rejects bad seconds" `Quick
-            test_inject_rejects_bad_seconds;
-          Alcotest.test_case "injection rejects every < 1" `Quick
-            test_inject_rejects_bad_every;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "pmu accumulation" `Quick test_pmu_accumulation;
           Alcotest.test_case "recursion and icall" `Quick
@@ -853,6 +849,10 @@ let () =
           Alcotest.test_case "collective payload cost" `Quick
             test_collective_cost_grows_with_bytes;
           random_programs_terminate;
+          Alcotest.test_case "injection rejects bad seconds" `Quick
+            test_inject_rejects_bad_seconds;
+          Alcotest.test_case "injection rejects every < 1" `Quick
+            test_inject_rejects_bad_every;
         ] );
       ( "faults",
         [
