@@ -36,14 +36,16 @@ type t = {
   report : string;
 }
 
-(* Re-simulate one scale with the timeline recorder attached next to the
-   regular profiler.  The profiler's hooks charge the same overhead onto
-   the simulated clocks as they did during the stored profiled run, and
-   the recorder charges none, so the captured timeline reproduces the
-   session's clocks exactly (for indirect-call programs the re-run sees
-   the fully refined graph, which the earliest stored run may not have).
-   The shared static artifact is not mutated: no refinement splicing, no
-   poison. *)
+(* The replay: re-simulate one scale with the timeline recorder attached
+   next to the regular profiler, for stored sessions, whose runs are
+   over, and for elastic scales, which have no single run.  The
+   profiler's hooks charge the same overhead onto the simulated clocks as
+   they did during the stored profiled run, and the recorder charges
+   none, so the captured timeline reproduces the session's clocks
+   exactly, given the injection rules the session ran with (sessions do
+   not store them).  For indirect-call programs the re-run sees the fully
+   refined graph, which the earliest stored run may not have.  The shared
+   static artifact is not mutated: no refinement splicing, no poison. *)
 let rank_timeline ?(config = Config.default) ?(cost = Costmodel.default)
     ?(net = Network.default) ?(inject = Inject.empty) ?(params = [])
     (static : Static.t) ~nprocs =
@@ -274,19 +276,39 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
       let dropped_scales, kept_scales =
         List.partition (fun n -> Faults.drops_scale faults ~nprocs:n) scales
       in
-      let one nprocs =
-        ( nprocs,
-          match elastic with
-          | Some plan ->
-              (* an elastic session replaces the single fixed run;
-                 faults/injection act within each epoch's own draws *)
-              Prof.run_elastic ~config ~cost ~net ~params ~plan static
-                ~nprocs ()
-          | None ->
-              Prof.run_with_retry ~retries:config.Config.max_run_retries
-                ~config ~cost ~net ~inject ~faults ~params static ~nprocs () )
+      let largest = List.fold_left max 0 kept_scales in
+      let profile ?extra_tools nprocs =
+        Prof.run_with_retry ~retries:config.Config.max_run_retries ~config
+          ~cost ~net ~inject ~faults ~params ?extra_tools static ~nprocs ()
       in
-      let runs =
+      let one nprocs =
+        match elastic with
+        | Some plan ->
+            (* an elastic session replaces the single fixed run;
+               faults/injection act within each epoch's own draws *)
+            ( nprocs,
+              Prof.run_elastic ~config ~cost ~net ~params ~plan static
+                ~nprocs (),
+              None )
+        | None when timeline && nprocs = largest ->
+            (* the timeline is recorded in the largest scale's own
+               profiled run, a fresh recorder per attempt, so it shows
+               the attempt the analysis reads *)
+            let recorder = ref None in
+            let extra_tools ~attempt:_ =
+              let r =
+                Scalana_profile.Timeline.create
+                  ~config:(Config.timeline_config config)
+                  ~index:static.Static.index ~nprocs ()
+              in
+              recorder := Some r;
+              [ Scalana_profile.Timeline.tool r ]
+            in
+            let run = profile ~extra_tools nprocs in
+            (nprocs, run, Option.map Scalana_profile.Timeline.capture !recorder)
+        | None -> (nprocs, profile nprocs, None)
+      in
+      let profiled =
         Scalana_obs.Obs.with_span
           ~args:[ ("scales", string_of_int (List.length kept_scales)) ]
           "pipeline.profile_runs"
@@ -295,12 +317,16 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
           Pool.parallel_map ?pool one kept_scales
         else List.map one kept_scales
       in
+      let runs = List.map (fun (n, r, _) -> (n, r)) profiled in
       let tl =
-        if timeline && kept_scales <> [] then
-          Some
-            (rank_timeline ~config ~cost ~net ~inject ~params static
-               ~nprocs:(List.fold_left max 0 kept_scales))
-        else None
+        match elastic with
+        | Some _ when timeline && kept_scales <> [] ->
+            (* no single run spans an elastic scale: replay it *)
+            Some
+              (rank_timeline ~config ~cost ~net ~inject ~params static
+                 ~nprocs:largest)
+        | Some _ -> None
+        | None -> List.find_map (fun (_, _, tl) -> tl) profiled
       in
       detect_with ~config ?pool ~dropped_scales ?timeline:tl static runs)
 

@@ -43,10 +43,15 @@ type t = {
   report : string;
 }
 
-(** Re-simulate one scale with the rank-timeline recorder attached next
-    to the regular profiler.  The recorder charges zero overhead, so the
-    captured clocks reproduce a stored profiled run of the same static
-    artifact at the same scale.  The static artifact is not mutated. *)
+(** The replay: re-simulate one scale with the rank-timeline recorder
+    attached next to the regular profiler.  It serves stored sessions,
+    whose runs are over ([scalana-detect], [scalana-viewer],
+    [scalana-diff]), and elastic scales in {!run}.  The recorder charges
+    zero overhead, so the captured clocks reproduce a stored profiled
+    run of the same static artifact at the same scale, provided [inject]
+    replays the injection that run saw: sessions do not store injection
+    rules, and a rule's [every] counters carry over from earlier runs.
+    The static artifact is not mutated. *)
 val rank_timeline :
   ?config:Config.t ->
   ?cost:Costmodel.t ->
@@ -93,7 +98,14 @@ val detect_session :
     is analyzed over the surviving ranks.  [timeline] additionally
     captures a rank timeline at the largest kept scale and appends the
     wait-state section to the report (default [false]: the report stays
-    byte-identical to a build without the timeline layer).  [elastic]
+    byte-identical to a build without the timeline layer).  The
+    recorder rides in that scale's own profiled run, after the profiler
+    and at zero overhead, so every scale is simulated once and the
+    clocks, profiles and report are those of a run without it.  Under
+    [faults] it records the final attempt, the one the analysis reads
+    (a fresh recorder per attempt), ranks it lost included.  An elastic
+    scale has no single run, so its timeline is the {!rank_timeline}
+    replay.  [elastic]
     replaces each scale's fixed run with an elastic session driven by
     the plan ({!Prof.run_elastic}); pair it with
     [config.elastic = true] to render the membership-timeline and

@@ -121,7 +121,9 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
    that lost ranks is attempted again with a fresh attempt number (same
    plan seed, so the whole sequence is reproducible) up to [retries]
    extra times.  The last attempt is returned even if still degraded —
-   the detector then works with the surviving ranks. *)
+   the detector then works with the surviving ranks.  [extra_tools] is
+   asked for fresh tools on every attempt, so a tool holding state (a
+   recorder) observes one attempt only. *)
 (* Deterministic exponential backoff before retry [attempt + 1]: the
    schedule a production launcher would sleep out between resubmissions
    (simulated — nothing actually sleeps).  Recorded per attempt on the
@@ -132,12 +134,13 @@ let backoff_base = 0.05
 let backoff_delay ~attempt = backoff_base *. (2.0 ** float_of_int (attempt - 1))
 
 let run_with_retry ?(retries = 0) ?config ?cost ?net ?inject
-    ?(faults = Faults.empty) ?params ?measure_overhead ?extra_tools static
-    ~nprocs () =
+    ?(faults = Faults.empty) ?params ?measure_overhead
+    ?(extra_tools = fun ~attempt:_ -> []) static ~nprocs () =
   let rec go ~delays attempt =
     let r =
       run ?config ?cost ?net ?inject ~faults ~attempt ?params
-        ?measure_overhead ?extra_tools static ~nprocs ()
+        ?measure_overhead ~extra_tools:(extra_tools ~attempt) static ~nprocs
+        ()
     in
     if degraded r && attempt <= retries then begin
       Scalana_obs.Obs.Metrics.incr "prof.retries";

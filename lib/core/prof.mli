@@ -30,6 +30,9 @@ val degraded : run -> bool
     refresh the index (done automatically by {!run}). *)
 val apply_refinements : Static.t -> Profdata.t -> unit
 
+(** One profiled run at [attempt] (default 1).  [extra_tools] are
+    attached after the profiler, so a tool charging 0.0 overhead leaves
+    the clocks, and thus the profile, exactly as without it. *)
 val run :
   ?config:Config.t ->
   ?cost:Costmodel.t ->
@@ -52,7 +55,11 @@ val backoff_delay : attempt:int -> float
 
 (** Like {!run}, retrying (with attempt numbers 2, 3, …) while the run is
     {!degraded}, up to [retries] extra attempts; the last attempt is
-    returned even if still degraded. *)
+    returned even if still degraded.  [extra_tools ~attempt] is called
+    once per attempt, before it runs, and its tools are attached to that
+    attempt only: a tool created there (a {!Scalana_profile.Timeline}
+    recorder, say) sees exactly one attempt, and the last one created
+    saw the returned run.  Default: no extra tools. *)
 val run_with_retry :
   ?retries:int ->
   ?config:Config.t ->
@@ -62,7 +69,7 @@ val run_with_retry :
   ?faults:Faults.plan ->
   ?params:(string * int) list ->
   ?measure_overhead:bool ->
-  ?extra_tools:Instrument.t list ->
+  ?extra_tools:(attempt:int -> Instrument.t list) ->
   Static.t ->
   nprocs:int ->
   unit ->

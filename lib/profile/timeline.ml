@@ -4,10 +4,10 @@
 
    Two design rules keep it honest and bounded:
 
-   - zero recorded overhead: every hook returns 0.0, so attaching the
-     recorder (next to the regular profiler) reproduces the exact
-     clocks of the stored profiled run — the timeline is evidence about
-     the session, not about a perturbed re-run;
+   - zero recorded overhead: every hook returns 0.0, so the recorder
+     rides in a profiled run (after the regular profiler) without moving
+     its clocks — the timeline is evidence about the session, not about
+     a perturbed re-run;
 
    - graph-guided compression + a hard cap: consecutive compute
      intervals resolving to the same contracted-PSG vertex are merged
@@ -215,7 +215,10 @@ let tool r =
   }
 
 (* (send time, src, dst, tag) order; [Float.compare] orders floats as
-   the polymorphic [compare] does. *)
+   the polymorphic [compare] does.  [capture] sorts with
+   [Array.stable_sort], a merge sort, which does about half the
+   comparisons of the heap sort behind [Array.sort]; with no two
+   messages comparing equal, the two give the same array. *)
 let compare_messages a b =
   match Float.compare a.msg_send_time b.msg_send_time with
   | 0 -> (
@@ -251,7 +254,7 @@ let capture_intervals r =
 let capture r =
   let intervals = capture_intervals r in
   let messages = Array.of_list r.r_messages in
-  Array.sort compare_messages messages;
+  Array.stable_sort compare_messages messages;
   {
     nprocs = r.r_nprocs;
     elapsed = r.r_elapsed;

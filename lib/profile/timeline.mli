@@ -3,10 +3,11 @@
     matched messages during a simulated run.
 
     The recorder charges {e zero} tool overhead onto the simulated
-    clocks — it is an idealized observer, so a run instrumented with it
-    (alongside the regular profiler) reproduces exactly the clocks of
-    the stored profiled run, and the captured timeline lines up with the
-    session's per-vertex numbers.
+    clocks — it is an idealized observer, so a profiled run carrying it
+    next to the regular profiler keeps exactly the clocks it has
+    without it ([Scalana.Pipeline.run] records this way), a replay of
+    a stored profiled run reproduces that run's clocks, and the captured
+    timeline lines up with the session's per-vertex numbers.
 
     Memory is bounded two ways: graph-guided compression merges
     consecutive compute intervals that resolve to the same PSG vertex
@@ -80,12 +81,15 @@ type recorder
 
 val create : ?config:config -> index:Index.t -> nprocs:int -> unit -> recorder
 
-(** The instrument hooks; attach via [Exec.config ~tools] or
-    [Prof.run ~extra_tools].  All hooks return 0.0 overhead. *)
+(** The instrument hooks; attach via [Exec.config ~tools],
+    [Prof.run ~extra_tools] or [Prof.run_with_retry ~extra_tools] (one
+    recorder per attempt).  All hooks return 0.0 overhead. *)
 val tool : recorder -> Instrument.t
 
 (** Freeze the recorder into a sorted, immutable timeline.  Intervals
-    are laid out rank by rank, not sorted; only messages are. *)
+    are laid out rank by rank, not sorted; only messages are, with a
+    stable merge sort ([Array.stable_sort]): messages that compare equal
+    keep their newest-first recording order. *)
 val capture : recorder -> t
 
 val total_blocked : t -> float

@@ -301,6 +301,147 @@ let test_cg_transpose () =
         (has_finish_on m.T.msg_dst))
     tl.T.messages
 
+(* --- the timeline recorded inside the pipeline's largest run --- *)
+
+module R = Scalana_apps.Registry
+module Faults = Scalana_runtime.Faults
+
+let timeline_of (pipe : Scalana.Pipeline.t) =
+  match pipe.Scalana.Pipeline.timeline with
+  | Some tl -> tl
+  | None -> Alcotest.fail "no timeline"
+
+let largest_run (pipe : Scalana.Pipeline.t) =
+  let runs = pipe.Scalana.Pipeline.runs in
+  List.assoc (List.fold_left (fun m (n, _) -> max m n) 0 runs) runs
+
+let check_same_float msg expected actual =
+  if Int64.bits_of_float expected <> Int64.bits_of_float actual then
+    Alcotest.failf "%s: expected %.9f, got %.9f" msg expected actual
+
+let elapsed (r : Scalana.Prof.run) =
+  r.Scalana.Prof.result.Scalana_runtime.Exec.elapsed
+
+let pipeline ?config ?inject ?faults ?elastic name scales =
+  let entry = R.find name in
+  Scalana.Pipeline.run ?config ~cost:entry.R.cost ?inject ?faults ~scales
+    ~timeline:true ?elastic (entry.R.make ())
+
+(* The same timeline as replaying the largest scale on the session's
+   static artifact, compared as bytes. *)
+let check_equals_replay msg name (pipe : Scalana.Pipeline.t) =
+  let tl = timeline_of pipe in
+  let replay =
+    Scalana.Pipeline.rank_timeline ~cost:(R.find name).R.cost
+      pipe.Scalana.Pipeline.static ~nprocs:tl.T.nprocs
+  in
+  check_bool msg true
+    (String.equal (Marshal.to_string tl []) (Marshal.to_string replay []))
+
+(* Injection rules count executions across runs, so a replay after the
+   profiled runs would see the delays fall elsewhere; the timeline ends
+   when the run the report analyses ended. *)
+let test_injection_skew () =
+  List.iter
+    (fun name ->
+      let inject =
+        Scalana_runtime.Inject.create
+          [ Scalana_runtime.Inject.delay ~ranks:[ 1 ] ~every:3 0.002 ]
+      in
+      let pipe = pipeline ~inject name [ 4; 8; 16 ] in
+      let tl = timeline_of pipe in
+      check_int (name ^ " recorded at the largest scale") 16 tl.T.nprocs;
+      check_same_float
+        (name ^ " timeline ends with the np=16 run")
+        (elapsed (List.assoc 16 pipe.Scalana.Pipeline.runs))
+        tl.T.elapsed)
+    [ "cg"; "zeusmp"; "mg" ]
+
+let test_one_simulation_per_scale () =
+  let module Obs = Scalana_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  let runs =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        ignore (pipeline "cg" [ 4; 8; 16 ] : Scalana.Pipeline.t);
+        List.length
+          (List.filter (fun s -> s.Obs.sp_name = "exec.run") (Obs.spans ())))
+  in
+  check_int "one exec.run per scale" 3 runs
+
+(* sst resolves indirect calls as it runs: its largest run profiles
+   against the graph the smaller scales refined. *)
+let test_equals_replay () =
+  List.iter
+    (fun name ->
+      let entry = R.find name in
+      List.iter
+        (fun max_np ->
+          let label = Printf.sprintf "%s up to np=%d" name max_np in
+          let pipe = pipeline name (R.scales entry ~min_np:4 ~max_np) in
+          check_same_float (label ^ " ends with the largest run")
+            (elapsed (largest_run pipe))
+            (timeline_of pipe).T.elapsed;
+          check_equals_replay (label ^ " = replay") name pipe)
+        [ 16; 64 ])
+    [ "cg"; "bt"; "zeusmp"; "mg"; "sst" ]
+
+(* An elastic scale is a chain of epoch runs, none of which is the
+   whole scale: its timeline is still the replay. *)
+let test_elastic_replays () =
+  let entry = R.find "cg-shrink" in
+  let pipe =
+    pipeline ?elastic:entry.R.elastic_plan "cg-shrink"
+      (R.scales entry ~min_np:4 ~max_np:16)
+  in
+  check_equals_replay "elastic timeline = replay" "cg-shrink" pipe
+
+(* A rank killed on the largest scale's first attempt and spared on its
+   second: the timeline is the clean retry, not a mix of both. *)
+let test_retry_records_final_attempt () =
+  let faults =
+    Faults.plan ~seed:0 [ Faults.kill_rank ~prob:0.5 ~rank:1 ~after:0.01 () ]
+  in
+  let kills attempt =
+    Faults.kill_time (Faults.arm faults ~nprocs:16 ~attempt) ~rank:1 <> None
+  in
+  check_bool "attempt 1 draws the kill" true (kills 1);
+  check_bool "attempt 2 does not" false (kills 2);
+  let config = { Scalana.Config.default with max_run_retries = 1 } in
+  let pipe = pipeline ~config ~faults "cg" [ 4; 8; 16 ] in
+  let r = largest_run pipe in
+  check_int "the largest scale took two attempts" 2 r.Scalana.Prof.attempts;
+  check_bool "and its final attempt is clean" false (Scalana.Prof.degraded r);
+  check_same_float "timeline ends with the final attempt" (elapsed r)
+    (timeline_of pipe).T.elapsed;
+  check_equals_replay "timeline = replay of the clean run" "cg" pipe
+
+(* Every attempt loses a rank: the pipeline still finishes, degraded,
+   with the wait states of the last attempt. *)
+let test_exhausted_retries () =
+  let faults =
+    Faults.plan [ Faults.kill_rank ~prob:1.0 ~rank:1 ~after:0.01 () ]
+  in
+  let config = { Scalana.Config.default with max_run_retries = 1 } in
+  let pipe = pipeline ~config ~faults "cg" [ 4; 8; 16 ] in
+  let r = largest_run pipe in
+  check_int "every attempt used" 2 r.Scalana.Prof.attempts;
+  check_bool "degraded" true (Scalana.Pipeline.degraded pipe);
+  check_same_float "timeline ends with the final attempt" (elapsed r)
+    (timeline_of pipe).T.elapsed;
+  check_bool "wait-state section" true
+    (try
+       ignore
+         (Str.search_forward
+            (Str.regexp_string "-- wait states")
+            pipe.Scalana.Pipeline.report 0);
+       true
+     with Not_found -> false)
+
 let () =
   Alcotest.run "waitstate"
     [
@@ -322,4 +463,17 @@ let () =
             prop_attributed_bounded;
         ] );
       ( "end-to-end", [ Alcotest.test_case "cg transpose" `Quick test_cg_transpose ] );
+      ( "in-run",
+        [
+          Alcotest.test_case "injection skew" `Quick test_injection_skew;
+          Alcotest.test_case "one simulation per scale" `Quick
+            test_one_simulation_per_scale;
+          Alcotest.test_case "equals the replay" `Quick test_equals_replay;
+          Alcotest.test_case "elastic scales replay" `Quick
+            test_elastic_replays;
+          Alcotest.test_case "retry records the final attempt" `Quick
+            test_retry_records_final_attempt;
+          Alcotest.test_case "exhausted retries degrade" `Quick
+            test_exhausted_retries;
+        ] );
     ]
