@@ -30,6 +30,12 @@ let run_cli body =
       Printf.eprintf "scalana: internal error: %s\n%!" (Printexc.to_string e);
       exit_internal
 
+(* Refuse an unusable --abnorm-thd before any artifact loads.  It lives
+   here because inside scalana-detect the executable's own module hides
+   the Scalana_detect library. *)
+let check_abnorm_thd thd =
+  Scalana_detect.Abnormal.check_thd ~what:"--abnorm-thd" thd
+
 let load_program ~program_name ~file =
   match (program_name, file) with
   | Some name, None ->
@@ -73,6 +79,59 @@ let registry_elastic_plan (program : Ast.program) =
   match registry_entry program with
   | Some e -> e.elastic_plan
   | None -> None
+
+(* Open a stored session for an offline step: salvage warnings go to
+   stderr, and a session without profiles is bad input ([name_dir]
+   prefixes the directory, for tools that open more than one). *)
+let open_session ?(name_dir = false) dir =
+  let s = Scalana.Artifact.load_session dir in
+  List.iter
+    (fun i ->
+      Printf.eprintf "scalana: warning: %s\n%!"
+        (Scalana.Artifact.issue_message i))
+    s.issues;
+  if s.runs = [] then
+    failwith
+      ((if name_dir then dir ^ ": " else "")
+      ^ "session has no profiles; run scalana-prof first");
+  s
+
+(* Replay a stored session's rank timeline at [nprocs] (default: its
+   largest profiled scale) under the machine model it was profiled
+   with. *)
+let replay_timeline ~config ?nprocs (s : Scalana.Artifact.session) =
+  let nprocs =
+    match nprocs with
+    | Some n ->
+        if n <= 0 then failwith "--timeline-np must be positive";
+        n
+    | None -> List.fold_left (fun acc (n, _) -> max acc n) 1 s.runs
+  in
+  let cost = registry_cost s.static.Scalana.Static.program in
+  Scalana.Pipeline.rank_timeline ~config ~cost s.static ~nprocs
+
+(* Write the pipeline's self-observability: a Chrome trace to [trace],
+   and to [metrics_out] OpenMetrics text when it ends in .prom (the
+   scrapeable format), the JSON dump otherwise. *)
+let export_obs ~trace ~metrics_out =
+  Option.iter
+    (fun path ->
+      Scalana_obs.Obs.export_trace ~path;
+      Printf.eprintf
+        "scalana: trace written to %s (open in Perfetto / about:tracing)\n%!"
+        path)
+    trace;
+  Option.iter
+    (fun path ->
+      if Filename.check_suffix path ".prom" then begin
+        Scalana_obs.Obs.export_openmetrics ~path;
+        Printf.eprintf "scalana: OpenMetrics written to %s\n%!" path
+      end
+      else begin
+        Scalana_obs.Obs.export_metrics ~path;
+        Printf.eprintf "scalana: metrics written to %s\n%!" path
+      end)
+    metrics_out
 
 let program_arg =
   Arg.(
@@ -119,6 +178,15 @@ let domains_arg =
           "Worker domains for the analysis fan-outs (PPG builds, log-log \
            fits); 1 forces the sequential path.  Results are identical \
            either way.")
+
+let timeline_np_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "timeline-np" ] ~docv:"N"
+        ~doc:
+          "Scale of the timeline replay (default: the largest scale \
+           profiled in the session).")
 
 let exits =
   Cmd.Exit.info exit_ok ~doc:"on success."

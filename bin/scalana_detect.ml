@@ -11,6 +11,7 @@ let run session abnorm_thd domains follow_def_use static_crosscheck elastic
     trace metrics_out wait_states rank_trace timeline_np history history_label
     history_file =
   Cli_common.run_cli @@ fun () ->
+  Cli_common.check_abnorm_thd abnorm_thd;
   (* observability on before the session loads, so artifact salvage work
      is on the trace too; the report then carries a pipeline-cost section *)
   if trace <> None || metrics_out <> None then Scalana_obs.Obs.enable ();
@@ -30,12 +31,7 @@ let run session abnorm_thd domains follow_def_use static_crosscheck elastic
     end
     else []
   in
-  let s = Scalana.Artifact.load_session session in
-  List.iter
-    (fun i ->
-      Printf.eprintf "scalana: warning: %s\n%!" (Scalana.Artifact.issue_message i))
-    s.issues;
-  if s.runs = [] then failwith "session has no profiles; run scalana-prof first";
+  let s = Cli_common.open_session session in
   let config =
     {
       Scalana.Config.default with
@@ -47,19 +43,8 @@ let run session abnorm_thd domains follow_def_use static_crosscheck elastic
     }
   in
   let timeline =
-    if wait_states || rank_trace <> None then begin
-      (* re-simulate deterministically at the requested scale (default:
-         the session's largest) with the timeline recorder attached *)
-      let nprocs =
-        match timeline_np with
-        | Some n ->
-            if n <= 0 then failwith "--timeline-np must be positive";
-            n
-        | None -> List.fold_left (fun acc (n, _) -> max acc n) 1 s.runs
-      in
-      let cost = Cli_common.registry_cost s.static.Scalana.Static.program in
-      Some (Scalana.Pipeline.rank_timeline ~config ~cost s.static ~nprocs)
-    end
+    if wait_states || rank_trace <> None then
+      Some (Cli_common.replay_timeline ~config ?nprocs:timeline_np s)
     else None
   in
   let pipeline =
@@ -78,26 +63,7 @@ let run session abnorm_thd domains follow_def_use static_crosscheck elastic
       history_file
       (List.length prior + 1)
   end;
-  (match trace with
-  | Some path ->
-      Scalana_obs.Obs.export_trace ~path;
-      Printf.eprintf
-        "scalana: trace written to %s (open in Perfetto / about:tracing)\n%!"
-        path
-  | None -> ());
-  (match metrics_out with
-  | Some path ->
-      (* .prom selects the scrapeable OpenMetrics text format; anything
-         else keeps the JSON dump *)
-      if Filename.check_suffix path ".prom" then begin
-        Scalana_obs.Obs.export_openmetrics ~path;
-        Printf.eprintf "scalana: OpenMetrics written to %s\n%!" path
-      end
-      else begin
-        Scalana_obs.Obs.export_metrics ~path;
-        Printf.eprintf "scalana: metrics written to %s\n%!" path
-      end
-  | None -> ());
+  Cli_common.export_obs ~trace ~metrics_out;
   (match (rank_trace, timeline) with
   | Some path, Some tl ->
       Scalana_profile.Timeline.export_trace
@@ -214,15 +180,6 @@ let rank_trace_arg =
            --trace file without id collisions).  Implies the timeline \
            replay of --wait-states.")
 
-let timeline_np_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "timeline-np" ] ~docv:"N"
-        ~doc:
-          "Scale of the timeline replay (default: the largest scale \
-           profiled in the session).")
-
 let cmd =
   Cmd.v
     (Cmd.info "scalana-detect" ~exits:Cli_common.exits
@@ -231,7 +188,7 @@ let cmd =
       const run $ Cli_common.session_arg $ Cli_common.abnorm_thd_arg
       $ Cli_common.domains_arg $ follow_def_use_arg $ static_crosscheck_arg
       $ elastic_arg $ trace_arg $ metrics_out_arg $ wait_states_arg
-      $ rank_trace_arg $ timeline_np_arg $ history_arg $ history_label_arg
-      $ history_file_arg)
+      $ rank_trace_arg $ Cli_common.timeline_np_arg $ history_arg
+      $ history_label_arg $ history_file_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -14,23 +14,9 @@ open Cmdliner
 module Diff = Scalana_detect.Diff
 
 let load_summary ~config ~wait_states dir =
-  let s = Scalana.Artifact.load_session dir in
-  List.iter
-    (fun i ->
-      Printf.eprintf "scalana: warning: %s\n%!"
-        (Scalana.Artifact.issue_message i))
-    s.issues;
-  if s.runs = [] then
-    failwith
-      (Printf.sprintf "%s: session has no profiles; run scalana-prof first"
-         dir);
+  let s = Cli_common.open_session ~name_dir:true dir in
   let timeline =
-    if wait_states then begin
-      let nprocs = List.fold_left (fun acc (n, _) -> max acc n) 1 s.runs in
-      let cost = Cli_common.registry_cost s.static.Scalana.Static.program in
-      Some (Scalana.Pipeline.rank_timeline ~config ~cost s.static ~nprocs)
-    end
-    else None
+    if wait_states then Some (Cli_common.replay_timeline ~config s) else None
   in
   let pipe = Scalana.Pipeline.detect_session ~config ?timeline s in
   Scalana.Pipeline.diff_summary ~label:dir pipe
@@ -38,6 +24,12 @@ let load_summary ~config ~wait_states dir =
 let run base cand abnorm_thd domains wait_states slope_tol time_tol wait_tol
     min_fraction trace metrics_out =
   Cli_common.run_cli @@ fun () ->
+  (* thresholds are refused before either session loads *)
+  Cli_common.check_abnorm_thd abnorm_thd;
+  Diff.check_tol ~what:"--slope-tol" slope_tol;
+  Diff.check_tol ~what:"--time-tol" time_tol;
+  Diff.check_tol ~what:"--wait-tol" wait_tol;
+  Diff.check_fraction ~what:"--min-fraction" min_fraction;
   if trace <> None || metrics_out <> None then Scalana_obs.Obs.enable ();
   let config =
     { Scalana.Config.default with abnorm_thd; analysis_domains = domains }
@@ -56,24 +48,7 @@ let run base cand abnorm_thd domains wait_states slope_tol time_tol wait_tol
     print_string
       (Fmt.str "%a" Scalana_detect.Report.pp_phase_costs
          (Scalana_obs.Obs.phase_summary ()));
-  (match trace with
-  | Some path ->
-      Scalana_obs.Obs.export_trace ~path;
-      Printf.eprintf
-        "scalana: trace written to %s (open in Perfetto / about:tracing)\n%!"
-        path
-  | None -> ());
-  (match metrics_out with
-  | Some path ->
-      if Filename.check_suffix path ".prom" then begin
-        Scalana_obs.Obs.export_openmetrics ~path;
-        Printf.eprintf "scalana: OpenMetrics written to %s\n%!" path
-      end
-      else begin
-        Scalana_obs.Obs.export_metrics ~path;
-        Printf.eprintf "scalana: metrics written to %s\n%!" path
-      end
-  | None -> ());
+  Cli_common.export_obs ~trace ~metrics_out;
   (* degraded inputs dominate, as in scalana-detect: a regression (or a
      clean verdict) computed over fault-damaged data is not trustworthy *)
   if diff.Diff.degraded then Cli_common.exit_bad_input

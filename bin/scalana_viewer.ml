@@ -6,27 +6,13 @@ open Cmdliner
 
 let run session context html timeline timeline_np static_crosscheck elastic =
   Cli_common.run_cli @@ fun () ->
-  let s = Scalana.Artifact.load_session session in
-  List.iter
-    (fun i ->
-      Printf.eprintf "scalana: warning: %s\n%!" (Scalana.Artifact.issue_message i))
-    s.issues;
-  if s.runs = [] then failwith "session has no profiles; run scalana-prof first";
+  let s = Cli_common.open_session session in
+  let config = { Scalana.Config.default with static_crosscheck; elastic } in
   let tl =
-    if timeline then begin
-      let nprocs =
-        match timeline_np with
-        | Some n ->
-            if n <= 0 then failwith "--timeline-np must be positive";
-            n
-        | None -> List.fold_left (fun acc (n, _) -> max acc n) 1 s.runs
-      in
-      let cost = Cli_common.registry_cost s.static.Scalana.Static.program in
-      Some (Scalana.Pipeline.rank_timeline ~cost s.static ~nprocs)
-    end
+    if timeline then
+      Some (Cli_common.replay_timeline ~config ?nprocs:timeline_np s)
     else None
   in
-  let config = { Scalana.Config.default with static_crosscheck; elastic } in
   let pipeline = Scalana.Pipeline.detect_session ~config ?timeline:tl s in
   (match html with
   | Some path ->
@@ -59,15 +45,6 @@ let timeline_arg =
            compute, 'M' MPI, 'w' wait) instead of the root-cause view; \
            with --html, the report gains the wait-state section.")
 
-let timeline_np_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "timeline-np" ] ~docv:"N"
-        ~doc:
-          "Scale of the timeline replay (default: the largest scale \
-           profiled in the session).")
-
 let static_crosscheck_arg =
   Arg.(
     value & flag
@@ -94,6 +71,7 @@ let cmd =
        ~doc:"Root-cause source viewer")
     Term.(
       const run $ Cli_common.session_arg $ context_arg $ html_arg
-      $ timeline_arg $ timeline_np_arg $ static_crosscheck_arg $ elastic_arg)
+      $ timeline_arg $ Cli_common.timeline_np_arg $ static_crosscheck_arg
+      $ elastic_arg)
 
 let () = exit (Cmd.eval' cmd)

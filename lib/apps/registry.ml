@@ -54,8 +54,6 @@ let extreme =
       Npb_cg.make_weak;
   ]
 
-let extreme_names = List.map (fun e -> e.name) extreme
-
 (* Elastic entries: iteration-sliced programs paired with membership
    plans (ranks leave / join mid-run).  Kept out of [all] for the same
    reason as [extreme]: the Table II roster and the original golden
@@ -71,8 +69,6 @@ let elastic =
       Elastic_apps.make_halo_grow
       ~elastic_plan:Elastic_apps.halo_grow_plan;
   ]
-
-let elastic_names = List.map (fun e -> e.name) elastic
 
 let find name =
   match

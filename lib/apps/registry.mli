@@ -24,13 +24,9 @@ val names : string list
     eleven programs.  [find] resolves these too. *)
 val extreme : entry list
 
-val extreme_names : string list
-
 (** Elastic entries (iteration-sliced programs with membership plans);
     kept out of [all] like [extreme].  [find] resolves these too. *)
 val elastic : entry list
-
-val elastic_names : string list
 
 (** Searches [all], then [extreme], then [elastic]; raises
     [Invalid_argument] for unknown names. *)

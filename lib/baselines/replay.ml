@@ -58,11 +58,6 @@ let analyze ?(epsilon = 20.0e-6) (events : Tracer.event list) =
   Hashtbl.fold (fun _ ws acc -> ws :: acc) tbl []
   |> List.sort (fun a b -> compare b.total_wait a.total_wait)
 
-let pp_state ppf ws =
-  Fmt.pf ppf "%-24s %-18s wait=%8.4fs n=%6d ranks=%d"
-    (Loc.to_string ws.ws_loc) (class_name ws.ws_class) ws.total_wait
-    ws.occurrences (List.length ws.ranks)
-
 let report ?epsilon events ~top =
   let states = analyze ?epsilon events in
   let rec take n = function

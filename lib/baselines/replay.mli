@@ -20,5 +20,4 @@ val class_name : wait_class -> string
 (** All wait states above [epsilon] seconds, largest total first. *)
 val analyze : ?epsilon:float -> Tracer.event list -> wait_state list
 
-val pp_state : wait_state Fmt.t
 val report : ?epsilon:float -> Tracer.event list -> top:int -> wait_state list

@@ -17,7 +17,6 @@ open Scalana_mlang
 
 type sym = Var of string | Req of string
 
-let sym_name = function Var v -> v | Req r -> "&" ^ r
 let compare_sym (a : sym) (b : sym) = compare a b
 
 let expr_uses e = List.map (fun v -> Var v) (Expr.free_vars e)
@@ -175,7 +174,6 @@ module Live = struct
     in
     { result }
 
-  let live_in t id = SymSet.elements t.result.S.output.(id)
   let live_out t id = SymSet.elements t.result.S.input.(id)
 end
 
@@ -240,7 +238,6 @@ module Chains = struct
       (fun (s, sites) -> if compare_sym s sym = 0 then sites else [])
       (uses_at t loc)
 
-  let all_defs t = t.defs
   let n_defs t = List.length t.defs
   let n_uses t = t.n_uses
 

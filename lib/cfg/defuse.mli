@@ -14,9 +14,6 @@ type sym =
   | Var of string  (** loop variable, [let] binding or function parameter *)
   | Req of string  (** MPI request handle *)
 
-val sym_name : sym -> string
-(** Display form; request handles are prefixed with ["&"]. *)
-
 val compare_sym : sym -> sym -> int
 
 val mpi_uses : Ast.mpi_call -> sym list
@@ -46,9 +43,6 @@ module Chains : sig
   val defs_reaching : t -> loc:Loc.t -> sym -> Loc.t list
   (** Definition sites of [sym] reaching its use at [loc]. *)
 
-  val all_defs : t -> (sym * Loc.t) list
-  (** Every definition site, source order, parameters first. *)
-
   val unused_defs : t -> (sym * Loc.t) list
   (** Definition sites no use is reached by — for request handles, an
       [Isend]/[Irecv] that is never waited on. *)
@@ -63,9 +57,6 @@ module Live : sig
   type t
 
   val compute : Cfg.t -> t
-
-  val live_in : t -> Cfg.node_id -> sym list
-  (** Symbols live on entry to a block. *)
 
   val live_out : t -> Cfg.node_id -> sym list
   (** Symbols live on exit from a block. *)

@@ -78,24 +78,7 @@ let magic = "SCALANA2"
 let format_version = 2
 let header_bytes = String.length magic + 1
 
-(* --- CRC-32 (IEEE 802.3, the zlib polynomial) --- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
+let crc32 = Scalana_obs.History.crc32
 
 (* --- writers --- *)
 
@@ -301,13 +284,6 @@ let load_runs_salvage dir =
          end);
   ( List.sort (fun (a, _) (b, _) -> compare a b) !runs,
     List.rev !issues )
-
-let load_runs dir : (int * Prof.run) list =
-  let runs, issues = load_runs_salvage dir in
-  List.iter
-    (fun i -> Printf.eprintf "scalana: warning: %s\n%!" (issue_message i))
-    issues;
-  runs
 
 let load_session dir =
   let runs, issues = load_runs_salvage dir in

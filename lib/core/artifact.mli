@@ -38,7 +38,8 @@ val issue_message : issue -> string
 val magic : string
 val format_version : int
 
-(** CRC-32 (IEEE 802.3 / zlib polynomial) of a string. *)
+(** {!Scalana_obs.History.crc32}: the ledger's CRC-32 frames every
+    record. *)
 val crc32 : string -> int
 
 (** [save_value path v]: write header plus one record (truncates). *)
@@ -75,9 +76,6 @@ val save_run : string -> Prof.run -> unit
     profile, plus one {!issue} per damaged file (a file with valid
     magic but no decodable record is reported, never dropped). *)
 val load_runs_salvage : string -> (int * Prof.run) list * issue list
-
-(** {!load_runs_salvage} with issues printed as warnings on stderr. *)
-val load_runs : string -> (int * Prof.run) list
 
 (** Raises {!Error} when the static artifact is unreadable; run damage
     is salvaged into [issues] instead. *)

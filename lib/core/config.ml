@@ -7,17 +7,12 @@ type t = {
   abnorm_thd : float;  (* abnormal-vertex threshold; paper: 1.3 *)
   sampling_freq : float;  (* Hz; paper: 200, same as HPCToolkit *)
   record_prob : float;  (* random-sampling instrumentation threshold *)
-  ns_top_k : int;  (* non-scalable vertices to keep *)
-  ns_min_fraction : float;  (* time-share filter for candidates *)
-  ns_strategy : Scalana_detect.Aggregate.strategy;
-  prune_non_wait : bool;  (* backtracking comm-edge pruning *)
   follow_def_use : bool;
       (* backtrack along explicit def-use edges where available instead
          of sibling order; off = paper-faithful Algorithm 1 *)
   seed : int;
   analysis_domains : int;  (* parallelism of the analysis fan-outs *)
   max_run_retries : int;  (* extra profiling attempts for fault-killed runs *)
-  timeline_max_events : int;  (* rank-timeline recorder cap *)
   static_crosscheck : bool;
       (* cross-check non-scalable slopes against the symbolic
          communication model; off = reports byte-identical *)
@@ -32,15 +27,10 @@ let default =
     abnorm_thd = 1.3;
     sampling_freq = 200.0;
     record_prob = 0.5;
-    ns_top_k = 5;
-    ns_min_fraction = 0.01;
-    ns_strategy = Scalana_detect.Aggregate.Mean;
-    prune_non_wait = true;
     follow_def_use = false;
     seed = 42;
     analysis_domains = Pool.default_size ();
     max_run_retries = 2;
-    timeline_max_events = Scalana_profile.Timeline.default_config.max_events;
     static_crosscheck = false;
     elastic = false;
   }
@@ -53,16 +43,7 @@ let profiler_config t =
     seed = t.seed;
   }
 
-let timeline_config t =
-  { Scalana_profile.Timeline.max_events = t.timeline_max_events }
-
-let ns_config t =
-  {
-    Scalana_detect.Nonscalable.default_config with
-    strategy = t.ns_strategy;
-    top_k = t.ns_top_k;
-    min_fraction = t.ns_min_fraction;
-  }
+let ns_config (_ : t) = Scalana_detect.Nonscalable.default_config
 
 let ab_config t =
   { Scalana_detect.Abnormal.default_config with abnorm_thd = t.abnorm_thd }
@@ -70,6 +51,5 @@ let ab_config t =
 let bt_config t =
   {
     Scalana_detect.Backtrack.default_config with
-    prune_non_wait = t.prune_non_wait;
     follow_def_use = t.follow_def_use;
   }

@@ -1,16 +1,14 @@
 (** End-user configuration of the pipeline: the paper's MaxLoopDepth and
     AbnormThd knobs plus sampling/instrumentation settings, with the
-    evaluation defaults, and mappings onto the per-module configs. *)
+    evaluation defaults, and mappings onto the per-module configs.
+    Everything else (the non-scalable ranking, backtracking pruning, the
+    timeline event cap) runs at its module's [default_config]. *)
 
 type t = {
   max_loop_depth : int;  (** PSG contraction bound (paper: 10) *)
   abnorm_thd : float;  (** abnormal-vertex threshold (paper: 1.3) *)
   sampling_freq : float;  (** Hz (paper: 200) *)
   record_prob : float;  (** random-sampling instrumentation threshold *)
-  ns_top_k : int;
-  ns_min_fraction : float;
-  ns_strategy : Scalana_detect.Aggregate.strategy;
-  prune_non_wait : bool;
   follow_def_use : bool;
       (** backtrack along explicit def-use edges where available instead
           of sibling order (off = paper-faithful Algorithm 1) *)
@@ -23,10 +21,6 @@ type t = {
   max_run_retries : int;
       (** Extra profiling attempts (fresh fault draws) granted to a run
           that lost ranks to injected faults.  Default 2. *)
-  timeline_max_events : int;
-      (** Event cap (intervals + messages) of the rank-timeline
-          recorder; past it events are dropped with explicit truncation
-          accounting.  Default {!Scalana_profile.Timeline.default_config}. *)
   static_crosscheck : bool;
       (** Cross-check the non-scalable vertices' fitted slopes against
           the symbolic communication model
@@ -40,7 +34,10 @@ type t = {
 
 val default : t
 val profiler_config : t -> Scalana_profile.Profiler.config
-val timeline_config : t -> Scalana_profile.Timeline.config
+
+(** {!Scalana_detect.Nonscalable.default_config}: no field of [t]
+    tunes the ranking. *)
 val ns_config : t -> Scalana_detect.Nonscalable.config
+
 val ab_config : t -> Scalana_detect.Abnormal.config
 val bt_config : t -> Scalana_detect.Backtrack.config

@@ -75,18 +75,46 @@ let svg_bars ?(width = 640) ?(height = 80) ~hot col ~off ~len =
     Buffer.contents buf
   end
 
+(* One table, a body row per item: every header and body cell is
+   escaped here, so callers pass plain text; body cells in the [code]
+   columns render as <code>. *)
+let table buf ?(code = []) header row items =
+  let cells tag code cells =
+    Buffer.add_string buf "<tr>";
+    List.iteri
+      (fun i c ->
+        if List.mem i code then
+          Printf.bprintf buf "<%s><code>%s</code></%s>" tag (esc c) tag
+        else Printf.bprintf buf "<%s>%s</%s>" tag (esc c) tag)
+      cells;
+    Buffer.add_string buf "</tr>"
+  in
+  Buffer.add_string buf "<table>";
+  cells "th" [] header;
+  List.iter (fun item -> cells "td" code (row item)) items;
+  Buffer.add_string buf "</table>"
+
+let ranks = function
+  | [] -> "—"
+  | rs -> String.concat "," (List.map string_of_int rs)
+
 let render (pipe : Pipeline.t) =
   let psg = Static.psg pipe.static in
   let program = pipe.static.Static.program in
   let _, largest_ppg = Scalana_ppg.Crossscale.largest pipe.crossscale in
   let buf = Buffer.create 16384 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let h2 fmt = Printf.ksprintf (fun s -> out "<h2>%s</h2>" (esc s)) fmt in
+  let meta fmt =
+    Printf.ksprintf (fun s -> out "<p class=\"meta\">%s</p>" (esc s)) fmt
+  in
+  let table ?code header row items = table buf ?code header row items in
   out
     "<!doctype html><html><head><meta charset=\"utf-8\"><title>ScalAna — \
      %s</title><style>%s</style></head><body>"
     (esc program.pname) css;
   out "<h1>ScalAna scaling-loss report — %s</h1>" (esc program.pname);
-  out "<p class=\"meta\">scales: %s · detection cost %.3fs · %d paths</p>"
+  meta "scales: %s · detection cost %.3fs · %d paths"
     (String.concat ", "
        (List.map string_of_int (Scalana_ppg.Crossscale.scales pipe.crossscale)))
     pipe.detect_seconds
@@ -96,147 +124,130 @@ let render (pipe : Pipeline.t) =
      pipelines skip the section entirely *)
   let q = pipe.Pipeline.quality in
   if not (Quality.is_clean q) then begin
-    out "<h2>Data quality</h2>";
-    out "<p class=\"meta\">rank coverage %.1f%%</p>" (100.0 *. q.Quality.rank_coverage);
-    if q.Quality.artifact_issues <> [] then begin
-      out "<table><tr><th>artifact</th><th>damage</th>\
-           <th>records salvaged</th></tr>";
-      List.iter
+    h2 "Data quality";
+    meta "rank coverage %.1f%%" (100.0 *. q.Quality.rank_coverage);
+    if q.Quality.artifact_issues <> [] then
+      table
+        [ "artifact"; "damage"; "records salvaged" ]
         (fun (a : Quality.artifact_issue) ->
-          out "<tr><td>%s</td><td>%s</td><td>%d</td></tr>"
-            (esc (Filename.basename a.Quality.ai_path))
-            (esc a.Quality.ai_detail) a.Quality.ai_kept)
+          [
+            Filename.basename a.Quality.ai_path;
+            a.Quality.ai_detail;
+            string_of_int a.Quality.ai_kept;
+          ])
         q.Quality.artifact_issues;
-      out "</table>"
-    end;
-    if q.Quality.run_issues <> [] then begin
-      out "<table><tr><th>scale</th><th>killed ranks</th>\
-           <th>stranded ranks</th><th>left</th><th>joined</th>\
-           <th>epochs</th><th>attempts</th><th>backoff</th></tr>";
-      List.iter
+    if q.Quality.run_issues <> [] then
+      table
+        [
+          "scale"; "killed ranks"; "stranded ranks"; "left"; "joined";
+          "epochs"; "attempts"; "backoff";
+        ]
         (fun (r : Quality.run_issue) ->
-          let ranks = function
-            | [] -> "—"
-            | rs -> String.concat "," (List.map string_of_int rs)
-          in
-          out
-            "<tr><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td>\
-             <td>%s</td><td>%d</td><td>%s</td></tr>"
-            r.Quality.ri_nprocs
-            (esc (ranks r.Quality.ri_killed))
-            (esc (ranks r.Quality.ri_stranded))
-            (esc (ranks r.Quality.ri_left))
-            (esc (ranks r.Quality.ri_joined))
-            (if r.Quality.ri_epochs > 0 then string_of_int r.Quality.ri_epochs
-             else "—")
-            r.Quality.ri_attempts
+          [
+            string_of_int r.Quality.ri_nprocs;
+            ranks r.Quality.ri_killed;
+            ranks r.Quality.ri_stranded;
+            ranks r.Quality.ri_left;
+            ranks r.Quality.ri_joined;
+            (if r.Quality.ri_epochs > 0 then
+               string_of_int r.Quality.ri_epochs
+             else "—");
+            string_of_int r.Quality.ri_attempts;
             (if r.Quality.ri_backoff > 0.0 then
                Printf.sprintf "%.3fs" r.Quality.ri_backoff
-             else "—"))
+             else "—");
+          ])
         q.Quality.run_issues;
-      out "</table>"
-    end;
     if q.Quality.dropped_scales <> [] then
-      out "<p class=\"meta\">dropped scales: %s</p>"
-        (esc
-           (String.concat ", "
-              (List.map string_of_int q.Quality.dropped_scales)));
+      meta "dropped scales: %s"
+        (String.concat ", " (List.map string_of_int q.Quality.dropped_scales));
     if q.Quality.quarantined_values > 0 then
-      out "<p class=\"meta\">quarantined values: %d</p>"
-        q.Quality.quarantined_values;
+      meta "quarantined values: %d" q.Quality.quarantined_values;
     if q.Quality.insufficient_vertices > 0 then
-      out "<p class=\"meta\">vertices with insufficient data: %d</p>"
+      meta "vertices with insufficient data: %d"
         q.Quality.insufficient_vertices
   end;
 
   (* pipeline self-cost, only when the observability layer collected it *)
   if pipe.Pipeline.phase_costs <> [] then begin
-    out "<h2>Pipeline cost (self-observability)</h2>\
-         <table><tr><th>phase</th><th>calls</th><th>total</th></tr>";
-    List.iter
+    h2 "Pipeline cost (self-observability)";
+    table [ "phase"; "calls"; "total" ]
       (fun (name, calls, total) ->
-        out "<tr><td>%s</td><td>%d</td><td>%.3fs</td></tr>" (esc name) calls
-          total)
-      pipe.Pipeline.phase_costs;
-    out "</table>"
+        [ name; string_of_int calls; Printf.sprintf "%.3fs" total ])
+      pipe.Pipeline.phase_costs
   end;
 
   let lint_locs = List.map (fun (f : Lint.finding) -> f.Lint.loc) pipe.lint in
   let crosscheck = pipe.analysis.Rootcause.crosscheck in
-  out "<h2>Non-scalable vertices</h2><table><tr><th>vertex</th><th>location</th>\
-       <th>slope</th><th>share</th><th>series</th>\
-       <th>predicted statically</th>%s</tr>"
-    (match crosscheck with
-    | Some _ -> "<th>static model</th>"
-    | None -> "");
-  List.iter
+  h2 "Non-scalable vertices";
+  table
+    ([
+       "vertex"; "location"; "slope"; "share"; "series"; "predicted statically";
+     ]
+    @ if crosscheck = None then [] else [ "static model" ])
     (fun (f : Nonscalable.finding) ->
       let v = Psg.vertex psg f.vertex in
-      out
-        "<tr><td>%s</td><td>%s</td><td>%+.2f</td><td>%.1f%%</td><td>%s</td>\
-         <td>%s</td>%s</tr>"
-        (esc (Vertex.label v))
-        (esc (Loc.to_string v.Vertex.loc))
-        f.slope (100.0 *. f.fraction)
-        (esc
-           (String.concat " → "
-              (List.map (fun (n, t) -> Printf.sprintf "%d:%.3fs" n t) f.series)))
-        (if Report.predicted ~psg ~locs:lint_locs f.vertex then "yes" else "—")
-        (match crosscheck with
-        | None -> ""
-        | Some cx ->
-            Printf.sprintf "<td>%s</td>"
-              (match Crosscheck.verdict_for cx f.vertex with
-              | Some verdict -> esc (String.trim (Crosscheck.annotation verdict))
-              | None -> "—")))
+      [
+        Vertex.label v;
+        Loc.to_string v.Vertex.loc;
+        Printf.sprintf "%+.2f" f.slope;
+        Printf.sprintf "%.1f%%" (100.0 *. f.fraction);
+        String.concat " → "
+          (List.map (fun (n, t) -> Printf.sprintf "%d:%.3fs" n t) f.series);
+        (if Report.predicted ~psg ~locs:lint_locs f.vertex then "yes"
+         else "—");
+      ]
+      @
+      match crosscheck with
+      | None -> []
+      | Some cx -> (
+          match Crosscheck.verdict_for cx f.vertex with
+          | Some verdict -> [ String.trim (Crosscheck.annotation verdict) ]
+          | None -> [ "—" ]))
     pipe.analysis.nonscalable;
-  out "</table>";
   (match crosscheck with
   | None -> ()
   | Some cx ->
-      out "<h2>Static model cross-check</h2>";
-      out "<p class=\"meta\">scales %s · tolerance %.2f · %d confirmed · \
-           %d mismatched%s</p>"
-        (esc (String.concat ", " (List.map string_of_int cx.Crosscheck.cx_scales)))
+      h2 "Static model cross-check";
+      meta "scales %s · tolerance %.2f · %d confirmed · %d mismatched%s"
+        (String.concat ", " (List.map string_of_int cx.Crosscheck.cx_scales))
         cx.Crosscheck.cx_tolerance
         (List.length (Crosscheck.confirmed cx))
         (List.length (Crosscheck.mismatches cx))
         (if cx.Crosscheck.cx_exact then ""
          else " · model approximate (walks hit unanalyzable constructs)");
-      match Crosscheck.mismatches cx with
-      | [] -> ()
-      | mis ->
-          out "<table><tr><th>vertex</th><th>location</th><th>predicted</th>\
-               <th>model slope</th><th>measured slope</th></tr>";
-          List.iter
-            (fun (verdict : Crosscheck.verdict) ->
-              let v = Psg.vertex psg verdict.Crosscheck.cv_vertex in
-              out
-                "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td>\
-                 <td>%+.2f</td></tr>"
-                (esc (Vertex.label v))
-                (esc (Loc.to_string v.Vertex.loc))
-                (esc verdict.Crosscheck.cv_pred.Scalana_cfg.Commcost.pred_label)
-                (match verdict.Crosscheck.cv_model_slope with
-                | Some m -> Printf.sprintf "%+.2f" m
-                | None -> "?")
-                verdict.Crosscheck.cv_measured_slope)
-            mis;
-          out "</table>");
+      if Crosscheck.mismatches cx <> [] then
+        table
+          [
+            "vertex"; "location"; "predicted"; "model slope"; "measured slope";
+          ]
+          (fun (verdict : Crosscheck.verdict) ->
+            let v = Psg.vertex psg verdict.Crosscheck.cv_vertex in
+            [
+              Vertex.label v;
+              Loc.to_string v.Vertex.loc;
+              verdict.Crosscheck.cv_pred.Scalana_cfg.Commcost.pred_label;
+              (match verdict.Crosscheck.cv_model_slope with
+              | Some m -> Printf.sprintf "%+.2f" m
+              | None -> "?");
+              Printf.sprintf "%+.2f" verdict.Crosscheck.cv_measured_slope;
+            ])
+          (Crosscheck.mismatches cx));
   if pipe.lint <> [] then begin
-    out "<h2>Static lint findings</h2><table><tr><th>rule</th>\
-         <th>location</th><th>function</th><th>finding</th></tr>";
-    List.iter
+    h2 "Static lint findings";
+    table
+      [ "rule"; "location"; "function"; "finding" ]
       (fun (f : Lint.finding) ->
-        out "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>"
-          (esc (Lint.rule_name f.Lint.rule))
-          (esc (Loc.to_string f.Lint.loc))
-          (esc f.Lint.func) (esc f.Lint.msg))
-      pipe.lint;
-    out "</table>"
+        [
+          Lint.rule_name f.Lint.rule;
+          Loc.to_string f.Lint.loc;
+          f.Lint.func;
+          f.Lint.msg;
+        ])
+      pipe.lint
   end;
 
-  out "<h2>Abnormal vertices</h2>";
+  h2 "Abnormal vertices";
   List.iteri
     (fun i (f : Abnormal.finding) ->
       if i < 6 then begin
@@ -253,7 +264,7 @@ let render (pipe : Pipeline.t) =
       end)
     pipe.analysis.abnormal;
 
-  out "<h2>Root causes</h2>";
+  h2 "Root causes";
   List.iteri
     (fun i (c : Rootcause.cause) ->
       out "<div class=\"cause\"><b>#%d %s</b> @%s<br>" (i + 1)
@@ -290,27 +301,18 @@ let render (pipe : Pipeline.t) =
   (match pipe.analysis.Rootcause.waitstate with
   | None -> ()
   | Some ws ->
-      out "<h2>Wait states (timeline replay, np=%d)</h2>"
-        ws.Waitstate.ws_nprocs;
+      h2 "Wait states (timeline replay, np=%d)" ws.Waitstate.ws_nprocs;
       let blocked = Array.fold_left ( +. ) 0.0 ws.Waitstate.rank_blocked in
-      out "<p class=\"meta\">blocked %.6fs across ranks · attributed %.1f%%</p>"
-        blocked
+      meta "blocked %.6fs across ranks · attributed %.1f%%" blocked
         (100.0 *. Waitstate.attributed_fraction ws);
       out "%s"
         (svg_bars ~hot:[] ws.Waitstate.rank_blocked ~off:0
            ~len:(Array.length ws.Waitstate.rank_blocked));
-      out "<table><tr><th>class</th><th>attributed</th></tr>";
-      List.iter
+      table [ "class"; "attributed" ]
         (fun (cls, total) ->
-          out "<tr><td>%s</td><td>%.6fs</td></tr>"
-            (esc (Waitstate.class_name cls))
-            total)
+          [ Waitstate.class_name cls; Printf.sprintf "%.6fs" total ])
         ws.Waitstate.class_totals;
-      out "</table>";
       if ws.Waitstate.entries <> [] then begin
-        out "<table><tr><th>vertex</th><th>location</th><th>class</th>\
-             <th>time</th><th>ops</th><th>blamed ranks</th>\
-             <th>flags</th></tr>";
         let ns_vids =
           List.map
             (fun (f : Nonscalable.finding) -> f.vertex)
@@ -321,94 +323,81 @@ let render (pipe : Pipeline.t) =
             (fun (f : Abnormal.finding) -> f.vertex)
             pipe.analysis.abnormal
         in
-        List.iteri
-          (fun i (e : Waitstate.entry) ->
-            if i < 12 then begin
-              let label, loc =
-                match e.ws_vertex with
-                | Some vid ->
-                    let v = Psg.vertex psg vid in
-                    (Vertex.label v, Loc.to_string v.Vertex.loc)
-                | None -> ("(unresolved)", "—")
-              in
-              let flags vid_opt =
-                match vid_opt with
-                | None -> "—"
-                | Some vid ->
-                    let f =
-                      (if List.mem vid ns_vids then [ "non-scalable" ] else [])
-                      @ if List.mem vid ab_vids then [ "abnormal" ] else []
-                    in
-                    if f = [] then "—" else String.concat ", " f
-              in
-              out
-                "<tr><td>%s</td><td>%s</td><td>%s</td><td>%.6fs</td>\
-                 <td>%d</td><td>%s</td><td>%s</td></tr>"
-                (esc label) (esc loc)
-                (esc (Waitstate.class_name e.ws_class))
-                e.ws_time e.ws_ops
-                (esc
-                   (String.concat ","
-                      (List.map
-                         (fun (r, _) -> string_of_int r)
-                         (List.filteri (fun i _ -> i < 8) e.ws_culprits))))
-                (esc (flags e.ws_vertex))
-            end)
-          ws.Waitstate.entries;
-        out "</table>"
+        table
+          [
+            "vertex"; "location"; "class"; "time"; "ops"; "blamed ranks";
+            "flags";
+          ]
+          (fun (e : Waitstate.entry) ->
+            let label, loc, flags =
+              match e.ws_vertex with
+              | Some vid ->
+                  let v = Psg.vertex psg vid in
+                  let f =
+                    (if List.mem vid ns_vids then [ "non-scalable" ] else [])
+                    @ if List.mem vid ab_vids then [ "abnormal" ] else []
+                  in
+                  ( Vertex.label v,
+                    Loc.to_string v.Vertex.loc,
+                    if f = [] then "—" else String.concat ", " f )
+              | None -> ("(unresolved)", "—", "—")
+            in
+            [
+              label;
+              loc;
+              Waitstate.class_name e.ws_class;
+              Printf.sprintf "%.6fs" e.ws_time;
+              string_of_int e.ws_ops;
+              String.concat ","
+                (List.map
+                   (fun (r, _) -> string_of_int r)
+                   (List.filteri (fun i _ -> i < 8) e.ws_culprits));
+              flags;
+            ])
+          (List.filteri (fun i _ -> i < 12) ws.Waitstate.entries)
       end;
       if ws.Waitstate.truncated > 0 then
-        out "<p class=\"meta\">timeline truncated: %d events dropped · \
-             %.6fs unattributed</p>"
+        meta "timeline truncated: %d events dropped · %.6fs unattributed"
           ws.Waitstate.truncated ws.Waitstate.unattributed);
 
   (* elastic membership timeline & recovery, only under --elastic *)
   List.iter
     (fun (np, (info : Scalana_runtime.Elastic.info)) ->
       let module E = Scalana_runtime.Elastic in
-      let ranks = function
-        | [] -> "—"
-        | rs -> String.concat "," (List.map string_of_int rs)
-      in
-      out "<h2>Elastic membership timeline &amp; recovery (np=%d)</h2>" np;
-      out
-        "<p class=\"meta\">effective nprocs %.2f · %d epochs · %d ranks \
-         ever member · recovery protocol %.6fs</p>"
+      h2 "Elastic membership timeline & recovery (np=%d)" np;
+      meta
+        "effective nprocs %.2f · %d epochs · %d ranks ever member · recovery \
+         protocol %.6fs"
         info.E.effective
         (List.length info.E.epoch_infos)
         info.E.n_ranks (E.recovery_seconds info);
-      out "<table><tr><th>epoch</th><th>iters</th><th>np</th>\
-           <th>members</th><th>span</th></tr>";
-      List.iteri
-        (fun i (e : E.epoch_info) ->
-          out
-            "<tr><td>%d</td><td>[%d,%d)</td><td>%d</td><td>%s</td>\
-             <td>[%.6fs, %.6fs)</td></tr>"
-            i e.E.ei_lo e.E.ei_hi e.E.ei_nprocs
-            (esc (E.compress_ranks e.E.ei_members))
-            e.E.ei_t0 e.E.ei_t1)
-        info.E.epoch_infos;
-      out "</table>";
-      if info.E.recoveries <> [] then begin
-        out "<table><tr><th>recovery at iter</th><th>left</th>\
-             <th>joined</th><th>detect</th><th>agree</th>\
-             <th>repartition</th><th>%s</th></tr>"
-          (esc (Waitstate.class_name Waitstate.Recovery_stall));
-        List.iter
+      table
+        [ "epoch"; "iters"; "np"; "members"; "span" ]
+        (fun (i, (e : E.epoch_info)) ->
+          [
+            string_of_int i;
+            Printf.sprintf "[%d,%d)" e.E.ei_lo e.E.ei_hi;
+            string_of_int e.E.ei_nprocs;
+            E.compress_ranks e.E.ei_members;
+            Printf.sprintf "[%.6fs, %.6fs)" e.E.ei_t0 e.E.ei_t1;
+          ])
+        (List.mapi (fun i e -> (i, e)) info.E.epoch_infos);
+      if info.E.recoveries <> [] then
+        table
+          [
+            "recovery at iter"; "left"; "joined"; "detect"; "agree";
+            "repartition"; Waitstate.class_name Waitstate.Recovery_stall;
+          ]
           (fun (r : E.recovery) ->
             let stall =
               List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.E.r_stalls
             in
-            out
-              "<tr><td>%d</td><td>%s</td><td>%s</td><td>%.6fs</td>\
-               <td>%.6fs</td><td>%.6fs</td><td>%.6fs</td></tr>"
-              r.E.r_iter
-              (esc (ranks r.E.r_left))
-              (esc (ranks r.E.r_joined))
-              r.E.r_detect r.E.r_agree r.E.r_repartition stall)
-          info.E.recoveries;
-        out "</table>"
-      end)
+            [
+              string_of_int r.E.r_iter; ranks r.E.r_left; ranks r.E.r_joined;
+            ]
+            @ List.map (Printf.sprintf "%.6fs")
+                [ r.E.r_detect; r.E.r_agree; r.E.r_repartition; stall ])
+          info.E.recoveries)
     pipe.analysis.Rootcause.elastic;
 
   (* cross-session trend, only when a history ledger was loaded *)
@@ -416,17 +405,15 @@ let render (pipe : Pipeline.t) =
   | [] -> ()
   | entries ->
       let module H = Scalana_obs.History in
-      out "<h2>Trend (history ledger, %d entries)</h2>"
-        (List.length entries);
+      h2 "Trend (history ledger, %d entries)" (List.length entries);
       let first = List.hd entries in
       let latest = List.nth entries (List.length entries - 1) in
-      out
-        "<p class=\"meta\">commits %s .. %s · sparkline is the fitted \
-         log-log slope per tracked vertex, oldest entry first</p>"
-        (esc first.H.h_commit) (esc latest.H.h_commit);
-      out "<table><tr><th>vertex</th><th>slope trend</th>\
-           <th>latest slope</th></tr>";
-      List.iter
+      meta
+        "commits %s .. %s · sparkline is the fitted log-log slope per \
+         tracked vertex, oldest entry first"
+        first.H.h_commit latest.H.h_commit;
+      table ~code:[ 1 ]
+        [ "vertex"; "slope trend"; "latest slope" ]
         (fun key ->
           let series = H.slope_trend entries ~key in
           let latest_slope =
@@ -434,14 +421,14 @@ let render (pipe : Pipeline.t) =
               (fun acc v -> match v with Some _ -> v | None -> acc)
               None series
           in
-          out "<tr><td>%s</td><td><code>%s</code></td><td>%s</td></tr>"
-            (esc key)
-            (esc (H.sparkline series))
+          [
+            key;
+            H.sparkline series;
             (match latest_slope with
             | Some v -> Printf.sprintf "%+.2f" v
-            | None -> "—"))
-        (H.tracked_vertices entries);
-      out "</table>");
+            | None -> "—");
+          ])
+        (H.tracked_vertices entries));
   out "</body></html>";
   Buffer.contents buf
 

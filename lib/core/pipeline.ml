@@ -59,9 +59,7 @@ let rank_timeline ?(config = Config.default) ?(cost = Costmodel.default)
       ~index:static.Static.index ~nprocs ()
   in
   let recorder =
-    Scalana_profile.Timeline.create
-      ~config:(Config.timeline_config config)
-      ~index:static.Static.index ~nprocs ()
+    Scalana_profile.Timeline.create ~index:static.Static.index ~nprocs ()
   in
   let cfg =
     Exec.config ~nprocs ~params ~cost ~net ~inject
@@ -297,9 +295,8 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
             let recorder = ref None in
             let extra_tools ~attempt:_ =
               let r =
-                Scalana_profile.Timeline.create
-                  ~config:(Config.timeline_config config)
-                  ~index:static.Static.index ~nprocs ()
+                Scalana_profile.Timeline.create ~index:static.Static.index
+                  ~nprocs ()
               in
               recorder := Some r;
               [ Scalana_profile.Timeline.tool r ]

@@ -23,6 +23,12 @@ type config = {
 
 let default_config = { abnorm_thd = 1.3; min_seconds = 1e-4 }
 
+(* NaN would let only zero-median vertices through, and a threshold
+   below 1 flags ranks under the median: refuse both. *)
+let check_thd ~what thd =
+  if not (Float.is_finite thd && thd >= 1.0) then
+    Fmt.invalid_arg "%s %g: must be finite and >= 1" what thd
+
 (* One vertex, scanned in place over its column slice: no per-vertex
    array materializes unless the vertex is actually reported on. *)
 let detect_vertex ?(config = default_config) ppg ~vertex =
@@ -60,6 +66,7 @@ let detect_vertex ?(config = default_config) ppg ~vertex =
       end
 
 let detect ?(config = default_config) ppg =
+  check_thd ~what:"Abnormal.detect: abnorm_thd" config.abnorm_thd;
   Scalana_obs.Obs.with_span "abnormal.detect" @@ fun () ->
   let findings =
     List.filter_map

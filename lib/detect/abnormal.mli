@@ -15,6 +15,11 @@ type config = { abnorm_thd : float; min_seconds : float }
 
 val default_config : config
 
+(** Raises [Invalid_argument], naming [what], unless [thd] is a usable
+    [abnorm_thd]: finite and at least 1.  {!detect} checks its config
+    with it. *)
+val check_thd : what:string -> float -> unit
+
 val detect_vertex :
   ?config:config -> Scalana_ppg.Ppg.t -> vertex:int -> finding option
 

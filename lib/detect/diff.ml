@@ -116,6 +116,17 @@ type thresholds = {
 let default_thresholds =
   { slope_tol = 0.10; time_tol = 0.25; wait_tol = 0.25; min_fraction = 0.01 }
 
+(* A NaN tolerance never compares greater and a negative one regresses a
+   session against itself; a NaN or out-of-range floor skips everything
+   or nothing.  All would yield a wrong verdict instead of an error. *)
+let check_tol ~what v =
+  if not (Float.is_finite v && v >= 0.0) then
+    Fmt.invalid_arg "%s %g: must be finite and >= 0" what v
+
+let check_fraction ~what v =
+  if not (v >= 0.0 && v <= 1.0) then
+    Fmt.invalid_arg "%s %g: must be in [0, 1]" what v
+
 type verdict = Regressed | Improved | Unchanged | New | Gone
 
 let verdict_name = function
@@ -204,8 +215,12 @@ let severity d =
   s +. Float.abs (d.d_time_ratio -. 1.0)
 
 let compare_summaries ?(thresholds = default_thresholds) ~base ~cand () =
-  Obs.with_span "diff.compare" @@ fun () ->
   let th = thresholds in
+  check_tol ~what:"Diff: slope_tol" th.slope_tol;
+  check_tol ~what:"Diff: time_tol" th.time_tol;
+  check_tol ~what:"Diff: wait_tol" th.wait_tol;
+  check_fraction ~what:"Diff: min_fraction" th.min_fraction;
+  Obs.with_span "diff.compare" @@ fun () ->
   let cand_tbl = Hashtbl.create (List.length cand.s_vertices) in
   List.iter (fun (k, v) -> Hashtbl.replace cand_tbl k v) cand.s_vertices;
   let base_tbl = Hashtbl.create (List.length base.s_vertices) in

@@ -77,6 +77,13 @@ type thresholds = {
 
 val default_thresholds : thresholds
 
+(** Raise [Invalid_argument], naming [what], unless [v] is a usable
+    tolerance (finite, at least 0) or [min_fraction] (within [0, 1]).
+    {!compare_summaries} checks its thresholds with these. *)
+val check_tol : what:string -> float -> unit
+
+val check_fraction : what:string -> float -> unit
+
 type verdict = Regressed | Improved | Unchanged | New | Gone
 
 val verdict_name : verdict -> string
@@ -107,6 +114,8 @@ type t = {
   thresholds : thresholds;
 }
 
+(** Raises [Invalid_argument] for an unusable threshold
+    ({!check_tol}, {!check_fraction}). *)
 val compare_summaries :
   ?thresholds:thresholds -> base:summary -> cand:summary -> unit -> t
 

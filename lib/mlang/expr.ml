@@ -119,8 +119,6 @@ let rec eval env = function
         if r * r > v then r - 1 else r
       end
 
-let eval_bool env e = eval env e <> 0
-
 (* Free variables (not parameters), used by validation to check that loop
    variables are bound before use. *)
 let free_vars e =
@@ -330,7 +328,6 @@ module Infix = struct
   let ( lxor ) a b = Bin (Xor, a, b)
   let min_ a b = Bin (Min, a, b)
   let max_ a b = Bin (Max, a, b)
-  let not_ a = Not a
   let neg a = Neg a
   let log2 a = Log2 a
   let isqrt a = Isqrt a

@@ -51,8 +51,6 @@ val env :
     division by zero. *)
 val eval : env -> t -> int
 
-val eval_bool : env -> t -> bool
-
 (** Free [Var] names of an expression (parameters excluded). *)
 val free_vars : t -> string list
 
@@ -134,7 +132,6 @@ module Infix : sig
   val ( lxor ) : t -> t -> t
   val min_ : t -> t -> t
   val max_ : t -> t -> t
-  val not_ : t -> t
   val neg : t -> t
   val log2 : t -> t
   val isqrt : t -> t

@@ -22,11 +22,6 @@ exception Parse_error of { line : int; msg : string }
 let parse_error ~line fmt =
   Fmt.kstr (fun msg -> raise (Parse_error { line; msg })) fmt
 
-let error_to_string = function
-  | Parse_error { line; msg } -> Printf.sprintf "line %d: %s" line msg
-  | Lexer.Lex_error { line; msg } -> Printf.sprintf "line %d: %s" line msg
-  | e -> Printexc.to_string e
-
 type st = {
   toks : (Lexer.token * int) array;
   mutable pos : int;
@@ -475,9 +470,3 @@ let parse ?(file = "<string>") src =
   in
   let funcs = funcs [] in
   { Ast.pname; file; params; funcs; main = "main" }
-
-let parse_result ?file src =
-  match parse ?file src with
-  | p -> Ok p
-  | exception ((Parse_error _ | Lexer.Lex_error _) as e) ->
-      Error (error_to_string e)

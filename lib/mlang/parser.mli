@@ -4,11 +4,7 @@
 
 exception Parse_error of { line : int; msg : string }
 
-val error_to_string : exn -> string
-
 (** [parse ~file src] parses a whole program. Statement locations use
     [file] and the 1-based source line. Raises {!Parse_error} or
     {!Lexer.Lex_error}. *)
 val parse : ?file:string -> string -> Ast.program
-
-val parse_result : ?file:string -> string -> (Ast.program, string) result

@@ -22,8 +22,8 @@ type entry = {
 
 let default_path = Filename.concat ".scalana" "history.jsonl"
 
-(* Same polynomial/table as Scalana.Artifact; duplicated because this
-   library sits below lib/core in the dependency order. *)
+(* CRC-32, IEEE 802.3 (the zlib polynomial); the artifact record
+   streams in lib/core frame their payloads with it too. *)
 let crc_table =
   lazy
     (Array.init 256 (fun n ->

@@ -71,6 +71,10 @@ val sparkline : float option list -> string
 
 (** {1 Wire format} *)
 
+(** CRC-32 (IEEE 802.3 / zlib polynomial) of a string: the checksum of
+    every ledger line and of every artifact record. *)
+val crc32 : string -> int
+
 (** The JSON object for one row, without the ["crc"] field — exposed
     for tests and external consumers. *)
 val entry_json : entry -> Obs.Json.t

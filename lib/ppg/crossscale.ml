@@ -22,9 +22,6 @@ let create ?pool ~psg runs =
   in
   { psg; runs }
 
-let of_ppgs ~psg ppgs =
-  { psg; runs = List.sort (fun (a, _) (b, _) -> compare a b) ppgs }
-
 let scales t = List.map fst t.runs
 let largest t = List.nth t.runs (List.length t.runs - 1)
 let ppg_at t ~nprocs = List.assoc_opt nprocs t.runs

@@ -18,7 +18,6 @@ val create :
   (int * Profdata.t) list ->
   t
 
-val of_ppgs : psg:Scalana_psg.Psg.t -> (int * Ppg.t) list -> t
 val scales : t -> int list
 val largest : t -> int * Ppg.t
 val ppg_at : t -> nprocs:int -> Ppg.t option

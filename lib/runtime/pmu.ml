@@ -38,13 +38,6 @@ let is_zero a = a.tot_ins = 0.0 && a.tot_cyc = 0.0 && a.tot_lst_ins = 0.0
 
 type metric = Tot_ins | Tot_lst_ins | Tot_cyc | Cache_miss | Fp_ins
 
-let metric_name = function
-  | Tot_ins -> "TOT_INS"
-  | Tot_lst_ins -> "TOT_LST_INS"
-  | Tot_cyc -> "TOT_CYC"
-  | Cache_miss -> "CACHE_MISS"
-  | Fp_ins -> "FP_INS"
-
 let get m t =
   match m with
   | Tot_ins -> t.tot_ins

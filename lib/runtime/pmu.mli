@@ -17,7 +17,6 @@ val is_zero : t -> bool
 
 type metric = Tot_ins | Tot_lst_ins | Tot_cyc | Cache_miss | Fp_ins
 
-val metric_name : metric -> string
 val get : metric -> t -> float
 val all_metrics : metric list
 val pp : t Fmt.t

@@ -49,6 +49,47 @@ let normalize_detect_cost html =
       while !j < n && html.[!j] <> 's' do incr j done;
       String.sub html 0 (i + m) ^ "0.000" ^ String.sub html !j (n - !j)
 
+(* The HTML report of a clean fixed-scale run with every optional section
+   on: the rank timeline and the static cross-check, a three-entry
+   history ledger behind the trend table and fixed pipeline-cost rows
+   (the real ones are wall-clock).  Keys carry '>' and '&' so the trend
+   table's escaping is pinned too. *)
+let full_html name =
+  let pipe = pipeline ~timeline:true ~crosscheck:true name in
+  let entry i commit slopes =
+    {
+      Scalana_obs.History.h_time = 1.7e9 +. float_of_int i;
+      h_commit = commit;
+      h_label = "";
+      h_program = name;
+      h_scales = [ 4; 8; 16 ];
+      h_slopes = slopes;
+      h_waits = [ ("sampled", 0.5) ];
+      h_degraded = false;
+      h_coverage = 1.0;
+      h_detect_seconds = 0.01;
+    }
+  in
+  let history =
+    [
+      entry 0 "a1b2c3d" [ ("MPI_Allreduce @x.mmp:3", 0.10) ];
+      entry 1 "b2c3d4e"
+        [ ("MPI_Allreduce @x.mmp:3", 0.35); ("loop @x.mmp:7 via f>g", -0.90) ];
+      entry 2 "c3d4e5f"
+        [ ("MPI_Allreduce @x.mmp:3", 0.80); ("send & recv @x.mmp:9", 0.05) ];
+    ]
+  in
+  let phase_costs =
+    [
+      ("pipeline.detect", 1, 0.25);
+      ("ppg.build", 3, 0.125);
+      ("report.render", 1, 0.004);
+    ]
+  in
+  normalize_detect_cost
+    (Scalana.Htmlreport.render
+       { pipe with Scalana.Pipeline.history; phase_costs })
+
 let () =
   match Sys.argv with
   | [| _; name |] -> print_string (report name)
@@ -61,8 +102,9 @@ let () =
       print_string
         (normalize_detect_cost
            (Scalana.Htmlreport.render (pipeline ~elastic:true name)))
+  | [| _; name; "--full-html" |] -> print_string (full_html name)
   | _ ->
       prerr_endline
         "usage: test_golden.exe PROGRAM [--wait-states | --static-crosscheck \
-         | --elastic | --elastic-html]";
+         | --elastic | --elastic-html | --full-html]";
       exit 2

@@ -210,6 +210,24 @@ let test_abnormal_threshold_monotone () =
   in
   check_bool "higher threshold, fewer findings" true (count 5.0 <= count 1.1)
 
+(* An unusable threshold is refused rather than turned into a verdict:
+   under NaN only zero-median vertices would cross it. *)
+let test_abnormal_rejects_bad_thresholds () =
+  let pipe = Lazy.force zeus_pipeline in
+  let _, ppg = Crossscale.largest pipe.crossscale in
+  let detect thd =
+    Abnormal.detect
+      ~config:{ Abnormal.default_config with abnorm_thd = thd }
+      ppg
+  in
+  List.iter
+    (fun thd ->
+      match detect thd with
+      | _ -> Alcotest.failf "abnorm_thd %g accepted" thd
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.5; 0.0; -1.3 ];
+  check_bool "1.0 is usable" true (detect 1.0 <> [])
+
 let test_backtracking_reaches_bval () =
   let pipe = Lazy.force zeus_pipeline in
   let labels = Scalana.Pipeline.root_cause_labels pipe in
@@ -697,6 +715,8 @@ let () =
             test_abnormal_detection;
           Alcotest.test_case "threshold monotone" `Quick
             test_abnormal_threshold_monotone;
+          Alcotest.test_case "rejects bad thresholds" `Quick
+            test_abnormal_rejects_bad_thresholds;
         ] );
       ( "backtrack",
         [

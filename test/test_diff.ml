@@ -213,6 +213,41 @@ let test_min_fraction_skips () =
   check_int "noise-floor vertex skipped" 1 d.Diff.n_skipped;
   check_int "no regressions from noise" 0 d.Diff.n_regressed
 
+(* A NaN, infinite or negative tolerance and a floor outside [0, 1]
+   are refused: each used to yield a wrong verdict (a NaN tolerance
+   never regresses, a negative one regresses a session against itself,
+   an infinite floor skips every vertex). *)
+let test_rejects_bad_thresholds () =
+  let s =
+    hand_summary ~label:"s" [ (hand_key, vstat ~slope:(-1.0) ~time:1.0 ()) ]
+  in
+  let th = Diff.default_thresholds in
+  let compare thresholds =
+    Diff.compare_summaries ~thresholds ~base:s ~cand:s ()
+  in
+  List.iter
+    (fun (what, thresholds) ->
+      match compare thresholds with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("slope_tol nan", { th with Diff.slope_tol = Float.nan });
+      ("time_tol nan", { th with Diff.time_tol = Float.nan });
+      ("wait_tol inf", { th with Diff.wait_tol = Float.infinity });
+      ("time_tol -1", { th with Diff.time_tol = -1.0 });
+      ("min_fraction inf", { th with Diff.min_fraction = Float.infinity });
+      ("min_fraction nan", { th with Diff.min_fraction = Float.nan });
+      ("min_fraction -0.1", { th with Diff.min_fraction = -0.1 });
+      ("min_fraction 1.5", { th with Diff.min_fraction = 1.5 });
+    ];
+  (* the closed ends stay usable *)
+  let zero =
+    { Diff.slope_tol = 0.0; time_tol = 0.0; wait_tol = 0.0; min_fraction = 0.0 }
+  in
+  check_int "zero tolerances, self diff" 0 (compare zero).Diff.n_regressed;
+  check_int "floor of 1, whole-time vertex kept" 1
+    (compare { th with Diff.min_fraction = 1.0 }).Diff.n_unchanged
+
 (* --- history ledger --- *)
 
 let temp_ledger () =
@@ -442,6 +477,8 @@ let () =
           Alcotest.test_case "boundary exactness" `Quick
             test_threshold_exactness;
           Alcotest.test_case "noise floor" `Quick test_min_fraction_skips;
+          Alcotest.test_case "rejects bad thresholds" `Quick
+            test_rejects_bad_thresholds;
         ] );
       ( "history",
         [
