@@ -146,10 +146,7 @@ let fig7 () =
       let v = Scalana_psg.Psg.vertex psg f.vertex in
       let _, ppg = Scalana_ppg.Crossscale.largest pipe.crossscale in
       let times =
-        match Scalana_ppg.Ppg.row_offset ppg ~vertex:f.vertex with
-        | Some off ->
-            Array.sub (Scalana_ppg.Ppg.times_col ppg) off ppg.Scalana_ppg.Ppg.nprocs
-        | None -> [||]
+        Option.value ~default:[||] (Scalana_ppg.Ppg.times ppg ~vertex:f.vertex)
       in
       Printf.printf "      vertex %s: [%s]\n"
         (Scalana_psg.Vertex.label v)
@@ -348,13 +345,12 @@ let per_vertex_counter name ~label ~metric ~nprocs ~optimized =
       (Scalana_psg.Psg.find_all Scalana_psg.Vertex.is_comp
          (Scalana.Static.psg static))
   in
-  Array.init nprocs (fun rank ->
-      match
-        Scalana_profile.Profdata.vector_opt run.Scalana.Prof.data ~rank
-          ~vertex:vertex.Scalana_psg.Vertex.id
-      with
-      | Some v -> Pmu.get metric v.Scalana_profile.Perfvec.pmu
-      | None -> 0.0)
+  match
+    Scalana_profile.Profdata.row run.Scalana.Prof.data
+      ~vertex:vertex.Scalana_psg.Vertex.id
+  with
+  | Some r -> Array.map (Pmu.get metric) r.Scalana_profile.Profdata.pmu
+  | None -> Array.make nprocs 0.0
 
 let fig15 () =
   section "Fig. 15 — SST: per-rank TOT_INS of the handleEvent loop (32 procs)";

@@ -90,7 +90,10 @@ let make_tests () =
     Test.make ~name:"fig15_counter_extraction"
       (Staged.stage (fun () ->
            Scalana_profile.Profdata.touched_vertices data
-           |> List.map (fun v -> Scalana_profile.Profdata.across_ranks data ~vertex:v)));
+           |> List.map (fun v ->
+                  Option.map
+                    (fun (r : Scalana_profile.Profdata.row) -> r.pmu)
+                    (Scalana_profile.Profdata.row data ~vertex:v))));
     (* 1 vs N domains over the same end-to-end pipeline: the wall-time
        ratio of these two rows is the multicore speedup *)
     Test.make ~name:"pipeline_parallel_speedup_domains1"
@@ -113,13 +116,11 @@ let make_tests () =
       (Staged.stage (fun () ->
            List.iter
              (fun vertex ->
-               match Scalana_ppg.Ppg.row_offset ppg ~vertex with
-               | Some off ->
+               match Scalana_ppg.Ppg.times ppg ~vertex with
+               | Some row ->
                    ignore
                      (Scalana_detect.Aggregate.apply
-                        (Scalana_detect.Aggregate.Kmeans 3)
-                        (Scalana_ppg.Ppg.times_col ppg) ~off
-                        ~len:ppg.Scalana_ppg.Ppg.nprocs)
+                        (Scalana_detect.Aggregate.Kmeans 3) row)
                | None -> ())
              (Scalana_profile.Profdata.touched_vertices data)));
   ]

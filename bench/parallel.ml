@@ -30,8 +30,8 @@ let engine_baseline = function
   | 16384 -> 106_361.0
   | _ -> nan
 
-(* cg-weak scale points for the PPG memory sweep; np=65536 is the point
-   the columnar store exists for (ROADMAP "Columnar PPG" item) *)
+(* cg-weak scale points for the PPG memory sweep; np=65536 is the scale
+   the profile and PPG footprints are judged at *)
 let ppg_scales = [ 4096; 16384; 65536 ]
 
 (* live words retained and build seconds of the boxed, Hashtbl-backed
@@ -70,9 +70,9 @@ type ppg_row = {
   mnp : int;  (* scale point *)
   profile_s : float;  (* Prof.run wall at this scale *)
   build_s : float;  (* Ppg.build wall *)
-  live_words : int;  (* GC live words retained by the store *)
-  ppg_bytes : int;  (* the store's own storage estimate *)
-  profile_live_words : int;  (* boxed profile the run ingested into *)
+  live_words : int;  (* GC live words the PPG adds to its profile *)
+  ppg_bytes : int;  (* Ppg.storage_bytes: what the PPG owns *)
+  profile_live_words : int;  (* the profile, which the PPG reads in place *)
   profdata_bytes : int;  (* its serialized-artifact size, for context *)
 }
 
@@ -81,7 +81,7 @@ type e2e_row = {
   e_np : int;
   e_scales : int list;
   e_wall_s : float;
-  e_ppg_bytes : int;  (* columnar stores across all scales *)
+  e_ppg_bytes : int;  (* Ppg.storage_bytes across all scales *)
 }
 
 (* ledger append + load + self-diff walls over an n-entry history *)
@@ -320,7 +320,7 @@ let retained f =
   (r, wall, after - before)
 
 let ppg_memory () =
-  Util.section "PPG memory: cg-weak store footprint per scale";
+  Util.section "PPG memory: cg-weak profile and PPG footprint per scale";
   let entry = Scalana_apps.Registry.find "cg-weak" in
   let rows =
     List.map
@@ -340,7 +340,7 @@ let ppg_memory () =
         let base_words, base_s = ppg_baseline np in
         Printf.printf
           "  np=%-6d profile %7.3fs  build %7.4fs  %9d live words  %8.1f MB \
-           store  (baseline %9d words, %.4fs)\n\
+           PPG-owned  (baseline %9d words, %.4fs)\n\
            %!"
           np profile_s build_s live_words
           (float_of_int ppg_bytes /. 1e6)
@@ -368,7 +368,7 @@ let ppg_memory () =
   in
   let e_ppg_bytes = Scalana.Pipeline.ppg_storage_bytes pipe in
   Printf.printf
-    "  end-to-end analysis (scales %s): %8.3fs  %8.1f MB of PPG columns\n%!"
+    "  end-to-end analysis (scales %s): %8.3fs  %8.1f MB PPG-owned\n%!"
     (String.concat "," (List.map string_of_int ppg_scales))
     e_wall_s
     (float_of_int e_ppg_bytes /. 1e6);

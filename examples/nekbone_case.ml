@@ -24,15 +24,15 @@ let dgemm_counters ~optimized ~nprocs =
       (Scalana_psg.Psg.find_all Scalana_psg.Vertex.is_comp
          (Scalana.Static.psg static))
   in
-  Array.init nprocs (fun rank ->
-      match
-        Scalana_profile.Profdata.vector_opt run.Scalana.Prof.data ~rank
-          ~vertex:vertex.Scalana_psg.Vertex.id
-      with
-      | Some v ->
-          ( v.Scalana_profile.Perfvec.pmu.Pmu.tot_lst_ins,
-            v.Scalana_profile.Perfvec.pmu.Pmu.tot_cyc )
-      | None -> (0.0, 0.0))
+  match
+    Scalana_profile.Profdata.row run.Scalana.Prof.data
+      ~vertex:vertex.Scalana_psg.Vertex.id
+  with
+  | Some r ->
+      Array.map
+        (fun (p : Pmu.t) -> (p.tot_lst_ins, p.tot_cyc))
+        r.Scalana_profile.Profdata.pmu
+  | None -> Array.make nprocs (0.0, 0.0)
 
 let () =
   let entry = Scalana_apps.Registry.find "nekbone" in

@@ -25,13 +25,13 @@ let per_rank_tot_ins ~optimized ~nprocs =
       (Scalana_psg.Psg.find_all Scalana_psg.Vertex.is_comp
          (Scalana.Static.psg static))
   in
-  Array.init nprocs (fun rank ->
-      match
-        Scalana_profile.Profdata.vector_opt run.Scalana.Prof.data ~rank
-          ~vertex:vertex.Scalana_psg.Vertex.id
-      with
-      | Some v -> v.Scalana_profile.Perfvec.pmu.Pmu.tot_ins
-      | None -> 0.0)
+  match
+    Scalana_profile.Profdata.row run.Scalana.Prof.data
+      ~vertex:vertex.Scalana_psg.Vertex.id
+  with
+  | Some r ->
+      Array.map (fun (p : Pmu.t) -> p.tot_ins) r.Scalana_profile.Profdata.pmu
+  | None -> Array.make nprocs 0.0
 
 let () =
   let entry = Scalana_apps.Registry.find "sst" in

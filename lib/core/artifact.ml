@@ -5,7 +5,7 @@
    carries the static artifact and one profile per job scale between
    them.
 
-   Durable format (v2): production runs fill disks and die mid-write, so
+   Durable format (v3): production runs fill disks and die mid-write, so
    raw Marshal is wrapped in a versioned, checksummed record stream:
 
      header  = "SCALANA2" (8 bytes) ++ format version (1 byte)
@@ -17,7 +17,14 @@
    save of its scale and the newest intact record wins.  The salvage
    reader walks the stream and recovers the valid prefix of a truncated
    or bit-flipped file, reporting what was lost as a typed {!error}
-   instead of crashing the whole analysis. *)
+   instead of crashing the whole analysis.
+
+   The CRC catches damage, not a change of record shape: Marshal decodes
+   another build's record into whatever the reader's types say.  So the
+   version byte names the shape and moves with it.  Version 3 is the
+   profile stored as per-vertex rows of per-rank arrays (version 2 held
+   per-rank tables of boxed vectors); any other version is refused as
+   [Bad_version] before a payload is decoded. *)
 
 type session = {
   static : Static.t;
@@ -33,6 +40,7 @@ and error =
   | Checksum_mismatch of { path : string; record : int }
   | Decode_failure of { path : string; record : int; reason : string }
   | Empty of { path : string }
+  | Wrong_scale of { path : string; nprocs : int }
 
 and issue = { issue_path : string; kept : int; error : error }
 
@@ -45,7 +53,8 @@ let error_path = function
   | Truncated { path; _ }
   | Checksum_mismatch { path; _ }
   | Decode_failure { path; _ }
-  | Empty { path } ->
+  | Empty { path }
+  | Wrong_scale { path; _ } ->
       path
 
 let error_detail = function
@@ -62,6 +71,9 @@ let error_detail = function
   | Decode_failure { record; reason; _ } ->
       Printf.sprintf "record %d does not decode (%s)" record reason
   | Empty _ -> "no intact records"
+  | Wrong_scale { nprocs; _ } ->
+      Printf.sprintf
+        "holds the profile for scale %d, not the one its name gives" nprocs
 
 let error_message e = error_path e ^ ": " ^ error_detail e
 
@@ -75,7 +87,7 @@ let () =
     | _ -> None)
 
 let magic = "SCALANA2"
-let format_version = 2
+let format_version = 3
 let header_bytes = String.length magic + 1
 
 let crc32 = Scalana_obs.History.crc32
@@ -260,7 +272,10 @@ let rec last = function [ x ] -> Some x | _ :: rest -> last rest | [] -> None
 
 (* Load every profile, salvaging what damaged files still carry.  A file
    whose magic matches but whose payload fails to decode is surfaced as
-   an issue naming the file — never silently dropped, never a crash. *)
+   an issue naming the file — never silently dropped, never a crash.  So
+   is a file whose newest record is for another scale than its name (a
+   copied or renamed profile): it is skipped, so no scale is fitted
+   twice. *)
 let load_runs_salvage dir =
   let runs = ref [] and issues = ref [] in
   Sys.readdir dir |> Array.to_list |> List.sort compare
@@ -279,7 +294,16 @@ let load_runs_salvage dir =
                    { issue_path = path; kept = 0; error = Empty { path } }
                    :: !issues);
            match last s.values with
-           | Some run -> runs := (run.Prof.nprocs, run) :: !runs
+           | Some run when String.equal path (run_path dir run.Prof.nprocs) ->
+               runs := (run.Prof.nprocs, run) :: !runs
+           | Some run ->
+               issues :=
+                 {
+                   issue_path = path;
+                   kept = 0;
+                   error = Wrong_scale { path; nprocs = run.Prof.nprocs };
+                 }
+                 :: !issues
            | None -> ()
          end);
   ( List.sort (fun (a, _) (b, _) -> compare a b) !runs,

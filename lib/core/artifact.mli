@@ -1,12 +1,15 @@
 (** On-disk session artifacts shared by the scalana-static / -prof /
     -detect executables.
 
-    Format v2 wraps [Marshal] payloads in a durable record stream:
+    Format v3 wraps [Marshal] payloads in a durable record stream:
     ["SCALANA2"] magic + version byte, then per record a 4-byte
     big-endian payload length, a 4-byte big-endian CRC-32 and the
     payload.  Runs are appended record-by-record, and the salvage
     reader recovers the valid prefix of a truncated or corrupted file,
-    reporting damage as a typed {!error}. *)
+    reporting damage as a typed {!error}.  The version byte names the
+    record shape: a file of any other version (an older build's, whose
+    profile Marshal would decode into the wrong shape) is refused as
+    [Bad_version]. *)
 
 type session = {
   static : Static.t;
@@ -22,6 +25,9 @@ and error =
   | Checksum_mismatch of { path : string; record : int }
   | Decode_failure of { path : string; record : int; reason : string }
   | Empty of { path : string }
+  | Wrong_scale of { path : string; nprocs : int }
+      (** a profile file whose newest record is for scale [nprocs], not
+          the scale its name gives *)
 
 and issue = { issue_path : string; kept : int; error : error }
 
@@ -74,7 +80,9 @@ val save_run : string -> Prof.run -> unit
 
 (** Salvaging run loader: per scale, the newest intact record of its
     profile, plus one {!issue} per damaged file (a file with valid
-    magic but no decodable record is reported, never dropped). *)
+    magic but no decodable record is reported, never dropped).  A file
+    whose newest record is for another scale than {!run_path} gives its
+    name is skipped and reported as [Wrong_scale]. *)
 val load_runs_salvage : string -> (int * Prof.run) list * issue list
 
 (** Raises {!Error} when the static artifact is unreadable; run damage

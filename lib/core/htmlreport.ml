@@ -37,15 +37,13 @@ white-space:pre;overflow-x:auto;border-radius:4px}
 .bar{fill:#4a7fb5}.bar.hot{fill:#c33}
 .meta{color:#777;font-size:.85em}|}
 
-(* Per-rank bar chart as inline SVG over the row slice [off, off + len)
-   of [col]; deviating ranks highlighted. *)
-let svg_bars ?(width = 640) ?(height = 80) ~hot col ~off ~len =
+(* Per-rank bar chart as inline SVG over [row], indexed by rank;
+   deviating ranks highlighted. *)
+let svg_bars ?(width = 640) ?(height = 80) ~hot row =
   (* quarantined values (NaN / negative) render as empty bars instead of
      breaking the SVG geometry *)
   let values =
-    Array.init len (fun i ->
-        let v = col.(off + i) in
-        if Float.is_nan v || v < 0.0 then 0.0 else v)
+    Array.map (fun v -> if Float.is_nan v || v < 0.0 then 0.0 else v) row
   in
   let n = Array.length values in
   if n = 0 then ""
@@ -256,10 +254,8 @@ let render (pipe : Pipeline.t) =
           (esc (Vertex.label v))
           (esc (Loc.to_string v.Vertex.loc))
           (List.length f.ranks) f.max_time f.median_time
-          (match Scalana_ppg.Ppg.row_offset largest_ppg ~vertex:f.vertex with
-          | Some off ->
-              svg_bars ~hot:f.ranks (Scalana_ppg.Ppg.times_col largest_ppg)
-                ~off ~len:largest_ppg.Scalana_ppg.Ppg.nprocs
+          (match Scalana_ppg.Ppg.times largest_ppg ~vertex:f.vertex with
+          | Some row -> svg_bars ~hot:f.ranks row
           | None -> "")
       end)
     pipe.analysis.abnormal;
@@ -306,8 +302,7 @@ let render (pipe : Pipeline.t) =
       meta "blocked %.6fs across ranks · attributed %.1f%%" blocked
         (100.0 *. Waitstate.attributed_fraction ws);
       out "%s"
-        (svg_bars ~hot:[] ws.Waitstate.rank_blocked ~off:0
-           ~len:(Array.length ws.Waitstate.rank_blocked));
+        (svg_bars ~hot:[] ws.Waitstate.rank_blocked);
       table [ "class"; "attributed" ]
         (fun (cls, total) ->
           [ Waitstate.class_name cls; Printf.sprintf "%.6fs" total ])

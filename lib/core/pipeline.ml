@@ -330,9 +330,8 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
 (* Did anything degrade this pipeline's inputs? *)
 let degraded t = not (Quality.is_clean t.quality)
 
-(* Bytes held by the columnar PPG stores across every profiled scale —
-   the analysis working set the detectors scan (the raw per-rank
-   profiles are only read once, at build time). *)
+(* What the PPGs add to the profiles they read in place, summed over
+   every profiled scale. *)
 let ppg_storage_bytes t =
   List.fold_left
     (fun acc (_, ppg) -> acc + Ppg.storage_bytes ppg)

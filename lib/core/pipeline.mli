@@ -126,8 +126,8 @@ val run :
 (** [not (Quality.is_clean t.quality)]. *)
 val degraded : t -> bool
 
-(** Bytes held by the columnar PPG stores across every profiled scale —
-    the analysis working set the detectors scan. *)
+(** {!Scalana_ppg.Ppg.storage_bytes} summed over every profiled scale:
+    what the PPGs add to the profiles they read in place. *)
 val ppg_storage_bytes : t -> int
 
 (** The analysed session summarised for cross-session diffing

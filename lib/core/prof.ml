@@ -59,16 +59,18 @@ let apply_refinements (static : Static.t) (data : Profdata.t) =
 let apply_poison armed (data : Profdata.t) =
   if not (Faults.is_none armed) then
     Array.iteri
-      (fun rank per_rank ->
-        Hashtbl.iter
-          (fun vertex (vec : Perfvec.t) ->
-            match Faults.poison armed ~rank ~vertex with
-            | Some `Nan -> vec.Perfvec.time <- Float.nan
-            | Some `Negative ->
-                vec.Perfvec.time <- -.Float.abs vec.Perfvec.time -. 1e-9
-            | None -> ())
-          per_rank)
-      data.Profdata.vectors
+      (fun vertex -> function
+        | None -> ()
+        | Some (r : Profdata.row) ->
+            for rank = 0 to data.Profdata.nprocs - 1 do
+              if Profdata.reported r ~rank then
+                match Faults.poison armed ~rank ~vertex with
+                | Some `Nan -> r.times.(rank) <- Float.nan
+                | Some `Negative ->
+                    r.times.(rank) <- -.Float.abs r.times.(rank) -. 1e-9
+                | None -> ()
+            done)
+      data.Profdata.rows
 
 let run ?(config = Config.default) ?(cost = Costmodel.default)
     ?(net = Network.default) ?(inject = Inject.empty)

@@ -29,28 +29,26 @@ let check_thd ~what thd =
   if not (Float.is_finite thd && thd >= 1.0) then
     Fmt.invalid_arg "%s %g: must be finite and >= 1" what thd
 
-(* One vertex, scanned in place over its column slice: no per-vertex
-   array materializes unless the vertex is actually reported on. *)
+(* One vertex, scanned in place over its row: no per-vertex array
+   materializes unless the vertex is actually reported on. *)
 let detect_vertex ?(config = default_config) ppg ~vertex =
-  match Ppg.row_offset ppg ~vertex with
+  match Ppg.times ppg ~vertex with
   | None -> None  (* untouched everywhere: an all-zero row, never abnormal *)
-  | Some off ->
-      let col = Ppg.times_col ppg in
-      let len = ppg.Ppg.nprocs in
+  | Some row ->
       (* poisoned values are quarantined from the statistics; the
          deviation scan below skips them naturally (NaN/negative never
          exceed a positive threshold), so a faulted rank can't be
          flagged on garbage *)
-      let max_time = Aggregate.max_clean col ~off ~len in
+      let max_time = Aggregate.max_clean row in
       if max_time < config.min_seconds then None
       else begin
-        let med = Aggregate.median col ~off ~len in
+        let med = Aggregate.median row in
         let threshold =
           if med > 0.0 then config.abnorm_thd *. med else 0.0
         in
         let deviating = ref [] in
-        for rank = len - 1 downto 0 do
-          if col.(off + rank) > threshold then deviating := rank :: !deviating
+        for rank = Array.length row - 1 downto 0 do
+          if row.(rank) > threshold then deviating := rank :: !deviating
         done;
         let deviating = !deviating in
         if deviating = [] then None

@@ -21,58 +21,57 @@ let strategy_name = function
    quarantined before any merging. *)
 let quarantined x = Float.is_nan x || x < 0.0
 
-(* Every function below reads one row slice [off, off + len) of a column
-   in place — in the PPG, one vertex's cells across ranks; a whole array
-   is [~off:0 ~len:(Array.length a)].  Each scan visits the cells in rank
-   order and skips quarantined ones, so over a clean row every statistic
-   is the textbook formula evaluated left to right (the reports' floats
-   depend on that order). *)
+(* Every function below reads one row in place — in the PPG, one
+   vertex's cells across ranks, indexed by rank.  Each scan visits the
+   cells in rank order and skips quarantined ones, so over a clean row
+   every statistic is the textbook formula evaluated left to right (the
+   reports' floats depend on that order). *)
 
-let quarantined_in col ~off ~len =
+let quarantined_in row =
   let n = ref 0 in
-  for i = off to off + len - 1 do
-    if quarantined col.(i) then incr n
+  for i = 0 to Array.length row - 1 do
+    if quarantined row.(i) then incr n
   done;
   !n
 
 (* Survivors gathered in rank order, with the count dropped; always a
    fresh array, so callers may sort it in place. *)
-let sanitize col ~off ~len =
-  let dropped = quarantined_in col ~off ~len in
-  if dropped = 0 then (Array.sub col off len, 0)
+let sanitize row =
+  let dropped = quarantined_in row in
+  if dropped = 0 then (Array.copy row, 0)
   else begin
-    let keep = Array.make (len - dropped) 0.0 in
+    let keep = Array.make (Array.length row - dropped) 0.0 in
     let j = ref 0 in
-    for i = off to off + len - 1 do
-      if not (quarantined col.(i)) then begin
-        keep.(!j) <- col.(i);
+    for i = 0 to Array.length row - 1 do
+      if not (quarantined row.(i)) then begin
+        keep.(!j) <- row.(i);
         incr j
       end
     done;
     (keep, dropped)
   end
 
-let sum_clean col ~off ~len =
+let sum_clean row =
   let acc = ref 0.0 in
-  for i = off to off + len - 1 do
-    let x = col.(i) in
+  for i = 0 to Array.length row - 1 do
+    let x = row.(i) in
     if not (quarantined x) then acc := !acc +. x
   done;
   !acc
 
 (* Largest surviving cell, 0.0 floor (the abnormal detector's scan). *)
-let max_clean col ~off ~len =
+let max_clean row =
   let acc = ref 0.0 in
-  for i = off to off + len - 1 do
-    let x = col.(i) in
+  for i = 0 to Array.length row - 1 do
+    let x = row.(i) in
     if not (quarantined x) then acc := Float.max !acc x
   done;
   !acc
 
-let mean col ~off ~len =
+let mean row =
   let sum = ref 0.0 and n = ref 0 in
-  for i = off to off + len - 1 do
-    let x = col.(i) in
+  for i = 0 to Array.length row - 1 do
+    let x = row.(i) in
     if not (quarantined x) then begin
       sum := !sum +. x;
       incr n
@@ -80,8 +79,8 @@ let mean col ~off ~len =
   done;
   if !n = 0 then 0.0 else !sum /. float_of_int !n
 
-let median col ~off ~len =
-  let a, _ = sanitize col ~off ~len in
+let median row =
+  let a, _ = sanitize row in
   let n = Array.length a in
   if n = 0 then 0.0
   else begin
@@ -89,11 +88,11 @@ let median col ~off ~len =
     if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
   end
 
-let variance col ~off ~len =
-  let m = mean col ~off ~len in
+let variance row =
+  let m = mean row in
   let acc = ref 0.0 and n = ref 0 in
-  for i = off to off + len - 1 do
-    let x = col.(i) in
+  for i = 0 to Array.length row - 1 do
+    let x = row.(i) in
     if not (quarantined x) then begin
       acc := !acc +. ((x -. m) *. (x -. m));
       incr n
@@ -103,8 +102,8 @@ let variance col ~off ~len =
 
 (* 1-D k-means over the surviving cells (Lloyd's algorithm,
    deterministic seeding at quantiles). *)
-let kmeans ~k col ~off ~len =
-  let a, _ = sanitize col ~off ~len in
+let kmeans ~k row =
+  let a, _ = sanitize row in
   let n = Array.length a in
   if n = 0 || k <= 0 then [||]
   else begin
@@ -150,15 +149,15 @@ let kmeans ~k col ~off ~len =
     Array.init k (fun c -> (centroids.(c), sizes.(c)))
   end
 
-let apply strategy col ~off ~len =
+let apply strategy row =
   match strategy with
   | Single r ->
-      if r >= 0 && r < len && not (quarantined col.(off + r)) then
-        col.(off + r)
+      if r >= 0 && r < Array.length row && not (quarantined row.(r)) then
+        row.(r)
       else 0.0
-  | Mean -> mean col ~off ~len
-  | Median -> median col ~off ~len
-  | Variance_weighted -> mean col ~off ~len +. sqrt (variance col ~off ~len)
+  | Mean -> mean row
+  | Median -> median row
+  | Variance_weighted -> mean row +. sqrt (variance row)
   | Kmeans k -> (
       (* centroid of the heaviest (largest-time) populated cluster: the
          "busy group" drives the scaling behaviour *)
@@ -169,7 +168,7 @@ let apply strategy col ~off ~len =
             | None -> if n > 0 then Some (c, n) else None
             | Some (bc, _) -> if n > 0 && c > bc then Some (c, n) else acc)
           None
-          (kmeans ~k col ~off ~len)
+          (kmeans ~k row)
       with
       | Some (c, _) -> c
       | None -> 0.0)

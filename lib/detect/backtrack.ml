@@ -118,8 +118,8 @@ let backtrack ?(config = default_config) (ppg : Ppg.t) ~visited ~start_rank
               end
             in
             match edge with
-            | Some e ->
-                go e.Ppg.send_rank e.Ppg.send_vertex
+            | Some (e : Scalana_profile.Commrec.p2p_edge) ->
+                go e.key.send_rank e.key.send_vertex
                   (Comm_dep { from_rank = rank })
                   (steps + 1)
             | None -> continue_data rank vid steps

@@ -63,7 +63,7 @@ let default_config =
 
 (* One vertex's scaling evidence, computed the same way by the detector
    and by Diff: its [strategy]-merged time at every scale, scanned in
-   place over the vertex's column slice (no per-(vertex, scale) array
+   place over the vertex's row (no per-(vertex, scale) array
    materializes); the log-log fit of that series against *effective*
    scales (an elastic run's time-weighted mean membership replaces the
    nominal count on the P axis; for a fixed-membership run the two
@@ -73,11 +73,8 @@ let evidence strategy (cs : Crossscale.t) ~vertex =
   let series =
     List.map
       (fun (n, ppg) ->
-        match Ppg.row_offset ppg ~vertex with
-        | Some off ->
-            ( n,
-              Aggregate.apply strategy (Ppg.times_col ppg) ~off
-                ~len:ppg.Ppg.nprocs )
+        match Ppg.times ppg ~vertex with
+        | Some row -> (n, Aggregate.apply strategy row)
         | None -> (n, 0.0))
       cs.Crossscale.runs
   in
@@ -90,10 +87,8 @@ let evidence strategy (cs : Crossscale.t) ~vertex =
   in
   let _, largest_ppg = Crossscale.largest cs in
   let at_largest =
-    match Ppg.row_offset largest_ppg ~vertex with
-    | Some off ->
-        Aggregate.sum_clean (Ppg.times_col largest_ppg) ~off
-          ~len:largest_ppg.Ppg.nprocs
+    match Ppg.times largest_ppg ~vertex with
+    | Some row -> Aggregate.sum_clean row
     | None -> 0.0
   in
   { series; fit; at_largest }
@@ -102,18 +97,15 @@ let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
   Scalana_obs.Obs.with_span "nonscalable.detect" @@ fun () ->
   let _, largest_ppg = Crossscale.largest cs in
   let total = Ppg.total_time largest_ppg in
-  (* per-vertex work is pure (the PPG columns are frozen at build time),
-     so the aggregation + fit loop fans out across domains; parallel_map
-     preserves input order, keeping the ranking stable *)
+  (* per-vertex work is pure (a PPG's profile is never written after
+     its build), so the aggregation + fit loop fans out across domains;
+     parallel_map preserves input order, keeping the ranking stable *)
   let eval vertex =
     let dropped =
       List.fold_left
         (fun acc (_, ppg) ->
-          match Ppg.row_offset ppg ~vertex with
-          | Some off ->
-              acc
-              + Aggregate.quarantined_in (Ppg.times_col ppg) ~off
-                  ~len:ppg.Ppg.nprocs
+          match Ppg.times ppg ~vertex with
+          | Some row -> acc + Aggregate.quarantined_in row
           | None -> acc)
         0 cs.Crossscale.runs
     in

@@ -42,14 +42,13 @@ type analysis = {
    with no time on the visited rank cannot be causes.  Ties prefer the
    deeper (later) step, i.e. the origin of the delay chain. *)
 let cause_score ppg (s : Backtrack.step) =
-  match Ppg.row_offset ppg ~vertex:s.Backtrack.vertex with
+  match Ppg.times ppg ~vertex:s.Backtrack.vertex with
   | None -> 0.0
-  | Some off ->
-      let col = Ppg.times_col ppg and len = ppg.Ppg.nprocs in
-      let own = if s.rank < len then col.(off + s.rank) else 0.0 in
+  | Some row ->
+      let own = if s.rank < Array.length row then row.(s.rank) else 0.0 in
       if own <= 1e-9 || Aggregate.quarantined own then 0.0
       else begin
-        let med = Aggregate.median col ~off ~len in
+        let med = Aggregate.median row in
         let deviation = if med > 1e-9 then own /. med else 1000.0 in
         own *. deviation
       end
@@ -75,15 +74,13 @@ let terminal_cause ppg (path : Backtrack.path) =
    are skipped, so a poisoned rank 0 cannot pin the walk; rank 0 remains
    the answer only when no cell survives. *)
 let start_rank ppg ~vertex =
-  match Ppg.row_offset ppg ~vertex with
+  match Ppg.times ppg ~vertex with
   | None -> 0
-  | Some off ->
-      let col = Ppg.times_col ppg in
+  | Some row ->
       let best = ref (-1) in
-      for r = 0 to ppg.Ppg.nprocs - 1 do
-        let t = col.(off + r) in
-        if (not (Aggregate.quarantined t))
-           && (!best < 0 || t > col.(off + !best))
+      for r = 0 to Array.length row - 1 do
+        let t = row.(r) in
+        if (not (Aggregate.quarantined t)) && (!best < 0 || t > row.(!best))
         then best := r
       done;
       max 0 !best
@@ -153,13 +150,12 @@ let analyze ?(ns_config = Nonscalable.default_config)
                    poisoned rank drops out of the total and the ratio
                    instead of turning both into NaN *)
                 let total_time, imbalance =
-                  match Ppg.row_offset ppg ~vertex:vid with
+                  match Ppg.times ppg ~vertex:vid with
                   | None -> (0.0, infinity)
-                  | Some off ->
-                      let col = Ppg.times_col ppg and len = ppg.Ppg.nprocs in
-                      let med = Aggregate.median col ~off ~len in
-                      ( Aggregate.sum_clean col ~off ~len,
-                        if med > 0.0 then Aggregate.max_clean col ~off ~len /. med
+                  | Some row ->
+                      let med = Aggregate.median row in
+                      ( Aggregate.sum_clean row,
+                        if med > 0.0 then Aggregate.max_clean row /. med
                         else infinity )
                 in
                 {

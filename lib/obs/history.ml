@@ -1,7 +1,7 @@
 (* Commit-stamped history ledger: append-only JSONL with per-line CRCs.
 
-   The format mirrors the artifact-v2 posture at text scale: every line
-   is a self-contained JSON object whose last field is the CRC-32 of
+   The format mirrors the artifact record streams at text scale: every
+   line is a self-contained JSON object whose last field is the CRC-32 of
    the object serialised without it, so a torn append (power loss mid
    write) or a flipped byte invalidates exactly one line and the rest
    of the ledger still loads.  Keys are emitted in sorted order so

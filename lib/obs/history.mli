@@ -4,7 +4,7 @@
     conventionally [.scalana/history.jsonl]).  Each line carries a
     CRC-32 of its own payload, so a torn append or a flipped byte is
     detected on load and the damaged line is skipped — the same salvage
-    posture as the artifact-v2 streams, scaled down to text.
+    posture as the artifact record streams, scaled down to text.
 
     Rows are written by [scalana-detect --history] and read back both
     by the trend section of the reports and by CI dashboards; the

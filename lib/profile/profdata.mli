@@ -1,12 +1,28 @@
-(** The artifact of one profiled run: per-rank per-vertex performance
-    vectors, compressed communication records, indirect-call resolutions
-    and accounting. *)
+(** The artifact of one profiled run: per-vertex rows of per-rank
+    performance vectors, compressed communication records,
+    indirect-call resolutions and accounting.  The PPG reads the rows
+    and the records in place. *)
+
+open Scalana_runtime
 
 type icall_resolution = { callsite_vertex : int; target : string }
 
+(** One vertex's performance vectors (Section III-B1) across ranks: cell
+    [r] of each array is rank [r]'s.  A cell is reported when it holds a
+    sample or an MPI call; every writer adds one of the two.  Unreported
+    cells hold zeros and {!Scalana_runtime.Pmu.zero}. *)
+type row = {
+  times : float array;  (** estimated seconds attributed by sampling *)
+  samples : int array;
+  pmu : Pmu.t array;  (** sampled counters *)
+  waits : float array;  (** exact accumulated MPI wait seconds *)
+  calls : int array;  (** MPI invocations *)
+}
+
 type t = {
   nprocs : int;
-  vectors : Perfvec.per_rank array;  (** indexed by rank *)
+  mutable rows : row option array;
+      (** by vertex id; a row is allocated on the vertex's first report *)
   comm : Commrec.t;
   icalls : (icall_resolution, unit) Hashtbl.t;
   mutable total_samples : int;
@@ -21,23 +37,28 @@ type t = {
 }
 
 val create : nprocs:int -> t
-val vector : t -> rank:int -> vertex:int -> Perfvec.t
-val vector_opt : t -> rank:int -> vertex:int -> Perfvec.t option
+
+(** [vertex]'s row, [None] when no rank reported there. *)
+val row : t -> vertex:int -> row option
+
+(** Did [rank] report in this row? *)
+val reported : row -> rank:int -> bool
+
+(** Add [samples] timer samples worth [time] seconds and their counter
+    deltas to ([rank], [vertex]). *)
+val add_sampled :
+  t -> rank:int -> vertex:int -> time:float -> samples:int -> pmu:Pmu.t -> unit
+
+(** Add one MPI call and its exact wait to ([rank], [vertex]). *)
+val add_wait : t -> rank:int -> vertex:int -> wait:float -> unit
+
 val record_icall : t -> callsite_vertex:int -> target:string -> unit
 val icall_resolutions : t -> icall_resolution list
 
 (** Vertices with data on any rank, sorted. *)
 val touched_vertices : t -> int list
 
-(** Visit every recorded (rank, vertex, vector) cell.  Ranks ascend;
-    within a rank the vertex order is unspecified, so per-cell work must
-    be order-insensitive. *)
-val iter_cells : t -> (rank:int -> vertex:int -> Perfvec.t -> unit) -> unit
-
-(** One vertex's vectors across ranks ([None] where untouched). *)
-val across_ranks : t -> vertex:int -> Perfvec.t option array
-
-(** Fraction of ranks reporting a vector at [vertex] (1.0 = all). *)
+(** Fraction of ranks reporting at [vertex] (1.0 = all). *)
 val coverage : t -> vertex:int -> float
 
 (** Fold one elastic epoch's profile into the session-wide artifact:
@@ -45,4 +66,6 @@ val coverage : t -> vertex:int -> float
     [elapsed] takes the max (epoch clocks are absolute). *)
 val merge_renumbered : into:t -> map:(int -> int) -> t -> unit
 
+(** Serialized size model: 24 bytes per reported cell plus the comm
+    records and icall resolutions. *)
 val storage_bytes : t -> int

@@ -31,7 +31,6 @@ type t = {
   cfg : config;
   resolver : Index.Resolver.t;  (* per run: see Index.Resolver *)
   data : Profdata.t;
-  cells : Perfvec.t array array;  (* per rank, by vertex; see [vector] *)
   next_tick : float array;  (* per rank; also the tool's sample gate *)
   rngs : Random.State.t array;  (* per rank, deterministic *)
 }
@@ -42,7 +41,6 @@ let create ?(config = default_config) ~index ~nprocs () =
     cfg = config;
     resolver = Index.Resolver.create index;
     data = Profdata.create ~nprocs;
-    cells = Array.make nprocs [||];
     next_tick = Array.make nprocs (1.0 /. config.freq);
     rngs =
       Array.init nprocs (fun r ->
@@ -54,32 +52,6 @@ let data t = t.data
 let resolve t (ctx : Instrument.ctx) =
   Index.Resolver.find t.resolver ~cctx:ctx.cctx ~callpath:ctx.callpath
     ~loc:ctx.loc
-
-(* [Profdata.vector], memoised per rank in a vertex-indexed row that
-   grows on demand.  A cell is fetched from [Profdata] on its first
-   touch only, so the per-rank tables see the same insertions in the
-   same order as without the memo. *)
-let untouched = Perfvec.create ()
-
-let vector t ~rank ~vertex =
-  let row = t.cells.(rank) in
-  if vertex < Array.length row && row.(vertex) != untouched then row.(vertex)
-  else begin
-    let row =
-      if vertex < Array.length row then row
-      else begin
-        let grown =
-          Array.make (max (vertex + 1) (2 * Array.length row)) untouched
-        in
-        Array.blit row 0 grown 0 (Array.length row);
-        t.cells.(rank) <- grown;
-        grown
-      end
-    in
-    let v = Profdata.vector t.data ~rank ~vertex in
-    row.(vertex) <- v;
-    v
-  end
 
 let on_interval t (ctx : Instrument.ctx) ~stop activity =
   let n =
@@ -94,7 +66,6 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
     (match resolve t ctx with
     | None -> t.data.unattributed_samples <- t.data.unattributed_samples + n
     | Some vid ->
-        let v = vector t ~rank:ctx.rank ~vertex:vid in
         let duration = stop -. ctx.time in
         (* attribute counter deltas at the sampling rate: pmu-rate of the
            span times the sampled time — unbiased like PAPI's interrupt
@@ -106,7 +77,8 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
           | Instrument.Compute { pmu; _ } -> pmu
           | Instrument.Mpi_span _ -> Pmu.zero
         in
-        Perfvec.add_sampled v ~time:est_time ~samples:n ~pmu);
+        Profdata.add_sampled t.data ~rank:ctx.rank ~vertex:vid ~time:est_time
+          ~samples:n ~pmu);
     (* Samples landing inside an MPI wait overlap the blocked time: the
        interrupt handler runs while the process would be idle, so it does
        not extend the critical path.  Only compute-span samples perturb
@@ -123,8 +95,8 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
   (match resolve t ctx with
   | None -> ()
   | Some vid -> (
-      let v = vector t ~rank:ctx.rank ~vertex:vid in
-      Perfvec.add_wait v ~wait:info.wait_seconds;
+      Profdata.add_wait t.data ~rank:ctx.rank ~vertex:vid
+        ~wait:info.wait_seconds;
       (* random-sampling instrumentation: record parameters only when the
          draw falls below the threshold (Section III-B2) *)
       let record =

@@ -1,13 +1,17 @@
 (* Frozen pre-columnar PPG builder, kept as the differential-test oracle.
 
    This is the boxed, Hashtbl-backed implementation that lib/ppg carried
-   before the columnar-store rework: per-(rank, vertex) Perfvec lookups
-   against the profile's own tables, with per-vertex across-rank arrays
-   frozen into caches at build time.  The equivalence suite in
-   test_ppg.ml builds both this and the production store from the same
-   profile and asserts every accessor digest matches, over the full
-   registry at several scales, clean and faulted.  Do not "improve" this
-   module: its value is that it does not change. *)
+   before the columnar-store rework: per-(rank, vertex) cell lookups
+   against the profile, with per-vertex across-rank arrays frozen into
+   caches at build time.  The equivalence suite in test_ppg.ml builds
+   both this and the production PPG from the same profile and asserts
+   every accessor digest matches, over the full registry at several
+   scales, clean and faulted.  Do not "improve" this module: its value
+   is that it does not change.  Only how it reads the profile has
+   followed the profile's layout: a cell is present when its row
+   reports that rank, and [total_time] sums each rank's cells in
+   ascending vertex order (the profile's per-rank hash tables once
+   fixed that order), then the ranks in order. *)
 
 open Scalana_psg
 open Scalana_profile
@@ -30,13 +34,21 @@ type t = {
   waits_cache : (int, float array) Hashtbl.t;
 }
 
-let perf t ~rank ~vertex = Profdata.vector_opt t.data ~rank ~vertex
+(* The row holding (rank, vertex), when that rank reported there. *)
+let perf t ~rank ~vertex =
+  match Profdata.row t.data ~vertex with
+  | Some r when Profdata.reported r ~rank -> Some r
+  | _ -> None
 
 let time_of t ~rank ~vertex =
-  match perf t ~rank ~vertex with Some v -> v.Perfvec.time | None -> 0.0
+  match perf t ~rank ~vertex with
+  | Some r -> r.Profdata.times.(rank)
+  | None -> 0.0
 
 let wait_of t ~rank ~vertex =
-  match perf t ~rank ~vertex with Some v -> v.Perfvec.wait | None -> 0.0
+  match perf t ~rank ~vertex with
+  | Some r -> r.Profdata.waits.(rank)
+  | None -> 0.0
 
 let build ~(psg : Psg.t) (data : Profdata.t) =
   let p2p = Commrec.p2p_edges data.Profdata.comm in
@@ -113,11 +125,16 @@ let total_wait t ~vertex =
 let coverage t ~vertex = Profdata.coverage t.data ~vertex
 
 let total_time t =
+  let touched = Profdata.touched_vertices t.data in
   Array.init t.nprocs (fun rank ->
-      Hashtbl.fold
-        (fun _ (v : Perfvec.t) acc ->
-          if Float.is_nan v.time || v.time < 0.0 then acc else acc +. v.time)
-        t.data.Profdata.vectors.(rank) 0.0)
+      List.fold_left
+        (fun acc vertex ->
+          match perf t ~rank ~vertex with
+          | Some r ->
+              let time = r.Profdata.times.(rank) in
+              if Float.is_nan time || time < 0.0 then acc else acc +. time
+          | None -> acc)
+        0.0 touched)
   |> Array.fold_left ( +. ) 0.0
 
 let n_comm_edges t = Hashtbl.length t.incoming

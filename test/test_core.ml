@@ -105,8 +105,8 @@ let test_pipeline_accessors () =
     (fun loc ->
       check_string "locs point into the program" "zeusmp.mmp" (Loc.file loc))
     locs;
-  (* the columnar stores are live and accounted: every scale holds at
-     least one row of cells *)
+  (* what the PPGs own beyond their profiles is accounted: every scale
+     lists at least one touched vertex *)
   check_bool "ppg storage accounted" true
     (Scalana.Pipeline.ppg_storage_bytes pipe > 0)
 
@@ -152,7 +152,7 @@ let test_artifact_bad_magic () =
   | _ -> Alcotest.fail "expected failure"
   | exception Scalana.Artifact.Error (Scalana.Artifact.Bad_magic _) -> ()
 
-(* --- salvage properties of the v2 record stream --- *)
+(* --- salvage properties of the artifact record stream --- *)
 
 (* A small fixture: [k] appended records with distinct payloads, plus the
    byte offset of every record boundary (header included). *)
@@ -339,6 +339,79 @@ let test_artifact_append_last_wins () =
   let runs, issues = Scalana.Artifact.load_runs_salvage dir in
   check_int "salvaged to first record" 1 (List.length runs);
   check_int "damage reported" 1 (List.length issues)
+
+(* A cg session at np 4, 8 and 16 in a fresh directory. *)
+let cg_session () =
+  let dir = Filename.temp_file "scalana" "" in
+  Sys.remove dir;
+  let entry = Scalana_apps.Registry.find "cg" in
+  let static = Scalana.Static.analyze (entry.make ()) in
+  Scalana.Artifact.save_static dir static;
+  List.iter
+    (fun nprocs ->
+      Scalana.Artifact.save_run dir
+        (Scalana.Prof.run ~cost:entry.cost static ~nprocs ()))
+    [ 4; 8; 16 ];
+  dir
+
+let contains needle s =
+  try
+    ignore (Str.search_forward (Str.regexp_string needle) s 0);
+    true
+  with Not_found -> false
+
+(* A copied profile carries the scale it was recorded at, not the one
+   its new name gives: it is skipped and reported, so np=4 is not fitted
+   twice, and the session degrades. *)
+let test_artifact_wrong_scale () =
+  let dir = cg_session () in
+  copy_file
+    (Scalana.Artifact.run_path dir 4)
+    (Scalana.Artifact.run_path dir 32);
+  let runs, issues = Scalana.Artifact.load_runs_salvage dir in
+  Alcotest.(check (list int))
+    "each scale once" [ 4; 8; 16 ] (List.map fst runs);
+  (match issues with
+  | [ ({ error = Scalana.Artifact.Wrong_scale { nprocs = 4; _ }; _ } as i) ] ->
+      check_bool "names the file" true
+        (contains "run_0032.prof" (Scalana.Artifact.issue_message i))
+  | _ -> Alcotest.fail "expected one wrong-scale issue");
+  let pipe =
+    Scalana.Pipeline.detect_session (Scalana.Artifact.load_session dir)
+  in
+  check_bool "session degraded" true (Scalana.Pipeline.degraded pipe)
+
+(* Files an older build wrote (version byte 2, CRCs intact) are refused
+   by version before any payload is decoded into the current shape. *)
+let test_artifact_older_version () =
+  let dir = cg_session () in
+  let set_version path =
+    Scalana_runtime.Faults.corrupt_byte path
+      ~at_byte:(String.length Scalana.Artifact.magic)
+      ~xor:(Scalana.Artifact.format_version lxor 2) ()
+  in
+  let static = Scalana.Artifact.static_path dir
+  and run = Scalana.Artifact.run_path dir 4 in
+  set_version static;
+  set_version run;
+  let is_v2 = function
+    | Some (Scalana.Artifact.Bad_version { version = 2; _ }) -> true
+    | _ -> false
+  in
+  let r : Scalana.Prof.run Scalana.Artifact.salvage =
+    Scalana.Artifact.read_stream run
+  in
+  check_bool "run file refused" true (r.values = [] && is_v2 r.damage);
+  (match Scalana.Artifact.load_static dir with
+  | _ -> Alcotest.fail "static file accepted"
+  | exception Scalana.Artifact.Error e ->
+      check_bool "static file refused" true (is_v2 (Some e)));
+  let runs, issues = Scalana.Artifact.load_runs_salvage dir in
+  Alcotest.(check (list int)) "other scales kept" [ 8; 16 ] (List.map fst runs);
+  check_bool "reported as Bad_version" true
+    (List.exists
+       (fun (i : Scalana.Artifact.issue) -> is_v2 (Some i.error))
+       issues)
 
 (* --- degraded pipelines --- *)
 
@@ -774,6 +847,10 @@ let () =
           Alcotest.test_case "append, last record wins" `Quick
             test_artifact_append_last_wins;
           prop_artifact_roundtrip_bytes;
+          Alcotest.test_case "profile for the wrong scale is an issue" `Quick
+            test_artifact_wrong_scale;
+          Alcotest.test_case "older format is Bad_version" `Quick
+            test_artifact_older_version;
         ] );
       ( "degraded",
         [

@@ -1,8 +1,9 @@
 (* Tests for PPG construction and the cross-scale container, plus the
-   columnar store's safety net: a differential-equivalence suite that
-   rebuilds every registry profile with the frozen pre-columnar builder
-   (Ppg_reference) and asserts accessor-digest equality, and seeded
-   properties for sparse-coverage round-trips through the columns. *)
+   safety net of a PPG that reads its profile in place: a
+   differential-equivalence suite that rebuilds every registry profile
+   with the frozen pre-columnar builder (Ppg_reference) and asserts
+   accessor-digest equality, and seeded properties for sparse-coverage
+   round-trips through the profile rows. *)
 
 open Scalana_mlang
 open Scalana_psg
@@ -22,22 +23,28 @@ let profile ?(nprocs = 4) ?(record_prob = 1.0) prog =
   ignore (Exec.run ~cfg prog);
   (contraction.Contract.psg, Profiler.data profiler)
 
-(* Row reads through the store's slice contract ([row_offset] into a
-   column): one vertex's cells across ranks, copied out, or a zero row
-   when no rank reported there; and one cell of that row. *)
-let row_of (p : Ppg.t) col ~vertex =
-  match Ppg.row_offset p ~vertex with
-  | Some off -> Array.sub col off p.Ppg.nprocs
+(* Row reads through the profile rows the PPG serves: one vertex's cells
+   across ranks, copied out, or a zero row when no rank reported there;
+   and one cell of that row.  Waits are read from the same profile
+   row. *)
+let waits_row (p : Ppg.t) ~vertex =
+  Option.map
+    (fun (r : Profdata.row) -> r.waits)
+    (Profdata.row p.Ppg.data ~vertex)
+
+let row_of (p : Ppg.t) row ~vertex =
+  match row ~vertex with
+  | Some a -> Array.copy a
   | None -> Array.make p.Ppg.nprocs 0.0
 
-let cell_of (p : Ppg.t) col ~rank ~vertex =
-  match Ppg.row_offset p ~vertex with
-  | Some off when rank >= 0 && rank < p.Ppg.nprocs -> col.(off + rank)
+let cell_of (p : Ppg.t) row ~rank ~vertex =
+  match row ~vertex with
+  | Some a when rank >= 0 && rank < p.Ppg.nprocs -> a.(rank)
   | _ -> 0.0
 
-let times_of p ~vertex = row_of p (Ppg.times_col p) ~vertex
-let time_of p ~rank ~vertex = cell_of p (Ppg.times_col p) ~rank ~vertex
-let wait_of p ~rank ~vertex = cell_of p p.Ppg.waits ~rank ~vertex
+let times_of p ~vertex = row_of p (Ppg.times p) ~vertex
+let time_of p ~rank ~vertex = cell_of p (Ppg.times p) ~rank ~vertex
+let wait_of p ~rank ~vertex = cell_of p (waits_row p) ~rank ~vertex
 
 (* late-sender chain: rank r+1 waits on rank r's send *)
 let chain_program () =
@@ -89,7 +96,8 @@ let test_ppg_comm_edges () =
   let edges = Ppg.incoming_edges ppg ~rank:2 ~vertex:recv_vertex.Vertex.id in
   check_bool "rank2 incoming" true (edges <> []);
   List.iter
-    (fun (e : Ppg.comm_edge) -> check_int "sender is rank 1" 1 e.send_rank)
+    (fun (e : Commrec.p2p_edge) ->
+      check_int "sender is rank 1" 1 e.key.send_rank)
     edges
 
 let test_ppg_waiting_edges_filter () =
@@ -104,8 +112,8 @@ let test_ppg_waiting_edges_filter () =
   (* rank 1 waits on rank 0's origin delay: critical edge present *)
   (match Ppg.critical_edge ppg ~rank:1 ~vertex:recv_vertex.Vertex.id with
   | Some e ->
-      check_int "from rank 0" 0 e.Ppg.send_rank;
-      check_bool "waited" true e.Ppg.has_wait
+      check_int "from rank 0" 0 e.Commrec.key.send_rank;
+      check_bool "waited" true e.Commrec.has_wait
   | None -> Alcotest.fail "rank 1 should have a waiting edge");
   (* waiting_edges is a subset of incoming_edges *)
   let all = Ppg.incoming_edges ppg ~rank:1 ~vertex:recv_vertex.Vertex.id in
@@ -164,10 +172,10 @@ let test_crossscale () =
 
 (* --- differential equivalence against the frozen pre-columnar builder ---
 
-   Every accessor of the production store, digested and compared against
+   Every accessor of the production PPG, digested and compared against
    Ppg_reference built from the *same* profile, over the full Table II
    registry at np in {4, 16, 64}, clean and under a fault plan that
-   exercises every degraded shape the columns must carry: a killed rank
+   exercises every degraded shape the rows must carry: a killed rank
    (absent cells), a skewed clock (asymmetric values), and poisoned
    metrics (NaN and negative cells that must survive bit-for-bit).
    Mirrors the 66-digest engine pin of the simulator rework. *)
@@ -192,8 +200,8 @@ type view = {
 }
 
 let view_of_ppg (p : Ppg.t) =
-  let edge (e : Ppg.comm_edge) =
-    (e.Ppg.send_rank, e.Ppg.send_vertex, e.Ppg.has_wait, e.Ppg.max_wait, e.Ppg.hits)
+  let edge (e : Commrec.p2p_edge) =
+    (e.key.send_rank, e.key.send_vertex, e.has_wait, e.max_wait, e.hits)
   in
   {
     v_nprocs = p.Ppg.nprocs;
@@ -204,7 +212,7 @@ let view_of_ppg (p : Ppg.t) =
     v_time_of = (fun ~rank ~vertex -> time_of p ~rank ~vertex);
     v_wait_of = (fun ~rank ~vertex -> wait_of p ~rank ~vertex);
     v_times = (fun ~vertex -> times_of p ~vertex);
-    v_waits = (fun ~vertex -> row_of p p.Ppg.waits ~vertex);
+    v_waits = (fun ~vertex -> row_of p (waits_row p) ~vertex);
     v_coverage = (fun ~vertex -> Ppg.coverage p ~vertex);
     v_total_wait = (fun ~vertex -> Ppg.total_wait p ~vertex);
     v_incoming =
@@ -281,26 +289,6 @@ let component_digests v =
     ("critical_edge", d (per_cell v.v_critical));
   ]
 
-(* Kill + skew + poison: one absent-cell shape, one asymmetric-value
-   shape, and NaN/negative cells the columns must preserve verbatim. *)
-let diff_fault_plan =
-  Faults.plan ~seed:7
-    [
-      Faults.kill_rank ~rank:1 ~after:1e-5 ();
-      Faults.clock_skew ~rank:0 ~factor:1.7;
-      Faults.poison_metric ~prob:0.15 `Nan;
-      Faults.poison_metric ~prob:0.1 `Negative;
-    ]
-
-let profile_entry ?faults (entry : Scalana_apps.Registry.entry) ~nprocs =
-  let prog = entry.Scalana_apps.Registry.make () in
-  let static = Scalana.Static.analyze prog in
-  let r =
-    Scalana.Prof.run ?faults ~cost:entry.Scalana_apps.Registry.cost static
-      ~nprocs ()
-  in
-  (Scalana.Static.psg static, r.Scalana.Prof.data)
-
 let test_differential_registry () =
   let checked = ref 0 in
   List.iter
@@ -310,7 +298,9 @@ let test_differential_registry () =
           List.iter
             (fun (mode, faults) ->
               let psg, data = profile_entry ?faults entry ~nprocs in
-              let columnar = component_digests (view_of_ppg (Ppg.build ~psg data)) in
+              let production =
+                component_digests (view_of_ppg (Ppg.build ~psg data))
+              in
               let reference =
                 component_digests
                   (view_of_reference (Ppg_reference.build ~psg data))
@@ -322,7 +312,7 @@ let test_differential_registry () =
                     (Printf.sprintf "%s np=%d %s: %s"
                        entry.Scalana_apps.Registry.name nprocs mode name)
                     r c)
-                reference columnar;
+                reference production;
               incr checked)
             [ ("clean", None); ("faulted", Some diff_fault_plan) ])
         [ 4; 16; 64 ])
@@ -330,7 +320,7 @@ let test_differential_registry () =
   (* the full pin: 11 apps x 3 scales x clean+faulted *)
   check_int "66 digests compared" 66 !checked
 
-(* --- seeded properties for the columnar store --- *)
+(* --- seeded properties for the rows the PPG reads --- *)
 
 (* A hand-filled profile: an arbitrary sparse pattern of (rank, vertex)
    cells, some carrying NaN/negative poison, fed straight into the
@@ -368,9 +358,9 @@ let build_sparse cells =
   let data = Profdata.create ~nprocs:prop_nprocs in
   List.iter
     (fun c ->
-      let v = Profdata.vector data ~rank:c.c_rank ~vertex:c.c_vid in
-      Perfvec.add_sampled v ~time:c.c_time ~samples:1 ~pmu:Pmu.zero;
-      Perfvec.add_wait v ~wait:c.c_wait)
+      Profdata.add_sampled data ~rank:c.c_rank ~vertex:c.c_vid ~time:c.c_time
+        ~samples:1 ~pmu:Pmu.zero;
+      Profdata.add_wait data ~rank:c.c_rank ~vertex:c.c_vid ~wait:c.c_wait)
     cells;
   (data, Ppg.build ~psg:(Lazy.force prop_psg) data)
 
@@ -427,48 +417,44 @@ let prop_sparse_round_trip cells =
   done;
   true
 
-(* Each touched vertex's row slice, read in place from both columns,
-   holds what the frozen boxed store serves cell by cell. *)
+(* Each touched vertex's rows, read in place, hold what the frozen boxed
+   store serves cell by cell. *)
 let prop_row_gather_equals_cells cells =
   let data, ppg = build_sparse cells in
   let reference = Ppg_reference.build ~psg:(Lazy.force prop_psg) data in
-  let times = Ppg.times_col ppg and waits = ppg.Ppg.waits in
   List.for_all
     (fun vid ->
-      match Ppg.row_offset ppg ~vertex:vid with
-      | None -> false
-      | Some off ->
-          off + prop_nprocs <= Array.length times
+      match (Ppg.times ppg ~vertex:vid, waits_row ppg ~vertex:vid) with
+      | Some times, Some waits ->
+          Array.length times = prop_nprocs
           && List.for_all
                (fun rank ->
-                 same_float times.(off + rank)
+                 same_float times.(rank)
                    (Ppg_reference.time_of reference ~rank ~vertex:vid)
-                 && same_float waits.(off + rank)
+                 && same_float waits.(rank)
                       (Ppg_reference.wait_of reference ~rank ~vertex:vid))
-               (List.init prop_nprocs Fun.id))
+               (List.init prop_nprocs Fun.id)
+      | _ -> false)
     (Ppg.touched_vertices ppg)
 
-(* Sanitize over column rows: idempotent, always a fresh array, and the
-   column it scans in place is left untouched. *)
+(* Sanitize over the PPG's rows: idempotent, always a fresh array, and
+   the row it scans in place is left untouched. *)
 let prop_sanitize_idempotent cells =
   let _, ppg = build_sparse cells in
-  let col = Ppg.times_col ppg and len = prop_nprocs in
   let sanitize = Scalana_detect.Aggregate.sanitize in
   List.for_all
     (fun vid ->
-      match Ppg.row_offset ppg ~vertex:vid with
+      match Ppg.times ppg ~vertex:vid with
       | None -> false
-      | Some off ->
-          let before = Array.sub col off len in
-          let clean1, dropped1 = sanitize col ~off ~len in
-          let clean2, dropped2 =
-            sanitize clean1 ~off:0 ~len:(Array.length clean1)
-          in
+      | Some row ->
+          let before = Array.copy row in
+          let clean1, dropped1 = sanitize row in
+          let clean2, dropped2 = sanitize clean1 in
           dropped2 = 0
           && (Array.length clean1 = 0 || clean2 != clean1)
           && Array.for_all2 same_float clean1 clean2
-          && dropped1 = len - Array.length clean1
-          && Array.for_all2 same_float before (Array.sub col off len)
+          && dropped1 = prop_nprocs - Array.length clean1
+          && Array.for_all2 same_float before row
           && Array.for_all (fun x -> not (Float.is_nan x || x < 0.0)) clean1)
     (Ppg.touched_vertices ppg)
 

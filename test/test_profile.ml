@@ -23,22 +23,33 @@ let profiled_run ?config ?cost ?(nprocs = 4) prog =
   let result = Exec.run ~cfg prog in
   (contraction, index, Profiler.data profiler, result)
 
-(* --- perfvec --- *)
+(* --- performance vectors (profile rows) --- *)
 
 let test_perfvec () =
-  let v = Perfvec.create () in
-  Perfvec.add_sampled v ~time:0.5 ~samples:2 ~pmu:Pmu.zero;
-  Perfvec.add_sampled v ~time:0.25 ~samples:1 ~pmu:Pmu.zero;
-  Perfvec.add_wait v ~wait:0.1;
-  check_float "time" 0.75 v.Perfvec.time;
-  check_int "samples" 3 v.Perfvec.samples;
-  check_float "wait" 0.1 v.Perfvec.wait;
-  check_int "calls" 1 v.Perfvec.calls;
-  let dst = Perfvec.create () in
-  Perfvec.merge_into ~dst v;
-  Perfvec.merge_into ~dst v;
-  check_float "merged time" 1.5 dst.Perfvec.time;
-  check_int "merged samples" 6 dst.Perfvec.samples
+  let v = Profdata.create ~nprocs:2 in
+  Profdata.add_sampled v ~rank:1 ~vertex:3 ~time:0.5 ~samples:2 ~pmu:Pmu.zero;
+  Profdata.add_sampled v ~rank:1 ~vertex:3 ~time:0.25 ~samples:1 ~pmu:Pmu.zero;
+  Profdata.add_wait v ~rank:1 ~vertex:3 ~wait:0.1;
+  let row data =
+    match Profdata.row data ~vertex:3 with
+    | Some r -> r
+    | None -> Alcotest.fail "vertex 3 has no row"
+  in
+  let r = row v in
+  check_float "time" 0.75 r.times.(1);
+  check_int "samples" 3 r.samples.(1);
+  check_float "wait" 0.1 r.waits.(1);
+  check_int "calls" 1 r.calls.(1);
+  check_bool "rank 0 unreported" false (Profdata.reported r ~rank:0);
+  Alcotest.(check (list int)) "one row" [ 3 ] (Profdata.touched_vertices v);
+  (* two epochs' rank 1 land on global rank 0 *)
+  let dst = Profdata.create ~nprocs:2 in
+  Profdata.merge_renumbered ~into:dst ~map:(fun l -> l - 1) v;
+  Profdata.merge_renumbered ~into:dst ~map:(fun l -> l - 1) v;
+  let d = row dst in
+  check_float "merged time" 1.5 d.times.(0);
+  check_int "merged samples" 6 d.samples.(0);
+  check_bool "merged rank 1 unreported" false (Profdata.reported d ~rank:1)
 
 (* --- commrec --- *)
 
@@ -110,14 +121,18 @@ let test_attribution_targets_hot_vertex () =
          contraction.Contract.psg)
   in
   let total =
-    Hashtbl.fold
-      (fun _ (v : Perfvec.t) acc -> acc +. v.Perfvec.time)
-      data.Profdata.vectors.(0) 0.0
+    List.fold_left
+      (fun acc vertex ->
+        match Profdata.row data ~vertex with
+        | Some r -> acc +. r.times.(0)
+        | None -> acc)
+      0.0
+      (Profdata.touched_vertices data)
   in
-  match Profdata.vector_opt data ~rank:0 ~vertex:work_vertex.Vertex.id with
-  | Some v ->
-      check_bool "hot vertex dominates" true (v.Perfvec.time > 0.6 *. total)
-  | None -> Alcotest.fail "work vertex has no data"
+  match Profdata.row data ~vertex:work_vertex.Vertex.id with
+  | Some r when Profdata.reported r ~rank:0 ->
+      check_bool "hot vertex dominates" true (r.times.(0) > 0.6 *. total)
+  | _ -> Alcotest.fail "work vertex has no data"
 
 let test_wait_recorded_on_mpi_vertex () =
   let prog =
@@ -137,14 +152,12 @@ let test_wait_recorded_on_mpi_vertex () =
     List.hd (Psg.find_all Vertex.is_mpi contraction.Contract.psg)
   in
   (* non-delayed ranks accumulated wait at the barrier *)
-  (match Profdata.vector_opt data ~rank:1 ~vertex:barrier_vertex.Vertex.id with
-  | Some v ->
-      check_bool "rank1 waited" true (v.Perfvec.wait > 0.001);
-      check_int "calls counted" 1 v.Perfvec.calls
-  | None -> Alcotest.fail "barrier vector missing on rank 1");
-  match Profdata.vector_opt data ~rank:0 ~vertex:barrier_vertex.Vertex.id with
-  | Some v -> check_bool "rank0 did not wait" true (v.Perfvec.wait < 0.001)
-  | None -> ()
+  match Profdata.row data ~vertex:barrier_vertex.Vertex.id with
+  | Some r when Profdata.reported r ~rank:1 ->
+      check_bool "rank1 waited" true (r.waits.(1) > 0.001);
+      check_int "calls counted" 1 r.calls.(1);
+      check_bool "rank0 did not wait" true (r.waits.(0) < 0.001)
+  | _ -> Alcotest.fail "barrier vector missing on rank 1"
 
 let test_record_prob_zero () =
   let prog = ring_program ~niter:10 () in
@@ -193,11 +206,138 @@ let test_across_ranks () =
            | _ -> false)
          contraction.Contract.psg)
   in
-  let per_rank = Profdata.across_ranks data ~vertex:work_vertex.Vertex.id in
-  check_int "one slot per rank" 4 (Array.length per_rank);
-  Array.iter
-    (fun v -> check_bool "every rank sampled the hot loop" true (v <> None))
-    per_rank
+  match Profdata.row data ~vertex:work_vertex.Vertex.id with
+  | Some r ->
+      check_int "one slot per rank" 4 (Array.length r.times);
+      for rank = 0 to 3 do
+        check_bool "every rank sampled the hot loop" true
+          (Profdata.reported r ~rank)
+      done
+  | None -> Alcotest.fail "work vertex has no row"
+
+(* --- profile digests ---
+
+   Every cell of the 11 registry programs' profiles at np 4, 16 and 64,
+   clean and under [Testutil.diff_fault_plan], pinned by digest: each
+   reported cell in ascending (vertex, rank) order with its time,
+   samples, five PMU counters, wait and calls (floats as [%h]), then the
+   touched vertices and the storage estimate.  Nothing else in the suite
+   pins samples, calls or PMU values. *)
+
+let reported_cell (data : Profdata.t) ~rank ~vertex =
+  match Profdata.row data ~vertex with
+  | Some r when Profdata.reported r ~rank ->
+      Some (r.times.(rank), r.samples.(rank), r.pmu.(rank), r.waits.(rank),
+            r.calls.(rank))
+  | _ -> None
+
+let profile_digest (data : Profdata.t) =
+  let b = Buffer.create 4096 in
+  let touched = Profdata.touched_vertices data in
+  List.iter
+    (fun vertex ->
+      for rank = 0 to data.Profdata.nprocs - 1 do
+        match reported_cell data ~rank ~vertex with
+        | None -> ()
+        | Some (time, samples, (p : Pmu.t), wait, calls) ->
+            Printf.bprintf b "%d %d %h %d %h %h %h %h %h %h %d\n" vertex rank
+              time samples p.tot_ins p.tot_lst_ins p.tot_cyc p.cache_miss
+              p.fp_ins wait calls
+      done)
+    touched;
+  Printf.bprintf b "touched %s\nbytes %d\n"
+    (String.concat "," (List.map string_of_int touched))
+    (Profdata.storage_bytes data);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let expected_profile_digests =
+  [
+    ("bt/4/clean", "fd3b5b5175685f05988dbd74a87c46dd");
+    ("bt/4/faulted", "3be850e72ab8648282acd6f8e03dbc44");
+    ("bt/16/clean", "c9539347a5fe48433da5583d6931030e");
+    ("bt/16/faulted", "894451506a0fc7f9bdf95d331855a2ce");
+    ("bt/64/clean", "e4080ee76c2f66c4d6a3b34a38637813");
+    ("bt/64/faulted", "49a7d6c8a7a7e521920c7d4ac59dec98");
+    ("cg/4/clean", "8d3039f5a25d06b344f8fcf90c3e100a");
+    ("cg/4/faulted", "5d8d9158e41d5b9242f71f7ab92aa17e");
+    ("cg/16/clean", "400693389d87fbb40c4b2d7c2c9d21b9");
+    ("cg/16/faulted", "14c6c962bec5d6c1d3de1725cdbcd032");
+    ("cg/64/clean", "9e73cd717dd172dd0275778dab227e65");
+    ("cg/64/faulted", "8ce6cf94928173991db2eb39c6911191");
+    ("ep/4/clean", "a28185f051caed38f2d8e4b3a7b150cc");
+    ("ep/4/faulted", "7291fe42a41827524bb1ad7b0f24912c");
+    ("ep/16/clean", "6f8ad4207b72cc44d853c4d240993ebc");
+    ("ep/16/faulted", "7291fe42a41827524bb1ad7b0f24912c");
+    ("ep/64/clean", "b9d665cce39a2721ac66605ad06d407a");
+    ("ep/64/faulted", "7291fe42a41827524bb1ad7b0f24912c");
+    ("ft/4/clean", "1d89c0b623fd2434fbe75fdd05a67ea0");
+    ("ft/4/faulted", "0a8df452285b2f4f18e643cc79622103");
+    ("ft/16/clean", "cd8f57dd1921f6fac4350b0f46cf98c4");
+    ("ft/16/faulted", "2c9fd21181395296429ede44d17a0194");
+    ("ft/64/clean", "a9453ea644798f6c8de202b0c797e9a9");
+    ("ft/64/faulted", "c420ed078e753a4d43f77bd013777568");
+    ("mg/4/clean", "ab3efa8f1a410efda9805a6d14ab33cb");
+    ("mg/4/faulted", "5603d2ce17b26e0d9de4185c6daad754");
+    ("mg/16/clean", "f6421fcf62b98aa438ab16396cc96b0a");
+    ("mg/16/faulted", "a42e22941525b081a786622e7c8eaffb");
+    ("mg/64/clean", "5971b4b08f2415f7b319754dd6e1bdc2");
+    ("mg/64/faulted", "ef3ce59105378d34e2b698dc1e957fa0");
+    ("sp/4/clean", "1bc2452a3bd293aa95514ec6a30bf7e2");
+    ("sp/4/faulted", "3be850e72ab8648282acd6f8e03dbc44");
+    ("sp/16/clean", "fe6d92b3a14e6f520edbdaf7a7d8aa4c");
+    ("sp/16/faulted", "894451506a0fc7f9bdf95d331855a2ce");
+    ("sp/64/clean", "30c6ab7f54c85ad9864cb6e5d9608c24");
+    ("sp/64/faulted", "49a7d6c8a7a7e521920c7d4ac59dec98");
+    ("lu/4/clean", "4d8c2cd469c5c8d1c8c36517571d3f0b");
+    ("lu/4/faulted", "e0a1dd5996838ff640ea96de9a903886");
+    ("lu/16/clean", "072251b6d4e4027d4d02700533ee4002");
+    ("lu/16/faulted", "8fd6c47461a87da235d217a68c7aefff");
+    ("lu/64/clean", "5cc687d5c312537a735f930c723ad80b");
+    ("lu/64/faulted", "5bfae624083d23cee1a14c617e7dd684");
+    ("is/4/clean", "998fa764bab19595c0dbf88795b015bf");
+    ("is/4/faulted", "584b9137ae139009c9348366fd3279d6");
+    ("is/16/clean", "e462fe9b441a1a2dd3f27d483b0e81cd");
+    ("is/16/faulted", "14285f83587a727c7bd7d03f7b233b9f");
+    ("is/64/clean", "5fcb8eadff0df9367815f5c076a26e98");
+    ("is/64/faulted", "c880c45771ce11ff3f395a8cb9ba6339");
+    ("sst/4/clean", "40f6bb80ef364efcbe7e5c9154c868fd");
+    ("sst/4/faulted", "4af28945179bf1feb3ed100018392868");
+    ("sst/16/clean", "708e17c8839a81fdca96469a630e0bb3");
+    ("sst/16/faulted", "7291fe42a41827524bb1ad7b0f24912c");
+    ("sst/64/clean", "27850632ed008935634c751045279ba1");
+    ("sst/64/faulted", "7291fe42a41827524bb1ad7b0f24912c");
+    ("nekbone/4/clean", "d273587495089e5eed2b2acd2341c967");
+    ("nekbone/4/faulted", "b2b778d4feabb5e6c0c2ff62cfbe8132");
+    ("nekbone/16/clean", "aa4d3cb4468844667459994818f7ea2a");
+    ("nekbone/16/faulted", "bb401d963e6b7e867114171874754ead");
+    ("nekbone/64/clean", "0ce763e7abd01d48104fcfb052b5c278");
+    ("nekbone/64/faulted", "eaab96260d7c710a2d91c4085a1212cf");
+    ("zeusmp/4/clean", "2cfcdd9e7e5a13ca0bece78c0194c488");
+    ("zeusmp/4/faulted", "cdec670dd9b5f898e91bb6029db82b66");
+    ("zeusmp/16/clean", "790edb73e477783262f2f00d3ebe149b");
+    ("zeusmp/16/faulted", "ac829da2c63699a442325ce4d8e440a8");
+    ("zeusmp/64/clean", "e5b623f7f87be8dfaf1ffd7ca24d224c");
+    ("zeusmp/64/faulted", "7291fe42a41827524bb1ad7b0f24912c");
+  ]
+
+let test_profile_digests () =
+  let checked = ref 0 in
+  List.iter
+    (fun (entry : Scalana_apps.Registry.entry) ->
+      List.iter
+        (fun nprocs ->
+          List.iter
+            (fun (mode, faults) ->
+              let _, data = profile_entry ?faults entry ~nprocs in
+              let key = Printf.sprintf "%s/%d/%s" entry.name nprocs mode in
+              check_string key
+                (List.assoc key expected_profile_digests)
+                (profile_digest data);
+              incr checked)
+            [ ("clean", None); ("faulted", Some diff_fault_plan) ])
+        [ 4; 16; 64 ])
+    Scalana_apps.Registry.all;
+  check_int "66 profiles digested" 66 !checked
 
 (* --- timeline --- *)
 
@@ -702,6 +842,8 @@ let () =
           Alcotest.test_case "across ranks" `Quick test_across_ranks;
           Alcotest.test_case "overhead charged" `Quick
             test_profiler_overhead_positive;
+          Alcotest.test_case "registry profiles pinned by digest" `Quick
+            test_profile_digests;
         ] );
       ( "timeline",
         [

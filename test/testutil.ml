@@ -263,10 +263,31 @@ let per_vertex_pmu ?cost ?(nprocs = 8) ~label prog =
          (fun v -> Scalana_psg.Vertex.is_comp v)
          contraction.Scalana_psg.Contract.psg)
   in
-  Array.init nprocs (fun rank ->
-      match
-        Scalana_profile.Profdata.vector_opt data ~rank
-          ~vertex:vertex.Scalana_psg.Vertex.id
-      with
-      | Some v -> v.Scalana_profile.Perfvec.pmu
-      | None -> Scalana_runtime.Pmu.zero)
+  match
+    Scalana_profile.Profdata.row data ~vertex:vertex.Scalana_psg.Vertex.id
+  with
+  | Some r -> r.Scalana_profile.Profdata.pmu
+  | None -> Array.make nprocs Scalana_runtime.Pmu.zero
+
+(* Kill + skew + poison: one absent-cell shape, one asymmetric-value
+   shape, and NaN/negative cells that must survive verbatim.  The fault
+   plan of the PPG differential suite and the profile digests. *)
+let diff_fault_plan =
+  Scalana_runtime.Faults.plan ~seed:7
+    [
+      Scalana_runtime.Faults.kill_rank ~rank:1 ~after:1e-5 ();
+      Scalana_runtime.Faults.clock_skew ~rank:0 ~factor:1.7;
+      Scalana_runtime.Faults.poison_metric ~prob:0.15 `Nan;
+      Scalana_runtime.Faults.poison_metric ~prob:0.1 `Negative;
+    ]
+
+(* One registry program profiled at [nprocs] through [Prof.run]: its
+   contracted PSG and the profile. *)
+let profile_entry ?faults (entry : Scalana_apps.Registry.entry) ~nprocs =
+  let prog = entry.Scalana_apps.Registry.make () in
+  let static = Scalana.Static.analyze prog in
+  let r =
+    Scalana.Prof.run ?faults ~cost:entry.Scalana_apps.Registry.cost static
+      ~nprocs ()
+  in
+  (Scalana.Static.psg static, r.Scalana.Prof.data)
