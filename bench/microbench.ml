@@ -134,7 +134,7 @@ let make_tests () =
           Test.make ~name:(Printf.sprintf "engine_match_queue_np%d" np)
             (Staged.stage (fun () ->
                  let open Scalana_runtime in
-                 let comm = Comm.create ~net:Network.default ~nprocs:np in
+                 let comm = Comm.create ~nprocs:np in
                  let loc = Scalana_mlang.Loc.none in
                  for r = 0 to np - 1 do
                    ignore

@@ -36,6 +36,14 @@ let run_cli body =
 let check_abnorm_thd thd =
   Scalana_detect.Abnormal.check_thd ~what:"--abnorm-thd" thd
 
+(* Refuse an integer flag below [min] before anything loads: the pool
+   would run a --domains below 1 on one domain while the report names
+   the bad count, and contraction would treat a negative
+   --max-loop-depth as 0. *)
+let check_at_least ~flag ~min n =
+  if n < min then
+    invalid_arg (Printf.sprintf "%s %d: must be >= %d" flag n min)
+
 let load_program ~program_name ~file =
   match (program_name, file) with
   | Some name, None ->
@@ -160,7 +168,9 @@ let max_loop_depth_arg =
     value
     & opt int Scalana.Config.default.max_loop_depth
     & info [ "max-loop-depth" ] ~docv:"N"
-        ~doc:"PSG contraction bound on nested loop depth (MaxLoopDepth).")
+        ~doc:
+          "PSG contraction bound on nested loop depth (MaxLoopDepth); at \
+           least 0.")
 
 let abnorm_thd_arg =
   Arg.(
@@ -176,8 +186,8 @@ let domains_arg =
     & info [ "j"; "domains" ] ~docv:"N"
         ~doc:
           "Worker domains for the analysis fan-outs (PPG builds, log-log \
-           fits); 1 forces the sequential path.  Results are identical \
-           either way.")
+           fits), at least 1; 1 forces the sequential path.  Results are \
+           identical either way.")
 
 let timeline_np_arg =
   Arg.(

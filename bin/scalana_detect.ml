@@ -12,6 +12,7 @@ let run session abnorm_thd domains follow_def_use static_crosscheck elastic
     history_file =
   Cli_common.run_cli @@ fun () ->
   Cli_common.check_abnorm_thd abnorm_thd;
+  Cli_common.check_at_least ~flag:"--domains" ~min:1 domains;
   (* observability on before the session loads, so artifact salvage work
      is on the trace too; the report then carries a pipeline-cost section *)
   if trace <> None || metrics_out <> None then Scalana_obs.Obs.enable ();

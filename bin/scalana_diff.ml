@@ -26,6 +26,7 @@ let run base cand abnorm_thd domains wait_states slope_tol time_tol wait_tol
   Cli_common.run_cli @@ fun () ->
   (* thresholds are refused before either session loads *)
   Cli_common.check_abnorm_thd abnorm_thd;
+  Cli_common.check_at_least ~flag:"--domains" ~min:1 domains;
   Diff.check_tol ~what:"--slope-tol" slope_tol;
   Diff.check_tol ~what:"--time-tol" time_tol;
   Diff.check_tol ~what:"--wait-tol" wait_tol;

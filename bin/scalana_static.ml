@@ -7,6 +7,7 @@ open Cmdliner
 
 let run program_name file session max_loop_depth dump predict lint =
   Cli_common.run_cli @@ fun () ->
+  Cli_common.check_at_least ~flag:"--max-loop-depth" ~min:0 max_loop_depth;
   let program, _cost = Cli_common.load_program ~program_name ~file in
   let static = Scalana.Static.analyze ~max_loop_depth program in
   Scalana.Artifact.save_static session static;

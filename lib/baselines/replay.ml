@@ -21,7 +21,10 @@ let class_name = function
   | Wait_at_collective -> "wait-at-collective"
   | Self_wait -> "self-wait"
 
-let analyze ?(epsilon = 20.0e-6) (events : Tracer.event list) =
+(* Waits at or below this many seconds are not wait states. *)
+let epsilon = 20.0e-6
+
+let analyze (events : Tracer.event list) =
   let tbl : (string * string, wait_state) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (ev : Tracer.event) ->
@@ -58,8 +61,8 @@ let analyze ?(epsilon = 20.0e-6) (events : Tracer.event list) =
   Hashtbl.fold (fun _ ws acc -> ws :: acc) tbl []
   |> List.sort (fun a b -> compare b.total_wait a.total_wait)
 
-let report ?epsilon events ~top =
-  let states = analyze ?epsilon events in
+let report events ~top =
+  let states = analyze events in
   let rec take n = function
     | [] -> []
     | _ when n = 0 -> []

@@ -17,7 +17,7 @@ type wait_state = {
 
 val class_name : wait_class -> string
 
-(** All wait states above [epsilon] seconds, largest total first. *)
-val analyze : ?epsilon:float -> Tracer.event list -> wait_state list
+(** All wait states above 20 µs, largest total first. *)
+val analyze : Tracer.event list -> wait_state list
 
-val report : ?epsilon:float -> Tracer.event list -> top:int -> wait_state list
+val report : Tracer.event list -> top:int -> wait_state list

@@ -625,7 +625,7 @@ type t = {
   t_counts : (string * Loc.t, Symbolic.t) Hashtbl.t;
   t_patterns : (string * string) list;
   t_matrices : (string * int array array) list;
-  t_matrix_np : int;
+  t_matrix_np : int;  (* always [matrix_np]; kept for the stored layout *)
 }
 
 let bytes_expr (c : Ast.mpi_call) =
@@ -645,11 +645,12 @@ let dest_expr (c : Ast.mpi_call) =
       Some dest
   | _ -> None
 
-let default_probe_scales = [ 16; 64; 256 ]
-let default_matrix_np = 16
+(* The scales network pressure is probed at, and the scale of the
+   communication matrices. *)
+let probe_scales = [ 16; 64; 256 ]
+let matrix_np = 16
 
-let analyze ?(probe_scales = default_probe_scales)
-    ?(matrix_np = default_matrix_np) prog =
+let analyze prog =
   let infos, order, tables_of = interproc prog in
   let probes, probe_exact =
     List.fold_left
@@ -777,7 +778,6 @@ let exact t = t.t_exact
 let invocations t = t.t_inv
 let patterns t = t.t_patterns
 let matrices t = t.t_matrices
-let matrix_np t = t.t_matrix_np
 
 let find_fact t ~func ~loc =
   List.find_opt

@@ -43,11 +43,10 @@ type pred = {
 
 type t
 
-val analyze : ?probe_scales:int list -> ?matrix_np:int -> Ast.program -> t
-(** Runs the full analysis.  [probe_scales] (default [[16; 64; 256]])
-    are the scales the concrete walker measures network pressure at;
-    [matrix_np] (default 16) is the scale of the communication
-    matrices.  Pressure is a per-rank mean, so scales beyond 16 ranks
+val analyze : Ast.program -> t
+(** Runs the full analysis.  The concrete walker measures network
+    pressure at 16, 64 and 256 ranks; the communication matrices are
+    at 16 ranks.  Pressure is a per-rank mean, so scales beyond 16 ranks
     are probed on an evenly-strided subset of 16 ranks — rank-symmetric
     idioms give the same mean and the static step stays cheap relative
     to base compilation (Table III); the {!audit} and the matrices
@@ -71,9 +70,8 @@ val patterns : t -> (string * string) list
     omitted. *)
 
 val matrices : t -> (string * int array array) list
-(** Per-function point-to-point message matrices at {!matrix_np}. *)
+(** Per-function point-to-point message matrices at 16 ranks. *)
 
-val matrix_np : t -> int
 val find_fact : t -> func:string -> loc:Loc.t -> fact option
 
 val count_at : t -> func:string -> loc:Loc.t -> Symbolic.t option

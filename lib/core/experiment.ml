@@ -23,25 +23,17 @@ type measurement = {
 }
 
 (* Run [program] once per tool at [nprocs] and compare elapsed time and
-   measurement-data size.  A [faults] plan degrades the ScalAna run the
-   same way the pipeline does (bounded retry with fresh draws); the
-   baseline tools run clean so overhead stays an apples-to-apples
-   comparison. *)
-let tool_comparison ?(config = Config.default) ?(cost = Costmodel.default)
-    ?(net = Network.default) ?(faults = Faults.empty) ?(params = [])
-    (program : Ast.program) ~nprocs =
-  let base_cfg tools = Exec.config ~nprocs ~params ~cost ~net ~tools () in
+   measurement-data size. *)
+let tool_comparison ?(cost = Costmodel.default) (program : Ast.program)
+    ~nprocs =
+  let base_cfg tools = Exec.config ~nprocs ~cost ~tools () in
   let bare = Exec.run ~cfg:(base_cfg []) program in
   let base = bare.Exec.elapsed in
   let pct elapsed =
     if base > 0.0 then 100.0 *. (elapsed -. base) /. base else 0.0
   in
   let scalana =
-    let static = Static.analyze ~max_loop_depth:config.Config.max_loop_depth program in
-    let r =
-      Prof.run_with_retry ~retries:config.Config.max_run_retries ~config
-        ~cost ~net ~faults ~params static ~nprocs ()
-    in
+    let r = Prof.run ~cost (Static.analyze program) ~nprocs () in
     {
       tool = Scalana_tool;
       nprocs;
@@ -75,7 +67,7 @@ let tool_comparison ?(config = Config.default) ?(cost = Costmodel.default)
   [ tracing; callpath; scalana ]
 
 (* Mean overhead of each tool across several scales (Fig. 10's bars). *)
-let mean_overhead ?config ?cost ?net ?faults ?params program ~scales =
+let mean_overhead ?cost program ~scales =
   let by_tool = Hashtbl.create 4 in
   List.iter
     (fun nprocs ->
@@ -83,7 +75,7 @@ let mean_overhead ?config ?cost ?net ?faults ?params program ~scales =
         (fun m ->
           let l = try Hashtbl.find by_tool m.tool with Not_found -> [] in
           Hashtbl.replace by_tool m.tool (m.overhead_pct :: l))
-        (tool_comparison ?config ?cost ?net ?faults ?params program ~nprocs))
+        (tool_comparison ?cost program ~nprocs))
     scales;
   List.map
     (fun tool ->
@@ -96,10 +88,9 @@ let mean_overhead ?config ?cost ?net ?faults ?params program ~scales =
     [ Tracing_tool; Callpath_tool; Scalana_tool ]
 
 (* Uninstrumented elapsed time of one run. *)
-let bare_elapsed ?(cost = Costmodel.default) ?(net = Network.default)
-    ?(params = []) (program : Ast.program) ~nprocs =
-  (Exec.run ~cfg:(Exec.config ~nprocs ~params ~cost ~net ()) program)
-    .Exec.elapsed
+let bare_elapsed ?(cost = Costmodel.default) ?(params = [])
+    (program : Ast.program) ~nprocs =
+  (Exec.run ~cfg:(Exec.config ~nprocs ~params ~cost ()) program).Exec.elapsed
 
 type speedup_row = {
   sp_nprocs : int;
@@ -112,17 +103,16 @@ type speedup_row = {
    paper's case studies, each variant is normalized to its own elapsed
    time at [baseline_np]; the improvement column compares elapsed times
    at each scale directly. *)
-let speedup ?(cost = Costmodel.default) ?(net = Network.default)
-    ?(params = []) ~(make : ?optimized:bool -> unit -> Ast.program)
-    ~baseline_np ~scales () =
+let speedup ?(cost = Costmodel.default)
+    ~(make : ?optimized:bool -> unit -> Ast.program) ~baseline_np ~scales () =
   let base_prog = make () in
   let opt_prog = make ~optimized:true () in
-  let tb1 = bare_elapsed ~cost ~net ~params base_prog ~nprocs:baseline_np in
-  let to1 = bare_elapsed ~cost ~net ~params opt_prog ~nprocs:baseline_np in
+  let tb1 = bare_elapsed ~cost base_prog ~nprocs:baseline_np in
+  let to1 = bare_elapsed ~cost opt_prog ~nprocs:baseline_np in
   List.map
     (fun nprocs ->
-      let tb = bare_elapsed ~cost ~net ~params base_prog ~nprocs in
-      let to_ = bare_elapsed ~cost ~net ~params opt_prog ~nprocs in
+      let tb = bare_elapsed ~cost base_prog ~nprocs in
+      let to_ = bare_elapsed ~cost opt_prog ~nprocs in
       {
         sp_nprocs = nprocs;
         base_speedup = tb1 /. tb;

@@ -18,26 +18,13 @@ type measurement = {
 }
 
 (** One run per tool at [nprocs], plus the bare run they are compared
-    against.  Returns tracing, call-path and ScalAna measurements.  A
-    [faults] plan degrades the ScalAna run (with bounded retry); the
-    baseline tools stay clean. *)
+    against.  Returns tracing, call-path and ScalAna measurements. *)
 val tool_comparison :
-  ?config:Config.t ->
-  ?cost:Costmodel.t ->
-  ?net:Network.t ->
-  ?faults:Faults.plan ->
-  ?params:(string * int) list ->
-  Ast.program ->
-  nprocs:int ->
-  measurement list
+  ?cost:Costmodel.t -> Ast.program -> nprocs:int -> measurement list
 
 (** Mean overhead of each tool across [scales] (Fig. 10's bars). *)
 val mean_overhead :
-  ?config:Config.t ->
   ?cost:Costmodel.t ->
-  ?net:Network.t ->
-  ?faults:Faults.plan ->
-  ?params:(string * int) list ->
   Ast.program ->
   scales:int list ->
   (tool_kind * float) list
@@ -45,7 +32,6 @@ val mean_overhead :
 (** Elapsed time of one uninstrumented run. *)
 val bare_elapsed :
   ?cost:Costmodel.t ->
-  ?net:Network.t ->
   ?params:(string * int) list ->
   Ast.program ->
   nprocs:int ->
@@ -60,8 +46,6 @@ type speedup_row = {
 
 val speedup :
   ?cost:Costmodel.t ->
-  ?net:Network.t ->
-  ?params:(string * int) list ->
   make:(?optimized:bool -> unit -> Ast.program) ->
   baseline_np:int ->
   scales:int list ->

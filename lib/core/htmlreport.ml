@@ -381,7 +381,7 @@ let render (pipe : Pipeline.t) =
         table
           [
             "recovery at iter"; "left"; "joined"; "detect"; "agree";
-            "repartition"; Waitstate.class_name Waitstate.Recovery_stall;
+            "repartition"; "recovery-stall";
           ]
           (fun (r : E.recovery) ->
             let stall =

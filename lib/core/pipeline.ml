@@ -47,8 +47,7 @@ type t = {
    refined graph, which the earliest stored run may not have.  The shared
    static artifact is not mutated: no refinement splicing, no poison. *)
 let rank_timeline ?(config = Config.default) ?(cost = Costmodel.default)
-    ?(net = Network.default) ?(inject = Inject.empty) ?(params = [])
-    (static : Static.t) ~nprocs =
+    ?(inject = Inject.empty) (static : Static.t) ~nprocs =
   Scalana_obs.Obs.with_span
     ~args:[ ("nprocs", string_of_int nprocs) ]
     "pipeline.rank_timeline"
@@ -62,7 +61,7 @@ let rank_timeline ?(config = Config.default) ?(cost = Costmodel.default)
     Scalana_profile.Timeline.create ~index:static.Static.index ~nprocs ()
   in
   let cfg =
-    Exec.config ~nprocs ~params ~cost ~net ~inject
+    Exec.config ~nprocs ~cost ~inject
       ~tools:
         [
           Scalana_profile.Profiler.tool profiler;
@@ -258,9 +257,9 @@ let runs_independent ~inject (program : Ast.program) =
   Inject.is_empty inject && not (Ast.has_icalls program)
 
 let run ?(config = Config.default) ?(cost = Costmodel.default)
-    ?(net = Network.default) ?(inject = Inject.empty)
-    ?(faults = Faults.empty) ?(params = []) ?(scales = [ 4; 8; 16; 32 ])
-    ?(timeline = false) ?elastic (program : Ast.program) =
+    ?(inject = Inject.empty) ?(faults = Faults.empty)
+    ?(scales = [ 4; 8; 16; 32 ]) ?(timeline = false) ?elastic
+    (program : Ast.program) =
   Scalana_obs.Obs.with_span
     ~args:[ ("program", program.Ast.pname) ]
     "pipeline.run"
@@ -277,7 +276,7 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
       let largest = List.fold_left max 0 kept_scales in
       let profile ?extra_tools nprocs =
         Prof.run_with_retry ~retries:config.Config.max_run_retries ~config
-          ~cost ~net ~inject ~faults ~params ?extra_tools static ~nprocs ()
+          ~cost ~inject ~faults ?extra_tools static ~nprocs ()
       in
       let one nprocs =
         match elastic with
@@ -285,8 +284,7 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
             (* an elastic session replaces the single fixed run;
                faults/injection act within each epoch's own draws *)
             ( nprocs,
-              Prof.run_elastic ~config ~cost ~net ~params ~plan static
-                ~nprocs (),
+              Prof.run_elastic ~config ~cost ~plan static ~nprocs (),
               None )
         | None when timeline && nprocs = largest ->
             (* the timeline is recorded in the largest scale's own
@@ -320,8 +318,7 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
         | Some _ when timeline && kept_scales <> [] ->
             (* no single run spans an elastic scale: replay it *)
             Some
-              (rank_timeline ~config ~cost ~net ~inject ~params static
-                 ~nprocs:largest)
+              (rank_timeline ~config ~cost ~inject static ~nprocs:largest)
         | Some _ -> None
         | None -> List.find_map (fun (_, _, tl) -> tl) profiled
       in
@@ -337,14 +334,12 @@ let ppg_storage_bytes t =
     (fun acc (_, ppg) -> acc + Ppg.storage_bytes ppg)
     0 t.crossscale.Crossscale.runs
 
-(* The session summarised for cross-session diffing: per-vertex slopes,
-   times, waits and coverage, self-contained (no session access needed
-   to compare two of them).  [strategy] defaults to the detector's
-   default aggregation. *)
-let diff_summary ?label ?strategy t =
-  Diff.summarize ?label ?strategy ~psg:(Static.psg t.static)
-    ~crossscale:t.crossscale ~quality:t.quality
-    ?waitstate:t.analysis.Rootcause.waitstate
+(* The session summarised for cross-session diffing: the detector's
+   per-vertex slopes, plus times, waits and coverage, self-contained (no
+   session access needed to compare two of them). *)
+let diff_summary ?label t =
+  Diff.summarize ?label ~psg:(Static.psg t.static) ~crossscale:t.crossscale
+    ~analysis:t.analysis ~quality:t.quality
     ~program:t.static.Static.program.Ast.pname ()
 
 (* One commit-stamped ledger row for this detect run: the top-k

@@ -55,9 +55,7 @@ type t = {
 val rank_timeline :
   ?config:Config.t ->
   ?cost:Costmodel.t ->
-  ?net:Network.t ->
   ?inject:Inject.t ->
-  ?params:(string * int) list ->
   Static.t ->
   nprocs:int ->
   Scalana_profile.Timeline.t
@@ -113,10 +111,8 @@ val detect_session :
 val run :
   ?config:Config.t ->
   ?cost:Costmodel.t ->
-  ?net:Network.t ->
   ?inject:Inject.t ->
   ?faults:Faults.plan ->
-  ?params:(string * int) list ->
   ?scales:int list ->
   ?timeline:bool ->
   ?elastic:Elastic.plan ->
@@ -131,12 +127,11 @@ val degraded : t -> bool
 val ppg_storage_bytes : t -> int
 
 (** The analysed session summarised for cross-session diffing
-    ({!Scalana_detect.Diff}): per-vertex slopes recomputed for every
-    touched vertex, plus times, waits and coverage — self-contained,
-    so two summaries compare without re-opening the sessions.
-    [strategy] defaults to the detector's default aggregation. *)
-val diff_summary :
-  ?label:string -> ?strategy:Aggregate.strategy -> t -> Diff.summary
+    ({!Scalana_detect.Diff}): the detector's slope for every touched
+    vertex (read from [analysis], not fitted again), plus times, waits
+    and coverage — self-contained, so two summaries compare without
+    re-opening the sessions. *)
+val diff_summary : ?label:string -> t -> Diff.summary
 
 (** One commit-stamped ledger row for this detect run: label, scales,
     the top-k non-scalable slopes (keyed as {!Scalana_detect.Diff}

@@ -73,8 +73,7 @@ let apply_poison armed (data : Profdata.t) =
       data.Profdata.rows
 
 let run ?(config = Config.default) ?(cost = Costmodel.default)
-    ?(net = Network.default) ?(inject = Inject.empty)
-    ?(faults = Faults.empty) ?(attempt = 1) ?(params = [])
+    ?(inject = Inject.empty) ?(faults = Faults.empty) ?(attempt = 1)
     ?(measure_overhead = false) ?(extra_tools = []) (static : Static.t)
     ~nprocs () =
   Scalana_obs.Obs.with_span
@@ -89,7 +88,7 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
       ~index:static.Static.index ~nprocs ()
   in
   let mk_cfg ~faults tools =
-    Exec.config ~nprocs ~params ~cost ~net ~inject ~faults ~tools ()
+    Exec.config ~nprocs ~cost ~inject ~faults ~tools ()
   in
   let baseline_elapsed =
     if measure_overhead then begin
@@ -135,14 +134,13 @@ let backoff_base = 0.05
 
 let backoff_delay ~attempt = backoff_base *. (2.0 ** float_of_int (attempt - 1))
 
-let run_with_retry ?(retries = 0) ?config ?cost ?net ?inject
-    ?(faults = Faults.empty) ?params ?measure_overhead
-    ?(extra_tools = fun ~attempt:_ -> []) static ~nprocs () =
+let run_with_retry ?(retries = 0) ?config ?cost ?inject
+    ?(faults = Faults.empty) ?(extra_tools = fun ~attempt:_ -> []) static
+    ~nprocs () =
   let rec go ~delays attempt =
     let r =
-      run ?config ?cost ?net ?inject ~faults ~attempt ?params
-        ?measure_overhead ~extra_tools:(extra_tools ~attempt) static ~nprocs
-        ()
+      run ?config ?cost ?inject ~faults ~attempt
+        ~extra_tools:(extra_tools ~attempt) static ~nprocs ()
     in
     if degraded r && attempt <= retries then begin
       Scalana_obs.Obs.Metrics.incr "prof.retries";
@@ -164,8 +162,7 @@ let run_with_retry ?(retries = 0) ?config ?cost ?net ?inject
    ranks surface as [killed_ranks], so the session is {!degraded} and
    the standard exit-code/data-quality paths apply unchanged. *)
 let run_elastic ?(config = Config.default) ?(cost = Costmodel.default)
-    ?(net = Network.default) ?(params = []) ~(plan : Elastic.plan)
-    (static : Static.t) ~nprocs () =
+    ~(plan : Elastic.plan) (static : Static.t) ~nprocs () =
   Scalana_obs.Obs.with_span
     ~args:[ ("nprocs", string_of_int nprocs) ]
     "prof.run_elastic"
@@ -190,7 +187,7 @@ let run_elastic ?(config = Config.default) ?(cost = Costmodel.default)
           |> List.map (fun g -> (g, gfinish.(g)))
         in
         let r =
-          Elastic.recover plan ~cost ~net ~nprocs ~iter:e.Elastic.e_lo
+          Elastic.recover plan ~cost ~nprocs ~iter:e.Elastic.e_lo
             ~left:e.Elastic.e_left ~joined:e.Elastic.e_joined
             ~members:e.Elastic.e_members ~finish
         in
@@ -219,12 +216,13 @@ let run_elastic ?(config = Config.default) ?(cost = Costmodel.default)
         }
       in
       let eparams =
-        (plan.Elastic.lo_param, e.Elastic.e_lo)
-        :: (plan.Elastic.hi_param, e.Elastic.e_hi)
-        :: params
+        [
+          (plan.Elastic.lo_param, e.Elastic.e_lo);
+          (plan.Elastic.hi_param, e.Elastic.e_hi);
+        ]
       in
       let cfg =
-        Exec.config ~nprocs:enp ~params:eparams ~cost:ecost ~net
+        Exec.config ~nprocs:enp ~params:eparams ~cost:ecost
           ~tools:[ Profiler.tool profiler ] ~clock0:!clock ()
       in
       let result = Exec.run ~cfg static.Static.program in

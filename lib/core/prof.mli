@@ -36,11 +36,9 @@ val apply_refinements : Static.t -> Profdata.t -> unit
 val run :
   ?config:Config.t ->
   ?cost:Costmodel.t ->
-  ?net:Network.t ->
   ?inject:Inject.t ->
   ?faults:Faults.plan ->
   ?attempt:int ->
-  ?params:(string * int) list ->
   ?measure_overhead:bool ->
   ?extra_tools:Instrument.t list ->
   Static.t ->
@@ -64,11 +62,8 @@ val run_with_retry :
   ?retries:int ->
   ?config:Config.t ->
   ?cost:Costmodel.t ->
-  ?net:Network.t ->
   ?inject:Inject.t ->
   ?faults:Faults.plan ->
-  ?params:(string * int) list ->
-  ?measure_overhead:bool ->
   ?extra_tools:(attempt:int -> Instrument.t list) ->
   Static.t ->
   nprocs:int ->
@@ -88,8 +83,6 @@ val run_with_retry :
 val run_elastic :
   ?config:Config.t ->
   ?cost:Costmodel.t ->
-  ?net:Network.t ->
-  ?params:(string * int) list ->
   plan:Elastic.plan ->
   Static.t ->
   nprocs:int ->

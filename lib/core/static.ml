@@ -50,6 +50,9 @@ let annotate_predictions (cc : Commcost.t) (psg : Psg.t) =
 
 let analyze ?(max_loop_depth = Contract.default_max_loop_depth) ?pool
     (program : Ast.program) =
+  if max_loop_depth < 0 then
+    Fmt.invalid_arg "Static.analyze: max_loop_depth %d: must be >= 0"
+      max_loop_depth;
   (match Validate.run program with
   | Ok () -> ()
   | Error errs ->

@@ -20,8 +20,9 @@ type t = {
 (** The contracted PSG (refined in place by {!Prof.run}). *)
 val psg : t -> Psg.t
 
-(** Raises [Invalid_argument] when the program does not validate.  With
-    [pool], the per-function local-PSG builds run in parallel. *)
+(** Raises [Invalid_argument] when the program does not validate or
+    [max_loop_depth] is negative.  With [pool], the per-function
+    local-PSG builds run in parallel. *)
 val analyze : ?max_loop_depth:int -> ?pool:Pool.t -> Ast.program -> t
 
 (** The base "compilation": parse + validate + [passes] iterations of the

@@ -51,7 +51,8 @@ let rank_annotation (pipeline : Pipeline.t) ~nprocs =
         ^ (if List.mem rank left then " [left]" else "")
         ^ if List.mem rank joined then " [joined]" else ""
 
-let show_timeline ?(width = 64) (pipeline : Pipeline.t) =
+let show_timeline (pipeline : Pipeline.t) =
+  let width = 64 in
   match pipeline.Pipeline.timeline with
   | None ->
       "no timeline captured (run with --wait-states or ~timeline:true)\n"

@@ -3,10 +3,10 @@
 
 val show : ?snippet_context:int -> Pipeline.t -> string
 
-(** ASCII per-rank timeline ([width] columns over the run, default 64):
-    '=' compute, 'M' MPI, 'w' MPI wait, with per-rank blocked totals.
-    Explains itself when the pipeline carried no timeline. *)
-val show_timeline : ?width:int -> Pipeline.t -> string
+(** ASCII per-rank timeline (64 columns over the run): '=' compute, 'M'
+    MPI, 'w' MPI wait, with per-rank blocked totals.  Explains itself
+    when the pipeline carried no timeline. *)
+val show_timeline : Pipeline.t -> string
 
 (** One line per cause, for logs and assertions. *)
 val summary : Pipeline.t -> string list

@@ -31,7 +31,7 @@ let check_thd ~what thd =
 
 (* One vertex, scanned in place over its row: no per-vertex array
    materializes unless the vertex is actually reported on. *)
-let detect_vertex ?(config = default_config) ppg ~vertex =
+let detect_vertex ~config ppg ~vertex =
   match Ppg.times ppg ~vertex with
   | None -> None  (* untouched everywhere: an all-zero row, never abnormal *)
   | Some row ->

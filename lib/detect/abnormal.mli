@@ -20,8 +20,5 @@ val default_config : config
     with it. *)
 val check_thd : what:string -> float -> unit
 
-val detect_vertex :
-  ?config:config -> Scalana_ppg.Ppg.t -> vertex:int -> finding option
-
 val detect : ?config:config -> Scalana_ppg.Ppg.t -> finding list
 val pp_finding : Scalana_psg.Psg.t -> finding Fmt.t

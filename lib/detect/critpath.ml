@@ -50,12 +50,15 @@ let wait_of (ev : Tracer.event) =
   | Tracer.Mpi_event { wait; _ } -> wait
   | Tracer.Comp_region _ -> 0.0
 
+(* The smallest wait treated as a binding remote dependence. *)
+let hop_epsilon = 1e-4
+
 (* Walk backwards from the event finishing last: at a receive-like event
    that waited, the chain crosses to the sender (the matched peer active
    at that moment); otherwise it continues to the rank's previous event.
    Peers are identified by (rank, location); we jump to the peer's last
    event at that location finishing before our end time. *)
-let analyze ?(hop_epsilon = 1e-4) (events : Tracer.event list) =
+let analyze (events : Tracer.event list) =
   let by_rank = per_rank_events events in
   let arr_of rank = List.assoc_opt rank by_rank in
   let last_event =

@@ -21,8 +21,7 @@ type t = {
   by_location : (string * float) list;  (** aggregated, largest first *)
 }
 
-(** [hop_epsilon] (default 0.1 ms) is the smallest wait treated as a
-    binding remote dependence. *)
-val analyze : ?hop_epsilon:float -> Scalana_baselines.Tracer.event list -> t
+(** A wait above 0.1 ms is a binding remote dependence. *)
+val analyze : Scalana_baselines.Tracer.event list -> t
 val top : ?n:int -> t -> (string * float) list
 val pp : t Fmt.t

@@ -27,10 +27,9 @@ type t = {
 
 (* Slopes are exponents of p; a quarter of a doubling step separates
    O(1) from O(sqrt p) comfortably while absorbing fit noise. *)
-let default_tolerance = 0.25
+let tolerance = 0.25
 
-let run ?(tolerance = default_tolerance) ~psg ~program ~scales
-    (findings : Nonscalable.finding list) =
+let run ~psg ~program ~scales (findings : Nonscalable.finding list) =
   let exact, series = Commcost.model_series program ~scales in
   let slope_at func loc =
     List.find_opt

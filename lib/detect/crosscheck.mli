@@ -21,16 +21,13 @@ type t = {
       (** the model walks resolved all rank arithmetic; approximate
           models still cross-check but say so *)
   cx_tolerance : float;
+      (** |model − measured| bound for agreement, in slope units (0.25) *)
   cx_verdicts : verdict list;  (** in finding order *)
 }
-
-(** |model − measured| bound for agreement, in slope units. *)
-val default_tolerance : float
 
 (** One verdict per non-scalable finding whose vertex carries a static
     prediction ({!Scalana_psg.Psg.static_pred}). *)
 val run :
-  ?tolerance:float ->
   psg:Scalana_psg.Psg.t ->
   program:Scalana_mlang.Ast.program ->
   scales:int list ->

@@ -6,12 +6,12 @@
    a key present on one side only becomes `new` / `gone` instead of an
    error, which is what makes diffing across code changes useful.
 
-   The per-vertex slope is recomputed here for every touched vertex
-   by the detector's own computation ([Nonscalable.evidence]: same
-   aggregation strategy, same effective-scale axis), not just for the
-   top-k findings: a regression
-   is most interesting precisely when a vertex that used to be below
-   the reporting threshold climbs over it. *)
+   The per-vertex slope is the detector's evidence, read back from the
+   analysis ([Rootcause.analysis.evidence]: one series and fit per
+   touched vertex, made once by [Nonscalable.detect_result]), not just
+   the top-k findings: a regression is most interesting precisely when
+   a vertex that used to be below the reporting threshold climbs over
+   it. *)
 
 open Scalana_ppg
 module Obs = Scalana_obs.Obs
@@ -54,16 +54,14 @@ type summary = {
   s_vertices : (key * vstat) list;
 }
 
-let summarize ?(label = "") ?(strategy = Aggregate.Mean) ~psg ~crossscale
-    ~quality ?waitstate ~program () =
+let summarize ?(label = "") ~psg ~crossscale ~(analysis : Rootcause.analysis)
+    ~quality ~program () =
   Obs.with_span "diff.summarize" ~args:[ ("program", program) ] @@ fun () ->
   let cs = crossscale in
   let _, largest_ppg = Crossscale.largest cs in
   let total = Ppg.total_time largest_ppg in
-  let eval vertex =
-    let ({ fit; at_largest; _ } : Nonscalable.evidence) =
-      Nonscalable.evidence strategy cs ~vertex
-    in
+  let waitstate = analysis.Rootcause.waitstate in
+  let eval vertex ({ fit; at_largest; _ } : Nonscalable.evidence) =
     let wait_mix =
       match waitstate with
       | None -> []
@@ -84,8 +82,8 @@ let summarize ?(label = "") ?(strategy = Aggregate.Mean) ~psg ~crossscale
   in
   let vertices =
     List.map
-      (fun vid -> (key_of_vertex psg vid, eval vid))
-      (Crossscale.touched_vertices cs)
+      (fun (vid, ev) -> (key_of_vertex psg vid, eval vid ev))
+      analysis.Rootcause.evidence
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   Obs.Metrics.incr ~by:(List.length vertices) "diff.vertices_summarized";

@@ -6,12 +6,13 @@
     may differ between sessions) and classifying each aligned pair's
     slope / time / wait deltas against configurable thresholds.
 
-    A {!summary} is the self-contained per-session half: it recomputes
-    the log-log slope for {e every} touched vertex (not just the top-k
-    findings), so two summaries can be compared without access to the
-    original sessions.  [scalana-diff] builds one per session and calls
-    {!compare_summaries}; the exit-code convention mirrors the rest of
-    the CLI: 0 clean, 1 regression, 2 degraded input. *)
+    A {!summary} is the self-contained per-session half: it reads the
+    detector's evidence, the log-log slope of {e every} touched vertex
+    (not just the top-k findings), so two summaries can be compared
+    without access to the original sessions.  [scalana-diff] builds one
+    per session and calls {!compare_summaries}; the exit-code
+    convention mirrors the rest of the CLI: 0 clean, 1 regression, 2
+    degraded input. *)
 
 (** Structural identity of a vertex across sessions. *)
 type key = {
@@ -50,16 +51,16 @@ type summary = {
   s_vertices : (key * vstat) list;  (** sorted by key *)
 }
 
-(** Build a summary from an analysed session.  Slopes are recomputed
-    with the same aggregation strategy and effective-scale axis the
-    detector uses, for every touched vertex. *)
+(** Build a summary from an analysed session.  Slopes and times are
+    [analysis]'s evidence ({!Rootcause.analysis.evidence}), the fits the
+    detector made, so nothing is fitted again; wait mixes come from its
+    wait-state replay, when one ran. *)
 val summarize :
   ?label:string ->
-  ?strategy:Aggregate.strategy ->
   psg:Scalana_psg.Psg.t ->
   crossscale:Scalana_ppg.Crossscale.t ->
+  analysis:Rootcause.analysis ->
   quality:Quality.t ->
-  ?waitstate:Waitstate.t ->
   program:string ->
   unit ->
   summary

@@ -42,6 +42,7 @@ type result = {
   findings : finding list;  (* ranked, as before *)
   insufficient : insufficient list;
   quarantined_values : int;  (* total poisoned values dropped *)
+  evidence : (int * evidence) list;  (* every touched vertex, ascending *)
 }
 
 type config = {
@@ -61,14 +62,14 @@ let default_config =
     min_points = 3;
   }
 
-(* One vertex's scaling evidence, computed the same way by the detector
-   and by Diff: its [strategy]-merged time at every scale, scanned in
-   place over the vertex's row (no per-(vertex, scale) array
-   materializes); the log-log fit of that series against *effective*
-   scales (an elastic run's time-weighted mean membership replaces the
-   nominal count on the P axis; for a fixed-membership run the two
-   coincide bit for bit); and its clean time summed across ranks at the
-   largest scale. *)
+(* One vertex's scaling evidence, computed once per touched vertex by
+   the detector and read back by Diff: its [strategy]-merged time at
+   every scale, scanned in place over the vertex's row (no
+   per-(vertex, scale) array materializes); the log-log fit of that
+   series against *effective* scales (an elastic run's time-weighted
+   mean membership replaces the nominal count on the P axis; for a
+   fixed-membership run the two coincide bit for bit); and its clean
+   time summed across ranks at the largest scale. *)
 let evidence strategy (cs : Crossscale.t) ~vertex =
   let series =
     List.map
@@ -109,28 +110,26 @@ let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
           | None -> acc)
         0 cs.Crossscale.runs
     in
-    let ({ series; fit; at_largest } : evidence) =
+    let ({ series; fit; at_largest } as ev : evidence) =
       evidence config.strategy cs ~vertex
     in
     let fraction = if total > 0.0 then at_largest /. total else 0.0 in
-    if fraction < config.min_fraction then (None, None, dropped)
-    else begin
-      if dropped > 0 && fit.Loglog.n < config.min_points then
+    let finding, insufficient =
+      if fraction < config.min_fraction then (None, None)
+      else if dropped > 0 && fit.Loglog.n < config.min_points then
         ( None,
           Some
             {
               ins_vertex = vertex;
               clean_points = fit.Loglog.n;
               dropped_values = dropped;
-            },
-          dropped )
-      else if fit.Loglog.n < 2 then (None, None, dropped)
-      else begin
+            } )
+      else if fit.Loglog.n < 2 then (None, None)
+      else
         let score = fit.slope -. Loglog.ideal_strong_scaling_slope in
-        (Some { vertex; slope = fit.slope; score; fraction; fit; series },
-         None, dropped)
-      end
-    end
+        (Some { vertex; slope = fit.slope; score; fraction; fit; series }, None)
+    in
+    (finding, insufficient, dropped, (vertex, ev))
   in
   let touched = Crossscale.touched_vertices cs in
   (* the per-vertex aggregate+fit loop is the detection hot spot; its own
@@ -141,10 +140,10 @@ let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
       "loglog.fit_batch"
       (fun () -> Scalana_pool.Pool.parallel_map ?pool eval touched)
   in
-  let findings = List.filter_map (fun (f, _, _) -> f) evaluated in
-  let insufficient = List.filter_map (fun (_, i, _) -> i) evaluated in
+  let findings = List.filter_map (fun (f, _, _, _) -> f) evaluated in
+  let insufficient = List.filter_map (fun (_, i, _, _) -> i) evaluated in
   let quarantined_values =
-    List.fold_left (fun acc (_, _, d) -> acc + d) 0 evaluated
+    List.fold_left (fun acc (_, _, d, _) -> acc + d) 0 evaluated
   in
   let ranked =
     List.sort (fun a b -> compare b.score a.score) findings
@@ -155,9 +154,14 @@ let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
     | _ when n = 0 -> []
     | x :: rest -> x :: take (n - 1) rest
   in
-  { findings = take config.top_k ranked; insufficient; quarantined_values }
+  {
+    findings = take config.top_k ranked;
+    insufficient;
+    quarantined_values;
+    evidence = List.map (fun (_, _, _, e) -> e) evaluated;
+  }
 
-let detect ?config ?pool cs = (detect_result ?config ?pool cs).findings
+let detect ?config cs = (detect_result ?config cs).findings
 
 let pp_finding psg ppf f =
   let v = Scalana_psg.Psg.vertex psg f.vertex in

@@ -33,6 +33,9 @@ type result = {
   findings : finding list;  (** ranked, as before *)
   insufficient : insufficient list;
   quarantined_values : int;  (** total poisoned values dropped *)
+  evidence : (int * evidence) list;
+      (** every touched vertex's evidence, by ascending vertex id: the
+          one fit per vertex that {!Diff.summarize} reads back *)
 }
 
 type config = {
@@ -47,8 +50,8 @@ type config = {
 
 val default_config : config
 
-(** The evidence for [vertex] under [strategy] — the one computation
-    behind both the detector's verdicts and {!Diff.summarize}. *)
+(** The evidence for [vertex] under [strategy]: the one computation
+    behind the detector's verdicts, kept in {!result.evidence}. *)
 val evidence :
   Aggregate.strategy -> Scalana_ppg.Crossscale.t -> vertex:int -> evidence
 
@@ -61,11 +64,7 @@ val detect_result :
   result
 
 (** Just the ranked findings of {!detect_result}. *)
-val detect :
-  ?config:config ->
-  ?pool:Scalana_pool.Pool.t ->
-  Scalana_ppg.Crossscale.t ->
-  finding list
+val detect : ?config:config -> Scalana_ppg.Crossscale.t -> finding list
 
 val pp_finding : Scalana_psg.Psg.t -> finding Fmt.t
 val pp_insufficient : Scalana_psg.Psg.t -> insufficient Fmt.t

@@ -124,9 +124,9 @@ let pp_waitstate ~psg ?ppg (analysis : Rootcause.analysis) ppf
 
 (* Membership timeline and recovery costs of an elastic session;
    rendered only when the pipeline attached elastic summaries (the
-   --elastic flag), so default reports are untouched.  Recovery stalls
-   are attributed in the wait-state taxonomy's vocabulary: the
-   [recovery-stall] class, blamed on the ranks that left or joined. *)
+   --elastic flag), so default reports are untouched.  Each recovery's
+   stall line sums the survivors' stalls and blames the ranks that left
+   or joined. *)
 let pp_elastic ppf (elastic : (int * Scalana_runtime.Elastic.info) list) =
   let module E = Scalana_runtime.Elastic in
   let ranks = function
@@ -160,8 +160,8 @@ let pp_elastic ppf (elastic : (int * Scalana_runtime.Elastic.info) list) =
           let total =
             List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.E.r_stalls
           in
-          Fmt.pf ppf "    %s  %.6fs across %d survivor%s  blames ranks %s@."
-            (Waitstate.class_name Waitstate.Recovery_stall)
+          Fmt.pf ppf
+            "    recovery-stall  %.6fs across %d survivor%s  blames ranks %s@."
             total
             (List.length r.E.r_stalls)
             (if List.length r.E.r_stalls = 1 then "" else "s")

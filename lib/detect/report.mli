@@ -1,14 +1,6 @@
 (** Textual root-cause report: ranked causes with calling paths and
     source snippets (the viewer of Fig. 9 rendered for a terminal). *)
 
-val pp_cause :
-  psg:Scalana_psg.Psg.t ->
-  ?program:Scalana_mlang.Ast.program ->
-  ?crosscheck:Crosscheck.t ->
-  Format.formatter ->
-  int * Rootcause.cause ->
-  unit
-
 (** [predicted ~psg ~locs vid]: was vertex [vid] — or an enclosing
     structure — flagged at one of the static-lint locations [locs]? *)
 val predicted :

@@ -24,6 +24,8 @@ type analysis = {
   insufficient : Nonscalable.insufficient list;
       (* vertices too damaged by faults to rank *)
   quarantined_values : int;  (* poisoned per-rank values dropped *)
+  evidence : (int * Nonscalable.evidence) list;
+      (* every touched vertex's series and fit, ascending; Diff reads it *)
   paths : Backtrack.path list;
   causes : cause list;
   waitstate : Waitstate.t option;
@@ -192,6 +194,7 @@ let analyze ?(ns_config = Nonscalable.default_config)
     abnormal;
     insufficient = ns_result.Nonscalable.insufficient;
     quarantined_values = ns_result.Nonscalable.quarantined_values;
+    evidence = ns_result.Nonscalable.evidence;
     paths;
     causes;
     waitstate;

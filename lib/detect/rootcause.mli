@@ -22,6 +22,10 @@ type analysis = {
   insufficient : Nonscalable.insufficient list;
       (** vertices too damaged by faults to rank (degraded mode) *)
   quarantined_values : int;  (** poisoned per-rank values dropped *)
+  evidence : (int * Nonscalable.evidence) list;
+      (** every touched vertex's merged series and log-log fit, by
+          ascending vertex id ({!Nonscalable.result.evidence}); the
+          source {!Diff.summarize} reads *)
   paths : Backtrack.path list;
   causes : cause list;  (** ranked: paths, time, imbalance *)
   waitstate : Waitstate.t option;

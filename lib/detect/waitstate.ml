@@ -14,20 +14,14 @@
 
 open Scalana_profile
 
-type clazz =
-  | Late_sender
-  | Late_receiver
-  | Collective_imbalance
-  | Recovery_stall
+type clazz = Late_sender | Late_receiver | Collective_imbalance
 
 let class_name = function
   | Late_sender -> "late-sender"
   | Late_receiver -> "late-receiver"
   | Collective_imbalance -> "collective-imbalance"
-  | Recovery_stall -> "recovery-stall"
 
-let all_classes =
-  [ Late_sender; Late_receiver; Collective_imbalance; Recovery_stall ]
+let all_classes = [ Late_sender; Late_receiver; Collective_imbalance ]
 
 type entry = {
   ws_vertex : int option;
@@ -47,12 +41,13 @@ type t = {
   truncated : int;
 }
 
-let default_epsilon = 20.0e-6
+(* Slack below which a peer's post time is not considered late. *)
+let epsilon = 20.0e-6
 
 (* Classify one blocked MPI interval: (class, blamed ranks).  The wait
    is split evenly across the blamed ranks in the culprit table (the
    class total is unaffected). *)
-let classify ~epsilon (iv : Timeline.interval) (m : Timeline.mpi_info) =
+let classify (iv : Timeline.interval) (m : Timeline.mpi_info) =
   match m.coll with
   | Some c -> (Collective_imbalance, [ c.coll_last_rank ])
   | None -> (
@@ -74,7 +69,7 @@ let classify ~epsilon (iv : Timeline.interval) (m : Timeline.mpi_info) =
           in
           (Late_receiver, blamed))
 
-let analyze ?(epsilon = default_epsilon) (tl : Timeline.t) =
+let analyze (tl : Timeline.t) =
   let acc : (int option * clazz, float ref * int ref * (int, float) Hashtbl.t)
       Hashtbl.t =
     Hashtbl.create 32
@@ -87,7 +82,7 @@ let analyze ?(epsilon = default_epsilon) (tl : Timeline.t) =
       | Timeline.Compute _ -> ()
       | Timeline.Mpi m when m.wait <= 0.0 -> ()
       | Timeline.Mpi m ->
-          let cls, blamed = classify ~epsilon iv m in
+          let cls, blamed = classify iv m in
           let time, ops, culprits =
             match Hashtbl.find_opt acc (iv.iv_vertex, cls) with
             | Some cell -> cell
@@ -136,9 +131,6 @@ let analyze ?(epsilon = default_epsilon) (tl : Timeline.t) =
       (fun cls ->
         (cls, Option.value ~default:0.0 (Hashtbl.find_opt class_total cls)))
       all_classes
-    (* recovery stalls come from the elastic protocol, not from replayed
-       MPI intervals; keep the line out of non-elastic breakdowns *)
-    |> List.filter (fun (cls, total) -> cls <> Recovery_stall || total > 0.0)
   in
   let rank_blocked = Array.copy tl.Timeline.blocked in
   let blocked_sum = Array.fold_left ( +. ) 0.0 rank_blocked in

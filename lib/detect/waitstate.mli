@@ -13,12 +13,7 @@
       its destinations not being ready; the blame stays with the
       blocked rank resp. the send destinations;
     - {e collective imbalance} — a collective blocked waiting for the
-      last arriving rank, which takes the blame;
-    - {e recovery stall} — a survivor of an elastic membership change
-      stalled in the recovery protocol (failure detection, agreement,
-      state repartitioning); the blame goes to the ranks that left or
-      joined.  Produced by the elastic layer, never by timeline replay,
-      so it is absent from non-elastic breakdowns.
+      last arriving rank, which takes the blame.
 
     Attribution is exact with respect to the recorded intervals: each
     blocked interval's whole wait is assigned to exactly one class.
@@ -29,11 +24,7 @@
 
 open Scalana_profile
 
-type clazz =
-  | Late_sender
-  | Late_receiver
-  | Collective_imbalance
-  | Recovery_stall
+type clazz = Late_sender | Late_receiver | Collective_imbalance
 
 val class_name : clazz -> string
 
@@ -50,20 +41,18 @@ type entry = {
 type t = {
   ws_nprocs : int;
   entries : entry list;  (** sorted by [ws_time] descending *)
-  class_totals : (clazz * float) list;
-      (** fixed order; [Recovery_stall] only when it has time *)
+  class_totals : (clazz * float) list;  (** every class, fixed order *)
   rank_blocked : float array;  (** true blocked seconds (never truncated) *)
   rank_attributed : float array;
   unattributed : float;  (** blocked seconds with no surviving interval *)
   truncated : int;  (** timeline events lost to the recorder cap *)
 }
 
-(** [analyze timeline] replays the timeline's MPI intervals.
-    [epsilon] (default [20e-6]) is the slack below which a peer's post
-    time is not considered late.  When {!Scalana_obs.Obs} collection is
-    enabled, emits [waitstate.<class>] op counters and
-    [waitstate.<class>_seconds] gauges. *)
-val analyze : ?epsilon:float -> Timeline.t -> t
+(** [analyze timeline] replays the timeline's MPI intervals.  A peer's
+    post within 20 µs of the op's start is not late.  When
+    {!Scalana_obs.Obs} collection is enabled, emits [waitstate.<class>]
+    op counters and [waitstate.<class>_seconds] gauges. *)
+val analyze : Timeline.t -> t
 
 (** Attributed / blocked, in [0, 1]; [1.0] when nothing was blocked. *)
 val attributed_fraction : t -> float

@@ -166,5 +166,5 @@ let has_icalls program =
     (fun acc s -> acc || match s.node with Icall _ -> true | _ -> false)
     false program
 
-let workload ?label ?(ints = Expr.Int 0) ?(locality = 0.9) ~flops ~mem () =
-  { label; flops; mem; ints; locality }
+let workload ?label ?(locality = 0.9) ~flops ~mem () =
+  { label; flops; mem; ints = Expr.Int 0; locality }

@@ -92,9 +92,9 @@ val line_count : program -> int
     different scales are order-dependent and must stay sequential. *)
 val has_icalls : program -> bool
 
+(** A workload with [ints = 0]; [locality] defaults to 0.9. *)
 val workload :
   ?label:string ->
-  ?ints:Expr.t ->
   ?locality:float ->
   flops:Expr.t ->
   mem:Expr.t ->

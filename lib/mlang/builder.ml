@@ -29,8 +29,8 @@ let param b name value = b.params <- b.params @ [ (name, value) ]
 
 let stmt b node = { Ast.loc = fresh_loc b; node }
 
-let comp b ?label ?ints ?locality ~flops ~mem () =
-  stmt b (Ast.Comp (Ast.workload ?label ?ints ?locality ~flops ~mem ()))
+let comp b ?label ?locality ~flops ~mem () =
+  stmt b (Ast.Comp (Ast.workload ?label ?locality ~flops ~mem ()))
 
 let loop b ?label ~var ~count body =
   let loc = fresh_loc b in
@@ -149,12 +149,12 @@ let relocate (p : Ast.program) =
   List.iter (fun _ -> skip ()) p.params;
   { p with Ast.funcs = List.map func p.funcs }
 
-let program ?(main = "main") b =
+let program b =
   relocate
     {
       Ast.pname = b.pname;
       file = b.file;
       params = b.params;
       funcs = b.funcs;
-      main;
+      main = "main";
     }

@@ -11,10 +11,10 @@ val create :
 (** Append a problem-size parameter with its default value. *)
 val param : t -> string -> int -> unit
 
+(** A computation block retiring no other instructions ([ints=0]). *)
 val comp :
   t ->
   ?label:string ->
-  ?ints:Expr.t ->
   ?locality:float ->
   flops:Expr.t ->
   mem:Expr.t ->
@@ -74,5 +74,5 @@ val allgather : t -> bytes:Expr.t -> Ast.stmt
 (** Register a function; body statements are created inside the thunk. *)
 val func : t -> ?params:string list -> string -> (unit -> Ast.stmt list) -> unit
 
-(** Finalize the program. [main] defaults to ["main"]. *)
-val program : ?main:string -> t -> Ast.program
+(** Finalize the program; its entry point is the function ["main"]. *)
+val program : t -> Ast.program

@@ -153,8 +153,11 @@ let dq_push dead q x =
 let msg_dead (m : message) = m.consumed
 let req_dead (r : request) = r.completed
 
+(* Every communicator prices its messages and collectives by the one
+   network model. *)
+let net = Network.default
+
 type t = {
-  net : Network.t;
   nprocs : int;
   unexpected : message dq array;  (* per destination, send order *)
   posted : request dq array;  (* per receiver, post order *)
@@ -179,9 +182,8 @@ and coll = {
   mutable waiters : int list;  (* blocked ranks, newest first *)
 }
 
-let create ~net ~nprocs =
+let create ~nprocs =
   {
-    net;
     nprocs;
     unexpected = Array.init nprocs (fun _ -> dq_create nil_message);
     posted = Array.init nprocs (fun _ -> dq_create nil_request);
@@ -217,7 +219,7 @@ let consume t (req : request) (msg : message) =
   else begin
     (* rendezvous: transfer starts when both sides are ready *)
     let start = Float.max req.post_time msg.send_time in
-    let arrival = start +. Network.transfer_time t.net msg.msg_bytes in
+    let arrival = start +. Network.transfer_time net msg.msg_bytes in
     msg.arrival <- arrival;
     let sreq = msg.sender_req in
     if sreq != nil_request && not sreq.completed then
@@ -238,7 +240,7 @@ let send t ~src ~dst ~tag ~bytes ~time ~loc ~cctx =
   t.msg_seq <- t.msg_seq + 1;
   t.messages_sent <- t.messages_sent + 1;
   t.bytes_sent <- t.bytes_sent +. float_of_int bytes;
-  let eager = Network.is_eager t.net bytes in
+  let eager = Network.is_eager net bytes in
   let msg =
     {
       msg_src = src;
@@ -249,7 +251,7 @@ let send t ~src ~dst ~tag ~bytes ~time ~loc ~cctx =
       send_seq = t.msg_seq;
       send_time = time;
       arrival =
-        (if eager then time +. Network.transfer_time t.net bytes else infinity);
+        (if eager then time +. Network.transfer_time net bytes else infinity);
       send_loc = loc;
       send_cctx = cctx;
       eager;
@@ -397,7 +399,7 @@ let coll_arrive t ~seq ~rank ~time ~kind ~bytes =
   if c.n_arrived = t.nprocs then begin
     c.start_time <- c.max_arrival;
     c.finish_time <-
-      c.max_arrival +. Network.collective_time t.net ~nprocs:t.nprocs ~bytes kind;
+      c.max_arrival +. Network.collective_time net ~nprocs:t.nprocs ~bytes kind;
     c.finished <- true;
     Hashtbl.remove t.colls seq
   end;

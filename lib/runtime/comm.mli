@@ -73,7 +73,6 @@ type 'a dq = {
 }
 
 type t = {
-  net : Network.t;
   nprocs : int;
   unexpected : message dq array;
   posted : request dq array;
@@ -100,7 +99,8 @@ and coll = {
       (** blocked ranks, newest first; owned by the scheduler *)
 }
 
-val create : net:Network.t -> nprocs:int -> t
+(** A communicator priced by {!Network.default}. *)
+val create : nprocs:int -> t
 
 (** Install the scheduler callback fired whenever a request completes. *)
 val set_on_complete : t -> (request -> unit) -> unit

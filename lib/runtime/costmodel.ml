@@ -25,14 +25,14 @@ let default =
   }
 
 (* Deterministic heterogeneity with a heavy tail: most cores carry a
-   small jitter, one core in sixteen serves memory [spread] slower (a
+   small jitter, one core in sixteen serves memory twice as slowly (a
    slow DIMM / far NUMA node).  Small jobs are likely to land on fast
    cores only, so the scaling loss grows with the process count — the
    Nekbone case's shape. *)
-let heterogeneous ?(spread = 1.0) () =
+let heterogeneous () =
   let speed rank =
     let h = ((rank * 2654435761) + 98765) asr 4 land 0xffff in
-    if h mod 16 = 13 then 1.0 +. spread
+    if h mod 16 = 13 then 2.0
     else 1.0 +. (0.06 *. float_of_int (h mod 8) /. 8.0)
   in
   { default with core_speed = speed }

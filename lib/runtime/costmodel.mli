@@ -14,9 +14,10 @@ type t = {
 val default : t
 
 (** Heavy-tailed heterogeneity: most cores carry a small jitter, one in
-    sixteen serves memory [spread] slower — small jobs land on fast cores
-    only, so the loss grows with scale (the Nekbone case's shape). *)
-val heterogeneous : ?spread:float -> unit -> t
+    sixteen serves memory twice as slowly — small jobs land on fast
+    cores only, so the loss grows with scale (the Nekbone case's
+    shape). *)
+val heterogeneous : unit -> t
 
 (** Seconds [rank] spends re-touching [bytes] of repartitioned state
     after an elastic membership change: a memory-bound pass at

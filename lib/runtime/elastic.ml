@@ -41,10 +41,17 @@ type plan = {
   events : event list;
 }
 
-let plan ?(seed = 42) ?(lo_param = "iter_lo") ?(hi_param = "iter_hi")
-    ?(state_bytes = 1 lsl 20) ?(detect_timeout = 1e-3) ~total_iters events =
+let plan ?(state_bytes = 1 lsl 20) ~total_iters events =
   if total_iters < 1 then invalid_arg "Elastic.plan: total_iters must be >= 1";
-  { seed; total_iters; lo_param; hi_param; state_bytes; detect_timeout; events }
+  {
+    seed = 42;
+    total_iters;
+    lo_param = "iter_lo";
+    hi_param = "iter_hi";
+    state_bytes;
+    detect_timeout = 1e-3;
+    events;
+  }
 
 let shrink_at ~iter ~rank = { at_iter = iter; change = Leave { rank } }
 let grow_at ~iter ~ranks = { at_iter = iter; change = Join { count = ranks } }
@@ -160,8 +167,9 @@ let detection_delay t ~nprocs ~iter ~rank =
 (* Run the recovery protocol entering the epoch whose members are
    [members]: [finish] gives the previous epoch's per-global-rank finish
    times, [left]/[joined] the membership change at this boundary. *)
-let recover t ~(cost : Costmodel.t) ~(net : Network.t) ~nprocs ~iter ~left
-    ~joined ~(members : int array) ~finish =
+let recover t ~(cost : Costmodel.t) ~nprocs ~iter ~left ~joined
+    ~(members : int array) ~finish =
+  let net = Network.default in
   let survivors =
     List.filter (fun (g, _) -> not (List.mem g left)) finish
   in

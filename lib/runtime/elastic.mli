@@ -22,15 +22,9 @@ type plan = {
   events : event list;
 }
 
-val plan :
-  ?seed:int ->
-  ?lo_param:string ->
-  ?hi_param:string ->
-  ?state_bytes:int ->
-  ?detect_timeout:float ->
-  total_iters:int ->
-  event list ->
-  plan
+(** A plan with seed 42, iteration parameters ["iter_lo"] and
+    ["iter_hi"] and a 1 ms detection timeout. *)
+val plan : ?state_bytes:int -> total_iters:int -> event list -> plan
 
 (** Global rank [rank] fails at the boundary entering iteration [iter]. *)
 val shrink_at : iter:int -> rank:int -> event
@@ -81,12 +75,11 @@ val detection_delay : plan -> nprocs:int -> iter:int -> rank:int -> float
     shrink every survivor first waits out its detection delay; a grow is
     a planned rebalance with no detection window.  Then agreement
     (a reduce + broadcast tree over the new communicator) and
-    repartitioning (network transfer of the moved share plus
+    repartitioning ({!Network.default} transfer of the moved share plus
     {!Costmodel.repartition_cost} on the slowest member). *)
 val recover :
   plan ->
   cost:Costmodel.t ->
-  net:Network.t ->
   nprocs:int ->
   iter:int ->
   left:int list ->

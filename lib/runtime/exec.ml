@@ -39,7 +39,6 @@ type config = {
   nprocs : int;
   params : (string * int) list;  (* overrides of the program defaults *)
   cost : Costmodel.t;
-  net : Network.t;
   inject : Inject.t;
   faults : Faults.armed;
   tools : Instrument.t list;
@@ -47,13 +46,13 @@ type config = {
   clock0 : float;  (* absolute time the ranks start at (elastic epochs) *)
 }
 
-let config ?(params = []) ?(cost = Costmodel.default) ?(net = Network.default)
-    ?(inject = Inject.empty) ?(faults = Faults.none) ?(tools = [])
-    ?(max_events = 500_000_000) ?(clock0 = 0.0) ~nprocs () =
+let config ?(params = []) ?(cost = Costmodel.default) ?(inject = Inject.empty)
+    ?(faults = Faults.none) ?(tools = []) ?(max_events = 500_000_000)
+    ?(clock0 = 0.0) ~nprocs () =
   if nprocs < 1 then invalid_arg "Exec.config: nprocs must be >= 1";
   if not (Float.is_finite clock0) || clock0 < 0.0 then
     invalid_arg "Exec.config: clock0 must be finite and >= 0";
-  { nprocs; params; cost; net; inject; faults; tools; max_events; clock0 }
+  { nprocs; params; cost; inject; faults; tools; max_events; clock0 }
 
 type result = {
   elapsed : float;  (* latest rank finish time, tool overhead included *)
@@ -407,7 +406,6 @@ type sched = {
   inject_on : bool;
   comm : Comm.t;
   nprocs : int;
-  net : Network.t;
   clock : float array;
   blocked_since : float array;
   comp_sec : float array;
@@ -763,7 +761,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
         Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
           ~cctx
       in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
+      s.clock.(rank) <- s.clock.(rank) +. Network.default.send_overhead;
       let t0 = s.clock.(rank) in
       await_one s rank sreq;
       wait := s.clock.(rank) -. t0;
@@ -775,7 +773,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let req =
         Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
       in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
+      s.clock.(rank) <- s.clock.(rank) +. Network.default.recv_overhead;
       let t0 = s.clock.(rank) in
       await_one s rank req;
       wait := s.clock.(rank) -. t0;
@@ -788,7 +786,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
         Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
           ~cctx
       in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.send_overhead;
+      s.clock.(rank) <- s.clock.(rank) +. Network.default.send_overhead;
       frame.freqs.(slot) <- sreq;
       if s.has_tools then sends := [ (dst, tag, bytes) ]
   | KIrecv { src; tag; bytes; slot } ->
@@ -798,7 +796,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let rreq =
         Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
       in
-      s.clock.(rank) <- s.clock.(rank) +. s.net.Network.recv_overhead;
+      s.clock.(rank) <- s.clock.(rank) +. Network.default.recv_overhead;
       frame.freqs.(slot) <- rreq
   | KWait { slot; name } ->
       let r = get_req frame ~loc slot name in
@@ -831,8 +829,8 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
           ~time:s.clock.(rank) ~loc
       in
       s.clock.(rank) <-
-        s.clock.(rank) +. s.net.Network.send_overhead
-        +. s.net.Network.recv_overhead;
+        s.clock.(rank) +. Network.default.send_overhead
+        +. Network.default.recv_overhead;
       let t0 = s.clock.(rank) in
       await_two s rank sreq rreq;
       wait := s.clock.(rank) -. t0;
@@ -973,7 +971,7 @@ let run_body ~cfg (program : Ast.program) =
   let merged_params = merge_params program cfg.params in
   let cmain = compile_program ~nprocs:cfg.nprocs ~params:merged_params program in
   let n = cfg.nprocs in
-  let comm = Comm.create ~net:cfg.net ~nprocs:n in
+  let comm = Comm.create ~nprocs:n in
   let tools = Array.of_list cfg.tools in
   let has_tools = Array.length tools > 0 in
   let s =
@@ -986,7 +984,6 @@ let run_body ~cfg (program : Ast.program) =
       inject_on = not (Inject.is_empty cfg.inject);
       comm;
       nprocs = n;
-      net = cfg.net;
       clock = Array.make n cfg.clock0;
       blocked_since = Array.make n cfg.clock0;
       comp_sec = Array.make n 0.0;

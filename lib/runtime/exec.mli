@@ -1,7 +1,8 @@
 (** Discrete-event MPI runtime: interprets a MiniMPI program on [nprocs]
     simulated processes, each an effect-based fiber with its own clock,
-    scheduled lowest-clock-first. Instrumentation tools observe compute
-    intervals and MPI events and charge their overhead onto the clocks. *)
+    scheduled lowest-clock-first, with messages and collectives priced by
+    {!Network.default}. Instrumentation tools observe compute intervals
+    and MPI events and charge their overhead onto the clocks. *)
 
 open Scalana_mlang
 
@@ -17,7 +18,6 @@ type config = {
   nprocs : int;
   params : (string * int) list;  (** overrides of the program defaults *)
   cost : Costmodel.t;
-  net : Network.t;
   inject : Inject.t;
   faults : Faults.armed;
   tools : Instrument.t list;
@@ -30,7 +30,6 @@ type config = {
 val config :
   ?params:(string * int) list ->
   ?cost:Costmodel.t ->
-  ?net:Network.t ->
   ?inject:Inject.t ->
   ?faults:Faults.armed ->
   ?tools:Instrument.t list ->

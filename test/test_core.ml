@@ -28,6 +28,15 @@ let test_static_overhead_measurable () =
   check_bool "positive" true (pct > 0.0);
   check_bool "below base compile" true (pct < 100.0)
 
+let test_static_rejects_negative_depth () =
+  let prog = (Scalana_apps.Registry.find "zeusmp").make () in
+  ignore (Scalana.Static.analyze ~max_loop_depth:0 prog : Scalana.Static.t);
+  match Scalana.Static.analyze ~max_loop_depth:(-1) prog with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+      check_bool "names the depth" true
+        (Str.string_match (Str.regexp ".*max_loop_depth -1") msg 0)
+
 let test_prof_run_and_overhead () =
   let entry = Scalana_apps.Registry.find "cg" in
   let static = Scalana.Static.analyze (entry.make ()) in
@@ -819,6 +828,8 @@ let () =
           Alcotest.test_case "rejects invalid" `Quick test_static_rejects_invalid;
           Alcotest.test_case "overhead measurable" `Slow
             test_static_overhead_measurable;
+          Alcotest.test_case "rejects negative loop depth" `Quick
+            test_static_rejects_negative_depth;
         ] );
       ( "prof",
         [

@@ -440,6 +440,34 @@ let test_trend_section_rendering () =
   check_bool "plain html has none" false
     (has "Trend (history ledger" (Scalana.Htmlreport.render plain))
 
+(* --- one fit per vertex ---
+
+   The detector fits every touched vertex once; the diff summary reads
+   those fits instead of fitting again. *)
+
+let test_one_fit_per_vertex () =
+  let fits () =
+    Option.value ~default:0
+      (List.assoc_opt "loglog.fits"
+         (Scalana_obs.Obs.Metrics.snapshot ()).Scalana_obs.Obs.Metrics.counters)
+  in
+  Scalana_obs.Obs.reset ();
+  Scalana_obs.Obs.enable ();
+  Fun.protect
+    ~finally:(fun () -> Scalana_obs.Obs.disable (); Scalana_obs.Obs.reset ())
+  @@ fun () ->
+  let pipe = pipeline ~niter:4 () in
+  let touched =
+    List.length
+      (Scalana_ppg.Crossscale.touched_vertices
+         pipe.Scalana.Pipeline.crossscale)
+  in
+  check_int "the detector fits each touched vertex once" touched (fits ());
+  let s = Scalana.Pipeline.diff_summary pipe in
+  check_int "every touched vertex summarized" touched
+    (List.length s.Diff.s_vertices);
+  check_int "the summary fits nothing" touched (fits ())
+
 (* --- seeded determinism property --- *)
 
 let prop_same_seed_diff_unchanged =
@@ -459,6 +487,88 @@ let prop_same_seed_diff_unchanged =
       && d.Diff.n_improved = 0 && d.Diff.n_new = 0 && d.Diff.n_gone = 0
       && not d.Diff.degraded)
 
+(* --- registry summaries and ledger rows, pinned ---
+
+   [Pipeline.diff_summary] and [Pipeline.history_entry] of the 11
+   registry programs at scales 4, 8 and 16, without and with the
+   wait-state replay, pinned by digest: every summary field and every
+   per-vertex statistic (floats as [%h]), then every ledger field but
+   the wall-clock detection time. *)
+
+let summary_digest (s : Diff.summary) (h : History.entry) =
+  let b = Buffer.create 4096 in
+  let floats l = String.concat "," (List.map (Printf.sprintf "%h") l) in
+  let named l =
+    String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s=%h" k v) l)
+  in
+  Printf.bprintf b "%s|%s|%s|%b|%h|%h|%s\n" s.Diff.s_label s.Diff.s_program
+    (String.concat "," (List.map string_of_int s.Diff.s_scales))
+    s.Diff.s_degraded s.Diff.s_rank_coverage s.Diff.s_total_time
+    (named s.Diff.s_wait_mix);
+  List.iter
+    (fun (k, (v : Diff.vstat)) ->
+      Printf.bprintf b "%s|%s|%d|%s|%s\n" (Diff.key_string k)
+        (match v.Diff.vs_slope with
+        | Some x -> Printf.sprintf "%h" x
+        | None -> "-")
+        v.Diff.vs_points
+        (floats [ v.Diff.vs_coverage; v.Diff.vs_time; v.Diff.vs_wait;
+                  v.Diff.vs_fraction ])
+        (named v.Diff.vs_wait_mix))
+    s.Diff.s_vertices;
+  Printf.bprintf b "%h|%s|%s|%s|%s|%s|%s|%b|%h\n" h.History.h_time
+    h.History.h_commit h.History.h_label h.History.h_program
+    (String.concat "," (List.map string_of_int h.History.h_scales))
+    (named h.History.h_slopes) (named h.History.h_waits) h.History.h_degraded
+    h.History.h_coverage;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let expected_summary_digests =
+  [
+    ("bt/plain", "e21b51426cf22c6c4faef2fce8f1c992");
+    ("bt/waitstates", "d43ab98784b033d309ab6f459893ca7a");
+    ("cg/plain", "6d769a25081b111a897f3f2be4f67e53");
+    ("cg/waitstates", "3ddab66ac782971b04424b1f11c7aadc");
+    ("ep/plain", "a18b08d90248d89466d42cd440b90fe8");
+    ("ep/waitstates", "ba2d8d5727ae7275d6701e25d06ab871");
+    ("ft/plain", "7e165cb58c24be6f8c2be2aa562b693c");
+    ("ft/waitstates", "1183cd02cbd77d6a41c8ef2826d1d396");
+    ("mg/plain", "90864b77db009e848f1fa14ef5f98632");
+    ("mg/waitstates", "a136166785e21620753d64c8978940e1");
+    ("sp/plain", "06eb725e0bc82e0418f7b0a92d7d22cb");
+    ("sp/waitstates", "cbaf6104faadb6bfa6f7b50bfdc82e56");
+    ("lu/plain", "a53622eb8e8178e10477127bedb98875");
+    ("lu/waitstates", "0f6f053bf1abf2c74a33b900ce2eccd5");
+    ("is/plain", "9e5d05a1da3a1dcc268b83fe8516aec5");
+    ("is/waitstates", "bd7936ba2331d989d79f6fc300027677");
+    ("sst/plain", "5ec0e421d0652d9ff2cf86c4f5ca7bbb");
+    ("sst/waitstates", "b940faa4a369aa7cb398e1058438ca5f");
+    ("nekbone/plain", "73b57127ad0e032e030965337e0f7db0");
+    ("nekbone/waitstates", "af1a074c5e62d0d8d82af753d1c20d0e");
+    ("zeusmp/plain", "1e2f30fb632ac8f4fdc76e2c95415cda");
+    ("zeusmp/waitstates", "cf4bea2e2aea09c21ca189a6a859b3bd");
+  ]
+
+let test_registry_summaries_pinned () =
+  List.iter
+    (fun (entry : Scalana_apps.Registry.entry) ->
+      List.iter
+        (fun (mode, timeline) ->
+          let name = entry.Scalana_apps.Registry.name ^ "/" ^ mode in
+          let pipe =
+            Scalana.Pipeline.run ~cost:entry.Scalana_apps.Registry.cost ~scales
+              ~timeline (entry.Scalana_apps.Registry.make ())
+          in
+          let digest =
+            summary_digest
+              (Scalana.Pipeline.diff_summary ~label:name pipe)
+              (Scalana.Pipeline.history_entry ~time:1_700_000_000.0
+                 ~commit:"pinned" ~label:name pipe)
+          in
+          check_string name (List.assoc name expected_summary_digests) digest)
+        [ ("plain", false); ("waitstates", true) ])
+    Scalana_apps.Registry.all
+
 let () =
   Alcotest.run "diff"
     [
@@ -471,6 +581,8 @@ let () =
           Alcotest.test_case "one-sided vertices" `Quick test_one_sided_vertices;
           Alcotest.test_case "degraded input" `Quick
             test_degraded_input_dominates;
+          Alcotest.test_case "one fit per vertex" `Quick
+            test_one_fit_per_vertex;
         ] );
       ( "thresholds",
         [
@@ -498,4 +610,9 @@ let () =
             test_trend_section_rendering;
         ] );
       ("prop", [ prop_same_seed_diff_unchanged ]);
+      ( "pin",
+        [
+          Alcotest.test_case "registry summaries and ledger rows" `Quick
+            test_registry_summaries_pinned;
+        ] );
     ]

@@ -687,11 +687,11 @@ let test_elastic_recovery_semantics () =
   let plan =
     Elastic.plan ~total_iters:12 [ Elastic.shrink_at ~iter:6 ~rank:1 ]
   in
-  let cost = Costmodel.default and net = Network.default in
+  let cost = Costmodel.default in
   let members = [| 0; 2; 3 |] in
   let finish = [ (0, 1.0); (1, 1.1); (2, 1.2); (3, 0.9) ] in
   let r =
-    Elastic.recover plan ~cost ~net ~nprocs:4 ~iter:6 ~left:[ 1 ] ~joined:[]
+    Elastic.recover plan ~cost ~nprocs:4 ~iter:6 ~left:[ 1 ] ~joined:[]
       ~members ~finish
   in
   (* detection jitter is bounded: within [timeout, 2*timeout] *)
@@ -714,7 +714,7 @@ let test_elastic_recovery_semantics () =
     (not (List.mem_assoc 1 r.Elastic.r_stalls));
   (* grows have no detection window *)
   let g =
-    Elastic.recover plan ~cost ~net ~nprocs:4 ~iter:6 ~left:[]
+    Elastic.recover plan ~cost ~nprocs:4 ~iter:6 ~left:[]
       ~joined:[ 4; 5 ]
       ~members:[| 0; 1; 2; 3; 4; 5 |]
       ~finish
@@ -725,9 +725,9 @@ let test_elastic_recovery_deterministic () =
   let plan =
     Elastic.plan ~total_iters:12 [ Elastic.shrink_at ~iter:6 ~rank:1 ]
   in
-  let cost = Costmodel.default and net = Network.default in
+  let cost = Costmodel.default in
   let run () =
-    Elastic.recover plan ~cost ~net ~nprocs:8 ~iter:6 ~left:[ 1 ] ~joined:[]
+    Elastic.recover plan ~cost ~nprocs:8 ~iter:6 ~left:[ 1 ] ~joined:[]
       ~members:[| 0; 2; 3; 4; 5; 6; 7 |]
       ~finish:(List.init 8 (fun g -> (g, 1.0 +. (0.01 *. float_of_int g))))
   in
