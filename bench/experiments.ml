@@ -442,13 +442,21 @@ let tianhe () =
 let critpath () =
   section "Extension — critical-path analysis (zeus-mp, 16 ranks)";
   let entry = Scalana_apps.Registry.find "zeusmp" in
-  let tr = Scalana_baselines.Tracer.create () in
+  let prog = entry.make () in
+  let static = Scalana.Static.analyze prog in
+  let recorder =
+    Scalana_profile.Timeline.create ~index:static.index ~nprocs:16 ()
+  in
   let cfg =
     Exec.config ~nprocs:16 ~cost:entry.cost
-      ~tools:[ Scalana_baselines.Tracer.tool tr ] ()
+      ~tools:[ Scalana_profile.Timeline.tool recorder ] ()
   in
-  ignore (Exec.run ~cfg (entry.make ()));
-  let cp = Scalana_detect.Critpath.analyze (Scalana_baselines.Tracer.events tr) in
+  ignore (Exec.run ~cfg prog);
+  let cp =
+    Scalana_detect.Critpath.analyze
+      ~psg:(Scalana.Static.psg static)
+      (Scalana_profile.Timeline.capture recorder)
+  in
   Printf.printf "  critical path: %.3fs over %d segments
 " cp.total
     (List.length cp.segments);

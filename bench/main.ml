@@ -11,30 +11,33 @@ open Cmdliner
 
 let experiments = Experiments.all @ Ablations.all @ Parallel.all
 
+(* Every wanted target runs even when an earlier one raised; the exit
+   status is 1 when any of them did, so a caller never reads numbers a
+   failed target left over from an earlier run. *)
 let run only fast no_bech list_only =
   if list_only then begin
     List.iter (fun (name, _) -> print_endline name) experiments;
-    print_endline "bechamel"
+    print_endline "bechamel";
+    0
   end
   else begin
     Experiments.max_np := (if fast then 32 else 128);
     let wanted name = only = [] || List.mem name only in
+    let failed = ref false in
+    let attempt name fn =
+      try fn ()
+      with e ->
+        failed := true;
+        Printf.printf "  !! %s failed: %s\n%!" name (Printexc.to_string e)
+    in
     let t0 = Unix.gettimeofday () in
     List.iter
-      (fun (name, fn) ->
-        if wanted name then begin
-          try fn ()
-          with e ->
-            Printf.printf "  !! %s failed: %s\n%!" name (Printexc.to_string e)
-        end)
+      (fun (name, fn) -> if wanted name then attempt name fn)
       experiments;
-    if (not no_bech) && wanted "bechamel" then begin
-      try Microbench.run ()
-      with e ->
-        Printf.printf "  !! bechamel failed: %s\n%!" (Printexc.to_string e)
-    end;
+    if (not no_bech) && wanted "bechamel" then attempt "bechamel" Microbench.run;
     Printf.printf "\nTotal bench wall time: %.1fs\n"
-      (Unix.gettimeofday () -. t0)
+      (Unix.gettimeofday () -. t0);
+    if !failed then 1 else 0
   end
 
 let only_arg =
@@ -58,4 +61,4 @@ let cmd =
        ~doc:"Regenerate every table and figure of the ScalAna paper")
     Term.(const run $ only_arg $ fast_arg $ no_bech_arg $ list_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

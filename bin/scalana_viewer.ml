@@ -1,11 +1,12 @@
 (* scalana-viewer: render the detection result with source snippets (the
-   text rendering of the Fig. 9 GUI).  Exits 0 on success, 2 on a
-   missing or corrupt session. *)
+   text rendering of the Fig. 9 GUI).  Exits 0 on success, 2 on a bad
+   flag or a missing or corrupt session. *)
 
 open Cmdliner
 
 let run session context html timeline timeline_np static_crosscheck elastic =
   Cli_common.run_cli @@ fun () ->
+  Cli_common.check_at_least ~flag:"--context" ~min:0 context;
   let s = Cli_common.open_session session in
   let config = { Scalana.Config.default with static_crosscheck; elastic } in
   let tl =

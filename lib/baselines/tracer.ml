@@ -1,150 +1,58 @@
-(* Tracing baseline (the Scalasca/Vampir role).
+(* Tracing baseline (the Scalasca/Vampir role), kept as its cost model.
 
-   Logs an enter/exit event pair for every region (computation block or
-   MPI call) on every rank, with matched-peer payloads for receives.
-   Every event costs wrapper time on the traced process and a fixed
-   number of trace-buffer bytes, which is where the paper's
-   gigabytes-of-traces and tens-of-percent overheads come from.  Events
-   are retained in memory (up to [keep_limit]) for the post-mortem
-   wait-state replay in {!Replay}. *)
+   A tracer logs an enter/exit event pair for every region (computation
+   block or MPI call) on every rank, with matched-peer payloads for
+   receives.  Every event costs wrapper time on the traced process and
+   a fixed number of trace-buffer bytes, which is where the paper's
+   gigabytes-of-traces and tens-of-percent overheads come from.  Only
+   the counts are kept: the rank timeline is the run's event record. *)
 
-open Scalana_mlang
 open Scalana_runtime
 
-type event_kind =
-  | Comp_region of { label : string option }
-  | Mpi_event of {
-      name : string;
-      wait : float;
-      peers : (int * Loc.t) list;  (* matched sender rank/site *)
-      collective : bool;
-      last_arrival_rank : int option;
-    }
+(* Seconds charged per logged event. *)
+let per_event_cost = 1.2e-6
 
-type event = {
-  ev_rank : int;
-  ev_time : float;
-  ev_duration : float;
-  ev_loc : Loc.t;
-  ev_callpath : Loc.t list;
-  ev_kind : event_kind;
-}
+let bytes_per_event = 40
 
-type config = {
-  per_event_cost : float;  (* seconds charged per logged event *)
-  bytes_per_event : int;
-  ins_per_region : float;
-      (* granularity of compiler instrumentation: one traced region per
-         this many retired instructions inside a computation block.  Our
-         Comp statements are coarse (whole solver phases); a tracing tool
-         with automatic compiler instrumentation logs the many small
-         functions inside them, which is where gigabyte traces and
-         tens-of-percent overheads come from. *)
-  keep_limit : int;  (* max events retained for replay; counting continues *)
-}
+(* Granularity of compiler instrumentation: one traced sub-region per
+   this many retired instructions inside a computation block, at most
+   [max_sub_regions] per block.  Our Comp statements are coarse (whole
+   solver phases); a tracing tool with automatic compiler
+   instrumentation logs the many small functions inside them.  The cap
+   models the Score-P-style filtering of hot tiny functions every
+   tracing guide prescribes. *)
+let ins_per_region = 2000.0
+let max_sub_regions = 40_000
 
-let default_config =
-  {
-    per_event_cost = 1.2e-6;
-    bytes_per_event = 40;
-    ins_per_region = 2000.0;
-    keep_limit = 2_000_000;
-  }
+type t = { mutable n_events : int; mutable bytes : int }
 
-type t = {
-  cfg : config;
-  mutable events : event list;  (* newest first *)
-  mutable n_events : int;  (* raw records incl. sub-regions *)
-  mutable n_regions : int;  (* region events offered for retention *)
-  mutable n_kept : int;
-  mutable bytes : int;
-  mutable elapsed : float;
-}
-
-let create ?(config = default_config) () =
-  {
-    cfg = config;
-    events = [];
-    n_events = 0;
-    n_regions = 0;
-    n_kept = 0;
-    bytes = 0;
-    elapsed = 0.0;
-  }
+let create () = { n_events = 0; bytes = 0 }
 
 (* Each region contributes an enter and an exit record. *)
-let log t ev ~records =
+let log t ~records =
   let n = 2 + records in
   t.n_events <- t.n_events + n;
-  t.n_regions <- t.n_regions + 1;
-  t.bytes <- t.bytes + (n * t.cfg.bytes_per_event);
-  if t.n_kept < t.cfg.keep_limit then begin
-    t.events <- ev :: t.events;
-    t.n_kept <- t.n_kept + 1
-  end;
-  float_of_int n *. t.cfg.per_event_cost
+  t.bytes <- t.bytes + (n * bytes_per_event);
+  float_of_int n *. per_event_cost
 
-let on_interval t (ctx : Instrument.ctx) ~stop activity =
-  match activity with
-  | Instrument.Compute { label; pmu } ->
-      (* sub-regions the compiler instrumentation would log inside this
-         computation block; capped per region, modeling the Score-P-style
-         filtering of hot tiny functions every tracing guide prescribes *)
+let on_interval t = function
+  | Instrument.Compute { pmu; _ } ->
       let sub =
-        min 40_000
-          (int_of_float (pmu.Scalana_runtime.Pmu.tot_ins /. t.cfg.ins_per_region))
+        min max_sub_regions (int_of_float (pmu.Pmu.tot_ins /. ins_per_region))
       in
-      log t
-        {
-          ev_rank = ctx.rank;
-          ev_time = ctx.time;
-          ev_duration = stop -. ctx.time;
-          ev_loc = ctx.loc;
-          ev_callpath = ctx.callpath;
-          ev_kind = Comp_region { label };
-        }
-        ~records:(2 * sub)
+      log t ~records:(2 * sub)
   | Instrument.Mpi_span _ ->
       (* MPI regions are logged from on_mpi_exit, which carries peers. *)
       0.0
 
-let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
-  let peers =
-    List.map
-      (fun (d : Instrument.peer_dep) -> (d.peer_rank, d.peer_loc))
-      info.deps
-  in
-  log t
-    {
-      ev_rank = ctx.rank;
-      ev_time = info.enter_time;
-      ev_duration = info.exit_time -. info.enter_time;
-      ev_loc = ctx.loc;
-      ev_callpath = ctx.callpath;
-      ev_kind =
-        Mpi_event
-          {
-            name = Ast.mpi_name info.call;
-            wait = info.wait_seconds;
-            peers;
-            collective = info.collective <> None;
-            last_arrival_rank =
-              Option.map
-                (fun (c : Instrument.collective_info) -> c.last_arrival_rank)
-                info.collective;
-          };
-    }
-    ~records:(List.length info.deps)
-
 let tool t =
   {
     (Instrument.nil "tracer") with
-    on_interval = (fun ctx ~stop act -> on_interval t ctx ~stop act);
-    on_mpi_exit = (fun ctx info -> on_mpi_exit t ctx info);
-    on_run_end = (fun ~nprocs:_ ~elapsed -> t.elapsed <- elapsed);
+    on_interval = (fun _ ~stop:_ act -> on_interval t act);
+    on_mpi_exit =
+      (fun _ (info : Instrument.mpi_exit) ->
+        log t ~records:(List.length info.deps));
   }
 
-let events t = List.rev t.events
 let n_events t = t.n_events
 let storage_bytes t = t.bytes
-let truncated t = t.n_regions > t.n_kept

@@ -1,51 +1,18 @@
-(** Tracing baseline (the Scalasca/Vampir role): logs every region with
-    peer payloads, charges per-event wrapper time, and accounts trace
-    bytes — including the sub-regions a compiler-instrumented tracer
-    would log inside coarse computation blocks. *)
+(** Tracing baseline (the Scalasca/Vampir role) as a cost model: charges
+    per-event wrapper time and accounts trace bytes for every region
+    with its peer payloads — including the sub-regions a
+    compiler-instrumented tracer would log inside coarse computation
+    blocks.  Nothing is retained: the run's event record is the rank
+    timeline ({!Scalana_profile.Timeline}). *)
 
-open Scalana_mlang
 open Scalana_runtime
-
-type event_kind =
-  | Comp_region of { label : string option }
-  | Mpi_event of {
-      name : string;
-      wait : float;
-      peers : (int * Loc.t) list;
-      collective : bool;
-      last_arrival_rank : int option;
-    }
-
-type event = {
-  ev_rank : int;
-  ev_time : float;
-  ev_duration : float;
-  ev_loc : Loc.t;
-  ev_callpath : Loc.t list;
-  ev_kind : event_kind;
-}
-
-type config = {
-  per_event_cost : float;
-  bytes_per_event : int;
-  ins_per_region : float;
-      (** instrumentation granularity: one traced sub-region per this
-          many retired instructions inside a computation block *)
-  keep_limit : int;  (** events retained in memory for {!Replay} *)
-}
-
-val default_config : config
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
 val tool : t -> Instrument.t
 
-(** Retained events in chronological order of logging. *)
-val events : t -> event list
-
+(** Trace records the run would have written, sub-regions included. *)
 val n_events : t -> int
-val storage_bytes : t -> int
 
-(** True when the retained list was capped by [keep_limit]. *)
-val truncated : t -> bool
+val storage_bytes : t -> int

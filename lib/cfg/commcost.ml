@@ -25,17 +25,7 @@
    transposes stop scaling. *)
 
 open Scalana_mlang
-
-(* Model constants mirroring Network.default.  The cfg library sits
-   below the runtime, so the two values are duplicated here; the
-   crosscheck only compares log-log slopes, for which the absolute
-   constants cancel. *)
-let model_latency = 1.5e-6
-let model_bandwidth = 10e9
-
-let log2_ceil n =
-  let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
-  if n <= 1 then 0 else go 0 1
+module Network = Scalana_runtime.Network
 
 let ring_dist np a b =
   let d = (b - a + np) mod np in
@@ -401,7 +391,7 @@ let interproc prog =
 
 (* Per-rank dilation weight of one dynamic execution. *)
 let pressure_weight ~np ~rank ~eval (c : Ast.mpi_call) =
-  let lg = float_of_int (log2_ceil np) in
+  let lg = float_of_int (Network.log2_ceil np) in
   let hop dest = float_of_int (ring_dist np rank (eval dest)) in
   match c with
   | Ast.Send { dest; _ } | Ast.Isend { dest; _ } | Ast.Sendrecv { dest; _ } ->
@@ -412,25 +402,24 @@ let pressure_weight ~np ~rank ~eval (c : Ast.mpi_call) =
   | Ast.Allreduce _ -> 2.0 *. lg
   | Ast.Allgather _ | Ast.Alltoall _ -> float_of_int (max 1 (np - 1))
 
-(* Hockney/tree model time of one dynamic execution, matching the
-   simulator's Network shapes so the fitted model slope is comparable
-   with the measured one. *)
+(* Hockney/tree model time of one dynamic execution: the simulator's
+   own Network shapes, so the fitted model slope is comparable with the
+   measured one. *)
 let model_time ~np ~eval (c : Ast.mpi_call) =
-  let lg = float_of_int (log2_ceil np) in
-  let n = float_of_int (max 1 (np - 1)) in
-  let b e = float_of_int (max 0 (eval e)) /. model_bandwidth in
+  let net = Network.default in
+  let collective bytes = Network.collective_time net ~nprocs:np ~bytes c in
   match c with
   | Ast.Send { bytes; _ } | Ast.Isend { bytes; _ }
   | Ast.Recv { bytes; _ } | Ast.Irecv { bytes; _ } ->
-      model_latency +. b bytes
-  | Ast.Sendrecv { sbytes; rbytes; _ } -> model_latency +. b sbytes +. b rbytes
+      Network.transfer_time net (eval bytes)
+  | Ast.Sendrecv { sbytes; rbytes; _ } ->
+      Network.transfer_time net (eval sbytes)
+      +. (float_of_int (max 0 (eval rbytes)) /. net.bandwidth)
   | Ast.Wait _ | Ast.Waitall _ -> 0.0
-  | Ast.Barrier -> lg *. model_latency
-  | Ast.Bcast { bytes; _ } | Ast.Reduce { bytes; _ } ->
-      lg *. (model_latency +. b bytes)
-  | Ast.Allreduce { bytes } -> 2.0 *. lg *. (model_latency +. b bytes)
-  | Ast.Allgather { bytes } -> (lg *. model_latency) +. (n *. b bytes)
-  | Ast.Alltoall { bytes } -> n *. (model_latency +. b bytes)
+  | Ast.Barrier -> collective 0
+  | Ast.Bcast { bytes; _ } | Ast.Reduce { bytes; _ } | Ast.Allreduce { bytes }
+  | Ast.Allgather { bytes } | Ast.Alltoall { bytes } ->
+      collective (eval bytes)
 
 type probe = {
   pr_cost : (string * Loc.t, float array) Hashtbl.t;  (* per-rank pressure *)

@@ -92,8 +92,8 @@ val model_series :
   scales:int list ->
   bool * ((string * Loc.t) * (int * float) list) list
 (** Per-statement mean per-rank model time (Hockney latency/bandwidth
-    for point-to-point, tree/dissemination shapes for collectives,
-    constants mirroring the simulator's interconnect) at the given
+    for point-to-point, tree/dissemination shapes for collectives: the
+    simulator's {!Scalana_runtime.Network.default}) at the given
     scales.  Fitting these points with {!Loglog} yields the slope the
     static model predicts for the measured one.  The boolean is the
     exactness of the walks. *)
@@ -120,8 +120,3 @@ type audit = {
 val audit : Ast.program -> nprocs:int -> audit
 (** One concrete walk at [nprocs], recording every posted send, receive
     and collective execution. *)
-
-(** {1 Model constants} *)
-
-val model_latency : float
-val model_bandwidth : float

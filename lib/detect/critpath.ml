@@ -1,18 +1,21 @@
-(* Critical-path analysis over a full trace — the extension the paper's
-   related work points at (Chen & Clapp's critical-path candidates).
+(* Critical-path analysis over a rank timeline — the extension the
+   paper's related work points at (Chen & Clapp's critical-path
+   candidates).
 
-   The trace is a DAG: events of one rank are ordered sequentially, and
-   each receive-like event depends on its matched sends.  The critical
-   path is the longest dependence chain ending at the last event; time a
-   location contributes to that chain (excluding waiting, which is slack
-   by definition) indicates where optimization shortens the run.
+   The timeline is a DAG: intervals of one rank are ordered
+   sequentially, and each receive-like interval depends on its matched
+   sends.  The critical path is the longest dependence chain ending at
+   the last interval; time a location contributes to that chain
+   (excluding waiting, which is slack by definition) indicates where
+   optimization shortens the run.
 
    ScalAna's backtracking answers "who caused this wait"; critical-path
    analysis answers "which code bounds the total runtime" — the two
    agree on the planted pathologies, which the test suite checks. *)
 
 open Scalana_mlang
-open Scalana_baselines
+open Scalana_psg
+open Scalana_profile
 
 type segment = {
   seg_loc : Loc.t;
@@ -27,116 +30,109 @@ type t = {
   by_location : (string * float) list;  (* aggregated, largest first *)
 }
 
-(* Reconstruct per-rank event sequences (events arrive per rank in
-   chronological logging order). *)
-let per_rank_events events =
-  let tbl : (int, Tracer.event list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (ev : Tracer.event) ->
-      match Hashtbl.find_opt tbl ev.ev_rank with
-      | Some l -> l := ev :: !l
-      | None -> Hashtbl.add tbl ev.ev_rank (ref [ ev ]))
-    events;
-  Hashtbl.fold (fun rank l acc -> (rank, List.rev !l) :: acc) tbl []
+let label_of (iv : Timeline.interval) =
+  match iv.iv_kind with
+  | Timeline.Compute { label = Some l } -> l
+  | Timeline.Compute { label = None } -> "comp"
+  | Timeline.Mpi m -> m.op
 
-let label_of (ev : Tracer.event) =
-  match ev.ev_kind with
-  | Tracer.Comp_region { label = Some l } -> l
-  | Tracer.Comp_region { label = None } -> "comp"
-  | Tracer.Mpi_event { name; _ } -> name
+let wait_of (iv : Timeline.interval) =
+  match iv.iv_kind with Timeline.Mpi m -> m.wait | Timeline.Compute _ -> 0.0
 
-let wait_of (ev : Tracer.event) =
-  match ev.ev_kind with
-  | Tracer.Mpi_event { wait; _ } -> wait
-  | Tracer.Comp_region _ -> 0.0
+let loc_of psg (iv : Timeline.interval) =
+  match Option.bind iv.iv_vertex (Psg.vertex_opt psg) with
+  | Some v -> v.Vertex.loc
+  | None -> Loc.none
 
 (* The smallest wait treated as a binding remote dependence. *)
 let hop_epsilon = 1e-4
 
-(* Walk backwards from the event finishing last: at a receive-like event
-   that waited, the chain crosses to the sender (the matched peer active
-   at that moment); otherwise it continues to the rank's previous event.
-   Peers are identified by (rank, location); we jump to the peer's last
-   event at that location finishing before our end time. *)
-let analyze (events : Tracer.event list) =
-  let by_rank = per_rank_events events in
-  let arr_of rank = List.assoc_opt rank by_rank in
-  let last_event =
-    List.fold_left
-      (fun best (ev : Tracer.event) ->
+(* The timeline lays intervals out rank by rank: rank [r]'s run is
+   [first.(r)] up to [first.(r + 1)]. *)
+let rank_offsets (tl : Timeline.t) =
+  let first = Array.make (tl.nprocs + 1) 0 in
+  Array.iter
+    (fun (iv : Timeline.interval) ->
+      first.(iv.iv_rank + 1) <- first.(iv.iv_rank + 1) + 1)
+    tl.intervals;
+  for r = 1 to tl.nprocs do
+    first.(r) <- first.(r) + first.(r - 1)
+  done;
+  first
+
+(* Walk backwards from the interval finishing last: at a receive-like
+   interval that waited, the chain crosses to the first matched sender
+   (or the collective's last-arriving rank), at that peer's latest
+   interval ending by our end time; otherwise it continues to the
+   rank's previous interval. *)
+let analyze ~psg (tl : Timeline.t) =
+  let ivs = tl.intervals in
+  let last =
+    Array.fold_left
+      (fun best (iv : Timeline.interval) ->
         match best with
-        | None -> Some ev
-        | Some b ->
-            if ev.ev_time +. ev.ev_duration > b.Tracer.ev_time +. b.ev_duration
-            then Some ev
-            else best)
-      None events
+        | Some (b : Timeline.interval) when iv.iv_stop <= b.iv_stop -> best
+        | _ -> Some iv)
+      None ivs
   in
-  match last_event with
+  match last with
   | None -> { total = 0.0; segments = []; by_location = [] }
   | Some final ->
+      let first = rank_offsets tl in
+      (* latest interval of [rank] ending at or before [before],
+         excluding the interval we just came from (zero-length
+         intervals would otherwise loop) *)
+      let latest ?prev rank before =
+        let best = ref None in
+        for i = first.(rank) to first.(rank + 1) - 1 do
+          let iv = ivs.(i) in
+          if
+            iv.iv_stop <= before +. 1e-12
+            && match prev with Some p -> p != iv | None -> true
+          then
+            match !best with
+            | Some (b : Timeline.interval) when iv.iv_stop <= b.iv_stop -> ()
+            | _ -> best := Some iv
+        done;
+        !best
+      in
       let segments = ref [] in
       let budget = ref 200_000 in
       let visited : (int * float, unit) Hashtbl.t = Hashtbl.create 1024 in
-      let rec walk ?prev rank (before : float) =
+      let rec walk ?prev rank before =
         decr budget;
-        if !budget <= 0 then ()
-        else
-          match arr_of rank with
+        if !budget > 0 then
+          match latest ?prev rank before with
           | None -> ()
-          | Some evs -> (
-              (* latest event of [rank] ending at or before [before],
-                 excluding the event we just came from (zero-duration
-                 events would otherwise loop) *)
-              let ev =
-                List.fold_left
-                  (fun best (e : Tracer.event) ->
-                    let fin = e.ev_time +. e.ev_duration in
-                    if
-                      fin <= before +. 1e-12
-                      && (match prev with Some p -> p != e | None -> true)
-                    then
-                      match best with
-                      | None -> Some e
-                      | Some b ->
-                          if fin > b.Tracer.ev_time +. b.ev_duration then Some e
-                          else best
-                    else best)
-                  None evs
-              in
-              match ev with
-              | None -> ()
-              | Some ev when Hashtbl.mem visited (rank, ev.ev_time) -> ()
-              | Some ev ->
-                  Hashtbl.replace visited (rank, ev.ev_time) ();
-                  let wait = wait_of ev in
-                  let own = Float.max 0.0 (ev.ev_duration -. wait) in
-                  if own > 0.0 then
-                    segments :=
-                      {
-                        seg_loc = ev.ev_loc;
-                        seg_rank = rank;
-                        seg_label = label_of ev;
-                        seg_seconds = own;
-                      }
-                      :: !segments;
-                  ignore wait;
-                  (match ev.ev_kind with
-                  | Tracer.Mpi_event { wait; peers = (peer, _) :: _; _ }
-                    when wait > hop_epsilon ->
-                      (* the wait was bounded by the peer's progress *)
-                      walk ~prev:ev peer (ev.ev_time +. ev.ev_duration)
-                  | Tracer.Mpi_event
-                      { wait; collective = true; last_arrival_rank = Some late; _ }
-                    when wait > hop_epsilon && late <> rank ->
-                      walk ~prev:ev late (ev.ev_time +. ev.ev_duration)
-                  | _ ->
-                      (* no binding remote dependence: the chain continues
-                         with whatever this rank did before this event *)
-                      walk ~prev:ev rank
-                        (ev.ev_time +. Float.min ev.ev_duration 1e-12)))
+          | Some iv when Hashtbl.mem visited (rank, iv.iv_start) -> ()
+          | Some iv -> (
+              Hashtbl.replace visited (rank, iv.iv_start) ();
+              let wait = wait_of iv in
+              let own = Float.max 0.0 (iv.iv_stop -. iv.iv_start -. wait) in
+              if own > 0.0 then
+                segments :=
+                  {
+                    seg_loc = loc_of psg iv;
+                    seg_rank = rank;
+                    seg_label = label_of iv;
+                    seg_seconds = own;
+                  }
+                  :: !segments;
+              match iv.iv_kind with
+              | Timeline.Mpi { deps = (peer, _, _) :: _; _ }
+                when wait > hop_epsilon ->
+                  (* the wait was bounded by the peer's progress *)
+                  walk ~prev:iv peer iv.iv_stop
+              | Timeline.Mpi { coll = Some c; _ }
+                when wait > hop_epsilon && c.coll_last_rank <> rank ->
+                  walk ~prev:iv c.coll_last_rank iv.iv_stop
+              | _ ->
+                  (* no binding remote dependence: the chain continues
+                     with whatever this rank did before this interval *)
+                  walk ~prev:iv rank
+                    (iv.iv_start +. Float.min (iv.iv_stop -. iv.iv_start) 1e-12))
       in
-      walk final.ev_rank (final.ev_time +. final.ev_duration +. 1e-9);
+      walk final.iv_rank (final.iv_stop +. 1e-9);
       let segs = !segments in
       let agg : (string, float) Hashtbl.t = Hashtbl.create 32 in
       List.iter
@@ -162,10 +158,3 @@ let top ?(n = 5) t =
     | x :: rest -> x :: take (k - 1) rest
   in
   take n t.by_location
-
-let pp ppf t =
-  Fmt.pf ppf "critical path: %.4fs over %d segments@." t.total
-    (List.length t.segments);
-  List.iter
-    (fun (loc, s) -> Fmt.pf ppf "  %-40s %8.4fs@." loc s)
-    (top ~n:8 t)

@@ -121,6 +121,8 @@ let render (p : Ast.program) =
 let render_lines p = String.split_on_char '\n' (render p)
 
 let snippet ?(context = 1) p loc =
+  if context < 0 then
+    invalid_arg (Printf.sprintf "Pretty.snippet: context %d < 0" context);
   let lines = Array.of_list (render_lines p) in
   let n = Array.length lines in
   let target = Loc.line loc in

@@ -8,7 +8,8 @@ val render : Ast.program -> string
 val render_lines : Ast.program -> string list
 
 (** [snippet p loc] returns the rendered source lines around [loc],
-    prefixed with line numbers — the viewer's code window. *)
+    prefixed with line numbers — the viewer's code window.  Raises
+    [Invalid_argument] on a negative [context]. *)
 val snippet : ?context:int -> Ast.program -> Loc.t -> string list
 
 val pp_mpi : Ast.mpi_call Fmt.t

@@ -1,10 +1,15 @@
-(* Tests for the baseline tools: the Scalasca-like tracer (with wait-state
-   replay) and the HPCToolkit-like call-path profiler. *)
+(* Tests for the baseline tools: the Scalasca-like tracer's cost model,
+   the wait-state classification and trace file a tracer's post-mortem
+   analysis would give (both over the rank timeline), and the
+   HPCToolkit-like call-path profiler. *)
 
 open Scalana_mlang
 open Scalana_runtime
+open Scalana_profile
 open Scalana_baselines
 open Testutil
+module Waitstate = Scalana_detect.Waitstate
+module Json = Scalana_obs.Obs.Json
 
 let delayed_barrier_program ?(work = 60_000_000) () =
   let open Expr.Infix in
@@ -45,6 +50,13 @@ let late_sender_program () =
       ]);
   Builder.program b
 
+(* The program's rank timeline, recorded with no other tool attached. *)
+let timeline_of ?config ~nprocs prog =
+  let static = Scalana.Static.analyze prog in
+  let recorder = Timeline.create ?config ~index:static.index ~nprocs () in
+  ignore (run ~nprocs ~tools:[ Timeline.tool recorder ] prog);
+  Timeline.capture recorder
+
 (* --- tracer --- *)
 
 let test_tracer_counts_and_bytes () =
@@ -53,16 +65,18 @@ let test_tracer_counts_and_bytes () =
   ignore (run ~nprocs:4 ~tools:[ Tracer.tool tr ] prog);
   check_bool "events logged" true (Tracer.n_events tr > 0);
   check_int "bytes = events x 40" (Tracer.n_events tr * 40)
-    (Tracer.storage_bytes tr);
-  check_bool "not truncated" true (not (Tracer.truncated tr))
+    (Tracer.storage_bytes tr)
 
+(* The run's one event record is the rank timeline: its cap keeps the
+   first [max_events] intervals and messages and counts the rest. *)
 let test_tracer_truncation () =
-  let config = { Tracer.default_config with keep_limit = 3 } in
-  let tr = Tracer.create ~config () in
-  let prog = ring_program ~niter:5 () in
-  ignore (run ~nprocs:4 ~tools:[ Tracer.tool tr ] prog);
-  check_bool "truncated" true (Tracer.truncated tr);
-  check_int "kept only 3" 3 (List.length (Tracer.events tr))
+  let tl =
+    timeline_of ~config:{ Timeline.max_events = 3 } ~nprocs:4
+      (ring_program ~niter:5 ())
+  in
+  check_int "kept only 3" 3
+    (Array.length tl.Timeline.intervals + Array.length tl.Timeline.messages);
+  check_bool "truncated" true (Timeline.total_dropped tl > 0)
 
 let test_tracer_sub_regions () =
   (* a bigger computation produces more traced sub-regions (bytes) *)
@@ -82,40 +96,42 @@ let test_tracer_overhead_charged () =
   check_bool "tracing slows the run" true
     (traced.Exec.elapsed > bare.Exec.elapsed)
 
-(* --- replay --- *)
+(* --- replay: wait-state classification over the rank timeline --- *)
 
 let test_replay_late_sender () =
-  let tr = Tracer.create () in
-  ignore (run ~nprocs:2 ~tools:[ Tracer.tool tr ] (late_sender_program ()));
-  let states = Replay.analyze (Tracer.events tr) in
-  check_bool "found states" true (states <> []);
-  let top = List.hd states in
-  check_bool "late sender class" true (top.Replay.ws_class = Replay.Late_sender);
-  check_bool "wait positive" true (top.Replay.total_wait > 0.001)
+  let ws = Waitstate.analyze (timeline_of ~nprocs:2 (late_sender_program ())) in
+  match ws.Waitstate.entries with
+  | [] -> Alcotest.fail "no wait states"
+  | top :: _ ->
+      check_bool "late sender class" true
+        (top.Waitstate.ws_class = Waitstate.Late_sender);
+      check_bool "wait positive" true (top.Waitstate.ws_time > 0.001);
+      check_bool "rank 0 blamed" true
+        (List.mem_assoc 0 top.Waitstate.ws_culprits)
 
 let test_replay_collective_wait () =
-  let tr = Tracer.create () in
-  ignore (run ~nprocs:4 ~tools:[ Tracer.tool tr ] (delayed_barrier_program ()));
-  let states = Replay.analyze (Tracer.events tr) in
-  let colls =
-    List.filter
-      (fun ws -> ws.Replay.ws_class = Replay.Wait_at_collective)
-      states
+  let ws =
+    Waitstate.analyze (timeline_of ~nprocs:4 (delayed_barrier_program ()))
   in
-  check_bool "collective waits found" true (colls <> []);
-  let ws = List.hd colls in
+  check_bool "collective imbalance blames rank 0" true
+    (List.exists
+       (fun (e : Waitstate.entry) ->
+         e.ws_class = Waitstate.Collective_imbalance
+         && List.mem_assoc 0 e.ws_culprits)
+       ws.Waitstate.entries);
   (* three of four ranks wait for rank 0 *)
-  check_int "waiting ranks" 3 (List.length ws.Replay.ranks)
+  check_int "waiting ranks" 3
+    (Array.fold_left
+       (fun n s -> if s > 20e-6 then n + 1 else n)
+       0 ws.Waitstate.rank_attributed)
 
 let test_replay_quiet_program () =
-  let tr = Tracer.create () in
-  ignore (run ~nprocs:4 ~tools:[ Tracer.tool tr ] (ring_program ~niter:3 ()));
-  let states = Replay.report (Tracer.events tr) ~top:5 in
+  let ws = Waitstate.analyze (timeline_of ~nprocs:4 (ring_program ~niter:3 ())) in
   (* balanced ring: nothing waits appreciably *)
   List.iter
-    (fun ws ->
-      check_bool "small waits only" true (ws.Replay.total_wait < 0.05))
-    states
+    (fun (e : Waitstate.entry) ->
+      check_bool "small waits only" true (e.ws_time < 0.05))
+    ws.Waitstate.entries
 
 (* --- cct / callprof --- *)
 
@@ -184,39 +200,38 @@ let test_overhead_and_storage_ordering () =
   check_bool "scalana cheapest" true (sa.overhead_pct <= cp.overhead_pct)
 
 
-(* --- trace files --- *)
+(* --- trace files: the rank timeline's trace_event export --- *)
+
+let exported_trace () =
+  let tl = timeline_of ~nprocs:4 (delayed_barrier_program ()) in
+  let path = Filename.temp_file "scalana" ".trace.json" in
+  Timeline.export_trace ~path tl;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (tl, text)
 
 let test_trace_io_roundtrip () =
-  let tr = Tracer.create () in
-  ignore (run ~nprocs:4 ~tools:[ Tracer.tool tr ] (delayed_barrier_program ()));
-  let events = Tracer.events tr in
-  let path = Filename.temp_file "scalana" ".trace" in
-  Trace_io.save ~path events;
-  let loaded = Trace_io.load ~path in
-  check_int "same count" (List.length events) (List.length loaded);
-  (* replay gives identical wait states on the reloaded trace *)
-  let ws1 = Replay.analyze events and ws2 = Replay.analyze loaded in
-  check_int "same wait states" (List.length ws1) (List.length ws2);
-  List.iter2
-    (fun a b ->
-      check_string "same loc" (Loc.to_string a.Replay.ws_loc)
-        (Loc.to_string b.Replay.ws_loc);
-      Testutil.close "same wait" a.Replay.total_wait b.Replay.total_wait)
-    ws1 ws2;
-  (* and the critical path agrees too *)
-  let cp1 = Scalana_detect.Critpath.analyze events in
-  let cp2 = Scalana_detect.Critpath.analyze loaded in
-  Testutil.close ~eps:1e-6 "same critical path" cp1.Scalana_detect.Critpath.total
-    cp2.Scalana_detect.Critpath.total
+  let tl, text = exported_trace () in
+  match Json.of_string text with
+  | Error msg -> Alcotest.failf "trace does not parse: %s" msg
+  | Ok doc ->
+      let events =
+        match Json.member "traceEvents" doc with
+        | Some (Json.Arr l) -> l
+        | _ -> Alcotest.fail "no traceEvents array"
+      in
+      let slices =
+        List.filter (fun e -> Json.member "ph" e = Some (Json.Str "X")) events
+      in
+      check_int "one slice per interval"
+        (Array.length tl.Timeline.intervals)
+        (List.length slices)
 
 let test_trace_io_malformed () =
-  let path = Filename.temp_file "scalana" ".trace" in
-  let oc = open_out path in
-  output_string oc "C\t0\tnot_a_float\t0.1\tx:1\t-\tfoo\n";
-  close_out oc;
-  match Trace_io.load ~path with
-  | _ -> Alcotest.fail "expected Malformed"
-  | exception Trace_io.Malformed { line_no = 1; _ } -> ()
+  let _, text = exported_trace () in
+  match Json.of_string (String.sub text 0 (String.length text / 2)) with
+  | Ok _ -> Alcotest.fail "a trace cut in half parsed"
+  | Error _ -> ()
 
 (* A non-positive or non-finite frequency is refused up front: its
    sampling period never reaches an interval's end. *)
@@ -231,6 +246,33 @@ let test_callprof_rejects_bad_freq () =
       | _ -> Alcotest.failf "freq %g accepted" freq
       | exception Invalid_argument _ -> ())
     [ -5.0; 0.0; Float.nan; Float.infinity ]
+
+(* --- pin --- *)
+
+(* Table I, Figs. 10, 11 and 13 read the tracer through three numbers
+   per run: trace records, trace bytes and the traced run's elapsed
+   time.  The digest pins all three over the eleven registry programs
+   at 16 and 64 ranks. *)
+let expected_tracer_digest = "b335a2d91975bfd3f5ae34040b4048ba"
+
+let test_pin_tracer_cost () =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (entry : Scalana_apps.Registry.entry) ->
+      List.iter
+        (fun nprocs ->
+          let tr = Tracer.create () in
+          let r =
+            run ~nprocs ~cost:entry.cost ~tools:[ Tracer.tool tr ]
+              (entry.make ())
+          in
+          Printf.bprintf buf "%s/%d %d %d %Lx\n" entry.name nprocs
+            (Tracer.n_events tr) (Tracer.storage_bytes tr)
+            (Int64.bits_of_float r.Exec.elapsed))
+        [ 16; 64 ])
+    Scalana_apps.Registry.all;
+  check_string "tracer cost digest" expected_tracer_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let () =
   Alcotest.run "baselines"
@@ -271,5 +313,10 @@ let () =
         [
           Alcotest.test_case "Table I ordering" `Quick
             test_overhead_and_storage_ordering;
+        ] );
+      ( "pin",
+        [
+          Alcotest.test_case "tracer cost on the registry" `Quick
+            test_pin_tracer_cost;
         ] );
     ]

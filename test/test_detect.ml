@@ -415,14 +415,25 @@ let test_follow_def_use_changes_step () =
 
 (* --- critical-path extension --- *)
 
-let traced_run ?(nprocs = 4) prog =
-  let tr = Scalana_baselines.Tracer.create () in
+(* One run with only the rank-timeline recorder attached: the
+   contracted PSG its vertices index, the timeline and the run. *)
+let timeline_run ?(nprocs = 4) ?cost prog =
+  let static = Scalana.Static.analyze prog in
+  let recorder =
+    Scalana_profile.Timeline.create ~index:static.index ~nprocs ()
+  in
   let cfg =
-    Scalana_runtime.Exec.config ~nprocs
-      ~tools:[ Scalana_baselines.Tracer.tool tr ] ()
+    Scalana_runtime.Exec.config ~nprocs ?cost
+      ~tools:[ Scalana_profile.Timeline.tool recorder ] ()
   in
   let r = Scalana_runtime.Exec.run ~cfg prog in
-  (Scalana_baselines.Tracer.events tr, r)
+  (Scalana.Static.psg static, Scalana_profile.Timeline.capture recorder, r)
+
+let mentions sub s =
+  try
+    ignore (Str.search_forward (Str.regexp_string sub) s 0);
+    true
+  with Not_found -> false
 
 let test_critpath_planted_loop () =
   (* rank 0 computes a long loop before every barrier: the loop must
@@ -447,28 +458,25 @@ let test_critpath_planted_loop () =
         ]);
     Builder.program b
   in
-  let events, r = traced_run prog in
-  let cp = Critpath.analyze events in
-  (* the chain covers most of the run (elapsed includes tracing
-     overhead, which is not on the chain) *)
+  let psg, tl, r = timeline_run prog in
+  let cp = Critpath.analyze ~psg tl in
   check_bool "chain covers the run" true (cp.Critpath.total > 0.5 *. r.elapsed);
   match Critpath.top ~n:1 cp with
   | [ (loc, seconds) ] ->
-      check_bool "slow loop tops the chain" true
-        (try
-           ignore (Str.search_forward (Str.regexp_string "slow_loop") loc 0);
-           true
-         with Not_found -> false);
+      check_bool "slow loop tops the chain" true (mentions "slow_loop" loc);
       check_bool "dominant share" true (seconds > 0.8 *. cp.Critpath.total)
   | _ -> Alcotest.fail "no top location"
 
 let test_critpath_empty_and_balanced () =
-  let cp = Critpath.analyze [] in
+  let prog = ring_program ~niter:10 ~work:2_000_000 () in
+  let psg, tl, r = timeline_run prog in
+  let empty =
+    { tl with Scalana_profile.Timeline.intervals = [||]; messages = [||] }
+  in
+  let cp = Critpath.analyze ~psg empty in
   check_bool "empty trace" true (cp.Critpath.total = 0.0 && cp.segments = []);
   (* a balanced ring: the chain is roughly one rank's compute time *)
-  let prog = ring_program ~niter:10 ~work:2_000_000 () in
-  let events, r = traced_run prog in
-  let cp = Critpath.analyze events in
+  let cp = Critpath.analyze ~psg tl in
   check_bool "chain within elapsed" true
     (cp.Critpath.total <= r.elapsed *. 1.01);
   check_bool "chain covers most of elapsed" true
@@ -478,25 +486,32 @@ let test_critpath_agrees_with_backtracking () =
   (* zeus-mp: the bval updates must appear on the critical path, the
      same code backtracking blames *)
   let entry = Scalana_apps.Registry.find "zeusmp" in
-  let tr = Scalana_baselines.Tracer.create () in
-  let cfg =
-    Scalana_runtime.Exec.config ~nprocs:8 ~cost:entry.cost
-      ~tools:[ Scalana_baselines.Tracer.tool tr ] ()
-  in
-  ignore (Scalana_runtime.Exec.run ~cfg (entry.make ()));
-  let cp = Critpath.analyze (Scalana_baselines.Tracer.events tr) in
+  let psg, tl, _ = timeline_run ~nprocs:8 ~cost:entry.cost (entry.make ()) in
+  let cp = Critpath.analyze ~psg tl in
   let on_chain =
     List.exists
-      (fun (loc, s) ->
-        s > 0.0
-        &&
-        try
-          ignore (Str.search_forward (Str.regexp_string "bval") loc 0);
-          true
-        with Not_found -> false)
+      (fun (loc, s) -> s > 0.0 && mentions "bval" loc)
       cp.Critpath.by_location
   in
   check_bool "bval on the chain" true on_chain
+
+(* The pipeline's own timeline, recorded inside the largest profiled
+   run, serves the critical path: no second run, traced or not. *)
+let test_critpath_pipeline_timeline () =
+  let entry = Scalana_apps.Registry.find "zeusmp" in
+  let t =
+    Scalana.Pipeline.run ~cost:entry.cost ~scales:[ 4; 8; 16 ] ~timeline:true
+      (entry.make ())
+  in
+  let cp =
+    Critpath.analyze
+      ~psg:(Scalana.Static.psg t.static)
+      (Option.get t.timeline)
+  in
+  check_bool "bval on the chain" true
+    (List.exists
+       (fun (loc, s) -> s > 0.0 && mentions "bval" loc)
+       cp.Critpath.by_location)
 
 (* --- seeded properties through the stdlib Prop harness --- *)
 
@@ -744,5 +759,7 @@ let () =
             test_critpath_empty_and_balanced;
           Alcotest.test_case "agrees with backtracking" `Quick
             test_critpath_agrees_with_backtracking;
+          Alcotest.test_case "pipeline timeline" `Quick
+            test_critpath_pipeline_timeline;
         ] );
     ]

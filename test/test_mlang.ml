@@ -389,6 +389,17 @@ let test_snippet_bounds () =
     (List.length (Pretty.snippet ~context:1000 prog (Loc.v ~file:"f" ~line:2))
     <= n)
 
+(* A negative context would print nothing under a cause, not even the
+   cause's own line, so it is refused; context 0 is that line alone. *)
+let test_snippet_rejects_negative_context () =
+  let prog = fig3_program () in
+  let loc = Loc.v ~file:"fig3.mmp" ~line:2 in
+  check_int "context 0 is one line" 1
+    (List.length (Pretty.snippet ~context:0 prog loc));
+  match Pretty.snippet ~context:(-1) prog loc with
+  | _ -> Alcotest.fail "negative context accepted"
+  | exception Invalid_argument _ -> ()
+
 (* --- Builder --- *)
 
 let test_builder_lines_monotone () =
@@ -574,6 +585,8 @@ let () =
           Alcotest.test_case "registry round trip" `Quick
             test_registry_roundtrip;
           Alcotest.test_case "snippet alignment" `Quick test_snippet_alignment;
+          Alcotest.test_case "snippet rejects negative context" `Quick
+            test_snippet_rejects_negative_context;
         ] );
       ( "loc",
         [ Alcotest.test_case "basics" `Quick test_loc_basics ] );
