@@ -152,6 +152,42 @@ let test_artifact_roundtrip () =
   let pipe = Scalana.Pipeline.detect session.static session.runs in
   check_bool "report renders" true (String.length pipe.report > 0)
 
+(* The stored static artifact of every Table II program, byte for byte:
+   the PSGs, the attribution index, the def-use summary and the
+   communication-cost analysis the session carries. *)
+let expected_static_artifact_digests =
+  [
+    ("bt", "1c39538fbb1a73253b2163afe827e0ab");
+    ("cg", "c16f5fd118b405247e28eab93924dfcd");
+    ("ep", "37093407bf7856d99e5e89a4420f7aeb");
+    ("ft", "8cd17979320a3c44e699bcea580d34f8");
+    ("mg", "78819acfe8454ec21cb5d58f244177b5");
+    ("sp", "4562388e3f012648dbbc0d80b9bc5838");
+    ("lu", "c4026e7f0249f3690b00fd8c9587135b");
+    ("is", "34371e0cf69482b5dd9eafb6d15fd04a");
+    ("sst", "f9cfb4e5b58c53bc3d4a7b0b799d8a96");
+    ("nekbone", "d61a11259247d4d1bbb962f29cef5869");
+    ("zeusmp", "82605c5db094a3bc973940f9b0f00578");
+  ]
+
+let test_static_artifact_digests () =
+  check_int "one digest per program" (List.length Scalana_apps.Registry.names)
+    (List.length expected_static_artifact_digests);
+  List.iter
+    (fun name ->
+      let dir = Filename.temp_file "scalana" "" in
+      Sys.remove dir;
+      Scalana.Artifact.save_static dir
+        (Scalana.Static.analyze ((Scalana_apps.Registry.find name).make ()));
+      let path = Scalana.Artifact.static_path dir in
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      Sys.rmdir dir;
+      check_string (name ^ " static artifact")
+        (List.assoc name expected_static_artifact_digests)
+        (Digest.to_hex (Digest.string bytes)))
+    Scalana_apps.Registry.names
+
 let test_artifact_bad_magic () =
   let f = Filename.temp_file "scalana" ".static" in
   let oc = open_out f in
@@ -862,6 +898,8 @@ let () =
             test_artifact_wrong_scale;
           Alcotest.test_case "older format is Bad_version" `Quick
             test_artifact_older_version;
+          Alcotest.test_case "static artifacts pinned by digest" `Quick
+            test_static_artifact_digests;
         ] );
       ( "degraded",
         [
