@@ -14,7 +14,9 @@
      scales to resolve what the polynomial domain cannot (rank
      arithmetic: xor partners, mod rings, grid neighbours), measuring
      each statement's network pressure so its scaling exponent can be
-     recovered by {!Symbolic.fit_exponents}.
+     recovered by {!Symbolic.fit_exponents}.  It walks the simulator's
+     own compiled form ([Scalana_runtime.Ir]), compiled once per walked
+     scale, and tallies per MPI key into arrays.
 
    Network pressure of a statement at scale [p] is its per-rank message
    count weighted by ring distance (dilation) for point-to-point
@@ -26,6 +28,8 @@
 
 open Scalana_mlang
 module Network = Scalana_runtime.Network
+module Ir = Scalana_runtime.Ir
+module C = Expr.Compiled
 
 let ring_dist np a b =
   let d = (b - a + np) mod np in
@@ -37,152 +41,139 @@ let ring_dist np a b =
 
 exception Out_of_fuel
 
-type walk = {
-  w_prog : Ast.program;
-  w_np : int;
-  mutable w_fuel : int;
-  mutable w_exact : bool;
-  mutable w_stack : string list;
-  w_prune : (Loc.t, bool) Hashtbl.t;
-  w_on_mpi :
-    func:string -> loc:Loc.t -> rank:int -> eval:(Expr.t -> int) ->
-    Ast.mpi_call -> unit;
-}
-
 let default_fuel = 300_000
 
-(* A loop whose body performs no communication, calls nothing and binds
-   no variables is invisible to every consumer below: skip it instead of
-   iterating a 10^8-trip compute kernel. *)
-let rec subtree_effectful w stmts = List.exists (stmt_effectful w) stmts
+(* A walk of the program compiled at one scale ([Ir.compile]), one rank
+   at a time.  Variable slots are function-scoped and mutable, as in the
+   runtime: a [let] or loop variable stays bound after its block ends.
+   Recursion is cut, so a function is never on the stack twice and each
+   function keeps one frame per rank, cleared on entry.  Fuel is one
+   unit per statement visited, a pruned loop or a branch included. *)
+type walk = {
+  w_ir : Ir.program;
+  mutable w_fuel : int;
+  mutable w_exact : bool;
+  mutable w_depth : int;
+  w_active : bool array;  (* by function id: on the call stack *)
+  mutable w_envs : C.env array;  (* by function id: the rank's frames *)
+  w_on_mpi : int -> C.env -> Ast.mpi_call -> Ir.cmpi -> unit;
+      (* MPI key, the executing frame, the statement *)
+}
 
-and stmt_effectful w (st : Ast.stmt) =
-  match st.Ast.node with
-  | Ast.Mpi _ | Ast.Call _ | Ast.Icall _ | Ast.Let _ -> true
-  | Ast.Comp _ -> false
-  | Ast.Loop l -> (
-      match Hashtbl.find_opt w.w_prune st.Ast.loc with
-      | Some v -> v
-      | None ->
-          let v = subtree_effectful w l.Ast.body in
-          Hashtbl.replace w.w_prune st.Ast.loc v;
-          v)
-  | Ast.Branch b -> (
-      match Hashtbl.find_opt w.w_prune st.Ast.loc with
-      | Some v -> v
-      | None ->
-          let v = subtree_effectful w b.then_ || subtree_effectful w b.else_ in
-          Hashtbl.replace w.w_prune st.Ast.loc v;
-          v)
+let rec walk_block w env (body : Ir.cstmt array) =
+  for i = 0 to Array.length body - 1 do
+    walk_stmt w env (Array.unsafe_get body i)
+  done
 
-(* Variable slots are function-scoped and mutable, as in the runtime:
-   a [let] or loop variable stays bound after its block ends. *)
-let bind vars var v =
-  let rec go = function
-    | [] -> [ (var, v) ]
-    | (n, _) :: rest when String.equal n var -> (n, v) :: rest
-    | kv :: rest -> kv :: go rest
-  in
-  go vars
-
-let rec exec_stmts w fname rank vars stmts =
-  List.iter (exec_stmt w fname rank vars) stmts
-
-and exec_stmt w fname rank vars (st : Ast.stmt) =
+and walk_stmt w (env : C.env) (st : Ir.cstmt) =
   if w.w_fuel <= 0 then begin
     w.w_exact <- false;
     raise Out_of_fuel
   end;
   w.w_fuel <- w.w_fuel - 1;
-  let eval e =
-    Expr.eval
-      (Expr.env ~rank ~nprocs:w.w_np ~params:w.w_prog.Ast.params ~vars:!vars)
-      e
-  in
-  match st.Ast.node with
-  | Ast.Comp _ -> ()
-  | Ast.Let { var; value } -> (
-      match eval value with
-      | v -> vars := bind !vars var v
+  match st.Ir.snode with
+  | Ir.KComp _ -> ()
+  | Ir.KLet { slot; value } -> (
+      match C.eval env value with
+      | v ->
+          env.C.c_vars.(slot) <- v;
+          Bytes.set env.C.c_bound slot '\001'
       | exception Expr.Eval_error _ -> w.w_exact <- false)
-  | Ast.Mpi c -> w.w_on_mpi ~func:fname ~loc:st.Ast.loc ~rank ~eval c
-  | Ast.Loop l ->
-      if stmt_effectful w st then (
-        match eval l.Ast.count with
-        | exception Expr.Eval_error _ -> w.w_exact <- false
-        | n ->
-            for iv = 0 to n - 1 do
-              vars := bind !vars l.Ast.var iv;
-              exec_stmts w fname rank vars l.Ast.body
-            done)
-  | Ast.Branch b -> (
-      match eval b.cond with
+  | Ir.KMpi { ast; op; key } -> w.w_on_mpi key env ast op
+  (* A loop whose body performs no communication, calls nothing and
+     binds no variables is invisible to every consumer below: skip it
+     instead of iterating a 10^8-trip compute kernel. *)
+  | Ir.KLoop { effects = false; _ } -> ()
+  | Ir.KLoop { slot; count; body; effects = true } -> (
+      match C.eval env count with
       | exception Expr.Eval_error _ -> w.w_exact <- false
-      | c -> exec_stmts w fname rank vars (if c <> 0 then b.then_ else b.else_))
-  | Ast.Call { callee; args } -> (
-      match Ast.find_func_opt w.w_prog callee with
-      | None -> w.w_exact <- false
-      | Some f ->
-          let bound =
-            List.filter_map
-              (fun (name, e) ->
-                match eval e with
-                | v -> Some (name, v)
-                | exception Expr.Eval_error _ ->
-                    w.w_exact <- false;
-                    None)
-              args
-          in
-          exec_call w rank f bound)
-  | Ast.Icall { selector; targets } -> (
-      match eval selector with
+      | n ->
+          if n > 0 then begin
+            Bytes.set env.C.c_bound slot '\001';
+            for i = 0 to n - 1 do
+              env.C.c_vars.(slot) <- i;
+              walk_block w env body
+            done
+          end)
+  | Ir.KBranch { cond; then_; else_ } -> (
+      match C.eval env cond with
+      | exception Expr.Eval_error _ -> w.w_exact <- false
+      | c -> walk_block w env (if c <> 0 then then_ else else_))
+  | Ir.KCall { callee; args; _ } -> walk_call w callee ~caller:env args
+  | Ir.KCall_undef _ -> w.w_exact <- false
+  | Ir.KIcall { selector; targets; _ } -> (
+      match C.eval env selector with
       | exception Expr.Eval_error _ -> w.w_exact <- false
       | sel -> (
-          let n = List.length targets in
+          let n = Array.length targets in
           if n = 0 then w.w_exact <- false
           else
-            let idx = ((sel mod n) + n) mod n in
-            match Ast.find_func_opt w.w_prog (List.nth targets idx) with
+            match snd targets.(((sel mod n) + n) mod n) with
             | None -> w.w_exact <- false
-            | Some f -> exec_call w rank f []))
+            | Some f -> walk_call w f ~caller:env [||]))
 
-and exec_call w rank (f : Ast.func) bound =
-  if List.mem f.Ast.fname w.w_stack || List.length w.w_stack > 32 then
-    w.w_exact <- false
+(* An argument that fails to evaluate stays unbound; of two arguments
+   naming one slot, the first bound wins. *)
+and walk_call w (f : Ir.cfunc) ~caller args =
+  if w.w_active.(f.Ir.cf_id) || w.w_depth > 32 then w.w_exact <- false
   else begin
-    w.w_stack <- f.Ast.fname :: w.w_stack;
-    Fun.protect
-      ~finally:(fun () -> w.w_stack <- List.tl w.w_stack)
-      (fun () -> exec_stmts w f.Ast.fname rank (ref bound) f.Ast.fbody)
+    let env = w.w_envs.(f.Ir.cf_id) in
+    Bytes.fill env.C.c_bound 0 (Bytes.length env.C.c_bound) '\000';
+    Array.iter
+      (fun (slot, e) ->
+        match C.eval caller e with
+        | v ->
+            if Bytes.get env.C.c_bound slot = '\000' then begin
+              env.C.c_vars.(slot) <- v;
+              Bytes.set env.C.c_bound slot '\001'
+            end
+        | exception Expr.Eval_error _ -> w.w_exact <- false)
+      args;
+    w.w_active.(f.Ir.cf_id) <- true;
+    w.w_depth <- w.w_depth + 1;
+    walk_block w env f.Ir.cf_body;
+    w.w_depth <- w.w_depth - 1;
+    w.w_active.(f.Ir.cf_id) <- false
   end
 
-(* Runs every rank (or the given subset) through the program; returns
-   whether the walk covered it exactly (no eval errors, unresolved calls
-   or exhausted fuel). *)
-let walk_program ?(fuel = default_fuel) ?ranks prog ~nprocs ~on_mpi =
-  let w =
-    {
-      w_prog = prog;
-      w_np = nprocs;
-      w_fuel = fuel;
-      w_exact = true;
-      w_stack = [];
-      w_prune = Hashtbl.create 32;
-      w_on_mpi = on_mpi;
-    }
-  in
-  let ranks =
-    match ranks with Some rs -> rs | None -> List.init nprocs Fun.id
-  in
-  (match Ast.find_func_opt prog prog.Ast.main with
+let compile prog ~nprocs = Ir.compile ~nprocs ~params:prog.Ast.params prog
+
+let walker ir ~on_mpi =
+  {
+    w_ir = ir;
+    w_fuel = 0;
+    w_exact = true;
+    w_depth = 0;
+    w_active = Array.make (Array.length ir.Ir.funcs) false;
+    w_envs = [||];
+    w_on_mpi = on_mpi;
+  }
+
+(* Runs one rank through the program on a fresh fuel budget. *)
+let walk_rank w rank =
+  match w.w_ir.Ir.main with
   | None -> w.w_exact <- false
-  | Some main ->
-      List.iter
-        (fun rank ->
-          w.w_fuel <- fuel;
-          w.w_stack <- [];
-          try exec_call w rank main [] with Out_of_fuel -> ())
-        ranks);
+  | Some main -> (
+      w.w_fuel <- default_fuel;
+      w.w_depth <- 0;
+      Array.fill w.w_active 0 (Array.length w.w_active) false;
+      w.w_envs <-
+        Array.map
+          (fun (f : Ir.cfunc) ->
+            {
+              C.c_rank = rank;
+              c_vars = Array.make f.Ir.cf_nvars 0;
+              c_bound = Bytes.make f.Ir.cf_nvars '\000';
+            })
+          w.w_ir.Ir.funcs;
+      try walk_call w main ~caller:w.w_envs.(main.Ir.cf_id) [||]
+      with Out_of_fuel -> ())
+
+(* Runs every given rank; returns whether the walk covered them exactly
+   (no eval errors, unresolved calls, recursion or exhausted fuel). *)
+let walk_ranks ir ~ranks ~on_mpi =
+  let w = walker ir ~on_mpi in
+  List.iter (walk_rank w) ranks;
   w.w_exact
 
 (* ------------------------------------------------------------------ *)
@@ -389,42 +380,19 @@ let interproc prog =
 (* Probing: network pressure at a few scales                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-rank dilation weight of one dynamic execution. *)
-let pressure_weight ~np ~rank ~eval (c : Ast.mpi_call) =
-  let lg = float_of_int (Network.log2_ceil np) in
-  let hop dest = float_of_int (ring_dist np rank (eval dest)) in
-  match c with
-  | Ast.Send { dest; _ } | Ast.Isend { dest; _ } | Ast.Sendrecv { dest; _ } ->
-      hop dest
-  | Ast.Recv _ | Ast.Irecv _ | Ast.Wait _ | Ast.Waitall _ ->
-      0.0  (* the sending side carries the dilation *)
-  | Ast.Barrier | Ast.Bcast _ | Ast.Reduce _ -> lg
-  | Ast.Allreduce _ -> 2.0 *. lg
-  | Ast.Allgather _ | Ast.Alltoall _ -> float_of_int (max 1 (np - 1))
-
-(* Hockney/tree model time of one dynamic execution: the simulator's
-   own Network shapes, so the fitted model slope is comparable with the
-   measured one. *)
-let model_time ~np ~eval (c : Ast.mpi_call) =
-  let net = Network.default in
-  let collective bytes = Network.collective_time net ~nprocs:np ~bytes c in
-  match c with
-  | Ast.Send { bytes; _ } | Ast.Isend { bytes; _ }
-  | Ast.Recv { bytes; _ } | Ast.Irecv { bytes; _ } ->
-      Network.transfer_time net (eval bytes)
-  | Ast.Sendrecv { sbytes; rbytes; _ } ->
-      Network.transfer_time net (eval sbytes)
-      +. (float_of_int (max 0 (eval rbytes)) /. net.bandwidth)
-  | Ast.Wait _ | Ast.Waitall _ -> 0.0
-  | Ast.Barrier -> collective 0
-  | Ast.Bcast { bytes; _ } | Ast.Reduce { bytes; _ } | Ast.Allreduce { bytes }
-  | Ast.Allgather { bytes } | Ast.Alltoall { bytes } ->
-      collective (eval bytes)
-
+(* What one walk at scale [np] tallies, indexed by MPI key or function
+   id: each statement's network pressure summed over the walked ranks,
+   and — when the walk covers every rank for the matrices — each
+   function's point-to-point message matrix and the collectives it
+   executed. *)
 type probe = {
-  pr_cost : (string * Loc.t, float array) Hashtbl.t;  (* per-rank pressure *)
   pr_np : int;
   pr_nranks : int;  (* ranks actually walked *)
+  pr_exact : bool;
+  pr_ir : Ir.program;
+  pr_cost : float array;  (* by key *)
+  pr_p2p : int array array option array;  (* by function id *)
+  pr_colls : string list array;  (* by function id *)
 }
 
 (* Pressure is a per-rank mean, so large probe scales are walked on an
@@ -448,33 +416,66 @@ let probe_ranks np =
     let stride = coprime (np / probe_rank_cap) in
     List.init probe_rank_cap (fun i -> i * stride mod np)
 
-let probe_scale prog np =
-  let ranks = probe_ranks np in
-  let pr =
-    { pr_cost = Hashtbl.create 64; pr_np = np; pr_nranks = List.length ranks }
-  in
+(* Network pressure of one dynamic execution is its per-rank dilation
+   weight: ring distance for the sending side of point-to-point traffic
+   (the receiving side carries none), tree/dissemination depth for
+   collectives.  Every weight is a whole number, so the per-key sums are
+   exact whatever order the ranks are walked in.  A destination that
+   fails to evaluate weighs 1 and makes the probe imprecise. *)
+let probe_scale prog np ~matrices =
+  let ir = compile prog ~nprocs:np in
+  let ranks = if matrices then List.init np Fun.id else probe_ranks np in
+  let nfuncs = Array.length ir.Ir.funcs in
+  let cost = Array.make (Array.length ir.Ir.keys) 0.0 in
+  let p2p = Array.make nfuncs None and colls = Array.make nfuncs [] in
+  let lg = float_of_int (Network.log2_ceil np) in
   let imprecise = ref false in
+  let func key = (fst ir.Ir.keys.(key)).Ir.cf_id in
   let exact =
-    walk_program prog ~nprocs:np ~ranks
-      ~on_mpi:(fun ~func ~loc ~rank ~eval c ->
-        let key = (func, loc) in
-        let arr =
-          match Hashtbl.find_opt pr.pr_cost key with
-          | Some a -> a
-          | None ->
-              let a = Array.make np 0.0 in
-              Hashtbl.replace pr.pr_cost key a;
-              a
-        in
+    walk_ranks ir ~ranks ~on_mpi:(fun key env c op ->
+        let rank = env.C.c_rank in
         let wt =
-          try pressure_weight ~np ~rank ~eval c
-          with Expr.Eval_error _ ->
-            imprecise := true;
-            1.0
+          match op with
+          | Ir.KSend { dest; _ } | Ir.KIsend { dest; _ } | Ir.KSendrecv { dest; _ } -> (
+              match C.eval env dest with
+              | exception Expr.Eval_error _ ->
+                  imprecise := true;
+                  1.0
+              | d ->
+                  if matrices && d >= 0 && d < np && d <> rank then begin
+                    let m =
+                      match p2p.(func key) with
+                      | Some m -> m
+                      | None ->
+                          let m = Array.make_matrix np np 0 in
+                          p2p.(func key) <- Some m;
+                          m
+                    in
+                    m.(rank).(d) <- m.(rank).(d) + 1
+                  end;
+                  float_of_int (ring_dist np rank d))
+          | Ir.KRecv _ | Ir.KIrecv _ | Ir.KWait _ | Ir.KWaitall _ -> 0.0
+          | Ir.KColl _ ->
+              let name = Ast.mpi_name c in
+              let f = func key in
+              if not (List.exists (String.equal name) colls.(f)) then
+                colls.(f) <- name :: colls.(f);
+              (match c with
+              | Ast.Allreduce _ -> 2.0 *. lg
+              | Ast.Allgather _ | Ast.Alltoall _ -> float_of_int (max 1 (np - 1))
+              | _ -> lg (* barrier, bcast, reduce *))
         in
-        arr.(rank) <- arr.(rank) +. wt)
+        cost.(key) <- cost.(key) +. wt)
   in
-  (pr, exact && not !imprecise)
+  {
+    pr_np = np;
+    pr_nranks = List.length ranks;
+    pr_exact = exact && not !imprecise;
+    pr_ir = ir;
+    pr_cost = cost;
+    pr_p2p = p2p;
+    pr_colls = colls;
+  }
 
 (* Mean pressure per rank: robust against the lone wraparound rank of a
    ring-embedded grid inflating an otherwise-constant halo pattern. *)
@@ -482,10 +483,9 @@ let probe_samples probes key =
   List.map
     (fun pr ->
       let v =
-        match Hashtbl.find_opt pr.pr_cost key with
+        match key with
         | None -> 0.0
-        | Some arr ->
-            Array.fold_left ( +. ) 0.0 arr /. float_of_int (max 1 pr.pr_nranks)
+        | Some k -> pr.pr_cost.(k) /. float_of_int (max 1 pr.pr_nranks)
       in
       (pr.pr_np, v))
     probes
@@ -493,45 +493,6 @@ let probe_samples probes key =
 (* ------------------------------------------------------------------ *)
 (* Communication matrices and pattern classification                   *)
 (* ------------------------------------------------------------------ *)
-
-let collect_matrices prog np =
-  let matrices = Hashtbl.create 8 in
-  let colls = Hashtbl.create 8 in
-  let exact =
-    walk_program prog ~nprocs:np ~on_mpi:(fun ~func ~loc:_ ~rank ~eval c ->
-        let record dest =
-          match eval dest with
-          | d when d >= 0 && d < np && d <> rank ->
-              let m =
-                match Hashtbl.find_opt matrices func with
-                | Some m -> m
-                | None ->
-                    let m = Array.make_matrix np np 0 in
-                    Hashtbl.replace matrices func m;
-                    m
-              in
-              m.(rank).(d) <- m.(rank).(d) + 1
-          | _ -> ()
-          | exception Expr.Eval_error _ -> ()
-        in
-        match c with
-        | Ast.Send { dest; _ } | Ast.Isend { dest; _ }
-        | Ast.Sendrecv { dest; _ } ->
-            record dest
-        | Ast.Recv _ | Ast.Irecv _ | Ast.Wait _ | Ast.Waitall _ -> ()
-        | Ast.Barrier | Ast.Bcast _ | Ast.Reduce _ | Ast.Allreduce _
-        | Ast.Allgather _ | Ast.Alltoall _ ->
-            let seen =
-              match Hashtbl.find_opt colls func with
-              | Some s -> s
-              | None ->
-                  let s = Hashtbl.create 4 in
-                  Hashtbl.replace colls func s;
-                  s
-            in
-            Hashtbl.replace seen (Ast.mpi_name c) ())
-  in
-  (matrices, colls, exact)
 
 let classify_pattern ~np pairs coll_names =
   if pairs = [] then
@@ -641,16 +602,23 @@ let matrix_np = 16
 
 let analyze prog =
   let infos, order, tables_of = interproc prog in
-  let probes, probe_exact =
-    List.fold_left
-      (fun (ps, ex) np ->
-        let pr, e = probe_scale prog np in
-        (pr :: ps, ex && e))
-      ([], true) probe_scales
+  (* matrix_np is a probe scale: that probe's walk covers every rank and
+     also tallies the matrices *)
+  let probes =
+    List.map (fun np -> probe_scale prog np ~matrices:(np = matrix_np)) probe_scales
   in
-  let probes = List.rev probes in
-  let matrices_tbl, colls_tbl, matrix_exact = collect_matrices prog matrix_np in
-  let exact = probe_exact && matrix_exact in
+  let exact = List.for_all (fun pr -> pr.pr_exact) probes in
+  let mprobe = List.find (fun pr -> pr.pr_np = matrix_np) probes in
+  let key_ids = Hashtbl.create 64 in
+  Array.iteri
+    (fun k ((f : Ir.cfunc), loc) -> Hashtbl.replace key_ids (f.Ir.cf_name, loc) k)
+    mprobe.pr_ir.Ir.keys;
+  let func_id name =
+    Option.map
+      (fun (f : Ir.cfunc) -> f.Ir.cf_id)
+      (Array.find_opt (fun (f : Ir.cfunc) -> String.equal f.Ir.cf_name name) mprobe.pr_ir.Ir.funcs)
+  in
+  let matrix name = Option.bind (func_id name) (fun id -> mprobe.pr_p2p.(id)) in
   (* program order for stable output *)
   let funcs_in_order =
     List.filter (fun (f : Ast.func) -> Hashtbl.mem infos f.Ast.fname)
@@ -685,7 +653,9 @@ let analyze prog =
             | None -> Symbolic.zero
             | Some e -> Symbolic.of_expr env e
           in
-          let samples = probe_samples probes (f.Ast.fname, loc) in
+          let samples =
+            probe_samples probes (Hashtbl.find_opt key_ids (f.Ast.fname, loc))
+          in
           let cls =
             if not exact then Symbolic.Unknown
             else if List.for_all (fun (_, v) -> v <= 1e-12) samples then
@@ -724,13 +694,11 @@ let analyze prog =
       (fun (f : Ast.func) ->
         let name = f.Ast.fname in
         let pairs =
-          match Hashtbl.find_opt matrices_tbl name with
-          | Some m -> matrix_pairs m
-          | None -> []
+          match matrix name with Some m -> matrix_pairs m | None -> []
         in
         let coll_names =
-          match Hashtbl.find_opt colls_tbl name with
-          | Some s -> List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) s [])
+          match func_id name with
+          | Some id -> List.sort compare mprobe.pr_colls.(id)
           | None -> []
         in
         if pairs = [] && coll_names = [] then None
@@ -740,9 +708,7 @@ let analyze prog =
   let matrices =
     List.filter_map
       (fun (f : Ast.func) ->
-        Option.map
-          (fun m -> (f.Ast.fname, m))
-          (Hashtbl.find_opt matrices_tbl f.Ast.fname))
+        Option.map (fun m -> (f.Ast.fname, m)) (matrix f.Ast.fname))
       funcs_in_order
   in
   let inv =
@@ -810,48 +776,58 @@ let count_pred count =
 (* Model-time series for the dynamic crosscheck                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Hockney/tree model time of one dynamic execution: the simulator's
+   own Network shapes, so the fitted model slope is comparable with the
+   measured one. *)
+let model_time ~np env (c : Ast.mpi_call) (op : Ir.cmpi) =
+  let net = Network.default in
+  let eval = C.eval env in
+  match op with
+  | Ir.KSend { bytes; _ } | Ir.KIsend { bytes; _ }
+  | Ir.KRecv { bytes; _ } | Ir.KIrecv { bytes; _ } ->
+      Network.transfer_time net (eval bytes)
+  | Ir.KSendrecv { sbytes; rbytes; _ } ->
+      Network.transfer_time net (eval sbytes)
+      +. (float_of_int (max 0 (eval rbytes)) /. net.bandwidth)
+  | Ir.KWait _ | Ir.KWaitall _ -> 0.0
+  | Ir.KColl { bytes } ->
+      Network.collective_time net ~nprocs:np ~bytes:(eval bytes) c
+
 let model_series prog ~scales =
-  let acc = Hashtbl.create 64 in
+  let walks = List.map (fun np -> (np, compile prog ~nprocs:np)) scales in
+  let nkeys =
+    match walks with (_, ir) :: _ -> Array.length ir.Ir.keys | [] -> 0
+  in
+  let seen = Array.make nkeys false in
   let order = ref [] in
-  let exact =
-    List.fold_left
-      (fun ex np ->
+  let exact = ref true in
+  let totals =
+    List.map
+      (fun (np, ir) ->
+        let total = Array.make nkeys 0.0 in
         let e =
-          walk_program prog ~nprocs:np ~on_mpi:(fun ~func ~loc ~rank:_ ~eval c ->
-              let t = try model_time ~np ~eval c with Expr.Eval_error _ -> 0.0 in
-              let key = (func, loc) in
-              match Hashtbl.find_opt acc key with
-              | Some tbl ->
-                  let cur =
-                    match Hashtbl.find_opt tbl np with Some v -> v | None -> 0.0
-                  in
-                  Hashtbl.replace tbl np (cur +. t)
-              | None ->
-                  let tbl = Hashtbl.create 4 in
-                  Hashtbl.replace tbl np t;
-                  Hashtbl.replace acc key tbl;
-                  order := key :: !order)
+          walk_ranks ir ~ranks:(List.init np Fun.id) ~on_mpi:(fun key env c op ->
+              let t = try model_time ~np env c op with Expr.Eval_error _ -> 0.0 in
+              total.(key) <- total.(key) +. t;
+              if not seen.(key) then begin
+                seen.(key) <- true;
+                order := key :: !order
+              end)
         in
-        ex && e)
-      true scales
+        exact := !exact && e;
+        (np, total))
+      walks
   in
   let series =
     List.rev_map
       (fun key ->
-        let tbl = Hashtbl.find acc key in
-        let points =
-          List.map
-            (fun np ->
-              let total =
-                match Hashtbl.find_opt tbl np with Some v -> v | None -> 0.0
-              in
-              (np, total /. float_of_int np))  (* mean per rank *)
-            scales
-        in
-        (key, points))
+        let (f : Ir.cfunc), loc = (snd (List.hd walks)).Ir.keys.(key) in
+        ( (f.Ir.cf_name, loc),
+          (* mean per rank *)
+          List.map (fun (np, total) -> (np, total.(key) /. float_of_int np)) totals ))
       !order
   in
-  (exact, series)
+  (!exact, series)
 
 (* ------------------------------------------------------------------ *)
 (* Channel audit for the interprocedural lints                         *)
@@ -868,73 +844,129 @@ type audit = {
       (* (func, loc) -> op name, per-rank execution counts *)
 }
 
+(* Tags hash to themselves: [Int.hash] is a C call per lookup. *)
+module Tags = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash t = t land max_int
+end)
+
+(* One rank's channel to (sends) or from (receives) one peer with one
+   tag: its message count and the MPI key of its first site. *)
+type chan = { c_tag : int; mutable c_n : int; c_key : int }
+
+let bump tbl ~tag key =
+  match Tags.find tbl tag with
+  | c -> c.c_n <- c.c_n + 1
+  | exception Not_found -> Tags.replace tbl tag { c_tag = tag; c_n = 1; c_key = key }
+
+(* A peer's channels in tag order; the table is left empty. *)
+let drain tbl =
+  if Tags.length tbl = 0 then []
+  else begin
+    let cs = Tags.fold (fun _ c acc -> c :: acc) tbl [] in
+    Tags.clear tbl;
+    List.sort (fun a b -> Int.compare a.c_tag b.c_tag) cs
+  end
+
+(* Ranks are walked in ascending order and each rank's channels are
+   flushed in (peer, tag) order after its walk, any source and any tag
+   first, so the channel lists come out sorted by key. *)
 let audit prog ~nprocs =
-  let sends = Hashtbl.create 64 in
-  let recvs = Hashtbl.create 64 in
-  let colls = Hashtbl.create 16 in
+  let ir = compile prog ~nprocs in
+  let sends = Array.init nprocs (fun _ -> Tags.create 8) in
+  (* receives by source slot: 0 is any source, 1 + s is source s *)
+  let recvs = Array.init (nprocs + 1) (fun _ -> Tags.create 8) in
+  let recvs_any_tag = Array.make (nprocs + 1) None in
+  let colls = Array.make (Array.length ir.Ir.keys) None in
+  let au_sends = ref [] and au_recvs = ref [] in
   let imprecise = ref false in
-  let bump tbl key loc func =
-    match Hashtbl.find_opt tbl key with
-    | Some (n, l, f) -> Hashtbl.replace tbl key (n + 1, l, f)
-    | None -> Hashtbl.replace tbl key (1, loc, func)
+  let send env key dest tag =
+    match (C.eval env dest, C.eval env tag) with
+    | d, tag when d >= 0 && d < nprocs -> bump sends.(d) ~tag key
+    | _ -> imprecise := true
+    | exception Expr.Eval_error _ -> imprecise := true
   in
-  let exact =
-    walk_program prog ~nprocs ~on_mpi:(fun ~func ~loc ~rank ~eval c ->
-        let ev e = try Some (eval e) with Expr.Eval_error _ -> imprecise := true; None in
-        let send dest tag =
-          match (ev dest, ev tag) with
-          | Some d, Some t when d >= 0 && d < nprocs ->
-              bump sends (rank, d, t) loc func
-          | _ -> imprecise := true
-        in
-        let recv (src : Ast.peer) (tag : Ast.tag) =
-          let s =
-            match src with
-            | Ast.Any_source -> Some None
-            | Ast.Peer e -> (
-                match ev e with
-                | Some v when v >= 0 && v < nprocs -> Some (Some v)
-                | _ -> None)
-          in
-          let t =
-            match tag with
-            | Ast.Any_tag -> Some None
-            | Ast.Tag e -> (
-                match ev e with Some v -> Some (Some v) | None -> None)
-          in
-          match (s, t) with
-          | Some s, Some t -> bump recvs (rank, s, t) loc func
-          | _ -> imprecise := true
-        in
-        match c with
-        | Ast.Send { dest; tag; _ } | Ast.Isend { dest; tag; _ } ->
-            send dest tag
-        | Ast.Recv { src; tag; _ } | Ast.Irecv { src; tag; _ } -> recv src tag
-        | Ast.Sendrecv { dest; stag; src; rtag; _ } ->
-            send dest stag;
-            recv src rtag
-        | Ast.Wait _ | Ast.Waitall _ -> ()
-        | Ast.Barrier | Ast.Bcast _ | Ast.Reduce _ | Ast.Allreduce _
-        | Ast.Allgather _ | Ast.Alltoall _ -> (
-            let key = (func, loc) in
-            match Hashtbl.find_opt colls key with
+  let recv env key (src : Ir.cpeer) (tag : Ir.ctag) =
+    let slot =
+      match src with
+      | Ir.KPAny -> 0
+      | Ir.KPeer e -> (
+          match C.eval env e with
+          | v when v >= 0 && v < nprocs -> v + 1
+          | _ -> -1
+          | exception Expr.Eval_error _ -> -1)
+    in
+    match tag with
+    | _ when slot < 0 -> imprecise := true
+    | Ir.KTAny -> (
+        match recvs_any_tag.(slot) with
+        | Some c -> c.c_n <- c.c_n + 1
+        | None -> recvs_any_tag.(slot) <- Some { c_tag = 0; c_n = 1; c_key = key })
+    | Ir.KTag e -> (
+        match C.eval env e with
+        | tag -> bump recvs.(slot) ~tag key
+        | exception Expr.Eval_error _ -> imprecise := true)
+  in
+  let w =
+    walker ir ~on_mpi:(fun key env c op ->
+        match op with
+        | Ir.KSend { dest; tag; _ } | Ir.KIsend { dest; tag; _ } -> send env key dest tag
+        | Ir.KRecv { src; tag; _ } | Ir.KIrecv { src; tag; _ } -> recv env key src tag
+        | Ir.KSendrecv { dest; stag; src; rtag; _ } ->
+            send env key dest stag;
+            recv env key src rtag
+        | Ir.KWait _ | Ir.KWaitall _ -> ()
+        | Ir.KColl _ -> (
+            let rank = env.C.c_rank in
+            match colls.(key) with
             | Some (_, arr) -> arr.(rank) <- arr.(rank) + 1
             | None ->
                 let arr = Array.make nprocs 0 in
                 arr.(rank) <- 1;
-                Hashtbl.replace colls key (Ast.mpi_name c, arr)))
+                colls.(key) <- Some (Ast.mpi_name c, arr)))
   in
-  let dump tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+  let site c =
+    let (f : Ir.cfunc), loc = ir.Ir.keys.(c.c_key) in
+    (c.c_n, loc, f.Ir.cf_name)
+  in
+  for rank = 0 to nprocs - 1 do
+    walk_rank w rank;
+    Array.iteri
+      (fun dst tbl ->
+        List.iter
+          (fun c -> au_sends := ((rank, dst, c.c_tag), site c) :: !au_sends)
+          (drain tbl))
+      sends;
+    Array.iteri
+      (fun slot tbl ->
+        let src = if slot = 0 then None else Some (slot - 1) in
+        let emit tag c = au_recvs := ((rank, src, tag), site c) :: !au_recvs in
+        Option.iter (emit None) recvs_any_tag.(slot);
+        recvs_any_tag.(slot) <- None;
+        List.iter (fun c -> emit (Some c.c_tag) c) (drain tbl))
+      recvs
+  done;
+  let au_colls = ref [] in
+  Array.iteri
+    (fun key coll ->
+      Option.iter
+        (fun v ->
+          let (f : Ir.cfunc), loc = ir.Ir.keys.(key) in
+          au_colls := ((f.Ir.cf_name, loc), v) :: !au_colls)
+        coll)
+    colls;
   {
     au_nprocs = nprocs;
-    au_exact = exact && not !imprecise;
-    au_sends = List.sort compare (dump sends);
-    au_recvs = List.sort compare (dump recvs);
+    au_exact = w.w_exact && not !imprecise;
+    au_sends = List.rev !au_sends;
+    au_recvs = List.rev !au_recvs;
     au_colls =
       List.sort
         (fun ((f1, l1), _) ((f2, l2), _) ->
           match String.compare f1 f2 with 0 -> Loc.compare l1 l2 | c -> c)
-        (dump colls);
+        !au_colls;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -101,14 +101,17 @@ let time_of f =
   f ();
   Unix.gettimeofday () -. t0
 
-(* Static overhead: PSG passes as a fraction of base compilation
-   (Table III's Ovd%).  Repeats both to stabilize the measurement. *)
-let static_overhead ?(repeat = 3) (program : Ast.program) =
-  let base = time_of (fun () -> for _ = 1 to repeat do base_compile program done) in
-  let extra =
-    time_of (fun () ->
-        for _ = 1 to repeat do
-          ignore (analyze program)
-        done)
-  in
-  if base <= 0.0 then 0.0 else 100.0 *. extra /. base
+(* [f]'s wall time as a percentage of one base compilation: the median
+   over [rounds] rounds that each time a base compile and [f] back to
+   back, so a slow spell on the host hits both alike. *)
+let overhead_pct ?(rounds = 5) (program : Ast.program) f =
+  Scalana_detect.Aggregate.median
+    (Array.init rounds (fun _ ->
+         let base = time_of (fun () -> base_compile program) in
+         let extra = time_of f in
+         if base <= 0.0 then 0.0 else 100.0 *. extra /. base))
+
+(* Static overhead: the ScalAna passes as a percentage of base
+   compilation (Table III's Ovd%). *)
+let static_overhead ?rounds (program : Ast.program) =
+  overhead_pct ?rounds program (fun () -> ignore (analyze program))

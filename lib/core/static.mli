@@ -30,6 +30,11 @@ val analyze : ?max_loop_depth:int -> ?pool:Pool.t -> Ast.program -> t
     middle-end pipeline; default 150). *)
 val base_compile : ?passes:int -> Ast.program -> unit
 
-(** PSG-construction cost as a percentage of the base compilation
-    (Table III's Ovd%%), measured in wall time. *)
-val static_overhead : ?repeat:int -> Ast.program -> float
+(** [overhead_pct program f] is [f]'s wall time as a percentage of one
+    {!base_compile} of [program]: the median over [rounds] (default 5)
+    rounds, each timing a base compile and [f] back to back. *)
+val overhead_pct : ?rounds:int -> Ast.program -> (unit -> unit) -> float
+
+(** {!analyze}'s cost as a percentage of the base compilation (Table
+    III's Ovd%%), estimated by {!overhead_pct}. *)
+val static_overhead : ?rounds:int -> Ast.program -> float

@@ -445,23 +445,22 @@ let check_send_parity (au : Scalana_cfg.Commcost.audit) seen findings =
 (* Tag routing: the per-destination totals balance, yet a concrete send
    channel (src, dst, tag) has no receive at [dst] accepting that source
    and tag — typically rank-dependent tag arithmetic that diverged
-   between the two sides. *)
+   between the two sides.  Each send is checked only against the
+   receives its destination posts. *)
 let check_tag_routing (au : Scalana_cfg.Commcost.audit) seen findings =
   let open Scalana_cfg.Commcost in
+  let recvs_at = Array.make au.au_nprocs [] in
+  List.iter
+    (fun ((d, s, t), _) -> recvs_at.(d) <- (s, t) :: recvs_at.(d))
+    au.au_recvs;
+  let accepts ~src ~tag (s, t) =
+    (match s with None -> true | Some s -> s = src)
+    && match t with None -> true | Some t -> t = tag
+  in
   List.iter
     (fun ((src, dst, tag), (_, loc, func)) ->
-      let matched =
-        List.exists
-          (fun ((d, s, t), _) ->
-            d = dst
-            && (s = None || s = Some src)
-            && (t = None || t = Some tag))
-          au.au_recvs
-      in
-      let dst_has_recvs =
-        List.exists (fun ((d, _, _), _) -> d = dst) au.au_recvs
-      in
-      if (not matched) && dst_has_recvs then
+      let recvs = recvs_at.(dst) in
+      if recvs <> [] && not (List.exists (accepts ~src ~tag) recvs) then
         dedup seen Rank_tag_mismatch loc @@ fun () ->
         findings :=
           {

@@ -12,7 +12,7 @@
 
    The engine is built for np = 4096+ runs: programs are compiled once
    per run into an IR whose variables, parameters and request names are
-   integer slots (see [Expr.Compiled]); per-process state lives in flat
+   integer slots (see [Ir] and [Expr.Compiled]); per-process state lives in flat
    struct-of-arrays so a 16k-rank run costs 16k floats per metric, not
    16k records; and the steady-state interpreter loop allocates nothing
    on statement execution.  Every float operation is sequenced exactly as
@@ -27,7 +27,7 @@
    and calls no hook (see [Instrument.t.sample_gate]). *)
 
 open Scalana_mlang
-module C = Expr.Compiled
+open Ir
 
 exception Deadlock of string
 exception Runtime_error of { loc : Loc.t; msg : string }
@@ -67,99 +67,9 @@ type result = {
   stranded_ranks : int list;  (* ranks left blocked by a killed peer *)
 }
 
-(* --- compiled program IR ---
-
-   Built once per run (the job scale and parameter values are per-run
-   constants, so [Expr.Compiled] folds them away).  Variables and
-   request names are slots into per-frame arrays; direct and indirect
-   call targets are resolved to compiled functions at load time, with
-   unresolved names kept as lazy error nodes so "call to undefined
-   function" still surfaces only if the call executes, as before. *)
-
-type cfunc = {
-  cf_name : string;
-  cf_nvars : int;
-  cf_nreqs : int;
-  mutable cf_body : cstmt array;  (* filled after creation: recursion *)
-}
-
-and cstmt = { sloc : Loc.t; snode : cnode }
-
-and cnode =
-  | KLet of { slot : int; value : C.expr }
-  | KComp of {
-      flops : C.expr;
-      mem : C.expr;
-      ints : C.expr;
-      locality : float;
-      label : string option;
-    }
-  | KLoop of { slot : int; count : C.expr; body : cstmt array }
-  | KBranch of { cond : C.expr; then_ : cstmt array; else_ : cstmt array }
-  | KCall of { callee : cfunc; args : (int * C.expr) array; kids : kids }
-      (* args: (callee var slot, caller-frame expression) *)
-  | KCall_undef of string
-  | KIcall of {
-      selector : C.expr;
-      targets : (string * cfunc option) array;
-      kids : kids;
-    }
-  | KMpi of { ast : Ast.mpi_call; op : cmpi }
-
-and cmpi =
-  | KSend of { dest : C.expr; tag : C.expr; bytes : C.expr }
-  | KRecv of { src : cpeer; tag : ctag; bytes : C.expr }
-  | KIsend of { dest : C.expr; tag : C.expr; bytes : C.expr; slot : int }
-  | KIrecv of { src : cpeer; tag : ctag; bytes : C.expr; slot : int }
-  | KWait of { slot : int; name : string }
-  | KWaitall of { slots : (int * string) array }
-  | KSendrecv of {
-      dest : C.expr;
-      stag : C.expr;
-      sbytes : C.expr;
-      src : cpeer;
-      rtag : ctag;
-      rbytes : C.expr;
-    }
-  | KColl of { bytes : C.expr }
-
-and cpeer = KPAny | KPeer of C.expr
-and ctag = KTAny | KTag of C.expr
-
-(* A call node's cache of the run's context table: (parent context id,
-   child context id) for each context the node has been called from. *)
-and kids = { mutable kids : (int * int) list }
-
 (* Per-function-activation frame: variable slots (inside the compiled
    env) and request slots. *)
 type frame = { fenv : C.env; freqs : Comm.request array }
-
-(* --- program compilation --- *)
-
-type fslots = {
-  vtbl : (string, int) Hashtbl.t;
-  mutable vnext : int;
-  rtbl : (string, int) Hashtbl.t;
-  mutable rnext : int;
-}
-
-let vslot fs name =
-  match Hashtbl.find_opt fs.vtbl name with
-  | Some i -> i
-  | None ->
-      let i = fs.vnext in
-      fs.vnext <- i + 1;
-      Hashtbl.replace fs.vtbl name i;
-      i
-
-let rslot fs name =
-  match Hashtbl.find_opt fs.rtbl name with
-  | Some i -> i
-  | None ->
-      let i = fs.rnext in
-      fs.rnext <- i + 1;
-      Hashtbl.replace fs.rtbl name i;
-      i
 
 let merge_params (program : Ast.program) overrides =
   List.map
@@ -171,166 +81,6 @@ let merge_params (program : Ast.program) overrides =
   @ List.filter
       (fun (name, _) -> not (List.mem_assoc name program.params))
       overrides
-
-(* Compile [program] at one (nprocs, params) point; returns the main
-   function.  Duplicate function names keep first-definition-wins
-   resolution. *)
-let compile_program ~nprocs ~params (program : Ast.program) =
-  let funcs =
-    List.fold_left
-      (fun acc (f : Ast.func) ->
-        if List.exists (fun (g : Ast.func) -> g.fname = f.fname) acc then acc
-        else f :: acc)
-      [] program.funcs
-    |> List.rev
-  in
-  let slots : (string, fslots) Hashtbl.t = Hashtbl.create 16 in
-  (* pass 1: per-function slots for params, loop/let vars, requests *)
-  List.iter
-    (fun (f : Ast.func) ->
-      let fs =
-        {
-          vtbl = Hashtbl.create 8;
-          vnext = 0;
-          rtbl = Hashtbl.create 4;
-          rnext = 0;
-        }
-      in
-      Hashtbl.replace slots f.fname fs;
-      List.iter (fun p -> ignore (vslot fs p)) f.fparams;
-      Ast.iter_stmts
-        (fun st ->
-          match st.Ast.node with
-          | Ast.Let { var; _ } -> ignore (vslot fs var)
-          | Ast.Loop l -> ignore (vslot fs l.var)
-          | Ast.Mpi
-              ( Ast.Isend { req; _ }
-              | Ast.Irecv { req; _ }
-              | Ast.Wait { req } ) ->
-              ignore (rslot fs req)
-          | Ast.Mpi (Ast.Waitall { reqs }) ->
-              List.iter (fun r -> ignore (rslot fs r)) reqs
-          | _ -> ())
-        f.fbody)
-    funcs;
-  (* pass 2: call-site argument names become slots of the callee (the
-     interpreter binds whatever names a call site passes) *)
-  List.iter
-    (fun (f : Ast.func) ->
-      Ast.iter_stmts
-        (fun st ->
-          match st.Ast.node with
-          | Ast.Call { callee; args } -> (
-              match Hashtbl.find_opt slots callee with
-              | Some cfs -> List.iter (fun (n, _) -> ignore (vslot cfs n)) args
-              | None -> ())
-          | _ -> ())
-        f.fbody)
-    funcs;
-  (* pass 3: create the (cyclic) function records, then compile bodies *)
-  let cmap : (string, cfunc) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Ast.func) ->
-      let fs = Hashtbl.find slots f.fname in
-      Hashtbl.replace cmap f.fname
-        {
-          cf_name = f.fname;
-          cf_nvars = fs.vnext;
-          cf_nreqs = fs.rnext;
-          cf_body = [||];
-        })
-    funcs;
-  let param name = List.assoc_opt name params in
-  let compile_func (f : Ast.func) =
-    let fs = Hashtbl.find slots f.fname in
-    let var_slot name =
-      match Hashtbl.find_opt fs.vtbl name with Some i -> i | None -> -1
-    in
-    let ce e = C.compile ~nprocs ~param ~var_slot e in
-    let cpeer = function
-      | Ast.Any_source -> KPAny
-      | Ast.Peer e -> KPeer (ce e)
-    in
-    let ctag = function Ast.Any_tag -> KTAny | Ast.Tag e -> KTag (ce e) in
-    let cmpi (c : Ast.mpi_call) =
-      match c with
-      | Ast.Send { dest; tag; bytes } ->
-          KSend { dest = ce dest; tag = ce tag; bytes = ce bytes }
-      | Ast.Recv { src; tag; bytes } ->
-          KRecv { src = cpeer src; tag = ctag tag; bytes = ce bytes }
-      | Ast.Isend { dest; tag; bytes; req } ->
-          KIsend
-            { dest = ce dest; tag = ce tag; bytes = ce bytes;
-              slot = rslot fs req }
-      | Ast.Irecv { src; tag; bytes; req } ->
-          KIrecv
-            { src = cpeer src; tag = ctag tag; bytes = ce bytes;
-              slot = rslot fs req }
-      | Ast.Wait { req } -> KWait { slot = rslot fs req; name = req }
-      | Ast.Waitall { reqs } ->
-          KWaitall
-            { slots =
-                Array.of_list (List.map (fun r -> (rslot fs r, r)) reqs) }
-      | Ast.Sendrecv { dest; stag; sbytes; src; rtag; rbytes } ->
-          KSendrecv
-            { dest = ce dest; stag = ce stag; sbytes = ce sbytes;
-              src = cpeer src; rtag = ctag rtag; rbytes = ce rbytes }
-      | Ast.Barrier -> KColl { bytes = ce (Expr.Int 0) }
-      | Ast.Bcast { bytes; _ }
-      | Ast.Reduce { bytes; _ }
-      | Ast.Allreduce { bytes }
-      | Ast.Alltoall { bytes }
-      | Ast.Allgather { bytes } ->
-          KColl { bytes = ce bytes }
-    in
-    let rec cstmts stmts = Array.of_list (List.map cstmt stmts)
-    and cstmt (st : Ast.stmt) =
-      let node =
-        match st.node with
-        | Ast.Let { var; value } ->
-            KLet { slot = Hashtbl.find fs.vtbl var; value = ce value }
-        | Ast.Comp w ->
-            KComp
-              { flops = ce w.flops; mem = ce w.mem; ints = ce w.ints;
-                locality = w.locality; label = w.label }
-        | Ast.Loop l ->
-            KLoop
-              { slot = Hashtbl.find fs.vtbl l.var; count = ce l.count;
-                body = cstmts l.body }
-        | Ast.Branch b ->
-            KBranch
-              { cond = ce b.cond; then_ = cstmts b.then_;
-                else_ = cstmts b.else_ }
-        | Ast.Call { callee; args } -> (
-            match Hashtbl.find_opt cmap callee with
-            | None -> KCall_undef callee
-            | Some cf ->
-                let cfs = Hashtbl.find slots callee in
-                KCall
-                  { callee = cf;
-                    args =
-                      Array.of_list
-                        (List.map
-                           (fun (n, e) -> (Hashtbl.find cfs.vtbl n, ce e))
-                           args);
-                    kids = { kids = [] } })
-        | Ast.Icall { selector; targets } ->
-            KIcall
-              { selector = ce selector;
-                targets =
-                  Array.of_list
-                    (List.map (fun n -> (n, Hashtbl.find_opt cmap n)) targets);
-                kids = { kids = [] } }
-        | Ast.Mpi c -> KMpi { ast = c; op = cmpi c }
-      in
-      { sloc = st.loc; snode = node }
-    in
-    (Hashtbl.find cmap f.fname).cf_body <- cstmts f.fbody
-  in
-  List.iter compile_func funcs;
-  match Hashtbl.find_opt cmap program.main with
-  | Some f -> f
-  | None -> raise (Ast.Unknown_function program.main)
 
 (* --- scheduler plumbing --- *)
 
@@ -687,7 +437,7 @@ and exec_stmt s rank frame (st : cstmt) =
         end
       end
       else accum_comp s rank seconds
-  | KLoop { slot; count; body } ->
+  | KLoop { slot; count; body; _ } ->
       let n = ceval frame.fenv ~loc count in
       if n > 0 then begin
         let vars = frame.fenv.C.c_vars in
@@ -718,7 +468,7 @@ and exec_stmt s rank frame (st : cstmt) =
       | None ->
           runtime_error ~loc "indirect call to undefined function %S" target
       | Some f -> call_function s rank ~site:loc ~kids f [||] frame)
-  | KMpi { ast; op } -> exec_mpi s rank frame ~loc ast op
+  | KMpi { ast; op; _ } -> exec_mpi s rank frame ~loc ast op
 
 and call_function s rank ~site ~kids (f : cfunc)
     (args : (int * C.expr) array) (caller : frame) =
@@ -969,7 +719,11 @@ let no_contexts = { paths = [| [] |]; count = 1; ids = Hashtbl.create 1 }
 
 let run_body ~cfg (program : Ast.program) =
   let merged_params = merge_params program cfg.params in
-  let cmain = compile_program ~nprocs:cfg.nprocs ~params:merged_params program in
+  let cmain =
+    match (Ir.compile ~nprocs:cfg.nprocs ~params:merged_params program).Ir.main with
+    | Some f -> f
+    | None -> raise (Ast.Unknown_function program.main)
+  in
   let n = cfg.nprocs in
   let comm = Comm.create ~nprocs:n in
   let tools = Array.of_list cfg.tools in
