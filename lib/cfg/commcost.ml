@@ -436,7 +436,9 @@ let probe_scale prog np ~matrices =
         let rank = env.C.c_rank in
         let wt =
           match op with
-          | Ir.KSend { dest; _ } | Ir.KIsend { dest; _ } | Ir.KSendrecv { dest; _ } -> (
+          | Ir.KSend { dest; _ }
+          | Ir.KIsend { dest; _ }
+          | Ir.KSendrecv { dest; _ } -> (
               match C.eval env dest with
               | exception Expr.Eval_error _ ->
                   imprecise := true;
@@ -462,7 +464,8 @@ let probe_scale prog np ~matrices =
                 colls.(f) <- name :: colls.(f);
               (match c with
               | Ast.Allreduce _ -> 2.0 *. lg
-              | Ast.Allgather _ | Ast.Alltoall _ -> float_of_int (max 1 (np - 1))
+              | Ast.Allgather _ | Ast.Alltoall _ ->
+                  float_of_int (max 1 (np - 1))
               | _ -> lg (* barrier, bcast, reduce *))
         in
         cost.(key) <- cost.(key) +. wt)
@@ -605,18 +608,22 @@ let analyze prog =
   (* matrix_np is a probe scale: that probe's walk covers every rank and
      also tallies the matrices *)
   let probes =
-    List.map (fun np -> probe_scale prog np ~matrices:(np = matrix_np)) probe_scales
+    List.map
+      (fun np -> probe_scale prog np ~matrices:(np = matrix_np))
+      probe_scales
   in
   let exact = List.for_all (fun pr -> pr.pr_exact) probes in
   let mprobe = List.find (fun pr -> pr.pr_np = matrix_np) probes in
   let key_ids = Hashtbl.create 64 in
   Array.iteri
-    (fun k ((f : Ir.cfunc), loc) -> Hashtbl.replace key_ids (f.Ir.cf_name, loc) k)
+    (fun k ((f : Ir.cfunc), loc) ->
+      Hashtbl.replace key_ids (f.Ir.cf_name, loc) k)
     mprobe.pr_ir.Ir.keys;
   let func_id name =
-    Option.map
-      (fun (f : Ir.cfunc) -> f.Ir.cf_id)
-      (Array.find_opt (fun (f : Ir.cfunc) -> String.equal f.Ir.cf_name name) mprobe.pr_ir.Ir.funcs)
+    Array.find_opt
+      (fun (f : Ir.cfunc) -> String.equal f.Ir.cf_name name)
+      mprobe.pr_ir.Ir.funcs
+    |> Option.map (fun (f : Ir.cfunc) -> f.Ir.cf_id)
   in
   let matrix name = Option.bind (func_id name) (fun id -> mprobe.pr_p2p.(id)) in
   (* program order for stable output *)
@@ -806,8 +813,11 @@ let model_series prog ~scales =
       (fun (np, ir) ->
         let total = Array.make nkeys 0.0 in
         let e =
-          walk_ranks ir ~ranks:(List.init np Fun.id) ~on_mpi:(fun key env c op ->
-              let t = try model_time ~np env c op with Expr.Eval_error _ -> 0.0 in
+          walk_ranks ir ~ranks:(List.init np Fun.id)
+            ~on_mpi:(fun key env c op ->
+              let t =
+                try model_time ~np env c op with Expr.Eval_error _ -> 0.0
+              in
               total.(key) <- total.(key) +. t;
               if not seen.(key) then begin
                 seen.(key) <- true;
@@ -824,7 +834,9 @@ let model_series prog ~scales =
         let (f : Ir.cfunc), loc = (snd (List.hd walks)).Ir.keys.(key) in
         ( (f.Ir.cf_name, loc),
           (* mean per rank *)
-          List.map (fun (np, total) -> (np, total.(key) /. float_of_int np)) totals ))
+          List.map
+            (fun (np, total) -> (np, total.(key) /. float_of_int np))
+            totals ))
       !order
   in
   (!exact, series)
@@ -859,7 +871,8 @@ type chan = { c_tag : int; mutable c_n : int; c_key : int }
 let bump tbl ~tag key =
   match Tags.find tbl tag with
   | c -> c.c_n <- c.c_n + 1
-  | exception Not_found -> Tags.replace tbl tag { c_tag = tag; c_n = 1; c_key = key }
+  | exception Not_found ->
+      Tags.replace tbl tag { c_tag = tag; c_n = 1; c_key = key }
 
 (* A peer's channels in tag order; the table is left empty. *)
 let drain tbl =
@@ -903,7 +916,8 @@ let audit prog ~nprocs =
     | Ir.KTAny -> (
         match recvs_any_tag.(slot) with
         | Some c -> c.c_n <- c.c_n + 1
-        | None -> recvs_any_tag.(slot) <- Some { c_tag = 0; c_n = 1; c_key = key })
+        | None ->
+            recvs_any_tag.(slot) <- Some { c_tag = 0; c_n = 1; c_key = key })
     | Ir.KTag e -> (
         match C.eval env e with
         | tag -> bump recvs.(slot) ~tag key
@@ -912,8 +926,10 @@ let audit prog ~nprocs =
   let w =
     walker ir ~on_mpi:(fun key env c op ->
         match op with
-        | Ir.KSend { dest; tag; _ } | Ir.KIsend { dest; tag; _ } -> send env key dest tag
-        | Ir.KRecv { src; tag; _ } | Ir.KIrecv { src; tag; _ } -> recv env key src tag
+        | Ir.KSend { dest; tag; _ } | Ir.KIsend { dest; tag; _ } ->
+            send env key dest tag
+        | Ir.KRecv { src; tag; _ } | Ir.KIrecv { src; tag; _ } ->
+            recv env key src tag
         | Ir.KSendrecv { dest; stag; src; rtag; _ } ->
             send env key dest stag;
             recv env key src rtag

@@ -6,7 +6,9 @@
     interpreter (interprocedural invocation counts over {!Callgraph},
     loop trip counts via {!Symbolic.block_counts}, Top on recursion)
     with a concrete per-rank walker that probes a few scales to resolve
-    rank arithmetic the polynomial domain cannot express.
+    rank arithmetic the polynomial domain cannot express.  The walker
+    runs the simulator's compiled form of the program
+    ({!Scalana_runtime.Ir}), compiled once per walked scale.
 
     The scaling class measures *network pressure*: per-rank messages
     weighted by ring distance (dilation) for point-to-point traffic and
@@ -45,12 +47,16 @@ type t
 
 val analyze : Ast.program -> t
 (** Runs the full analysis.  The concrete walker measures network
-    pressure at 16, 64 and 256 ranks; the communication matrices are
-    at 16 ranks.  Pressure is a per-rank mean, so scales beyond 16 ranks
-    are probed on an evenly-strided subset of 16 ranks — rank-symmetric
-    idioms give the same mean and the static step stays cheap relative
-    to base compilation (Table III); the {!audit} and the matrices
-    always walk every rank. *)
+    pressure at 16, 64 and 256 ranks; the communication matrices come
+    from the same walk at 16 ranks.  Pressure is a per-rank mean, so
+    scales beyond 16 ranks are probed on an evenly-strided subset of 16
+    ranks — rank-symmetric idioms give the same mean, and the cost of a
+    probe does not grow with its scale; the {!audit} and the matrices
+    always walk every rank.  Measured against the modelled base
+    compilation (Table III, [bench/main.exe --only table3]), this
+    analysis costs 4.9–213% of it on the eleven Table II programs.  lu
+    is the outlier: each of its ranks walks 1,920 wavefront iterations,
+    each with a receive and a send.  Next is mg at 50.5%. *)
 
 val facts : t -> fact list
 (** In program order. *)
@@ -118,5 +124,6 @@ type audit = {
 }
 
 val audit : Ast.program -> nprocs:int -> audit
-(** One concrete walk at [nprocs], recording every posted send, receive
-    and collective execution. *)
+(** One concrete walk of every rank at [nprocs], recording every posted
+    send, receive and collective execution.  The channel lists come out
+    sorted by key. *)

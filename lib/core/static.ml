@@ -102,16 +102,16 @@ let time_of f =
   Unix.gettimeofday () -. t0
 
 (* [f]'s wall time as a percentage of one base compilation: the median
-   over [rounds] rounds that each time a base compile and [f] back to
-   back, so a slow spell on the host hits both alike. *)
-let overhead_pct ?(rounds = 5) (program : Ast.program) f =
+   over 5 rounds that each time a base compile and [f] back to back, so
+   a slow spell on the host hits both alike. *)
+let overhead_pct (program : Ast.program) f =
   Scalana_detect.Aggregate.median
-    (Array.init rounds (fun _ ->
+    (Array.init 5 (fun _ ->
          let base = time_of (fun () -> base_compile program) in
          let extra = time_of f in
          if base <= 0.0 then 0.0 else 100.0 *. extra /. base))
 
 (* Static overhead: the ScalAna passes as a percentage of base
    compilation (Table III's Ovd%). *)
-let static_overhead ?rounds (program : Ast.program) =
-  overhead_pct ?rounds program (fun () -> ignore (analyze program))
+let static_overhead (program : Ast.program) =
+  overhead_pct program (fun () -> ignore (analyze program))

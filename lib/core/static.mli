@@ -31,10 +31,10 @@ val analyze : ?max_loop_depth:int -> ?pool:Pool.t -> Ast.program -> t
 val base_compile : ?passes:int -> Ast.program -> unit
 
 (** [overhead_pct program f] is [f]'s wall time as a percentage of one
-    {!base_compile} of [program]: the median over [rounds] (default 5)
-    rounds, each timing a base compile and [f] back to back. *)
-val overhead_pct : ?rounds:int -> Ast.program -> (unit -> unit) -> float
+    {!base_compile} of [program]: the median over 5 rounds, each timing
+    a base compile and [f] back to back. *)
+val overhead_pct : Ast.program -> (unit -> unit) -> float
 
 (** {!analyze}'s cost as a percentage of the base compilation (Table
     III's Ovd%%), estimated by {!overhead_pct}. *)
-val static_overhead : ?rounds:int -> Ast.program -> float
+val static_overhead : Ast.program -> float

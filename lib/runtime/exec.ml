@@ -12,7 +12,7 @@
 
    The engine is built for np = 4096+ runs: programs are compiled once
    per run into an IR whose variables, parameters and request names are
-   integer slots (see [Ir] and [Expr.Compiled]); per-process state lives in flat
+   integer slots (see [Ir]); per-process state lives in flat
    struct-of-arrays so a 16k-rank run costs 16k floats per metric, not
    16k records; and the steady-state interpreter loop allocates nothing
    on statement execution.  Every float operation is sequenced exactly as
@@ -719,8 +719,9 @@ let no_contexts = { paths = [| [] |]; count = 1; ids = Hashtbl.create 1 }
 
 let run_body ~cfg (program : Ast.program) =
   let merged_params = merge_params program cfg.params in
+  let compiled = Ir.compile ~nprocs:cfg.nprocs ~params:merged_params program in
   let cmain =
-    match (Ir.compile ~nprocs:cfg.nprocs ~params:merged_params program).Ir.main with
+    match compiled.main with
     | Some f -> f
     | None -> raise (Ast.Unknown_function program.main)
   in

@@ -24,7 +24,7 @@ let test_static_rejects_invalid () =
 
 let test_static_overhead_measurable () =
   let prog = (Scalana_apps.Registry.find "cg").make () in
-  let pct = Scalana.Static.static_overhead ~rounds:5 prog in
+  let pct = Scalana.Static.static_overhead prog in
   check_bool "positive" true (pct > 0.0);
   check_bool "below base compile" true (pct < 100.0)
 

@@ -179,7 +179,8 @@ let test_recursion_degrades () =
    report itself inexact, degrade every class to unknown and keep the
    audit rules silent. *)
 
-let audit_rules = [ Lint.Send_recv_mismatch; Lint.Rank_tag_mismatch; Lint.Collective_divergence ]
+let audit_rules =
+  [ Lint.Send_recv_mismatch; Lint.Rank_tag_mismatch; Lint.Collective_divergence ]
 
 let broken_channels ?(extra = fun _ -> []) () =
   let open Expr.Infix in
@@ -204,7 +205,8 @@ let fired_audit_rules prog =
   List.sort_uniq compare
     (List.filter_map
        (fun (f : Lint.finding) ->
-         if List.mem f.Lint.rule audit_rules then Some (Lint.rule_name f.Lint.rule)
+         if List.mem f.Lint.rule audit_rules then
+           Some (Lint.rule_name f.Lint.rule)
          else None)
        (Lint.run prog))
 
@@ -213,7 +215,8 @@ let test_exact_control () =
   let cc = Commcost.analyze prog in
   check_bool "exact" true (Commcost.exact cc);
   check_bool "classes known" true
-    (List.for_all (fun (f : Commcost.fact) -> f.Commcost.cc_cls <> Symbolic.Unknown)
+    (List.for_all
+       (fun (f : Commcost.fact) -> f.Commcost.cc_cls <> Symbolic.Unknown)
        (Commcost.facts cc));
   Alcotest.(check (list string))
     "every audit rule fires"
@@ -227,14 +230,17 @@ let check_inexact name extra () =
   check_bool (name ^ ": has facts") true (Commcost.facts cc <> []);
   List.iter
     (fun (f : Commcost.fact) ->
-      check_bool (name ^ ": class unknown") true (f.Commcost.cc_cls = Symbolic.Unknown))
+      check_bool (name ^ ": class unknown") true
+        (f.Commcost.cc_cls = Symbolic.Unknown))
     (Commcost.facts cc);
   List.iter
     (fun nprocs ->
       check_bool (name ^ ": audit inexact") false
         (Commcost.audit prog ~nprocs).Commcost.au_exact)
     [ 4; 16 ];
-  Alcotest.(check (list string)) (name ^ ": audit rules silent") [] (fired_audit_rules prog)
+  Alcotest.(check (list string))
+    (name ^ ": audit rules silent")
+    [] (fired_audit_rules prog)
 
 let inexact_cases =
   let open Expr.Infix in
@@ -250,12 +256,21 @@ let inexact_cases =
         ] );
     ( "loop count error",
       fun b ->
-        [ Builder.loop b ~var:"k" ~count:(i 8 / (rank - rank)) (fun () -> [ Builder.let_ b "x" (v "k") ]) ] );
+        [
+          Builder.loop b ~var:"k"
+            ~count:(i 8 / (rank - rank))
+            (fun () -> [ Builder.let_ b "x" (v "k") ]);
+        ] );
     ( "branch condition error",
-      fun b -> [ Builder.branch b ~cond:(v "unset") (fun () -> [ Builder.let_ b "x" (i 1) ]) ] );
+      fun b ->
+        [
+          Builder.branch b ~cond:(v "unset") (fun () ->
+              [ Builder.let_ b "x" (i 1) ]);
+        ] );
     ("undefined callee", fun b -> [ Builder.call b "nowhere" ]);
     ( "undefined indirect target",
-      fun b -> [ Builder.icall b ~selector:(rank % i 2) [ "nowhere"; "helper" ] ] );
+      fun b ->
+        [ Builder.icall b ~selector:(rank % i 2) [ "nowhere"; "helper" ] ] );
   ]
 
 (* The walker spends one unit of fuel per statement it visits: a pruned
@@ -266,7 +281,8 @@ let test_fuel_accounting () =
   let open Expr.Infix in
   let prog n =
     let b = Builder.create ~file:"fuel.mmp" ~name:"fuel" () in
-    Builder.func b "helper" (fun () -> [ Builder.comp b ~flops:(i 1) ~mem:(i 1) () ]);
+    Builder.func b "helper" (fun () ->
+        [ Builder.comp b ~flops:(i 1) ~mem:(i 1) () ]);
     Builder.func b "main" (fun () ->
         [
           Builder.loop b ~var:"k" ~count:(i 1_000_000_000) (fun () ->
@@ -274,7 +290,8 @@ let test_fuel_accounting () =
           Builder.branch b ~cond:(i 1) (fun () ->
               [ Builder.comp b ~flops:(i 1) ~mem:(i 1) () ]);
           Builder.call b "helper";
-          Builder.loop b ~var:"k" ~count:(i n) (fun () -> [ Builder.barrier b ]);
+          Builder.loop b ~var:"k" ~count:(i n) (fun () ->
+              [ Builder.barrier b ]);
         ]);
     Builder.program b
   in
@@ -285,72 +302,6 @@ let test_fuel_accounting () =
   | _ -> Alcotest.fail "one collective site expected");
   check_bool "299,995 barriers run out" false
     (Commcost.audit (prog 299_995) ~nprocs:1).Commcost.au_exact
-
-(* --- pins: the static outputs, byte for byte ---
-
-   The [scalana-static --predict] tables are the committed files under
-   ci/predict; the channel audits, the model-time series and the stored
-   static artifacts are pinned by digest over the eleven programs. *)
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let test_predict_tables () =
-  List.iter
-    (fun name ->
-      check_string (name ^ " --predict")
-        (read_file (Filename.concat "../ci/predict" (name ^ ".expected")))
-        (Fmt.str "%a" Commcost.render
-           (Commcost.analyze ((Scalana_apps.Registry.find name).Scalana_apps.Registry.make ()))))
-    Scalana_apps.Registry.names
-
-let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
-
-let check_digests what expected f =
-  check_int (what ^ ": one digest per program") (List.length Scalana_apps.Registry.names)
-    (List.length expected);
-  List.iter
-    (fun name ->
-      let prog = (Scalana_apps.Registry.find name).Scalana_apps.Registry.make () in
-      check_string (name ^ " " ^ what) (List.assoc name expected) (digest (f prog)))
-    Scalana_apps.Registry.names
-
-let expected_audit_digests =
-  [
-    ("bt", "f3dc874c1c7e2d1d129043632e47a030");
-    ("cg", "4df7a64cd25ab1f96a0f4cadb005e6b5");
-    ("ep", "79964d872d6f70285e4f6c55aa7d0c1d");
-    ("ft", "18cd452347b36ef91977e6568eed442a");
-    ("mg", "1219acd8ef56327a61c4ace092158d19");
-    ("sp", "964563912adb57fdae6e1d4e1f73ce21");
-    ("lu", "c5cf14a99811f384463285e665175fbb");
-    ("is", "ed3651c913021e5a3144f41120d83807");
-    ("sst", "d0a6ae61c9a8dc9271c1c3ea7443d3c0");
-    ("nekbone", "612bce099eb9c8c9ba32f8a51154c38c");
-    ("zeusmp", "76512ee51d95353e3440c32db599b509");
-  ]
-
-let expected_model_series_digests =
-  [
-    ("bt", "88d812dac02ea213983338a08b74b5b5");
-    ("cg", "95336e268b363ccc0e959585981bcf9b");
-    ("ep", "f2b4af51a59d18c1f803a13cc74d4a20");
-    ("ft", "519cc43eec5ebf3c0870083b3b3e6aa7");
-    ("mg", "f334fa890f321744687ecfce3fc9e9c9");
-    ("sp", "724436f3c6879a20b7b17d1cbbe82189");
-    ("lu", "f2231668ccefa8b8baa644c0821ab26f");
-    ("is", "e34594c36618c2ffb4163360c8b33953");
-    ("sst", "20c56d29785af813f41ed7921bb09b0a");
-    ("nekbone", "7d518408634ae8ca52193f1cedb12985");
-    ("zeusmp", "269a2022e6e0216d6877a581dfdbebaf");
-  ]
-
-let test_audit_digests () =
-  check_digests "audit at 4 and 16" expected_audit_digests (fun prog ->
-      (Commcost.audit prog ~nprocs:4, Commcost.audit prog ~nprocs:16))
-
-let test_model_series_digests () =
-  check_digests "model series at 4..32" expected_model_series_digests (fun prog ->
-      Commcost.model_series prog ~scales:[ 4; 8; 16; 32 ])
 
 (* --- acceptance pins: known hotspot classes across the registry --- *)
 
@@ -408,6 +359,77 @@ let test_registry_hotspots () =
         (Commcost.facts cc))
     Scalana_apps.Registry.names
 
+(* --- pins: the static outputs, byte for byte ---
+
+   The [scalana-static --predict] tables are the committed files under
+   ci/predict; the channel audits, the model-time series and the stored
+   static artifacts are pinned by digest over the eleven programs. *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_predict_tables () =
+  List.iter
+    (fun name ->
+      check_string (name ^ " --predict")
+        (read_file (Filename.concat "../ci/predict" (name ^ ".expected")))
+        (Fmt.str "%a" Commcost.render (analyze name)))
+    Scalana_apps.Registry.names
+
+let digest v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+let check_digests what expected f =
+  check_int
+    (what ^ ": one digest per program")
+    (List.length Scalana_apps.Registry.names)
+    (List.length expected);
+  List.iter
+    (fun name ->
+      let prog =
+        (Scalana_apps.Registry.find name).Scalana_apps.Registry.make ()
+      in
+      check_string (name ^ " " ^ what) (List.assoc name expected)
+        (digest (f prog)))
+    Scalana_apps.Registry.names
+
+let expected_audit_digests =
+  [
+    ("bt", "f3dc874c1c7e2d1d129043632e47a030");
+    ("cg", "4df7a64cd25ab1f96a0f4cadb005e6b5");
+    ("ep", "79964d872d6f70285e4f6c55aa7d0c1d");
+    ("ft", "18cd452347b36ef91977e6568eed442a");
+    ("mg", "1219acd8ef56327a61c4ace092158d19");
+    ("sp", "964563912adb57fdae6e1d4e1f73ce21");
+    ("lu", "c5cf14a99811f384463285e665175fbb");
+    ("is", "ed3651c913021e5a3144f41120d83807");
+    ("sst", "d0a6ae61c9a8dc9271c1c3ea7443d3c0");
+    ("nekbone", "612bce099eb9c8c9ba32f8a51154c38c");
+    ("zeusmp", "76512ee51d95353e3440c32db599b509");
+  ]
+
+let expected_model_series_digests =
+  [
+    ("bt", "88d812dac02ea213983338a08b74b5b5");
+    ("cg", "95336e268b363ccc0e959585981bcf9b");
+    ("ep", "f2b4af51a59d18c1f803a13cc74d4a20");
+    ("ft", "519cc43eec5ebf3c0870083b3b3e6aa7");
+    ("mg", "f334fa890f321744687ecfce3fc9e9c9");
+    ("sp", "724436f3c6879a20b7b17d1cbbe82189");
+    ("lu", "f2231668ccefa8b8baa644c0821ab26f");
+    ("is", "e34594c36618c2ffb4163360c8b33953");
+    ("sst", "20c56d29785af813f41ed7921bb09b0a");
+    ("nekbone", "7d518408634ae8ca52193f1cedb12985");
+    ("zeusmp", "269a2022e6e0216d6877a581dfdbebaf");
+  ]
+
+let test_audit_digests () =
+  check_digests "audit at 4 and 16" expected_audit_digests (fun prog ->
+      (Commcost.audit prog ~nprocs:4, Commcost.audit prog ~nprocs:16))
+
+let test_model_series_digests () =
+  check_digests "model series at 4..32" expected_model_series_digests
+    (fun prog -> Commcost.model_series prog ~scales:[ 4; 8; 16; 32 ])
+
 (* --- the static/dynamic cross-check on a real session --- *)
 
 let test_crosscheck_cg () =
@@ -450,16 +472,19 @@ let () =
           Alcotest.test_case "recursion degrades" `Quick
             test_recursion_degrades;
           Alcotest.test_case "registry hotspots" `Quick test_registry_hotspots;
-          Alcotest.test_case "exact walk fires the audit rules" `Quick test_exact_control;
+          Alcotest.test_case "exact walk fires the audit rules" `Quick
+            test_exact_control;
         ]
         @ List.map
             (fun (name, extra) ->
-              Alcotest.test_case ("inexact: " ^ name) `Quick (check_inexact name extra))
+              Alcotest.test_case ("inexact: " ^ name) `Quick
+                (check_inexact name extra))
             inexact_cases
         @ [
             Alcotest.test_case "fuel accounting" `Quick test_fuel_accounting;
             Alcotest.test_case "predict tables" `Quick test_predict_tables;
-            Alcotest.test_case "audits pinned by digest" `Quick test_audit_digests;
+            Alcotest.test_case "audits pinned by digest" `Quick
+              test_audit_digests;
             Alcotest.test_case "model series pinned by digest" `Quick
               test_model_series_digests;
           ] );
