@@ -303,6 +303,22 @@ let test_fuel_accounting () =
   check_bool "299,995 barriers run out" false
     (Commcost.audit (prog 299_995) ~nprocs:1).Commcost.au_exact
 
+(* Pruning is a property of each loop, not of its source line: a loop
+   that communicates is walked even when a compute-only loop precedes it
+   on the same line. *)
+let test_same_line_loops () =
+  let prog =
+    Parser.parse ~file:"sameline.mmp"
+      "program \"sameline\"\n\
+       func main() {\n\
+      \  loop i = 1000 { comp flops=1 mem=1 ints=0 locality=0.5; } loop j = 3 \
+       { barrier; }\n\
+       }\n"
+  in
+  match (Commcost.audit prog ~nprocs:2).Commcost.au_colls with
+  | [ (_, (_, counts)) ] -> check_int "every barrier counted" 3 counts.(0)
+  | _ -> Alcotest.fail "one collective site expected"
+
 (* --- acceptance pins: known hotspot classes across the registry --- *)
 
 let fact_class cc ~func ~op =
@@ -482,6 +498,8 @@ let () =
             inexact_cases
         @ [
             Alcotest.test_case "fuel accounting" `Quick test_fuel_accounting;
+            Alcotest.test_case "loops sharing a line prune apart" `Quick
+              test_same_line_loops;
             Alcotest.test_case "predict tables" `Quick test_predict_tables;
             Alcotest.test_case "audits pinned by digest" `Quick
               test_audit_digests;
