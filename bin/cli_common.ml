@@ -106,14 +106,21 @@ let open_session ?(name_dir = false) dir =
 
 (* Replay a stored session's rank timeline at [nprocs] (default: its
    largest profiled scale) under the machine model it was profiled
-   with. *)
+   with.  Only a profiled scale is accepted: the report sets the
+   timeline's waits next to the profile of the same scale. *)
 let replay_timeline ~config ?nprocs (s : Scalana.Artifact.session) =
+  let scales = List.sort compare (List.map fst s.runs) in
   let nprocs =
     match nprocs with
+    | None -> List.fold_left max 1 scales
+    | Some n when List.mem n scales -> n
     | Some n ->
-        if n <= 0 then failwith "--timeline-np must be positive";
-        n
-    | None -> List.fold_left (fun acc (n, _) -> max acc n) 1 s.runs
+        failwith
+          (Printf.sprintf
+             "--timeline-np %d: not a profiled scale of this session \
+              (profiled: %s)"
+             n
+             (String.concat ", " (List.map string_of_int scales)))
   in
   let cost = registry_cost s.static.Scalana.Static.program in
   Scalana.Pipeline.rank_timeline ~config ~cost s.static ~nprocs
@@ -195,8 +202,8 @@ let timeline_np_arg =
     & opt (some int) None
     & info [ "timeline-np" ] ~docv:"N"
         ~doc:
-          "Scale of the timeline replay (default: the largest scale \
-           profiled in the session).")
+          "Scale of the timeline replay: one of the scales profiled in \
+           the session (default: the largest).")
 
 let exits =
   Cmd.Exit.info exit_ok ~doc:"on success."

@@ -73,6 +73,3 @@ let make ?(optimized = false) () =
         Builder.allreduce b ~bytes:(i 8);
       ]);
   Builder.program b
-
-let root_cause_label = "dgemm_loop"
-let symptom_label = "MPI_Waitall"

@@ -4,5 +4,3 @@
     [optimized] is the paper's efficient-BLAS fix. *)
 
 val make : ?optimized:bool -> unit -> Scalana_mlang.Ast.program
-val root_cause_label : string
-val symptom_label : string

@@ -72,6 +72,3 @@ let make ?(optimized = false) () =
         Builder.allreduce b ~bytes:(i 16);
       ]);
   Builder.program b
-
-let root_cause_label = "handleEvent_loop"
-let symptom_label = "MPI_Allreduce"

@@ -3,5 +3,3 @@
     the paper's array -> indexed-map fix. *)
 
 val make : ?optimized:bool -> unit -> Scalana_mlang.Ast.program
-val root_cause_label : string
-val symptom_label : string

@@ -130,7 +130,3 @@ let make ?(optimized = false) () =
         Builder.allreduce b ~bytes:(i 8);
       ]);
   Builder.program b
-
-(* Locations the case study asserts against. *)
-let root_cause_labels = [ "bvalv1_loop"; "bvalv2_loop"; "bvalv3_loop" ]
-let symptom_label = "MPI_Allreduce"

@@ -2,11 +2,4 @@
     a quarter of the ranks propagate through non-blocking halo waitalls
     into the timestep allreduce. [optimized] applies the paper's fixes. *)
 
-val busy_cond : Scalana_mlang.Expr.t
-
 val make : ?optimized:bool -> unit -> Scalana_mlang.Ast.program
-
-(** Labels the case study asserts against. *)
-val root_cause_labels : string list
-
-val symptom_label : string

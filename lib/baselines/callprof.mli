@@ -6,13 +6,14 @@ open Scalana_runtime
 
 type config = { freq : float; per_sample_cost : float }
 
-val default_config : config
-
 type t
 
 (** Raises [Invalid_argument] unless [freq] is finite and positive. *)
 val create : ?config:config -> nprocs:int -> unit -> t
 val tool : t -> Instrument.t
+
+(** Kept: the calling-context tree [hotspots] merges; its test pins node
+    storage and merging. *)
 val cct : t -> Cct.t
 val storage_bytes : t -> int
 
@@ -24,5 +25,7 @@ type hotspot = {
                              ranks never execute the context *)
 }
 
-(** Top contexts by time — symptoms, deliberately without causality. *)
+(** Top contexts by time — symptoms, deliberately without causality.
+    Kept: the call-path baseline's answer (symptoms, no causality) that the
+    paper contrasts with root causes. *)
 val hotspots : ?top:int -> t -> hotspot list

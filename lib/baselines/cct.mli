@@ -19,7 +19,12 @@ type t = { per_rank : (string, node) Hashtbl.t array }
 
 val create : nprocs:int -> t
 val find_or_add : t -> rank:int -> callpath:Loc.t list -> loc:Loc.t -> node
+
+(** Kept: Table I's storage model ([storage_bytes] = nodes ×
+    [bytes_per_node]), which its test pins. *)
 val n_nodes : t -> int
+
+(** Kept: Table I's per-node cost, which the storage test pins. *)
 val bytes_per_node : int
 val storage_bytes : t -> int
 

@@ -12,7 +12,9 @@ type t
 val create : unit -> t
 val tool : t -> Instrument.t
 
-(** Trace records the run would have written, sub-regions included. *)
+(** Trace records the run would have written, sub-regions included.
+    Kept: Table I's event count behind [storage_bytes] (40 B per event), which
+    its test pins. *)
 val n_events : t -> int
 
 val storage_bytes : t -> int

@@ -106,8 +106,6 @@ let build (program : Ast.program) =
     sccs;
   { program; names; edges; sccs; scc_of }
 
-let edges t = t.edges
-
 let callees t name =
   List.filter (fun e -> String.equal e.caller name) t.edges
 

@@ -15,7 +15,6 @@ type edge = {
 type t
 
 val build : Ast.program -> t
-val edges : t -> edge list
 val callees : t -> string -> edge list
 val callers : t -> string -> edge list
 val is_recursive : t -> string -> bool
@@ -27,4 +26,6 @@ val reachable : t -> string list
 (** Callee-first flattening of the SCC condensation. *)
 val topo_order : t -> string list
 
+(** Kept: the SCC decomposition the recursion tests pin (recursive SCCs make
+    [Commcost] counts Top). *)
 val scc_count : t -> int

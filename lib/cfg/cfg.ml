@@ -150,20 +150,3 @@ let reverse_postorder t =
   in
   dfs t.entry;
   !order
-
-let edge_count t =
-  Array.fold_left (fun acc blk -> acc + List.length (successors t blk.id)) 0 t.blocks
-
-let pp ppf t =
-  Fmt.pf ppf "cfg %s: entry=%d exit=%d@." t.fname t.entry t.exit_;
-  Array.iter
-    (fun blk ->
-      let term =
-        match blk.term with
-        | Jump n -> Printf.sprintf "jump %d" n
-        | Cond { on_true; on_false; _ } ->
-            Printf.sprintf "cond -> %d | %d" on_true on_false
-        | Ret -> "ret"
-      in
-      Fmt.pf ppf "  b%d [%d stmts] %s@." blk.id (List.length blk.stmts) term)
-    t.blocks

@@ -41,6 +41,3 @@ val predecessors : t -> node_id list array
 
 (** Reverse postorder from the entry (unreachable blocks omitted). *)
 val reverse_postorder : t -> node_id list
-
-val edge_count : t -> int
-val pp : t Fmt.t

@@ -737,9 +737,7 @@ let analyze prog =
 
 let facts t = t.t_facts
 let exact t = t.t_exact
-let invocations t = t.t_inv
 let patterns t = t.t_patterns
-let matrices t = t.t_matrices
 
 let find_fact t ~func ~loc =
   List.find_opt

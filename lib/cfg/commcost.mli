@@ -59,24 +59,24 @@ val analyze : Ast.program -> t
     each with a receive and a send.  Next is mg at 50.5%. *)
 
 val facts : t -> fact list
-(** In program order. *)
+(** In program order.
+    Kept: the analysis result [render] prints; the symbolic tests assert it
+    fact by fact. *)
 
 val exact : t -> bool
 (** False when the concrete walker hit unanalyzable constructs
     (recursion, unresolved calls, fuel exhaustion); classes degrade to
-    [Unknown] in that case. *)
-
-val invocations : t -> (string * Symbolic.t) list
-(** Symbolic invocation counts of reachable functions, callers first. *)
+    [Unknown] in that case.
+    Kept: whether the concrete walks were exact, read with [facts] by the
+    symbolic tests. *)
 
 val patterns : t -> (string * string) list
 (** Per-function communication pattern: ["ring"], ["nearest-neighbor"],
     ["transpose"], ["root-centralized"], ["all-to-all"], ["collective"],
     ["irregular"] or ["none"].  Functions without communication are
-    omitted. *)
-
-val matrices : t -> (string * int array array) list
-(** Per-function point-to-point message matrices at 16 ranks. *)
+    omitted.
+    Kept: the per-function pattern labels [render] prints, read by the pattern
+    tests. *)
 
 val find_fact : t -> func:string -> loc:Loc.t -> fact option
 
@@ -108,7 +108,9 @@ val classify_pattern :
   np:int -> ((int * int) * int) list -> string list -> string
 (** [classify_pattern ~np pairs collectives] names the pattern of a
     point-to-point pair multiset (plus collective op names) — exposed
-    for tests. *)
+    for tests.
+    Kept: the pattern classifier, tested on synthetic ring, fan-in, all-to-all
+    and hypercube matrices. *)
 
 (** {1 Channel audit for the interprocedural lints} *)
 

@@ -14,18 +14,13 @@ type sym =
   | Var of string  (** loop variable, [let] binding or function parameter *)
   | Req of string  (** MPI request handle *)
 
-val compare_sym : sym -> sym -> int
-
+(** Kept: the request-use extraction the chains are built from, tested per MPI
+    call kind. *)
 val mpi_uses : Ast.mpi_call -> sym list
+
+(** Kept: the request-definition extraction the chains are built from, tested
+    per MPI call kind. *)
 val mpi_defs : Ast.mpi_call -> sym list
-
-val stmt_uses : Ast.stmt -> sym list
-(** Symbols a statement reads, shallowly: a [Loop] uses its trip count, a
-    [Branch] its condition; bodies are not entered. *)
-
-val stmt_defs : Ast.stmt -> sym list
-(** Symbols a statement writes: [Let] and [Loop] bind their variable,
-    [Isend]/[Irecv] their request handle. *)
 
 (** Def-use chains of one function, computed from the reaching-definitions
     solution.  Definition sites are identified by [(sym, Loc.t)]; function
@@ -41,7 +36,8 @@ module Chains : sig
       merges). *)
 
   val defs_reaching : t -> loc:Loc.t -> sym -> Loc.t list
-  (** Definition sites of [sym] reaching its use at [loc]. *)
+  (** Definition sites of [sym] reaching its use at [loc].
+      Kept: the def-use chain query, tested statement by statement. *)
 
   val unused_defs : t -> (sym * Loc.t) list
   (** Definition sites no use is reached by — for request handles, an
@@ -56,8 +52,11 @@ end
 module Live : sig
   type t
 
+  (** Kept: the live-variables instance of the dataflow solver; removing it
+      would delete its test. *)
   val compute : Cfg.t -> t
 
   val live_out : t -> Cfg.node_id -> sym list
-  (** Symbols live on exit from a block. *)
+  (** Symbols live on exit from a block.
+      Kept: the live-variables result; removing it would delete its test. *)
 end

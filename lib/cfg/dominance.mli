@@ -4,10 +4,10 @@ type t
 
 val compute : Cfg.t -> t
 
-(** Immediate dominator; [None] for the entry block. *)
+(** Immediate dominator; [None] for the entry block.
+    Kept: the immediate-dominator tree [dominates] walks, which the dominance
+    test checks. *)
 val idom : t -> Cfg.node_id -> Cfg.node_id option
-
-val is_reachable : t -> Cfg.node_id -> bool
 
 (** [dominates t a b] — does [a] dominate [b]? Reflexive. *)
 val dominates : t -> Cfg.node_id -> Cfg.node_id -> bool

@@ -65,5 +65,3 @@ let count t = List.length t.loops
 
 let max_depth t =
   List.fold_left (fun acc l -> max acc l.depth) 0 t.loops
-
-let headers t = List.map (fun l -> l.header) t.loops

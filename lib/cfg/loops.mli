@@ -13,4 +13,3 @@ val compute : Cfg.t -> t
 val loops : t -> loop list
 val count : t -> int
 val max_depth : t -> int
-val headers : t -> Cfg.node_id list

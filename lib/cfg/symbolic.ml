@@ -155,19 +155,6 @@ let equal a b =
 
 let log2f v = if v <= 1.0 then 0.0 else log v /. log 2.0
 
-(* Numeric value at a concrete scale (Top has none). *)
-let eval t ~nprocs =
-  match t with
-  | Top -> None
-  | Poly xs ->
-      let pf = float_of_int (max 1 nprocs) in
-      let lg = log2f pf in
-      Some
-        (List.fold_left
-           (fun acc m ->
-             acc +. (m.coeff *. Float.pow pf m.p_exp *. Float.pow lg m.log_exp))
-           0.0 xs)
-
 (* --- complexity classes --- *)
 
 type cls = Cls of { a : float; b : float } | Unknown

@@ -17,35 +17,39 @@ type t = Poly of mono list | Top  (** [Poly []] is zero *)
 val top : t
 val zero : t
 val one : t
+
+(** Kept: part of the abstract domain's algebra, which its tests exercise
+    directly. *)
 val const : float -> t
 val p : t
-(** The process count. *)
+(** The process count.
+    Kept: part of the abstract domain's algebra, which its tests exercise
+    directly. *)
 
+(** Kept: part of the abstract domain's algebra, which its tests exercise
+    directly. *)
 val log_p : t
+
+(** Kept: part of the abstract domain's algebra, which its tests exercise
+    directly. *)
 val mono : coeff:float -> p_exp:float -> log_exp:float -> t
 val is_top : t -> bool
 val is_zero : t -> bool
 
 val add : t -> t -> t
-val sub : t -> t -> t
-val neg : t -> t
 val mul : t -> t -> t
 
 val div : t -> t -> t
 (** Exact only when the divisor is a single monomial; widens to [Top]
-    otherwise. *)
+    otherwise.
+    Kept: part of the abstract domain's algebra, which its tests exercise
+    directly. *)
 
 val join : t -> t -> t
 (** Least upper bound: term-wise maxima (used for Min/Max and for
     merging branch arms). *)
 
 val equal : t -> t -> bool
-
-val dominant : t -> mono option
-(** Leading (asymptotically dominant) monomial. *)
-
-val eval : t -> nprocs:int -> float option
-(** Numeric value at a concrete scale; [None] for [Top]. *)
 
 (** {1 Complexity classes} *)
 
@@ -58,13 +62,11 @@ val cls_label : cls -> string
     ["O(p^2)"], ... — ["O(?)"] for [Unknown]. *)
 
 val cls_compare : cls -> cls -> int
-(** Orders by asymptotic growth; [Unknown] sorts above every bound. *)
+(** Orders by asymptotic growth; [Unknown] sorts above every bound.
+    Kept: the order on complexity classes, which the class tests pin. *)
 
+(** Kept: equality on complexity classes, which the class tests use. *)
 val cls_equal : cls -> cls -> bool
-
-val snap : float -> float
-(** Snap a fitted exponent to the halves grid MiniMPI idioms produce
-    (within 0.2); farther values are kept as measured. *)
 
 val fit_exponents : (int * float) list -> cls option
 (** Recover [O(p^a log^b p)] from positive samples at probe scales:
@@ -90,5 +92,4 @@ val block_counts : env -> Cfg.t -> t array
     loops ({!Loops} on dominance back edges), loop variables bound to
     their trip counts as upper bounds. *)
 
-val pp : t Fmt.t
 val to_string : t -> string

@@ -33,30 +33,34 @@ and issue = { issue_path : string; kept : int; error : error }
 
 exception Error of error
 
-val error_path : error -> string
 val error_detail : error -> string
 
-(** [error_path ^ ": " ^ error_detail]. *)
+(** The file the error is about, [": "], then {!error_detail}. *)
 val error_message : error -> string
 
 val issue_message : issue -> string
 
+(** Kept: the on-disk header; the version tests forge headers with it. *)
 val magic : string
+
+(** Kept: the on-disk header; the version tests forge older headers with it. *)
 val format_version : int
 
 (** {!Scalana_obs.History.crc32}: the ledger's CRC-32 frames every
-    record. *)
+    record.
+    Kept: the record checksum; the salvage tests forge records with it. *)
 val crc32 : string -> int
 
-(** [save_value path v]: write header plus one record (truncates). *)
-val save_value : string -> 'a -> unit
-
 (** [append_value path v]: append one record, creating the file (with
-    header) if needed. *)
+    header) if needed.
+    Kept: a record-stream primitive the typed savers wrap; the round-trip and
+    salvage tests drive it. *)
 val append_value : string -> 'a -> unit
 
 (** First record of the stream.  Raises {!Error} on missing, foreign,
-    truncated or corrupt files. *)
+    truncated or corrupt files.
+    Kept: a record-stream primitive the typed loaders wrap; the round-trip
+    tests drive it. *)
 val load_value : string -> 'a
 
 type 'a salvage = {
@@ -64,9 +68,12 @@ type 'a salvage = {
   damage : error option;  (** what stopped the read, if anything *)
 }
 
-(** Salvage read: every intact record before the first damage. *)
+(** Salvage read: every intact record before the first damage.
+    Kept: the salvage reader, which the damage tests drive record by record. *)
 val read_stream : string -> 'a salvage
 
+(** Kept: where a session's static artifact lives; the damage tests corrupt
+    that file. *)
 val static_path : string -> string
 val run_path : string -> int -> string
 val save_static : string -> Static.t -> unit
@@ -82,7 +89,9 @@ val save_run : string -> Prof.run -> unit
     profile, plus one {!issue} per damaged file (a file with valid
     magic but no decodable record is reported, never dropped).  A file
     whose newest record is for another scale than {!run_path} gives its
-    name is skipped and reported as [Wrong_scale]. *)
+    name is skipped and reported as [Wrong_scale].
+    Kept: the salvage reader over one scale's file, which the damage tests
+    drive. *)
 val load_runs_salvage : string -> (int * Prof.run) list * issue list
 
 (** Raises {!Error} when the static artifact is unreadable; run damage

@@ -66,27 +66,6 @@ let tool_comparison ?(cost = Costmodel.default) (program : Ast.program)
   in
   [ tracing; callpath; scalana ]
 
-(* Mean overhead of each tool across several scales (Fig. 10's bars). *)
-let mean_overhead ?cost program ~scales =
-  let by_tool = Hashtbl.create 4 in
-  List.iter
-    (fun nprocs ->
-      List.iter
-        (fun m ->
-          let l = try Hashtbl.find by_tool m.tool with Not_found -> [] in
-          Hashtbl.replace by_tool m.tool (m.overhead_pct :: l))
-        (tool_comparison ?cost program ~nprocs))
-    scales;
-  List.map
-    (fun tool ->
-      let l = try Hashtbl.find by_tool tool with Not_found -> [] in
-      let mean =
-        if l = [] then 0.0
-        else List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-      in
-      (tool, mean))
-    [ Tracing_tool; Callpath_tool; Scalana_tool ]
-
 (* Uninstrumented elapsed time of one run. *)
 let bare_elapsed ?(cost = Costmodel.default) ?(params = [])
     (program : Ast.program) ~nprocs =

@@ -22,13 +22,6 @@ type measurement = {
 val tool_comparison :
   ?cost:Costmodel.t -> Ast.program -> nprocs:int -> measurement list
 
-(** Mean overhead of each tool across [scales] (Fig. 10's bars). *)
-val mean_overhead :
-  ?cost:Costmodel.t ->
-  Ast.program ->
-  scales:int list ->
-  (tool_kind * float) list
-
 (** Elapsed time of one uninstrumented run. *)
 val bare_elapsed :
   ?cost:Costmodel.t ->

@@ -206,7 +206,9 @@ let detect_with ?(config = Config.default) ?pool
     Report.render ~program:static.Static.program
       ~predicted_locs:(List.map (fun (f : Lint.finding) -> f.Lint.loc) lint)
       ~quality ~phase_costs ~history
-      ~ppg:(snd (Crossscale.largest crossscale))
+      ?ppg:
+        (Option.bind timeline (fun (tl : Scalana_profile.Timeline.t) ->
+             Crossscale.ppg_at crossscale ~nprocs:tl.nprocs))
       ~psg:(Static.psg static) analysis
   in
   {
@@ -223,15 +225,10 @@ let detect_with ?(config = Config.default) ?pool
     report;
   }
 
-let detect ?(config = Config.default) ?artifact_issues ?dropped_scales
-    ?timeline ?history (static : Static.t) (runs : (int * Prof.run) list) =
-  Pool.with_pool ~size:config.Config.analysis_domains (fun pool ->
-      detect_with ~config ?pool ?artifact_issues ?dropped_scales ?timeline
-        ?history static runs)
-
 (* Detection over a loaded session: salvage issues found by the artifact
    reader become data-quality entries. *)
-let detect_session ?config ?timeline ?history (session : Artifact.session) =
+let detect_session ?(config = Config.default) ?timeline ?history
+    (session : Artifact.session) =
   Scalana_obs.Obs.with_span "pipeline.detect_session" @@ fun () ->
   let artifact_issues =
     List.map
@@ -243,8 +240,9 @@ let detect_session ?config ?timeline ?history (session : Artifact.session) =
         })
       session.Artifact.issues
   in
-  detect ?config ~artifact_issues ?timeline ?history session.Artifact.static
-    session.Artifact.runs
+  Pool.with_pool ~size:config.Config.analysis_domains (fun pool ->
+      detect_with ~config ?pool ~artifact_issues ?timeline ?history
+        session.Artifact.static session.Artifact.runs)
 
 (* The per-scale profiled runs are independent — and may therefore fan
    out — only when nothing couples them: indirect-call programs refine
@@ -385,10 +383,6 @@ let history_entry ?time ?commit ?(label = "") t =
     h_coverage = t.quality.Quality.rank_coverage;
     h_detect_seconds = t.detect_seconds;
   }
-
-(* Locations of the reported root causes, best first. *)
-let root_cause_locs t =
-  List.map (fun (c : Rootcause.cause) -> c.cause_loc) t.analysis.causes
 
 let root_cause_labels t =
   List.map (fun (c : Rootcause.cause) -> c.cause_label) t.analysis.causes

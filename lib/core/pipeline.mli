@@ -60,26 +60,15 @@ val rank_timeline :
   nprocs:int ->
   Scalana_profile.Timeline.t
 
-(** Detection over already-collected profiles.  The PPG builds and
-    per-vertex fits fan out over [config.analysis_domains] worker
-    domains; output is identical to a sequential run.  [artifact_issues]
-    (damage found while loading) and [dropped_scales] (scales that never
-    ran) flow into [quality].  [timeline] attaches a captured rank
-    timeline: its wait-state replay feeds the analysis (per-cause
-    evidence) and the report.  [history] (prior ledger entries) adds
-    the trend section to the report. *)
-val detect :
-  ?config:Config.t ->
-  ?artifact_issues:Quality.artifact_issue list ->
-  ?dropped_scales:int list ->
-  ?timeline:Scalana_profile.Timeline.t ->
-  ?history:Scalana_obs.History.entry list ->
-  Static.t ->
-  (int * Prof.run) list ->
-  t
-
 (** Detection over a loaded session; salvage issues recorded by
-    {!Artifact.load_session} become data-quality entries. *)
+    {!Artifact.load_session} become data-quality entries.  The PPG
+    builds and per-vertex fits fan out over [config.analysis_domains]
+    worker domains; output is identical to a sequential run.  [timeline]
+    attaches a captured rank timeline: its wait-state replay feeds the
+    analysis (per-cause evidence) and the report, which sets each
+    waiting vertex's replayed wait next to the sampled wait of the PPG
+    at the timeline's scale.  [history] (prior ledger entries) adds the
+    trend section to the report. *)
 val detect_session :
   ?config:Config.t -> ?timeline:Scalana_profile.Timeline.t ->
   ?history:Scalana_obs.History.entry list ->
@@ -146,5 +135,4 @@ val history_entry :
   t ->
   Scalana_obs.History.entry
 
-val root_cause_locs : t -> Loc.t list
 val root_cause_labels : t -> string list

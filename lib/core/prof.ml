@@ -159,7 +159,7 @@ let run_with_retry ?(retries = 0) ?config ?cost ?inject
    profile folds into one per-global-rank artifact; the merged run
    carries [effective_nprocs] (time-weighted membership) for the fits
    and the full membership/recovery summary for reporting.  Departed
-   ranks surface as [killed_ranks], so the session is {!degraded} and
+   ranks surface as [killed_ranks], so the session is [degraded] and
    the standard exit-code/data-quality paths apply unchanged. *)
 let run_elastic ?(config = Config.default) ?(cost = Costmodel.default)
     ~(plan : Elastic.plan) (static : Static.t) ~nprocs () =
@@ -217,8 +217,8 @@ let run_elastic ?(config = Config.default) ?(cost = Costmodel.default)
       in
       let eparams =
         [
-          (plan.Elastic.lo_param, e.Elastic.e_lo);
-          (plan.Elastic.hi_param, e.Elastic.e_hi);
+          (Elastic.lo_param, e.Elastic.e_lo);
+          (Elastic.hi_param, e.Elastic.e_hi);
         ]
       in
       let cfg =

@@ -23,13 +23,6 @@ type run = {
 (** Available when the run was made with [~measure_overhead:true]. *)
 val overhead_percent : run -> float option
 
-(** Did any rank die or get stranded in this run? *)
-val degraded : run -> bool
-
-(** Splice observed indirect-call targets into the contracted PSG and
-    refresh the index (done automatically by {!run}). *)
-val apply_refinements : Static.t -> Profdata.t -> unit
-
 (** One profiled run at [attempt] (default 1).  [extra_tools] are
     attached after the profiler, so a tool charging 0.0 overhead leaves
     the clocks, and thus the profile, exactly as without it. *)
@@ -48,12 +41,14 @@ val run :
 
 (** Deterministic exponential backoff before retry [attempt + 1]:
     [0.05 * 2^(attempt-1)] seconds.  Simulated, never slept; recorded on
-    the run and observed as [prof.retry_backoff_seconds]. *)
+    the run and observed as [prof.retry_backoff_seconds].
+    Kept: the retry ladder [run_with_retry] records, whose steps the backoff
+    test pins. *)
 val backoff_delay : attempt:int -> float
 
-(** Like {!run}, retrying (with attempt numbers 2, 3, …) while the run is
-    {!degraded}, up to [retries] extra attempts; the last attempt is
-    returned even if still degraded.  [extra_tools ~attempt] is called
+(** Like {!run}, retrying (with attempt numbers 2, 3, …) while a rank of
+    the run died or was stranded, up to [retries] extra attempts; the
+    last attempt is returned even if still degraded.  [extra_tools ~attempt] is called
     once per attempt, before it runs, and its tools are attached to that
     attempt only: a tool created there (a {!Scalana_profile.Timeline}
     recorder, say) sees exactly one attempt, and the last one created
@@ -77,7 +72,7 @@ val run_with_retry :
     per-global-rank artifact.  The result carries the time-weighted
     effective process count for the log-log fits and the full
     membership/recovery summary in [elastic]; ranks that left appear as
-    [killed_ranks], so the run is {!degraded} and the usual exit-code
+    [killed_ranks], so the run is degraded and the usual exit-code
     and data-quality paths apply.  Deterministic: same (plan, nprocs) ⇒
     byte-identical artifact. *)
 val run_elastic :

@@ -124,10 +124,3 @@ let show_timeline (pipeline : Pipeline.t) =
            (Array.length tl.T.intervals) tl.T.merged
            (Array.length tl.T.messages));
       Buffer.contents buf
-
-(* One-line summary per cause, for quick assertions and logs. *)
-let summary (pipeline : Pipeline.t) =
-  List.map
-    (fun (c : Scalana_detect.Rootcause.cause) ->
-      Printf.sprintf "%s@%s" c.cause_label (Loc.to_string c.cause_loc))
-    pipeline.Pipeline.analysis.causes

@@ -7,6 +7,3 @@ val show : ?snippet_context:int -> Pipeline.t -> string
     MPI, 'w' MPI wait, with per-rank blocked totals.  Explains itself
     when the pipeline carried no timeline. *)
 val show_timeline : Pipeline.t -> string
-
-(** One line per cause, for logs and assertions. *)
-val summary : Pipeline.t -> string list

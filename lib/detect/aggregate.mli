@@ -25,7 +25,9 @@ val quarantined : float -> bool
 val quarantined_in : float array -> int
 
 (** Surviving cells gathered in rank order, with the count dropped;
-    always a fresh array. *)
+    always a fresh array.
+    Kept: a kernel primitive, pinned against a list reference by property
+    tests. *)
 val sanitize : float array -> float array * int
 
 (** Sum of the surviving cells. *)
@@ -34,12 +36,17 @@ val sum_clean : float array -> float
 (** Largest surviving cell, floored at 0. *)
 val max_clean : float array -> float
 
+(** Kept: a kernel primitive, pinned bit for bit against a list reference. *)
 val mean : float array -> float
 val median : float array -> float
+
+(** Kept: a kernel primitive, pinned bit for bit against a list reference. *)
 val variance : float array -> float
 
 (** 1-D Lloyd's k-means over the surviving cells with deterministic
-    quantile seeding; returns (centroid, size) pairs. *)
+    quantile seeding; returns (centroid, size) pairs.
+    Kept: the clustering behind the kmeans strategy, which its tests pin
+    directly. *)
 val kmeans : k:int -> float array -> (float * int) array
 
 val apply : strategy -> float array -> float

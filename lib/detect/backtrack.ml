@@ -146,15 +146,6 @@ let backtrack ?(config = default_config) (ppg : Ppg.t) ~visited ~start_rank
   go start_rank start_vertex Start 0;
   List.rev !path
 
-(* Ranks touched by a path, in order of first appearance.  Accumulated
-   reversed and flipped once at the end (appending inside the fold is
-   quadratic on long paths). *)
-let ranks_of path =
-  List.fold_left
-    (fun acc s -> if List.mem s.rank acc then acc else s.rank :: acc)
-    [] path
-  |> List.rev
-
 let pp_step psg ppf s =
   let v = Psg.vertex psg s.vertex in
   Fmt.pf ppf "[r%d] %s @%a (%s)" s.rank (Vertex.label v) Scalana_mlang.Loc.pp

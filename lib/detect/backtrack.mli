@@ -24,7 +24,6 @@ type config = {
 }
 
 val default_config : config
-val via_name : via -> string
 
 (** [backtrack ppg ~visited ~start_rank ~start_vertex] — one walk;
     [visited] accumulates scanned (rank, vertex) pairs across walks
@@ -37,8 +36,4 @@ val backtrack :
   start_vertex:int ->
   path
 
-(** Ranks touched, in order of first appearance. *)
-val ranks_of : path -> int list
-
-val pp_step : Scalana_psg.Psg.t -> step Fmt.t
 val pp_path : Scalana_psg.Psg.t -> path Fmt.t

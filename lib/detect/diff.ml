@@ -127,13 +127,6 @@ let check_fraction ~what v =
 
 type verdict = Regressed | Improved | Unchanged | New | Gone
 
-let verdict_name = function
-  | Regressed -> "regressed"
-  | Improved -> "improved"
-  | Unchanged -> "unchanged"
-  | New -> "new"
-  | Gone -> "gone"
-
 type delta = {
   d_key : key;
   d_verdict : verdict;

@@ -87,8 +87,6 @@ val check_fraction : what:string -> float -> unit
 
 type verdict = Regressed | Improved | Unchanged | New | Gone
 
-val verdict_name : verdict -> string
-
 (** One aligned (or one-sided) vertex comparison. *)
 type delta = {
   d_key : key;

@@ -47,8 +47,5 @@ let fit_scaled points =
 let fit points =
   fit_scaled (List.map (fun (p, t) -> (float_of_int p, t)) points)
 
-(* Predicted value at scale [p]. *)
-let predict f p = exp (f.intercept +. (f.slope *. log (float_of_int p)))
-
 (* Ideal strong-scaling slope: time halves when processes double. *)
 let ideal_strong_scaling_slope = -1.0

@@ -13,7 +13,5 @@ val fit : (int * float) list -> fit
     [fit] is [fit_scaled] over [float_of_int] scales, bit for bit. *)
 val fit_scaled : (float * float) list -> fit
 
-val predict : fit -> int -> float
-
 (** -1: time halves when the process count doubles. *)
 val ideal_strong_scaling_slope : float

@@ -6,12 +6,6 @@
 val predicted :
   psg:Scalana_psg.Psg.t -> locs:Scalana_mlang.Loc.t list -> int -> bool
 
-(** The "-- trend --" section: one ASCII sparkline of the fitted slope
-    per vertex tracked in the given ledger entries (oldest first).
-    Prints nothing on [[]]. *)
-val pp_trend :
-  Format.formatter -> Scalana_obs.History.entry list -> unit
-
 (** The "-- pipeline cost --" section over [(phase, calls, total
     seconds)] rows; prints nothing on [[]].  Exposed so [scalana-diff]
     can render its own cost with the same layout. *)

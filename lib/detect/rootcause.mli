@@ -40,13 +40,6 @@ type analysis = {
           it empty, keeping default reports unchanged) *)
 }
 
-(** Deviation-weighted score of a path step as a root-cause candidate. *)
-val cause_score : Scalana_ppg.Ppg.t -> Backtrack.step -> float
-
-(** The step of a path most likely to be the cause, if any. *)
-val terminal_cause :
-  Scalana_ppg.Ppg.t -> Backtrack.path -> Backtrack.step option
-
 (** The rank spending the most time at a vertex (walk start heuristic). *)
 val start_rank : Scalana_ppg.Ppg.t -> vertex:int -> int
 

@@ -66,14 +66,28 @@ let finding_to_string = Fmt.to_to_string pp_finding
 (* Evaluate [e] at increasing scales with everything else pinned: rank 1
    (rank 0 and rank np-1 sit on wrap-around boundaries of ring/grid
    arithmetic and would alias distinct behaviours), program parameters at
-   their defaults, free variables at 1.  [None] when evaluation fails. *)
+   their defaults, free variables at 1.  [None] when evaluation fails at
+   any scale. *)
 let probe (program : Ast.program) e =
-  let vars = List.map (fun v -> (v, 1)) (Expr.free_vars e) in
+  let vars = Expr.free_vars e in
+  let n = List.length vars in
+  let env =
+    {
+      Expr.Compiled.c_rank = 1;
+      c_vars = Array.make n 1;
+      c_bound = Bytes.make n '\001';
+    }
+  in
+  let param p = List.assoc_opt p program.params in
+  let var_slot v =
+    Option.value ~default:(-1) (List.find_index (String.equal v) vars)
+  in
   try
     Some
       (List.map
          (fun nprocs ->
-           Expr.eval (Expr.env ~rank:1 ~nprocs ~params:program.params ~vars) e)
+           Expr.Compiled.eval env
+             (Expr.Compiled.compile ~nprocs ~param ~var_slot e))
          [ 4; 16; 64 ])
   with Expr.Eval_error _ -> None
 
@@ -112,8 +126,8 @@ let exprs_of_mpi c =
       [ bytes ]
   | Ast.Wait _ | Ast.Waitall _ | Ast.Barrier -> []
 
-(* [Ast.is_p2p] counts [Wait]/[Waitall] as point-to-point; the lints
-   care about calls that actually move data between a pair of ranks. *)
+(* Calls that move data between a pair of ranks ([Wait]/[Waitall] are
+   not collectives either, but move nothing). *)
 let is_any_p2p = function
   | Ast.Send _ | Ast.Recv _ | Ast.Isend _ | Ast.Irecv _ | Ast.Sendrecv _ ->
       true
@@ -556,8 +570,6 @@ let run (program : Ast.program) =
       | 0 -> compare a.rule b.rule
       | c -> c)
     !findings
-
-let by_rule findings r = List.filter (fun f -> f.rule = r) findings
 
 let pp_report ppf findings =
   match findings with

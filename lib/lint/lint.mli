@@ -52,8 +52,6 @@ type finding = { rule : rule; loc : Loc.t; func : string; msg : string }
 val run : Ast.program -> finding list
 (** All findings, sorted by source location. *)
 
-val by_rule : finding list -> rule -> finding list
-val pp_finding : finding Fmt.t
 val finding_to_string : finding -> string
 
 val pp_report : finding list Fmt.t

@@ -100,8 +100,6 @@ let is_collective = function
   | Send _ | Recv _ | Isend _ | Irecv _ | Wait _ | Waitall _ | Sendrecv _ ->
       false
 
-let is_p2p c = not (is_collective c)
-
 (* Operations that can spend time waiting on another process: these are
    where ScalAna's wait-edge pruning keeps communication dependence. *)
 let can_wait = function
@@ -138,12 +136,6 @@ let fold_program f acc program =
   !acc
 
 let stmt_count program = fold_program (fun n _ -> n + 1) 0 program
-
-let mpi_calls program =
-  fold_program
-    (fun acc s -> match s.node with Mpi c -> (s.loc, c) :: acc | _ -> acc)
-    [] program
-  |> List.rev
 
 (* Find the statement at a location, for source snippets in reports. *)
 let stmt_at program loc =

@@ -68,7 +68,6 @@ val find_func_opt : program -> string -> func option
 val main_func : program -> func
 val mpi_name : mpi_call -> string
 val is_collective : mpi_call -> bool
-val is_p2p : mpi_call -> bool
 
 (** Operations that can block waiting on a remote process. *)
 val can_wait : mpi_call -> bool
@@ -79,9 +78,7 @@ val iter_stmts : (stmt -> unit) -> stmt list -> unit
 
 val fold_stmts : ('a -> stmt -> 'a) -> 'a -> stmt list -> 'a
 val iter_program : (stmt -> unit) -> program -> unit
-val fold_program : ('a -> stmt -> 'a) -> 'a -> program -> 'a
 val stmt_count : program -> int
-val mpi_calls : program -> (Loc.t * mpi_call) list
 val stmt_at : program -> Loc.t -> stmt option
 
 (** Largest source line of the program (the KLoc column of Table II). *)

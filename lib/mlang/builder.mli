@@ -37,6 +37,8 @@ val branch :
   Ast.stmt
 
 val call : t -> ?args:(string * Expr.t) list -> string -> Ast.stmt
+
+(** Kept: the program DSL has one constructor per MiniMPI statement kind. *)
 val icall : t -> selector:Expr.t -> string list -> Ast.stmt
 val let_ : t -> string -> Expr.t -> Ast.stmt
 val send : t -> dest:Expr.t -> ?tag:Expr.t -> bytes:Expr.t -> unit -> Ast.stmt
@@ -50,6 +52,7 @@ val isend :
 val irecv :
   t -> ?src:Expr.t -> ?tag:Expr.t -> bytes:Expr.t -> req:string -> unit -> Ast.stmt
 
+(** Kept: the program DSL has one constructor per MiniMPI statement kind. *)
 val wait : t -> req:string -> Ast.stmt
 val waitall : t -> reqs:string list -> Ast.stmt
 
@@ -64,11 +67,16 @@ val sendrecv :
   unit ->
   Ast.stmt
 
+(** Kept: the program DSL has one constructor per MiniMPI statement kind. *)
 val barrier : t -> Ast.stmt
 val bcast : t -> ?root:Expr.t -> bytes:Expr.t -> unit -> Ast.stmt
+
+(** Kept: the program DSL has one constructor per MiniMPI statement kind. *)
 val reduce : t -> ?root:Expr.t -> bytes:Expr.t -> unit -> Ast.stmt
 val allreduce : t -> bytes:Expr.t -> Ast.stmt
 val alltoall : t -> bytes:Expr.t -> Ast.stmt
+
+(** Kept: the program DSL has one constructor per MiniMPI statement kind. *)
 val allgather : t -> bytes:Expr.t -> Ast.stmt
 
 (** Register a function; body statements are created inside the thunk. *)

@@ -41,15 +41,6 @@ exception Eval_error of string
 
 let eval_error fmt = Fmt.kstr (fun s -> raise (Eval_error s)) fmt
 
-type env = {
-  rank : int;
-  nprocs : int;
-  params : (string * int) list;
-  vars : (string * int) list;
-}
-
-let env ~rank ~nprocs ~params ~vars = { rank; nprocs; params; vars }
-
 let binop_name = function
   | Add -> "+"
   | Sub -> "-"
@@ -90,34 +81,6 @@ let apply_binop op a b =
   | And -> if a <> 0 && b <> 0 then 1 else 0
   | Or -> if a <> 0 || b <> 0 then 1 else 0
   | Xor -> a lxor b
-
-let rec eval env = function
-  | Int n -> n
-  | Rank -> env.rank
-  | Nprocs -> env.nprocs
-  | Param p -> (
-      match List.assoc_opt p env.params with
-      | Some v -> v
-      | None -> eval_error "unbound parameter %S" p)
-  | Var v -> (
-      match List.assoc_opt v env.vars with
-      | Some n -> n
-      | None -> eval_error "unbound variable %S" v)
-  | Bin (op, a, b) -> apply_binop op (eval env a) (eval env b)
-  | Neg e -> -eval env e
-  | Not e -> if eval env e = 0 then 1 else 0
-  | Log2 e ->
-      let v = eval env e in
-      let rec go acc x = if x <= 1 then acc else go (acc + 1) (x / 2) in
-      go 0 v
-  | Isqrt e ->
-      let v = eval env e in
-      if v <= 0 then 0
-      else begin
-        let r = int_of_float (sqrt (float_of_int v)) in
-        let r = if (r + 1) * (r + 1) <= v then r + 1 else r in
-        if r * r > v then r - 1 else r
-      end
 
 (* Free variables (not parameters), used by validation to check that loop
    variables are bound before use. *)
@@ -212,21 +175,21 @@ let rec equal a b =
       _ ) ->
       false
 
-(* Compiled form: names resolved to slots once, constants folded once.
+(* Compiled form, the one evaluator: names resolved to slots once,
+   constants folded once.
 
-   The interpreter evaluates expressions on every statement execution, so
-   at np = 4096+ the [List.assoc_opt] lookups in [eval] dominate.  The
-   compiled form resolves every [Var] to an integer slot in a flat frame
-   array and every [Param]/[Nprocs] to its (per-run constant) value at
-   program-load time, then folds constant subtrees.  Most size/count
+   The simulator evaluates expressions on every statement execution, so
+   the compiled form resolves every [Var] to an integer slot in a flat
+   frame array and every [Param]/[Nprocs] to its (per-run constant) value
+   at program-load time, then folds constant subtrees.  Most size/count
    expressions collapse to a single [CInt]; only genuinely rank- or
    loop-dependent trees survive as nodes.
 
    Error behaviour is part of the contract: unbound names and division by
-   zero must surface lazily, at evaluation time, with exactly the
-   messages [eval] produces.  Unbound names therefore compile to
-   dedicated error nodes, and divisions with a constant zero divisor are
-   deliberately left unfolded. *)
+   zero surface lazily, at evaluation time, as [Eval_error] with the
+   messages below, and never at compile time.  Unbound names therefore
+   compile to dedicated error nodes, and divisions with a constant zero
+   divisor are deliberately left unfolded. *)
 module Compiled = struct
   type expr =
     | CInt of int
@@ -299,8 +262,6 @@ module Compiled = struct
     | CNot a -> if eval env a = 0 then 1 else 0
     | CLog2 a -> log2_floor (eval env a)
     | CIsqrt a -> isqrt_floor (eval env a)
-
-  let const = function CInt n -> Some n | _ -> None
 end
 
 (* Infix constructors for the builder DSL. *)
@@ -328,7 +289,6 @@ module Infix = struct
   let ( lxor ) a b = Bin (Xor, a, b)
   let min_ a b = Bin (Min, a, b)
   let max_ a b = Bin (Max, a, b)
-  let neg a = Neg a
   let log2 a = Log2 a
   let isqrt a = Isqrt a
 end

@@ -36,20 +36,9 @@ type t =
   | Log2 of t  (** floor(log2 e); 0 for e <= 1 *)
   | Isqrt of t  (** floor(sqrt e); 0 for e <= 0 *)
 
+(** Raised by {!Compiled.eval}; the message names the unbound variable
+    or parameter, or says ["division by zero"] / ["modulo by zero"]. *)
 exception Eval_error of string
-
-type env
-
-val env :
-  rank:int ->
-  nprocs:int ->
-  params:(string * int) list ->
-  vars:(string * int) list ->
-  env
-
-(** [eval env e] evaluates [e]; raises {!Eval_error} on unbound names or
-    division by zero. *)
-val eval : env -> t -> int
 
 (** Free [Var] names of an expression (parameters excluded). *)
 val free_vars : t -> string list
@@ -61,23 +50,27 @@ val params : t -> string list
     job scale (no [Rank], no [Var]). *)
 val is_static : t -> bool
 
+(** Kept: a property-tested predicate; removing it would delete its test. *)
 val depends_on_rank : t -> bool
 
 (** True when [Nprocs] appears anywhere in the expression — the syntactic
     trigger of the static scaling-loss lints. *)
 val depends_on_nprocs : t -> bool
 
-val binop_name : binop -> string
 val equal : t -> t -> bool
 val pp : t Fmt.t
 val to_string : t -> string
 
-(** Compiled expression form used by the runtime's hot loop: [Var]s are
-    resolved to integer slots in a flat frame array, [Param]/[Nprocs] are
-    folded to their per-run constant values, and constant subtrees are
-    folded at compile time.  Error behaviour matches {!eval} exactly:
-    unbound names and division by zero surface lazily at evaluation time
-    with identical messages. *)
+(** The expression evaluator, shared by the simulator, the static
+    walker and the linter: [Var]s are resolved to integer slots in a flat
+    frame array, [Param]/[Nprocs] are folded to their per-run constant
+    values, and constant subtrees are folded at compile time.
+
+    Error contract: compiling never raises.  An unbound variable, an
+    unbound parameter, a division by zero and a modulo by zero each
+    raise {!Eval_error} when evaluation reaches them, and only then:
+    ["unbound variable \"x\""], ["unbound parameter \"x\""],
+    ["division by zero"], ["modulo by zero"]. *)
 module Compiled : sig
   type expr
 
@@ -98,13 +91,9 @@ module Compiled : sig
     t ->
     expr
 
-  (** Raises {!Eval_error} exactly where {!val-eval} on the source
-      expression would. *)
+  (** Raises {!Eval_error} as described above. *)
   val eval : env -> expr -> int
 
-  (** The folded constant value, when compilation reduced the whole
-      expression to one. *)
-  val const : expr -> int option
 end
 
 (** Infix constructors for the builder DSL. *)
@@ -122,17 +111,24 @@ module Infix : sig
   val ( lsl ) : t -> t -> t
   val ( asr ) : t -> t -> t
   val ( < ) : t -> t -> t
+
+  (** Kept: the DSL keeps one operator per binary operator. *)
   val ( <= ) : t -> t -> t
   val ( > ) : t -> t -> t
+
+  (** Kept: the DSL keeps one operator per binary operator. *)
   val ( >= ) : t -> t -> t
   val ( = ) : t -> t -> t
+
+  (** Kept: the DSL keeps one operator per binary operator. *)
   val ( <> ) : t -> t -> t
+
+  (** Kept: the DSL keeps one operator per binary operator. *)
   val ( && ) : t -> t -> t
   val ( || ) : t -> t -> t
   val ( lxor ) : t -> t -> t
   val min_ : t -> t -> t
   val max_ : t -> t -> t
-  val neg : t -> t
   val log2 : t -> t
   val isqrt : t -> t
 end

@@ -9,7 +9,6 @@ type t = { file : string; line : int }
 
 let v ~file ~line = { file; line }
 let none = { file = "<builtin>"; line = 0 }
-let file t = t.file
 let line t = t.line
 let equal a b = String.equal a.file b.file && Int.equal a.line b.line
 let compare a b =
@@ -17,6 +16,5 @@ let compare a b =
   | 0 -> Int.compare a.line b.line
   | c -> c
 
-let hash t = Hashtbl.hash (t.file, t.line)
 let to_string t = Printf.sprintf "%s:%d" t.file t.line
 let pp ppf t = Fmt.string ppf (to_string t)

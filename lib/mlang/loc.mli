@@ -7,10 +7,8 @@ val v : file:string -> line:int -> t
 (** Location used for synthesized nodes that have no source position. *)
 val none : t
 
-val file : t -> string
 val line : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val to_string : t -> string
 val pp : t Fmt.t

@@ -4,7 +4,6 @@
 
 type error = { loc : Loc.t; msg : string }
 
-val pp_error : error Fmt.t
 val error_to_string : error -> string
 val run : Ast.program -> (unit, error list) result
 

@@ -202,10 +202,6 @@ let load ~path =
 
 (* --- trend queries --- *)
 
-let last ~n entries =
-  let len = List.length entries in
-  if len <= n then entries else List.filteri (fun i _ -> i >= len - n) entries
-
 let tracked_vertices entries =
   List.concat_map (fun e -> List.map fst e.h_slopes) entries
   |> List.sort_uniq compare

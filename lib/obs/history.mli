@@ -52,9 +52,6 @@ val load : path:string -> load_result
 
 (** {1 Trend queries} *)
 
-(** Last [n] entries, oldest first. *)
-val last : n:int -> entry list -> entry list
-
 (** Vertex keys tracked across [entries] (union of slope keys), sorted,
     most-recently-seen keys first on ties of name order — in practice:
     sorted by name. *)
@@ -75,10 +72,8 @@ val sparkline : float option list -> string
     every ledger line and of every artifact record. *)
 val crc32 : string -> int
 
-(** The JSON object for one row, without the ["crc"] field — exposed
-    for tests and external consumers. *)
-val entry_json : entry -> Obs.Json.t
-
 (** Parse one ledger line, checking the CRC.  [Error] describes why the
-    line was rejected. *)
+    line was rejected.
+    Kept: the line parser [load] uses; its test checks why a line is
+    rejected. *)
 val entry_of_line : string -> (entry, string) result

@@ -56,7 +56,8 @@ val enable : unit -> unit
 (** Stop collecting.  Already-recorded data stays readable. *)
 val disable : unit -> unit
 
-(** Drop all recorded spans and metrics (does not change the switch). *)
+(** Drop all recorded spans and metrics (does not change the switch).
+    Kept: test hook that clears what was collected between cases. *)
 val reset : unit -> unit
 
 (** {1 Clock} *)
@@ -94,7 +95,8 @@ type completed = {
 }
 
 (** All finished spans, merged across domains and sorted by start time
-    (ties: domain id, then open order). *)
+    (ties: domain id, then open order).
+    Kept: inspection of the collected spans, read by the trace tests. *)
 val spans : unit -> completed list
 
 (** {1 Flow events}
@@ -130,7 +132,8 @@ val flow_start : ?name:string -> int -> unit
 val flow_finish : ?name:string -> int -> unit
 
 (** All recorded flow points, merged across domains and sorted by time
-    (ties: domain id, then id). *)
+    (ties: domain id, then id).
+    Kept: inspection of the collected flows, read by the trace tests. *)
 val flows : unit -> flow_point list
 
 (** {1 Metrics} *)
@@ -155,7 +158,8 @@ module Metrics : sig
   }
 
   (** Upper bounds (seconds) of the histogram bands; the implicit last
-      band collects everything larger. *)
+      band collects everything larger.
+      Kept: the histogram layout, read by the metrics tests. *)
   val bucket_bounds : float array
 
   type snapshot = {
@@ -164,7 +168,8 @@ module Metrics : sig
     histograms : (string * histo) list;
   }
 
-  (** Current values, each list sorted by name. *)
+  (** Current values, each list sorted by name.
+      Kept: inspection of the registry, read by the metrics tests. *)
   val snapshot : unit -> snapshot
 end
 
@@ -177,12 +182,16 @@ val phase_summary : unit -> (string * int * float) list
 (** Chrome [trace_event] document: one complete ("ph":"X") event per
     finished span with microsecond timestamps, flow start/finish events
     ("ph":"s"/"f") for the recorded flow points, plus metadata events
-    naming one track per domain.  Loads in Perfetto / about:tracing. *)
+    naming one track per domain.  Loads in Perfetto / about:tracing.
+    Kept: the exporter's document before [export_trace] writes it, which the
+    exporter tests parse. *)
 val trace_json : unit -> Json.t
 
 (** Flat metrics document: counters, gauges and histograms by name.
     Object keys and the ["phases"] array are sorted by name, so two
-    exports of the same pipeline diff cleanly. *)
+    exports of the same pipeline diff cleanly.
+    Kept: the exporter's document before [export_metrics] writes it, which the
+    exporter tests parse. *)
 val metrics_json : unit -> Json.t
 
 (** The metrics registry in OpenMetrics / Prometheus text exposition
@@ -192,7 +201,9 @@ val metrics_json : unit -> Json.t
     [scalana_phase_seconds_total{phase="..."}] /
     [scalana_phase_calls_total{phase="..."}].  Registry names are
     prefixed with [scalana_] and characters outside the Prometheus
-    grammar are mapped to ['_'].  Ends with the [# EOF] terminator. *)
+    grammar are mapped to ['_'].  Ends with the [# EOF] terminator.
+    Kept: the exporter's text before [export_openmetrics] writes it, which the
+    exporter tests parse. *)
 val openmetrics_string : unit -> string
 
 val export_trace : path:string -> unit

@@ -19,13 +19,19 @@ val default_size : unit -> int
 
 val create : ?size:int -> unit -> t
 (** Spawn a pool of [size] (default {!default_size}) units of
-    parallelism.  [size <= 1] spawns no domains at all. *)
+    parallelism.  [size <= 1] spawns no domains at all.
+    Kept: the pool's lifecycle, which [with_pool] composes; the pool tests
+    drive one pool across many maps. *)
 
+(** Kept: the pool's lifecycle, which [with_pool] composes; the pool tests
+    read it. *)
 val size : t -> int
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Must not be called while a
-    {!parallel_map} on this pool is in flight.  Idempotent. *)
+    {!parallel_map} on this pool is in flight.  Idempotent.
+    Kept: the pool's lifecycle, which [with_pool] composes; the pool tests
+    drive one pool across many maps. *)
 
 val with_pool : size:int -> (t option -> 'a) -> 'a
 (** [with_pool ~size f] runs [f (Some pool)] with a freshly created pool

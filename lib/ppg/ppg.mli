@@ -29,9 +29,6 @@ val build : psg:Psg.t -> Profdata.t -> t
 (** Incoming communication dependence of (rank, vertex). *)
 val incoming_edges : t -> rank:int -> vertex:int -> Commrec.p2p_edge list
 
-(** Only edges that carried an actual wait (the pruned set). *)
-val waiting_edges : t -> rank:int -> vertex:int -> Commrec.p2p_edge list
-
 (** The waiting edge with the largest observed wait, if any. *)
 val critical_edge : t -> rank:int -> vertex:int -> Commrec.p2p_edge option
 

@@ -265,7 +265,6 @@ let capture r =
     merged = r.r_merged;
   }
 
-let total_blocked t = Array.fold_left ( +. ) 0.0 t.blocked
 let total_dropped t = Array.fold_left ( + ) 0 t.dropped
 
 (* --- Chrome trace_event export --- *)

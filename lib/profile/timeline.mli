@@ -22,8 +22,6 @@ open Scalana_runtime
 
 type config = { max_events : int  (** intervals + messages recorded *) }
 
-val default_config : config
-
 (** What one MPI interval saw, the raw material of wait-state replay. *)
 type mpi_info = {
   op : string;  (** [Ast.mpi_name] of the call *)
@@ -92,7 +90,6 @@ val tool : recorder -> Instrument.t
     keep their newest-first recording order. *)
 val capture : recorder -> t
 
-val total_blocked : t -> float
 val total_dropped : t -> int
 
 (** Chrome [trace_event] document: one track per rank (its own process
@@ -101,7 +98,9 @@ val total_dropped : t -> int
     and one flow arrow per matched message.  Flow ids come from
     {!Scalana_obs.Obs.Flow}, the process-global allocator, so they never
     collide with the pipeline trace's.  [psg] adds vertex labels to the
-    slice args. *)
+    slice args.
+    Kept: the exporter's document before [export_trace] writes it, which the
+    trace tests parse. *)
 val to_trace_json : ?psg:Psg.t -> t -> Scalana_obs.Obs.Json.t
 
 val export_trace : ?psg:Psg.t -> path:string -> t -> unit

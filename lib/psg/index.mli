@@ -13,12 +13,16 @@ val build : full:Psg.t -> contraction:Contract.result -> t
 val index_contracted_subtree : t -> int -> unit
 
 (** [find t ~callpath ~loc] — contracted vertex owning [loc] under
-    [callpath]; falls back frame-by-frame for recursion/indirect calls. *)
+    [callpath]; falls back frame-by-frame for recursion/indirect calls.
+    Kept: the reference lookup [Resolver] memoizes; the tests compare the
+    two. *)
 val find : t -> callpath:Loc.t list -> loc:Loc.t -> int option
 
-(** Exact lookup, no fallback. *)
+(** Exact lookup, no fallback.
+    Kept: the exact-key lookup [find] starts from, read by the index tests. *)
 val exact : t -> callpath:Loc.t list -> loc:Loc.t -> int option
 
+(** Kept: the index size, read by the index tests. *)
 val size : t -> int
 
 (** Per-run memo of {!find}, keyed by calling-context id: each distinct

@@ -2,8 +2,6 @@
 
 open Scalana_mlang
 
-val build : Ast.func -> Psg.t
-
 (** Local PSGs for every function, keyed by name.  With [pool], the
     per-function builds run in parallel (each local PSG has its own id
     space); the result is identical to the sequential build. *)
@@ -12,5 +10,7 @@ val build_all :
 
 (** Validate the local PSG against CFG dominance/natural-loop analyses:
     Loop vertices must match natural loops, Branch vertices must match
-    conditional blocks. *)
+    conditional blocks.
+    Kept: removing it would delete the tests that run it on every
+    function. *)
 val crosscheck : Ast.func -> (unit, string) result

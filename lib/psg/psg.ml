@@ -164,14 +164,6 @@ let subtree_vertices t id =
   go id;
   List.rev !acc
 
-(* Depth of nested Loop vertices enclosing (and including) [id]. *)
-let loop_depth t id =
-  let rec climb acc id =
-    let acc = if Vertex.is_loop (vertex t id) then acc + 1 else acc in
-    match parent t id with None -> acc | Some p -> climb acc p
-  in
-  climb 0 id
-
 let ancestors t id =
   let rec climb acc id =
     match parent t id with None -> List.rev acc | Some p -> climb (p :: acc) p

@@ -60,13 +60,12 @@ val parent : t -> int -> int option
     step of Algorithm 1. *)
 val prev_sibling : t -> int -> int option
 
+(** Kept: sibling navigation mirroring [prev_sibling]; the navigation test
+    walks both. *)
 val next_sibling : t -> int -> int option
 
 (** Last vertex of a body: where backtracking enters a Loop/Branch. *)
 val last_child : t -> int -> int option
-
-(** DFS pre-order (execution order of one pass). *)
-val exec_order : t -> int list
 
 val iter : (Vertex.t -> unit) -> t -> unit
 val fold : ('a -> Vertex.t -> 'a) -> 'a -> t -> 'a
@@ -78,13 +77,7 @@ val subtree_has_mpi : t -> int -> bool
 
 val subtree_vertices : t -> int -> int list
 
-(** Number of Loop vertices on the path from the root to [id], inclusive. *)
-val loop_depth : t -> int -> int
-
 val ancestors : t -> int -> int list
 val pp : t Fmt.t
-
-(** Memory model: the paper reports 32 B per PSG vertex. *)
-val bytes_per_vertex : int
 
 val memory_bytes : t -> int

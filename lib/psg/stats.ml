@@ -50,5 +50,3 @@ let row t =
   Printf.sprintf "%-14s %8.1f %6d %6d %6d %7d %6d %5d %5d %5d %5d %5d"
     t.program t.kloc t.vbc t.vac t.loops t.branches t.comps t.mpis t.defs
     t.uses t.dd_edges t.preds
-
-let pp ppf t = Fmt.string ppf (row t)

@@ -34,4 +34,3 @@ val contraction_ratio : t -> float
 
 val header : string
 val row : t -> string
-val pp : t Fmt.t

@@ -5,9 +5,9 @@
 
     The representation is allocation-free on the matching path: flat
     per-rank queues with tombstoned removal, integer wildcard sentinels
-    ({!any_src}/{!any_tag}) instead of options, cyclic
-    {!nil_message}/{!nil_request} sentinels (compare physically, or use
-    {!has_matched}) instead of option boxing, and a packed (src, tag)
+    ({!any_src}/{!any_tag}) instead of options, cyclic nil message and
+    {!nil_request} sentinels (compare physically, or use {!has_matched})
+    instead of option boxing, and a packed (src, tag)
     key as the exact-match fast path.  Collective instances keep a
     running (count, latest-arrival) pair rather than an arrival list. *)
 
@@ -53,10 +53,6 @@ and request = {
 val any_src : int
 
 val any_tag : int
-
-(** Sentinels standing in for "no message" / "no request"; compare with
-    [==]. *)
-val nil_message : message
 
 val nil_request : request
 

@@ -6,8 +6,6 @@
    "memory access speed of each processor core differs" — is modeled as a
    deterministic per-rank multiplier on memory service time. *)
 
-open Scalana_mlang
-
 type t = {
   ghz : float;  (* core clock, cycles per nanosecond *)
   ipc : float;  (* retired instructions per cycle when hitting cache *)
@@ -40,9 +38,8 @@ let heterogeneous () =
 (* Evaluate already-computed workload counts on [rank]: returns wall
    seconds and writes the five PMU counters into [counters]
    (tot_ins, tot_lst_ins, tot_cyc, cache_miss, fp_ins — the field order
-   of [Pmu.t]).  The allocation-free core shared by the interpreter's
-   hot path (which accumulates counters into per-rank arrays) and the
-   record-returning [comp_cost] below; the arithmetic sequence is the
+   of [Pmu.t]).  Allocation-free: the simulator's hot path accumulates
+   the counters into per-rank arrays.  The arithmetic sequence is the
    model's contract and must not be reassociated. *)
 let comp_cost_into t ~rank ~flops ~mem ~ints ~locality ~counters =
   let flops = float_of_int (max 0 flops) in
@@ -69,23 +66,3 @@ let comp_cost_into t ~rank ~flops ~mem ~ints ~locality ~counters =
 let repartition_cost t ~rank ~bytes =
   let lines = float_of_int (max 0 bytes) /. 64.0 in
   lines *. t.cache_miss_penalty *. t.core_speed rank /. (t.ghz *. 1e9)
-
-(* Evaluate a workload on [rank]: returns wall seconds and counters. *)
-let comp_cost t ~rank ~(env : Expr.env) (w : Ast.workload) =
-  let flops = Expr.eval env w.flops in
-  let mem = Expr.eval env w.mem in
-  let ints = Expr.eval env w.ints in
-  let counters = Array.make 5 0.0 in
-  let seconds =
-    comp_cost_into t ~rank ~flops ~mem ~ints ~locality:w.locality ~counters
-  in
-  let pmu =
-    {
-      Pmu.tot_ins = counters.(0);
-      tot_lst_ins = counters.(1);
-      tot_cyc = counters.(2);
-      cache_miss = counters.(3);
-      fp_ins = counters.(4);
-    }
-  in
-  (seconds, pmu)

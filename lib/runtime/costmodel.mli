@@ -1,8 +1,6 @@
 (** Computation cost model: maps a workload descriptor to wall time and
     PMU counters on a given core. *)
 
-open Scalana_mlang
-
 type t = {
   ghz : float;  (** core clock in GHz *)
   ipc : float;  (** retired instructions per cycle on cache hits *)
@@ -25,10 +23,10 @@ val heterogeneous : unit -> t
     repartitioning-cost event of the elastic recovery protocol. *)
 val repartition_cost : t -> rank:int -> bytes:int -> float
 
-(** Allocation-free core of {!comp_cost} for callers that already
-    evaluated the workload counts: returns wall seconds and writes the
-    five PMU counters into [counters] (length >= 5, in [Pmu.t] field
-    order: tot_ins, tot_lst_ins, tot_cyc, cache_miss, fp_ins). *)
+(** Wall seconds of one execution of a workload on [rank], given its
+    evaluated counts; writes the five PMU counters into [counters]
+    (length >= 5, in [Pmu.t] field order: tot_ins, tot_lst_ins, tot_cyc,
+    cache_miss, fp_ins).  Allocation-free. *)
 val comp_cost_into :
   t ->
   rank:int ->
@@ -38,7 +36,3 @@ val comp_cost_into :
   locality:float ->
   counters:float array ->
   float
-
-(** [comp_cost t ~rank ~env w] — wall seconds and counters for one
-    execution of workload [w] on [rank]. *)
-val comp_cost : t -> rank:int -> env:Expr.env -> Ast.workload -> float * Pmu.t

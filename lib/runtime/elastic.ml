@@ -32,26 +32,21 @@ type change = Leave of { rank : int } | Join of { count : int }
 type event = { at_iter : int; change : change }
 
 type plan = {
-  seed : int;
   total_iters : int;
-  lo_param : string;  (* program parameter naming the first iteration *)
-  hi_param : string;  (* one past the last iteration *)
   state_bytes : int;  (* per-rank partition migrated on a change *)
-  detect_timeout : float;  (* failure-detector base timeout, seconds *)
   events : event list;
 }
 
+(* Every plan shares the failure detector's seed and base timeout, and
+   the parameters an elastic program declares its iteration range in. *)
+let seed = 42
+let lo_param = "iter_lo"  (* program parameter naming the first iteration *)
+let hi_param = "iter_hi"  (* one past the last iteration *)
+let detect_timeout = 1e-3  (* failure-detector base timeout, seconds *)
+
 let plan ?(state_bytes = 1 lsl 20) ~total_iters events =
   if total_iters < 1 then invalid_arg "Elastic.plan: total_iters must be >= 1";
-  {
-    seed = 42;
-    total_iters;
-    lo_param = "iter_lo";
-    hi_param = "iter_hi";
-    state_bytes;
-    detect_timeout = 1e-3;
-    events;
-  }
+  { total_iters; state_bytes; events }
 
 let shrink_at ~iter ~rank = { at_iter = iter; change = Leave { rank } }
 let grow_at ~iter ~ranks = { at_iter = iter; change = Join { count = ranks } }
@@ -138,11 +133,6 @@ let membership t ~nprocs =
   emit t.total_iters;
   (List.rev !epochs, !next_id)
 
-let total_ranks t ~nprocs = snd (membership t ~nprocs)
-
-let is_static t ~nprocs =
-  match fst (membership t ~nprocs) with [ _ ] | [] -> true | _ -> false
-
 (* --- the recovery protocol at one membership boundary --- *)
 
 type recovery = {
@@ -160,9 +150,8 @@ type recovery = {
 (* Seeded per-rank failure-detection delay: the base timeout plus up to
    one extra timeout of deterministic jitter, keyed like every other
    fault draw. *)
-let detection_delay t ~nprocs ~iter ~rank =
-  t.detect_timeout
-  *. (1.0 +. Faults.draw [ t.seed; iter; nprocs; rank; 0x31ec ])
+let detection_delay ~nprocs ~iter ~rank =
+  detect_timeout *. (1.0 +. Faults.draw [ seed; iter; nprocs; rank; 0x31ec ])
 
 (* Run the recovery protocol entering the epoch whose members are
    [members]: [finish] gives the previous epoch's per-global-rank finish
@@ -180,7 +169,7 @@ let recover t ~(cost : Costmodel.t) ~nprocs ~iter ~left ~joined
     List.map
       (fun (g, fin) ->
         if left <> [] then
-          (g, fin +. detection_delay t ~nprocs ~iter ~rank:g)
+          (g, fin +. detection_delay ~nprocs ~iter ~rank:g)
         else (g, fin))
       survivors
   in

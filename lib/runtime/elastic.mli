@@ -13,18 +13,25 @@ type change = Leave of { rank : int } | Join of { count : int }
 type event = { at_iter : int; change : change }
 
 type plan = {
-  seed : int;
   total_iters : int;
-  lo_param : string;  (** program parameter naming the first iteration *)
-  hi_param : string;  (** one past the last iteration *)
   state_bytes : int;  (** per-rank partition migrated on a change *)
-  detect_timeout : float;  (** failure-detector base timeout, seconds *)
   events : event list;
 }
 
-(** A plan with seed 42, iteration parameters ["iter_lo"] and
-    ["iter_hi"] and a 1 ms detection timeout. *)
+(** Raises [Invalid_argument] when [total_iters < 1]. *)
 val plan : ?state_bytes:int -> total_iters:int -> event list -> plan
+
+(** ["iter_lo"]: the program parameter naming an epoch's first
+    iteration. *)
+val lo_param : string
+
+(** ["iter_hi"]: one past an epoch's last iteration. *)
+val hi_param : string
+
+(** Failure-detector base timeout, 1 ms: a survivor detects a failure
+    after between one and two timeouts (seeded jitter).
+    Kept: the recovery test bounds detection windows by it. *)
+val detect_timeout : float
 
 (** Global rank [rank] fails at the boundary entering iteration [iter]. *)
 val shrink_at : iter:int -> rank:int -> event
@@ -47,11 +54,6 @@ type epoch = {
     absent rank is ignored, so one plan is valid at every scale. *)
 val membership : plan -> nprocs:int -> epoch list * int
 
-val total_ranks : plan -> nprocs:int -> int
-
-(** No membership change actually fires at this scale. *)
-val is_static : plan -> nprocs:int -> bool
-
 type recovery = {
   r_iter : int;  (** the boundary iteration *)
   r_left : int list;
@@ -63,11 +65,6 @@ type recovery = {
       (** surviving global rank -> seconds stalled in recovery *)
   r_end : float;  (** absolute time the next epoch starts at *)
 }
-
-(** Seeded failure-detection delay of survivor [rank] at boundary
-    [iter]: base timeout plus up to one timeout of deterministic jitter
-    drawn from the fault generator family. *)
-val detection_delay : plan -> nprocs:int -> iter:int -> rank:int -> float
 
 (** Run the recovery protocol entering the epoch whose members are
     [members]: [finish] gives the previous epoch's per-global-rank

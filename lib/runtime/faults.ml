@@ -25,7 +25,6 @@ type plan = { seed : int; faults : fault list }
 
 let empty = { seed = 0; faults = [] }
 let plan ?(seed = 42) faults = { seed; faults }
-let is_empty t = t.faults = []
 
 let kill_rank ?(prob = 1.0) ~rank ~after () = Kill_rank { rank; after; prob }
 let clock_skew ~rank ~factor =

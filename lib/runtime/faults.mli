@@ -17,7 +17,6 @@ type plan = { seed : int; faults : fault list }
 
 val empty : plan
 val plan : ?seed:int -> fault list -> plan
-val is_empty : plan -> bool
 
 (** [kill_rank ~rank ~after ()] — the rank dies once its simulated clock
     passes [after] seconds; with [prob] < 1 the death is drawn per
@@ -25,14 +24,17 @@ val is_empty : plan -> bool
 val kill_rank : ?prob:float -> rank:int -> after:float -> unit -> fault
 
 (** The rank's computation runs [factor] times slower.  Raises
-    [Invalid_argument] unless [factor] is finite and positive. *)
+    [Invalid_argument] unless [factor] is finite and positive.
+    Kept: fault-injection test hook. *)
 val clock_skew : rank:int -> factor:float -> fault
 
 (** Per-(rank, vertex) chance of the recorded time being NaN/negative
-    ([ranks] defaults to all). *)
+    ([ranks] defaults to all).
+    Kept: fault-injection test hook. *)
 val poison_metric : ?ranks:int list -> ?prob:float -> poison_kind -> fault
 
-(** The whole run at this scale never happens. *)
+(** The whole run at this scale never happens.
+    Kept: fault-injection test hook. *)
 val drop_scale : int -> fault
 
 val drops_scale : plan -> nprocs:int -> bool
@@ -63,5 +65,6 @@ val poison : armed -> rank:int -> vertex:int -> poison_kind option
 (** Cut a file to its first [at_byte] bytes (filled disk / dead writer). *)
 val truncate_file : string -> at_byte:int -> unit
 
-(** XOR one byte of the file (a bit flip in storage). *)
+(** XOR one byte of the file (a bit flip in storage).
+    Kept: fault-injection test hook. *)
 val corrupt_byte : string -> at_byte:int -> ?xor:int -> unit -> unit

@@ -17,11 +17,6 @@ let create ?(capacity = 16) () =
   let capacity = max 1 capacity in
   { keys = Array.make capacity 0.0; vals = Array.make capacity 0; size = 0 }
 
-let is_empty t = t.size = 0
-let length t = t.size
-
-let clear t = t.size <- 0
-
 let grow t =
   if t.size = Array.length t.keys then begin
     let n = 2 * t.size in
@@ -76,15 +71,4 @@ let pop_val t =
     t.vals.(0) <- t.vals.(t.size);
     sift_down t;
     value
-  end
-
-let min_key t =
-  if t.size = 0 then invalid_arg "Heap.min_key: empty heap";
-  t.keys.(0)
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let key = t.keys.(0) in
-    Some (key, pop_val t)
   end

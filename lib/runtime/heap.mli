@@ -10,15 +10,8 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-val is_empty : t -> bool
-val length : t -> int
-val clear : t -> unit
 val push : t -> float -> int -> unit
-val pop : t -> (float * int) option
 
-(** Non-allocating [pop]: the payload of the minimum entry, or [-1] when
+(** Remove the minimum entry and return its payload, or [-1] when
     the heap is empty (the key is discarded). *)
 val pop_val : t -> int
-
-(** Key of the minimum entry; raises [Invalid_argument] when empty. *)
-val min_key : t -> float

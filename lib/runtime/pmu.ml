@@ -34,8 +34,6 @@ let scale k a =
     fp_ins = k *. a.fp_ins;
   }
 
-let is_zero a = a.tot_ins = 0.0 && a.tot_cyc = 0.0 && a.tot_lst_ins = 0.0
-
 type metric = Tot_ins | Tot_lst_ins | Tot_cyc | Cache_miss | Fp_ins
 
 let get m t =
@@ -45,9 +43,3 @@ let get m t =
   | Tot_cyc -> t.tot_cyc
   | Cache_miss -> t.cache_miss
   | Fp_ins -> t.fp_ins
-
-let all_metrics = [ Tot_ins; Tot_lst_ins; Tot_cyc; Cache_miss; Fp_ins ]
-
-let pp ppf t =
-  Fmt.pf ppf "ins=%.0f lst=%.0f cyc=%.0f miss=%.0f fp=%.0f" t.tot_ins
-    t.tot_lst_ins t.tot_cyc t.cache_miss t.fp_ins

@@ -13,10 +13,7 @@ type t = {
 val zero : t
 val add : t -> t -> t
 val scale : float -> t -> t
-val is_zero : t -> bool
 
 type metric = Tot_ins | Tot_lst_ins | Tot_cyc | Cache_miss | Fp_ins
 
 val get : metric -> t -> float
-val all_metrics : metric list
-val pp : t Fmt.t

@@ -47,7 +47,7 @@ let test_communication_skeletons () =
   (* static check: the expected MPI mix appears in each program *)
   let has_op name prog op =
     let found =
-      List.exists (fun (_, c) -> Ast.mpi_name c = op) (Ast.mpi_calls prog)
+      List.exists (fun c -> Ast.mpi_name c = op) (mpi_calls prog)
     in
     check_bool (name ^ " has " ^ op) true found
   in

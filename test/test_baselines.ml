@@ -240,7 +240,7 @@ let test_callprof_rejects_bad_freq () =
     (fun freq ->
       match
         Callprof.create
-          ~config:{ Callprof.default_config with freq }
+          ~config:{ Callprof.freq; per_sample_cost = 0.0 }
           ~nprocs:2 ()
       with
       | _ -> Alcotest.failf "freq %g accepted" freq

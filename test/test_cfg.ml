@@ -40,7 +40,8 @@ let test_loop_shape () =
   let cfg = Cfg.of_func (func_of prog "main") in
   (* entry, header, body, latch, exit *)
   check_int "blocks" 5 (Cfg.n_blocks cfg);
-  check_int "edges" 5 (Cfg.edge_count cfg);
+  check_int "edges" 5
+    (Array.fold_left (fun n ps -> n + List.length ps) 0 (Cfg.predecessors cfg));
   let headers =
     Array.to_list cfg.blocks
     |> List.filter (fun (blk : Cfg.block) ->
@@ -263,9 +264,7 @@ let test_defuse_primitives () =
     (Defuse.mpi_uses (Ast.Wait { req = "r" }) = [ Defuse.Req "r" ]);
   check_bool "waitall uses all requests" true
     (Defuse.mpi_uses (Ast.Waitall { reqs = [ "a"; "b" ] })
-    = [ Defuse.Req "a"; Defuse.Req "b" ]);
-  check_int "sym ordering is total" 0
-    (Defuse.compare_sym (Defuse.Var "x") (Defuse.Var "x"))
+    = [ Defuse.Req "a"; Defuse.Req "b" ])
 
 (* let n = 4; loop j < n { comp(j) }; isend r0; wait r0; isend r1 *)
 let chains_fixture () =

@@ -47,19 +47,23 @@ let kmeans_total =
 
 (* --- loglog --- *)
 
+(* The fitted model's value at scale [p]. *)
+let predict (f : Loglog.fit) p =
+  exp (f.intercept +. (f.slope *. log (float_of_int p)))
+
 let test_loglog_exact_powerlaw () =
   (* T = 100 * P^-1 *)
   let pts = List.map (fun p -> (p, 100.0 /. float_of_int p)) [ 2; 4; 8; 16 ] in
   let f = Loglog.fit pts in
   close "slope" (-1.0) f.Loglog.slope;
   close "r2" 1.0 f.Loglog.r2;
-  close "predict 32" (100.0 /. 32.0) (Loglog.predict f 32)
+  close "predict 32" (100.0 /. 32.0) (predict f 32)
 
 let test_loglog_flat () =
   let pts = List.map (fun p -> (p, 7.0)) [ 2; 4; 8; 16 ] in
   let f = Loglog.fit pts in
   close "slope 0" 0.0 f.Loglog.slope;
-  close "predict" 7.0 (Loglog.predict f 64)
+  close "predict" 7.0 (predict f 64)
 
 let test_loglog_degenerate () =
   check_int "too few points" 1 (Loglog.fit [ (4, 1.0) ]).Loglog.n;
@@ -242,7 +246,11 @@ let test_backtracking_paths_cross_processes () =
   check_bool "paths exist" true (pipe.analysis.paths <> []);
   check_bool "some path spans processes" true
     (List.exists
-       (fun p -> List.length (Backtrack.ranks_of p) > 1)
+       (fun p ->
+         List.length
+           (List.sort_uniq compare
+              (List.map (fun (s : Backtrack.step) -> s.rank) p))
+         > 1)
        pipe.analysis.paths);
   (* every path starts at its start vertex and is acyclic per (rank,vid) *)
   List.iter

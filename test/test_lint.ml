@@ -33,7 +33,30 @@ let test_nprocs_volume () =
     (build (fun b ->
          Builder.param b "n" 65536;
          Builder.func b "main" (fun () ->
-             [ Builder.allreduce b ~bytes:(p "n" / np) ])))
+             [ Builder.allreduce b ~bytes:(p "n" / np) ])));
+  (* a size the probe cannot evaluate at every scale (division by zero
+     at np=4) is not a finding *)
+  check_rules "64/(np-4) fails the probe" []
+    (build (fun b ->
+         Builder.func b "main" (fun () ->
+             [ Builder.allreduce b ~bytes:(i 64 / (np - i 4)) ])));
+  (* free variables are probed at 1 *)
+  let fs =
+    Lint.run
+      (build (fun b ->
+           Builder.func b "main" (fun () ->
+               [
+                 Builder.loop b ~var:"k" ~count:(i 4) (fun () ->
+                     [ Builder.allreduce b ~bytes:(v "k" * np) ]);
+               ])))
+  in
+  Alcotest.(check (list string))
+    "k*np in a loop over k" [ "nprocs-volume" ]
+    (List.map Lint.rule_name (rules fs));
+  check_string "probed sizes in the message"
+    "MPI_Allreduce message size k * np grows with the process count (4 B \
+     at 4 ranks, 64 B at 64)"
+    (String.concat "; " (List.map (fun (f : Lint.finding) -> f.msg) fs))
 
 let test_root_centralized_reduce_bcast () =
   let open Expr.Infix in
@@ -70,7 +93,11 @@ let test_root_centralized_fan_loop () =
   (* the O(P) loop inside the root branch must not double-report as a
      p2p-collective *)
   check_int "no p2p-collective duplicate" 0
-    (List.length (Lint.by_rule fs Lint.P2p_collective))
+    (List.length
+       (List.filter
+          (function
+            | { Lint.rule = Lint.P2p_collective; _ } -> true | _ -> false)
+          fs))
 
 let test_p2p_collective () =
   let open Expr.Infix in

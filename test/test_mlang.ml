@@ -6,75 +6,101 @@ open Testutil
 
 (* --- Expr --- *)
 
+(* The evaluator under test is [Expr.Compiled]: an [env] is the context
+   an expression is compiled (scale, parameters, variable slots) and
+   evaluated (rank, slot values) in. *)
+type env = {
+  rank : int;
+  nprocs : int;
+  params : (string * int) list;
+  vars : (string * int) list;
+}
+
 let env ?(rank = 3) ?(nprocs = 8) ?(params = [ ("n", 100) ]) ?(vars = []) () =
-  Expr.env ~rank ~nprocs ~params ~vars
+  { rank; nprocs; params; vars }
+
+let eval env e =
+  let c_vars = Array.of_list (List.map snd env.vars) in
+  let var_slot v =
+    Option.value ~default:(-1)
+      (List.find_index (fun (n, _) -> String.equal n v) env.vars)
+  in
+  Expr.Compiled.eval
+    {
+      Expr.Compiled.c_rank = env.rank;
+      c_vars;
+      c_bound = Bytes.make (Array.length c_vars) '\001';
+    }
+    (Expr.Compiled.compile ~nprocs:env.nprocs
+       ~param:(fun p -> List.assoc_opt p env.params)
+       ~var_slot e)
 
 let test_eval_basic () =
   let e = env () in
-  check_int "int" 42 (Expr.eval e (Int 42));
-  check_int "rank" 3 (Expr.eval e Rank);
-  check_int "np" 8 (Expr.eval e Nprocs);
-  check_int "param" 100 (Expr.eval e (Param "n"));
-  check_int "add" 7 (Expr.eval e (Bin (Add, Int 3, Int 4)));
-  check_int "mul" 12 (Expr.eval e (Bin (Mul, Int 3, Int 4)));
-  check_int "div" 3 (Expr.eval e (Bin (Div, Int 13, Int 4)));
-  check_int "mod" 1 (Expr.eval e (Bin (Mod, Int 13, Int 4)));
-  check_int "min" 3 (Expr.eval e (Bin (Min, Int 3, Int 4)));
-  check_int "max" 4 (Expr.eval e (Bin (Max, Int 3, Int 4)));
-  check_int "shl" 48 (Expr.eval e (Bin (Shl, Int 3, Int 4)));
-  check_int "shr" 3 (Expr.eval e (Bin (Shr, Int 13, Int 2)));
-  check_int "neg" (-5) (Expr.eval e (Neg (Int 5)));
-  check_int "not0" 1 (Expr.eval e (Not (Int 0)));
-  check_int "not1" 0 (Expr.eval e (Not (Int 7)))
+  check_int "int" 42 (eval e (Int 42));
+  check_int "rank" 3 (eval e Rank);
+  check_int "np" 8 (eval e Nprocs);
+  check_int "param" 100 (eval e (Param "n"));
+  check_int "add" 7 (eval e (Bin (Add, Int 3, Int 4)));
+  check_int "mul" 12 (eval e (Bin (Mul, Int 3, Int 4)));
+  check_int "div" 3 (eval e (Bin (Div, Int 13, Int 4)));
+  check_int "mod" 1 (eval e (Bin (Mod, Int 13, Int 4)));
+  check_int "min" 3 (eval e (Bin (Min, Int 3, Int 4)));
+  check_int "max" 4 (eval e (Bin (Max, Int 3, Int 4)));
+  check_int "shl" 48 (eval e (Bin (Shl, Int 3, Int 4)));
+  check_int "shr" 3 (eval e (Bin (Shr, Int 13, Int 2)));
+  check_int "neg" (-5) (eval e (Neg (Int 5)));
+  check_int "not0" 1 (eval e (Not (Int 0)));
+  check_int "not1" 0 (eval e (Not (Int 7)))
 
 let test_eval_bool_ops () =
   let e = env () in
-  check_int "lt" 1 (Expr.eval e (Bin (Lt, Int 1, Int 2)));
-  check_int "le" 1 (Expr.eval e (Bin (Le, Int 2, Int 2)));
-  check_int "gt" 0 (Expr.eval e (Bin (Gt, Int 1, Int 2)));
-  check_int "ge" 0 (Expr.eval e (Bin (Ge, Int 1, Int 2)));
-  check_int "eq" 1 (Expr.eval e (Bin (Eq, Int 2, Int 2)));
-  check_int "ne" 1 (Expr.eval e (Bin (Ne, Int 1, Int 2)));
-  check_int "and" 0 (Expr.eval e (Bin (And, Int 1, Int 0)));
-  check_int "or" 1 (Expr.eval e (Bin (Or, Int 1, Int 0)));
-  check_int "xor" 6 (Expr.eval e (Bin (Xor, Int 5, Int 3)))
+  check_int "lt" 1 (eval e (Bin (Lt, Int 1, Int 2)));
+  check_int "le" 1 (eval e (Bin (Le, Int 2, Int 2)));
+  check_int "gt" 0 (eval e (Bin (Gt, Int 1, Int 2)));
+  check_int "ge" 0 (eval e (Bin (Ge, Int 1, Int 2)));
+  check_int "eq" 1 (eval e (Bin (Eq, Int 2, Int 2)));
+  check_int "ne" 1 (eval e (Bin (Ne, Int 1, Int 2)));
+  check_int "and" 0 (eval e (Bin (And, Int 1, Int 0)));
+  check_int "or" 1 (eval e (Bin (Or, Int 1, Int 0)));
+  check_int "xor" 6 (eval e (Bin (Xor, Int 5, Int 3)))
 
 let test_eval_errors () =
   let e = env () in
   Alcotest.check_raises "div0" (Expr.Eval_error "division by zero") (fun () ->
-      ignore (Expr.eval e (Bin (Div, Int 1, Int 0))));
+      ignore (eval e (Bin (Div, Int 1, Int 0))));
   Alcotest.check_raises "mod0" (Expr.Eval_error "modulo by zero") (fun () ->
-      ignore (Expr.eval e (Bin (Mod, Int 1, Int 0))));
+      ignore (eval e (Bin (Mod, Int 1, Int 0))));
   Alcotest.check_raises "unbound var" (Expr.Eval_error "unbound variable \"y\"")
-    (fun () -> ignore (Expr.eval e (Var "y")));
+    (fun () -> ignore (eval e (Var "y")));
   Alcotest.check_raises "unbound param"
     (Expr.Eval_error "unbound parameter \"zz\"") (fun () ->
-      ignore (Expr.eval e (Param "zz")))
+      ignore (eval e (Param "zz")))
 
 let test_log2_isqrt () =
   let e = env () in
-  check_int "log2 1" 0 (Expr.eval e (Log2 (Int 1)));
-  check_int "log2 2" 1 (Expr.eval e (Log2 (Int 2)));
-  check_int "log2 1024" 10 (Expr.eval e (Log2 (Int 1024)));
-  check_int "log2 1023" 9 (Expr.eval e (Log2 (Int 1023)));
-  check_int "log2 0" 0 (Expr.eval e (Log2 (Int 0)));
-  check_int "isqrt 0" 0 (Expr.eval e (Isqrt (Int 0)));
-  check_int "isqrt 1" 1 (Expr.eval e (Isqrt (Int 1)));
-  check_int "isqrt 15" 3 (Expr.eval e (Isqrt (Int 15)));
-  check_int "isqrt 16" 4 (Expr.eval e (Isqrt (Int 16)));
-  check_int "isqrt 17" 4 (Expr.eval e (Isqrt (Int 17)))
+  check_int "log2 1" 0 (eval e (Log2 (Int 1)));
+  check_int "log2 2" 1 (eval e (Log2 (Int 2)));
+  check_int "log2 1024" 10 (eval e (Log2 (Int 1024)));
+  check_int "log2 1023" 9 (eval e (Log2 (Int 1023)));
+  check_int "log2 0" 0 (eval e (Log2 (Int 0)));
+  check_int "isqrt 0" 0 (eval e (Isqrt (Int 0)));
+  check_int "isqrt 1" 1 (eval e (Isqrt (Int 1)));
+  check_int "isqrt 15" 3 (eval e (Isqrt (Int 15)));
+  check_int "isqrt 16" 4 (eval e (Isqrt (Int 16)));
+  check_int "isqrt 17" 4 (eval e (Isqrt (Int 17)))
 
 let isqrt_prop =
   qtest "isqrt r*r <= v < (r+1)^2" QCheck2.Gen.(int_bound 10_000_000)
     (fun v ->
       let e = env () in
-      let r = Expr.eval e (Isqrt (Int v)) in
+      let r = eval e (Isqrt (Int v)) in
       (r * r <= v && (r + 1) * (r + 1) > v) || v = 0)
 
 let log2_prop =
   qtest "log2 2^k = k" QCheck2.Gen.(int_bound 60) (fun k ->
       let e = env () in
-      Expr.eval e (Log2 (Int (1 lsl k))) = k)
+      eval e (Log2 (Int (1 lsl k))) = k)
 
 let test_free_vars_params () =
   let open Expr in
@@ -143,7 +169,7 @@ let expr_eval_stable =
       match (Ast.main_func prog).fbody with
       | [ { node = Ast.Comp w; _ } ] ->
           let ev x =
-            try Some (Expr.eval (env ~params:[ ("n", 7) ] ()) x)
+            try Some (eval (env ~params:[ ("n", 7) ] ()) x)
             with Expr.Eval_error _ -> None
           in
           ev e = ev w.flops
@@ -157,8 +183,8 @@ let is_static_means_rank_invariant =
       let ev rank =
         try
           Some
-            (Expr.eval
-               (Expr.env ~rank ~nprocs:16 ~params:[ ("n", 5) ] ~vars:[])
+            (eval
+               (env ~rank ~nprocs:16 ~params:[ ("n", 5) ] ())
                e)
         with Expr.Eval_error _ -> None
       in
@@ -172,8 +198,8 @@ let depends_on_rank_sound =
       let ev rank =
         try
           Some
-            (Expr.eval
-               (Expr.env ~rank ~nprocs:16 ~params:[ ("n", 5) ] ~vars:[])
+            (eval
+               (env ~rank ~nprocs:16 ~params:[ ("n", 5) ] ())
                e)
         with Expr.Eval_error _ -> None
       in
@@ -317,7 +343,7 @@ let test_registry_roundtrip () =
 
 let test_snippet_alignment () =
   let prog = fig3_program () in
-  let lines = Array.of_list (Pretty.render_lines prog) in
+  let lines = Array.of_list (String.split_on_char '\n' (Pretty.render prog)) in
   Ast.iter_program
     (fun s ->
       let line = Loc.line s.Ast.loc in
@@ -354,7 +380,8 @@ let test_loc_basics () =
   check_bool "compare lines" true (Loc.compare a b < 0);
   check_bool "compare files" true
     (Loc.compare (Loc.v ~file:"a" ~line:9) (Loc.v ~file:"b" ~line:1) < 0);
-  check_int "hash stable" (Loc.hash a) (Loc.hash (Loc.v ~file:"a.mmp" ~line:3));
+  check_int "hash stable" (Hashtbl.hash a)
+    (Hashtbl.hash (Loc.v ~file:"a.mmp" ~line:3));
   check_string "to_string" "a.mmp:3" (Loc.to_string a);
   check_string "none" "<builtin>:0" (Loc.to_string Loc.none)
 
@@ -376,7 +403,7 @@ let test_parse_intrinsics () =
 
 let test_snippet_bounds () =
   let prog = fig3_program () in
-  let lines = Pretty.render_lines prog in
+  let lines = String.split_on_char '\n' (Pretty.render prog) in
   let n = List.length lines in
   check_bool "snippet at line 1" true
     (Pretty.snippet prog (Loc.v ~file:"fig3.mmp" ~line:1) <> []);
@@ -533,10 +560,12 @@ let test_validate_ok () =
 let test_ast_helpers () =
   let prog = fig3_program () in
   check_bool "stmt_count" true (Ast.stmt_count prog > 5);
-  check_int "mpi calls" 3 (List.length (Ast.mpi_calls prog));
+  check_int "mpi calls" 3 (List.length (mpi_calls prog));
   check_bool "collective" true (Ast.is_collective (Ast.Bcast { root = Int 0; bytes = Int 8 }));
   check_bool "p2p" true
-    (Ast.is_p2p (Ast.Send { dest = Int 0; tag = Int 0; bytes = Int 0 }));
+    (not
+       (Ast.is_collective
+          (Ast.Send { dest = Int 0; tag = Int 0; bytes = Int 0 })));
   check_bool "can_wait recv" true
     (Ast.can_wait (Ast.Recv { src = Ast.Any_source; tag = Ast.Any_tag; bytes = Int 0 }));
   check_bool "can_wait isend" false

@@ -115,10 +115,12 @@ let test_ppg_waiting_edges_filter () =
       check_int "from rank 0" 0 e.Commrec.key.send_rank;
       check_bool "waited" true e.Commrec.has_wait
   | None -> Alcotest.fail "rank 1 should have a waiting edge");
-  (* waiting_edges is a subset of incoming_edges *)
+  (* the critical edge is one of the incoming edges *)
   let all = Ppg.incoming_edges ppg ~rank:1 ~vertex:recv_vertex.Vertex.id in
-  let waiting = Ppg.waiting_edges ppg ~rank:1 ~vertex:recv_vertex.Vertex.id in
-  check_bool "subset" true (List.length waiting <= List.length all)
+  check_bool "subset" true
+    (match Ppg.critical_edge ppg ~rank:1 ~vertex:recv_vertex.Vertex.id with
+    | Some e -> List.memq e all
+    | None -> false)
 
 let test_ppg_coll_late_rank () =
   let psg, data = profile (chain_program ()) in

@@ -7,24 +7,27 @@ open Testutil
 
 let count psg pred = List.length (Psg.find_all pred psg)
 
+(* One function's local PSG. *)
+let local prog name = Hashtbl.find (Intra.build_all prog) name
+
 (* --- intra --- *)
 
 let test_intra_fig3 () =
   let prog = fig3_program () in
-  let local_main = Intra.build (Ast.find_func prog "main") in
+  let local_main = local prog "main" in
   (* root + loop1 + (comp, loop1_1(+comp), loop1_2(+comp), call, bcast) *)
   check_int "main vertices" 9 (Psg.n_vertices local_main);
   check_int "loops" 3 (count local_main Vertex.is_loop);
   check_int "comps" 3 (count local_main Vertex.is_comp);
   check_int "mpi" 1 (count local_main Vertex.is_mpi);
   check_int "callsites" 1 (count local_main Vertex.is_callsite);
-  let local_foo = Intra.build (Ast.find_func prog "foo") in
+  let local_foo = local prog "foo" in
   check_int "foo branch" 1 (count local_foo Vertex.is_branch);
   check_int "foo mpi" 2 (count local_foo Vertex.is_mpi)
 
 let test_intra_exec_order () =
   let prog = fig3_program () in
-  let psg = Intra.build (Ast.find_func prog "main") in
+  let psg = local prog "main" in
   (* pre-order: every vertex appears after its parent *)
   let seen = Hashtbl.create 16 in
   List.iter
@@ -34,11 +37,11 @@ let test_intra_exec_order () =
           check_bool "parent before child" true (Hashtbl.mem seen parent)
       | None -> ());
       Hashtbl.replace seen id ())
-    (Psg.exec_order psg)
+    (List.rev (Psg.fold (fun acc v -> v.Vertex.id :: acc) [] psg))
 
 let test_sibling_navigation () =
   let prog = fig3_program () in
-  let psg = Intra.build (Ast.find_func prog "main") in
+  let psg = local prog "main" in
   let root = Psg.root psg in
   match Psg.children psg root with
   | [ loop1 ] -> (
@@ -154,7 +157,11 @@ let test_psg_navigation_helpers () =
         | _ -> false)
       (Psg.find_all Vertex.is_comp psg)
   in
-  check_int "nested loop depth" 2 (Psg.loop_depth psg sum_comp.Vertex.id);
+  check_int "nested loop depth" 2
+    (List.length
+       (List.filter
+          (fun a -> Vertex.is_loop (Psg.vertex psg a))
+          (Psg.ancestors psg sum_comp.Vertex.id)));
   (* the 32-bytes-per-vertex memory model of Section VI-C *)
   check_int "memory model" (32 * Psg.n_vertices psg) (Psg.memory_bytes psg)
 

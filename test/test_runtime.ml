@@ -13,10 +13,12 @@ let heap_sorted =
     (fun keys ->
       let h = Heap.create () in
       List.iteri (fun i k -> Heap.push h k i) keys;
+      (* payloads are the keys' indices, so popped payloads name keys *)
+      let key = Array.of_list keys in
       let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some (k, _) -> drain (k :: acc)
+        match Heap.pop_val h with
+        | -1 -> List.rev acc
+        | i -> drain (key.(i) :: acc)
       in
       let out = drain [] in
       List.length out = List.length keys
@@ -24,15 +26,10 @@ let heap_sorted =
 
 let test_heap_empty () =
   let h = Heap.create () in
-  check_bool "empty" true (Heap.is_empty h);
-  check_bool "pop none" true (Heap.pop h = None);
+  check_int "pop none" (-1) (Heap.pop_val h);
   Heap.push h 1.0 7;
-  check_int "length" 1 (Heap.length h);
-  match Heap.pop h with
-  | Some (k, v) ->
-      check_float "key" 1.0 k;
-      check_int "value" 7 v
-  | None -> Alcotest.fail "pop"
+  check_int "value" 7 (Heap.pop_val h);
+  check_int "empty again" (-1) (Heap.pop_val h)
 
 (* --- pmu / cost model --- *)
 
@@ -41,22 +38,34 @@ let test_pmu_arith () =
   let s = Pmu.add a (Pmu.scale 2.0 a) in
   check_float "ins" 3.0 s.Pmu.tot_ins;
   check_float "cyc" 9.0 s.Pmu.tot_cyc;
-  check_bool "zero" true (Pmu.is_zero Pmu.zero);
+  check_bool "zero" true (Pmu.add Pmu.zero a = a);
   check_float "get" 4.0 (Pmu.get Pmu.Cache_miss a);
-  check_int "metrics" 5 (List.length Pmu.all_metrics)
+  check_int "metrics" 5
+    (List.length
+       (List.sort_uniq compare
+          (List.map
+             (fun m -> Pmu.get m a)
+             [ Pmu.Tot_ins; Tot_lst_ins; Tot_cyc; Cache_miss; Fp_ins ])))
 
 let test_costmodel () =
-  let w = Ast.workload ~flops:(Expr.Int 1000) ~mem:(Expr.Int 500) ~locality:1.0 () in
-  let env = Expr.env ~rank:0 ~nprocs:4 ~params:[] ~vars:[] in
-  let sec, pmu = Costmodel.comp_cost Costmodel.default ~rank:0 ~env w in
+  (* counters in [Pmu.t] field order: tot_ins, tot_lst_ins, tot_cyc,
+     cache_miss, fp_ins *)
+  let cost ~locality =
+    let counters = Array.make 5 0.0 in
+    let sec =
+      Costmodel.comp_cost_into Costmodel.default ~rank:0 ~flops:1000 ~mem:500
+        ~ints:0 ~locality ~counters
+    in
+    (sec, counters)
+  in
+  let sec, pmu = cost ~locality:1.0 in
   (* locality 1.0: no misses; cycles = ins / ipc *)
-  check_float "no misses" 0.0 pmu.Pmu.cache_miss;
-  close "cycles" 750.0 pmu.Pmu.tot_cyc;
+  check_float "no misses" 0.0 pmu.(3);
+  close "cycles" 750.0 pmu.(2);
   close "seconds" (750.0 /. 2.5e9) sec;
   (* locality 0: every access misses, time grows *)
-  let w2 = Ast.workload ~flops:(Expr.Int 1000) ~mem:(Expr.Int 500) ~locality:0.0 () in
-  let sec2, pmu2 = Costmodel.comp_cost Costmodel.default ~rank:0 ~env w2 in
-  check_float "all miss" 500.0 pmu2.Pmu.cache_miss;
+  let sec2, pmu2 = cost ~locality:0.0 in
+  check_float "all miss" 500.0 pmu2.(3);
   check_bool "slower" true (sec2 > sec)
 
 let test_heterogeneous_speed () =
@@ -631,13 +640,17 @@ let test_engine_reference_digests () =
 
 (* --- elastic membership and recovery --- *)
 
+(* No membership change fires at this scale: one epoch. *)
+let is_static plan ~nprocs =
+  List.length (fst (Elastic.membership plan ~nprocs)) <= 1
+
 let test_elastic_membership_shrink () =
   let plan =
     Elastic.plan ~total_iters:12 [ Elastic.shrink_at ~iter:6 ~rank:1 ]
   in
   let epochs, n_ranks = Elastic.membership plan ~nprocs:4 in
   check_int "distinct ranks" 4 n_ranks;
-  check_bool "not static" false (Elastic.is_static plan ~nprocs:4);
+  check_bool "not static" false (is_static plan ~nprocs:4);
   match epochs with
   | [ e0; e1 ] ->
       check_int "e0 lo" 0 e0.Elastic.e_lo;
@@ -658,7 +671,7 @@ let test_elastic_membership_grow () =
   let epochs, n_ranks = Elastic.membership plan ~nprocs:2 in
   (* joiners get the fresh global ids nprocs, nprocs+1, ... *)
   check_int "distinct ranks" 4 n_ranks;
-  check_int "total_ranks" 4 (Elastic.total_ranks plan ~nprocs:2);
+  check_int "total_ranks" 4 (snd (Elastic.membership plan ~nprocs:2));
   match epochs with
   | [ _; e1 ] ->
       check_bool "e1 members" true (e1.Elastic.e_members = [| 0; 1; 2; 3 |]);
@@ -676,12 +689,12 @@ let test_elastic_membership_noop_events () =
         Elastic.shrink_at ~iter:10 ~rank:0;
       ]
   in
-  check_bool "static at np=4" true (Elastic.is_static plan ~nprocs:4);
+  check_bool "static at np=4" true (is_static plan ~nprocs:4);
   let epochs, n_ranks = Elastic.membership plan ~nprocs:4 in
   check_int "one epoch" 1 (List.length epochs);
   check_int "distinct ranks" 4 n_ranks;
   (* ...but the same plan does fire where the rank exists *)
-  check_bool "fires at np=16" false (Elastic.is_static plan ~nprocs:16)
+  check_bool "fires at np=16" false (is_static plan ~nprocs:16)
 
 let test_elastic_recovery_semantics () =
   let plan =
@@ -696,8 +709,8 @@ let test_elastic_recovery_semantics () =
   in
   (* detection jitter is bounded: within [timeout, 2*timeout] *)
   check_bool "detect window" true
-    (r.Elastic.r_detect >= plan.Elastic.detect_timeout
-    && r.Elastic.r_detect <= 2.0 *. plan.Elastic.detect_timeout);
+    (r.Elastic.r_detect >= Elastic.detect_timeout
+    && r.Elastic.r_detect <= 2.0 *. Elastic.detect_timeout);
   check_bool "agree positive" true (r.Elastic.r_agree > 0.0);
   check_bool "repartition positive" true (r.Elastic.r_repartition > 0.0);
   (* every survivor stalls until the common r_end *)

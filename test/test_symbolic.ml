@@ -8,7 +8,7 @@ open Scalana_mlang
 open Scalana_cfg
 open Testutil
 
-let sym = Alcotest.testable Symbolic.pp Symbolic.equal
+let sym = Alcotest.testable (Fmt.of_to_string Symbolic.to_string) Symbolic.equal
 
 let check_sym msg expected actual = Alcotest.check sym msg expected actual
 

@@ -415,7 +415,9 @@ let test_retry_records_final_attempt () =
   let pipe = pipeline ~config ~faults "cg" [ 4; 8; 16 ] in
   let r = largest_run pipe in
   check_int "the largest scale took two attempts" 2 r.Scalana.Prof.attempts;
-  check_bool "and its final attempt is clean" false (Scalana.Prof.degraded r);
+  check_bool "and its final attempt is clean" true
+    (r.Scalana.Prof.result.Scalana_runtime.Exec.killed_ranks = []
+    && r.Scalana.Prof.result.Scalana_runtime.Exec.stranded_ranks = []);
   check_same_float "timeline ends with the final attempt" (elapsed r)
     (timeline_of pipe).T.elapsed;
   check_equals_replay "timeline = replay of the clean run" "cg" pipe
@@ -441,6 +443,57 @@ let test_exhausted_retries () =
             pipe.Scalana.Pipeline.report 0);
        true
      with Not_found -> false)
+
+(* A timeline at a smaller profiled scale is set next to the profile of
+   its own scale: every "sampled wait at vertex" line of the wait-state
+   section is the np=4 PPG's total wait at that entry's vertex. *)
+let test_sampled_wait_at_timeline_scale () =
+  let entry = R.find "cg" in
+  let plain =
+    Scalana.Pipeline.run ~cost:entry.R.cost ~scales:[ 4; 8; 16 ]
+      (entry.R.make ())
+  in
+  let static = plain.Scalana.Pipeline.static in
+  let timeline =
+    Scalana.Pipeline.rank_timeline ~cost:entry.R.cost static ~nprocs:4
+  in
+  let pipe =
+    Scalana.Pipeline.detect_session ~timeline
+      {
+        Scalana.Artifact.static;
+        runs = plain.Scalana.Pipeline.runs;
+        issues = [];
+      }
+  in
+  let ppg =
+    match
+      Scalana_ppg.Crossscale.ppg_at pipe.Scalana.Pipeline.crossscale ~nprocs:4
+    with
+    | Some ppg -> ppg
+    | None -> Alcotest.fail "no np=4 PPG"
+  in
+  let ws =
+    match pipe.Scalana.Pipeline.analysis.Scalana_detect.Rootcause.waitstate with
+    | Some ws -> ws
+    | None -> Alcotest.fail "no wait-state analysis"
+  in
+  check_int "the replay is at np=4" 4 ws.W.ws_nprocs;
+  let expected =
+    List.filteri (fun i _ -> i < 8) ws.W.entries
+    |> List.filter_map (fun (e : W.entry) ->
+           Option.map
+             (fun vid ->
+               Printf.sprintf "      sampled wait at vertex: %.6fs"
+                 (Scalana_ppg.Ppg.total_wait ppg ~vertex:vid))
+             e.W.ws_vertex)
+  in
+  let actual =
+    String.split_on_char '\n' pipe.Scalana.Pipeline.report
+    |> List.filter (fun l ->
+           String.starts_with ~prefix:"sampled wait" (String.trim l))
+  in
+  check_bool "some sampled-wait lines" true (expected <> []);
+  Alcotest.(check (list string)) "sampled waits of the np=4 PPG" expected actual
 
 let () =
   Alcotest.run "waitstate"
@@ -475,5 +528,7 @@ let () =
             test_retry_records_final_attempt;
           Alcotest.test_case "exhausted retries degrade" `Quick
             test_exhausted_retries;
+          Alcotest.test_case "sampled wait at the timeline's scale" `Quick
+            test_sampled_wait_at_timeline_scale;
         ] );
     ]

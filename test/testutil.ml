@@ -11,6 +11,15 @@ let close ?(eps = 1e-6) msg expected actual =
   if abs_float (expected -. actual) > eps *. (1.0 +. abs_float expected) then
     Alcotest.failf "%s: expected %.9g, got %.9g" msg expected actual
 
+(* Every MPI call of a program, in source order. *)
+let mpi_calls prog =
+  let calls = ref [] in
+  Ast.iter_program
+    (fun s ->
+      match s.Ast.node with Ast.Mpi c -> calls := c :: !calls | _ -> ())
+    prog;
+  List.rev !calls
+
 (* A small ring program: one compute block and a bidirectional shift per
    iteration, then an allreduce. *)
 let ring_program ?(niter = 10) ?(work = 100_000) () =
