@@ -15,9 +15,7 @@ The scan is by name, after stripping comments and string literals:
     a bare `v` refers to M.v;
   * a value of a nested module `M.Sub` is matched on `Sub`.
 
-Usage: python3 ci/exports.py [--report]   (from the repository root)
-  --report  also lists every unreferenced value, split into values with
-            no caller at all and values called only from test/.
+Usage: python3 ci/exports.py   (from the repository root)
 Exit status: 0 clean, 1 on unlisted or stale values.
 """
 
@@ -216,7 +214,7 @@ def own_module(ml, mli):
     return os.path.dirname(ml) == os.path.dirname(mli) and module_of(ml) == module_of(mli)
 
 
-def main(argv):
+def main():
     mlis = sorted(
         os.path.join(dp, f)
         for dp, dn, fs in os.walk(os.path.join(ROOT, "lib"))
@@ -269,15 +267,10 @@ def main(argv):
         f"their module, {len(test_only)} called only from test/, "
         f"{len(kept)} listed in exports.allow"
     )
-    if "--report" in argv:
-        for title, names in (("no caller", no_caller), ("test/ only", test_only)):
-            print(f"-- {title} ({len(names)})")
-            for name in names:
-                print(("  " if name in allow else "! ") + name)
     for f in flagged:
         print("FAIL " + f)
     return 1 if flagged else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -29,7 +29,8 @@ type t = {
   phase_costs : (string * int * float) list;
       (* per-phase self-observability summary; [] unless tracing is on *)
   timeline : Scalana_profile.Timeline.t option;
-      (* per-rank timeline at the largest scale; None unless requested *)
+      (* per-rank timeline at one profiled scale (the largest unless the
+         caller picked another); None unless requested *)
   history : Scalana_obs.History.entry list;
       (* prior ledger entries behind the report's trend section; []
          unless the caller loaded a ledger (--history) *)

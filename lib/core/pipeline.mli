@@ -32,7 +32,8 @@ type t = {
           [scalana-detect --trace]); [[]] otherwise, and then the report
           is byte-identical to a build without the observability layer *)
   timeline : Scalana_profile.Timeline.t option;
-      (** per-rank timeline captured at the largest analyzed scale;
+      (** per-rank timeline at one of the profiled scales (the largest
+          unless the caller picked another, e.g. [--timeline-np]);
           [None] unless requested (e.g. [run ~timeline:true] or
           [scalana-detect --wait-states]), and then the report carries a
           wait-state section *)
