@@ -495,6 +495,129 @@ let test_sampled_wait_at_timeline_scale () =
   check_bool "some sampled-wait lines" true (expected <> []);
   Alcotest.(check (list string)) "sampled waits of the np=4 PPG" expected actual
 
+(* --- captured timelines and their wait states, pinned by digest ---
+
+   The digests read every field the recorder keeps, in capture order,
+   floats by their bits, so they pin the timeline's content and not its
+   in-memory layout. *)
+
+let add_int b i =
+  Buffer.add_string b (string_of_int i);
+  Buffer.add_char b ' '
+
+let add_bits b x =
+  Buffer.add_string b (Printf.sprintf "%Lx " (Int64.bits_of_float x))
+
+let add_vertex b v = add_int b (Option.value v ~default:(-1))
+
+let timeline_digest (tl : T.t) =
+  let b = Buffer.create 65536 in
+  add_int b tl.T.nprocs;
+  Array.iter
+    (fun (iv : T.interval) ->
+      add_int b iv.T.iv_rank;
+      add_vertex b iv.T.iv_vertex;
+      add_bits b iv.T.iv_start;
+      add_bits b iv.T.iv_stop;
+      add_int b iv.T.iv_merged;
+      (match iv.T.iv_kind with
+      | T.Compute { label } ->
+          Buffer.add_string b ("C " ^ Option.value label ~default:"comp" ^ " ")
+      | T.Mpi m ->
+          Buffer.add_string b ("M " ^ m.T.op ^ " ");
+          add_bits b m.T.wait;
+          add_int b (List.length m.T.deps);
+          List.iter
+            (fun (peer, send, arrival) ->
+              add_int b peer;
+              add_bits b send;
+              add_bits b arrival)
+            m.T.deps;
+          add_int b (List.length m.T.send_dests);
+          List.iter (add_int b) m.T.send_dests;
+          (match m.T.coll with
+          | None -> Buffer.add_string b "- "
+          | Some c ->
+              add_bits b c.T.coll_arrive;
+              add_bits b c.T.coll_start;
+              add_int b c.T.coll_last_rank));
+      Buffer.add_char b '\n')
+    tl.T.intervals;
+  Array.iter
+    (fun (m : T.message) ->
+      add_int b m.T.msg_src;
+      add_int b m.T.msg_dst;
+      add_bits b m.T.msg_send_time;
+      add_bits b m.T.msg_recv_enter;
+      add_bits b m.T.msg_arrival;
+      add_int b m.T.msg_tag;
+      add_int b m.T.msg_bytes;
+      add_vertex b m.T.msg_vertex;
+      Buffer.add_char b '\n')
+    tl.T.messages;
+  Array.iter (add_bits b) tl.T.blocked;
+  Array.iter (add_int b) tl.T.dropped;
+  add_int b tl.T.merged;
+  add_bits b tl.T.elapsed;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let waitstate_digest (ws : W.t) =
+  let b = Buffer.create 4096 in
+  add_int b ws.W.ws_nprocs;
+  List.iter
+    (fun (e : W.entry) ->
+      add_vertex b e.W.ws_vertex;
+      Buffer.add_string b (W.class_name e.W.ws_class ^ " ");
+      add_bits b e.W.ws_time;
+      add_int b e.W.ws_ops;
+      List.iter
+        (fun (rank, s) ->
+          add_int b rank;
+          add_bits b s)
+        e.W.ws_culprits;
+      Buffer.add_char b '\n')
+    ws.W.entries;
+  List.iter
+    (fun (cls, s) ->
+      Buffer.add_string b (W.class_name cls ^ " ");
+      add_bits b s)
+    ws.W.class_totals;
+  Array.iter (add_bits b) ws.W.rank_blocked;
+  Array.iter (add_bits b) ws.W.rank_attributed;
+  add_bits b ws.W.unattributed;
+  add_int b ws.W.truncated;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let replay name nprocs =
+  let entry = R.find name in
+  Scalana.Pipeline.rank_timeline ~cost:entry.R.cost
+    (Scalana.Static.analyze (entry.R.make ()))
+    ~nprocs
+
+(* (program, np, timeline digest, wait-state digest); np=16 and the
+   largest wait-states scale, lu where the event cap bites, cg-weak at
+   its smallest cg-weak-2k scale *)
+let pinned =
+  [
+    ("cg", 16, "819e05b5575dacc7222bcc4ce7a2fde5", "f215e25f548f3477548e5086298640e4");
+    ("cg", 128, "397de3c8d55a2574361a7874d5f8cd74", "704af93c86d5977b2be70566d7002fca");
+    ("bt", 16, "0d51ab0cacd9fd83d93b2f04eff69c96", "881d8a5f54d30be6b14084a8d79b8c36");
+    ("bt", 64, "834dfb394a97f607b51d6e269be410d0", "b161e9f9be9e432612fbc0421df23bc1");
+    ("zeusmp", 16, "019a3d621403683d9947a82fc6da2231", "6e9ed21105d196e0152573b8f9e90876");
+    ("zeusmp", 128, "336defc6d9e0e18f8798133553008142", "14689031c8adacd81b0fba8cbb3b2366");
+    ("mg", 16, "39a92aad0da8e8c8dd6bc937dc96bd6f", "26ae5f301df4650a5282fa357ac423f7");
+    ("mg", 128, "db9e48c396c06b5110b0f759ee4529ed", "e776357010232030db22cefa5d9f257a");
+    ("sst", 16, "93e8749043aae6f1454263918ff1a778", "bd9c7cd9869be13c8b9b270089d31f66");
+    ("sst", 128, "6f266e9af26fa9ae3b9a8d23e2983815", "07f418d545e41622b3b4ec433fbf9fa9");
+    ("lu", 64, "edaf7a7d71c63f954bb489cd0c3003e6", "cbb179181351550176989ec659a39b03");
+    ("cg-weak", 512, "c31b8293398c29913550db1562b6d7d8", "040fe475c3951c8705317b4591916007");
+  ]
+
+let test_pinned (name, nprocs, timeline, waitstate) () =
+  let tl = replay name nprocs in
+  check_string "timeline digest" timeline (timeline_digest tl);
+  check_string "wait-state digest" waitstate (waitstate_digest (W.analyze tl))
+
 let () =
   Alcotest.run "waitstate"
     [
@@ -531,4 +654,11 @@ let () =
           Alcotest.test_case "sampled wait at the timeline's scale" `Quick
             test_sampled_wait_at_timeline_scale;
         ] );
+      ( "pinned",
+        List.map
+          (fun ((name, nprocs, _, _) as case) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s np=%d" name nprocs)
+              `Quick (test_pinned case))
+          pinned );
     ]
