@@ -208,8 +208,9 @@ let detect_with ?(config = Config.default) ?pool
       ~predicted_locs:(List.map (fun (f : Lint.finding) -> f.Lint.loc) lint)
       ~quality ~phase_costs ~history
       ?ppg:
-        (Option.bind timeline (fun (tl : Scalana_profile.Timeline.t) ->
-             Crossscale.ppg_at crossscale ~nprocs:tl.nprocs))
+        (Option.bind timeline (fun tl ->
+             Crossscale.ppg_at crossscale
+               ~nprocs:(Scalana_profile.Timeline.nprocs tl)))
       ~psg:(Static.psg static) analysis
   in
   {

@@ -59,44 +59,37 @@ let show_timeline (pipeline : Pipeline.t) =
   | Some tl ->
       let module T = Scalana_profile.Timeline in
       let buf = Buffer.create 4096 in
-      let span = if tl.T.elapsed > 0.0 then tl.T.elapsed else 1.0 in
+      let nprocs = T.nprocs tl and elapsed = T.elapsed tl in
+      let span = if elapsed > 0.0 then elapsed else 1.0 in
       let col_dt = span /. float_of_int width in
       (* per (rank, column) occupancy of compute / MPI busy / MPI wait *)
-      let occ = Array.init tl.T.nprocs (fun _ -> Array.make_matrix width 3 0.0) in
-      Array.iter
-        (fun (iv : T.interval) ->
-          let ch, wait =
-            match iv.T.iv_kind with
-            | T.Compute _ -> (0, 0.0)
-            | T.Mpi m -> (1, m.T.wait)
-          in
-          let c0 = max 0 (int_of_float (iv.T.iv_start /. col_dt)) in
-          let c1 =
-            min (width - 1) (int_of_float (iv.T.iv_stop /. col_dt))
-          in
-          for c = c0 to c1 do
-            let lo = Float.max iv.T.iv_start (float_of_int c *. col_dt) in
-            let hi =
-              Float.min iv.T.iv_stop (float_of_int (c + 1) *. col_dt)
-            in
-            let d = Float.max 0.0 (hi -. lo) in
-            let row = occ.(iv.T.iv_rank).(c) in
-            (* an MPI interval's wait share is charged as waiting time,
-               the rest as busy MPI *)
-            let dur = iv.T.iv_stop -. iv.T.iv_start in
-            let wfrac = if dur > 0.0 then wait /. dur else 0.0 in
-            if ch = 0 then row.(0) <- row.(0) +. d
-            else begin
-              row.(1) <- row.(1) +. (d *. (1.0 -. wfrac));
-              row.(2) <- row.(2) +. (d *. wfrac)
-            end
-          done)
-        tl.T.intervals;
+      let occ = Array.init nprocs (fun _ -> Array.make_matrix width 3 0.0) in
+      for i = 0 to T.n_intervals tl - 1 do
+        let start = T.start tl i and stop = T.stop tl i in
+        let mpi = T.is_mpi tl i and wait = T.wait tl i in
+        let c0 = max 0 (int_of_float (start /. col_dt)) in
+        let c1 = min (width - 1) (int_of_float (stop /. col_dt)) in
+        for c = c0 to c1 do
+          let lo = Float.max start (float_of_int c *. col_dt) in
+          let hi = Float.min stop (float_of_int (c + 1) *. col_dt) in
+          let d = Float.max 0.0 (hi -. lo) in
+          let row = occ.(T.rank tl i).(c) in
+          (* an MPI interval's wait share is charged as waiting time,
+             the rest as busy MPI *)
+          let dur = stop -. start in
+          let wfrac = if dur > 0.0 then wait /. dur else 0.0 in
+          if not mpi then row.(0) <- row.(0) +. d
+          else begin
+            row.(1) <- row.(1) +. (d *. (1.0 -. wfrac));
+            row.(2) <- row.(2) +. (d *. wfrac)
+          end
+        done
+      done;
       Buffer.add_string buf
         (Printf.sprintf
            "=== rank timeline (np=%d, %.6fs; '=' compute, 'M' mpi, 'w' \
             wait) ===\n"
-           tl.T.nprocs tl.T.elapsed);
+           nprocs elapsed);
       Array.iteri
         (fun rank rows ->
           Buffer.add_string buf (Printf.sprintf "rank %3d |" rank);
@@ -110,17 +103,16 @@ let show_timeline (pipeline : Pipeline.t) =
               in
               Buffer.add_char buf c)
             rows;
+          let dropped = T.dropped tl rank in
           Buffer.add_string buf
-            (Printf.sprintf "| blocked %.6fs%s%s\n" tl.T.blocked.(rank)
-               (if tl.T.dropped.(rank) > 0 then
-                  Printf.sprintf " (truncated: %d dropped)"
-                    tl.T.dropped.(rank)
+            (Printf.sprintf "| blocked %.6fs%s%s\n" (T.blocked tl rank)
+               (if dropped > 0 then
+                  Printf.sprintf " (truncated: %d dropped)" dropped
                 else "")
-               (rank_annotation pipeline ~nprocs:tl.T.nprocs rank)))
+               (rank_annotation pipeline ~nprocs rank)))
         occ;
       Buffer.add_string buf
         (Printf.sprintf
            "%d intervals (%d merged away), %d matched messages\n"
-           (Array.length tl.T.intervals) tl.T.merged
-           (Array.length tl.T.messages));
+           (T.n_intervals tl) (T.merged tl) (T.n_messages tl));
       Buffer.contents buf

@@ -28,37 +28,29 @@ type t = {
   total : float;  (* end-to-end critical path length *)
   segments : segment list;  (* chronological *)
   by_location : (string * float) list;  (* aggregated, largest first *)
+  elapsed : float;  (* the timeline's *)
+  share : float;  (* total / elapsed *)
+  dropped : int;  (* timeline events lost to the recorder cap *)
 }
 
-let label_of (iv : Timeline.interval) =
-  match iv.iv_kind with
-  | Timeline.Compute { label = Some l } -> l
-  | Timeline.Compute { label = None } -> "comp"
-  | Timeline.Mpi m -> m.op
+let covering tl ~total ~segments ~by_location =
+  let elapsed = Timeline.elapsed tl in
+  {
+    total;
+    segments;
+    by_location;
+    elapsed;
+    share = (if elapsed > 0.0 then total /. elapsed else 0.0);
+    dropped = Timeline.total_dropped tl;
+  }
 
-let wait_of (iv : Timeline.interval) =
-  match iv.iv_kind with Timeline.Mpi m -> m.wait | Timeline.Compute _ -> 0.0
-
-let loc_of psg (iv : Timeline.interval) =
-  match Option.bind iv.iv_vertex (Psg.vertex_opt psg) with
+let loc_of psg tl i =
+  match Option.bind (Timeline.vertex tl i) (Psg.vertex_opt psg) with
   | Some v -> v.Vertex.loc
   | None -> Loc.none
 
 (* The smallest wait treated as a binding remote dependence. *)
 let hop_epsilon = 1e-4
-
-(* The timeline lays intervals out rank by rank: rank [r]'s run is
-   [first.(r)] up to [first.(r + 1)]. *)
-let rank_offsets (tl : Timeline.t) =
-  let first = Array.make (tl.nprocs + 1) 0 in
-  Array.iter
-    (fun (iv : Timeline.interval) ->
-      first.(iv.iv_rank + 1) <- first.(iv.iv_rank + 1) + 1)
-    tl.intervals;
-  for r = 1 to tl.nprocs do
-    first.(r) <- first.(r) + first.(r - 1)
-  done;
-  first
 
 (* Walk backwards from the interval finishing last: at a receive-like
    interval that waited, the chain crosses to the first matched sender
@@ -66,33 +58,25 @@ let rank_offsets (tl : Timeline.t) =
    interval ending by our end time; otherwise it continues to the
    rank's previous interval. *)
 let analyze ~psg (tl : Timeline.t) =
-  let ivs = tl.intervals in
-  let last =
-    Array.fold_left
-      (fun best (iv : Timeline.interval) ->
-        match best with
-        | Some (b : Timeline.interval) when iv.iv_stop <= b.iv_stop -> best
-        | _ -> Some iv)
-      None ivs
-  in
-  match last with
-  | None -> { total = 0.0; segments = []; by_location = [] }
-  | Some final ->
-      let first = rank_offsets tl in
+  let stop = Timeline.stop tl and start = Timeline.start tl in
+  let last = ref (-1) in
+  for i = 0 to Timeline.n_intervals tl - 1 do
+    if !last < 0 || stop i > stop !last then last := i
+  done;
+  match !last with
+  | -1 -> covering tl ~total:0.0 ~segments:[] ~by_location:[]
+  | final ->
       (* latest interval of [rank] ending at or before [before],
          excluding the interval we just came from (zero-length
          intervals would otherwise loop) *)
-      let latest ?prev rank before =
-        let best = ref None in
-        for i = first.(rank) to first.(rank + 1) - 1 do
-          let iv = ivs.(i) in
+      let latest ?(prev = -1) rank before =
+        let best = ref (-1) in
+        for i = Timeline.rank_first tl rank to Timeline.rank_first tl (rank + 1) - 1 do
           if
-            iv.iv_stop <= before +. 1e-12
-            && match prev with Some p -> p != iv | None -> true
-          then
-            match !best with
-            | Some (b : Timeline.interval) when iv.iv_stop <= b.iv_stop -> ()
-            | _ -> best := Some iv
+            stop i <= before +. 1e-12
+            && i <> prev
+            && (!best < 0 || stop i > stop !best)
+          then best := i
         done;
         !best
       in
@@ -103,36 +87,42 @@ let analyze ~psg (tl : Timeline.t) =
         decr budget;
         if !budget > 0 then
           match latest ?prev rank before with
-          | None -> ()
-          | Some iv when Hashtbl.mem visited (rank, iv.iv_start) -> ()
-          | Some iv -> (
-              Hashtbl.replace visited (rank, iv.iv_start) ();
-              let wait = wait_of iv in
-              let own = Float.max 0.0 (iv.iv_stop -. iv.iv_start -. wait) in
+          | -1 -> ()
+          | i when Hashtbl.mem visited (rank, start i) -> ()
+          | i -> (
+              Hashtbl.replace visited (rank, start i) ();
+              let wait = Timeline.wait tl i in
+              let own = Float.max 0.0 (stop i -. start i -. wait) in
               if own > 0.0 then
                 segments :=
                   {
-                    seg_loc = loc_of psg iv;
+                    seg_loc = loc_of psg tl i;
                     seg_rank = rank;
-                    seg_label = label_of iv;
+                    seg_label = Timeline.name tl i;
                     seg_seconds = own;
                   }
                   :: !segments;
-              match iv.iv_kind with
-              | Timeline.Mpi { deps = (peer, _, _) :: _; _ }
-                when wait > hop_epsilon ->
+              let hop =
+                if wait <= hop_epsilon then None
+                else if Timeline.n_deps tl i > 0 then
                   (* the wait was bounded by the peer's progress *)
-                  walk ~prev:iv peer iv.iv_stop
-              | Timeline.Mpi { coll = Some c; _ }
-                when wait > hop_epsilon && c.coll_last_rank <> rank ->
-                  walk ~prev:iv c.coll_last_rank iv.iv_stop
-              | _ ->
+                  let peer, _, _ = Timeline.dep tl i 0 in
+                  Some peer
+                else
+                  match Timeline.coll tl i with
+                  | Some (_, _, last_rank) when last_rank <> rank ->
+                      Some last_rank
+                  | _ -> None
+              in
+              match hop with
+              | Some peer -> walk ~prev:i peer (stop i)
+              | None ->
                   (* no binding remote dependence: the chain continues
                      with whatever this rank did before this interval *)
-                  walk ~prev:iv rank
-                    (iv.iv_start +. Float.min (iv.iv_stop -. iv.iv_start) 1e-12))
+                  walk ~prev:i rank
+                    (start i +. Float.min (stop i -. start i) 1e-12))
       in
-      walk final.iv_rank (final.iv_stop +. 1e-9);
+      walk (Timeline.rank tl final) (stop final +. 1e-9);
       let segs = !segments in
       let agg : (string, float) Hashtbl.t = Hashtbl.create 32 in
       List.iter
@@ -145,11 +135,9 @@ let analyze ~psg (tl : Timeline.t) =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) agg []
         |> List.sort (fun (_, a) (_, b) -> compare b a)
       in
-      {
-        total = List.fold_left (fun acc s -> acc +. s.seg_seconds) 0.0 segs;
-        segments = segs;
-        by_location;
-      }
+      covering tl
+        ~total:(List.fold_left (fun acc s -> acc +. s.seg_seconds) 0.0 segs)
+        ~segments:segs ~by_location
 
 let top ?(n = 5) t =
   let rec take k = function

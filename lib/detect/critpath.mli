@@ -21,6 +21,14 @@ type t = {
   total : float;
   segments : segment list;
   by_location : (string * float) list;  (** aggregated, largest first *)
+  elapsed : float;  (** the timeline's elapsed time *)
+  share : float;
+      (** the run the chain covers: [total /. elapsed], [0.0] when
+          nothing elapsed *)
+  dropped : int;
+      (** events the timeline lost to its recorder cap: a chain over a
+          capped timeline ends where recording stopped, so it is
+          partial *)
 }
 
 (** A wait above 0.1 ms is a binding remote dependence.  [psg] is the

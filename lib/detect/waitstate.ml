@@ -44,30 +44,35 @@ type t = {
 (* Slack below which a peer's post time is not considered late. *)
 let epsilon = 20.0e-6
 
-(* Classify one blocked MPI interval: (class, blamed ranks).  The wait
+(* Classify blocked MPI interval [i]: (class, blamed ranks).  The wait
    is split evenly across the blamed ranks in the culprit table (the
    class total is unaffected). *)
-let classify (iv : Timeline.interval) (m : Timeline.mpi_info) =
-  match m.coll with
-  | Some c -> (Collective_imbalance, [ c.coll_last_rank ])
-  | None -> (
-      match m.deps with
-      | _ :: _ ->
-          let late_peer, latest_send =
-            List.fold_left
-              (fun (bp, bt) (peer, send_time, _) ->
-                if send_time > bt then (peer, send_time) else (bp, bt))
-              (-1, Float.neg_infinity) m.deps
-          in
-          if latest_send > iv.iv_start +. epsilon then
-            (Late_sender, [ late_peer ])
-          else (Late_receiver, [ iv.iv_rank ])
-      | [] ->
-          (* send-side block: the destinations were not ready *)
-          let blamed =
-            match m.send_dests with [] -> [ iv.iv_rank ] | ds -> ds
-          in
-          (Late_receiver, blamed))
+let classify tl i =
+  match Timeline.coll tl i with
+  | Some (_, _, last_rank) -> (Collective_imbalance, [ last_rank ])
+  | None ->
+      let n = Timeline.n_deps tl i in
+      if n > 0 then begin
+        let late_peer = ref (-1) and latest_send = ref Float.neg_infinity in
+        for j = 0 to n - 1 do
+          let peer, send_time, _ = Timeline.dep tl i j in
+          if send_time > !latest_send then begin
+            late_peer := peer;
+            latest_send := send_time
+          end
+        done;
+        if !latest_send > Timeline.start tl i +. epsilon then
+          (Late_sender, [ !late_peer ])
+        else (Late_receiver, [ Timeline.rank tl i ])
+      end
+      else
+        (* send-side block: the destinations were not ready *)
+        let blamed =
+          match Timeline.send_dests tl i with
+          | [] -> [ Timeline.rank tl i ]
+          | ds -> ds
+        in
+        (Late_receiver, blamed)
 
 let analyze (tl : Timeline.t) =
   let acc : (int option * clazz, float ref * int ref * (int, float) Hashtbl.t)
@@ -75,38 +80,36 @@ let analyze (tl : Timeline.t) =
     Hashtbl.create 32
   in
   let class_total = Hashtbl.create 4 in
-  let rank_attributed = Array.make tl.Timeline.nprocs 0.0 in
-  Array.iter
-    (fun (iv : Timeline.interval) ->
-      match iv.iv_kind with
-      | Timeline.Compute _ -> ()
-      | Timeline.Mpi m when m.wait <= 0.0 -> ()
-      | Timeline.Mpi m ->
-          let cls, blamed = classify iv m in
-          let time, ops, culprits =
-            match Hashtbl.find_opt acc (iv.iv_vertex, cls) with
-            | Some cell -> cell
-            | None ->
-                let cell = (ref 0.0, ref 0, Hashtbl.create 4) in
-                Hashtbl.replace acc (iv.iv_vertex, cls) cell;
-                cell
+  let rank_attributed = Array.make (Timeline.nprocs tl) 0.0 in
+  for i = 0 to Timeline.n_intervals tl - 1 do
+    let wait = Timeline.wait tl i in
+    (* compute intervals wait 0 *)
+    if wait > 0.0 then begin
+      let cls, blamed = classify tl i in
+      let vertex = Timeline.vertex tl i and rank = Timeline.rank tl i in
+      let time, ops, culprits =
+        match Hashtbl.find_opt acc (vertex, cls) with
+        | Some cell -> cell
+        | None ->
+            let cell = (ref 0.0, ref 0, Hashtbl.create 4) in
+            Hashtbl.replace acc (vertex, cls) cell;
+            cell
+      in
+      time := !time +. wait;
+      incr ops;
+      let share = wait /. float_of_int (List.length blamed) in
+      List.iter
+        (fun rank ->
+          let prev =
+            Option.value ~default:0.0 (Hashtbl.find_opt culprits rank)
           in
-          time := !time +. m.wait;
-          incr ops;
-          let share = m.wait /. float_of_int (List.length blamed) in
-          List.iter
-            (fun rank ->
-              let prev =
-                Option.value ~default:0.0 (Hashtbl.find_opt culprits rank)
-              in
-              Hashtbl.replace culprits rank (prev +. share))
-            blamed;
-          Hashtbl.replace class_total cls
-            (m.wait
-            +. Option.value ~default:0.0 (Hashtbl.find_opt class_total cls));
-          rank_attributed.(iv.iv_rank) <-
-            rank_attributed.(iv.iv_rank) +. m.wait)
-    tl.Timeline.intervals;
+          Hashtbl.replace culprits rank (prev +. share))
+        blamed;
+      Hashtbl.replace class_total cls
+        (wait +. Option.value ~default:0.0 (Hashtbl.find_opt class_total cls));
+      rank_attributed.(rank) <- rank_attributed.(rank) +. wait
+    end
+  done;
   let entries =
     Hashtbl.fold
       (fun (vertex, cls) (time, ops, culprits) out ->
@@ -132,12 +135,12 @@ let analyze (tl : Timeline.t) =
         (cls, Option.value ~default:0.0 (Hashtbl.find_opt class_total cls)))
       all_classes
   in
-  let rank_blocked = Array.copy tl.Timeline.blocked in
+  let rank_blocked = Array.init (Timeline.nprocs tl) (Timeline.blocked tl) in
   let blocked_sum = Array.fold_left ( +. ) 0.0 rank_blocked in
   let attributed_sum = Array.fold_left ( +. ) 0.0 rank_attributed in
   let t =
     {
-      ws_nprocs = tl.Timeline.nprocs;
+      ws_nprocs = Timeline.nprocs tl;
       entries;
       class_totals;
       rank_blocked;

@@ -15,65 +15,21 @@
     hard [max_events] cap drops further events with explicit per-rank
     truncation accounting.  Per-rank blocked-time totals keep
     accumulating past the cap, so wait-state attribution can always be
-    reported as a fraction of the {e true} blocked time. *)
+    reported as a fraction of the {e true} blocked time.
+
+    The timeline is columnar: the recorder appends each field to its own
+    unboxed column, growing in fixed-size blocks that are never copied,
+    and records nothing per event on the heap beyond those entries.
+    Dependences and send destinations are rows of side columns that
+    each interval indexes by offset; a message is one of those
+    dependence rows.  {!capture} hands the columns to the timeline
+    uncopied and adds the two orders below.  Only this module knows the
+    layout: readers go through the accessors. *)
 
 open Scalana_psg
 open Scalana_runtime
 
 type config = { max_events : int  (** intervals + messages recorded *) }
-
-(** What one MPI interval saw, the raw material of wait-state replay. *)
-type mpi_info = {
-  op : string;  (** [Ast.mpi_name] of the call *)
-  wait : float;  (** blocked seconds inside the call *)
-  deps : (int * float * float) list;
-      (** matched sends: (peer rank, peer post time, arrival time) *)
-  send_dests : int list;  (** destinations of sends posted by this op *)
-  coll : coll_info option;
-}
-
-and coll_info = {
-  coll_arrive : float;
-  coll_start : float;  (** when the last rank arrived *)
-  coll_last_rank : int;
-}
-
-type kind = Compute of { label : string option } | Mpi of mpi_info
-
-type interval = {
-  iv_rank : int;
-  iv_vertex : int option;  (** contracted-PSG vertex, when resolvable *)
-  mutable iv_start : float;
-  mutable iv_stop : float;
-  iv_kind : kind;
-  mutable iv_merged : int;  (** raw intervals folded into this one *)
-}
-
-(** A matched point-to-point message, for flow arrows and replay. *)
-type message = {
-  msg_src : int;
-  msg_dst : int;
-  msg_send_time : float;  (** sender-local post time *)
-  msg_recv_enter : float;  (** receiver entered the completing MPI op *)
-  msg_arrival : float;  (** transfer completed on the receiver *)
-  msg_tag : int;
-  msg_bytes : int;
-  msg_vertex : int option;  (** receive-side vertex *)
-}
-
-(** A captured timeline.  Arrays are sorted: intervals by (rank, start,
-    stop), messages by (send time, src, dst, tag).  Each rank's
-    intervals come out in the order they were recorded, which is that
-    order because a rank's clock never runs backwards. *)
-type t = {
-  nprocs : int;
-  elapsed : float;
-  intervals : interval array;
-  messages : message array;
-  blocked : float array;  (** per-rank blocked seconds, never truncated *)
-  dropped : int array;  (** per-rank events lost to the [max_events] cap *)
-  merged : int;  (** raw intervals removed by vertex-keyed compression *)
-}
 
 type recorder
 
@@ -84,13 +40,108 @@ val create : ?config:config -> index:Index.t -> nprocs:int -> unit -> recorder
     recorder per attempt).  All hooks return 0.0 overhead. *)
 val tool : recorder -> Instrument.t
 
-(** Freeze the recorder into a sorted, immutable timeline.  Intervals
-    are laid out rank by rank, not sorted; only messages are, with a
-    stable merge sort ([Array.stable_sort]): messages that compare equal
-    keep their newest-first recording order. *)
+(** What the [on_mpi_exit] hook does once it has resolved the call's
+    vertex: add the call's wait to [rank]'s blocked total, append the
+    MPI interval, and a message per matched send while the cap allows.
+    Kept: hand-built timelines in the wait-state and trace tests are
+    recorded through it. *)
+val append_mpi :
+  recorder -> rank:int -> vertex:int option -> Instrument.mpi_exit -> unit
+
+(** A captured timeline.  Intervals are numbered by position, rank by
+    rank; each rank's come in the order they were recorded, which is
+    (start, stop) order because a rank's clock never runs backwards.
+    Messages are numbered in (send time, src, dst, tag) order. *)
+type t
+
+(** Freeze the recorder, after its run, into a timeline.  Intervals are
+    laid out rank by rank, not sorted; only messages are, with a stable
+    merge sort ([Array.stable_sort]): messages that compare equal keep
+    their newest-first recording order. *)
 val capture : recorder -> t
 
+val nprocs : t -> int
+val elapsed : t -> float
+
+(** Blocked seconds of a rank, never truncated. *)
+val blocked : t -> int -> float
+
+(** Events of a rank lost to the [max_events] cap. *)
+val dropped : t -> int -> int
+
 val total_dropped : t -> int
+
+(** Raw intervals removed by vertex-keyed compression. *)
+val merged : t -> int
+
+(** {2 Intervals, by position} *)
+
+val n_intervals : t -> int
+
+(** Position of a rank's first interval; [rank_first t (nprocs t)] is
+    [n_intervals t]. *)
+val rank_first : t -> int -> int
+
+val rank : t -> int -> int
+
+(** Contracted-PSG vertex, when resolvable. *)
+val vertex : t -> int -> int option
+
+val start : t -> int -> float
+val stop : t -> int -> float
+
+(** Raw intervals folded into this one.
+    Kept: the exporter's [merged] slice argument; the compression and
+    digest tests read it per interval. *)
+val merges : t -> int -> int
+
+val is_mpi : t -> int -> bool
+
+(** The compute label (["comp"] when unlabelled) or the MPI call's
+    [Ast.mpi_name]. *)
+val name : t -> int -> string
+
+(** Blocked seconds inside an MPI interval; [0.0] for compute. *)
+val wait : t -> int -> float
+
+(** Matched sends of an MPI interval. *)
+val n_deps : t -> int -> int
+
+(** [dep t i j] is the [j]th matched send of interval [i]: (peer rank,
+    peer post time, arrival time). *)
+val dep : t -> int -> int -> int * float * float
+
+(** Destinations of the sends an MPI interval posted. *)
+val send_dests : t -> int -> int list
+
+(** A collective's (arrival, start when the last rank arrived, last
+    arriving rank); [None] for any other interval. *)
+val coll : t -> int -> (float * float * int) option
+
+(** {2 Matched point-to-point messages, by position}
+
+    Kept, each [msg_] accessor: the exporter's flow arrows read them;
+    the capture-order and digest tests compare messages field by
+    field. *)
+
+val n_messages : t -> int
+val msg_src : t -> int -> int
+val msg_dst : t -> int -> int
+
+(** Sender-local post time. *)
+val msg_send_time : t -> int -> float
+
+(** When the receiver entered the completing MPI op. *)
+val msg_recv_enter : t -> int -> float
+
+(** When the transfer completed on the receiver. *)
+val msg_arrival : t -> int -> float
+
+val msg_tag : t -> int -> int
+val msg_bytes : t -> int -> int
+
+(** Receive-side vertex. *)
+val msg_vertex : t -> int -> int option
 
 (** Chrome [trace_event] document: one track per rank (its own process
     group, so a merged load with the pipeline trace of

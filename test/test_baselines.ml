@@ -75,7 +75,7 @@ let test_tracer_truncation () =
       (ring_program ~niter:5 ())
   in
   check_int "kept only 3" 3
-    (Array.length tl.Timeline.intervals + Array.length tl.Timeline.messages);
+    (Timeline.n_intervals tl + Timeline.n_messages tl);
   check_bool "truncated" true (Timeline.total_dropped tl > 0)
 
 let test_tracer_sub_regions () =
@@ -223,8 +223,7 @@ let test_trace_io_roundtrip () =
       let slices =
         List.filter (fun e -> Json.member "ph" e = Some (Json.Str "X")) events
       in
-      check_int "one slice per interval"
-        (Array.length tl.Timeline.intervals)
+      check_int "one slice per interval" (Timeline.n_intervals tl)
         (List.length slices)
 
 let test_trace_io_malformed () =

@@ -479,7 +479,9 @@ let test_critpath_empty_and_balanced () =
   let prog = ring_program ~niter:10 ~work:2_000_000 () in
   let psg, tl, r = timeline_run prog in
   let empty =
-    { tl with Scalana_profile.Timeline.intervals = [||]; messages = [||] }
+    Scalana_profile.Timeline.capture
+      (Scalana_profile.Timeline.create
+         ~index:(Scalana.Static.analyze prog).index ~nprocs:4 ())
   in
   let cp = Critpath.analyze ~psg empty in
   check_bool "empty trace" true (cp.Critpath.total = 0.0 && cp.segments = []);

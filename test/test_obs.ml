@@ -320,6 +320,46 @@ let test_pool_flows () =
     (fun e -> check_string "binding point on finish" "e" (str (get "bp" e)))
     (ph "f")
 
+(* A two-rank timeline holding one receive on rank 1 over [1, 2],
+   matched to a send rank 0 posted at 1.5, recorded through the
+   recorder's append path. *)
+let recv_timeline ~wait ~vertex =
+  let module Tl = Scalana_profile.Timeline in
+  let module I = Scalana_runtime.Instrument in
+  let index =
+    (Scalana.Static.analyze (Testutil.ring_program ())).Scalana.Static.index
+  in
+  let r = Tl.create ~index ~nprocs:2 () in
+  Tl.append_mpi r ~rank:1 ~vertex
+    {
+      I.call =
+        Scalana_mlang.Ast.Recv
+          {
+            src = Scalana_mlang.Ast.Any_source;
+            tag = Scalana_mlang.Ast.Any_tag;
+            bytes = Scalana_mlang.Expr.Infix.i 64;
+          };
+      enter_time = 1.0;
+      exit_time = 2.0;
+      wait_seconds = wait;
+      deps =
+        [
+          {
+            I.peer_rank = 0;
+            peer_loc = Scalana_mlang.Loc.none;
+            peer_cctx = 0;
+            peer_callpath = [];
+            dep_tag = 5;
+            dep_bytes = 64;
+            send_time = 1.5;
+            arrival_time = 2.0;
+          };
+        ];
+      sends = [];
+      collective = None;
+    };
+  Tl.capture r
+
 (* Flow ids are drawn from one process-global allocator, so a pipeline
    trace and a rank-timeline trace written in the same process never
    collide in a merged Perfetto load (and both documents stay valid
@@ -335,29 +375,8 @@ let test_flow_ids_disjoint_across_exporters () =
     | Error e -> Alcotest.failf "JSON does not parse: %s" e
   in
   let pipeline_doc = parse (Obs.trace_json ()) in
-  let tl =
-    {
-      Scalana_profile.Timeline.nprocs = 2;
-      elapsed = 1.0;
-      intervals = [||];
-      messages =
-        [|
-          {
-            Scalana_profile.Timeline.msg_src = 0;
-            msg_dst = 1;
-            msg_send_time = 0.1;
-            msg_recv_enter = 0.2;
-            msg_arrival = 0.3;
-            msg_tag = 5;
-            msg_bytes = 64;
-            msg_vertex = None;
-          };
-        |];
-      blocked = [| 0.0; 0.0 |];
-      dropped = [| 0; 0 |];
-      merged = 0;
-    }
-  in
+  (* one matched message, 0 -> 1 *)
+  let tl = recv_timeline ~wait:0.0 ~vertex:None in
   let rank_doc = parse (Scalana_profile.Timeline.to_trace_json tl) in
   let flow_ids doc =
     let events =
@@ -384,35 +403,7 @@ let test_flow_ids_disjoint_across_exporters () =
    one op counter and one seconds gauge per class. *)
 let test_waitstate_metrics () =
   with_obs @@ fun () ->
-  let tl =
-    {
-      Scalana_profile.Timeline.nprocs = 2;
-      elapsed = 2.0;
-      intervals =
-        [|
-          {
-            Scalana_profile.Timeline.iv_rank = 1;
-            iv_vertex = Some 4;
-            iv_start = 1.0;
-            iv_stop = 2.0;
-            iv_kind =
-              Scalana_profile.Timeline.Mpi
-                {
-                  Scalana_profile.Timeline.op = "MPI_Recv";
-                  wait = 0.5;
-                  deps = [ (0, 1.5, 2.0) ];
-                  send_dests = [];
-                  coll = None;
-                };
-            iv_merged = 1;
-          };
-        |];
-      messages = [||];
-      blocked = [| 0.0; 0.5 |];
-      dropped = [| 0; 0 |];
-      merged = 0;
-    }
-  in
+  let tl = recv_timeline ~wait:0.5 ~vertex:(Some 4) in
   ignore (Scalana_detect.Waitstate.analyze tl : Scalana_detect.Waitstate.t);
   let doc =
     match Obs.Json.of_string (Obs.Json.to_string (Obs.metrics_json ())) with

@@ -351,36 +351,29 @@ let timeline_run ?tconfig ?cost ?(nprocs = 4) prog =
 let test_timeline_records () =
   let prog = ring_program ~niter:10 ~work:500_000 () in
   let tl, result = timeline_run ~nprocs:4 prog in
-  check_int "nprocs" 4 tl.Timeline.nprocs;
-  check_float "elapsed" result.Exec.elapsed tl.Timeline.elapsed;
-  let has_kind p =
-    Array.exists (fun iv -> p iv.Timeline.iv_kind) tl.Timeline.intervals
-  in
-  check_bool "compute intervals" true
-    (has_kind (function Timeline.Compute _ -> true | _ -> false));
-  check_bool "mpi intervals" true
-    (has_kind (function Timeline.Mpi _ -> true | _ -> false));
+  check_int "nprocs" 4 (Timeline.nprocs tl);
+  check_float "elapsed" result.Exec.elapsed (Timeline.elapsed tl);
+  let positions = List.init (Timeline.n_intervals tl) Fun.id in
+  let has_kind p = List.exists (fun i -> p (Timeline.is_mpi tl i)) positions in
+  check_bool "compute intervals" true (has_kind not);
+  check_bool "mpi intervals" true (has_kind Fun.id);
   (* every rank contributed, and each per-rank stream is time-ordered *)
   for rank = 0 to 3 do
-    let ivs =
-      Array.to_list tl.Timeline.intervals
-      |> List.filter (fun iv -> iv.Timeline.iv_rank = rank)
-    in
+    let ivs = List.filter (fun i -> Timeline.rank tl i = rank) positions in
     check_bool "rank has intervals" true (ivs <> []);
     let rec ordered = function
       | a :: (b :: _ as rest) ->
-          a.Timeline.iv_start <= b.Timeline.iv_start && ordered rest
+          Timeline.start tl a <= Timeline.start tl b && ordered rest
       | _ -> true
     in
     check_bool "rank stream ordered" true (ordered ivs)
   done;
   (* the ring sendrecv produced matched messages with sane timestamps *)
-  check_bool "messages recorded" true (Array.length tl.Timeline.messages > 0);
-  Array.iter
-    (fun m ->
-      check_bool "send precedes arrival" true
-        (m.Timeline.msg_send_time <= m.Timeline.msg_arrival))
-    tl.Timeline.messages;
+  check_bool "messages recorded" true (Timeline.n_messages tl > 0);
+  for m = 0 to Timeline.n_messages tl - 1 do
+    check_bool "send precedes arrival" true
+      (Timeline.msg_send_time tl m <= Timeline.msg_arrival tl m)
+  done;
   check_int "nothing dropped" 0 (Timeline.total_dropped tl)
 
 let test_timeline_compression () =
@@ -388,11 +381,11 @@ let test_timeline_compression () =
      vertex-keyed merge must collapse those streaks *)
   let prog = fig3_program () in
   let tl, _ = timeline_run ~nprocs:4 prog in
-  check_bool "merged some intervals" true (tl.Timeline.merged > 0);
+  check_bool "merged some intervals" true (Timeline.merged tl > 0);
   check_bool "a multi-iteration slice" true
-    (Array.exists
-       (fun iv -> iv.Timeline.iv_merged > 1)
-       tl.Timeline.intervals)
+    (List.exists
+       (fun i -> Timeline.merges tl i > 1)
+       (List.init (Timeline.n_intervals tl) Fun.id))
 
 let test_timeline_truncation () =
   let prog = ring_program ~niter:20 ~work:500_000 () in
@@ -402,11 +395,12 @@ let test_timeline_truncation () =
   in
   check_bool "events dropped" true (Timeline.total_dropped capped > 0);
   check_bool "cap respected" true
-    (Array.length capped.Timeline.intervals
-     + Array.length capped.Timeline.messages
-    <= 8);
+    (Timeline.n_intervals capped + Timeline.n_messages capped <= 8);
   (* blocked-time accounting survives truncation untouched *)
-  let total_blocked (tl : Timeline.t) = Array.fold_left ( +. ) 0.0 tl.blocked in
+  let total_blocked tl =
+    List.fold_left ( +. ) 0.0
+      (List.init (Timeline.nprocs tl) (Timeline.blocked tl))
+  in
   check_bool "some blocked time" true (total_blocked full > 0.0);
   check_float "blocked preserved" (total_blocked full) (total_blocked capped)
 
@@ -735,25 +729,35 @@ let test_gate_differential () =
 
 (* [capture] lays each rank's intervals out in recording order instead
    of sorting them.  Per rank they are non-decreasing in (start, stop),
-   the result equals the polymorphic-compare sorts [capture] replaced
-   (of a reversed copy, so the sorts really work), and capture allocates
-   little beyond its output arrays. *)
+   each position holds, field by field, what the polymorphic-compare
+   sorts [capture] replaced put there (sorting a reversed copy, so the
+   sorts really work), and capture allocates little beyond its output
+   arrays. *)
 let test_capture_order () =
   let module R = Scalana_apps.Registry in
-  let old_interval_order (a : Timeline.interval) (b : Timeline.interval) =
-    compare
-      (a.iv_rank, a.iv_start, a.iv_stop)
-      (b.iv_rank, b.iv_start, b.iv_stop)
+  let module T = Timeline in
+  let interval_key tl i = (T.rank tl i, T.start tl i, T.stop tl i) in
+  let message_key tl m =
+    (T.msg_send_time tl m, T.msg_src tl m, T.msg_dst tl m, T.msg_tag tl m)
   in
-  let old_message_order (a : Timeline.message) (b : Timeline.message) =
-    compare
-      (a.msg_send_time, a.msg_src, a.msg_dst, a.msg_tag)
-      (b.msg_send_time, b.msg_src, b.msg_dst, b.msg_tag)
+  let interval_fields tl i =
+    ( interval_key tl i,
+      (T.vertex tl i, T.merges tl i, T.name tl i, T.wait tl i),
+      ( List.init (T.n_deps tl i) (T.dep tl i),
+        T.send_dests tl i,
+        T.coll tl i ) )
   in
-  let old_sort cmp a =
-    let n = Array.length a in
-    let copy = Array.init n (fun i -> a.(n - 1 - i)) in
-    Array.sort cmp copy;
+  let message_fields tl m =
+    ( message_key tl m,
+      ( T.msg_recv_enter tl m,
+        T.msg_arrival tl m,
+        T.msg_bytes tl m,
+        T.msg_vertex tl m ) )
+  in
+  (* positions in the old sort's order *)
+  let old_sort n key =
+    let copy = Array.init n (fun i -> n - 1 - i) in
+    Array.sort (fun a b -> compare (key a) (key b)) copy;
     copy
   in
   List.iter
@@ -765,8 +769,8 @@ let test_capture_order () =
         (fun nprocs ->
           let what = Printf.sprintf "%s np=%d" name nprocs in
           let profiler = Profiler.create ~index ~nprocs () in
-          let recorder = Timeline.create ~index ~nprocs () in
-          let tools = [ Profiler.tool profiler; Timeline.tool recorder ] in
+          let recorder = T.create ~index ~nprocs () in
+          let tools = [ Profiler.tool profiler; T.tool recorder ] in
           ignore
             (Exec.run ~cfg:(Exec.config ~nprocs ~cost:e.cost ~tools ()) prog
               : Exec.result);
@@ -776,29 +780,25 @@ let test_capture_order () =
              ~1K) *)
           Gc.minor ();
           let before = Gc.allocated_bytes () in
-          let tl = Timeline.capture recorder in
+          let tl = T.capture recorder in
           let allocated = Gc.allocated_bytes () -. before in
-          let ivs = tl.Timeline.intervals and msgs = tl.Timeline.messages in
-          check_bool (what ^ ": intervals") true (Array.length ivs > 0);
+          let n = T.n_intervals tl and n_msgs = T.n_messages tl in
+          check_bool (what ^ ": intervals") true (n > 0);
           let ordered = ref true in
-          for i = 1 to Array.length ivs - 1 do
-            let a = ivs.(i - 1) and b = ivs.(i) in
-            if
-              a.iv_rank > b.iv_rank
-              || a.iv_rank = b.iv_rank
-                 && (a.iv_start > b.iv_start
-                    || (a.iv_start = b.iv_start && a.iv_stop > b.iv_stop))
-            then ordered := false
+          for i = 1 to n - 1 do
+            if interval_key tl (i - 1) > interval_key tl i then
+              ordered := false
           done;
           check_bool (what ^ ": per-rank (start, stop) order") true !ordered;
-          check_bool (what ^ ": intervals = old sort") true
-            (Array.for_all2 ( == ) ivs (old_sort old_interval_order ivs));
-          check_bool (what ^ ": messages = old sort") true
-            (Array.for_all2 ( = ) msgs (old_sort old_message_order msgs));
-          let output_bytes =
-            8
-            * (Array.length ivs + Array.length msgs + (2 * nprocs) + 4)
+          let same fields sorted =
+            Array.for_all Fun.id
+              (Array.mapi (fun i j -> fields tl i = fields tl j) sorted)
           in
+          check_bool (what ^ ": intervals = old sort") true
+            (same interval_fields (old_sort n (interval_key tl)));
+          check_bool (what ^ ": messages = old sort") true
+            (same message_fields (old_sort n_msgs (message_key tl)));
+          let output_bytes = 8 * (n + n_msgs + (2 * nprocs) + 4) in
           check_bool
             (Printf.sprintf "%s: capture allocated %.0f B, output %d B" what
                allocated output_bytes)

@@ -9,40 +9,66 @@ module T = Scalana_profile.Timeline
 module W = Scalana_detect.Waitstate
 open Testutil
 
-(* --- hand-built timelines --- *)
+(* --- hand-built timelines ---
 
-let mpi ?(deps = []) ?(sends = []) ?coll ~op ~wait () =
-  T.Mpi { T.op; wait; deps; send_dests = sends; coll }
+   Recorded through the recorder's own append path, as its MPI-exit
+   hook records a call it has resolved to [vertex]. *)
 
-let iv ?vertex ~rank ~start ~stop kind =
+let index = lazy (Scalana.Static.analyze (ring_program ())).Scalana.Static.index
+
+let call_of_op op =
+  let open Scalana_mlang in
+  let none = Expr.Infix.i 0 in
+  match op with
+  | "MPI_Recv" -> Ast.Recv { src = Ast.Any_source; tag = Ast.Any_tag; bytes = none }
+  | "MPI_Send" -> Ast.Send { dest = none; tag = none; bytes = none }
+  | "MPI_Allreduce" -> Ast.Allreduce { bytes = none }
+  | _ -> Alcotest.failf "no call for %s" op
+
+(* [deps] are (peer, post time, arrival), [coll] is (arrival, start,
+   last arriving rank) *)
+let mpi ?(deps = []) ?(sends = []) ?coll ~op ~wait () ~start ~stop =
   {
-    T.iv_rank = rank;
-    iv_vertex = vertex;
-    iv_start = start;
-    iv_stop = stop;
-    iv_kind = kind;
-    iv_merged = 1;
+    Scalana_runtime.Instrument.call = call_of_op op;
+    enter_time = start;
+    exit_time = stop;
+    wait_seconds = wait;
+    deps =
+      List.map
+        (fun (peer, send_time, arrival_time) ->
+          {
+            Scalana_runtime.Instrument.peer_rank = peer;
+            peer_loc = Scalana_mlang.Loc.none;
+            peer_cctx = 0;
+            peer_callpath = [];
+            dep_tag = 0;
+            dep_bytes = 0;
+            send_time;
+            arrival_time;
+          })
+        deps;
+    sends = List.map (fun dest -> (dest, 0, 0)) sends;
+    collective =
+      Option.map
+        (fun (arrive_time, start_time, last_arrival_rank) ->
+          {
+            Scalana_runtime.Instrument.coll_seq = 0;
+            arrive_time;
+            start_time;
+            last_arrival_rank;
+          })
+        coll;
   }
 
-(* Blocked totals are derived from the intervals, as the recorder would
-   have accumulated them. *)
-let timeline ~nprocs intervals =
-  let blocked = Array.make nprocs 0.0 in
+let iv ?vertex ~rank ~start ~stop call = (rank, vertex, call ~start ~stop)
+
+(* The recorder accumulates the blocked totals and the elapsed time. *)
+let timeline ?config ~nprocs intervals =
+  let r = T.create ?config ~index:(Lazy.force index) ~nprocs () in
   List.iter
-    (fun i ->
-      match i.T.iv_kind with
-      | T.Mpi m -> blocked.(i.T.iv_rank) <- blocked.(i.T.iv_rank) +. m.T.wait
-      | T.Compute _ -> ())
+    (fun (rank, vertex, info) -> T.append_mpi r ~rank ~vertex info)
     intervals;
-  {
-    T.nprocs;
-    elapsed = List.fold_left (fun a i -> Float.max a i.T.iv_stop) 0.0 intervals;
-    intervals = Array.of_list intervals;
-    messages = [||];
-    blocked;
-    dropped = Array.make nprocs 0;
-    merged = 0;
-  }
+  T.capture r
 
 let total cls (ws : W.t) = List.assoc cls ws.W.class_totals
 
@@ -112,9 +138,7 @@ let test_balanced_collective () =
   let coll r =
     iv ~rank:r ~start:1.0 ~stop:1.1
       (mpi ~op:"MPI_Allreduce" ~wait:0.0
-         ~coll:
-           { T.coll_arrive = 1.0; coll_start = 1.0; coll_last_rank = 3 }
-         ())
+         ~coll:(1.0, 1.0, 3) ())
   in
   let tl = timeline ~nprocs:4 [ coll 0; coll 1; coll 2; coll 3 ] in
   let ws = W.analyze tl in
@@ -130,9 +154,7 @@ let test_imbalanced_collective () =
   let coll r ~arrive ~wait =
     iv ~vertex:3 ~rank:r ~start:arrive ~stop:3.1
       (mpi ~op:"MPI_Allreduce" ~wait
-         ~coll:
-           { T.coll_arrive = arrive; coll_start = 3.0; coll_last_rank = 3 }
-         ())
+         ~coll:(arrive, 3.0, 3) ())
   in
   let tl =
     timeline ~nprocs:4
@@ -153,16 +175,15 @@ let test_imbalanced_collective () =
 (* Blocked time whose interval was truncated away must surface as
    unattributed, never silently vanish. *)
 let test_truncation_unattributed () =
+  (* a cap of one interval and its message drops the next interval,
+     which carried 0.25s of wait *)
   let tl =
-    timeline ~nprocs:2
+    timeline ~config:{ T.max_events = 2 } ~nprocs:2
       [
         iv ~rank:0 ~start:1.0 ~stop:2.0
           (mpi ~op:"MPI_Recv" ~wait:0.5 ~deps:[ (1, 1.8, 2.0) ] ());
+        iv ~rank:0 ~start:2.0 ~stop:2.25 (mpi ~op:"MPI_Recv" ~wait:0.25 ());
       ]
-  in
-  (* simulate a recorder that dropped an interval carrying 0.25s wait *)
-  let tl =
-    { tl with T.blocked = [| 0.75; 0.0 |]; dropped = [| 1; 0 |] }
   in
   let ws = W.analyze tl in
   check_float "surviving wait attributed" 0.5 (total W.Late_sender ws);
@@ -198,12 +219,7 @@ let timeline_of_stream ops =
           | 1 -> mpi ~op:"MPI_Send" ~wait ~sends:[ (rank + 1) mod 4 ] ()
           | _ ->
               mpi ~op:"MPI_Allreduce" ~wait
-                ~coll:
-                  {
-                    T.coll_arrive = start;
-                    coll_start = start +. wait;
-                    coll_last_rank = (rank + 2) mod 4;
-                  }
+                ~coll:(start, start +. wait, (rank + 2) mod 4)
                 ()
         in
         iv ~vertex:(kind + 1) ~rank ~start ~stop k)
@@ -276,17 +292,16 @@ let test_cg_transpose () =
         && json_str (json_get "name" e) = "thread_name")
       events
   in
-  check_int "one track per rank" tl.T.nprocs (List.length tracks);
+  check_int "one track per rank" (T.nprocs tl) (List.length tracks);
   let flow ph =
     List.filter (fun e -> json_str (json_get "ph" e) = ph) events
   in
   let starts = flow "s" and finishes = flow "f" in
-  check_int "one flow start per message"
-    (Array.length tl.T.messages)
+  check_int "one flow start per message" (T.n_messages tl)
     (List.length starts);
   check_int "flow starts and finishes pair up" (List.length starts)
     (List.length finishes);
-  check_bool "messages exist" true (Array.length tl.T.messages > 0);
+  check_bool "messages exist" true (T.n_messages tl > 0);
   let has_start_on tid =
     List.exists (fun e -> int_of_float (json_num (json_get "tid" e)) = tid)
       starts
@@ -294,12 +309,11 @@ let test_cg_transpose () =
     List.exists (fun e -> int_of_float (json_num (json_get "tid" e)) = tid)
       finishes
   in
-  Array.iter
-    (fun (m : T.message) ->
-      check_bool "flow start on sender track" true (has_start_on m.T.msg_src);
-      check_bool "flow finish on receiver track" true
-        (has_finish_on m.T.msg_dst))
-    tl.T.messages
+  for m = 0 to T.n_messages tl - 1 do
+    check_bool "flow start on sender track" true (has_start_on (T.msg_src tl m));
+    check_bool "flow finish on receiver track" true
+      (has_finish_on (T.msg_dst tl m))
+  done
 
 (* --- the timeline recorded inside the pipeline's largest run --- *)
 
@@ -333,7 +347,7 @@ let check_equals_replay msg name (pipe : Scalana.Pipeline.t) =
   let tl = timeline_of pipe in
   let replay =
     Scalana.Pipeline.rank_timeline ~cost:(R.find name).R.cost
-      pipe.Scalana.Pipeline.static ~nprocs:tl.T.nprocs
+      pipe.Scalana.Pipeline.static ~nprocs:(T.nprocs tl)
   in
   check_bool msg true
     (String.equal (Marshal.to_string tl []) (Marshal.to_string replay []))
@@ -350,11 +364,11 @@ let test_injection_skew () =
       in
       let pipe = pipeline ~inject name [ 4; 8; 16 ] in
       let tl = timeline_of pipe in
-      check_int (name ^ " recorded at the largest scale") 16 tl.T.nprocs;
+      check_int (name ^ " recorded at the largest scale") 16 (T.nprocs tl);
       check_same_float
         (name ^ " timeline ends with the np=16 run")
         (elapsed (List.assoc 16 pipe.Scalana.Pipeline.runs))
-        tl.T.elapsed)
+        (T.elapsed tl))
     [ "cg"; "zeusmp"; "mg" ]
 
 let test_one_simulation_per_scale () =
@@ -385,7 +399,7 @@ let test_equals_replay () =
           let pipe = pipeline name (R.scales entry ~min_np:4 ~max_np) in
           check_same_float (label ^ " ends with the largest run")
             (elapsed (largest_run pipe))
-            (timeline_of pipe).T.elapsed;
+            (T.elapsed (timeline_of pipe));
           check_equals_replay (label ^ " = replay") name pipe)
         [ 16; 64 ])
     [ "cg"; "bt"; "zeusmp"; "mg"; "sst" ]
@@ -419,7 +433,7 @@ let test_retry_records_final_attempt () =
     (r.Scalana.Prof.result.Scalana_runtime.Exec.killed_ranks = []
     && r.Scalana.Prof.result.Scalana_runtime.Exec.stranded_ranks = []);
   check_same_float "timeline ends with the final attempt" (elapsed r)
-    (timeline_of pipe).T.elapsed;
+    (T.elapsed (timeline_of pipe));
   check_equals_replay "timeline = replay of the clean run" "cg" pipe
 
 (* Every attempt loses a rank: the pipeline still finishes, degraded,
@@ -434,7 +448,7 @@ let test_exhausted_retries () =
   check_int "every attempt used" 2 r.Scalana.Prof.attempts;
   check_bool "degraded" true (Scalana.Pipeline.degraded pipe);
   check_same_float "timeline ends with the final attempt" (elapsed r)
-    (timeline_of pipe).T.elapsed;
+    (T.elapsed (timeline_of pipe));
   check_bool "wait-state section" true
     (try
        ignore
@@ -510,55 +524,57 @@ let add_bits b x =
 
 let add_vertex b v = add_int b (Option.value v ~default:(-1))
 
-let timeline_digest (tl : T.t) =
+let timeline_digest tl =
   let b = Buffer.create 65536 in
-  add_int b tl.T.nprocs;
-  Array.iter
-    (fun (iv : T.interval) ->
-      add_int b iv.T.iv_rank;
-      add_vertex b iv.T.iv_vertex;
-      add_bits b iv.T.iv_start;
-      add_bits b iv.T.iv_stop;
-      add_int b iv.T.iv_merged;
-      (match iv.T.iv_kind with
-      | T.Compute { label } ->
-          Buffer.add_string b ("C " ^ Option.value label ~default:"comp" ^ " ")
-      | T.Mpi m ->
-          Buffer.add_string b ("M " ^ m.T.op ^ " ");
-          add_bits b m.T.wait;
-          add_int b (List.length m.T.deps);
-          List.iter
-            (fun (peer, send, arrival) ->
-              add_int b peer;
-              add_bits b send;
-              add_bits b arrival)
-            m.T.deps;
-          add_int b (List.length m.T.send_dests);
-          List.iter (add_int b) m.T.send_dests;
-          (match m.T.coll with
-          | None -> Buffer.add_string b "- "
-          | Some c ->
-              add_bits b c.T.coll_arrive;
-              add_bits b c.T.coll_start;
-              add_int b c.T.coll_last_rank));
-      Buffer.add_char b '\n')
-    tl.T.intervals;
-  Array.iter
-    (fun (m : T.message) ->
-      add_int b m.T.msg_src;
-      add_int b m.T.msg_dst;
-      add_bits b m.T.msg_send_time;
-      add_bits b m.T.msg_recv_enter;
-      add_bits b m.T.msg_arrival;
-      add_int b m.T.msg_tag;
-      add_int b m.T.msg_bytes;
-      add_vertex b m.T.msg_vertex;
-      Buffer.add_char b '\n')
-    tl.T.messages;
-  Array.iter (add_bits b) tl.T.blocked;
-  Array.iter (add_int b) tl.T.dropped;
-  add_int b tl.T.merged;
-  add_bits b tl.T.elapsed;
+  add_int b (T.nprocs tl);
+  for i = 0 to T.n_intervals tl - 1 do
+    add_int b (T.rank tl i);
+    add_vertex b (T.vertex tl i);
+    add_bits b (T.start tl i);
+    add_bits b (T.stop tl i);
+    add_int b (T.merges tl i);
+    if not (T.is_mpi tl i) then Buffer.add_string b ("C " ^ T.name tl i ^ " ")
+    else begin
+      Buffer.add_string b ("M " ^ T.name tl i ^ " ");
+      add_bits b (T.wait tl i);
+      add_int b (T.n_deps tl i);
+      for j = 0 to T.n_deps tl i - 1 do
+        let peer, send, arrival = T.dep tl i j in
+        add_int b peer;
+        add_bits b send;
+        add_bits b arrival
+      done;
+      let dests = T.send_dests tl i in
+      add_int b (List.length dests);
+      List.iter (add_int b) dests;
+      match T.coll tl i with
+      | None -> Buffer.add_string b "- "
+      | Some (arrive, start, last_rank) ->
+          add_bits b arrive;
+          add_bits b start;
+          add_int b last_rank
+    end;
+    Buffer.add_char b '\n'
+  done;
+  for m = 0 to T.n_messages tl - 1 do
+    add_int b (T.msg_src tl m);
+    add_int b (T.msg_dst tl m);
+    add_bits b (T.msg_send_time tl m);
+    add_bits b (T.msg_recv_enter tl m);
+    add_bits b (T.msg_arrival tl m);
+    add_int b (T.msg_tag tl m);
+    add_int b (T.msg_bytes tl m);
+    add_vertex b (T.msg_vertex tl m);
+    Buffer.add_char b '\n'
+  done;
+  for rank = 0 to T.nprocs tl - 1 do
+    add_bits b (T.blocked tl rank)
+  done;
+  for rank = 0 to T.nprocs tl - 1 do
+    add_int b (T.dropped tl rank)
+  done;
+  add_int b (T.merged tl);
+  add_bits b (T.elapsed tl);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let waitstate_digest (ws : W.t) =
@@ -613,6 +629,15 @@ let pinned =
     ("cg-weak", 512, "c31b8293398c29913550db1562b6d7d8", "040fe475c3951c8705317b4591916007");
   ]
 
+(* zeusmp's captured np=128 timeline holds 1,485,941 live words in
+   columns; a record, list cell and boxed floats per interval held
+   2,956,365.  The bound is 1.25x the columnar figure. *)
+let test_footprint () =
+  let words = Obj.reachable_words (Obj.repr (replay "zeusmp" 128)) in
+  check_bool
+    (Printf.sprintf "%d live words, at most 1,857,426" words)
+    true (words <= 1_857_426)
+
 let test_pinned (name, nprocs, timeline, waitstate) () =
   let tl = replay name nprocs in
   check_string "timeline digest" timeline (timeline_digest tl);
@@ -660,5 +685,7 @@ let () =
             Alcotest.test_case
               (Printf.sprintf "%s np=%d" name nprocs)
               `Quick (test_pinned case))
-          pinned );
+          pinned
+        @ [ Alcotest.test_case "zeusmp np=128 footprint" `Quick test_footprint ]
+      );
     ]
