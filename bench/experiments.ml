@@ -486,6 +486,12 @@ let critpath () =
   Printf.printf "  critical path: %.3fs over %d segments
 " cp.total
     (List.length cp.segments);
+  Printf.printf "  covers %.1f%% of the %.3fs run%s
+" (100.0 *. cp.share)
+    cp.elapsed
+    (if cp.dropped > 0 then
+       Printf.sprintf " (partial: %d events dropped at the cap)" cp.dropped
+     else "");
   List.iter
     (fun (loc, s) -> Printf.printf "  %-44s %8.3fs
 " loc s)

@@ -133,7 +133,9 @@ let analyze ~psg (tl : Timeline.t) =
         segs;
       let by_location =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) agg []
-        |> List.sort (fun (_, a) (_, b) -> compare b a)
+        (* the location is the final key: equal seconds fall back to
+           it, never to hash-table order *)
+        |> List.sort (fun (ka, a) (kb, b) -> compare (b, ka) (a, kb))
       in
       covering tl
         ~total:(List.fold_left (fun acc s -> acc +. s.seg_seconds) 0.0 segs)

@@ -20,7 +20,8 @@ type segment = {
 type t = {
   total : float;
   segments : segment list;
-  by_location : (string * float) list;  (** aggregated, largest first *)
+  by_location : (string * float) list;
+      (** aggregated, largest first; equal seconds by location *)
   elapsed : float;  (** the timeline's elapsed time *)
   share : float;
       (** the run the chain covers: [total /. elapsed], [0.0] when

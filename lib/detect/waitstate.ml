@@ -126,8 +126,12 @@ let analyze (tl : Timeline.t) =
         }
         :: out)
       acc []
+    (* the class is the final key: a tie on time and vertex falls back
+       to the declared class order, never to hash-table order *)
     |> List.sort (fun a b ->
-           compare (b.ws_time, a.ws_vertex) (a.ws_time, b.ws_vertex))
+           compare
+             (b.ws_time, a.ws_vertex, a.ws_class)
+             (a.ws_time, b.ws_vertex, b.ws_class))
   in
   let class_totals =
     List.map

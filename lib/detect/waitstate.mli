@@ -40,7 +40,9 @@ type entry = {
 
 type t = {
   ws_nprocs : int;
-  entries : entry list;  (** sorted by [ws_time] descending *)
+  entries : entry list;
+      (** by [ws_time] descending, then vertex, then class in declared
+          order *)
   class_totals : (clazz * float) list;  (** every class, fixed order *)
   rank_blocked : float array;  (** true blocked seconds (never truncated) *)
   rank_attributed : float array;

@@ -120,9 +120,9 @@ val coll : t -> int -> (float * float * int) option
 
 (** {2 Matched point-to-point messages, by position}
 
-    Kept, each [msg_] accessor: the exporter's flow arrows read them;
-    the capture-order and digest tests compare messages field by
-    field. *)
+    Kept, each [msg_] accessor: the exporter's flow arrows read the
+    sender's and receiver's ranks and times, the tag and the bytes; the
+    capture-order and digest tests compare messages field by field. *)
 
 val n_messages : t -> int
 val msg_src : t -> int -> int

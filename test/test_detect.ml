@@ -523,6 +523,37 @@ let test_critpath_pipeline_timeline () =
        (fun (loc, s) -> s > 0.0 && mentions "bval" loc)
        cp.Critpath.by_location)
 
+(* The chain says how much of the run it covers and whether the
+   timeline it walked was capped.  lu at np=64, replayed as profiled,
+   overflows the default 200,000-event cap: its chain ends where
+   recording stopped and covers 39.5% of the run. *)
+let test_critpath_coverage () =
+  let chain name nprocs =
+    let entry = Scalana_apps.Registry.find name in
+    let static = Scalana.Static.analyze (entry.make ()) in
+    let tl = Scalana.Pipeline.rank_timeline ~cost:entry.cost static ~nprocs in
+    (tl, Critpath.analyze ~psg:(Scalana.Static.psg static) tl)
+  in
+  let tl, cp = chain "lu" 64 in
+  check_int "lu: events dropped at the cap" 288_896 cp.Critpath.dropped;
+  check_float "lu: the timeline's elapsed time"
+    (Scalana_profile.Timeline.elapsed tl)
+    cp.Critpath.elapsed;
+  check_float "lu: share = total / elapsed"
+    (cp.Critpath.total /. cp.Critpath.elapsed)
+    cp.Critpath.share;
+  close ~eps:1e-3 "lu: share" 0.395 cp.Critpath.share;
+  List.iter
+    (fun nprocs ->
+      let _, cp = chain "zeusmp" nprocs in
+      let what = Printf.sprintf "zeusmp np=%d" nprocs in
+      check_int (what ^ ": nothing dropped") 0 cp.Critpath.dropped;
+      check_bool
+        (Printf.sprintf "%s: share %.4f in (0, 1]" what cp.Critpath.share)
+        true
+        (cp.Critpath.share > 0.0 && cp.Critpath.share <= 1.0))
+    [ 4; 8; 16 ]
+
 (* --- seeded properties through the stdlib Prop harness --- *)
 
 (* Floats as the profiler might hand them over after faults: NaN from a
@@ -771,5 +802,7 @@ let () =
             test_critpath_agrees_with_backtracking;
           Alcotest.test_case "pipeline timeline" `Quick
             test_critpath_pipeline_timeline;
+          Alcotest.test_case "covered share and cap" `Quick
+            test_critpath_coverage;
         ] );
     ]

@@ -172,6 +172,27 @@ let test_imbalanced_collective () =
   check_bool "last rank takes the blame" true (e.W.ws_culprits = [ (3, 4.5) ]);
   check_float "fully attributed" 1.0 (W.attributed_fraction ws)
 
+(* Entries that tie on wait and vertex are ordered by class, in the
+   order the classes are declared, never by hash-table order. *)
+let test_tie_order () =
+  let tl =
+    timeline ~nprocs:4
+      [
+        iv ~vertex:5 ~rank:0 ~start:1.0 ~stop:1.5
+          (mpi ~op:"MPI_Allreduce" ~wait:0.5 ~coll:(1.0, 1.5, 3) ());
+        iv ~vertex:5 ~rank:1 ~start:1.0 ~stop:1.5
+          (mpi ~op:"MPI_Recv" ~wait:0.5 ~deps:[ (0, 0.5, 1.5) ] ());
+        iv ~vertex:5 ~rank:2 ~start:1.0 ~stop:1.5
+          (mpi ~op:"MPI_Recv" ~wait:0.5 ~deps:[ (3, 1.4, 1.5) ] ());
+      ]
+  in
+  let ws = W.analyze tl in
+  Alcotest.(check (list string))
+    "class order"
+    (List.map W.class_name
+       [ W.Late_sender; W.Late_receiver; W.Collective_imbalance ])
+    (List.map (fun (e : W.entry) -> W.class_name e.W.ws_class) ws.W.entries)
+
 (* Blocked time whose interval was truncated away must surface as
    unattributed, never silently vanish. *)
 let test_truncation_unattributed () =
@@ -657,6 +678,7 @@ let () =
             test_imbalanced_collective;
           Alcotest.test_case "truncation stays visible" `Quick
             test_truncation_unattributed;
+          Alcotest.test_case "ties ordered by class" `Quick test_tie_order;
         ] );
       ( "properties",
         [
