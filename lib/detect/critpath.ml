@@ -71,7 +71,9 @@ let analyze ~psg (tl : Timeline.t) =
          intervals would otherwise loop) *)
       let latest ?(prev = -1) rank before =
         let best = ref (-1) in
-        for i = Timeline.rank_first tl rank to Timeline.rank_first tl (rank + 1) - 1 do
+        let lo = Timeline.rank_first tl rank
+        and hi = Timeline.rank_first tl (rank + 1) in
+        for i = lo to hi - 1 do
           if
             stop i <= before +. 1e-12
             && i <> prev

@@ -204,7 +204,7 @@ let push_interval r ~rank ~vertex ~start ~stop ~name ~kind ~wait =
    iterations becomes one slice.  Merging costs no budget. *)
 let record_compute r ~rank ~vertex ~start ~stop ~label =
   let c = r.r_cols in
-  let last = r.r_last.(rank) in
+  let last = r.r_last.(rank) and vertex = Option.value vertex ~default:(-1) in
   if
     vertex >= 0 && last >= 0
     && int_at c.kind last = compute
@@ -221,12 +221,8 @@ let record_compute r ~rank ~vertex ~start ~stop ~label =
   else drop r ~rank
 
 let resolve r (ctx : Instrument.ctx) =
-  match
-    Index.Resolver.find r.r_resolver ~cctx:ctx.cctx ~callpath:ctx.callpath
-      ~loc:ctx.loc
-  with
-  | Some v -> v
-  | None -> -1
+  Index.Resolver.find r.r_resolver ~cctx:ctx.cctx ~callpath:ctx.callpath
+    ~loc:ctx.loc
 
 let on_interval r (ctx : Instrument.ctx) ~stop activity =
   (match activity with
@@ -236,7 +232,7 @@ let on_interval r (ctx : Instrument.ctx) ~stop activity =
   | Instrument.Mpi_span _ -> ()  (* MPI intervals come from on_mpi_exit *));
   0.0
 
-let record_mpi r ~rank ~vertex (info : Instrument.mpi_exit) =
+let append_mpi r ~rank ~vertex (info : Instrument.mpi_exit) =
   r.r_blocked.(rank) <- r.r_blocked.(rank) +. info.wait_seconds;
   if r.r_elapsed < info.exit_time then r.r_elapsed <- info.exit_time;
   if has_budget r then begin
@@ -251,7 +247,9 @@ let record_mpi r ~rank ~vertex (info : Instrument.mpi_exit) =
           push_int c.coll_last k.last_arrival_rank;
           c.coll_last.len - 1
     in
-    push_interval r ~rank ~vertex ~start:info.enter_time ~stop:info.exit_time
+    push_interval r ~rank
+      ~vertex:(Option.value vertex ~default:(-1))
+      ~start:info.enter_time ~stop:info.exit_time
       ~name:(Scalana_mlang.Ast.mpi_name info.call)
       ~kind ~wait:info.wait_seconds;
     List.iter
@@ -279,11 +277,8 @@ let record_mpi r ~rank ~vertex (info : Instrument.mpi_exit) =
     List.iter (fun _ -> drop r ~rank) info.deps
   end
 
-let append_mpi r ~rank ~vertex info =
-  record_mpi r ~rank ~vertex:(Option.value vertex ~default:(-1)) info
-
 let on_mpi_exit r (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
-  record_mpi r ~rank:ctx.rank ~vertex:(resolve r ctx) info;
+  append_mpi r ~rank:ctx.rank ~vertex:(resolve r ctx) info;
   0.0
 
 let tool r =
@@ -405,8 +400,9 @@ let n_deps t i =
 let dep t i j =
   if j < 0 || j >= n_deps t i then invalid_arg "Timeline.dep";
   let d = int_at t.cols.first_dep (slot t i) + j in
-  (int_at t.cols.dep_peer d, float_at t.cols.dep_send d,
-   float_at t.cols.dep_arrival d)
+  ( int_at t.cols.dep_peer d,
+    float_at t.cols.dep_send d,
+    float_at t.cols.dep_arrival d )
 
 let send_dests t i =
   let s = slot t i in
@@ -476,7 +472,8 @@ let to_trace_json ?psg t =
   in
   let slice i =
     let extra =
-      if is_mpi t i then [ ("wait", J.Str (Printf.sprintf "%.9f" (wait t i))) ]
+      if is_mpi t i then
+        [ ("wait", J.Str (Printf.sprintf "%.9f" (wait t i))) ]
       else []
     in
     let vertex_args =
@@ -490,7 +487,8 @@ let to_trace_json ?psg t =
           | None -> []))
     in
     let merged_args =
-      if merges t i > 1 then [ ("merged", J.Str (string_of_int (merges t i))) ]
+      if merges t i > 1 then
+        [ ("merged", J.Str (string_of_int (merges t i))) ]
       else []
     in
     J.Obj

@@ -14,13 +14,15 @@ open Testutil
    Recorded through the recorder's own append path, as its MPI-exit
    hook records a call it has resolved to [vertex]. *)
 
-let index = lazy (Scalana.Static.analyze (ring_program ())).Scalana.Static.index
+let index =
+  lazy (Scalana.Static.analyze (ring_program ())).Scalana.Static.index
 
 let call_of_op op =
   let open Scalana_mlang in
   let none = Expr.Infix.i 0 in
   match op with
-  | "MPI_Recv" -> Ast.Recv { src = Ast.Any_source; tag = Ast.Any_tag; bytes = none }
+  | "MPI_Recv" ->
+      Ast.Recv { src = Ast.Any_source; tag = Ast.Any_tag; bytes = none }
   | "MPI_Send" -> Ast.Send { dest = none; tag = none; bytes = none }
   | "MPI_Allreduce" -> Ast.Allreduce { bytes = none }
   | _ -> Alcotest.failf "no call for %s" op
@@ -331,7 +333,8 @@ let test_cg_transpose () =
       finishes
   in
   for m = 0 to T.n_messages tl - 1 do
-    check_bool "flow start on sender track" true (has_start_on (T.msg_src tl m));
+    check_bool "flow start on sender track" true
+      (has_start_on (T.msg_src tl m));
     check_bool "flow finish on receiver track" true
       (has_finish_on (T.msg_dst tl m))
   done
@@ -636,18 +639,54 @@ let replay name nprocs =
    its smallest cg-weak-2k scale *)
 let pinned =
   [
-    ("cg", 16, "819e05b5575dacc7222bcc4ce7a2fde5", "f215e25f548f3477548e5086298640e4");
-    ("cg", 128, "397de3c8d55a2574361a7874d5f8cd74", "704af93c86d5977b2be70566d7002fca");
-    ("bt", 16, "0d51ab0cacd9fd83d93b2f04eff69c96", "881d8a5f54d30be6b14084a8d79b8c36");
-    ("bt", 64, "834dfb394a97f607b51d6e269be410d0", "b161e9f9be9e432612fbc0421df23bc1");
-    ("zeusmp", 16, "019a3d621403683d9947a82fc6da2231", "6e9ed21105d196e0152573b8f9e90876");
-    ("zeusmp", 128, "336defc6d9e0e18f8798133553008142", "14689031c8adacd81b0fba8cbb3b2366");
-    ("mg", 16, "39a92aad0da8e8c8dd6bc937dc96bd6f", "26ae5f301df4650a5282fa357ac423f7");
-    ("mg", 128, "db9e48c396c06b5110b0f759ee4529ed", "e776357010232030db22cefa5d9f257a");
-    ("sst", 16, "93e8749043aae6f1454263918ff1a778", "bd9c7cd9869be13c8b9b270089d31f66");
-    ("sst", 128, "6f266e9af26fa9ae3b9a8d23e2983815", "07f418d545e41622b3b4ec433fbf9fa9");
-    ("lu", 64, "edaf7a7d71c63f954bb489cd0c3003e6", "cbb179181351550176989ec659a39b03");
-    ("cg-weak", 512, "c31b8293398c29913550db1562b6d7d8", "040fe475c3951c8705317b4591916007");
+    ( "cg",
+      16,
+      "819e05b5575dacc7222bcc4ce7a2fde5",
+      "f215e25f548f3477548e5086298640e4" );
+    ( "cg",
+      128,
+      "397de3c8d55a2574361a7874d5f8cd74",
+      "704af93c86d5977b2be70566d7002fca" );
+    ( "bt",
+      16,
+      "0d51ab0cacd9fd83d93b2f04eff69c96",
+      "881d8a5f54d30be6b14084a8d79b8c36" );
+    ( "bt",
+      64,
+      "834dfb394a97f607b51d6e269be410d0",
+      "b161e9f9be9e432612fbc0421df23bc1" );
+    ( "zeusmp",
+      16,
+      "019a3d621403683d9947a82fc6da2231",
+      "6e9ed21105d196e0152573b8f9e90876" );
+    ( "zeusmp",
+      128,
+      "336defc6d9e0e18f8798133553008142",
+      "14689031c8adacd81b0fba8cbb3b2366" );
+    ( "mg",
+      16,
+      "39a92aad0da8e8c8dd6bc937dc96bd6f",
+      "26ae5f301df4650a5282fa357ac423f7" );
+    ( "mg",
+      128,
+      "db9e48c396c06b5110b0f759ee4529ed",
+      "e776357010232030db22cefa5d9f257a" );
+    ( "sst",
+      16,
+      "93e8749043aae6f1454263918ff1a778",
+      "bd9c7cd9869be13c8b9b270089d31f66" );
+    ( "sst",
+      128,
+      "6f266e9af26fa9ae3b9a8d23e2983815",
+      "07f418d545e41622b3b4ec433fbf9fa9" );
+    ( "lu",
+      64,
+      "edaf7a7d71c63f954bb489cd0c3003e6",
+      "cbb179181351550176989ec659a39b03" );
+    ( "cg-weak",
+      512,
+      "c31b8293398c29913550db1562b6d7d8",
+      "040fe475c3951c8705317b4591916007" );
   ]
 
 (* zeusmp's captured np=128 timeline holds 1,485,941 live words in
