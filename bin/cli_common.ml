@@ -107,7 +107,9 @@ let open_session ?(name_dir = false) dir =
 (* Replay a stored session's rank timeline at [nprocs] (default: its
    largest profiled scale) under the machine model it was profiled
    with.  Only a profiled scale is accepted: the report sets the
-   timeline's waits next to the profile of the same scale. *)
+   timeline's waits next to the profile of the same scale, and
+   [Pipeline.detect_session] refuses a replay that did not reproduce
+   that profiled run. *)
 let replay_timeline ~config ?nprocs (s : Scalana.Artifact.session) =
   let scales = List.sort compare (List.map fst s.runs) in
   let nprocs =

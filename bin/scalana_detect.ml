@@ -7,8 +7,8 @@
 
 open Cmdliner
 
-let run session abnorm_thd domains follow_def_use static_crosscheck elastic
-    trace metrics_out wait_states rank_trace timeline_np history history_label
+let run session abnorm_thd domains follow_def_use static_crosscheck trace
+    metrics_out wait_states rank_trace timeline_np history history_label
     history_file =
   Cli_common.run_cli @@ fun () ->
   Cli_common.check_abnorm_thd abnorm_thd;
@@ -40,7 +40,6 @@ let run session abnorm_thd domains follow_def_use static_crosscheck elastic
       analysis_domains = domains;
       follow_def_use;
       static_crosscheck;
-      elastic;
     }
   in
   let timeline =
@@ -101,18 +100,6 @@ let static_crosscheck_arg =
            ($(b,[predicted O(p), ... — confirmed])) and raise root-cause \
            confidence; divergences are listed as model mismatches.")
 
-let elastic_arg =
-  Arg.(
-    value & flag
-    & info [ "elastic" ]
-        ~doc:
-          "Render the elastic-execution evidence stored with the profiles: \
-           a membership-timeline section per scale (epochs, effective \
-           process counts) and the recovery-protocol costs \
-           (detect/agree/repartition, recovery-stall attribution).  \
-           Sessions whose runs carry no membership changes render \
-           byte-identically with or without this flag.")
-
 let trace_arg =
   Arg.(
     value
@@ -167,7 +154,9 @@ let wait_states_arg =
            the session's largest scale, or --timeline-np) and append a \
            wait-state section to the report: blocked time attributed per \
            PSG vertex and rank as late-sender / late-receiver / \
-           collective-imbalance.")
+           collective-imbalance.  A replay that does not reproduce the \
+           profiled run (an injected, differently sampled or elastic \
+           run) exits 2, naming the scale and both elapsed times.")
 
 let rank_trace_arg =
   Arg.(
@@ -188,8 +177,8 @@ let cmd =
     Term.(
       const run $ Cli_common.session_arg $ Cli_common.abnorm_thd_arg
       $ Cli_common.domains_arg $ follow_def_use_arg $ static_crosscheck_arg
-      $ elastic_arg $ trace_arg $ metrics_out_arg $ wait_states_arg
-      $ rank_trace_arg $ Cli_common.timeline_np_arg $ history_arg
-      $ history_label_arg $ history_file_arg)
+      $ trace_arg $ metrics_out_arg $ wait_states_arg $ rank_trace_arg
+      $ Cli_common.timeline_np_arg $ history_arg $ history_label_arg
+      $ history_file_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -18,7 +18,11 @@ let load_summary ~config ~wait_states dir =
   let timeline =
     if wait_states then Some (Cli_common.replay_timeline ~config s) else None
   in
-  let pipe = Scalana.Pipeline.detect_session ~config ?timeline s in
+  let pipe =
+    (* a refused timeline names the session it came from *)
+    try Scalana.Pipeline.detect_session ~config ?timeline s
+    with Invalid_argument msg -> invalid_arg (dir ^ ": " ^ msg)
+  in
   Scalana.Pipeline.diff_summary ~label:dir pipe
 
 let run base cand abnorm_thd domains wait_states slope_tol time_tol wait_tol
@@ -74,7 +78,8 @@ let wait_states_arg =
     & info [ "wait-states" ]
         ~doc:
           "Replay both sessions' rank timelines and include per-vertex \
-           wait-class attribution in the summaries.")
+           wait-class attribution in the summaries.  Exits 2 when either \
+           replay does not reproduce its session's profiled run.")
 
 let slope_tol_arg =
   Arg.(

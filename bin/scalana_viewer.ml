@@ -4,11 +4,11 @@
 
 open Cmdliner
 
-let run session context html timeline timeline_np static_crosscheck elastic =
+let run session context html timeline timeline_np static_crosscheck =
   Cli_common.run_cli @@ fun () ->
   Cli_common.check_at_least ~flag:"--context" ~min:0 context;
   let s = Cli_common.open_session session in
-  let config = { Scalana.Config.default with static_crosscheck; elastic } in
+  let config = { Scalana.Config.default with static_crosscheck } in
   let tl =
     if timeline then
       Some (Cli_common.replay_timeline ~config ?nprocs:timeline_np s)
@@ -44,7 +44,9 @@ let timeline_arg =
         ~doc:
           "Show the per-rank application timeline as ASCII rows ('=' \
            compute, 'M' MPI, 'w' wait) instead of the root-cause view; \
-           with --html, the report gains the wait-state section.")
+           with --html, the report gains the wait-state section.  Like \
+           $(b,scalana-detect --wait-states), exits 2 when the replay \
+           does not reproduce the profiled run.")
 
 let static_crosscheck_arg =
   Arg.(
@@ -55,24 +57,12 @@ let static_crosscheck_arg =
            measured log-log fits; the report (text and HTML) gains the \
            cross-check annotations and section.")
 
-let elastic_arg =
-  Arg.(
-    value & flag
-    & info [ "elastic" ]
-        ~doc:
-          "Render the elastic-execution evidence stored with the profiles \
-           (membership timelines, recovery-protocol costs); the \
-           --timeline rows additionally tag ranks that left, joined or \
-           were stranded.  Non-elastic sessions render byte-identically \
-           with or without this flag.")
-
 let cmd =
   Cmd.v
     (Cmd.info "scalana-viewer" ~exits:Cli_common.exits
        ~doc:"Root-cause source viewer")
     Term.(
       const run $ Cli_common.session_arg $ context_arg $ html_arg
-      $ timeline_arg $ Cli_common.timeline_np_arg $ static_crosscheck_arg
-      $ elastic_arg)
+      $ timeline_arg $ Cli_common.timeline_np_arg $ static_crosscheck_arg)
 
 let () = exit (Cmd.eval' cmd)

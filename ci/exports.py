@@ -4,10 +4,11 @@
 Each `val` in lib/**/*.mli must be referenced outside its own module
 (the .ml/.mli pair it lives in) by code under lib/, bin/, bench/,
 examples/ or e2ebench/.  A value kept for another reason (a test hook,
-a recovery reader, an exporter) is listed in ci/exports.allow as one
-`Module.value — reason` line.  The scan fails on any value that is
-neither referenced nor listed, and on any allow line that names no
-exported value or a value that has a caller after all.
+a recovery reader, an exporter) says why in its own doc comment: a
+`Kept:` sentence in the odoc comment attached to the `val`, directly
+before it or directly after it with no blank line between.  The scan
+fails on a value that has no such caller and no `Kept:` reason, and on
+a `Kept:` value that has gained a caller, so the reason cannot go stale.
 
 The scan is by name, after stripping comments and string literals:
   * `M.v`, `Lib.M.v` and `X.v` under `module X = ...M` refer to M.v;
@@ -16,7 +17,7 @@ The scan is by name, after stripping comments and string literals:
   * a value of a nested module `M.Sub` is matched on `Sub`.
 
 Usage: python3 ci/exports.py   (from the repository root)
-Exit status: 0 clean, 1 on unlisted or stale values.
+Exit status: 0 clean, 1 on an unexplained or stale value.
 """
 
 import os
@@ -26,33 +27,47 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CALLER_DIRS = ["lib", "bin", "bench", "examples", "e2ebench"]
 TEST_DIR = "test"
-ALLOW = os.path.join(ROOT, "ci", "exports.allow")
+ITEMS = {"val", "type", "module", "exception", "include", "open", "external",
+         "end"}
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 OPCHARS = set("!$%&*+-./:<=>?@^|~#")
 
 
-def strip(src):
-    """Source with comments and string/char literals blanked out."""
+def strip(src, docs=None):
+    """Source with comments and string/char literals blanked out, line
+    breaks kept.  When [docs] is a list, each doc comment `(** ... *)` is
+    appended to it as (first line, last line, text)."""
     out = []
-    i, n, depth = 0, len(src), 0
+    i, n, depth, line = 0, len(src), 0, 1
+    doc = None
     while i < n:
         c = src[i]
         if src.startswith("(*", i) and not src.startswith("(*)", i):
+            if not depth and src.startswith("(**", i) and not src.startswith("(**)", i):
+                doc = (line, i)
             depth += 1
             i += 2
             continue
         if depth and src.startswith("*)", i):
             depth -= 1
             i += 2
+            if not depth and doc is not None:
+                if docs is not None:
+                    docs.append((doc[0], line, src[doc[1] : i]))
+                doc = None
             continue
         if c == '"':
-            i += 1
-            while i < n and src[i] != '"':
-                i += 2 if src[i] == "\\" else 1
-            i += 1
+            j = i + 1
+            while j < n and src[j] != '"':
+                j += 2 if src[j] == "\\" else 1
+            breaks = src.count("\n", i, j + 1)
+            line += breaks
+            i = j + 1
             if not depth:
-                out.append('""')
+                out.append('""' + "\n" * breaks)
+            else:
+                out.append("\n" * breaks)
             continue
         if c == "'" and not depth:
             prev = src[i - 1] if i else " "
@@ -62,35 +77,33 @@ def strip(src):
                     i += m.end()
                     out.append("' '")
                     continue
-        if not depth:
-            out.append(c)
-        elif c == "\n":
+        if c == "\n":
+            line += 1
+        if not depth or c == "\n":
             out.append(c)
         i += 1
     return "".join(out)
 
 
-def tokens(src):
-    """Identifiers, dots and single punctuation, in order."""
+def tokens(src, lines=False):
+    """Identifiers, dots and single punctuation, in order; with [lines],
+    (token, line) pairs."""
     toks = []
-    i, n = 0, len(src)
+    i, n, line = 0, len(src), 1
     while i < n:
         c = src[i]
+        j = i + 1
         if c.isspace():
-            i += 1
-        elif c.isalpha() or c == "_":
-            m = IDENT.match(src, i)
-            toks.append(m.group())
-            i = m.end()
+            line += c == "\n"
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = IDENT.match(src, i).end()
         elif c in OPCHARS and c != ".":
-            j = i
             while j < n and src[j] in OPCHARS:
                 j += 1
-            toks.append(src[i:j])
-            i = j
-        else:
-            toks.append(c)
-            i += 1
+        toks.append((src[i:j], line) if lines else src[i:j])
+        i = j
     return toks
 
 
@@ -107,9 +120,39 @@ def module_of(path):
 
 
 def exported_values(mli):
-    """(module path, value name) for each `val` of an interface."""
-    toks = tokens(strip(open(mli).read()))
+    """(module path, value name, kept) for each `val` of an interface;
+    [kept] when an attached doc comment carries `Kept:`."""
+    docs = []
+    located = tokens(strip(open(mli).read(), docs), lines=True)
+    toks = [t for t, _ in located]
     base = module_of(mli)
+    # each item runs from its keyword to the token before the next one
+    starts = [i for i, t in enumerate(toks) if t in ITEMS] + [len(toks)]
+    spans = {
+        a: (located[a][1], located[b - 1][1], toks[b - 1])
+        for a, b in zip(starts, starts[1:])
+    }
+    # a comment starting on an item's last line or the next belongs to
+    # that item; one ending on an item's first line or the line before
+    # belongs to it unless it already belongs to the item above
+    after = {
+        d
+        for d in docs
+        for _, last, tail in spans.values()
+        if tail not in ("sig", "struct") and last <= d[0] <= last + 1
+    }
+
+    def kept(i):
+        first, last, _ = spans[i]
+        return any(
+            "Kept:" in d[2]
+            and (
+                (d not in after and first - 1 <= d[1] <= first)
+                or (d in after and last <= d[0] <= last + 1)
+            )
+            for d in docs
+        )
+
     stack, pending, vals = [], None, []
     i = 0
     while i < len(toks):
@@ -136,7 +179,7 @@ def exported_values(mli):
             if name == "(":
                 name = toks[i + 2]
             if "-" not in stack:
-                vals.append((tuple([base] + stack), name))
+                vals.append((tuple([base] + stack), name, kept(i)))
         i += 1
     return vals
 
@@ -224,48 +267,33 @@ def main():
     callers = [(ml, references(ml)) for d in CALLER_DIRS for ml in ml_files(d)]
     tests = [(ml, references(ml)) for ml in ml_files(TEST_DIR)]
 
-    allow = {}
-    for n, line in enumerate(open(ALLOW), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, sep, reason = line.partition(" — ")
-        if not sep or not reason.strip():
-            print(f"exports.allow:{n}: expected `Module.value — reason`")
-            return 1
-        allow[name.strip()] = n
-
-    total, no_caller, test_only, flagged, kept = 0, [], [], [], set()
+    total, no_caller, test_only, kept_count, flagged = 0, [], [], 0, []
     for mli in mlis:
-        for path, v in exported_values(mli):
+        for path, v, kept in exported_values(mli):
             total += 1
+            kept_count += kept
             key = (path[-1], v)
             name = ".".join(path + (v,))
             outside = any(
                 key in refs and not own_module(ml, mli) for ml, refs in callers
             )
             if outside:
-                if name in allow:
-                    flagged.append(f"{name}: listed in exports.allow but has a caller")
-                    kept.add(name)
+                if kept:
+                    flagged.append(f"{name}: has a caller, yet its doc comment says Kept:")
                 continue
             in_tests = any(key in refs for _, refs in tests)
             (test_only if in_tests else no_caller).append(name)
-            if name in allow:
-                kept.add(name)
-            else:
+            if not kept:
                 flagged.append(
                     f"{name}: no caller outside its module"
                     + (" (only test/)" if in_tests else "")
+                    + " and no Kept: reason in its doc comment"
                 )
-    for name, n in sorted(allow.items(), key=lambda kv: kv[1]):
-        if name not in kept:
-            flagged.append(f"{name}: exports.allow:{n} names no exported value")
 
     print(
         f"exports: {total} values, {len(no_caller)} with no caller outside "
         f"their module, {len(test_only)} called only from test/, "
-        f"{len(kept)} listed in exports.allow"
+        f"{kept_count} with a Kept: reason"
     )
     for f in flagged:
         print("FAIL " + f)

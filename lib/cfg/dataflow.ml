@@ -1,15 +1,11 @@
-(* Generic iterative dataflow over CFGs.
+(* Generic iterative forward dataflow over CFGs.
 
    A classic worklist solver: the client supplies a join-semilattice of
    facts and a per-block transfer function; the solver propagates facts
-   forward (from the entry, over successor edges) or backward (from the
-   exit, over predecessor edges) until a fixed point.  Blocks are seeded
-   in reverse postorder (postorder for backward problems), which reaches
-   the fixed point in a handful of sweeps on the reducible graphs
-   {!Cfg.of_func} produces.  {!Defuse} instantiates it with reaching
-   definitions and live variables. *)
-
-type direction = Forward | Backward
+   from the entry over successor edges until a fixed point.  Blocks are
+   seeded in reverse postorder, which reaches the fixed point in a
+   handful of sweeps on the reducible graphs {!Cfg.of_func} produces.
+   {!Defuse} instantiates it with reaching definitions. *)
 
 module type LATTICE = sig
   type t
@@ -21,29 +17,14 @@ end
 
 module Solver (L : LATTICE) = struct
   type result = {
-    input : L.t array;  (* fact entering each block (in its direction) *)
+    input : L.t array;  (* fact entering each block *)
     output : L.t array;  (* fact leaving each block *)
     iterations : int;  (* worklist pops until the fixed point *)
   }
 
-  let solve ~direction ?(entry_fact = L.bottom) ~transfer (cfg : Cfg.t) =
+  let solve ?(entry_fact = L.bottom) ~transfer (cfg : Cfg.t) =
     let n = Cfg.n_blocks cfg in
     let preds = Cfg.predecessors cfg in
-    (* [prevs id] are the blocks whose output joins into [id]'s input;
-       [nexts id] are the blocks to requeue when [id]'s output changes. *)
-    let prevs, nexts, boundary, order =
-      match direction with
-      | Forward ->
-          ( (fun id -> preds.(id)),
-            Cfg.successors cfg,
-            cfg.Cfg.entry,
-            Cfg.reverse_postorder cfg )
-      | Backward ->
-          ( Cfg.successors cfg,
-            (fun id -> preds.(id)),
-            cfg.Cfg.exit_,
-            List.rev (Cfg.reverse_postorder cfg) )
-    in
     let input = Array.make n L.bottom in
     let output = Array.make n L.bottom in
     let queue = Queue.create () in
@@ -54,7 +35,7 @@ module Solver (L : LATTICE) = struct
         Queue.add id queue
       end
     in
-    List.iter push order;
+    List.iter push (Cfg.reverse_postorder cfg);
     let iterations = ref 0 in
     while not (Queue.is_empty queue) do
       let id = Queue.pop queue in
@@ -63,14 +44,14 @@ module Solver (L : LATTICE) = struct
       let in_fact =
         List.fold_left
           (fun acc p -> L.join acc output.(p))
-          (if id = boundary then entry_fact else L.bottom)
-          (prevs id)
+          (if id = cfg.Cfg.entry then entry_fact else L.bottom)
+          preds.(id)
       in
       input.(id) <- in_fact;
       let out_fact = transfer id in_fact in
       if not (L.equal out_fact output.(id)) then begin
         output.(id) <- out_fact;
-        List.iter push (nexts id)
+        List.iter push (Cfg.successors cfg id)
       end
     done;
     { input; output; iterations = !iterations }

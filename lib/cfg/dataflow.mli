@@ -1,10 +1,7 @@
-(** Generic iterative dataflow over {!Cfg.t}: a worklist solver with a
-    pluggable join-semilattice and per-block transfer function, running
-    forward (entry → successors) or backward (exit → predecessors).
-    {!Defuse} instantiates it with reaching definitions and live
-    variables. *)
-
-type direction = Forward | Backward
+(** Generic iterative forward dataflow over {!Cfg.t}: a worklist solver
+    with a pluggable join-semilattice and per-block transfer function,
+    propagating facts from the entry over successor edges.  {!Defuse}
+    instantiates it with reaching definitions. *)
 
 module type LATTICE = sig
   type t
@@ -18,7 +15,7 @@ end
 
 module Solver (L : LATTICE) : sig
   type result = {
-    input : L.t array;  (** fact entering each block (in its direction) *)
+    input : L.t array;  (** fact entering each block *)
     output : L.t array;  (** fact leaving each block *)
     iterations : int;
         (** worklist pops until the fixed point — bounded by
@@ -27,14 +24,8 @@ module Solver (L : LATTICE) : sig
             reverse-postorder seeding *)
   }
 
-  (** [solve ~direction ~transfer cfg] iterates [transfer id input] to a
-      fixed point.  [entry_fact] seeds the boundary block (the entry for
-      forward problems, the exit for backward ones); default
-      [L.bottom]. *)
+  (** [solve ~transfer cfg] iterates [transfer id input] to a fixed
+      point.  [entry_fact] seeds the entry block; default [L.bottom]. *)
   val solve :
-    direction:direction ->
-    ?entry_fact:L.t ->
-    transfer:(Cfg.node_id -> L.t -> L.t) ->
-    Cfg.t ->
-    result
+    ?entry_fact:L.t -> transfer:(Cfg.node_id -> L.t -> L.t) -> Cfg.t -> result
 end

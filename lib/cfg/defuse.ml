@@ -1,4 +1,4 @@
-(* Definitions and uses of MiniMPI names, and the dataflow instances
+(* Definitions and uses of MiniMPI names, and the dataflow instance
    built on them.
 
    Two namespaces matter to the static analyses: scalar bindings (loop
@@ -8,10 +8,10 @@
    compile-time constants and carry no dataflow.
 
    On top of the per-statement extraction this module instantiates
-   {!Dataflow} twice — reaching definitions (forward) and live variables
-   (backward) — and distills the forward solution into per-function
-   def-use chains, the substrate of the PSG data-dependence edges
-   ({!Scalana_psg.Datadep}) and of the never-waited-request lint. *)
+   {!Dataflow} with reaching definitions and distills the solution into
+   per-function def-use chains, the substrate of the PSG data-dependence
+   edges ({!Scalana_psg.Datadep}) and of the never-waited-request
+   lint. *)
 
 open Scalana_mlang
 
@@ -134,47 +134,10 @@ module Reaching = struct
         (fun acc p -> DefSet.add (Var p, f.floc) acc)
         DefSet.empty f.fparams
     in
-    S.solve ~direction:Dataflow.Forward ~entry_fact
+    S.solve ~entry_fact
       ~transfer:(fun id facts ->
         List.fold_left kill_gen facts (block_events cfg id))
       cfg
-end
-
-(* --- live variables --- *)
-
-module SymSet = Set.Make (struct
-  type t = sym
-
-  let compare = compare_sym
-end)
-
-module Live = struct
-  module S = Dataflow.Solver (struct
-    type t = SymSet.t
-
-    let bottom = SymSet.empty
-    let equal = SymSet.equal
-    let join = SymSet.union
-  end)
-
-  type t = { result : S.result }
-
-  let compute (cfg : Cfg.t) =
-    let result =
-      S.solve ~direction:Dataflow.Backward
-        ~transfer:(fun id live ->
-          List.fold_left
-            (fun acc { euses; edefs; _ } ->
-              SymSet.union
-                (List.fold_left (fun a d -> SymSet.remove d a) acc edefs)
-                (SymSet.of_list euses))
-            live
-            (List.rev (block_events cfg id)))
-        cfg
-    in
-    { result }
-
-  let live_out t id = SymSet.elements t.result.S.input.(id)
 end
 
 (* --- def-use chains --- *)

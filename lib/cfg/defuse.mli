@@ -1,6 +1,6 @@
-(** Definitions and uses of MiniMPI names, with the two {!Dataflow}
-    instances built on them: reaching definitions (distilled into
-    per-function def-use chains) and live variables.
+(** Definitions and uses of MiniMPI names, with the {!Dataflow}
+    instance built on them: reaching definitions, distilled into
+    per-function def-use chains.
 
     Two namespaces carry dataflow: scalar bindings (loop variables, [let]
     bindings, function parameters — all referenced through [Expr.Var])
@@ -45,18 +45,4 @@ module Chains : sig
 
   val n_defs : t -> int
   val n_uses : t -> int
-end
-
-(** Live variables (backward dataflow): a symbol is live when some path
-    reaches a use before any redefinition. *)
-module Live : sig
-  type t
-
-  (** Kept: the live-variables instance of the dataflow solver; removing it
-      would delete its test. *)
-  val compute : Cfg.t -> t
-
-  val live_out : t -> Cfg.node_id -> sym list
-  (** Symbols live on exit from a block.
-      Kept: the live-variables result; removing it would delete its test. *)
 end

@@ -16,9 +16,6 @@ type t = {
   static_crosscheck : bool;
       (* cross-check non-scalable slopes against the symbolic
          communication model; off = reports byte-identical *)
-  elastic : bool;
-      (* render elastic membership/recovery sections for sessions whose
-         runs carried an elastic plan; off = reports byte-identical *)
 }
 
 let default =
@@ -32,7 +29,6 @@ let default =
     analysis_domains = Pool.default_size ();
     max_run_retries = 2;
     static_crosscheck = false;
-    elastic = false;
   }
 
 let profiler_config t =

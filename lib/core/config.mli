@@ -26,10 +26,6 @@ type t = {
           the symbolic communication model
           ({!Scalana_detect.Crosscheck}).  Default [false]: reports
           stay byte-identical. *)
-  elastic : bool;
-      (** Render elastic membership-timeline and recovery-cost sections
-          for sessions whose runs carried an elastic plan.  Default
-          [false]: reports stay byte-identical. *)
 }
 
 val default : t

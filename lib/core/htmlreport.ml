@@ -355,7 +355,7 @@ let render (pipe : Pipeline.t) =
         meta "timeline truncated: %d events dropped · %.6fs unattributed"
           ws.Waitstate.truncated ws.Waitstate.unattributed);
 
-  (* elastic membership timeline & recovery, only under --elastic *)
+  (* elastic membership timeline & recovery, only for elastic runs *)
   List.iter
     (fun (np, (info : Scalana_runtime.Elastic.info)) ->
       let module E = Scalana_runtime.Elastic in

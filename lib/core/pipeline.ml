@@ -37,18 +37,18 @@ type t = {
   report : string;
 }
 
-(* The replay: re-simulate one scale with the timeline recorder attached
-   next to the regular profiler, for stored sessions, whose runs are
-   over, and for elastic scales, which have no single run.  The
-   profiler's hooks charge the same overhead onto the simulated clocks as
-   they did during the stored profiled run, and the recorder charges
-   none, so the captured timeline reproduces the session's clocks
-   exactly, given the injection rules the session ran with (sessions do
-   not store them).  For indirect-call programs the re-run sees the fully
-   refined graph, which the earliest stored run may not have.  The shared
-   static artifact is not mutated: no refinement splicing, no poison. *)
+(* The replay: re-simulate one scale of a stored session, whose runs
+   are over, with the timeline recorder attached next to the regular
+   profiler.  The profiler's hooks charge the same overhead onto the
+   simulated clocks as they did during the stored profiled run, and the
+   recorder charges none, so the captured timeline reproduces the
+   session's clocks exactly when that run was a clean fixed-membership
+   run at the default settings; [check_timeline] refuses any other.  For
+   indirect-call programs the re-run sees the fully refined graph,
+   which the earliest stored run may not have.  The shared static
+   artifact is not mutated: no refinement splicing, no poison. *)
 let rank_timeline ?(config = Config.default) ?(cost = Costmodel.default)
-    ?(inject = Inject.empty) (static : Static.t) ~nprocs =
+    (static : Static.t) ~nprocs =
   Scalana_obs.Obs.with_span
     ~args:[ ("nprocs", string_of_int nprocs) ]
     "pipeline.rank_timeline"
@@ -62,7 +62,7 @@ let rank_timeline ?(config = Config.default) ?(cost = Costmodel.default)
     Scalana_profile.Timeline.create ~index:static.Static.index ~nprocs ()
   in
   let cfg =
-    Exec.config ~nprocs ~cost ~inject
+    Exec.config ~nprocs ~cost
       ~tools:
         [
           Scalana_profile.Profiler.tool profiler;
@@ -72,6 +72,36 @@ let rank_timeline ?(config = Config.default) ?(cost = Costmodel.default)
   in
   ignore (Exec.run ~cfg static.Static.program : Exec.result);
   Scalana_profile.Timeline.capture recorder
+
+(* A timeline must record the run the analysis reads: a profiled
+   fixed-membership run at its scale, ending when that run ended, bit
+   for bit.  A recording made inside the run passes by construction; a
+   replay passes only when it reproduced the stored run, which an
+   injected or differently sampled run (sessions store neither setting)
+   and an elastic run (no single execution spans it) never do. *)
+let check_timeline runs tl =
+  let nprocs = Scalana_profile.Timeline.nprocs tl
+  and ends = Scalana_profile.Timeline.elapsed tl in
+  match List.assoc_opt nprocs runs with
+  | None ->
+      invalid_arg
+        (Printf.sprintf "timeline at np=%d: no profiled run at that scale"
+           nprocs)
+  | Some (r : Prof.run) ->
+      let ended = r.Prof.result.Exec.elapsed in
+      if
+        r.Prof.elastic <> None
+        || Int64.bits_of_float ended <> Int64.bits_of_float ends
+      then
+        invalid_arg
+          (Printf.sprintf
+             "timeline at np=%d ends at %.6fs, the profiled np=%d run at \
+              %.6fs: %s"
+             nprocs ends nprocs ended
+             (if r.Prof.elastic <> None then
+                "an elastic run changes membership mid-run, and no \
+                 fixed-membership replay reproduces it"
+              else "the replay does not reproduce the profiled run"))
 
 (* Everything the inputs lost, in one record: artifact damage handed in
    by the loader, runs that lost ranks or needed retries, scales that
@@ -138,6 +168,7 @@ let detect_with ?(config = Config.default) ?pool
     ?(artifact_issues : Quality.artifact_issue list = [])
     ?(dropped_scales = []) ?timeline ?(history = []) (static : Static.t)
     (runs : (int * Prof.run) list) =
+  Option.iter (check_timeline runs) timeline;
   let t0 = Unix.gettimeofday () in
   let crossscale, analysis =
     Scalana_obs.Obs.with_span "pipeline.detect" @@ fun () ->
@@ -174,20 +205,18 @@ let detect_with ?(config = Config.default) ?pool
         }
       else analysis
     in
-    (* elastic membership/recovery summaries travel on the runs; attach
-       them only under --elastic, so default reports are unchanged even
-       for sessions that were profiled elastically *)
+    (* elastic membership/recovery summaries travel on the runs that
+       carry one; a fixed-membership run carries none, so its report has
+       no elastic section *)
     let analysis =
-      if config.Config.elastic then
-        {
-          analysis with
-          Rootcause.elastic =
-            List.filter_map
-              (fun (n, (r : Prof.run)) ->
-                Option.map (fun i -> (n, i)) r.Prof.elastic)
-              runs;
-        }
-      else analysis
+      {
+        analysis with
+        Rootcause.elastic =
+          List.filter_map
+            (fun (n, (r : Prof.run)) ->
+              Option.map (fun i -> (n, i)) r.Prof.elastic)
+            runs;
+      }
     in
     (crossscale, analysis)
   in
@@ -260,6 +289,11 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
     ?(inject = Inject.empty) ?(faults = Faults.empty)
     ?(scales = [ 4; 8; 16; 32 ]) ?(timeline = false) ?elastic
     (program : Ast.program) =
+  if timeline && elastic <> None then
+    invalid_arg
+      "Pipeline.run: ~elastic with ~timeline:true: an elastic scale is a \
+       chain of epoch runs, and no single run spans it to record a \
+       timeline in";
   Scalana_obs.Obs.with_span
     ~args:[ ("program", program.Ast.pname) ]
     "pipeline.run"
@@ -281,8 +315,7 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
       let one nprocs =
         match elastic with
         | Some plan ->
-            (* an elastic session replaces the single fixed run;
-               faults/injection act within each epoch's own draws *)
+            (* an elastic session replaces the single fixed run *)
             ( nprocs,
               Prof.run_elastic ~config ~cost ~plan static ~nprocs (),
               None )
@@ -313,15 +346,7 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
         else List.map one kept_scales
       in
       let runs = List.map (fun (n, r, _) -> (n, r)) profiled in
-      let tl =
-        match elastic with
-        | Some _ when timeline && kept_scales <> [] ->
-            (* no single run spans an elastic scale: replay it *)
-            Some
-              (rank_timeline ~config ~cost ~inject static ~nprocs:largest)
-        | Some _ -> None
-        | None -> List.find_map (fun (_, _, tl) -> tl) profiled
-      in
+      let tl = List.find_map (fun (_, _, tl) -> tl) profiled in
       detect_with ~config ?pool ~dropped_scales ?timeline:tl static runs)
 
 (* Did anything degrade this pipeline's inputs? *)

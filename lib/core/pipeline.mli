@@ -44,19 +44,18 @@ type t = {
   report : string;
 }
 
-(** The replay: re-simulate one scale with the rank-timeline recorder
-    attached next to the regular profiler.  It serves stored sessions,
-    whose runs are over ([scalana-detect], [scalana-viewer],
-    [scalana-diff]), and elastic scales in {!run}.  The recorder charges
-    zero overhead, so the captured clocks reproduce a stored profiled
-    run of the same static artifact at the same scale, provided [inject]
-    replays the injection that run saw: sessions do not store injection
-    rules, and a rule's [every] counters carry over from earlier runs.
-    The static artifact is not mutated. *)
+(** The replay: re-simulate one scale of a stored session, whose runs
+    are over ([scalana-detect], [scalana-viewer], [scalana-diff]), with
+    the rank-timeline recorder attached next to the regular profiler.
+    The recorder charges zero overhead, so the captured clocks
+    reproduce a clean fixed-membership profiled run of the same static
+    artifact at the same scale and the default settings.  A run that
+    saw injection rules, another sampling frequency or an elastic plan
+    does not replay, and {!detect_session} refuses its timeline.  The
+    static artifact is not mutated. *)
 val rank_timeline :
   ?config:Config.t ->
   ?cost:Costmodel.t ->
-  ?inject:Inject.t ->
   Static.t ->
   nprocs:int ->
   Scalana_profile.Timeline.t
@@ -68,8 +67,13 @@ val rank_timeline :
     attaches a captured rank timeline: its wait-state replay feeds the
     analysis (per-cause evidence) and the report, which sets each
     waiting vertex's replayed wait next to the sampled wait of the PPG
-    at the timeline's scale.  [history] (prior ledger entries) adds the
-    trend section to the report. *)
+    at the timeline's scale.  The timeline must record the run the
+    analysis reads: its scale a profiled fixed-membership run whose
+    elapsed time equals [Timeline.elapsed] bit for bit; otherwise
+    [Invalid_argument] names the scale and both times.  Runs that carry
+    an elastic summary add the membership-timeline and recovery
+    sections.  [history] (prior ledger entries) adds the trend section
+    to the report. *)
 val detect_session :
   ?config:Config.t -> ?timeline:Scalana_profile.Timeline.t ->
   ?history:Scalana_obs.History.entry list ->
@@ -91,13 +95,12 @@ val detect_session :
     and at zero overhead, so every scale is simulated once and the
     clocks, profiles and report are those of a run without it.  Under
     [faults] it records the final attempt, the one the analysis reads
-    (a fresh recorder per attempt), ranks it lost included.  An elastic
-    scale has no single run, so its timeline is the {!rank_timeline}
-    replay.  [elastic]
+    (a fresh recorder per attempt), ranks it lost included.  [elastic]
     replaces each scale's fixed run with an elastic session driven by
-    the plan ({!Prof.run_elastic}); pair it with
-    [config.elastic = true] to render the membership-timeline and
-    recovery sections. *)
+    the plan ({!Prof.run_elastic}), and the report gains the
+    membership-timeline and recovery sections.  An elastic scale is a
+    chain of epoch runs with no single run to record in, so [elastic]
+    with [timeline] raises [Invalid_argument] before anything runs. *)
 val run :
   ?config:Config.t ->
   ?cost:Costmodel.t ->

@@ -23,34 +23,23 @@ let show ?(snippet_context = 2) (pipeline : Pipeline.t) =
     pipeline.Pipeline.analysis.causes;
   Buffer.contents buf
 
+(* Membership annotation of one timeline row: ranks the run at this
+   scale stranded.  Empty for a clean run, keeping those rows
+   byte-identical. *)
+let rank_annotation (pipeline : Pipeline.t) ~nprocs =
+  let stranded =
+    match List.assoc_opt nprocs pipeline.Pipeline.runs with
+    | None -> []
+    | Some (r : Prof.run) ->
+        r.Prof.result.Scalana_runtime.Exec.stranded_ranks
+  in
+  fun rank -> if List.mem rank stranded then " [stranded]" else ""
+
 (* ASCII rank-timeline view: one row per rank over [0, elapsed], each
    column showing the dominant activity in its time bucket ('=' compute,
    'M' MPI, 'w' MPI wait), with the per-rank blocked totals.  A poor
    man's Perfetto for terminals; the full detail lives in the Chrome
    trace written by [scalana-detect --rank-trace]. *)
-(* Membership annotation of one timeline row: ranks the run at this
-   scale stranded, and ranks an elastic session lost or gained.  Empty
-   for a clean fixed-membership run, keeping those rows byte-identical. *)
-let rank_annotation (pipeline : Pipeline.t) ~nprocs =
-  match List.assoc_opt nprocs pipeline.Pipeline.runs with
-  | None -> fun _ -> ""
-  | Some (r : Prof.run) ->
-      let stranded = r.Prof.result.Scalana_runtime.Exec.stranded_ranks in
-      let left, joined =
-        match r.Prof.elastic with
-        | None -> ([], [])
-        | Some (i : Scalana_runtime.Elastic.info) ->
-            let module E = Scalana_runtime.Elastic in
-            ( List.concat_map (fun (rc : E.recovery) -> rc.E.r_left)
-                i.E.recoveries,
-              List.concat_map (fun (rc : E.recovery) -> rc.E.r_joined)
-                i.E.recoveries )
-      in
-      fun rank ->
-        (if List.mem rank stranded then " [stranded]" else "")
-        ^ (if List.mem rank left then " [left]" else "")
-        ^ if List.mem rank joined then " [joined]" else ""
-
 let show_timeline (pipeline : Pipeline.t) =
   let width = 64 in
   match pipeline.Pipeline.timeline with

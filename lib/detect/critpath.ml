@@ -66,21 +66,31 @@ let analyze ~psg (tl : Timeline.t) =
   match !last with
   | -1 -> covering tl ~total:0.0 ~segments:[] ~by_location:[]
   | final ->
-      (* latest interval of [rank] ending at or before [before],
-         excluding the interval we just came from (zero-length
-         intervals would otherwise loop) *)
+      (* first position in [lo, hi) whose stop passes [x] ([>] when
+         [strict], [>=] otherwise), [hi] if none: a rank's stops never
+         decrease in capture order *)
+      let rec search ~strict x lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if (if strict then stop mid > x else stop mid >= x) then
+            search ~strict x lo mid
+          else search ~strict x (mid + 1) hi
+      in
+      (* latest interval of [rank] ending at or before [before], the
+         first among equal stops, excluding the interval we just came
+         from (zero-length intervals would otherwise loop) *)
       let latest ?(prev = -1) rank before =
-        let best = ref (-1) in
-        let lo = Timeline.rank_first tl rank
-        and hi = Timeline.rank_first tl (rank + 1) in
-        for i = lo to hi - 1 do
-          if
-            stop i <= before +. 1e-12
-            && i <> prev
-            && (!best < 0 || stop i > stop !best)
-          then best := i
-        done;
-        !best
+        let lo = Timeline.rank_first tl rank in
+        let rec pick k =
+          if k <= lo then -1
+          else
+            let j = search ~strict:false (stop (k - 1)) lo k in
+            if j <> prev then j else if j + 1 < k then j + 1 else pick j
+        in
+        pick
+          (search ~strict:true (before +. 1e-12) lo
+             (Timeline.rank_first tl (rank + 1)))
       in
       let segments = ref [] in
       let budget = ref 200_000 in

@@ -123,10 +123,10 @@ let pp_waitstate ~psg ?ppg (analysis : Rootcause.analysis) ppf
       ws.Waitstate.truncated ws.Waitstate.unattributed
 
 (* Membership timeline and recovery costs of an elastic session;
-   rendered only when the pipeline attached elastic summaries (the
-   --elastic flag), so default reports are untouched.  Each recovery's
-   stall line sums the survivors' stalls and blames the ranks that left
-   or joined. *)
+   rendered only when the pipeline attached elastic summaries, which
+   only elastic runs carry, so fixed-membership reports have no such
+   section.  Each recovery's stall line sums the survivors' stalls and
+   blames the ranks that left or joined. *)
 let pp_elastic ppf (elastic : (int * Scalana_runtime.Elastic.info) list) =
   let module E = Scalana_runtime.Elastic in
   let ranks = function

@@ -33,8 +33,8 @@ type analysis = {
       (* static-model cross-check; attached by the pipeline when
          requested, None by default so reports are unchanged *)
   elastic : (int * Scalana_runtime.Elastic.info) list;
-      (* per-nominal-scale elastic-session summaries; attached by the
-         pipeline under --elastic, [] by default *)
+      (* per-nominal-scale elastic-session summaries; the pipeline
+         attaches each run's own, [] for fixed-membership runs *)
 }
 
 (* The root cause of a path: among the Comp/Loop vertices the walk

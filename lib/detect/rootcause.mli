@@ -36,8 +36,9 @@ type analysis = {
           always leaves it [None], keeping default reports unchanged) *)
   elastic : (int * Scalana_runtime.Elastic.info) list;
       (** per-nominal-scale elastic-session summaries, sorted by scale;
-          attached by the pipeline under [--elastic] ([analyze] leaves
-          it empty, keeping default reports unchanged) *)
+          the pipeline attaches one for each run that carries it
+          ([analyze] leaves it empty, and fixed-membership reports have
+          no elastic section) *)
 }
 
 (** The rank spending the most time at a vertex (walk start heuristic). *)

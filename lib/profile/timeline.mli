@@ -50,8 +50,9 @@ val append_mpi :
 
 (** A captured timeline.  Intervals are numbered by position, rank by
     rank; each rank's come in the order they were recorded, which is
-    (start, stop) order because a rank's clock never runs backwards.
-    Messages are numbered in (send time, src, dst, tag) order. *)
+    (start, stop) order because a rank's clock never runs backwards, so
+    a rank's stops never decrease either.  Messages are numbered in
+    (send time, src, dst, tag) order. *)
 type t
 
 (** Freeze the recorder, after its run, into a timeline.  Intervals are
@@ -118,29 +119,48 @@ val send_dests : t -> int -> int list
     arriving rank); [None] for any other interval. *)
 val coll : t -> int -> (float * float * int) option
 
-(** {2 Matched point-to-point messages, by position}
-
-    Kept, each [msg_] accessor: the exporter's flow arrows read the
-    sender's and receiver's ranks and times, the tag and the bytes; the
-    capture-order and digest tests compare messages field by field. *)
+(** {2 Matched point-to-point messages, by position} *)
 
 val n_messages : t -> int
+
+(** Sending rank.
+    Kept: the exporter's flow arrows read it; the capture-order and
+    digest tests compare messages field by field. *)
 val msg_src : t -> int -> int
+
+(** Receiving rank.
+    Kept: the exporter's flow arrows read it; the capture-order and
+    digest tests compare messages field by field. *)
 val msg_dst : t -> int -> int
 
-(** Sender-local post time. *)
+(** Sender-local post time.
+    Kept: the exporter's flow arrows read it; the capture-order and
+    digest tests compare messages field by field. *)
 val msg_send_time : t -> int -> float
 
-(** When the receiver entered the completing MPI op. *)
+(** When the receiver entered the completing MPI op.
+    Kept: the receiving interval's start, kept so the capture-order and
+    digest tests compare messages field by field. *)
 val msg_recv_enter : t -> int -> float
 
-(** When the transfer completed on the receiver. *)
+(** When the transfer completed on the receiver.
+    Kept: the exporter's flow arrows read it; the capture-order and
+    digest tests compare messages field by field. *)
 val msg_arrival : t -> int -> float
 
+(** Message tag.
+    Kept: the exporter's flow arrows read it; the capture-order and
+    digest tests compare messages field by field. *)
 val msg_tag : t -> int -> int
+
+(** Message size in bytes.
+    Kept: the exporter's flow arrows read it; the capture-order and
+    digest tests compare messages field by field. *)
 val msg_bytes : t -> int -> int
 
-(** Receive-side vertex. *)
+(** Receive-side vertex.
+    Kept: the receiving interval's vertex, kept so the capture-order and
+    digest tests compare messages field by field. *)
 val msg_vertex : t -> int -> int option
 
 (** Chrome [trace_event] document: one track per rank (its own process

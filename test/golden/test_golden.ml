@@ -22,7 +22,7 @@ let pipeline ?(timeline = false) ?(crosscheck = false) ?(elastic = false) name
   let entry = Scalana_apps.Registry.find name in
   let scales = Scalana_apps.Registry.scales entry ~min_np:4 ~max_np in
   let config =
-    { Scalana.Config.default with static_crosscheck = crosscheck; elastic }
+    { Scalana.Config.default with static_crosscheck = crosscheck }
   in
   let plan = if elastic then entry.elastic_plan else None in
   Scalana.Pipeline.run ~config ~cost:entry.cost ~scales ~timeline ?elastic:plan

@@ -160,26 +160,15 @@ let diamond_program () =
   Builder.program b
 
 let test_solver_reachability () =
-  (* identity transfer with a [true] boundary fact: forward marks every
-     block reachable from the entry, backward every block reaching the
-     exit — on a diamond that is all of them, in both directions *)
+  (* identity transfer with a [true] entry fact marks every block
+     reachable from the entry — on a diamond that is all of them *)
   let cfg = Cfg.of_func (func_of (diamond_program ()) "main") in
   let fwd =
-    BoolSolver.solve ~direction:Dataflow.Forward ~entry_fact:true
-      ~transfer:(fun _ fact -> fact)
-      cfg
+    BoolSolver.solve ~entry_fact:true ~transfer:(fun _ fact -> fact) cfg
   in
   Array.iteri
     (fun id reached -> check_bool (Printf.sprintf "fwd block %d" id) true reached)
-    fwd.BoolSolver.output;
-  let bwd =
-    BoolSolver.solve ~direction:Dataflow.Backward ~entry_fact:true
-      ~transfer:(fun _ fact -> fact)
-      cfg
-  in
-  Array.iteri
-    (fun id reaches -> check_bool (Printf.sprintf "bwd block %d" id) true reaches)
-    bwd.BoolSolver.output
+    fwd.BoolSolver.output
 
 let test_solver_fixpoint () =
   (* the returned solution really is a fixed point: re-applying the join
@@ -187,9 +176,7 @@ let test_solver_fixpoint () =
      least once (the iteration count proves the worklist visited it) *)
   let cfg = Cfg.of_func (func_of (diamond_program ()) "main") in
   let transfer _ fact = fact in
-  let r =
-    BoolSolver.solve ~direction:Dataflow.Forward ~entry_fact:true ~transfer cfg
-  in
+  let r = BoolSolver.solve ~entry_fact:true ~transfer cfg in
   check_bool "at least one pop per block" true
     (r.BoolSolver.iterations >= Cfg.n_blocks cfg);
   let preds = Cfg.predecessors cfg in
@@ -238,11 +225,7 @@ let test_irreducible_loops () =
   check_int "no natural loops" 0 (Loops.count loops);
   check_int "max depth" 0 (Loops.max_depth loops);
   (* and the dataflow solver still terminates on the irreducible cycle *)
-  let r =
-    BoolSolver.solve ~direction:Dataflow.Forward ~entry_fact:true
-      ~transfer:(fun _ f -> f)
-      cfg
-  in
+  let r = BoolSolver.solve ~entry_fact:true ~transfer:(fun _ f -> f) cfg in
   Array.iteri
     (fun id reached ->
       check_bool (Printf.sprintf "block %d reached" id) true reached)
@@ -306,18 +289,6 @@ let test_reaching_chains () =
         (Defuse.Chains.unused_defs ch
         = [ (Defuse.Req "r1", sisend2.Ast.loc) ])
   | _ -> Alcotest.fail "unexpected fixture shape"
-
-let test_live_variables () =
-  let f = chains_fixture () in
-  let cfg = Cfg.of_func f in
-  let lv = Defuse.Live.compute cfg in
-  let out = Defuse.Live.live_out lv cfg.entry in
-  check_bool "n live out of the entry block" true
-    (List.mem (Defuse.Var "n") out);
-  check_bool "j dead before its loop" true
-    (not (List.mem (Defuse.Var "j") out));
-  check_bool "nothing live at the exit" true
-    (Defuse.Live.live_out lv cfg.exit_ = [])
 
 (* --- call graph --- *)
 
@@ -419,7 +390,6 @@ let () =
           Alcotest.test_case "irreducible cycle" `Quick test_irreducible_loops;
           Alcotest.test_case "def/use primitives" `Quick test_defuse_primitives;
           Alcotest.test_case "reaching chains" `Quick test_reaching_chains;
-          Alcotest.test_case "live variables" `Quick test_live_variables;
         ] );
       ( "callgraph",
         [

@@ -428,15 +428,45 @@ let test_equals_replay () =
         [ 16; 64 ])
     [ "cg"; "bt"; "zeusmp"; "mg"; "sst" ]
 
+let contains needle hay =
+  try
+    ignore (Str.search_forward (Str.regexp_string needle) hay 0);
+    true
+  with Not_found -> false
+
 (* An elastic scale is a chain of epoch runs, none of which is the
-   whole scale: its timeline is still the replay. *)
-let test_elastic_replays () =
+   whole scale: there is no run to record a timeline in, and the
+   pipeline refuses before it simulates anything. *)
+let test_elastic_refuses_timeline () =
+  let module Obs = Scalana_obs.Obs in
   let entry = R.find "cg-shrink" in
-  let pipe =
-    pipeline ?elastic:entry.R.elastic_plan "cg-shrink"
-      (R.scales entry ~min_np:4 ~max_np:16)
+  Obs.reset ();
+  Obs.enable ();
+  let outcome, runs =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let outcome =
+          match
+            pipeline ?elastic:entry.R.elastic_plan "cg-shrink"
+              (R.scales entry ~min_np:4 ~max_np:16)
+          with
+          | _ -> None
+          | exception Invalid_argument msg -> Some msg
+        in
+        ( outcome,
+          List.length
+            (List.filter (fun s -> s.Obs.sp_name = "exec.run") (Obs.spans ()))
+        ))
   in
-  check_equals_replay "elastic timeline = replay" "cg-shrink" pipe
+  match outcome with
+  | None -> Alcotest.fail "an elastic timeline was accepted"
+  | Some msg ->
+      check_bool "names ~elastic" true (contains "~elastic" msg);
+      check_bool "names ~timeline" true (contains "~timeline" msg);
+      check_int "nothing simulated" 0 runs
 
 (* A rank killed on the largest scale's first attempt and spared on its
    second: the timeline is the clean retry, not a mix of both. *)
@@ -532,6 +562,41 @@ let test_sampled_wait_at_timeline_scale () =
   in
   check_bool "some sampled-wait lines" true (expected <> []);
   Alcotest.(check (list string)) "sampled waits of the np=4 PPG" expected actual
+
+(* A delay injected on rank 1 shifts every profiled clock; the replay
+   of np=16, which cannot see the injection, ends elsewhere, and the
+   pipeline refuses to set its waits next to the injected run's
+   profile. *)
+let test_injected_replay_refused () =
+  let module Inject = Scalana_runtime.Inject in
+  let entry = R.find "cg" in
+  let injected =
+    Scalana.Pipeline.run ~cost:entry.R.cost
+      ~inject:(Inject.create [ Inject.delay ~ranks:[ 1 ] 0.05 ])
+      ~scales:[ 4; 8; 16 ] (entry.R.make ())
+  in
+  let static = injected.Scalana.Pipeline.static in
+  let timeline =
+    Scalana.Pipeline.rank_timeline ~cost:entry.R.cost static ~nprocs:16
+  in
+  let profiled = elapsed (List.assoc 16 injected.Scalana.Pipeline.runs) in
+  let replayed = T.elapsed timeline in
+  check_bool "the replay ends elsewhere" true (replayed <> profiled);
+  match
+    Scalana.Pipeline.detect_session ~timeline
+      {
+        Scalana.Artifact.static;
+        runs = injected.Scalana.Pipeline.runs;
+        issues = [];
+      }
+  with
+  | _ -> Alcotest.fail "a replay of an injected run was accepted"
+  | exception Invalid_argument msg ->
+      check_bool "names the scale" true (contains "np=16" msg);
+      check_bool "names the replay's time" true
+        (contains (Printf.sprintf "%.6fs" replayed) msg);
+      check_bool "names the profiled time" true
+        (contains (Printf.sprintf "%.6fs" profiled) msg)
 
 (* --- captured timelines and their wait states, pinned by digest ---
 
@@ -731,14 +796,16 @@ let () =
           Alcotest.test_case "one simulation per scale" `Quick
             test_one_simulation_per_scale;
           Alcotest.test_case "equals the replay" `Quick test_equals_replay;
-          Alcotest.test_case "elastic scales replay" `Quick
-            test_elastic_replays;
+          Alcotest.test_case "elastic scales refuse a timeline" `Quick
+            test_elastic_refuses_timeline;
           Alcotest.test_case "retry records the final attempt" `Quick
             test_retry_records_final_attempt;
           Alcotest.test_case "exhausted retries degrade" `Quick
             test_exhausted_retries;
           Alcotest.test_case "sampled wait at the timeline's scale" `Quick
             test_sampled_wait_at_timeline_scale;
+          Alcotest.test_case "injected run refuses the replay" `Quick
+            test_injected_replay_refused;
         ] );
       ( "pinned",
         List.map
