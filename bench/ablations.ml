@@ -13,9 +13,7 @@ let ablation_aggregate () =
   List.iter
     (fun strategy ->
       let findings =
-        Nonscalable.detect
-          ~config:{ Nonscalable.default_config with strategy }
-          pipe.crossscale
+        Nonscalable.detect ~config:{ Nonscalable.strategy } pipe.crossscale
       in
       let labels =
         List.map
@@ -103,13 +101,11 @@ let ablation_compression () =
   let entry = Scalana_apps.Registry.find "cg" in
   let prog = entry.make () in
   let static = Scalana.Static.analyze prog in
-  let config = { Profiler.default_config with record_prob = 1.0 } in
   let run =
     Scalana.Prof.run
       ~config:{ Scalana.Config.default with record_prob = 1.0 }
       ~cost:entry.cost static ~nprocs:32 ()
   in
-  ignore config;
   let comm = run.Scalana.Prof.data.Profdata.comm in
   Printf.printf "  raw communication records : %d (%s)\n"
     comm.Scalana_profile.Commrec.raw_records

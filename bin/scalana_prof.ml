@@ -7,6 +7,15 @@ open Cmdliner
 let run session nprocs freq measure_overhead inject_delay inject_ranks
     inject_every =
   Cli_common.run_cli @@ fun () ->
+  Cli_common.check_at_least ~flag:"--np" ~min:1 nprocs;
+  Scalana_profile.Profiler.check_freq ~what:"--freq" freq;
+  List.iter
+    (fun r ->
+      if r < 0 || r >= nprocs then
+        invalid_arg
+          (Printf.sprintf "--inject-ranks %d: must be in [0, %d) at --np %d" r
+             nprocs nprocs))
+    inject_ranks;
   let static = Scalana.Artifact.load_static session in
   let entry_cost = Cli_common.registry_cost static.Scalana.Static.program in
   let config = { Scalana.Config.default with sampling_freq = freq } in
@@ -30,6 +39,17 @@ let run session nprocs freq measure_overhead inject_delay inject_ranks
        timeline *)
     match Cli_common.registry_elastic_plan static.Scalana.Static.program with
     | Some plan ->
+        (* refuse the flags the epoch runs cannot honour rather than
+           ignore them *)
+        let refuse flag what =
+          invalid_arg
+            (Printf.sprintf
+               "%s: %s is an elastic program, whose epoch runs take no %s"
+               flag static.Scalana.Static.program.Scalana_mlang.Ast.pname what)
+        in
+        if inject_delay <> None then refuse "--inject-delay" "injection rules";
+        if measure_overhead then
+          refuse "--measure-overhead" "overhead baseline";
         Scalana.Prof.run_elastic ~config ~cost:entry_cost ~plan static ~nprocs
           ()
     | None ->
@@ -81,7 +101,9 @@ let inject_ranks_arg =
     value
     & opt (list int) []
     & info [ "inject-ranks" ] ~docv:"R,S,..."
-        ~doc:"Ranks --inject-delay applies to (default: all).")
+        ~doc:
+          "Ranks --inject-delay applies to (default: all); each must be \
+           below --np.")
 
 let inject_every_arg =
   Arg.(

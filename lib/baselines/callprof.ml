@@ -9,35 +9,29 @@
 
 open Scalana_runtime
 
-type config = {
-  freq : float;
-  per_sample_cost : float;  (* includes full unwind, slightly above ScalAna *)
-}
-
-let default_config = { freq = 200.0; per_sample_cost = 400.0e-6 }
+(* The paper's 200 Hz; the per-sample cost includes the full unwind,
+   slightly above ScalAna's. *)
+let freq = 200.0
+let per_sample_cost = 400.0e-6
 
 type t = {
-  cfg : config;
   cct : Cct.t;
   next_tick : float array;
   mutable total_samples : int;
   mutable elapsed : float;
 }
 
-let create ?(config = default_config) ~nprocs () =
-  Instrument.check_freq ~what:"Callprof.create" config.freq;
+let create ~nprocs () =
   {
-    cfg = config;
     cct = Cct.create ~nprocs;
-    next_tick = Array.make nprocs (1.0 /. config.freq);
+    next_tick = Array.make nprocs (1.0 /. freq);
     total_samples = 0;
     elapsed = 0.0;
   }
 
 let on_interval t (ctx : Instrument.ctx) ~stop activity =
   let n =
-    Instrument.ticks t.next_tick ~freq:t.cfg.freq ~rank:ctx.rank
-      ~start:ctx.time ~stop
+    Instrument.ticks t.next_tick ~freq ~rank:ctx.rank ~start:ctx.time ~stop
   in
   if n = 0 then 0.0
   else begin
@@ -45,7 +39,7 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
     let node =
       Cct.find_or_add t.cct ~rank:ctx.rank ~callpath:ctx.callpath ~loc:ctx.loc
     in
-    let period = 1.0 /. t.cfg.freq in
+    let period = 1.0 /. freq in
     let est = float_of_int n *. period in
     node.Cct.time <- node.Cct.time +. est;
     node.samples <- node.samples + n;
@@ -60,7 +54,7 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
     (* wait-span samples overlap blocked time; only compute samples
        perturb the run (see Profiler.on_interval) *)
     match activity with
-    | Instrument.Compute _ -> float_of_int n *. t.cfg.per_sample_cost
+    | Instrument.Compute _ -> float_of_int n *. per_sample_cost
     | Instrument.Mpi_span _ -> 0.0
   end
 

@@ -22,7 +22,7 @@ module Solver (L : LATTICE) = struct
     iterations : int;  (* worklist pops until the fixed point *)
   }
 
-  let solve ?(entry_fact = L.bottom) ~transfer (cfg : Cfg.t) =
+  let solve ~entry_fact ~transfer (cfg : Cfg.t) =
     let n = Cfg.n_blocks cfg in
     let preds = Cfg.predecessors cfg in
     let input = Array.make n L.bottom in

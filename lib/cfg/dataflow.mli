@@ -24,8 +24,8 @@ module Solver (L : LATTICE) : sig
             reverse-postorder seeding *)
   }
 
-  (** [solve ~transfer cfg] iterates [transfer id input] to a fixed
-      point.  [entry_fact] seeds the entry block; default [L.bottom]. *)
+  (** [solve ~entry_fact ~transfer cfg] iterates [transfer id input] to
+      a fixed point from [entry_fact] at the entry block. *)
   val solve :
-    ?entry_fact:L.t -> transfer:(Cfg.node_id -> L.t -> L.t) -> Cfg.t -> result
+    entry_fact:L.t -> transfer:(Cfg.node_id -> L.t -> L.t) -> Cfg.t -> result
 end

@@ -33,16 +33,13 @@ let default =
 
 let profiler_config t =
   {
-    Scalana_profile.Profiler.default_config with
-    freq = t.sampling_freq;
+    Scalana_profile.Profiler.freq = t.sampling_freq;
     record_prob = t.record_prob;
     seed = t.seed;
   }
 
 let ns_config (_ : t) = Scalana_detect.Nonscalable.default_config
-
-let ab_config t =
-  { Scalana_detect.Abnormal.default_config with abnorm_thd = t.abnorm_thd }
+let ab_config t = { Scalana_detect.Abnormal.abnorm_thd = t.abnorm_thd }
 
 let bt_config t =
   {

@@ -1,8 +1,11 @@
 (** End-user configuration of the pipeline: the paper's MaxLoopDepth and
     AbnormThd knobs plus sampling/instrumentation settings, with the
     evaluation defaults, and mappings onto the per-module configs.
-    Everything else (the non-scalable ranking, backtracking pruning, the
-    timeline event cap) runs at its module's [default_config]. *)
+    Backtracking pruning and the non-scalable aggregation strategy run
+    at their module's [default_config].  The non-scalable ranking
+    (share, score and point thresholds, top 5), the abnormal-time floor,
+    the backtracking step bound and the profiler's modelled costs are
+    constants of their modules, not settings. *)
 
 type t = {
   max_loop_depth : int;  (** PSG contraction bound (paper: 10) *)

@@ -67,9 +67,8 @@ let tool_comparison ?(cost = Costmodel.default) (program : Ast.program)
   [ tracing; callpath; scalana ]
 
 (* Uninstrumented elapsed time of one run. *)
-let bare_elapsed ?(cost = Costmodel.default) ?(params = [])
-    (program : Ast.program) ~nprocs =
-  (Exec.run ~cfg:(Exec.config ~nprocs ~params ~cost ()) program).Exec.elapsed
+let bare_elapsed ?(cost = Costmodel.default) (program : Ast.program) ~nprocs =
+  (Exec.run ~cfg:(Exec.config ~nprocs ~cost ()) program).Exec.elapsed
 
 type speedup_row = {
   sp_nprocs : int;

@@ -23,12 +23,7 @@ val tool_comparison :
   ?cost:Costmodel.t -> Ast.program -> nprocs:int -> measurement list
 
 (** Elapsed time of one uninstrumented run. *)
-val bare_elapsed :
-  ?cost:Costmodel.t ->
-  ?params:(string * int) list ->
-  Ast.program ->
-  nprocs:int ->
-  float
+val bare_elapsed : ?cost:Costmodel.t -> Ast.program -> nprocs:int -> float
 
 type speedup_row = {
   sp_nprocs : int;

@@ -38,39 +38,29 @@ type t = {
 }
 
 (* The replay: re-simulate one scale of a stored session, whose runs
-   are over, with the timeline recorder attached next to the regular
-   profiler.  The profiler's hooks charge the same overhead onto the
-   simulated clocks as they did during the stored profiled run, and the
-   recorder charges none, so the captured timeline reproduces the
-   session's clocks exactly when that run was a clean fixed-membership
-   run at the default settings; [check_timeline] refuses any other.  For
-   indirect-call programs the re-run sees the fully refined graph,
-   which the earliest stored run may not have.  The shared static
-   artifact is not mutated: no refinement splicing, no poison. *)
-let rank_timeline ?(config = Config.default) ?(cost = Costmodel.default)
-    (static : Static.t) ~nprocs =
+   are over, through [Prof.run] with the timeline recorder attached
+   after the profiler.  The profiler's hooks charge the same overhead
+   onto the simulated clocks as they did during the stored profiled
+   run, and the recorder charges none, so the captured timeline
+   reproduces the session's clocks exactly when that run was a clean
+   fixed-membership run at the default settings; [check_timeline]
+   refuses any other.  For indirect-call programs the re-run sees the
+   fully refined graph, which the earliest stored run may not have;
+   [Prof.run]'s refinement step then splices nothing, because every
+   callsite a reproducing replay resolves is already spliced. *)
+let rank_timeline ?config ?cost (static : Static.t) ~nprocs =
   Scalana_obs.Obs.with_span
     ~args:[ ("nprocs", string_of_int nprocs) ]
     "pipeline.rank_timeline"
   @@ fun () ->
-  let profiler =
-    Scalana_profile.Profiler.create
-      ~config:(Config.profiler_config config)
-      ~index:static.Static.index ~nprocs ()
-  in
   let recorder =
     Scalana_profile.Timeline.create ~index:static.Static.index ~nprocs ()
   in
-  let cfg =
-    Exec.config ~nprocs ~cost
-      ~tools:
-        [
-          Scalana_profile.Profiler.tool profiler;
-          Scalana_profile.Timeline.tool recorder;
-        ]
-      ()
-  in
-  ignore (Exec.run ~cfg static.Static.program : Exec.result);
+  ignore
+    (Prof.run ?config ?cost
+       ~extra_tools:[ Scalana_profile.Timeline.tool recorder ]
+       static ~nprocs ()
+      : Prof.run);
   Scalana_profile.Timeline.capture recorder
 
 (* A timeline must record the run the analysis reads: a profiled
@@ -287,13 +277,7 @@ let runs_independent ~inject (program : Ast.program) =
 
 let run ?(config = Config.default) ?(cost = Costmodel.default)
     ?(inject = Inject.empty) ?(faults = Faults.empty)
-    ?(scales = [ 4; 8; 16; 32 ]) ?(timeline = false) ?elastic
-    (program : Ast.program) =
-  if timeline && elastic <> None then
-    invalid_arg
-      "Pipeline.run: ~elastic with ~timeline:true: an elastic scale is a \
-       chain of epoch runs, and no single run spans it to record a \
-       timeline in";
+    ?(scales = [ 4; 8; 16; 32 ]) ?(timeline = false) (program : Ast.program) =
   Scalana_obs.Obs.with_span
     ~args:[ ("program", program.Ast.pname) ]
     "pipeline.run"
@@ -313,28 +297,23 @@ let run ?(config = Config.default) ?(cost = Costmodel.default)
           ~cost ~inject ~faults ?extra_tools static ~nprocs ()
       in
       let one nprocs =
-        match elastic with
-        | Some plan ->
-            (* an elastic session replaces the single fixed run *)
-            ( nprocs,
-              Prof.run_elastic ~config ~cost ~plan static ~nprocs (),
-              None )
-        | None when timeline && nprocs = largest ->
-            (* the timeline is recorded in the largest scale's own
-               profiled run, a fresh recorder per attempt, so it shows
-               the attempt the analysis reads *)
-            let recorder = ref None in
-            let extra_tools ~attempt:_ =
-              let r =
-                Scalana_profile.Timeline.create ~index:static.Static.index
-                  ~nprocs ()
-              in
-              recorder := Some r;
-              [ Scalana_profile.Timeline.tool r ]
+        if timeline && nprocs = largest then begin
+          (* the timeline is recorded in the largest scale's own
+             profiled run, a fresh recorder per attempt, so it shows
+             the attempt the analysis reads *)
+          let recorder = ref None in
+          let extra_tools ~attempt:_ =
+            let r =
+              Scalana_profile.Timeline.create ~index:static.Static.index
+                ~nprocs ()
             in
-            let run = profile ~extra_tools nprocs in
-            (nprocs, run, Option.map Scalana_profile.Timeline.capture !recorder)
-        | None -> (nprocs, profile nprocs, None)
+            recorder := Some r;
+            [ Scalana_profile.Timeline.tool r ]
+          in
+          let run = profile ~extra_tools nprocs in
+          (nprocs, run, Option.map Scalana_profile.Timeline.capture !recorder)
+        end
+        else (nprocs, profile nprocs, None)
       in
       let profiled =
         Scalana_obs.Obs.with_span

@@ -45,14 +45,16 @@ type t = {
 }
 
 (** The replay: re-simulate one scale of a stored session, whose runs
-    are over ([scalana-detect], [scalana-viewer], [scalana-diff]), with
-    the rank-timeline recorder attached next to the regular profiler.
-    The recorder charges zero overhead, so the captured clocks
-    reproduce a clean fixed-membership profiled run of the same static
-    artifact at the same scale and the default settings.  A run that
-    saw injection rules, another sampling frequency or an elastic plan
-    does not replay, and {!detect_session} refuses its timeline.  The
-    static artifact is not mutated. *)
+    are over ([scalana-detect], [scalana-viewer], [scalana-diff]),
+    through {!Prof.run} with the rank-timeline recorder attached after
+    the profiler.  The recorder charges zero overhead, so the captured
+    clocks reproduce a clean fixed-membership profiled run of the same
+    static artifact at the same scale and the default settings.  A run
+    that saw injection rules, another sampling frequency or an elastic
+    plan does not replay, and {!detect_session} refuses its timeline.
+    [Prof.run]'s refinement step leaves the static artifact as it is on
+    a replay that reproduces its run: every indirect callsite it
+    resolves was spliced when that run was profiled. *)
 val rank_timeline :
   ?config:Config.t ->
   ?cost:Costmodel.t ->
@@ -95,12 +97,10 @@ val detect_session :
     and at zero overhead, so every scale is simulated once and the
     clocks, profiles and report are those of a run without it.  Under
     [faults] it records the final attempt, the one the analysis reads
-    (a fresh recorder per attempt), ranks it lost included.  [elastic]
-    replaces each scale's fixed run with an elastic session driven by
-    the plan ({!Prof.run_elastic}), and the report gains the
-    membership-timeline and recovery sections.  An elastic scale is a
-    chain of epoch runs with no single run to record in, so [elastic]
-    with [timeline] raises [Invalid_argument] before anything runs. *)
+    (a fresh recorder per attempt), ranks it lost included.  Every scale
+    is a fixed-membership run: an elastic session is profiled one scale
+    at a time with {!Prof.run_elastic} and analysed by
+    {!detect_session}, as [scalana-prof] and [scalana-detect] do. *)
 val run :
   ?config:Config.t ->
   ?cost:Costmodel.t ->
@@ -108,7 +108,6 @@ val run :
   ?faults:Faults.plan ->
   ?scales:int list ->
   ?timeline:bool ->
-  ?elastic:Elastic.plan ->
   Ast.program ->
   t
 

@@ -71,7 +71,7 @@ let analyze ?(max_loop_depth = Contract.default_max_loop_depth) ?pool
       ~dd_edges:datadep.Datadep.edges
       ~preds:(Psg.n_static_preds contraction.Contract.psg)
       ~program:program.pname ~lines:(Ast.line_count program) ~full
-      ~contracted:contraction.Contract.psg ()
+      ~contracted:contraction.Contract.psg
   in
   { program; locals; full; contraction; index; datadep; commcost; stats }
 

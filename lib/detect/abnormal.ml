@@ -16,12 +16,12 @@ type finding = {
   ratio : float;  (* max / median (infinity when median = 0) *)
 }
 
-type config = {
-  abnorm_thd : float;
-  min_seconds : float;  (* ignore vertices cheaper than this everywhere *)
-}
+type config = { abnorm_thd : float }
 
-let default_config = { abnorm_thd = 1.3; min_seconds = 1e-4 }
+let default_config = { abnorm_thd = 1.3 }
+
+(* Vertices cheaper than this on every rank are never abnormal. *)
+let min_seconds = 1e-4
 
 (* NaN would let only zero-median vertices through, and a threshold
    below 1 flags ranks under the median: refuse both. *)
@@ -40,7 +40,7 @@ let detect_vertex ~config ppg ~vertex =
          exceed a positive threshold), so a faulted rank can't be
          flagged on garbage *)
       let max_time = Aggregate.max_clean row in
-      if max_time < config.min_seconds then None
+      if max_time < min_seconds then None
       else begin
         let med = Aggregate.median row in
         let threshold =

@@ -11,7 +11,9 @@ type finding = {
   ratio : float;  (** max / median; infinite when the median is zero *)
 }
 
-type config = { abnorm_thd : float; min_seconds : float }
+(** Vertices whose time stays below 100 µs on every rank are never
+    abnormal: a constant, not a setting. *)
+type config = { abnorm_thd : float }
 
 val default_config : config
 

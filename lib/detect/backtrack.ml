@@ -29,14 +29,15 @@ type path = step list
 
 type config = {
   prune_non_wait : bool;  (* keep only comm edges with a wait (paper: on) *)
-  max_steps : int;
   follow_def_use : bool;
       (* step along recorded def-use edges instead of sibling order when
          the vertex has one (off = paper-faithful Algorithm 1) *)
 }
 
-let default_config =
-  { prune_non_wait = true; max_steps = 4096; follow_def_use = false }
+let default_config = { prune_non_wait = true; follow_def_use = false }
+
+(* One walk's step budget. *)
+let max_steps = 4096
 
 let via_name = function
   | Start -> "start"
@@ -85,7 +86,7 @@ let backtrack ?(config = default_config) (ppg : Ppg.t) ~visited ~start_rank
     Hashtbl.replace local_seen (rank, vertex) ()
   in
   let rec go rank vid via steps =
-    if steps >= config.max_steps then ()
+    if steps >= max_steps then ()
     else if Hashtbl.mem local_seen (rank, vid) && via <> Start then
       (* cycle within this walk *)
       ()

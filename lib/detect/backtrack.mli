@@ -15,9 +15,9 @@ type via =
 type step = { rank : int; vertex : int; via : via }
 type path = step list
 
+(** A walk also stops after 4096 steps: a constant, not a setting. *)
 type config = {
   prune_non_wait : bool;  (** keep only comm edges that waited (paper) *)
-  max_steps : int;
   follow_def_use : bool;
       (** step along recorded def-use edges instead of sibling order
           when the vertex has one (off = paper-faithful Algorithm 1) *)

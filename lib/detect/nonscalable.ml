@@ -45,22 +45,19 @@ type result = {
   evidence : (int * evidence) list;  (* every touched vertex, ascending *)
 }
 
-type config = {
-  strategy : Aggregate.strategy;
-  min_fraction : float;  (* ignore vertices below this share of time *)
-  top_k : int;
-  min_score : float;  (* only report vertices at least this non-scalable *)
-  min_points : int;  (* clean scale points required once data was lost *)
-}
+type config = { strategy : Aggregate.strategy }
 
-let default_config =
-  {
-    strategy = Aggregate.Mean;
-    min_fraction = 0.01;
-    top_k = 5;
-    min_score = 0.25;
-    min_points = 3;
-  }
+let default_config = { strategy = Aggregate.Mean }
+
+(* The ranking's constants: vertices below [min_fraction] of the
+   largest scale's time are ignored, only vertices at least [min_score]
+   above the ideal slope are reported, at most [top_k] of them, and a
+   vertex that lost data to quarantine needs [min_points] clean scale
+   points for a verdict. *)
+let min_fraction = 0.01
+let top_k = 5
+let min_score = 0.25
+let min_points = 3
 
 (* One vertex's scaling evidence, computed once per touched vertex by
    the detector and read back by Diff: its [strategy]-merged time at
@@ -115,8 +112,8 @@ let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
     in
     let fraction = if total > 0.0 then at_largest /. total else 0.0 in
     let finding, insufficient =
-      if fraction < config.min_fraction then (None, None)
-      else if dropped > 0 && fit.Loglog.n < config.min_points then
+      if fraction < min_fraction then (None, None)
+      else if dropped > 0 && fit.Loglog.n < min_points then
         ( None,
           Some
             {
@@ -147,7 +144,7 @@ let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
   in
   let ranked =
     List.sort (fun a b -> compare b.score a.score) findings
-    |> List.filter (fun f -> f.score >= config.min_score)
+    |> List.filter (fun f -> f.score >= min_score)
   in
   let rec take n = function
     | [] -> []
@@ -155,7 +152,7 @@ let detect_result ?(config = default_config) ?pool (cs : Crossscale.t) =
     | x :: rest -> x :: take (n - 1) rest
   in
   {
-    findings = take config.top_k ranked;
+    findings = take top_k ranked;
     insufficient;
     quarantined_values;
     evidence = List.map (fun (_, _, _, e) -> e) evaluated;

@@ -38,15 +38,12 @@ type result = {
           one fit per vertex that {!Diff.summarize} reads back *)
 }
 
-type config = {
-  strategy : Aggregate.strategy;
-  min_fraction : float;
-  top_k : int;
-  min_score : float;
-  min_points : int;
-      (** clean scale points required for a verdict once a vertex lost
-          data to quarantine; vertices with no loss are exempt *)
-}
+(** The one setting of the ranking.  The rest are constants: vertices
+    below 1% of the largest scale's time are ignored, only vertices
+    whose slope is at least 0.25 above the ideal are reported, at most
+    5 of them, and a vertex that lost data to quarantine needs 3 clean
+    scale points for a verdict (vertices with no loss are exempt). *)
+type config = { strategy : Aggregate.strategy }
 
 val default_config : config
 

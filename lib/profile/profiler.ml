@@ -8,24 +8,30 @@ open Scalana_runtime
 
 type config = {
   freq : float;  (* sampling frequency, Hz (paper: 200) *)
-  per_sample_cost : float;  (* seconds per interrupt + unwind *)
   record_prob : float;  (* random-sampling instrumentation threshold *)
-  per_record_cost : float;  (* seconds to append one comm record *)
-  per_call_cost : float;  (* seconds of fixed wrapper cost per MPI call *)
-  wait_epsilon : float;  (* a wait above this marks the edge as waiting *)
   seed : int;
 }
 
-let default_config =
-  {
-    freq = 200.0;
-    per_sample_cost = 150.0e-6;
-    record_prob = 0.5;
-    per_record_cost = 5.0e-6;
-    per_call_cost = 0.5e-6;
-    wait_epsilon = 20.0e-6;
-    seed = 42;
-  }
+let default_config = { freq = 200.0; record_prob = 0.5; seed = 42 }
+
+(* The tool's modelled costs, calibrated once: seconds per interrupt and
+   unwind, per appended comm record and per MPI wrapper call.  A wait
+   above [wait_epsilon] marks its edge as waiting. *)
+let per_sample_cost = 150.0e-6
+let per_record_cost = 5.0e-6
+let per_call_cost = 0.5e-6
+let wait_epsilon = 20.0e-6
+
+(* A period no longer than one sample's cost is spent in the handler;
+   far below it, the tick loop stops advancing (half an ulp). *)
+let check_freq ~what freq =
+  if not (Float.is_finite freq && freq > 0.0) then
+    Fmt.invalid_arg "%s %g: must be finite and > 0" what freq
+  else if 1.0 /. freq <= per_sample_cost then
+    Fmt.invalid_arg
+      "%s %g: must be below %g Hz, where one sample's modelled %g µs cost \
+       fills the sampling period"
+      what freq (1.0 /. per_sample_cost) (per_sample_cost *. 1e6)
 
 type t = {
   cfg : config;
@@ -36,7 +42,7 @@ type t = {
 }
 
 let create ?(config = default_config) ~index ~nprocs () =
-  Instrument.check_freq ~what:"Profiler.create" config.freq;
+  check_freq ~what:"Profiler.create: freq" config.freq;
   {
     cfg = config;
     resolver = Index.Resolver.create index;
@@ -85,13 +91,13 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
        the run (charging them on waits compounds exponentially along
        pipeline dependence chains). *)
     match activity with
-    | Instrument.Compute _ -> float_of_int n *. t.cfg.per_sample_cost
+    | Instrument.Compute _ -> float_of_int n *. per_sample_cost
     | Instrument.Mpi_span _ -> 0.0
   end
 
 let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
   t.data.mpi_calls_seen <- t.data.mpi_calls_seen + 1;
-  let overhead = ref t.cfg.per_call_cost in
+  let overhead = ref per_call_cost in
   (match resolve t ctx with
   | None -> ()
   | Some vid -> (
@@ -106,7 +112,7 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
         match info.collective with
         | Some c ->
             t.data.records_taken <- t.data.records_taken + 1;
-            overhead := !overhead +. t.cfg.per_record_cost;
+            overhead := !overhead +. per_record_cost;
             Commrec.record_coll t.data.comm ~vertex:vid
               ~last_arrival_rank:c.last_arrival_rank
         | None ->
@@ -119,7 +125,7 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
                 | None -> ()
                 | Some send_vid ->
                     t.data.records_taken <- t.data.records_taken + 1;
-                    overhead := !overhead +. t.cfg.per_record_cost;
+                    overhead := !overhead +. per_record_cost;
                     let key =
                       {
                         Commrec.recv_rank = ctx.rank;
@@ -131,7 +137,7 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
                       }
                     in
                     Commrec.record_p2p t.data.comm ~key
-                      ~waited:(info.wait_seconds > t.cfg.wait_epsilon)
+                      ~waited:(info.wait_seconds > wait_epsilon)
                       ~wait_seconds:info.wait_seconds)
               info.deps));
   !overhead
@@ -140,7 +146,7 @@ let on_icall t (ctx : Instrument.ctx) ~target =
   (match resolve t ctx with
   | Some vid -> Profdata.record_icall t.data ~callsite_vertex:vid ~target
   | None -> ());
-  t.cfg.per_call_cost
+  per_call_cost
 
 let tool t =
   {

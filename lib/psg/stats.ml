@@ -20,8 +20,8 @@ type t = {
 let count_kind psg pred =
   Psg.fold (fun acc v -> if pred v then acc + 1 else acc) 0 psg
 
-let of_psgs ?(defs = 0) ?(uses = 0) ?(dd_edges = 0) ?(preds = 0) ~program
-    ~lines ~(full : Psg.t) ~(contracted : Psg.t) () =
+let of_psgs ~defs ~uses ~dd_edges ~preds ~program ~lines ~(full : Psg.t)
+    ~(contracted : Psg.t) =
   {
     program;
     kloc = float_of_int lines /. 1000.0;

@@ -18,15 +18,14 @@ type t = {
 }
 
 val of_psgs :
-  ?defs:int ->
-  ?uses:int ->
-  ?dd_edges:int ->
-  ?preds:int ->
+  defs:int ->
+  uses:int ->
+  dd_edges:int ->
+  preds:int ->
   program:string ->
   lines:int ->
   full:Psg.t ->
   contracted:Psg.t ->
-  unit ->
   t
 
 (** Fraction of vertices removed by contraction (paper: 68% on average). *)

@@ -91,8 +91,3 @@ let ticks next_tick ~freq ~rank ~start ~stop =
     next_tick.(rank) <- next_tick.(rank) +. period
   done;
   !n
-
-let check_freq ~what freq =
-  if not (Float.is_finite freq && freq > 0.0) then
-    Fmt.invalid_arg "%s: sampling frequency %g must be finite and > 0" what
-      freq

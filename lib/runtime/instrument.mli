@@ -87,8 +87,3 @@ val nil : string -> t
     is what makes [next_tick] a valid {!t.sample_gate}. *)
 val ticks :
   float array -> freq:float -> rank:int -> start:float -> stop:float -> int
-
-(** A sampling frequency is usable when it is finite and positive.
-    Raises [Invalid_argument] naming [what] otherwise: a negative period
-    never reaches the interval's end, so {!ticks} would not return. *)
-val check_freq : what:string -> float -> unit

@@ -17,19 +17,33 @@
 
 let max_np = 16
 
-let pipeline ?(timeline = false) ?(crosscheck = false) ?(elastic = false) name
-    =
+let scales entry = Scalana_apps.Registry.scales entry ~min_np:4 ~max_np
+
+let pipeline ?(timeline = false) ?(crosscheck = false) name =
   let entry = Scalana_apps.Registry.find name in
-  let scales = Scalana_apps.Registry.scales entry ~min_np:4 ~max_np in
   let config =
     { Scalana.Config.default with static_crosscheck = crosscheck }
   in
-  let plan = if elastic then entry.elastic_plan else None in
-  Scalana.Pipeline.run ~config ~cost:entry.cost ~scales ~timeline ?elastic:plan
-    (entry.make ())
+  Scalana.Pipeline.run ~config ~cost:entry.cost ~scales:(scales entry)
+    ~timeline (entry.make ())
 
-let report ?timeline ?crosscheck ?elastic name =
-  (pipeline ?timeline ?crosscheck ?elastic name).Scalana.Pipeline.report
+let report ?timeline ?crosscheck name =
+  (pipeline ?timeline ?crosscheck name).Scalana.Pipeline.report
+
+(* An elastic program is analysed as scalana-prof and scalana-detect do
+   it: one [Prof.run_elastic] session per scale, then [detect_session]. *)
+let elastic_pipeline name =
+  let entry = Scalana_apps.Registry.find name in
+  let plan = Option.get entry.elastic_plan in
+  let static = Scalana.Static.analyze (entry.make ()) in
+  let runs =
+    List.map
+      (fun nprocs ->
+        ( nprocs,
+          Scalana.Prof.run_elastic ~cost:entry.cost ~plan static ~nprocs () ))
+      (scales entry)
+  in
+  Scalana.Pipeline.detect_session { Scalana.Artifact.static; runs; issues = [] }
 
 (* The HTML meta line embeds the wall-clock detection cost — the one
    nondeterministic byte sequence in an otherwise simulated-clock
@@ -97,11 +111,12 @@ let () =
       print_string (report ~timeline:true name)
   | [| _; name; "--static-crosscheck" |] ->
       print_string (report ~crosscheck:true name)
-  | [| _; name; "--elastic" |] -> print_string (report ~elastic:true name)
+  | [| _; name; "--elastic" |] ->
+      print_string (elastic_pipeline name).Scalana.Pipeline.report
   | [| _; name; "--elastic-html" |] ->
       print_string
         (normalize_detect_cost
-           (Scalana.Htmlreport.render (pipeline ~elastic:true name)))
+           (Scalana.Htmlreport.render (elastic_pipeline name)))
   | [| _; name; "--full-html" |] -> print_string (full_html name)
   | _ ->
       prerr_endline

@@ -232,20 +232,6 @@ let test_trace_io_malformed () =
   | Ok _ -> Alcotest.fail "a trace cut in half parsed"
   | Error _ -> ()
 
-(* A non-positive or non-finite frequency is refused up front: its
-   sampling period never reaches an interval's end. *)
-let test_callprof_rejects_bad_freq () =
-  List.iter
-    (fun freq ->
-      match
-        Callprof.create
-          ~config:{ Callprof.freq; per_sample_cost = 0.0 }
-          ~nprocs:2 ()
-      with
-      | _ -> Alcotest.failf "freq %g accepted" freq
-      | exception Invalid_argument _ -> ())
-    [ -5.0; 0.0; Float.nan; Float.infinity ]
-
 (* --- pin --- *)
 
 (* Table I, Figs. 10, 11 and 13 read the tracer through three numbers
@@ -300,8 +286,6 @@ let () =
             test_callprof_finds_bottleneck_points;
           Alcotest.test_case "overhead charged" `Quick
             test_callprof_overhead_charged;
-          Alcotest.test_case "rejects bad frequencies" `Quick
-            test_callprof_rejects_bad_freq;
         ] );
       ( "trace-io",
         [

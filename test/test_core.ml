@@ -127,11 +127,11 @@ let test_param_override () =
   (* runtime parameter overrides shrink the run proportionally *)
   let entry = Scalana_apps.Registry.find "ep" in
   let prog = entry.make () in
-  let t_full = Scalana.Experiment.bare_elapsed prog ~nprocs:4 in
-  let t_small =
-    Scalana.Experiment.bare_elapsed ~params:[ ("m", 9_000_000_000) ] prog
-      ~nprocs:4
+  let elapsed params =
+    (Exec.run ~cfg:(Exec.config ~nprocs:4 ~params ()) prog).Exec.elapsed
   in
+  let t_full = elapsed [] in
+  let t_small = elapsed [ ("m", 9_000_000_000) ] in
   check_bool "override shrinks the run" true
     (t_small < 0.5 *. t_full && t_small > 0.1 *. t_full)
 
@@ -732,7 +732,7 @@ let prop_artifact_roundtrip_bytes =
       Sys.remove b;
       ok)
 
-(* --- elastic sessions through the pipeline --- *)
+(* --- elastic sessions, profiled and detected as the CLIs do --- *)
 
 let contains needle hay =
   try
@@ -742,10 +742,10 @@ let contains needle hay =
 
 let test_pipeline_elastic_shrink_degraded () =
   let entry = Scalana_apps.Registry.find "cg-shrink" in
-  let plan = Option.get entry.elastic_plan in
   let pipe =
-    Scalana.Pipeline.run ~cost:entry.cost ~scales:[ 4; 8 ] ~elastic:plan
-      (entry.make ())
+    Scalana.Pipeline.detect_session
+      (cli_session ~cost:entry.cost ?plan:entry.elastic_plan ~scales:[ 4; 8 ]
+         (entry.make ()))
   in
   (* a mid-run failure is a degraded verdict: CI must not read it clean *)
   check_bool "degraded" true (Scalana.Pipeline.degraded pipe);
@@ -766,10 +766,10 @@ let test_pipeline_elastic_shrink_degraded () =
 
 let test_pipeline_elastic_grow_not_degraded () =
   let entry = Scalana_apps.Registry.find "halo-grow" in
-  let plan = Option.get entry.elastic_plan in
   let pipe =
-    Scalana.Pipeline.run ~cost:entry.cost ~scales:[ 4; 8 ] ~elastic:plan
-      (entry.make ())
+    Scalana.Pipeline.detect_session
+      (cli_session ~cost:entry.cost ?plan:entry.elastic_plan ~scales:[ 4; 8 ]
+         (entry.make ()))
   in
   (* a planned grow is not a failure: the session stays clean *)
   check_bool "not degraded" false (Scalana.Pipeline.degraded pipe);
@@ -784,11 +784,12 @@ let test_pipeline_elastic_grow_not_degraded () =
     pipe.analysis.Scalana_detect.Rootcause.elastic
 
 let test_pipeline_elastic_flag_off_identical () =
-  (* a fixed-membership run carries no elastic summary, so the pipeline
+  (* a fixed-membership run carries no elastic summary, so detection
      attaches none and the report has no elastic section *)
   let entry = Scalana_apps.Registry.find "cg" in
   let pipe =
-    Scalana.Pipeline.run ~cost:entry.cost ~scales:[ 4; 8 ] (entry.make ())
+    Scalana.Pipeline.detect_session
+      (cli_session ~cost:entry.cost ~scales:[ 4; 8 ] (entry.make ()))
   in
   check_bool "no elastic summary" true
     (pipe.analysis.Scalana_detect.Rootcause.elastic = []);
@@ -835,7 +836,8 @@ let prop_elastic_same_seed_byte_identical =
           ]
       in
       let report () =
-        (Scalana.Pipeline.run ~scales:[ 4 ] ~elastic:plan (elastic_ring ()))
+        (Scalana.Pipeline.detect_session
+           (cli_session ~plan ~scales:[ 4 ] (elastic_ring ())))
           .Scalana.Pipeline.report
       in
       String.equal (report ()) (report ()))

@@ -207,8 +207,7 @@ let test_abnormal_threshold_monotone () =
   let pipe = Lazy.force zeus_pipeline in
   let _, ppg = Crossscale.largest pipe.crossscale in
   let count thd =
-    List.length
-      (Abnormal.detect ~config:{ Abnormal.default_config with abnorm_thd = thd } ppg)
+    List.length (Abnormal.detect ~config:{ Abnormal.abnorm_thd = thd } ppg)
   in
   check_bool "higher threshold, fewer findings" true (count 5.0 <= count 1.1)
 
@@ -217,11 +216,7 @@ let test_abnormal_threshold_monotone () =
 let test_abnormal_rejects_bad_thresholds () =
   let pipe = Lazy.force zeus_pipeline in
   let _, ppg = Crossscale.largest pipe.crossscale in
-  let detect thd =
-    Abnormal.detect
-      ~config:{ Abnormal.default_config with abnorm_thd = thd }
-      ppg
-  in
+  let detect thd = Abnormal.detect ~config:{ Abnormal.abnorm_thd = thd } ppg in
   List.iter
     (fun thd ->
       match detect thd with

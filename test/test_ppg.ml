@@ -17,7 +17,9 @@ let profile ?(nprocs = 4) ?(record_prob = 1.0) prog =
   let full = Inter.build ~locals prog in
   let contraction = Contract.run full in
   let index = Index.build ~full ~contraction in
-  let config = { Profiler.default_config with record_prob } in
+  let config =
+    Scalana.Config.profiler_config { Scalana.Config.default with record_prob }
+  in
   let profiler = Profiler.create ~config ~index ~nprocs () in
   let cfg = Exec.config ~nprocs ~tools:[ Profiler.tool profiler ] () in
   ignore (Exec.run ~cfg prog);

@@ -161,13 +161,19 @@ let test_wait_recorded_on_mpi_vertex () =
 
 let test_record_prob_zero () =
   let prog = ring_program ~niter:10 () in
-  let config = { Profiler.default_config with record_prob = 0.0 } in
+  let config =
+    Scalana.Config.profiler_config
+      { Scalana.Config.default with record_prob = 0.0 }
+  in
   let _, _, data, _ = profiled_run ~config ~nprocs:4 prog in
   check_int "no comm records" 0 (Commrec.n_p2p data.Profdata.comm + Commrec.n_coll data.Profdata.comm)
 
 let test_record_prob_one_dependence () =
   let prog = ring_program ~niter:10 () in
-  let config = { Profiler.default_config with record_prob = 1.0 } in
+  let config =
+    Scalana.Config.profiler_config
+      { Scalana.Config.default with record_prob = 1.0 }
+  in
   let _, _, data, _ = profiled_run ~config ~nprocs:4 prog in
   (* every rank's sendrecv edge to its left neighbour is recorded *)
   check_bool "p2p edges" true (Commrec.n_p2p data.Profdata.comm >= 4);
@@ -663,19 +669,31 @@ let test_profiler_overhead_positive () =
     (instrumented.Exec.elapsed < 1.2 *. bare.Exec.elapsed)
 
 (* A frequency whose period never reaches an interval's end is refused
-   before any run: negative, zero, infinite or NaN. *)
+   before any run: negative, zero, infinite or NaN; so is one whose
+   period one sample's modelled 150 µs cost fills, where the tick loop
+   would run for ever once the period drops below half an ulp. *)
 let test_profiler_rejects_bad_freq () =
   let _, _, _, index = static_of (ring_program ()) in
   List.iter
     (fun freq ->
       match
         Profiler.create
-          ~config:{ Profiler.default_config with freq }
+          ~config:
+            (Scalana.Config.profiler_config
+               { Scalana.Config.default with sampling_freq = freq })
           ~index ~nprocs:2 ()
       with
       | _ -> Alcotest.failf "freq %g accepted" freq
       | exception Invalid_argument _ -> ())
-    [ -5.0; 0.0; Float.nan; Float.infinity; Float.neg_infinity ]
+    [
+      -5.0;
+      0.0;
+      Float.nan;
+      Float.infinity;
+      Float.neg_infinity;
+      1e15;
+      1.0 /. 150e-6;
+    ]
 
 (* --- sample gate --- *)
 

@@ -360,10 +360,10 @@ let check_same_float msg expected actual =
 let elapsed (r : Scalana.Prof.run) =
   r.Scalana.Prof.result.Scalana_runtime.Exec.elapsed
 
-let pipeline ?config ?inject ?faults ?elastic name scales =
+let pipeline ?config ?inject ?faults name scales =
   let entry = R.find name in
   Scalana.Pipeline.run ?config ~cost:entry.R.cost ?inject ?faults ~scales
-    ~timeline:true ?elastic (entry.R.make ())
+    ~timeline:true (entry.R.make ())
 
 (* The same timeline as replaying the largest scale on the session's
    static artifact, compared as bytes. *)
@@ -435,38 +435,25 @@ let contains needle hay =
   with Not_found -> false
 
 (* An elastic scale is a chain of epoch runs, none of which is the
-   whole scale: there is no run to record a timeline in, and the
-   pipeline refuses before it simulates anything. *)
+   whole scale: a fixed-membership replay of cg-shrink at np=16 ends
+   elsewhere than the profiled session, and detection refuses it by
+   scale, as scalana-detect --wait-states does. *)
 let test_elastic_refuses_timeline () =
-  let module Obs = Scalana_obs.Obs in
   let entry = R.find "cg-shrink" in
-  Obs.reset ();
-  Obs.enable ();
-  let outcome, runs =
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.disable ();
-        Obs.reset ())
-      (fun () ->
-        let outcome =
-          match
-            pipeline ?elastic:entry.R.elastic_plan "cg-shrink"
-              (R.scales entry ~min_np:4 ~max_np:16)
-          with
-          | _ -> None
-          | exception Invalid_argument msg -> Some msg
-        in
-        ( outcome,
-          List.length
-            (List.filter (fun s -> s.Obs.sp_name = "exec.run") (Obs.spans ()))
-        ))
+  let session =
+    cli_session ~cost:entry.R.cost ?plan:entry.R.elastic_plan
+      ~scales:(R.scales entry ~min_np:4 ~max_np:16)
+      (entry.R.make ())
   in
-  match outcome with
-  | None -> Alcotest.fail "an elastic timeline was accepted"
-  | Some msg ->
-      check_bool "names ~elastic" true (contains "~elastic" msg);
-      check_bool "names ~timeline" true (contains "~timeline" msg);
-      check_int "nothing simulated" 0 runs
+  let timeline =
+    Scalana.Pipeline.rank_timeline ~cost:entry.R.cost
+      session.Scalana.Artifact.static ~nprocs:16
+  in
+  match Scalana.Pipeline.detect_session ~timeline session with
+  | _ -> Alcotest.fail "an elastic timeline was accepted"
+  | exception Invalid_argument msg ->
+      check_bool "names the scale" true (contains "np=16" msg);
+      check_bool "names the elastic run" true (contains "elastic run" msg)
 
 (* A rank killed on the largest scale's first attempt and spared on its
    second: the timeline is the clean retry, not a mix of both. *)

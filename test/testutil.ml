@@ -300,3 +300,19 @@ let profile_entry ?faults (entry : Scalana_apps.Registry.entry) ~nprocs =
       ~nprocs ()
   in
   (Scalana.Static.psg static, r.Scalana.Prof.data)
+
+(* A session built the way scalana-prof builds one, scale by scale:
+   [Prof.run_elastic] under [plan], a fixed [Prof.run] without one.
+   [Pipeline.detect_session] then analyses it as scalana-detect does. *)
+let cli_session ?cost ?plan ~scales prog =
+  let static = Scalana.Static.analyze prog in
+  let profile nprocs =
+    match plan with
+    | Some plan -> Scalana.Prof.run_elastic ?cost ~plan static ~nprocs ()
+    | None -> Scalana.Prof.run ?cost static ~nprocs ()
+  in
+  {
+    Scalana.Artifact.static;
+    runs = List.map (fun nprocs -> (nprocs, profile nprocs)) scales;
+    issues = [];
+  }
