@@ -345,6 +345,149 @@ let test_profile_digests () =
     Scalana_apps.Registry.all;
   check_int "66 profiles digested" 66 !checked
 
+(* --- communication-record order ---
+
+   The order the PPG reads a profile's p2p edges in decides every
+   [Ppg.critical_edge] tie and so every backtracking path.  Pinned per
+   profile: each edge in reading order with its six key fields,
+   [has_wait], [hits] and the bits of [max_wait]; then the collective
+   records by vertex (instances, dominant late rank) and the storage
+   estimate.  The registry profiles as above, plus the elastic programs
+   at np 4, 8 and 16 as scalana-prof builds them. *)
+
+let comm_digest (comm : Commrec.t) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (e : Commrec.p2p_edge) ->
+      let k = e.key in
+      Printf.bprintf b "%d %d %d %d %d %d %b %d %Ld\n" k.recv_rank
+        k.recv_vertex k.send_rank k.send_vertex k.tag k.bytes e.has_wait
+        e.hits
+        (Int64.bits_of_float e.max_wait))
+    (List.rev (Commrec.p2p_edges comm));
+  Commrec.coll_records comm
+  |> List.sort (fun (a : Commrec.coll_rec) b ->
+         compare a.coll_vertex b.coll_vertex)
+  |> List.iter (fun (r : Commrec.coll_rec) ->
+         Printf.bprintf b "coll %d %d %d\n" r.coll_vertex r.instances
+           (Commrec.dominant_late_rank r));
+  Printf.bprintf b "bytes %d\n" (Commrec.storage_bytes comm);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let expected_comm_digests =
+  [
+    ("bt/4/clean", "03d95f2c91bbdaf3bc49d05389288255");
+    ("bt/4/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("bt/16/clean", "815687779624ba308c3d6de850b12128");
+    ("bt/16/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("bt/64/clean", "5fa98b09f2a9a4f5d051bd465a9f2e0e");
+    ("bt/64/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("cg/4/clean", "4391f43bff24cf433615323b872a4019");
+    ("cg/4/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("cg/16/clean", "97d50d88a65cca5b6ac2bfdb281fc10e");
+    ("cg/16/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("cg/64/clean", "fdfc2b86c46a3b0cd2aa20c91be09d85");
+    ("cg/64/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("ep/4/clean", "b86518ac24d79cf1e760c6f6a106c8d2");
+    ("ep/4/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("ep/16/clean", "9b354f8c147d842f8d953e75be175256");
+    ("ep/16/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("ep/64/clean", "c2fceb38c09b740aa347daf50db29957");
+    ("ep/64/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("ft/4/clean", "6a56459bf7e6f63f697956f1b9fe6adb");
+    ("ft/4/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("ft/16/clean", "fc7feb03daf7a89d60cba9821307144d");
+    ("ft/16/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("ft/64/clean", "12c821bff78210867ae4fd2e741d8270");
+    ("ft/64/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("mg/4/clean", "a656a5f8ce8c56acd4243681714fcb9e");
+    ("mg/4/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("mg/16/clean", "82a6af82e26e568ad249f0ecc26b890a");
+    ("mg/16/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("mg/64/clean", "4c801034db0f8ba06e6c50180dd44bdd");
+    ("mg/64/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("sp/4/clean", "4540c09dc419c93aa54c58c32c61b2cf");
+    ("sp/4/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("sp/16/clean", "a17296ea3bb43839511a9192284cf256");
+    ("sp/16/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("sp/64/clean", "4f09e688bccacdd1de375eebaf91cbe2");
+    ("sp/64/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("lu/4/clean", "cefa8d3ed407acc789b6f1cdda549dff");
+    ("lu/4/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("lu/16/clean", "6688514c2cb66c153924354ec2b61829");
+    ("lu/16/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("lu/64/clean", "a98e7afb368320a6fc93b43ab5ab6f89");
+    ("lu/64/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("is/4/clean", "076abe5974f8152489673e42c19c4333");
+    ("is/4/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("is/16/clean", "05d8a9aa75ed00152db9ebd759d7dbfe");
+    ("is/16/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("is/64/clean", "40ce58745acd92d841a8a5ffb3385c25");
+    ("is/64/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("sst/4/clean", "8115a2dd9e664067ce7fc27a093e5802");
+    ("sst/4/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("sst/16/clean", "b65a4274f9f8efb612ad3b732773da41");
+    ("sst/16/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("sst/64/clean", "9a12d6fcb930c97695bb88cb25e16ccb");
+    ("sst/64/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("nekbone/4/clean", "a5bafdbba9e9a4446b35f444829549b9");
+    ("nekbone/4/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("nekbone/16/clean", "ded9957562e7794f6c37ab9c9a6cf316");
+    ("nekbone/16/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("nekbone/64/clean", "480be458765c35ae834ed7bfacc1e4c4");
+    ("nekbone/64/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("zeusmp/4/clean", "21d238f552fb42fdd7f02ee437cffc5c");
+    ("zeusmp/4/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("zeusmp/16/clean", "7bfac6c1114e7079a35d506d337e1dd9");
+    ("zeusmp/16/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("zeusmp/64/clean", "b6a68e119e1ed464bf11e99581c3721e");
+    ("zeusmp/64/faulted", "b24585271c696ceb45c64e1f2c342229");
+    ("cg-shrink/4", "6d818781a2b2dcc4abf2780968b898c2");
+    ("cg-shrink/8", "46191177b7632c7ce4da2f32cb5f21ca");
+    ("cg-shrink/16", "cef7a0e8cf9521a743326156f5abd649");
+    ("halo-grow/4", "147ae4fd55ef00561d2d48cffd673c39");
+    ("halo-grow/8", "c9d883ccca7690a3b31509aff9ff347d");
+    ("halo-grow/16", "478e5bcef25a721d0286f7f9ca5d628d");
+  ]
+
+let test_comm_order_pinned () =
+  let got = ref [] in
+  List.iter
+    (fun (entry : Scalana_apps.Registry.entry) ->
+      List.iter
+        (fun nprocs ->
+          List.iter
+            (fun (mode, faults) ->
+              let _, data = profile_entry ?faults entry ~nprocs in
+              got :=
+                ( Printf.sprintf "%s/%d/%s" entry.name nprocs mode,
+                  comm_digest data.Profdata.comm )
+                :: !got)
+            [ ("clean", None); ("faulted", Some diff_fault_plan) ])
+        [ 4; 16; 64 ])
+    Scalana_apps.Registry.all;
+  List.iter
+    (fun name ->
+      let entry = Scalana_apps.Registry.find name in
+      let session =
+        cli_session ~cost:entry.cost ?plan:entry.elastic_plan
+          ~scales:[ 4; 8; 16 ] (entry.make ())
+      in
+      List.iter
+        (fun (nprocs, (r : Scalana.Prof.run)) ->
+          got :=
+            ( Printf.sprintf "%s/%d" name nprocs,
+              comm_digest r.data.Profdata.comm )
+            :: !got)
+        session.Scalana.Artifact.runs)
+    [ "cg-shrink"; "halo-grow" ];
+  let got = List.rev !got in
+  check_int "72 profiles digested" 72 (List.length got);
+  List.iter
+    (fun (key, digest) ->
+      check_string key (List.assoc key expected_comm_digests) digest)
+    got
+
 (* --- timeline --- *)
 
 let timeline_run ?tconfig ?cost ?(nprocs = 4) prog =
@@ -862,6 +1005,8 @@ let () =
             test_profiler_overhead_positive;
           Alcotest.test_case "registry profiles pinned by digest" `Quick
             test_profile_digests;
+          Alcotest.test_case "comm-record order pinned by digest" `Quick
+            test_comm_order_pinned;
         ] );
       ( "timeline",
         [
