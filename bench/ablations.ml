@@ -108,7 +108,7 @@ let ablation_compression () =
   in
   let comm = run.Scalana.Prof.data.Profdata.comm in
   Printf.printf "  raw communication records : %d (%s)\n"
-    comm.Scalana_profile.Commrec.raw_records
+    (Commrec.raw_records comm)
     (human_bytes (Commrec.uncompressed_bytes comm));
   Printf.printf "  compressed (graph-guided) : %d p2p + %d coll (%s)\n"
     (Commrec.n_p2p comm) (Commrec.n_coll comm)

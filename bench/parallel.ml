@@ -73,7 +73,10 @@ type ppg_row = {
   live_words : int;  (* GC live words the PPG adds to its profile *)
   ppg_bytes : int;  (* Ppg.storage_bytes: what the PPG owns *)
   profile_live_words : int;  (* the profile, which the PPG reads in place *)
-  profdata_bytes : int;  (* its serialized-artifact size, for context *)
+  profdata_bytes : int;  (* Profdata.storage_bytes, the packed size model *)
+  artifact_bytes : int;  (* the profile's stored run file *)
+  save_s : float;  (* Artifact.save_run wall *)
+  load_s : float;  (* Artifact.load_runs_salvage wall over that file *)
 }
 
 (* end-to-end profile -> detect pipeline at the largest scale *)
@@ -185,10 +188,12 @@ let write_bench_json () =
           "    { \"np\": %d, \"profile_seconds\": %.3f, \
            \"build_seconds\": %.4f, \"live_words\": %d, \
            \"ppg_bytes\": %d, \"profile_live_words\": %d, \
-           \"profdata_bytes\": %d, \
+           \"profdata_bytes\": %d, \"artifact_bytes\": %d, \
+           \"save_seconds\": %.4f, \"load_seconds\": %.4f, \
            \"baseline_live_words\": %d, \"baseline_build_seconds\": %.4f }"
           r.mnp r.profile_s r.build_s r.live_words r.ppg_bytes
-          r.profile_live_words r.profdata_bytes base_words base_s
+          r.profile_live_words r.profdata_bytes r.artifact_bytes r.save_s
+          r.load_s base_words base_s
       in
       let e2e =
         match !e2e_result with
@@ -338,13 +343,27 @@ let ppg_memory () =
         in
         let ppg_bytes = Scalana_ppg.Ppg.storage_bytes ppg in
         let base_words, base_s = ppg_baseline np in
+        (* the profile as a session stores and reopens it *)
+        let dir = Filename.temp_file "scalana-ppg-memory" "" in
+        Sys.remove dir;
+        let (), save_s = timed (fun () -> Scalana.Artifact.save_run dir r) in
+        let path = Scalana.Artifact.run_path dir np in
+        let artifact_bytes = (Unix.stat path).Unix.st_size in
+        let _, load_s =
+          timed (fun () -> Scalana.Artifact.load_runs_salvage dir)
+        in
+        Sys.remove path;
+        Sys.rmdir dir;
         Printf.printf
           "  np=%-6d profile %7.3fs  build %7.4fs  %9d live words  %8.1f MB \
            PPG-owned  (baseline %9d words, %.4fs)\n\
+          \           artifact %8.1f MB  save %7.4fs  load %7.4fs\n\
            %!"
           np profile_s build_s live_words
           (float_of_int ppg_bytes /. 1e6)
-          base_words base_s;
+          base_words base_s
+          (float_of_int artifact_bytes /. 1e6)
+          save_s load_s;
         ignore (Sys.opaque_identity ppg);
         {
           mnp = np;
@@ -354,6 +373,9 @@ let ppg_memory () =
           ppg_bytes;
           profile_live_words;
           profdata_bytes = Scalana_profile.Profdata.storage_bytes data;
+          artifact_bytes;
+          save_s;
+          load_s;
         })
       ppg_scales
   in

@@ -9,6 +9,23 @@ let run session nprocs freq measure_overhead inject_delay inject_ranks
   Cli_common.run_cli @@ fun () ->
   Cli_common.check_at_least ~flag:"--np" ~min:1 nprocs;
   Scalana_profile.Profiler.check_freq ~what:"--freq" freq;
+  (* the injection flags shape one rule, so refuse any the rule would
+     drop or [Inject.delay] would reject, naming the flag *)
+  (match inject_delay with
+  | None ->
+      let needs_delay flag given =
+        if given then
+          invalid_arg
+            (Printf.sprintf "%s: applies only with --inject-delay" flag)
+      in
+      needs_delay "--inject-ranks" (inject_ranks <> []);
+      needs_delay "--inject-every" (inject_every <> None)
+  | Some d ->
+      if not (Float.is_finite d && d >= 0.0) then
+        invalid_arg
+          (Printf.sprintf "--inject-delay %g: must be finite and >= 0" d));
+  Option.iter (Cli_common.check_at_least ~flag:"--inject-every" ~min:1)
+    inject_every;
   List.iter
     (fun r ->
       if r < 0 || r >= nprocs then
@@ -31,7 +48,7 @@ let run session nprocs freq measure_overhead inject_delay inject_ranks
           match inject_ranks with [] -> None | ranks -> Some ranks
         in
         Scalana_runtime.Inject.create
-          [ Scalana_runtime.Inject.delay ?ranks ~every:inject_every d ]
+          [ Scalana_runtime.Inject.delay ?ranks ?every:inject_every d ]
   in
   let run =
     (* elastic built-ins run the epoch driver: ranks leave/join per the
@@ -107,9 +124,12 @@ let inject_ranks_arg =
 
 let inject_every_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt (some int) None
     & info [ "inject-every" ] ~docv:"K"
-        ~doc:"Apply --inject-delay on every $(docv)-th execution.")
+        ~doc:
+          "Apply --inject-delay on every $(docv)-th execution (default: \
+           every one).")
 
 let cmd =
   Cmd.v

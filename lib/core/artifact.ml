@@ -5,7 +5,7 @@
    carries the static artifact and one profile per job scale between
    them.
 
-   Durable format (v3): production runs fill disks and die mid-write, so
+   Durable format (v4): production runs fill disks and die mid-write, so
    raw Marshal is wrapped in a versioned, checksummed record stream:
 
      header  = "SCALANA2" (8 bytes) ++ format version (1 byte)
@@ -21,10 +21,11 @@
 
    The CRC catches damage, not a change of record shape: Marshal decodes
    another build's record into whatever the reader's types say.  So the
-   version byte names the shape and moves with it.  Version 3 is the
-   profile stored as per-vertex rows of per-rank arrays (version 2 held
-   per-rank tables of boxed vectors); any other version is refused as
-   [Bad_version] before a payload is decoded. *)
+   version byte names the shape and moves with it.  Version 4 is the
+   profile stored as per-vertex rows of per-rank arrays with its p2p
+   edges as flat columns (version 3 held the edges in a hash table of
+   boxed records, version 2 per-rank tables of boxed vectors); any other
+   version is refused as [Bad_version] before a payload is decoded. *)
 
 type session = {
   static : Static.t;
@@ -87,7 +88,7 @@ let () =
     | _ -> None)
 
 let magic = "SCALANA2"
-let format_version = 3
+let format_version = 4
 let header_bytes = String.length magic + 1
 
 let crc32 = Scalana_obs.History.crc32

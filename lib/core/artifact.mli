@@ -89,9 +89,7 @@ val save_run : string -> Prof.run -> unit
     profile, plus one {!issue} per damaged file (a file with valid
     magic but no decodable record is reported, never dropped).  A file
     whose newest record is for another scale than {!run_path} gives its
-    name is skipped and reported as [Wrong_scale].
-    Kept: the salvage reader over one scale's file, which the damage tests
-    drive. *)
+    name is skipped and reported as [Wrong_scale]. *)
 val load_runs_salvage : string -> (int * Prof.run) list * issue list
 
 (** Raises {!Error} when the static artifact is unreadable; run damage

@@ -254,6 +254,7 @@ let run_elastic ?(config = Config.default) ?(cost = Costmodel.default)
       clock := result.Exec.elapsed;
       prev_members := e.Elastic.e_members)
     epochs;
+  Commrec.freeze gdata.Profdata.comm;
   let epoch_infos = List.rev !epoch_infos in
   let effective = Elastic.effective_nprocs epoch_infos in
   gdata.Profdata.effective_nprocs <- effective;

@@ -15,6 +15,7 @@
 
 open Scalana_psg
 open Scalana_ppg
+module Commrec = Scalana_profile.Commrec
 
 type via =
   | Start
@@ -77,6 +78,7 @@ let data_dep ~config psg vid =
 let backtrack ?(config = default_config) (ppg : Ppg.t) ~visited ~start_rank
     ~start_vertex =
   let psg = ppg.Ppg.psg in
+  let comm = ppg.Ppg.data.Scalana_profile.Profdata.comm in
   let path = ref [] in
   let local_seen = Hashtbl.create 64 in
   let entered = Hashtbl.create 16 in
@@ -119,8 +121,10 @@ let backtrack ?(config = default_config) (ppg : Ppg.t) ~visited ~start_rank
               end
             in
             match edge with
-            | Some (e : Scalana_profile.Commrec.p2p_edge) ->
-                go e.key.send_rank e.key.send_vertex
+            | Some e ->
+                go
+                  (Commrec.send_rank comm e)
+                  (Commrec.send_vertex comm e)
                   (Comm_dep { from_rank = rank })
                   (steps + 1)
             | None -> continue_data rank vid steps

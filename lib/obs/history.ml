@@ -23,22 +23,50 @@ type entry = {
 let default_path = Filename.concat ".scalana" "history.jsonl"
 
 (* CRC-32, IEEE 802.3 (the zlib polynomial); the artifact record
-   streams in lib/core frame their payloads with it too. *)
-let crc_table =
+   streams in lib/core frame their payloads with it too.  Slicing-by-8:
+   table [k] advances the CRC over a byte followed by [k] zero bytes, so
+   one step folds 8 input bytes with 8 independent lookups instead of a
+   chain of 8 dependent ones.  Bytes past the last whole step go through
+   table 0, the classic bytewise loop. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- t.(prev land 0xff) lxor (prev lsr 8)
+       done
+     done;
+     t)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+  let t = Lazy.force crc_tables in
+  let len = String.length s in
+  let c = ref 0xFFFFFFFF and i = ref 0 in
+  while !i + 8 <= len do
+    let lo = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF)
+    and hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
+    c :=
+      t.((7 * 256) + (lo land 0xff))
+      lxor t.((6 * 256) + ((lo lsr 8) land 0xff))
+      lxor t.((5 * 256) + ((lo lsr 16) land 0xff))
+      lxor t.((4 * 256) + (lo lsr 24))
+      lxor t.((3 * 256) + (hi land 0xff))
+      lxor t.((2 * 256) + ((hi lsr 8) land 0xff))
+      lxor t.(256 + ((hi lsr 16) land 0xff))
+      lxor t.(hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to len - 1 do
+    c := t.((!c lxor Char.code (String.unsafe_get s j)) land 0xff) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
 
 let current_commit () =

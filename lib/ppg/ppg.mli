@@ -5,11 +5,12 @@
 
     The PPG reads its profile in place: a vertex's across-rank times and
     waits are the profile's own {!Scalana_profile.Profdata.row} arrays,
-    and its edges are the profile's {!Scalana_profile.Commrec.p2p_edge}
-    records.  [build] adds only the touched-vertex list, the
-    (rank, vertex) → incoming-edges index, the late-rank table and the
-    whole-run total.  A profile is never written after its PPG is built:
-    writing it would change the PPG under its readers. *)
+    and an edge is an index into the profile's frozen
+    {!Scalana_profile.Commrec} columns, read through its accessors.
+    [build] adds only the touched-vertex list, the edges grouped by
+    receiving rank (offsets into those columns), the late-rank table and
+    the whole-run total.  A profile is never written after its PPG is
+    built: writing it would change the PPG under its readers. *)
 
 open Scalana_psg
 open Scalana_profile
@@ -20,17 +21,26 @@ type t = {
   data : Profdata.t;  (** the profile, read in place *)
   vids : int array;  (** touched vertices, ascending *)
   total_time : float;
-  incoming : (int * int, Commrec.p2p_edge list) Hashtbl.t;
+  rank_start : int array;
+      (** rank [r] received edges [by_rank.(rank_start.(r))] up to
+          [by_rank.(rank_start.(r + 1) - 1)] *)
+  by_rank : int array;
+      (** edge indices grouped by receiving rank, in the profile's
+          reading order within a rank *)
+  receivers : int;  (** distinct (receiving rank, vertex) pairs *)
   coll_late : (int, int) Hashtbl.t;
 }
 
 val build : psg:Psg.t -> Profdata.t -> t
 
-(** Incoming communication dependence of (rank, vertex). *)
-val incoming_edges : t -> rank:int -> vertex:int -> Commrec.p2p_edge list
+(** Incoming communication dependence of (rank, vertex): edge indices
+    into the profile's {!Scalana_profile.Commrec} columns, in reading
+    order. *)
+val incoming_edges : t -> rank:int -> vertex:int -> int list
 
-(** The waiting edge with the largest observed wait, if any. *)
-val critical_edge : t -> rank:int -> vertex:int -> Commrec.p2p_edge option
+(** The waiting edge with the largest observed wait, if any; the first
+    in reading order among equal waits. *)
+val critical_edge : t -> rank:int -> vertex:int -> int option
 
 (** Dominant last-arriving rank at a collective vertex. *)
 val coll_late_rank : t -> vertex:int -> int option
@@ -55,10 +65,11 @@ val coverage : t -> vertex:int -> float
     poisoned (NaN/negative) values are quarantined, not summed. *)
 val total_time : t -> float
 
+(** Distinct (receiving rank, vertex) pairs with an incoming edge. *)
 val n_comm_edges : t -> int
 
 (** Bytes the PPG owns beyond its profile: the touched-vertex list, the
-    edge-index entries and the late-rank table. *)
+    edge grouping and the late-rank table. *)
 val storage_bytes : t -> int
 
 (** Vertices any rank reported on, sorted — the detectors' iteration

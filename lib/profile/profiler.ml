@@ -126,17 +126,9 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
                 | Some send_vid ->
                     t.data.records_taken <- t.data.records_taken + 1;
                     overhead := !overhead +. per_record_cost;
-                    let key =
-                      {
-                        Commrec.recv_rank = ctx.rank;
-                        recv_vertex = vid;
-                        send_rank = d.peer_rank;
-                        send_vertex = send_vid;
-                        tag = d.dep_tag;
-                        bytes = d.dep_bytes;
-                      }
-                    in
-                    Commrec.record_p2p t.data.comm ~key
+                    Commrec.record_p2p t.data.comm ~recv_rank:ctx.rank
+                      ~recv_vertex:vid ~send_rank:d.peer_rank
+                      ~send_vertex:send_vid ~tag:d.dep_tag ~bytes:d.dep_bytes
                       ~waited:(info.wait_seconds > wait_epsilon)
                       ~wait_seconds:info.wait_seconds)
               info.deps));
@@ -156,5 +148,7 @@ let tool t =
     on_mpi_exit = (fun ctx info -> on_mpi_exit t ctx info);
     on_icall = (fun ctx ~target -> on_icall t ctx ~target);
     on_run_end =
-      (fun ~nprocs:_ ~elapsed -> t.data.elapsed <- elapsed);
+      (fun ~nprocs:_ ~elapsed ->
+        t.data.elapsed <- elapsed;
+        Commrec.freeze t.data.comm);
   }

@@ -9,9 +9,11 @@
    scales, clean and faulted.  Do not "improve" this module: its value
    is that it does not change.  Only how it reads the profile has
    followed the profile's layout: a cell is present when its row
-   reports that rank, and [total_time] sums each rank's cells in
+   reports that rank, [total_time] sums each rank's cells in
    ascending vertex order (the profile's per-rank hash tables once
-   fixed that order), then the ranks in order. *)
+   fixed that order), then the ranks in order, and the edges are read
+   from the profile's columns last to first, so each (rank, vertex)
+   list is in reading order, as the edge list it replaced was. *)
 
 open Scalana_psg
 open Scalana_profile
@@ -51,25 +53,25 @@ let wait_of t ~rank ~vertex =
   | None -> 0.0
 
 let build ~(psg : Psg.t) (data : Profdata.t) =
-  let p2p = Commrec.p2p_edges data.Profdata.comm in
-  let incoming = Hashtbl.create (max 16 (List.length p2p)) in
-  List.iter
-    (fun (e : Commrec.p2p_edge) ->
-      let k = (e.key.recv_rank, e.key.recv_vertex) in
-      let edge =
-        {
-          send_rank = e.key.send_rank;
-          send_vertex = e.key.send_vertex;
-          has_wait = e.has_wait;
-          max_wait = e.max_wait;
-          hits = e.hits;
-        }
-      in
-      let existing =
-        match Hashtbl.find_opt incoming k with Some l -> l | None -> []
-      in
-      Hashtbl.replace incoming k (edge :: existing))
-    p2p;
+  let comm = data.Profdata.comm in
+  let n_edges = Commrec.n_p2p comm in
+  let incoming = Hashtbl.create (max 16 n_edges) in
+  for e = n_edges - 1 downto 0 do
+    let k = (Commrec.recv_rank comm e, Commrec.recv_vertex comm e) in
+    let edge =
+      {
+        send_rank = Commrec.send_rank comm e;
+        send_vertex = Commrec.send_vertex comm e;
+        has_wait = Commrec.has_wait comm e;
+        max_wait = Commrec.max_wait comm e;
+        hits = Commrec.hits comm e;
+      }
+    in
+    let existing =
+      match Hashtbl.find_opt incoming k with Some l -> l | None -> []
+    in
+    Hashtbl.replace incoming k (edge :: existing)
+  done;
   let coll_late = Hashtbl.create 32 in
   List.iter
     (fun (r : Commrec.coll_rec) ->

@@ -157,26 +157,31 @@ let test_artifact_roundtrip () =
   check_bool "report renders" true (String.length pipe.report > 0)
 
 (* The stored static artifact of every Table II program, byte for byte:
-   the PSGs, the attribution index, the def-use summary and the
-   communication-cost analysis the session carries. *)
+   the 9-byte header (magic and format version), then the digest of the
+   payload after it — the PSGs, the attribution index, the def-use
+   summary and the communication-cost analysis the session carries.  A
+   format bump moves the header only. *)
+let expected_static_header = "SCALANA2\004"
+
 let expected_static_artifact_digests =
   [
-    ("bt", "1c39538fbb1a73253b2163afe827e0ab");
-    ("cg", "c16f5fd118b405247e28eab93924dfcd");
-    ("ep", "37093407bf7856d99e5e89a4420f7aeb");
-    ("ft", "8cd17979320a3c44e699bcea580d34f8");
-    ("mg", "78819acfe8454ec21cb5d58f244177b5");
-    ("sp", "4562388e3f012648dbbc0d80b9bc5838");
-    ("lu", "c4026e7f0249f3690b00fd8c9587135b");
-    ("is", "34371e0cf69482b5dd9eafb6d15fd04a");
-    ("sst", "f9cfb4e5b58c53bc3d4a7b0b799d8a96");
-    ("nekbone", "d61a11259247d4d1bbb962f29cef5869");
-    ("zeusmp", "82605c5db094a3bc973940f9b0f00578");
+    ("bt", "d84f0fa051537e76583cc2d97c66c4a8");
+    ("cg", "fc4fc521cb27526036a7342923f60097");
+    ("ep", "2e69f142273994177caa9394cbdb7e4e");
+    ("ft", "1b1d4aa5684e1f9ae374303176dd318e");
+    ("mg", "9597bf58d645c8922c8223c1ff1e3895");
+    ("sp", "b57f2ce4cf4549d1c5cf7d316d5f719b");
+    ("lu", "45d298abff4244e72d716cbcf8e9e33a");
+    ("is", "c840219a38c82ecefcdc62b6cd5225a9");
+    ("sst", "e7e95cc85f0e49bfb907b8b9fe70d060");
+    ("nekbone", "093db2e05b1ca8c745df20731327e2b0");
+    ("zeusmp", "15a0f739dc40759811c37d38f385827c");
   ]
 
 let test_static_artifact_digests () =
   check_int "one digest per program" (List.length Scalana_apps.Registry.names)
     (List.length expected_static_artifact_digests);
+  let header = String.length expected_static_header in
   List.iter
     (fun name ->
       let dir = Filename.temp_file "scalana" "" in
@@ -187,9 +192,13 @@ let test_static_artifact_digests () =
       let bytes = In_channel.with_open_bin path In_channel.input_all in
       Sys.remove path;
       Sys.rmdir dir;
-      check_string (name ^ " static artifact")
+      check_string (name ^ " static artifact header") expected_static_header
+        (String.sub bytes 0 header);
+      check_string (name ^ " static artifact payload")
         (List.assoc name expected_static_artifact_digests)
-        (Digest.to_hex (Digest.string bytes)))
+        (Digest.to_hex
+           (Digest.string
+              (String.sub bytes header (String.length bytes - header)))))
     Scalana_apps.Registry.names
 
 let test_artifact_bad_magic () =
@@ -430,37 +439,52 @@ let test_artifact_wrong_scale () =
   in
   check_bool "session degraded" true (Scalana.Pipeline.degraded pipe)
 
-(* Files an older build wrote (version byte 2, CRCs intact) are refused
-   by version before any payload is decoded into the current shape. *)
+(* Files an older build wrote (version byte 2 or 3, CRCs intact) are
+   refused by version before any payload is decoded into the current
+   shape: version 3 held the p2p edges as a hash table of records,
+   version 2 per-rank tables of boxed vectors. *)
 let test_artifact_older_version () =
-  let dir = cg_session () in
-  let set_version path =
-    Scalana_runtime.Faults.corrupt_byte path
-      ~at_byte:(String.length Scalana.Artifact.magic)
-      ~xor:(Scalana.Artifact.format_version lxor 2) ()
-  in
-  let static = Scalana.Artifact.static_path dir
-  and run = Scalana.Artifact.run_path dir 4 in
-  set_version static;
-  set_version run;
-  let is_v2 = function
-    | Some (Scalana.Artifact.Bad_version { version = 2; _ }) -> true
-    | _ -> false
-  in
-  let r : Scalana.Prof.run Scalana.Artifact.salvage =
-    Scalana.Artifact.read_stream run
-  in
-  check_bool "run file refused" true (r.values = [] && is_v2 r.damage);
-  (match Scalana.Artifact.load_static dir with
-  | _ -> Alcotest.fail "static file accepted"
-  | exception Scalana.Artifact.Error e ->
-      check_bool "static file refused" true (is_v2 (Some e)));
-  let runs, issues = Scalana.Artifact.load_runs_salvage dir in
-  Alcotest.(check (list int)) "other scales kept" [ 8; 16 ] (List.map fst runs);
-  check_bool "reported as Bad_version" true
-    (List.exists
-       (fun (i : Scalana.Artifact.issue) -> is_v2 (Some i.error))
-       issues)
+  List.iter
+    (fun old ->
+      let dir = cg_session () in
+      let set_version path =
+        Scalana_runtime.Faults.corrupt_byte path
+          ~at_byte:(String.length Scalana.Artifact.magic)
+          ~xor:(Scalana.Artifact.format_version lxor old) ()
+      in
+      let static = Scalana.Artifact.static_path dir
+      and run = Scalana.Artifact.run_path dir 4 in
+      set_version static;
+      set_version run;
+      let is_old = function
+        | Some (Scalana.Artifact.Bad_version { version; _ }) -> version = old
+        | _ -> false
+      in
+      let r : Scalana.Prof.run Scalana.Artifact.salvage =
+        Scalana.Artifact.read_stream run
+      in
+      check_bool
+        (Printf.sprintf "v%d run file refused" old)
+        true
+        (r.values = [] && is_old r.damage);
+      (match Scalana.Artifact.load_static dir with
+      | _ -> Alcotest.failf "v%d static file accepted" old
+      | exception Scalana.Artifact.Error e ->
+          check_bool
+            (Printf.sprintf "v%d static file refused" old)
+            true
+            (is_old (Some e)));
+      let runs, issues = Scalana.Artifact.load_runs_salvage dir in
+      Alcotest.(check (list int))
+        (Printf.sprintf "v%d: other scales kept" old)
+        [ 8; 16 ] (List.map fst runs);
+      check_bool
+        (Printf.sprintf "v%d reported as Bad_version" old)
+        true
+        (List.exists
+           (fun (i : Scalana.Artifact.issue) -> is_old (Some i.error))
+           issues))
+    [ 2; 3 ]
 
 (* --- degraded pipelines --- *)
 

@@ -356,6 +356,46 @@ let test_history_line_errors () =
   | Ok e -> check_string "parsed label" "run" e.History.h_label
   | Error e -> Alcotest.failf "genuine line rejected: %s" e
 
+(* CRC-32 by its definition: one bit at a time, no table. *)
+let crc32_bitwise s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+(* The standard check value: every ledger line and artifact record
+   written before slicing-by-8 must still verify. *)
+let test_crc32_check_value () =
+  check_int "CRC-32(\"123456789\")" 0xCBF43926 (History.crc32 "123456789");
+  check_int "CRC-32(\"\")" 0 (History.crc32 "")
+
+(* Slicing-by-8 equals the bytewise definition on every length from 0
+   to 64, from the start of a random string and from odd offsets into
+   it, so every split into whole steps and a byte tail is covered. *)
+let prop_crc32_bytewise =
+  let random_bytes =
+    {
+      Prop.gen =
+        (fun r -> String.init 72 (fun _ -> Char.chr (Prop.below r 256)));
+      shrink = (fun _ -> []);
+      show = (fun s -> Printf.sprintf "%S" s);
+    }
+  in
+  Prop.test ~count:50 "crc32 slicing-by-8 = bytewise" random_bytes (fun s ->
+      List.for_all
+        (fun off ->
+          List.for_all
+            (fun len ->
+              let sub = String.sub s off len in
+              History.crc32 sub = crc32_bitwise sub)
+            (List.init 65 Fun.id))
+        [ 0; 1; 3; 5; 7 ])
+
 let test_trend_queries () =
   let entries =
     [
@@ -606,6 +646,8 @@ let () =
           Alcotest.test_case "trend queries" `Quick test_trend_queries;
           Alcotest.test_case "pipeline entry" `Quick
             test_history_entry_from_pipeline;
+          Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+          prop_crc32_bytewise;
         ] );
       ( "report",
         [

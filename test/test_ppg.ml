@@ -98,8 +98,7 @@ let test_ppg_comm_edges () =
   let edges = Ppg.incoming_edges ppg ~rank:2 ~vertex:recv_vertex.Vertex.id in
   check_bool "rank2 incoming" true (edges <> []);
   List.iter
-    (fun (e : Commrec.p2p_edge) ->
-      check_int "sender is rank 1" 1 e.key.send_rank)
+    (fun e -> check_int "sender is rank 1" 1 (Commrec.send_rank data.comm e))
     edges
 
 let test_ppg_waiting_edges_filter () =
@@ -114,14 +113,14 @@ let test_ppg_waiting_edges_filter () =
   (* rank 1 waits on rank 0's origin delay: critical edge present *)
   (match Ppg.critical_edge ppg ~rank:1 ~vertex:recv_vertex.Vertex.id with
   | Some e ->
-      check_int "from rank 0" 0 e.Commrec.key.send_rank;
-      check_bool "waited" true e.Commrec.has_wait
+      check_int "from rank 0" 0 (Commrec.send_rank data.comm e);
+      check_bool "waited" true (Commrec.has_wait data.comm e)
   | None -> Alcotest.fail "rank 1 should have a waiting edge");
   (* the critical edge is one of the incoming edges *)
   let all = Ppg.incoming_edges ppg ~rank:1 ~vertex:recv_vertex.Vertex.id in
   check_bool "subset" true
     (match Ppg.critical_edge ppg ~rank:1 ~vertex:recv_vertex.Vertex.id with
-    | Some e -> List.memq e all
+    | Some e -> List.mem e all
     | None -> false)
 
 let test_ppg_coll_late_rank () =
@@ -204,8 +203,13 @@ type view = {
 }
 
 let view_of_ppg (p : Ppg.t) =
-  let edge (e : Commrec.p2p_edge) =
-    (e.key.send_rank, e.key.send_vertex, e.has_wait, e.max_wait, e.hits)
+  let comm = p.Ppg.data.Profdata.comm in
+  let edge e =
+    ( Commrec.send_rank comm e,
+      Commrec.send_vertex comm e,
+      Commrec.has_wait comm e,
+      Commrec.max_wait comm e,
+      Commrec.hits comm e )
   in
   {
     v_nprocs = p.Ppg.nprocs;

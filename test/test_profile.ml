@@ -55,33 +55,31 @@ let test_perfvec () =
 
 let test_commrec_compression () =
   let t = Commrec.create () in
-  let key =
-    {
-      Commrec.recv_rank = 1;
-      recv_vertex = 10;
-      send_rank = 0;
-      send_vertex = 9;
-      tag = 3;
-      bytes = 1024;
-    }
+  let record ~tag ~waited ~wait_seconds =
+    Commrec.record_p2p t ~recv_rank:1 ~recv_vertex:10 ~send_rank:0
+      ~send_vertex:9 ~tag ~bytes:1024 ~waited ~wait_seconds
   in
   for _ = 1 to 100 do
-    Commrec.record_p2p t ~key ~waited:false ~wait_seconds:0.0
+    record ~tag:3 ~waited:false ~wait_seconds:0.0
   done;
-  Commrec.record_p2p t ~key ~waited:true ~wait_seconds:0.5;
+  record ~tag:3 ~waited:true ~wait_seconds:0.5;
   check_int "one edge" 1 (Commrec.n_p2p t);
-  let e = List.hd (Commrec.p2p_edges t) in
-  check_int "hits" 101 e.Commrec.hits;
-  check_bool "wait sticky" true e.Commrec.has_wait;
-  check_float "max wait" 0.5 e.Commrec.max_wait;
   (* compression ratio accounting *)
   check_bool "compressed smaller" true
     (Commrec.storage_bytes t < Commrec.uncompressed_bytes t);
   (* distinct keys create distinct edges *)
-  Commrec.record_p2p t
-    ~key:{ key with Commrec.tag = 4 }
-    ~waited:false ~wait_seconds:0.0;
-  check_int "two edges" 2 (Commrec.n_p2p t)
+  record ~tag:4 ~waited:false ~wait_seconds:0.0;
+  check_int "two edges" 2 (Commrec.n_p2p t);
+  Commrec.freeze t;
+  check_int "two edges frozen" 2 (Commrec.n_p2p t);
+  let e =
+    List.find
+      (fun e -> Commrec.tag t e = 3)
+      (List.init (Commrec.n_p2p t) Fun.id)
+  in
+  check_int "hits" 101 (Commrec.hits t e);
+  check_bool "wait sticky" true (Commrec.has_wait t e);
+  check_float "max wait" 0.5 (Commrec.max_wait t e)
 
 let test_commrec_collectives () =
   let t = Commrec.create () in
@@ -357,14 +355,14 @@ let test_profile_digests () =
 
 let comm_digest (comm : Commrec.t) =
   let b = Buffer.create 4096 in
-  List.iter
-    (fun (e : Commrec.p2p_edge) ->
-      let k = e.key in
-      Printf.bprintf b "%d %d %d %d %d %d %b %d %Ld\n" k.recv_rank
-        k.recv_vertex k.send_rank k.send_vertex k.tag k.bytes e.has_wait
-        e.hits
-        (Int64.bits_of_float e.max_wait))
-    (List.rev (Commrec.p2p_edges comm));
+  for e = 0 to Commrec.n_p2p comm - 1 do
+    Printf.bprintf b "%d %d %d %d %d %d %b %d %Ld\n"
+      (Commrec.recv_rank comm e) (Commrec.recv_vertex comm e)
+      (Commrec.send_rank comm e) (Commrec.send_vertex comm e)
+      (Commrec.tag comm e) (Commrec.bytes comm e) (Commrec.has_wait comm e)
+      (Commrec.hits comm e)
+      (Int64.bits_of_float (Commrec.max_wait comm e))
+  done;
   Commrec.coll_records comm
   |> List.sort (fun (a : Commrec.coll_rec) b ->
          compare a.coll_vertex b.coll_vertex)
