@@ -22,8 +22,10 @@ type t
 val create : unit -> t
 
 (** One p2p dependence instance: a new key adds an edge, a repeat bumps
-    its hits, makes [has_wait] sticky and keeps the largest wait.
-    Allocates nothing.  Raises [Invalid_argument] once frozen. *)
+    its hits, makes [has_wait] sticky and keeps the largest wait.  A
+    repeat allocates nothing; a new edge allocates only when its block
+    fills or the index doubles.  Raises [Invalid_argument] once
+    frozen. *)
 val record_p2p :
   t ->
   recv_rank:int ->
