@@ -91,6 +91,64 @@ let test_commrec_collectives () =
   check_int "instances" 3 r.Commrec.instances;
   check_int "dominant late rank" 2 (Commrec.dominant_late_rank r)
 
+(* The columns against the table they replaced: random instance streams
+   (repeated keys, NaN, signed-zero and negative waits, enough edges to
+   fill several blocks and double the index and the bucket count) fed to
+   [record_p2p] and to a seed-0 [Hashtbl] that folds them as the old
+   record did.  The frozen columns, read in index order, must list the
+   table's [Hashtbl.fold] order with the same hits, wait flags and
+   max-wait bits. *)
+let prop_commrec_matches_table =
+  let waits = [| 0.0; -0.0; 1e-5; 0.5; 2.0; -1.0; Float.nan; -.Float.nan |] in
+  let instances =
+    {
+      Prop.gen =
+        (fun r ->
+          Array.init
+            (1 + Prop.below r 3000)
+            (fun _ ->
+              ( Array.init 6 (fun f -> Prop.below r [| 8; 6; 8; 6; 3; 2 |].(f)),
+                Prop.below r 2 = 0,
+                waits.(Prop.below r (Array.length waits)) )));
+      shrink = (fun _ -> []);
+      show = (fun a -> Printf.sprintf "<%d instances>" (Array.length a));
+    }
+  in
+  Prop.test ~count:30 "columns = the table they replaced" instances (fun a ->
+      let t = Commrec.create () in
+      let table = Hashtbl.create ~random:false 256 in
+      Array.iter
+        (fun (k, waited, wait) ->
+          Commrec.record_p2p t ~recv_rank:k.(0) ~recv_vertex:k.(1)
+            ~send_rank:k.(2) ~send_vertex:k.(3) ~tag:k.(4) ~bytes:k.(5)
+            ~waited ~wait_seconds:wait;
+          let key = (k.(0), k.(1), k.(2), k.(3), k.(4), k.(5)) in
+          match Hashtbl.find_opt table key with
+          | Some (h, w, m) ->
+              Hashtbl.replace table key (h + 1, w || waited, Float.max m wait)
+          | None -> Hashtbl.add table key (1, waited, wait))
+        a;
+      Commrec.freeze t;
+      let expected =
+        List.rev (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
+      in
+      List.length expected = Commrec.n_p2p t
+      && List.for_all2
+           (fun ((rr, rv, sr, sv, tg, by), (h, w, m)) e ->
+             (rr, rv, sr, sv, tg, by)
+             = ( Commrec.recv_rank t e,
+                 Commrec.recv_vertex t e,
+                 Commrec.send_rank t e,
+                 Commrec.send_vertex t e,
+                 Commrec.tag t e,
+                 Commrec.bytes t e )
+             && h = Commrec.hits t e
+             && w = Commrec.has_wait t e
+             && Int64.equal (Int64.bits_of_float m)
+                  (Int64.bits_of_float (Commrec.max_wait t e)))
+           expected
+           (List.init (Commrec.n_p2p t) Fun.id))
+
 (* --- sampling --- *)
 
 let test_sampling_density () =
@@ -975,6 +1033,7 @@ let () =
           Alcotest.test_case "p2p compression" `Quick test_commrec_compression;
           Alcotest.test_case "collective histogram" `Quick
             test_commrec_collectives;
+          prop_commrec_matches_table;
         ] );
       ( "sampling",
         [
