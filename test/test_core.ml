@@ -156,11 +156,12 @@ let test_artifact_roundtrip () =
   let pipe = Scalana.Pipeline.detect_session session in
   check_bool "report renders" true (String.length pipe.report > 0)
 
-(* The stored static artifact of every Table II program, byte for byte:
+(* The stored static artifact of every registry program, byte for byte:
    the 9-byte header (magic and format version), then the digest of the
    payload after it — the PSGs, the attribution index, the def-use
    summary and the communication-cost analysis the session carries.  A
-   format bump moves the header only. *)
+   format bump moves the header only.  The Table II roster comes first,
+   then the weak-scaled and elastic entries and the optimized variants. *)
 let expected_static_header = "SCALANA2\004"
 
 let expected_static_artifact_digests =
@@ -176,18 +177,35 @@ let expected_static_artifact_digests =
     ("sst", "e7e95cc85f0e49bfb907b8b9fe70d060");
     ("nekbone", "093db2e05b1ca8c745df20731327e2b0");
     ("zeusmp", "15a0f739dc40759811c37d38f385827c");
+    ("cg-weak", "f112dfd533dbfed034ea4a9f3b964513");
+    ("cg-shrink", "2ad92b5806d648ca932678c16375bf04");
+    ("halo-grow", "f21fce7deb20c6e8c1d84482f48c1081");
+    ("sst optimized", "397c1ab0d179d14a3dae74995b0eba89");
+    ("nekbone optimized", "f2d468741702764be59f106ad31a39c6");
+    ("zeusmp optimized", "19ed1c7b0d34dd752b3f5d25d23f4304");
   ]
 
+let static_pin_programs =
+  let open Scalana_apps.Registry in
+  List.map
+    (fun name -> (name, fun () -> (find name).make ()))
+    (names @ [ "cg-weak"; "cg-shrink"; "halo-grow" ])
+  @ List.filter_map
+      (fun e ->
+        if e.has_optimized then
+          Some (e.name ^ " optimized", fun () -> e.make ~optimized:true ())
+        else None)
+      all
+
 let test_static_artifact_digests () =
-  check_int "one digest per program" (List.length Scalana_apps.Registry.names)
+  check_int "one digest per program" (List.length static_pin_programs)
     (List.length expected_static_artifact_digests);
   let header = String.length expected_static_header in
   List.iter
-    (fun name ->
+    (fun (name, make) ->
       let dir = Filename.temp_file "scalana" "" in
       Sys.remove dir;
-      Scalana.Artifact.save_static dir
-        (Scalana.Static.analyze ((Scalana_apps.Registry.find name).make ()));
+      Scalana.Artifact.save_static dir (Scalana.Static.analyze (make ()));
       let path = Scalana.Artifact.static_path dir in
       let bytes = In_channel.with_open_bin path In_channel.input_all in
       Sys.remove path;
@@ -199,7 +217,7 @@ let test_static_artifact_digests () =
         (Digest.to_hex
            (Digest.string
               (String.sub bytes header (String.length bytes - header)))))
-    Scalana_apps.Registry.names
+    static_pin_programs
 
 let test_artifact_bad_magic () =
   let f = Filename.temp_file "scalana" ".static" in
