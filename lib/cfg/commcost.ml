@@ -6,10 +6,9 @@
 
    - a *symbolic* abstract interpreter (domain: [Symbolic]) propagates
      invocation counts interprocedurally over the [Callgraph] (argument
-     bindings joined across call sites, Top on recursion) and evaluates
-     per-statement execution counts from the natural-loop trip counts
-     ([Symbolic.block_counts] over the CFG, refined by an AST walk that
-     also tracks [let] bindings);
+     bindings joined across call sites, Top on recursion) and counts each
+     statement's executions per invocation in one AST walk, from the
+     trip counts of its enclosing loops with [let] bindings in scope;
    - a *concrete* per-rank walker executes the program at a few probe
      scales to resolve what the polynomial domain cannot (rank
      arithmetic: xor partners, mod rings, grid neighbours), measuring
@@ -185,18 +184,20 @@ type finfo = {
   mutable fi_ctx : (string * Symbolic.t) list;  (* formal bindings *)
 }
 
-(* AST walk of one function: per-statement count multiplier (product of
-   enclosing trip counts) and the symbolic variable environment in scope
-   — [let]s included, loop variables bound to their trip counts.  This
-   refines the CFG/dominance counts (which cannot see [let]s) and
-   supplies the environments for byte/destination expressions. *)
+(* AST walk of one function: each statement's execution count per
+   invocation, and the symbolic variable environment in scope ([let]s
+   included; loop variables bound to their trip counts, an upper bound
+   on the values they take).  A statement runs as often as the product
+   of its enclosing trip counts; a loop statement counts its iterations,
+   that product times its own trip.  A trip the domain cannot express
+   makes the counts under it Top. *)
 let scan_function prog ctx (f : Ast.func) =
-  let mults = Hashtbl.create 32 in
+  let counts = Hashtbl.create 32 in
   let envs = Hashtbl.create 32 in
   let comm = ref [] in
   let rec go vars mult stmts = ignore (List.fold_left (step mult) vars stmts)
   and step mult vars (st : Ast.stmt) =
-    Hashtbl.replace mults st.Ast.loc mult;
+    Hashtbl.replace counts st.Ast.loc mult;
     Hashtbl.replace envs st.Ast.loc vars;
     let env = Symbolic.env ~params:prog.Ast.params ~vars in
     match st.Ast.node with
@@ -207,7 +208,10 @@ let scan_function prog ctx (f : Ast.func) =
         vars
     | Ast.Loop l ->
         let trip = Symbolic.of_expr env l.Ast.count in
-        go ((l.Ast.var, trip) :: vars) (Symbolic.mul mult trip) l.Ast.body;
+        let iters = Symbolic.mul mult trip in
+        (* in place: the key keeps its slot in the table's order *)
+        Hashtbl.replace counts st.Ast.loc iters;
+        go ((l.Ast.var, trip) :: vars) iters l.Ast.body;
         vars
     | Ast.Branch b ->
         go vars mult b.then_;
@@ -215,35 +219,11 @@ let scan_function prog ctx (f : Ast.func) =
         vars
   in
   go ctx Symbolic.one f.Ast.fbody;
-  (mults, envs, List.rev !comm)
+  (counts, envs, List.rev !comm)
 
-(* Per-invocation execution count of the statement at [loc]: the
-   CFG/loop-nest count when the domain could express it, the AST-walk
-   multiplier otherwise. *)
-let count_at_loc cfg_counts scan_mults loc =
-  match Hashtbl.find_opt cfg_counts loc with
-  | Some c when not (Symbolic.is_top c) -> c
-  | cfg -> (
-      match Hashtbl.find_opt scan_mults loc with
-      | Some m -> m
-      | None -> ( match cfg with Some c -> c | None -> Symbolic.top))
-
-let cfg_loc_counts prog ctx (f : Ast.func) =
-  let env = Symbolic.env ~params:prog.Ast.params ~vars:ctx in
-  let cfg = Cfg.of_func f in
-  let counts = Symbolic.block_counts env cfg in
-  let tbl = Hashtbl.create 32 in
-  Array.iter
-    (fun (b : Cfg.block) ->
-      (match b.Cfg.origin with
-      | Cfg.Loop_header st | Cfg.Branch_cond st ->
-          Hashtbl.replace tbl st.Ast.loc counts.(b.Cfg.id)
-      | Cfg.Plain | Cfg.Loop_latch _ -> ());
-      List.iter
-        (fun (st : Ast.stmt) -> Hashtbl.replace tbl st.Ast.loc counts.(b.Cfg.id))
-        b.Cfg.stmts)
-    cfg.Cfg.blocks;
-  tbl
+(* Per-invocation execution count of the statement at [loc]. *)
+let count_in counts loc =
+  match Hashtbl.find_opt counts loc with Some c -> c | None -> Symbolic.top
 
 let ctx_equal a b =
   List.length a = List.length b
@@ -283,15 +263,13 @@ let interproc prog =
     | None ->
         let f = Ast.find_func prog name in
         let info = Hashtbl.find infos name in
-        let cfg_counts = cfg_loc_counts prog info.fi_ctx f in
-        let mults, envs, comm = scan_function prog info.fi_ctx f in
-        let t = (cfg_counts, mults, envs, comm) in
+        let t = scan_function prog info.fi_ctx f in
         Hashtbl.replace site_tables name t;
         t
   in
   let site_count caller loc =
-    let cfg_counts, mults, _, _ = tables_of caller in
-    count_at_loc cfg_counts mults loc
+    let counts, _, _ = tables_of caller in
+    count_in counts loc
   in
   let pass () =
     Hashtbl.reset site_tables;
@@ -343,7 +321,7 @@ let interproc prog =
                     | Some { Ast.node = Ast.Call { args; _ }; _ } -> args
                     | _ -> []
                   in
-                  let _, _, envs, _ = tables_of name in
+                  let _, envs, _ = tables_of name in
                   let vars =
                     match Hashtbl.find_opt envs e.Callgraph.site with
                     | Some vs -> vs
@@ -636,13 +614,11 @@ let analyze prog =
   List.iter
     (fun (f : Ast.func) ->
       let info = Hashtbl.find infos f.Ast.fname in
-      let cfg_counts, mults, envs, comm = tables_of f.Ast.fname in
+      let per_inv, envs, comm = tables_of f.Ast.fname in
       Hashtbl.iter
-        (fun loc _ ->
-          let per_inv = count_at_loc cfg_counts mults loc in
-          Hashtbl.replace counts (f.Ast.fname, loc)
-            (Symbolic.mul info.fi_inv per_inv))
-        mults;
+        (fun loc c ->
+          Hashtbl.replace counts (f.Ast.fname, loc) (Symbolic.mul info.fi_inv c))
+        per_inv;
       List.iter
         (fun ((st : Ast.stmt), c) ->
           let loc = st.Ast.loc in
@@ -652,9 +628,7 @@ let analyze prog =
             | None -> info.fi_ctx
           in
           let env = Symbolic.env ~params:prog.Ast.params ~vars in
-          let msgs =
-            Symbolic.mul info.fi_inv (count_at_loc cfg_counts mults loc)
-          in
+          let msgs = Symbolic.mul info.fi_inv (count_in per_inv loc) in
           let bytes =
             match bytes_expr c with
             | None -> Symbolic.zero

@@ -3,10 +3,11 @@
     Derives, for every communication statement of a MiniMPI program, its
     symbolic message count, per-message byte volume, destination-rank
     expression, and a scaling class — by combining a symbolic abstract
-    interpreter (interprocedural invocation counts over {!Callgraph},
-    loop trip counts via {!Symbolic.block_counts}, Top on recursion)
-    with a concrete per-rank walker that probes a few scales to resolve
-    rank arithmetic the polynomial domain cannot express.  The walker
+    interpreter (interprocedural invocation counts over {!Callgraph}, Top
+    on recursion; per-statement execution counts from one walk of each
+    function's AST, with its [let] bindings and loop trip counts in
+    scope) with a concrete per-rank walker that probes a few scales to
+    resolve rank arithmetic the polynomial domain cannot express.  The walker
     runs the simulator's compiled form of the program
     ({!Scalana_runtime.Ir}), compiled once per walked scale.
 
@@ -81,8 +82,14 @@ val patterns : t -> (string * string) list
 val find_fact : t -> func:string -> loc:Loc.t -> fact option
 
 val count_at : t -> func:string -> loc:Loc.t -> Symbolic.t option
-(** Symbolic executions per program run of any statement (invocation
-    count times loop-nest count) — used to classify non-MPI vertices. *)
+(** Symbolic executions per program run of any statement: its function's
+    invocation count times the trip counts of the loops around it.  A
+    loop statement counts its iterations, so its own trip is a factor
+    too.  The count is [Top] when a trip count depends on [rank] or
+    leaves the domain.  [None] unless [loc] holds a statement of [func]
+    and [func] is reachable from [main].  The PSG's [#Pred] column
+    classifies non-MPI vertices by it; each fact's [cc_msgs] is the same
+    count. *)
 
 val pred_of_fact : t -> fact -> pred
 val count_pred : Symbolic.t -> pred

@@ -10,6 +10,10 @@ type loop = {
 type t
 
 val compute : Cfg.t -> t
+
+(** Every natural loop, one per back edge.
+    Kept: the CFG tests check that each loop's body holds its header and
+    latch. *)
 val loops : t -> loop list
 val count : t -> int
 val max_depth : t -> int

@@ -350,51 +350,6 @@ and sym_isqrt = function
         ~coeff:(Float.sqrt (Float.abs m.coeff))
         ~p_exp:(m.p_exp /. 2.0) ~log_exp:(m.log_exp /. 2.0)
 
-(* --- per-block symbolic execution counts --- *)
-
-(* Trip-count expression of a loop, recovered from the header block's
-   provenance. *)
-let header_trip (cfg : Cfg.t) (l : Loops.loop) =
-  match (Cfg.block cfg l.Loops.header).Cfg.origin with
-  | Cfg.Loop_header { Ast.node = Ast.Loop lp; _ } -> Some lp
-  | _ -> None
-
-(* Symbolic executions of every block for one invocation of the
-   function: the product of the trip counts of the enclosing natural
-   loops (detected via dominance back edges).  Loop variables are bound
-   to their trip count — an upper bound on the values they take — so
-   inner trip counts like [loop j < n] stay finite.  Blocks whose trip
-   count the domain cannot express get Top. *)
-let block_counts env (cfg : Cfg.t) =
-  let loops = Loops.loops (Loops.compute cfg) in
-  (* outermost loops first, so inner trip counts see outer bindings *)
-  let by_depth = List.sort (fun a b -> compare a.Loops.depth b.Loops.depth) loops in
-  let trips = Hashtbl.create 8 in
-  let var_env = ref env.vars in
-  List.iter
-    (fun (l : Loops.loop) ->
-      match header_trip cfg l with
-      | None -> Hashtbl.replace trips l.Loops.header Top
-      | Some lp ->
-          let t = of_expr { env with vars = !var_env } lp.Ast.count in
-          Hashtbl.replace trips l.Loops.header t;
-          var_env := (lp.Ast.var, t) :: !var_env)
-    by_depth;
-  let n = Cfg.n_blocks cfg in
-  let counts = Array.make n one in
-  List.iter
-    (fun (l : Loops.loop) ->
-      let trip =
-        match Hashtbl.find_opt trips l.Loops.header with
-        | Some t -> t
-        | None -> Top
-      in
-      List.iter
-        (fun id -> counts.(id) <- mul counts.(id) trip)
-        l.Loops.body)
-    loops;
-  counts
-
 (* --- printing --- *)
 
 let pp_mono ppf m =

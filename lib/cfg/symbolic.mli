@@ -33,6 +33,9 @@ val log_p : t
 (** Kept: part of the abstract domain's algebra, which its tests exercise
     directly. *)
 val mono : coeff:float -> p_exp:float -> log_exp:float -> t
+
+(** Kept: part of the abstract domain's algebra, which its tests exercise
+    directly. *)
 val is_top : t -> bool
 val is_zero : t -> bool
 
@@ -85,11 +88,5 @@ val of_expr : env -> Expr.t -> t
     variables, and operators outside the domain (mod, comparisons,
     xor) evaluate to [Top]; [Min]/[Max] join; [log2]/[isqrt] of a
     monomial stay symbolic. *)
-
-val block_counts : env -> Cfg.t -> t array
-(** Symbolic executions of every CFG block for one invocation of the
-    function: the product of the trip counts of the enclosing natural
-    loops ({!Loops} on dominance back edges), loop variables bound to
-    their trip counts as upper bounds. *)
 
 val to_string : t -> string

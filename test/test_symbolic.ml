@@ -1,5 +1,5 @@
 (* Tests for the symbolic communication-complexity analysis: the
-   polynomial domain, abstract expression evaluation, CFG block counts,
+   polynomial domain, abstract expression evaluation, statement counts,
    exponent recovery from probes, the pattern classifier, and the
    acceptance pins on the registry — every app's known hotspot gets the
    expected scaling class (the NPB-CG transpose exchange is O(p)). *)
@@ -73,18 +73,23 @@ let test_block_counts () =
     let b = Builder.create ~file:"bc.mmp" ~name:"bc" () in
     Builder.func b "main" (fun () ->
         [
+          Builder.comp b ~flops:(i 1) ~mem:(i 1) ();
           Builder.loop b ~var:"r" ~count:np (fun () ->
               [ Builder.comp b ~flops:(i 1) ~mem:(i 1) () ]);
         ]);
     Builder.program b
   in
-  let cfg = Cfg.of_func (Ast.find_func prog "main") in
-  let env = Symbolic.env ~params:[] ~vars:[] in
-  let counts = Symbolic.block_counts env cfg in
-  check_bool "some block runs p times" true
-    (Array.exists (fun c -> Symbolic.equal c Symbolic.p) counts);
-  check_bool "entry runs once" true
-    (Symbolic.equal counts.(cfg.Cfg.entry) Symbolic.one)
+  let cc = Commcost.analyze prog in
+  let count (st : Ast.stmt) =
+    Commcost.count_at cc ~func:"main" ~loc:st.Ast.loc
+  in
+  match (Ast.find_func prog "main").Ast.fbody with
+  | [ outside; { Ast.node = Ast.Loop { body = [ inside ]; _ }; _ } ] ->
+      check_bool "the loop body runs p times" true
+        (Option.equal Symbolic.equal (count inside) (Some Symbolic.p));
+      check_bool "code outside the loop runs once" true
+        (Option.equal Symbolic.equal (count outside) (Some Symbolic.one))
+  | _ -> Alcotest.fail "a statement and a one-statement loop expected"
 
 let test_fit_exponents () =
   let lbl samples =
@@ -319,6 +324,44 @@ let test_same_line_loops () =
   | [ (_, (_, counts)) ] -> check_int "every barrier counted" 3 counts.(0)
   | _ -> Alcotest.fail "one collective site expected"
 
+(* A loop statement counts its iterations: its body's count when the
+   body is one statement, also when the trip count reads a [let] (4 p)
+   or the rank (Top). *)
+let test_loop_counts () =
+  let prog =
+    Parser.parse ~file:"loops.mmp"
+      "program \"loops\"\n\
+       func main() {\n\
+      \  let n = np * 4;\n\
+      \  loop i = n {\n\
+      \    comp flops=1 mem=1 ints=0 locality=0.5;\n\
+      \  }\n\
+      \  loop j = rank {\n\
+      \    comp flops=1 mem=1 ints=0 locality=0.5;\n\
+      \  }\n\
+      \  loop k = np {\n\
+      \    comp flops=1 mem=1 ints=0 locality=0.5;\n\
+      \  }\n\
+       }\n"
+  in
+  let cc = Commcost.analyze prog in
+  let count line =
+    match
+      Commcost.count_at cc ~func:"main" ~loc:(Loc.v ~file:"loops.mmp" ~line)
+    with
+    | Some c -> c
+    | None -> Alcotest.failf "no count at line %d" line
+  in
+  List.iter
+    (fun (name, loop_line, expected) ->
+      check_sym (name ^ " body") expected (count (loop_line + 1));
+      check_sym (name ^ " loop") expected (count loop_line))
+    [
+      ("loop i = n", 4, Symbolic.mul (Symbolic.const 4.0) Symbolic.p);
+      ("loop j = rank", 7, Symbolic.top);
+      ("loop k = np", 10, Symbolic.p);
+    ]
+
 (* --- acceptance pins: known hotspot classes across the registry --- *)
 
 let fact_class cc ~func ~op =
@@ -505,6 +548,8 @@ let () =
               test_audit_digests;
             Alcotest.test_case "model series pinned by digest" `Quick
               test_model_series_digests;
+            Alcotest.test_case "loop counts mean iterations" `Quick
+              test_loop_counts;
           ] );
       ( "crosscheck",
         [ Alcotest.test_case "cg session confirms" `Quick test_crosscheck_cg ]
