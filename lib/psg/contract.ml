@@ -86,19 +86,14 @@ let run ?(max_loop_depth = default_max_loop_depth) (src : Psg.t) =
           List.iter (walk ~dst_parent ~depth) (Psg.children src orig_id)
         end
     | Vertex.Loop { var; label; depth = _ } ->
-        if Psg.subtree_has_mpi src orig_id then begin
+        if Psg.subtree_has_mpi src orig_id || depth + 1 <= max_loop_depth
+        then begin
           let id = copy (Vertex.Loop { var; label; depth = depth + 1 }) in
           List.iter
             (walk ~dst_parent:id ~depth:(depth + 1))
             (Psg.children src orig_id)
         end
-        else if depth + 1 > max_loop_depth then collapse ~label
-        else begin
-          let id = copy (Vertex.Loop { var; label; depth = depth + 1 }) in
-          List.iter
-            (walk ~dst_parent:id ~depth:(depth + 1))
-            (Psg.children src orig_id)
-        end
+        else collapse ~label
   in
   let src_root = Psg.root src in
   let root_v = Psg.vertex src src_root in

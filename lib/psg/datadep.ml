@@ -20,16 +20,6 @@ open Scalana_cfg
 
 type summary = { defs : int; uses : int; edges : int }
 
-(* Same (callpath, loc) encoding as the attribution index. *)
-let encode_callpath callpath =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun l ->
-      Buffer.add_string buf (Loc.to_string l);
-      Buffer.add_char buf '>')
-    callpath;
-  Buffer.contents buf
-
 (* Resolve a definition site to PSG vertices within one inlining
    instance.  A site with no vertex of its own (a [Let], a parameter
    binding at the function location) is chained through its own uses'
@@ -56,12 +46,12 @@ let annotate ?pool ~(full : Psg.t) ~(contraction : Contract.result)
   in
   let chains_tbl = Hashtbl.create (max 16 (List.length chains_list)) in
   List.iter (fun (n, c) -> Hashtbl.replace chains_tbl n c) chains_list;
-  (* (callpath, loc) -> full-PSG vertex; first expansion wins, matching
-     the attribution index's recursion folding. *)
+  (* (callpath, loc) -> full-PSG vertex, keyed as the attribution index
+     keys it; first expansion wins, matching its recursion folding. *)
   let vert_at = Hashtbl.create (max 64 (Psg.n_vertices full)) in
   Psg.iter
     (fun v ->
-      let k = encode_callpath v.Vertex.callpath ^ Loc.to_string v.Vertex.loc in
+      let k = Index.key v.Vertex.callpath v.Vertex.loc in
       if not (Hashtbl.mem vert_at k) then Hashtbl.add vert_at k v.Vertex.id)
     full;
   let contracted = contraction.Contract.psg in
@@ -70,9 +60,8 @@ let annotate ?pool ~(full : Psg.t) ~(contraction : Contract.result)
       match Hashtbl.find_opt chains_tbl v.Vertex.func with
       | None -> ()
       | Some chains ->
-          let prefix = encode_callpath v.Vertex.callpath in
           let lookup loc =
-            Hashtbl.find_opt vert_at (prefix ^ Loc.to_string loc)
+            Hashtbl.find_opt vert_at (Index.key v.Vertex.callpath loc)
           in
           Defuse.Chains.uses_at chains v.Vertex.loc
           |> List.iter (fun (_, sites) ->

@@ -6,6 +6,11 @@ open Scalana_mlang
 
 type t
 
+(** [key callpath loc]: the string a (call path, location) pair is
+    indexed under — each call-site location followed by [>], then
+    [loc].  {!Datadep} keys its vertex table the same way. *)
+val key : Loc.t list -> Loc.t -> string
+
 val build : full:Psg.t -> contraction:Contract.result -> t
 
 (** Index vertices added to the contracted graph by indirect-call
