@@ -14,7 +14,8 @@
             ++ payload (Marshal of one value)
 
    Writers append one record per run, so a profile file carries every
-   save of its scale and the newest intact record wins.  The salvage
+   save of its scale and the newest intact record wins ([save_run]
+   rewrites a damaged profile rather than append after the damage).  The salvage
    reader walks the stream and recovers the valid prefix of a truncated
    or bit-flipped file, reporting what was lost as a typed {!error}
    instead of crashing the whole analysis.
@@ -107,7 +108,8 @@ let write_record oc v =
   output_binary_int oc (crc32 payload);
   output_string oc payload
 
-let save_value path v =
+(* A fresh stream of the values, in order. *)
+let write_values path vs =
   Scalana_obs.Obs.with_span
     ~args:[ ("path", Filename.basename path) ]
     "artifact.write"
@@ -117,7 +119,9 @@ let save_value path v =
     ~finally:(fun () -> close_out oc)
     (fun () ->
       write_header oc;
-      write_record oc v)
+      List.iter (write_record oc) vs)
+
+let save_value path v = write_values path [ v ]
 
 let append_value path v =
   Scalana_obs.Obs.with_span
@@ -264,10 +268,21 @@ let save_static dir (static : Static.t) =
 let load_static dir : Static.t = load_value (static_path dir)
 
 (* Profiles append: re-profiling a scale adds a record, and the newest
-   intact one wins at load time. *)
+   intact one wins at load time.  The reader stops at the first damage,
+   so a record appended after a torn tail, or to another build's format,
+   would never be read: a file that does not read back clean is
+   rewritten instead, its intact records and then the new one, into a
+   temporary file renamed over it.  A crash before the rename leaves the
+   old file as it was, and the loader skips the [.tmp] file. *)
 let save_run dir (run : Prof.run) =
   ensure_dir dir;
-  append_value (run_path dir run.Prof.nprocs) run
+  let path = run_path dir run.Prof.nprocs in
+  match (read_stream_body path : Prof.run salvage) with
+  | { damage = None | Some (Missing _); _ } -> append_value path run
+  | { values; damage = Some _ } ->
+      let tmp = path ^ ".tmp" in
+      write_values tmp (values @ [ run ]);
+      Sys.rename tmp path
 
 let rec last = function [ x ] -> Some x | _ :: rest -> last rest | [] -> None
 

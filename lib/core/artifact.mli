@@ -1,7 +1,7 @@
 (** On-disk session artifacts shared by the scalana-static / -prof /
     -detect executables.
 
-    Format v3 wraps [Marshal] payloads in a durable record stream:
+    Format v4 wraps [Marshal] payloads in a durable record stream:
     ["SCALANA2"] magic + version byte, then per record a 4-byte
     big-endian payload length, a 4-byte big-endian CRC-32 and the
     payload.  Runs are appended record-by-record, and the salvage
@@ -82,7 +82,10 @@ val save_static : string -> Static.t -> unit
 val load_static : string -> Static.t
 
 (** Appends a record to the scale's profile; the newest intact record
-    wins at load time. *)
+    wins at load time.  A profile that does not read back clean (a torn
+    tail, another format version) is rewritten instead: its intact
+    records, then the new one, through a temporary file renamed over
+    it. *)
 val save_run : string -> Prof.run -> unit
 
 (** Salvaging run loader: per scale, the newest intact record of its

@@ -504,6 +504,57 @@ let test_artifact_older_version () =
            issues))
     [ 2; 3 ]
 
+(* Re-profiling a scale whose profile has a torn tail, or was written by
+   a build with another record shape, keeps the file's intact records
+   and puts the new run after them, where the reader finds it: the
+   session loads clean and the scale's run is the new one.  An injected
+   delay tells the new run's elapsed time from the old one's. *)
+let test_artifact_resave_over_damage () =
+  let entry = Scalana_apps.Registry.find "cg" in
+  let static = Scalana.Static.analyze (entry.make ()) in
+  let rerun () =
+    Scalana.Prof.run ~cost:entry.cost
+      ~inject:(Inject.create [ Inject.delay ~ranks:[ 1 ] 0.05 ])
+      static ~nprocs:16 ()
+  in
+  List.iter
+    (fun (damage, kept, spoil) ->
+      let dir = cg_session () in
+      let path = Scalana.Artifact.run_path dir 16 in
+      (* a second record, so a torn tail leaves one intact before it *)
+      Scalana.Artifact.save_run dir
+        (Scalana.Prof.run ~cost:entry.cost static ~nprocs:16 ());
+      spoil path;
+      let fresh = rerun () in
+      Scalana.Artifact.save_run dir fresh;
+      let s : Scalana.Prof.run Scalana.Artifact.salvage =
+        Scalana.Artifact.read_stream path
+      in
+      check_bool (damage ^ ": the file reads clean") true (s.damage = None);
+      check_int (damage ^ ": intact records, then the new one") (kept + 1)
+        (List.length s.values);
+      let runs, issues = Scalana.Artifact.load_runs_salvage dir in
+      check_int (damage ^ ": no issues") 0 (List.length issues);
+      Alcotest.(check (list int))
+        (damage ^ ": every scale") [ 4; 8; 16 ] (List.map fst runs);
+      check_bool (damage ^ ": the new run is loaded") true
+        ((List.assoc 16 runs).Scalana.Prof.result.Exec.elapsed
+        = fresh.Scalana.Prof.result.Exec.elapsed))
+    [
+      ( "torn tail",
+        1,
+        fun path ->
+          let len = In_channel.with_open_bin path In_channel.length in
+          Scalana_runtime.Faults.truncate_file path
+            ~at_byte:(Int64.to_int len - 10) );
+      ( "older format",
+        0,
+        fun path ->
+          Scalana_runtime.Faults.corrupt_byte path
+            ~at_byte:(String.length Scalana.Artifact.magic)
+            ~xor:(Scalana.Artifact.format_version lxor 3) () );
+    ]
+
 (* --- degraded pipelines --- *)
 
 let test_pipeline_salvaged_session () =
@@ -959,6 +1010,8 @@ let () =
             test_artifact_older_version;
           Alcotest.test_case "static artifacts pinned by digest" `Quick
             test_static_artifact_digests;
+          Alcotest.test_case "re-profiling over a damaged profile" `Quick
+            test_artifact_resave_over_damage;
         ] );
       ( "degraded",
         [
