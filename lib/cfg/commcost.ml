@@ -617,7 +617,8 @@ let analyze prog =
       let per_inv, envs, comm = tables_of f.Ast.fname in
       Hashtbl.iter
         (fun loc c ->
-          Hashtbl.replace counts (f.Ast.fname, loc) (Symbolic.mul info.fi_inv c))
+          Hashtbl.replace counts (f.Ast.fname, loc)
+            (Symbolic.mul info.fi_inv c))
         per_inv;
       List.iter
         (fun ((st : Ast.stmt), c) ->

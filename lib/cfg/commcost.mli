@@ -7,8 +7,8 @@
     on recursion; per-statement execution counts from one walk of each
     function's AST, with its [let] bindings and loop trip counts in
     scope) with a concrete per-rank walker that probes a few scales to
-    resolve rank arithmetic the polynomial domain cannot express.  The walker
-    runs the simulator's compiled form of the program
+    resolve rank arithmetic the polynomial domain cannot express.  The
+    walker runs the simulator's compiled form of the program
     ({!Scalana_runtime.Ir}), compiled once per walked scale.
 
     The scaling class measures *network pressure*: per-rank messages

@@ -15,10 +15,10 @@
 
    Writers append one record per run, so a profile file carries every
    save of its scale and the newest intact record wins ([save_run]
-   rewrites a damaged profile rather than append after the damage).  The salvage
-   reader walks the stream and recovers the valid prefix of a truncated
-   or bit-flipped file, reporting what was lost as a typed {!error}
-   instead of crashing the whole analysis.
+   rewrites a damaged profile rather than append after the damage).
+   The salvage reader walks the stream and recovers the valid prefix of
+   a truncated or bit-flipped file, reporting what was lost as a typed
+   {!error} instead of crashing the whole analysis.
 
    The CRC catches damage, not a change of record shape: Marshal decodes
    another build's record into whatever the reader's types say.  So the

@@ -85,10 +85,10 @@ let test_block_counts () =
   in
   match (Ast.find_func prog "main").Ast.fbody with
   | [ outside; { Ast.node = Ast.Loop { body = [ inside ]; _ }; _ } ] ->
-      check_bool "the loop body runs p times" true
-        (Option.equal Symbolic.equal (count inside) (Some Symbolic.p));
-      check_bool "code outside the loop runs once" true
-        (Option.equal Symbolic.equal (count outside) (Some Symbolic.one))
+      Alcotest.(check (option sym))
+        "the loop body runs p times" (Some Symbolic.p) (count inside);
+      Alcotest.(check (option sym))
+        "code outside the loop runs once" (Some Symbolic.one) (count outside)
   | _ -> Alcotest.fail "a statement and a one-statement loop expected"
 
 let test_fit_exponents () =
