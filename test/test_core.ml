@@ -522,10 +522,13 @@ let test_artifact_resave_over_damage () =
       let dir = cg_session () in
       let path = Scalana.Artifact.run_path dir 16 in
       (* a second record, so a torn tail leaves one intact before it *)
-      Scalana.Artifact.save_run dir
-        (Scalana.Prof.run ~cost:entry.cost static ~nprocs:16 ());
+      let old = Scalana.Prof.run ~cost:entry.cost static ~nprocs:16 () in
+      Scalana.Artifact.save_run dir old;
       spoil path;
       let fresh = rerun () in
+      check_bool (damage ^ ": the re-run's elapsed time differs") true
+        (fresh.Scalana.Prof.result.Exec.elapsed
+        <> old.Scalana.Prof.result.Exec.elapsed);
       Scalana.Artifact.save_run dir fresh;
       let s : Scalana.Prof.run Scalana.Artifact.salvage =
         Scalana.Artifact.read_stream path
