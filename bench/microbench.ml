@@ -125,7 +125,7 @@ let make_tests () =
              (Scalana_profile.Profdata.touched_vertices data)));
   ]
   (* the simulator engine's two hot structures, at the scales the
-     zero-allocation rework targets: a full ring of posted-recv/send
+     struct-of-arrays rework targets: a full ring of posted-recv/send
      matches through the per-rank queues, and a fill+drain of the
      scheduler's ready heap *)
   @ List.concat_map

@@ -11,8 +11,9 @@
 
    [engine_throughput]: raw simulator events/second on the cg-weak
    extreme-scale workload (docs/performance.md), the metric the
-   zero-allocation engine rework targets.  Each scale point carries the
-   pre-rework engine's measurement as its baseline. *)
+   struct-of-arrays engine rework targets.  Each scale point carries the
+   pre-rework engine's measurement as its baseline, and the run's GC
+   work: collections, promoted words and allocated words. *)
 
 let domains = 4
 
@@ -64,7 +65,26 @@ type speedup_data = {
   phases : (string * int * float) list;
 }
 
-type engine_row = { np : int; events : int; wall_s : float }
+(* What one run cost the GC: [Gc.quick_stat] after minus before. *)
+type gc_work = {
+  minor_collections : int;
+  major_collections : int;
+  promoted_words : float;
+  allocated_words : float;  (* minor + major - promoted *)
+}
+
+type engine_row = { np : int; events : int; wall_s : float; gc : gc_work }
+
+let gc_work_of (a : Gc.stat) (b : Gc.stat) =
+  let promoted = b.promoted_words -. a.promoted_words in
+  {
+    minor_collections = b.minor_collections - a.minor_collections;
+    major_collections = b.major_collections - a.major_collections;
+    promoted_words = promoted;
+    allocated_words =
+      b.minor_words -. a.minor_words +. (b.major_words -. a.major_words)
+      -. promoted;
+  }
 
 type ppg_row = {
   mnp : int;  (* scale point *)
@@ -169,9 +189,13 @@ let write_bench_json () =
         Printf.sprintf
           "    { \"np\": %d, \"events\": %d, \"wall_seconds\": %.3f, \
            \"events_per_second\": %.0f, \
-           \"baseline_events_per_second\": %.0f, \"speedup\": %.2f }"
+           \"baseline_events_per_second\": %.0f, \"speedup\": %.2f, \
+           \"minor_collections\": %d, \"major_collections\": %d, \
+           \"promoted_words\": %.0f, \"allocated_words\": %.0f }"
           r.np r.events r.wall_s evs (engine_baseline r.np)
           (evs /. engine_baseline r.np)
+          r.gc.minor_collections r.gc.major_collections r.gc.promoted_words
+          r.gc.allocated_words
       in
       add [ "engine" ]
         "  \"engine\": {\n\
@@ -297,14 +321,22 @@ let engine_throughput () =
       (fun np ->
         let cfg = Scalana_runtime.Exec.config ~nprocs:np ~cost:entry.cost () in
         let prog = entry.make () in
+        (* each point starts from a compacted heap, so no earlier
+           point's garbage is collected on its account *)
+        Gc.compact ();
+        let before = Gc.quick_stat () in
         let r, wall_s = timed (fun () -> Scalana_runtime.Exec.run ~cfg prog) in
-        let row = { np; events = r.Scalana_runtime.Exec.events; wall_s } in
+        let gc = gc_work_of before (Gc.quick_stat ()) in
+        let row = { np; events = r.Scalana_runtime.Exec.events; wall_s; gc } in
         Printf.printf
-          "  np=%-6d %9d events %8.3fs  %10.0f ev/s  (baseline %8.0f, %.1fx)\n%!"
+          "  np=%-6d %9d events %8.3fs  %10.0f ev/s  (baseline %8.0f, %.1fx)  \
+           gc: %d minor, %d major, %.0f promoted, %.0f allocated words\n%!"
           np row.events wall_s
           (float_of_int row.events /. wall_s)
           (engine_baseline np)
-          (float_of_int row.events /. wall_s /. engine_baseline np);
+          (float_of_int row.events /. wall_s /. engine_baseline np)
+          gc.minor_collections gc.major_collections gc.promoted_words
+          gc.allocated_words;
         row)
       engine_scales
   in

@@ -12,6 +12,7 @@ open Scalana_runtime
 (* The paper's 200 Hz; the per-sample cost includes the full unwind,
    slightly above ScalAna's. *)
 let freq = 200.0
+let period = 1.0 /. freq
 let per_sample_cost = 400.0e-6
 
 type t = {
@@ -24,14 +25,14 @@ type t = {
 let create ~nprocs () =
   {
     cct = Cct.create ~nprocs;
-    next_tick = Array.make nprocs (1.0 /. freq);
+    next_tick = Array.make nprocs period;
     total_samples = 0;
     elapsed = 0.0;
   }
 
 let on_interval t (ctx : Instrument.ctx) ~stop activity =
   let n =
-    Instrument.ticks t.next_tick ~freq ~rank:ctx.rank ~start:ctx.time ~stop
+    Instrument.ticks t.next_tick ~period ~rank:ctx.rank ~start:ctx.time ~stop
   in
   if n = 0 then 0.0
   else begin
@@ -39,7 +40,6 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
     let node =
       Cct.find_or_add t.cct ~rank:ctx.rank ~callpath:ctx.callpath ~loc:ctx.loc
     in
-    let period = 1.0 /. freq in
     let est = float_of_int n *. period in
     node.Cct.time <- node.Cct.time +. est;
     node.samples <- node.samples + n;
@@ -47,7 +47,7 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
     | Instrument.Compute { pmu; _ } ->
         let duration = stop -. ctx.time in
         let frac = if duration > 0.0 then est /. duration else 1.0 in
-        node.pmu <- Pmu.add node.pmu (Pmu.scale frac pmu)
+        node.pmu <- Pmu.add_scaled node.pmu frac pmu
     | Instrument.Mpi_span { wait_seconds; _ } ->
         node.is_mpi <- true;
         node.wait <- node.wait +. Float.min wait_seconds est);

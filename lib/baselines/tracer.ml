@@ -37,9 +37,8 @@ let log t ~records =
 
 let on_interval t = function
   | Instrument.Compute { pmu; _ } ->
-      let sub =
-        min max_sub_regions (int_of_float (pmu.Pmu.tot_ins /. ins_per_region))
-      in
+      let sub = int_of_float (pmu.Pmu.tot_ins /. ins_per_region) in
+      let sub = if max_sub_regions <= sub then max_sub_regions else sub in
       log t ~records:(2 * sub)
   | Instrument.Mpi_span _ ->
       (* MPI regions are logged from on_mpi_exit, which carries peers. *)

@@ -32,7 +32,8 @@ module C = Expr.Compiled
 
 let ring_dist np a b =
   let d = (b - a + np) mod np in
-  min d (np - d)
+  let back = np - d in
+  if d <= back then d else back
 
 (* ------------------------------------------------------------------ *)
 (* Concrete per-rank walker                                            *)

@@ -68,8 +68,9 @@ let apply_binop op a b =
   | Mul -> a * b
   | Div -> if b = 0 then eval_error "division by zero" else a / b
   | Mod -> if b = 0 then eval_error "modulo by zero" else a mod b
-  | Min -> min a b
-  | Max -> max a b
+  (* int comparisons: a polymorphic [min]/[max] is a C call *)
+  | Min -> if a <= b then a else b
+  | Max -> if a >= b then a else b
   | Shl -> a lsl b
   | Shr -> a asr b
   | Lt -> if a < b then 1 else 0

@@ -82,11 +82,11 @@ let row_for t ~vertex =
       t.rows.(vertex) <- Some r;
       r
 
-let add_sampled t ~rank ~vertex ~time ~samples ~pmu =
+let add_sampled t ~rank ~vertex ~time ~samples ~scale ~pmu =
   let r = row_for t ~vertex in
   r.times.(rank) <- r.times.(rank) +. time;
   r.samples.(rank) <- r.samples.(rank) + samples;
-  r.pmu.(rank) <- Pmu.add r.pmu.(rank) pmu
+  r.pmu.(rank) <- Pmu.add_scaled r.pmu.(rank) scale pmu
 
 let add_wait t ~rank ~vertex ~wait =
   let r = row_for t ~vertex in

@@ -44,10 +44,18 @@ val row : t -> vertex:int -> row option
 (** Did [rank] report in this row? *)
 val reported : row -> rank:int -> bool
 
-(** Add [samples] timer samples worth [time] seconds and their counter
-    deltas to ([rank], [vertex]). *)
+(** Add [samples] timer samples worth [time] seconds to ([rank],
+    [vertex]), and their counter deltas [scale · pmu] (one new cell
+    record: see {!Scalana_runtime.Pmu.add_scaled}). *)
 val add_sampled :
-  t -> rank:int -> vertex:int -> time:float -> samples:int -> pmu:Pmu.t -> unit
+  t ->
+  rank:int ->
+  vertex:int ->
+  time:float ->
+  samples:int ->
+  scale:float ->
+  pmu:Pmu.t ->
+  unit
 
 (** Add one MPI call and its exact wait to ([rank], [vertex]). *)
 val add_wait : t -> rank:int -> vertex:int -> wait:float -> unit

@@ -35,6 +35,7 @@ let check_freq ~what freq =
 
 type t = {
   cfg : config;
+  period : float;  (* 1 / freq: seconds between timer ticks *)
   resolver : Index.Resolver.t;  (* per run: see Index.Resolver *)
   data : Profdata.t;
   next_tick : float array;  (* per rank; also the tool's sample gate *)
@@ -43,11 +44,13 @@ type t = {
 
 let create ?(config = default_config) ~index ~nprocs () =
   check_freq ~what:"Profiler.create: freq" config.freq;
+  let period = 1.0 /. config.freq in
   {
     cfg = config;
+    period;
     resolver = Index.Resolver.create index;
     data = Profdata.create ~nprocs;
-    next_tick = Array.make nprocs (1.0 /. config.freq);
+    next_tick = Array.make nprocs period;
     rngs =
       Array.init nprocs (fun r ->
           Random.State.make [| config.seed; r; 0x5ca1 |]);
@@ -61,13 +64,12 @@ let resolve t (ctx : Instrument.ctx) =
 
 let on_interval t (ctx : Instrument.ctx) ~stop activity =
   let n =
-    Instrument.ticks t.next_tick ~freq:t.cfg.freq ~rank:ctx.rank
+    Instrument.ticks t.next_tick ~period:t.period ~rank:ctx.rank
       ~start:ctx.time ~stop
   in
   if n = 0 then 0.0
   else begin
-    let period = 1.0 /. t.cfg.freq in
-    let est_time = float_of_int n *. period in
+    let est_time = float_of_int n *. t.period in
     t.data.total_samples <- t.data.total_samples + n;
     (match resolve t ctx with
     | None -> t.data.unattributed_samples <- t.data.unattributed_samples + n
@@ -76,15 +78,18 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
         (* attribute counter deltas at the sampling rate: pmu-rate of the
            span times the sampled time — unbiased like PAPI's interrupt
            deltas, regardless of span length *)
+        let scale =
+          match activity with
+          | Instrument.Compute _ when duration > 0.0 -> est_time /. duration
+          | Instrument.Compute _ | Instrument.Mpi_span _ -> 1.0
+        in
         let pmu =
           match activity with
-          | Instrument.Compute { pmu; _ } when duration > 0.0 ->
-              Pmu.scale (est_time /. duration) pmu
           | Instrument.Compute { pmu; _ } -> pmu
           | Instrument.Mpi_span _ -> Pmu.zero
         in
         Profdata.add_sampled t.data ~rank:ctx.rank ~vertex:vid ~time:est_time
-          ~samples:n ~pmu);
+          ~samples:n ~scale ~pmu);
     (* Samples landing inside an MPI wait overlap the blocked time: the
        interrupt handler runs while the process would be idle, so it does
        not extend the critical path.  Only compute-span samples perturb
@@ -95,9 +100,28 @@ let on_interval t (ctx : Instrument.ctx) ~stop activity =
     | Instrument.Mpi_span _ -> 0.0
   end
 
+(* One comm record per dependence of [info] whose send resolves to a
+   vertex; a top-level loop, so no closure is built per call. *)
+let rec record_deps t ~rank ~vertex (info : Instrument.mpi_exit) = function
+  | [] -> ()
+  | (d : Instrument.peer_dep) :: rest ->
+      (match
+         Index.Resolver.find t.resolver ~cctx:d.peer_cctx
+           ~callpath:d.peer_callpath ~loc:d.peer_loc
+       with
+      | None -> ()
+      | Some send_vid ->
+          t.data.records_taken <- t.data.records_taken + 1;
+          Commrec.record_p2p t.data.comm ~recv_rank:rank ~recv_vertex:vertex
+            ~send_rank:d.peer_rank ~send_vertex:send_vid ~tag:d.dep_tag
+            ~bytes:d.dep_bytes
+            ~waited:(info.wait_seconds > wait_epsilon)
+            ~wait_seconds:info.wait_seconds);
+      record_deps t ~rank ~vertex info rest
+
 let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
   t.data.mpi_calls_seen <- t.data.mpi_calls_seen + 1;
-  let overhead = ref per_call_cost in
+  let taken = t.data.records_taken in
   (match resolve t ctx with
   | None -> ()
   | Some vid -> (
@@ -112,26 +136,15 @@ let on_mpi_exit t (ctx : Instrument.ctx) (info : Instrument.mpi_exit) =
         match info.collective with
         | Some c ->
             t.data.records_taken <- t.data.records_taken + 1;
-            overhead := !overhead +. per_record_cost;
             Commrec.record_coll t.data.comm ~vertex:vid
               ~last_arrival_rank:c.last_arrival_rank
-        | None ->
-            List.iter
-              (fun (d : Instrument.peer_dep) ->
-                match
-                  Index.Resolver.find t.resolver ~cctx:d.peer_cctx
-                    ~callpath:d.peer_callpath ~loc:d.peer_loc
-                with
-                | None -> ()
-                | Some send_vid ->
-                    t.data.records_taken <- t.data.records_taken + 1;
-                    overhead := !overhead +. per_record_cost;
-                    Commrec.record_p2p t.data.comm ~recv_rank:ctx.rank
-                      ~recv_vertex:vid ~send_rank:d.peer_rank
-                      ~send_vertex:send_vid ~tag:d.dep_tag ~bytes:d.dep_bytes
-                      ~waited:(info.wait_seconds > wait_epsilon)
-                      ~wait_seconds:info.wait_seconds)
-              info.deps));
+        | None -> record_deps t ~rank:ctx.rank ~vertex:vid info info.deps));
+  (* the wrapper's cost, then one record's cost per record taken, added
+     in turn; the ref is local to this loop, so it is never boxed *)
+  let overhead = ref per_call_cost in
+  for _ = taken + 1 to t.data.records_taken do
+    overhead := !overhead +. per_record_cost
+  done;
   !overhead
 
 let on_icall t (ctx : Instrument.ctx) ~target =

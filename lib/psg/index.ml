@@ -67,7 +67,10 @@ let size t = Hashtbl.length t.tbl
 (* Per-run memo over [find], keyed by the runtime's calling-context ids
    (see [Scalana_runtime.Instrument.ctx]): slot [cctx] holds the
    (loc, answer) pairs seen under that context, a handful per context,
-   so a hit is one array read and a short scan comparing line numbers.
+   so a hit is one array read and a short scan.  The scan compares the
+   stored location physically first: the runtime hands over each
+   statement's own [Loc.t] every time, so a hit rarely reaches the line
+   and file test (whose string compare is a C call).
    The call path is only read on a miss, by [find] itself.  Misses,
    [None] included, are remembered as [find]'s answer, so the memo never
    disagrees with it.
@@ -90,7 +93,8 @@ module Resolver = struct
   let rec lookup (loc : Loc.t) = function
     | [] -> raise_notrace Not_found
     | ((l : Loc.t), v) :: rest ->
-        if l.line = loc.line && String.equal l.file loc.file then v
+        if l == loc || (l.line = loc.line && String.equal l.file loc.file)
+        then v
         else lookup loc rest
 
   let find r ~cctx ~callpath ~loc =

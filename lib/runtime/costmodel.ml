@@ -35,20 +35,26 @@ let heterogeneous () =
   in
   { default with core_speed = speed }
 
-(* Evaluate already-computed workload counts on [rank]: returns wall
-   seconds and writes the five PMU counters into [counters]
-   (tot_ins, tot_lst_ins, tot_cyc, cache_miss, fp_ins — the field order
-   of [Pmu.t]).  Allocation-free: the simulator's hot path accumulates
-   the counters into per-rank arrays.  The arithmetic sequence is the
-   model's contract and must not be reassociated. *)
-let comp_cost_into t ~rank ~flops ~mem ~ints ~locality ~counters =
-  let flops = float_of_int (max 0 flops) in
-  let mem = float_of_int (max 0 mem) in
-  let ints = float_of_int (max 0 ints) in
+(* Evaluate already-computed workload counts on [rank]: writes the five
+   PMU counters into [counters] (tot_ins, tot_lst_ins, tot_cyc,
+   cache_miss, fp_ins — the field order of [Pmu.t]) and the wall seconds
+   into slot 5.  [speeds] is [t.core_speed] tabulated per rank, built once
+   per run.  The simulator calls this once per compute statement, so it
+   makes no C call, no closure call and no allocation: counts are
+   clamped with int comparisons (a polymorphic [max] is a call into
+   [caml_greaterequal]), the speed is an array read, and the seconds go
+   out through [counters] rather than as a boxed float return.  The
+   arithmetic sequence is the model's contract and must not be
+   reassociated. *)
+let comp_cost_into t ~speeds ~rank ~(flops : int) ~(mem : int) ~(ints : int)
+    ~locality ~counters =
+  let flops = float_of_int (if flops > 0 then flops else 0) in
+  let mem = float_of_int (if mem > 0 then mem else 0) in
+  let ints = float_of_int (if ints > 0 then ints else 0) in
   let misses = mem *. (1.0 -. locality) in
   let tot_ins = flops +. mem +. ints in
   let base_cycles = tot_ins /. t.ipc in
-  let miss_cycles = misses *. t.cache_miss_penalty *. t.core_speed rank in
+  let miss_cycles = misses *. t.cache_miss_penalty *. speeds.(rank) in
   let tot_cyc = base_cycles +. miss_cycles in
   let seconds = tot_cyc /. (t.ghz *. 1e9) in
   counters.(0) <- tot_ins;
@@ -56,7 +62,7 @@ let comp_cost_into t ~rank ~flops ~mem ~ints ~locality ~counters =
   counters.(2) <- tot_cyc;
   counters.(3) <- misses;
   counters.(4) <- flops;
-  seconds
+  counters.(5) <- seconds
 
 (* Cost of re-touching [bytes] of repartitioned state on [rank] after an
    elastic membership change: a memory-bound pass at cache-line

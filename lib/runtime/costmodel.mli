@@ -23,16 +23,20 @@ val heterogeneous : unit -> t
     repartitioning-cost event of the elastic recovery protocol. *)
 val repartition_cost : t -> rank:int -> bytes:int -> float
 
-(** Wall seconds of one execution of a workload on [rank], given its
-    evaluated counts; writes the five PMU counters into [counters]
-    (length >= 5, in [Pmu.t] field order: tot_ins, tot_lst_ins, tot_cyc,
-    cache_miss, fp_ins).  Allocation-free. *)
+(** One execution of a workload on [rank], given its evaluated counts
+    (negative counts count as 0): writes the five PMU counters into
+    [counters.(0..4)] in [Pmu.t] field order (tot_ins, tot_lst_ins,
+    tot_cyc, cache_miss, fp_ins) and the wall seconds into
+    [counters.(5)].  [speeds.(rank)] must be [t.core_speed rank]; build
+    the table once per run with [Array.init nprocs t.core_speed].
+    Allocation-free, with no C or closure call. *)
 val comp_cost_into :
   t ->
+  speeds:float array ->
   rank:int ->
   flops:int ->
   mem:int ->
   ints:int ->
   locality:float ->
   counters:float array ->
-  float
+  unit

@@ -14,12 +14,16 @@
    per run into an IR whose variables, parameters and request names are
    integer slots (see [Ir]); per-process state lives in flat
    struct-of-arrays so a 16k-rank run costs 16k floats per metric, not
-   16k records; and the steady-state interpreter loop allocates nothing
-   on statement execution.  Every float operation is sequenced exactly as
-   the original interpreter sequenced it — simulated times are preserved
-   to the last ulp, and the scheduler-heap tie order is untouched, so
-   results (and the golden reports derived from them) are byte-identical
-   to the reference engine.  Instrumentation hooks and calling-context
+   16k records; and a compute, let, loop or branch statement of a bare
+   run allocates nothing (test_runtime holds a compute statement to 0
+   words): no boxed float crosses a call on that path, and the cost
+   model makes no C or closure call.  A call allocates its frame, and
+   an MPI statement its requests, messages and wake record.  Every
+   float operation is sequenced exactly as the original interpreter
+   sequenced it — simulated times are preserved to the last ulp, and
+   the scheduler-heap tie order is untouched, so results (and the
+   golden reports derived from them) are byte-identical to the
+   reference engine.  Instrumentation hooks and calling-context
    maintenance are skipped entirely when no tool is attached: a bare run
    pays nothing for the observability layer.  With tools attached, a call
    moves the rank to an interned calling-context id (no call-path list
@@ -175,7 +179,8 @@ type sched = {
   contexts : contexts;
   kill_at : float array;  (* infinity = no kill fault armed *)
   comp_scale : float array;
-  scratch : float array;  (* 5 slots for Costmodel.comp_cost_into *)
+  speeds : float array;  (* cfg.cost.core_speed, tabulated per rank *)
+  scratch : float array;  (* Costmodel.comp_cost_into's 6 output slots *)
   ready : Heap.t;
   mutable events : int;
   mutable killed : int list;  (* ranks terminated by an injected fault *)
@@ -372,8 +377,9 @@ let new_frame rank (f : cfunc) =
 
 (* Accumulate one computation interval into the per-rank SoA state.
    Field-by-field addition in [Pmu.t] order — identical float sums to
-   the reference engine's [Pmu.add]. *)
-let accum_comp s rank seconds =
+   the reference engine's [Pmu.add].  Inlined so [seconds] stays
+   unboxed: a call would box it on every compute statement. *)
+let[@inline] accum_comp s rank seconds =
   s.clock.(rank) <- s.clock.(rank) +. seconds;
   s.comp_sec.(rank) <- s.comp_sec.(rank) +. seconds;
   s.pmu_tot_ins.(rank) <- s.pmu_tot_ins.(rank) +. s.scratch.(0);
@@ -404,11 +410,9 @@ and exec_stmt s rank frame (st : cstmt) =
       let fl = C.eval frame.fenv flops in
       let me = C.eval frame.fenv mem in
       let it = C.eval frame.fenv ints in
-      let seconds =
-        Costmodel.comp_cost_into s.cfg.cost ~rank ~flops:fl ~mem:me ~ints:it
-          ~locality ~counters:s.scratch
-      in
-      let seconds = seconds *. s.comp_scale.(rank) in
+      Costmodel.comp_cost_into s.cfg.cost ~speeds:s.speeds ~rank ~flops:fl
+        ~mem:me ~ints:it ~locality ~counters:s.scratch;
+      let seconds = s.scratch.(5) *. s.comp_scale.(rank) in
       let seconds =
         if s.inject_on then
           seconds +. Inject.extra s.cfg.inject ~rank ~loc
@@ -493,7 +497,8 @@ and call_function s rank ~site ~kids (f : cfunc)
    only when some tool is due for it); without one, the hook contexts,
    dependence edges, send records and collective record are never built
    (messages carry context 0 and the wait is read before any hook
-   closure captures it), so a bare run allocates nothing here.  The
+   closure captures it), so a bare run allocates only its requests,
+   messages and wake record here.  The
    clock/wait arithmetic is the same on both, with zero overheads elided
    when no tool is attached. *)
 and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
@@ -762,7 +767,8 @@ let run_body ~cfg (program : Ast.program) =
             | Some t -> t
             | None -> infinity);
       comp_scale = Array.init n (fun rank -> Faults.comp_scale cfg.faults ~rank);
-      scratch = Array.make 5 0.0;
+      speeds = Array.init n cfg.cost.Costmodel.core_speed;
+      scratch = Array.make 6 0.0;
       ready = Heap.create ~capacity:(max 16 n) ();
       events = 0;
       killed = [];

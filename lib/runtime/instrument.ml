@@ -82,8 +82,7 @@ let nil name =
    clock jumps (tool overhead) are dropped, as a real timer would.  When
    both ends are at or before [next_tick.(rank)] nothing changes and 0
    comes back: the gate contract above. *)
-let ticks next_tick ~freq ~rank ~start ~stop =
-  let period = 1.0 /. freq in
+let ticks next_tick ~period ~rank ~start ~stop =
   if next_tick.(rank) < start then next_tick.(rank) <- start;
   let n = ref 0 in
   while next_tick.(rank) < stop do

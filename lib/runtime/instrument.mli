@@ -79,11 +79,12 @@ type t = {
     updates. *)
 val nil : string -> t
 
-(** [ticks next_tick ~freq ~rank ~start ~stop] counts timer ticks inside
-    [\[start, stop)] for [rank] and advances [next_tick.(rank)] past
-    them; ticks skipped by clock jumps (tool overhead) are dropped, as a
-    real timer would.  Returns 0 and leaves [next_tick] alone whenever
+(** [ticks next_tick ~period ~rank ~start ~stop] counts timer ticks
+    inside [\[start, stop)] for [rank] and advances [next_tick.(rank)]
+    past them, [period] seconds apart (a tool's [1.0 /. freq], computed
+    once); ticks skipped by clock jumps (tool overhead) are dropped, as
+    a real timer would.  Returns 0 and leaves [next_tick] alone whenever
     [start] and [stop] are both at or before [next_tick.(rank)], which
     is what makes [next_tick] a valid {!t.sample_gate}. *)
 val ticks :
-  float array -> freq:float -> rank:int -> start:float -> stop:float -> int
+  float array -> period:float -> rank:int -> start:float -> stop:float -> int

@@ -22,8 +22,10 @@ let default =
     recv_overhead = 0.3e-6;
   }
 
-let transfer_time t bytes =
-  t.latency +. (float_of_int (max 0 bytes) /. t.bandwidth)
+(* Bytes are clamped with an int comparison: a polymorphic [max] is a C
+   call, and this runs once per message. *)
+let transfer_time t (bytes : int) =
+  t.latency +. (float_of_int (if bytes > 0 then bytes else 0) /. t.bandwidth)
 
 let is_eager t bytes = bytes <= t.eager_threshold
 
@@ -32,10 +34,11 @@ let log2_ceil n =
   if n <= 1 then 0 else go 0 1
 
 (* Cost of a collective once all ranks have arrived. *)
-let collective_time t ~nprocs ~bytes kind =
+let collective_time t ~(nprocs : int) ~(bytes : int) kind =
   let lg = float_of_int (log2_ceil nprocs) in
-  let n = float_of_int (max 1 (nprocs - 1)) in
-  let b = float_of_int (max 0 bytes) in
+  let peers = nprocs - 1 in
+  let n = float_of_int (if peers > 1 then peers else 1) in
+  let b = float_of_int (if bytes > 0 then bytes else 0) in
   match (kind : Scalana_mlang.Ast.mpi_call) with
   | Barrier -> lg *. t.latency
   | Bcast _ | Reduce _ -> lg *. (t.latency +. (b /. t.bandwidth))

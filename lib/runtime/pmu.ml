@@ -25,13 +25,16 @@ let add a b =
     fp_ins = a.fp_ins +. b.fp_ins;
   }
 
-let scale k a =
+(* [a + k·b] as one record: per field the [k *. b] product, then the
+   sum — the float operations of adding a scaled copy of [b], without
+   the copy. *)
+let add_scaled a k b =
   {
-    tot_ins = k *. a.tot_ins;
-    tot_lst_ins = k *. a.tot_lst_ins;
-    tot_cyc = k *. a.tot_cyc;
-    cache_miss = k *. a.cache_miss;
-    fp_ins = k *. a.fp_ins;
+    tot_ins = a.tot_ins +. (k *. b.tot_ins);
+    tot_lst_ins = a.tot_lst_ins +. (k *. b.tot_lst_ins);
+    tot_cyc = a.tot_cyc +. (k *. b.tot_cyc);
+    cache_miss = a.cache_miss +. (k *. b.cache_miss);
+    fp_ins = a.fp_ins +. (k *. b.fp_ins);
   }
 
 type metric = Tot_ins | Tot_lst_ins | Tot_cyc | Cache_miss | Fp_ins

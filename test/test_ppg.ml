@@ -367,7 +367,7 @@ let build_sparse cells =
   List.iter
     (fun c ->
       Profdata.add_sampled data ~rank:c.c_rank ~vertex:c.c_vid ~time:c.c_time
-        ~samples:1 ~pmu:Pmu.zero;
+        ~samples:1 ~scale:1.0 ~pmu:Pmu.zero;
       Profdata.add_wait data ~rank:c.c_rank ~vertex:c.c_vid ~wait:c.c_wait)
     cells;
   (data, Ppg.build ~psg:(Lazy.force prop_psg) data)

@@ -27,8 +27,10 @@ let profiled_run ?config ?cost ?(nprocs = 4) prog =
 
 let test_perfvec () =
   let v = Profdata.create ~nprocs:2 in
-  Profdata.add_sampled v ~rank:1 ~vertex:3 ~time:0.5 ~samples:2 ~pmu:Pmu.zero;
-  Profdata.add_sampled v ~rank:1 ~vertex:3 ~time:0.25 ~samples:1 ~pmu:Pmu.zero;
+  Profdata.add_sampled v ~rank:1 ~vertex:3 ~time:0.5 ~samples:2 ~scale:1.0
+    ~pmu:Pmu.zero;
+  Profdata.add_sampled v ~rank:1 ~vertex:3 ~time:0.25 ~samples:1 ~scale:1.0
+    ~pmu:Pmu.zero;
   Profdata.add_wait v ~rank:1 ~vertex:3 ~wait:0.1;
   let row data =
     match Profdata.row data ~vertex:3 with

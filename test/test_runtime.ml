@@ -35,7 +35,7 @@ let test_heap_empty () =
 
 let test_pmu_arith () =
   let a = { Pmu.tot_ins = 1.0; tot_lst_ins = 2.0; tot_cyc = 3.0; cache_miss = 4.0; fp_ins = 5.0 } in
-  let s = Pmu.add a (Pmu.scale 2.0 a) in
+  let s = Pmu.add_scaled a 2.0 a in
   check_float "ins" 3.0 s.Pmu.tot_ins;
   check_float "cyc" 9.0 s.Pmu.tot_cyc;
   check_bool "zero" true (Pmu.add Pmu.zero a = a);
@@ -49,14 +49,13 @@ let test_pmu_arith () =
 
 let test_costmodel () =
   (* counters in [Pmu.t] field order: tot_ins, tot_lst_ins, tot_cyc,
-     cache_miss, fp_ins *)
+     cache_miss, fp_ins; then the seconds *)
   let cost ~locality =
-    let counters = Array.make 5 0.0 in
-    let sec =
-      Costmodel.comp_cost_into Costmodel.default ~rank:0 ~flops:1000 ~mem:500
-        ~ints:0 ~locality ~counters
-    in
-    (sec, counters)
+    let counters = Array.make 6 0.0 in
+    let speeds = Array.init 1 Costmodel.default.core_speed in
+    Costmodel.comp_cost_into Costmodel.default ~speeds ~rank:0 ~flops:1000
+      ~mem:500 ~ints:0 ~locality ~counters;
+    (counters.(5), counters)
   in
   let sec, pmu = cost ~locality:1.0 in
   (* locality 1.0: no misses; cycles = ins / ipc *)
@@ -67,6 +66,93 @@ let test_costmodel () =
   let sec2, pmu2 = cost ~locality:0.0 in
   check_float "all miss" 500.0 pmu2.(3);
   check_bool "slower" true (sec2 > sec)
+
+(* The cost arithmetic transcribed as it stood before the speed table:
+   a polymorphic [max], a [core_speed] call and the seconds returned. *)
+let reference_cost (t : Costmodel.t) ~rank ~flops ~mem ~ints ~locality =
+  let flops = float_of_int (max 0 flops) in
+  let mem = float_of_int (max 0 mem) in
+  let ints = float_of_int (max 0 ints) in
+  let misses = mem *. (1.0 -. locality) in
+  let tot_ins = flops +. mem +. ints in
+  let base_cycles = tot_ins /. t.ipc in
+  let miss_cycles = misses *. t.cache_miss_penalty *. t.core_speed rank in
+  let tot_cyc = base_cycles +. miss_cycles in
+  let seconds = tot_cyc /. (t.ghz *. 1e9) in
+  [| tot_ins; mem; tot_cyc; misses; flops; seconds |]
+
+(* Seeded draws: counts of either sign, a locality in [0, 1] that is
+   sometimes exactly 0 or 1, checked on every rank of a heterogeneous
+   table that holds slow cores. *)
+let test_costmodel_matches_reference () =
+  let cost = Costmodel.heterogeneous () in
+  let nprocs = 128 in
+  let speeds = Array.init nprocs cost.core_speed in
+  check_bool "table holds slow cores" true
+    (Array.exists (fun s -> s > 1.2) speeds);
+  let count = Prop.int_range (-1_000_000_000) 1_000_000_000 in
+  let drawn = Prop.float_range 0.0 1.0 in
+  let locality =
+    {
+      drawn with
+      Prop.gen =
+        (fun r ->
+          match Prop.below r 8 with
+          | 0 -> 0.0
+          | 1 -> 1.0
+          | _ -> drawn.gen r);
+    }
+  in
+  let bits = Int64.bits_of_float in
+  let counters = Array.make 6 Float.nan in
+  Prop.check ~count:200 "comp_cost_into = reference, bit for bit"
+    (Prop.pair (Prop.pair count count) (Prop.pair count locality))
+    (fun ((flops, mem), (ints, locality)) ->
+      List.for_all
+        (fun rank ->
+          Costmodel.comp_cost_into cost ~speeds ~rank ~flops ~mem ~ints
+            ~locality ~counters;
+          let expected =
+            reference_cost cost ~rank ~flops ~mem ~ints ~locality
+          in
+          Array.for_all2
+            (fun e c -> Int64.equal (bits e) (bits c))
+            expected counters)
+        (List.init nprocs Fun.id))
+
+(* A compute statement of a bare run allocates nothing: the words a run
+   of [2n] loop iterations allocates beyond a run of [n] are the
+   statements' own, since everything else (compiling, per-rank state,
+   fibers) is the same in both runs. *)
+let test_bare_compute_allocates_nothing () =
+  let prog =
+    let open Expr.Infix in
+    let b = Builder.create ~file:"alloc.mmp" ~name:"alloc" () in
+    Builder.param b "n" 0;
+    Builder.func b "main" (fun () ->
+        [
+          Builder.loop b ~label:"steps" ~var:"k" ~count:(p "n") (fun () ->
+              [
+                Builder.comp b ~label:"work" ~locality:0.7
+                  ~flops:(i 4096 + v "k") ~mem:(i 2048 - v "k") ();
+              ]);
+        ]);
+    Builder.program b
+  in
+  let cost = Costmodel.heterogeneous () in
+  let measure n =
+    let cfg = Exec.config ~nprocs:16 ~cost ~params:[ ("n", n) ] () in
+    let w0 = Gc.minor_words () in
+    let r = Exec.run ~cfg prog in
+    let w1 = Gc.minor_words () in
+    (r.Exec.events, w1 -. w0)
+  in
+  ignore (measure 10);
+  let n = 5_000 in
+  let events1, words1 = measure n and events2, words2 = measure (2 * n) in
+  check_int "statements added" (16 * n) (events2 - events1);
+  check_float "minor words per statement" 0.0
+    ((words2 -. words1) /. float_of_int (events2 - events1))
 
 let test_heterogeneous_speed () =
   let cm = Costmodel.heterogeneous () in
@@ -822,6 +908,10 @@ let () =
           Alcotest.test_case "heterogeneous cores" `Quick
             test_heterogeneous_speed;
           Alcotest.test_case "network" `Quick test_network_model;
+          Alcotest.test_case "cost model = reference formula" `Quick
+            test_costmodel_matches_reference;
+          Alcotest.test_case "bare compute allocates nothing" `Quick
+            test_bare_compute_allocates_nothing;
         ] );
       ( "matching",
         [
