@@ -134,19 +134,50 @@ let speedup_keys =
 
 let section_keys = [ speedup_keys; [ "engine" ]; [ "ppg" ]; [ "history" ] ]
 
-(* Top-level members of the JSON already on disk; [] when it is absent
-   or unreadable. *)
+(* The text of each top-level member of a JSON object, in order: the
+   spans between the commas at depth 1 outside strings, trimmed. *)
+let member_texts s =
+  let spans = ref [] and start = ref 0 and depth = ref 0 in
+  let in_str = ref false and escaped = ref false in
+  let cut i =
+    spans := String.trim (String.sub s !start (i - !start)) :: !spans;
+    start := i + 1
+  in
+  String.iteri
+    (fun i c ->
+      if !escaped then escaped := false
+      else if !in_str then (
+        if c = '\\' then escaped := true else if c = '"' then in_str := false)
+      else
+        match c with
+        | '"' -> in_str := true
+        | '{' | '[' ->
+            incr depth;
+            if !depth = 1 then start := i + 1
+        | '}' | ']' ->
+            if !depth = 1 then cut i;
+            decr depth
+        | ',' when !depth = 1 -> cut i
+        | _ -> ())
+    s;
+  List.rev !spans
+
+(* Top-level members of the JSON already on disk, each with its committed
+   text; [] when the file is absent or unreadable. *)
 let committed_members () =
   match In_channel.with_open_bin bench_json In_channel.input_all with
   | exception Sys_error _ -> []
   | s -> (
       match Scalana_obs.Obs.Json.of_string s with
-      | Ok (Scalana_obs.Obs.Json.Obj members) -> members
+      | Ok (Scalana_obs.Obs.Json.Obj (_ :: _ as members)) ->
+          List.combine (List.map fst members) (member_texts s)
       | Ok _ | Error _ -> [])
 
 (* Sections measured in this invocation replace their committed text;
-   every other committed member is kept, so a lone `--only` run never
-   erases the sections it did not measure. *)
+   every other committed member keeps its text byte for byte, so a lone
+   `--only` run changes only the sections it measured.  The file is
+   written to a temporary file renamed over it: a torn file reads as
+   empty, and the next run would keep none of its sections. *)
 let write_bench_json () =
   let committed = committed_members () in
   let sections = ref [] in
@@ -254,13 +285,8 @@ let write_bench_json () =
         (h.append_s /. float_of_int h.hist_entries)
         h.load_s h.hdiff_s);
   let kept keys =
-    let module J = Scalana_obs.Obs.Json in
     List.filter_map
-      (fun k ->
-        Option.map
-          (fun v ->
-            Printf.sprintf "  %s: %s" (J.to_string (J.Str k)) (J.to_string v))
-          (List.assoc_opt k committed))
+      (fun k -> Option.map (( ^ ) "  ") (List.assoc_opt k committed))
       keys
   in
   let unknown =
@@ -276,8 +302,10 @@ let write_bench_json () =
         | None -> kept keys)
       (section_keys @ [ unknown ])
   in
-  Out_channel.with_open_bin bench_json (fun oc ->
-      Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" parts))
+  let tmp = bench_json ^ ".tmp" in
+  Out_channel.with_open_bin tmp (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" parts));
+  Sys.rename tmp bench_json
 
 let pipeline_parallel () =
   Util.section

@@ -13,12 +13,13 @@
             ++ CRC-32 of payload (4-byte big-endian)
             ++ payload (Marshal of one value)
 
-   Writers append one record per run, so a profile file carries every
-   save of its scale and the newest intact record wins ([save_run]
-   rewrites a damaged profile rather than append after the damage).
-   The salvage reader walks the stream and recovers the valid prefix of
-   a truncated or bit-flipped file, reporting what was lost as a typed
-   {!error} instead of crashing the whole analysis.
+   Every save writes a whole file, one record, to a temporary file in
+   the session directory and renames it over the artifact, so a save
+   that fails or is killed leaves the last completed save in place.
+   The salvage reader walks the stream, takes the newest intact record
+   of a file an earlier, appending build wrote, and recovers the valid
+   prefix of a truncated or bit-flipped file, reporting what was lost as
+   a typed {!error} instead of crashing the whole analysis.
 
    The CRC catches damage, not a change of record shape: Marshal decodes
    another build's record into whatever the reader's types say.  So the
@@ -30,7 +31,7 @@
 
 type session = {
   static : Static.t;
-  mutable runs : (int * Prof.run) list;
+  runs : (int * Prof.run) list;
   issues : issue list;  (* artifact damage found while loading *)
 }
 
@@ -108,42 +109,26 @@ let write_record oc v =
   output_binary_int oc (crc32 payload);
   output_string oc payload
 
-(* A fresh stream of the values, in order. *)
+(* A fresh stream of the values, in order, through a temporary file
+   renamed over [path].  The loaders read only [session.static] and
+   [*.prof], so the temporary file a killed writer leaves is ignored. *)
 let write_values path vs =
   Scalana_obs.Obs.with_span
     ~args:[ ("path", Filename.basename path) ]
     "artifact.write"
   @@ fun () ->
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      write_header oc;
-      List.iter (write_record oc) vs)
-
-let save_value path v = write_values path [ v ]
-
-let append_value path v =
-  Scalana_obs.Obs.with_span
-    ~args:[ ("path", Filename.basename path) ]
-    "artifact.write"
-  @@ fun () ->
-  (* an empty pre-created file still needs its header *)
-  let has_header =
-    Sys.file_exists path
-    &&
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> in_channel_length ic > 0)
-  in
-  if not has_header then save_value path v
-  else begin
-    let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> write_record oc v)
-  end
+  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+  let oc = open_out_bin tmp in
+  try
+    write_header oc;
+    List.iter (write_record oc) vs;
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 (* --- salvage reader --- *)
 
@@ -263,26 +248,13 @@ let ensure_dir dir =
 
 let save_static dir (static : Static.t) =
   ensure_dir dir;
-  save_value (static_path dir) static
+  write_values (static_path dir) [ static ]
 
 let load_static dir : Static.t = load_value (static_path dir)
 
-(* Profiles append: re-profiling a scale adds a record, and the newest
-   intact one wins at load time.  The reader stops at the first damage,
-   so a record appended after a torn tail, or to another build's format,
-   would never be read: a file that does not read back clean is
-   rewritten instead, its intact records and then the new one, into a
-   temporary file renamed over it.  A crash before the rename leaves the
-   old file as it was, and the loader skips the [.tmp] file. *)
 let save_run dir (run : Prof.run) =
   ensure_dir dir;
-  let path = run_path dir run.Prof.nprocs in
-  match (read_stream_body path : Prof.run salvage) with
-  | { damage = None | Some (Missing _); _ } -> append_value path run
-  | { values; damage = Some _ } ->
-      let tmp = path ^ ".tmp" in
-      write_values tmp (values @ [ run ]);
-      Sys.rename tmp path
+  write_values (run_path dir run.Prof.nprocs) [ run ]
 
 let rec last = function [ x ] -> Some x | _ :: rest -> last rest | [] -> None
 

@@ -4,16 +4,17 @@
     Format v4 wraps [Marshal] payloads in a durable record stream:
     ["SCALANA2"] magic + version byte, then per record a 4-byte
     big-endian payload length, a 4-byte big-endian CRC-32 and the
-    payload.  Runs are appended record-by-record, and the salvage
-    reader recovers the valid prefix of a truncated or corrupted file,
-    reporting damage as a typed {!error}.  The version byte names the
-    record shape: a file of any other version (an older build's, whose
-    profile Marshal would decode into the wrong shape) is refused as
-    [Bad_version]. *)
+    payload.  Every save writes a temporary file in the session
+    directory and renames it over the artifact, so a failed or killed
+    save leaves the last completed one; the salvage reader recovers the
+    valid prefix of a truncated or corrupted file, reporting damage as a
+    typed {!error}.  The version byte names the record shape: a file of
+    any other version (an older build's, whose profile Marshal would
+    decode into the wrong shape) is refused as [Bad_version]. *)
 
 type session = {
   static : Static.t;
-  mutable runs : (int * Prof.run) list;
+  runs : (int * Prof.run) list;
   issues : issue list;  (** artifact damage found while loading *)
 }
 
@@ -51,11 +52,13 @@ val format_version : int
     Kept: the record checksum; the salvage tests forge records with it. *)
 val crc32 : string -> int
 
-(** [append_value path v]: append one record, creating the file (with
-    header) if needed.
-    Kept: a record-stream primitive the typed savers wrap; the round-trip and
-    salvage tests drive it. *)
-val append_value : string -> 'a -> unit
+(** [write_values path vs]: a fresh stream of [vs], one record each,
+    written to [<path>.<pid>.tmp] and renamed over [path].  If writing,
+    closing or renaming raises, the temporary file is removed, [path] is
+    left as it was, and the exception is re-raised.
+    Kept: the typed savers' one writer; the salvage and round-trip tests
+    build multi-record streams with it. *)
+val write_values : string -> 'a list -> unit
 
 (** First record of the stream.  Raises {!Error} on missing, foreign,
     truncated or corrupt files.
@@ -81,11 +84,8 @@ val save_static : string -> Static.t -> unit
 (** Raises {!Error} when the static artifact is missing or damaged. *)
 val load_static : string -> Static.t
 
-(** Appends a record to the scale's profile; the newest intact record
-    wins at load time.  A profile that does not read back clean (a torn
-    tail, another format version) is rewritten instead: its intact
-    records, then the new one, through a temporary file renamed over
-    it. *)
+(** Writes the run as the scale's whole profile, replacing any earlier
+    one, damaged or not. *)
 val save_run : string -> Prof.run -> unit
 
 (** Salvaging run loader: per scale, the newest intact record of its

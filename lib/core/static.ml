@@ -15,7 +15,7 @@ type t = {
   locals : (string, Psg.t) Hashtbl.t;
   full : Psg.t;
   contraction : Contract.result;
-  mutable index : Index.t;
+  index : Index.t;
   datadep : Datadep.summary;
   commcost : Commcost.t;
   stats : Stats.t;

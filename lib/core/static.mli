@@ -11,7 +11,7 @@ type t = {
   locals : (string, Psg.t) Hashtbl.t;
   full : Psg.t;
   contraction : Contract.result;
-  mutable index : Index.t;
+  index : Index.t;
   datadep : Datadep.summary;  (** def-use counts; edges live in the PSG *)
   commcost : Commcost.t;  (** symbolic communication-cost analysis *)
   stats : Stats.t;

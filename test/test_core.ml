@@ -230,12 +230,12 @@ let test_artifact_bad_magic () =
 
 (* --- salvage properties of the artifact record stream --- *)
 
-(* A small fixture: [k] appended records with distinct payloads, plus the
-   byte offset of every record boundary (header included). *)
+(* A small fixture: a stream of [k] records with distinct payloads, plus
+   the byte offset of every record boundary (header included). *)
 let stream_fixture k =
   let path = Filename.temp_file "scalana" ".prof" in
   let values = List.init k (fun i -> (i, String.make (20 + (i * 7)) 'x')) in
-  List.iter (fun v -> Scalana.Artifact.append_value path v) values;
+  Scalana.Artifact.write_values path values;
   let boundaries = ref [] in
   let pos = ref (String.length Scalana.Artifact.magic + 1) in
   List.iter
@@ -388,6 +388,9 @@ let test_artifact_decode_failure_surfaced () =
        true
      with Not_found -> false)
 
+(* A profile an earlier, appending build wrote holds one record per save
+   of its scale: the newest intact one wins.  A save replaces the whole
+   file.  An injected delay tells the two runs apart. *)
 let test_artifact_append_last_wins () =
   let dir = Filename.temp_file "scalana" "" in
   Sys.remove dir;
@@ -395,26 +398,85 @@ let test_artifact_append_last_wins () =
   let static = Scalana.Static.analyze (entry.make ()) in
   Scalana.Artifact.save_static dir static;
   let r1 = Scalana.Prof.run ~cost:entry.cost static ~nprocs:4 () in
-  Scalana.Artifact.save_run dir r1;
-  let r2 = Scalana.Prof.run ~cost:entry.cost static ~nprocs:4 () in
-  Scalana.Artifact.save_run dir r2;
+  let r2 =
+    Scalana.Prof.run ~cost:entry.cost
+      ~inject:(Inject.create [ Inject.delay ~ranks:[ 1 ] 0.05 ])
+      static ~nprocs:4 ()
+  in
+  let elapsed (r : Scalana.Prof.run) = r.result.Exec.elapsed in
+  check_bool "the two runs differ" true (elapsed r1 <> elapsed r2);
+  let path = Scalana.Artifact.run_path dir 4 in
+  Scalana.Artifact.write_values path [ r1; r2 ];
   (* two records in one file; the newest intact one wins *)
   let s : Scalana.Prof.run Scalana.Artifact.salvage =
-    Scalana.Artifact.read_stream (Scalana.Artifact.run_path dir 4)
+    Scalana.Artifact.read_stream path
   in
   check_int "both records intact" 2 (List.length s.values);
   let session = Scalana.Artifact.load_session dir in
   check_int "one run" 1 (List.length session.runs);
   check_bool "no issues" true (session.issues = []);
+  check_bool "the newest record loaded" true
+    (elapsed (List.assoc 4 session.runs) = elapsed r2);
   (* truncating into the second record falls back to the first *)
-  let path = Scalana.Artifact.run_path dir 4 in
   let ic = open_in_bin path in
   let full = in_channel_length ic in
   close_in ic;
   Scalana_runtime.Faults.truncate_file path ~at_byte:(full - 10);
   let runs, issues = Scalana.Artifact.load_runs_salvage dir in
   check_int "salvaged to first record" 1 (List.length runs);
-  check_int "damage reported" 1 (List.length issues)
+  check_int "damage reported" 1 (List.length issues);
+  check_bool "the first record loaded" true
+    (elapsed (List.assoc 4 runs) = elapsed r1);
+  (* two saves of one scale leave one record, the newer run *)
+  Scalana.Artifact.save_run dir r1;
+  Scalana.Artifact.save_run dir r2;
+  let s : Scalana.Prof.run Scalana.Artifact.salvage =
+    Scalana.Artifact.read_stream path
+  in
+  check_bool "re-saved file reads clean" true (s.damage = None);
+  check_int "one record after two saves" 1 (List.length s.values);
+  check_bool "the record is the newer run" true
+    (elapsed (List.hd s.values) = elapsed r2)
+
+(* A save that raises part-way (here Marshal refusing a closure, after
+   the header is written) leaves each artifact as the last completed
+   save wrote it, with its mode, and no temporary file behind. *)
+let test_artifact_interrupted_save () =
+  let dir = Filename.temp_file "scalana" "" in
+  Sys.remove dir;
+  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
+  let entry = Scalana_apps.Registry.find "cg" in
+  let static = Scalana.Static.analyze (entry.make ()) in
+  Scalana.Artifact.save_static dir static;
+  let static_digest = digest static in
+  let run = Scalana.Prof.run ~cost:entry.cost static ~nprocs:4 () in
+  Scalana.Artifact.save_run dir run;
+  let paths =
+    [ Scalana.Artifact.static_path dir; Scalana.Artifact.run_path dir 4 ]
+  in
+  List.iter
+    (fun path ->
+      match Scalana.Artifact.write_values path [ (fun x -> x + 1) ] with
+      | () -> Alcotest.failf "%s: saving a closure did not raise" path
+      | exception Invalid_argument _ -> ())
+    paths;
+  let session = Scalana.Artifact.load_session dir in
+  check_bool "no issues" true (session.issues = []);
+  check_string "static artifact is the original" static_digest
+    (digest session.static);
+  check_string "run is the original" (digest run)
+    (digest (List.assoc 4 session.runs));
+  check_bool "no temporary file left" false
+    (Array.exists
+       (fun f -> Filename.check_suffix f ".tmp")
+       (Sys.readdir dir));
+  let probe = Filename.concat dir "probe" in
+  close_out (open_out_bin probe);
+  let perm path = (Unix.stat path).Unix.st_perm in
+  List.iter
+    (fun path ->
+      check_int (Filename.basename path ^ " mode") (perm probe) (perm path))
+    paths
 
 (* A cg session at np 4, 8 and 16 in a fresh directory. *)
 let cg_session () =
@@ -505,10 +567,10 @@ let test_artifact_older_version () =
     [ 2; 3 ]
 
 (* Re-profiling a scale whose profile has a torn tail, or was written by
-   a build with another record shape, keeps the file's intact records
-   and puts the new run after them, where the reader finds it: the
-   session loads clean and the scale's run is the new one.  An injected
-   delay tells the new run's elapsed time from the old one's. *)
+   a build with another record shape, replaces the file with the new run
+   alone: the session loads clean and the scale's run is the new one.
+   An injected delay tells the new run's elapsed time from the old
+   one's. *)
 let test_artifact_resave_over_damage () =
   let entry = Scalana_apps.Registry.find "cg" in
   let static = Scalana.Static.analyze (entry.make ()) in
@@ -518,12 +580,13 @@ let test_artifact_resave_over_damage () =
       static ~nprocs:16 ()
   in
   List.iter
-    (fun (damage, kept, spoil) ->
+    (fun (damage, spoil) ->
       let dir = cg_session () in
       let path = Scalana.Artifact.run_path dir 16 in
-      (* a second record, so a torn tail leaves one intact before it *)
+      (* two records, as an earlier, appending build left a re-profiled
+         scale, so a torn tail leaves one intact before it *)
       let old = Scalana.Prof.run ~cost:entry.cost static ~nprocs:16 () in
-      Scalana.Artifact.save_run dir old;
+      Scalana.Artifact.write_values path [ old; old ];
       spoil path;
       let fresh = rerun () in
       check_bool (damage ^ ": the re-run's elapsed time differs") true
@@ -534,7 +597,7 @@ let test_artifact_resave_over_damage () =
         Scalana.Artifact.read_stream path
       in
       check_bool (damage ^ ": the file reads clean") true (s.damage = None);
-      check_int (damage ^ ": intact records, then the new one") (kept + 1)
+      check_int (damage ^ ": one record, the new run") 1
         (List.length s.values);
       let runs, issues = Scalana.Artifact.load_runs_salvage dir in
       check_int (damage ^ ": no issues") 0 (List.length issues);
@@ -545,13 +608,11 @@ let test_artifact_resave_over_damage () =
         = fresh.Scalana.Prof.result.Exec.elapsed))
     [
       ( "torn tail",
-        1,
         fun path ->
           let len = In_channel.with_open_bin path In_channel.length in
           Scalana_runtime.Faults.truncate_file path
             ~at_byte:(Int64.to_int len - 10) );
       ( "older format",
-        0,
         fun path ->
           Scalana_runtime.Faults.corrupt_byte path
             ~at_byte:(String.length Scalana.Artifact.magic)
@@ -800,11 +861,9 @@ let prop_artifact_roundtrip_bytes =
   Prop.test ~count:25 "record stream round-trips byte-stably"
     (Prop.list_of ~max_len:6 payload)
     (fun values ->
-      (* at least one record, so the stream always has its header *)
-      let values = (0, "seed") :: values in
       let write vs =
         let path = Filename.temp_file "scalana_prop" ".art" in
-        List.iter (fun v -> Scalana.Artifact.append_value path v) vs;
+        Scalana.Artifact.write_values path vs;
         path
       in
       let read_bytes path =
@@ -1015,6 +1074,8 @@ let () =
             test_static_artifact_digests;
           Alcotest.test_case "re-profiling over a damaged profile" `Quick
             test_artifact_resave_over_damage;
+          Alcotest.test_case "an interrupted save keeps the old file" `Quick
+            test_artifact_interrupted_save;
         ] );
       ( "degraded",
         [
