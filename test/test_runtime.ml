@@ -154,6 +154,60 @@ let test_bare_compute_allocates_nothing () =
   check_float "minor words per statement" 0.0
     ((words2 -. words1) /. float_of_int (events2 - events1))
 
+(* An MPI statement of a bare run allocates no request, message or wake
+   record, only what blocking its fiber takes; measured as above, per
+   iteration of a 16-rank ring.  A slot never recycled would grow the
+   communicator's columns with the iteration count, so the bounds catch
+   a leak too. *)
+let test_bare_mpi_allocates_no_record () =
+  let ring body =
+    let open Expr.Infix in
+    let b = Builder.create ~file:"ring.mmp" ~name:"ring" () in
+    Builder.param b "n" 0;
+    Builder.param b "bytes" 0;
+    Builder.func b "main" (fun () ->
+        [
+          Builder.loop b ~label:"steps" ~var:"k" ~count:(p "n") (fun () ->
+              body b ~right:((rank + i 1) % np) ~left:((rank - i 1 + np) % np)
+                ~bytes:(p "bytes"));
+        ]);
+    Builder.program b
+  in
+  let sendrecv =
+    ring (fun b ~right ~left ~bytes ->
+        [ Builder.sendrecv b ~dest:right ~sbytes:bytes ~src:left ~rbytes:bytes () ])
+  and triple =
+    ring (fun b ~right ~left ~bytes ->
+        [
+          Builder.irecv b ~src:left ~tag:(Expr.Int 1) ~bytes ~req:"r" ();
+          Builder.isend b ~dest:right ~tag:(Expr.Int 1) ~bytes ~req:"s" ();
+          Builder.waitall b ~reqs:[ "r"; "s" ];
+        ])
+  in
+  let nprocs = 16 in
+  let words prog ~bytes n =
+    let cfg = Exec.config ~nprocs ~params:[ ("n", n); ("bytes", bytes) ] () in
+    let w0 = Gc.minor_words () in
+    ignore (Exec.run ~cfg prog);
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (what, prog, bytes, bound) ->
+      ignore (words prog ~bytes 10);
+      let n = 2_000 in
+      let w1 = words prog ~bytes n and w2 = words prog ~bytes (2 * n) in
+      let per = (w2 -. w1) /. float_of_int (nprocs * n) in
+      check_bool
+        (Printf.sprintf "%s: %.1f words per iteration, at most %.1f" what per
+           bound)
+        true (per <= bound))
+    [
+      ("sendrecv 8 B", sendrecv, 8, 59.0);
+      ("sendrecv 800 KB", sendrecv, 800_000, 64.0);
+      ("irecv+isend+waitall 8 B", triple, 8, 76.9);
+      ("irecv+isend+waitall 800 KB", triple, 800_000, 88.6);
+    ]
+
 let test_heterogeneous_speed () =
   let cm = Costmodel.heterogeneous () in
   let speeds = List.init 128 cm.Costmodel.core_speed in
@@ -724,6 +778,183 @@ let test_engine_reference_digests () =
         faulted_d (digest_result faulted))
     reference_digests
 
+(* --- request and message lifetimes ---
+
+   One program that holds requests and messages in every way the engine
+   must keep apart: an [isend] slot re-posted without a wait (eager and
+   rendezvous), a request waited twice, wildcard receives matched out of
+   post order, a [waitall] over completed and pending requests,
+   self-sends, requests a returning function never waited on, and
+   blocking exchanges at both protocol sizes.  Its bare and profiled
+   results at np 4 and 16, clean and with rank 1 killed while its
+   requests are in flight, are pinned by digest, as is the deadlock
+   report of a run whose receives never match. *)
+
+let lifetimes_program () =
+  let open Expr.Infix in
+  let b = Builder.create ~file:"lifetimes.mmp" ~name:"lifetimes" () in
+  let right = (rank + i 1) % np and left = (rank - i 1 + np) % np in
+  let right2 = (rank + i 2) % np and left2 = (rank - i 2 + np) % np in
+  let big = i 800_000 in
+  let skew = i 20_000 * ((rank * i 7) % i 5) in
+  Builder.func b "halo" (fun () ->
+      [
+        Builder.isend b ~dest:left ~tag:(i 50) ~bytes:(i 64) ~req:"h" ();
+        Builder.irecv b ~src:right ~tag:(i 50) ~bytes:(i 64) ~req:"g" ();
+        Builder.wait b ~req:"g";
+        Builder.isend b ~dest:right ~tag:(i 51) ~bytes:big ~req:"z" ();
+        Builder.recv b ~src:left ~tag:(i 51) ~bytes:big ();
+      ]);
+  Builder.func b "main" (fun () ->
+      [
+        Builder.loop b ~var:"k" ~count:(i 3) (fun () ->
+            [ Builder.isend b ~dest:right ~tag:(i 10) ~bytes:(i 64) ~req:"e" () ]);
+        Builder.loop b ~var:"k" ~count:(i 3) (fun () ->
+            [ Builder.recv b ~src:left ~tag:(i 10) ~bytes:(i 64) () ]);
+        Builder.loop b ~var:"k" ~count:(i 2) (fun () ->
+            [ Builder.isend b ~dest:right ~tag:(i 11) ~bytes:big ~req:"z" () ]);
+        Builder.comp b ~label:"overlap" ~flops:(i 400_000 + skew)
+          ~mem:(i 100_000) ();
+        Builder.loop b ~var:"k" ~count:(i 2) (fun () ->
+            [ Builder.recv b ~src:left ~tag:(i 11) ~bytes:big () ]);
+        Builder.wait b ~req:"z";
+        Builder.irecv b ~src:right ~tag:(i 12) ~bytes:(i 128) ~req:"w" ();
+        Builder.send b ~dest:left ~tag:(i 12) ~bytes:(i 128) ();
+        Builder.wait b ~req:"w";
+        Builder.comp b ~label:"between" ~flops:(i 1_000) ~mem:(i 500) ();
+        Builder.wait b ~req:"w";
+        Builder.irecv b ~src:left ~tag:(i 21) ~bytes:(i 64) ~req:"x" ();
+        Builder.irecv b ~tag:(i 20) ~bytes:(i 64) ~req:"y1" ();
+        Builder.irecv b ~tag:(i 20) ~bytes:(i 64) ~req:"y2" ();
+        Builder.send b ~dest:right2 ~tag:(i 20) ~bytes:(i 64) ();
+        Builder.comp b ~label:"skew" ~flops:skew ~mem:(i 1_000) ();
+        Builder.send b ~dest:left2 ~tag:(i 20) ~bytes:(i 64) ();
+        Builder.send b ~dest:right ~tag:(i 21) ~bytes:(i 64) ();
+        Builder.wait b ~req:"y2";
+        Builder.wait b ~req:"x";
+        Builder.wait b ~req:"y1";
+        Builder.isend b ~dest:right ~tag:(i 30) ~bytes:(i 32) ~req:"c1" ();
+        Builder.irecv b ~src:left ~tag:(i 31) ~bytes:(i 32) ~req:"c2" ();
+        Builder.isend b ~dest:left ~tag:(i 32) ~bytes:big ~req:"c3" ();
+        Builder.irecv b ~src:right ~tag:(i 32) ~bytes:big ~req:"c4" ();
+        Builder.irecv b ~src:left ~tag:(i 30) ~bytes:(i 32) ~req:"c5" ();
+        Builder.comp b ~label:"pending" ~flops:(i 50_000 + skew) ~mem:(i 5_000) ();
+        Builder.send b ~dest:right ~tag:(i 31) ~bytes:(i 32) ();
+        Builder.waitall b ~reqs:[ "c1"; "c2"; "c3"; "c4"; "c5" ];
+        Builder.isend b ~dest:rank ~tag:(i 40) ~bytes:(i 16) ~req:"s" ();
+        Builder.recv b ~src:rank ~tag:(i 40) ~bytes:(i 16) ();
+        Builder.wait b ~req:"s";
+        Builder.isend b ~dest:rank ~tag:(i 41) ~bytes:big ~req:"s" ();
+        Builder.irecv b ~src:rank ~tag:(i 41) ~bytes:big ~req:"t" ();
+        Builder.waitall b ~reqs:[ "s"; "t" ];
+        Builder.loop b ~var:"k" ~count:(i 2) (fun () -> [ Builder.call b "halo" ]);
+        Builder.sendrecv b ~dest:right ~sbytes:(i 8) ~src:left ~rbytes:(i 8) ();
+        Builder.sendrecv b ~dest:right ~sbytes:big ~src:left ~rbytes:big ();
+        Builder.allreduce b ~bytes:(i 8);
+        Builder.send b ~dest:right ~tag:(i 60) ~bytes:(i 64) ();
+        Builder.recv b ~bytes:(i 64) ();
+        Builder.barrier b;
+      ]);
+  Builder.program b
+
+(* Rank 1 dies inside its "overlap" block, with two rendezvous sends and
+   an eager send posted and not yet received. *)
+let lifetimes_kill = Faults.plan [ Faults.kill_rank ~rank:1 ~after:2e-5 () ]
+
+let lifetime_digests =
+  [
+    ("np=4 bare", "9d7c47d65352894b57b1ecefb57f4484");
+    ("np=4 profiled", "b33168fc8c787bb43af227683ecd7e50");
+    ("np=4 killed bare", "c7582e2108cf835d44768e440affb187");
+    ("np=4 killed profiled", "3452ed5ce9252781700b5abcd890ef18");
+    ("np=16 bare", "3159946af35f7a7b3e3d9e308626228b");
+    ("np=16 profiled", "b988379ffc9facd089d186723d6c876e");
+    ("np=16 killed bare", "0cf1d256a3504a1201373ad1c8f61bbc");
+    ("np=16 killed profiled", "75fb0b3ce7451e3273b398447b72da7a");
+  ]
+
+(* Every rank sends one message no one receives, posts an exact and a
+   wildcard-source receive no one sends to, after an exchange that left
+   tombstones in both queues. *)
+let unmatched_program () =
+  let open Expr.Infix in
+  let b = Builder.create ~file:"unmatched.mmp" ~name:"unmatched" () in
+  Builder.func b "main" (fun () ->
+      [
+        Builder.sendrecv b
+          ~dest:((rank + i 1) % np)
+          ~sbytes:(i 8)
+          ~src:((rank - i 1 + np) % np)
+          ~rbytes:(i 8) ();
+        Builder.send b ~dest:((rank + i 1) % np) ~tag:(i 9) ~bytes:(i 8) ();
+        Builder.isend b ~dest:((rank + i 2) % np) ~tag:(i 8) ~bytes:(i 800_000)
+          ~req:"q" ();
+        Builder.irecv b ~src:((rank + i 1) % np) ~tag:(i 5) ~bytes:(i 8)
+          ~req:"a" ();
+        Builder.recv b ~tag:(i 7) ~bytes:(i 8) ();
+      ]);
+  Builder.program b
+
+let unmatched_report =
+  String.concat ""
+    [
+      "ranks {0,1,2,3} blocked at end of run\n";
+      "  rank 0: recv posted at unmatched.mmp:6 (src=1 tag=5)\n";
+      "  rank 0: recv posted at unmatched.mmp:7 (src=any tag=7)\n";
+      "  rank 1: recv posted at unmatched.mmp:6 (src=2 tag=5)\n";
+      "  rank 1: recv posted at unmatched.mmp:7 (src=any tag=7)\n";
+      "  rank 2: recv posted at unmatched.mmp:6 (src=3 tag=5)\n";
+      "  rank 2: recv posted at unmatched.mmp:7 (src=any tag=7)\n";
+      "  rank 3: recv posted at unmatched.mmp:6 (src=0 tag=5)\n";
+      "  rank 3: recv posted at unmatched.mmp:7 (src=any tag=7)\n";
+      "  rank 0: unconsumed msg from 3 tag 9 (unmatched.mmp:4)\n";
+      "  rank 0: unconsumed msg from 2 tag 8 (unmatched.mmp:5)\n";
+      "  rank 1: unconsumed msg from 3 tag 8 (unmatched.mmp:5)\n";
+      "  rank 1: unconsumed msg from 0 tag 9 (unmatched.mmp:4)\n";
+      "  rank 2: unconsumed msg from 1 tag 9 (unmatched.mmp:4)\n";
+      "  rank 2: unconsumed msg from 0 tag 8 (unmatched.mmp:5)\n";
+      "  rank 3: unconsumed msg from 1 tag 8 (unmatched.mmp:5)\n";
+      "  rank 3: unconsumed msg from 2 tag 9 (unmatched.mmp:4)\n";
+    ]
+
+(* A profiled case pins the run's profile with its result: the
+   dependences the hooks read from matched messages become its comm
+   records. *)
+let test_request_lifetimes_pinned () =
+  let prog = lifetimes_program () in
+  let static = Scalana.Static.analyze prog in
+  let got =
+    List.concat_map
+      (fun np ->
+        let bare faults =
+          digest_result (Exec.run ~cfg:(Exec.config ~nprocs:np ~faults ()) prog)
+        in
+        let profiled faults =
+          let r = Scalana.Prof.run ?faults static ~nprocs:np () in
+          Digest.to_hex
+            (Digest.string
+               (Marshal.to_string (r.Scalana.Prof.result, r.Scalana.Prof.data) []))
+        in
+        [
+          (Printf.sprintf "np=%d bare" np, bare Faults.none);
+          (Printf.sprintf "np=%d profiled" np, profiled None);
+          ( Printf.sprintf "np=%d killed bare" np,
+            bare (Faults.arm lifetimes_kill ~nprocs:np ~attempt:1) );
+          ( Printf.sprintf "np=%d killed profiled" np,
+            profiled (Some lifetimes_kill) );
+        ])
+      [ 4; 16 ]
+  in
+  List.iter2
+    (fun (what, expected) (what', d) ->
+      check_string "case" what what';
+      check_string what expected d)
+    lifetime_digests got;
+  match run ~nprocs:4 (unmatched_program ()) with
+  | _ -> Alcotest.fail "expected deadlock"
+  | exception Exec.Deadlock report ->
+      check_string "deadlock report" unmatched_report report
+
 (* --- elastic membership and recovery --- *)
 
 (* No membership change fires at this scale: one epoch. *)
@@ -912,6 +1143,8 @@ let () =
             test_costmodel_matches_reference;
           Alcotest.test_case "bare compute allocates nothing" `Quick
             test_bare_compute_allocates_nothing;
+          Alcotest.test_case "bare MPI statements allocate no record" `Quick
+            test_bare_mpi_allocates_no_record;
         ] );
       ( "matching",
         [
@@ -976,6 +1209,8 @@ let () =
         [
           Alcotest.test_case "reference digests (full registry)" `Quick
             test_engine_reference_digests;
+          Alcotest.test_case "request lifetimes pinned" `Quick
+            test_request_lifetimes_pinned;
         ] );
       ( "elastic",
         [
