@@ -130,6 +130,7 @@ let make_tests () =
      scheduler's ready heap *)
   @ List.concat_map
       (fun np ->
+        let clock = Array.make np 0.0 in
         [
           Test.make ~name:(Printf.sprintf "engine_match_queue_np%d" np)
             (Staged.stage (fun () ->
@@ -139,12 +140,12 @@ let make_tests () =
                  for r = 0 to np - 1 do
                    ignore
                      (Comm.post_recv comm ~rank:r ~src:((r + 1) mod np) ~tag:7
-                        ~bytes:64 ~time:0.0 ~loc)
+                        ~clock ~loc)
                  done;
                  for r = 0 to np - 1 do
                    ignore
                      (Comm.send comm ~src:r ~dst:((r - 1 + np) mod np) ~tag:7
-                        ~bytes:64 ~time:0.0 ~loc ~cctx:0)
+                        ~bytes:64 ~clock ~loc ~cctx:0)
                  done;
                  comm.Scalana_runtime.Comm.messages_sent));
           Test.make ~name:(Printf.sprintf "engine_sched_heap_np%d" np)

@@ -7,51 +7,33 @@
    semantics.  The [on_complete] callback lets the scheduler wake blocked
    processes the moment a request completes.
 
-   This is the simulator's hottest data structure, so the representation
-   is allocation-free on the matching path: queues are flat arrays with
-   tombstoned removal (matching marks an entry dead in place; slots are
-   reclaimed in bulk when a queue next needs room), wildcards are
-   sentinel integers rather than options, absent messages/requests are
-   cyclic [nil_message]/[nil_request] sentinels compared physically, and
+   This is the simulator's hottest data structure.  Requests and messages
+   are not records but slots in per-communicator columns (one array per
+   field), grown by doubling from [initial_slots].  A slot goes back to a
+   free list once nothing can reach it: a request when its posting rank
+   has let go of it ([release]) and it has completed, a message when it
+   has been consumed and the receive that matched it is freed.  The
+   lowest-clock-first scheduler sweeps every rank between a post and its
+   match, and at thousands of ranks a record per in-flight request
+   outlived the minor heap and was promoted; a slot is reused instead.
+   Queues hold handles (slot plus the occupant's generation, see
+   [handle_step]), as do the message->sender-request and
+   request->message links, so a tombstone never matches a recycled
+   slot.  Queues are flat int arrays with tombstoned removal (matching
+   marks an entry dead in place; entries are reclaimed in bulk when a
+   queue next needs room), wildcards are sentinel integers, and
    exact-match receives carry a packed (src, tag) key so the common
-   non-wildcard probe is a single integer comparison.  Collective
-   instances accumulate a count and a running latest-arrival instead of
-   an arrival list, which turns the per-collective cost from O(nprocs^2)
-   to O(nprocs) — the seed engine's dominant term at np >= 4096. *)
+   non-wildcard probe is a single integer comparison.
+
+   Posting and matching allocate nothing but a column doubling, a queue
+   growing and the float [Network.transfer_time] returns (boxed, as
+   every float a call across modules returns).  Collective instances
+   accumulate a count and a running latest-arrival instead of an arrival
+   list, which turns the per-collective cost from O(nprocs^2) to
+   O(nprocs) — the seed engine's dominant term at np >= 4096; an
+   arrival allocates only when it opens an instance. *)
 
 open Scalana_mlang
-
-type message = {
-  msg_src : int;
-  msg_dst : int;
-  msg_tag : int;
-  msg_bytes : int;
-  msg_key : int;  (* packed (src, tag), -1 when the tag doesn't pack *)
-  send_seq : int;
-  send_time : float;
-  mutable arrival : float;  (* infinity until scheduled (rendezvous) *)
-  send_loc : Loc.t;
-  send_cctx : int;  (* sender's calling-context id (0 in bare runs) *)
-  eager : bool;
-  mutable sender_req : request;  (* [nil_request] = none *)
-  mutable consumed : bool;  (* tombstone in the unexpected queue *)
-}
-
-and request = {
-  req_id : int;
-  req_rank : int;
-  req_kind : [ `Send | `Recv ];
-  post_time : float;
-  want_src : int;  (* [any_src] = MPI_ANY_SOURCE *)
-  want_tag : int;  (* [any_tag] = MPI_ANY_TAG *)
-  req_key : int;  (* packed exact (src, tag), -1 when wildcarded *)
-  req_bytes : int;
-  req_loc : Loc.t;
-  mutable completed : bool;  (* tombstone in the posted queue *)
-  mutable completion : float;
-  mutable matched : message;  (* [nil_message] = none *)
-  mutable waiter : int;  (* blocked rank to wake on completion, -1 = none *)
-}
 
 (* Wildcard sentinels.  [min_int] cannot be produced by a program's
    source/tag expression in practice, and explicit sources are validated
@@ -59,41 +41,18 @@ and request = {
 let any_src = min_int
 let any_tag = min_int
 
-let rec nil_message =
-  {
-    msg_src = -1;
-    msg_dst = -1;
-    msg_tag = 0;
-    msg_bytes = 0;
-    msg_key = -1;
-    send_seq = 0;
-    send_time = 0.0;
-    arrival = 0.0;
-    send_loc = Loc.none;
-    send_cctx = 0;
-    eager = true;
-    sender_req = nil_request;
-    consumed = true;
-  }
+(* No request or message. *)
+let nil = -1
 
-and nil_request =
-  {
-    req_id = 0;
-    req_rank = -1;
-    req_kind = `Send;
-    post_time = 0.0;
-    want_src = any_src;
-    want_tag = any_tag;
-    req_key = -1;
-    req_bytes = 0;
-    req_loc = Loc.none;
-    completed = true;
-    completion = 0.0;
-    matched = nil_message;
-    waiter = -1;
-  }
-
-let has_matched (r : request) = r.matched != nil_message
+(* A handle is a slot in its low [slot_bits] bits plus the generation
+   of the slot's occupant above them.  Freeing a slot adds [handle_step]
+   to the handle it stores, so a handle kept by a queue or a link after
+   its slot was freed (and perhaps taken again) no longer equals the
+   slot's handle. *)
+let slot_bits = 30
+let slot_mask = (1 lsl slot_bits) - 1
+let handle_step = 1 lsl slot_bits
+let initial_slots = 16
 
 (* Packed (src, tag) fast path: when both fit in 30 bits the pair packs
    into one non-negative int, and two packed keys are equal iff the
@@ -108,235 +67,373 @@ let pack_key src tag =
     (src lsl key_bits) lor tag
   else -1
 
-(* --- flat queues with tombstoned removal --- *)
+(* [Float.max], without its two [sign_bit] C calls when the arguments
+   are ordered; equal to it on every input, NaN and signed zeros
+   included.  Defined here rather than shared: a call across modules
+   would box its result. *)
+let[@inline] fmax x y = if y > x then y else if x > y then x else Float.max x y
 
-type 'a dq = {
-  mutable buf : 'a array;
-  mutable head : int;  (* first possibly-live slot *)
-  mutable tail : int;  (* one past the last slot in use *)
-  dummy : 'a;
+(* --- flat queues of handles with tombstoned removal --- *)
+
+type queue = {
+  mutable buf : int array;
+  mutable head : int;  (* first possibly-live entry *)
+  mutable tail : int;  (* one past the last entry in use *)
 }
 
-let dq_create dummy = { buf = Array.make 4 dummy; head = 0; tail = 0; dummy }
+let queue_create () = { buf = Array.make 4 nil; head = 0; tail = 0 }
+
+(* An entry is dead once its slot was freed or its occupant finished
+   (a request completed, a message consumed). *)
+let[@inline] dead ~handles ~finished h =
+  let i = h land slot_mask in
+  handles.(i) <> h || finished.(i)
 
 (* Drop dead entries in order; grow only when mostly live.  In-place
    compaction is safe because the write index never passes the read
    index. *)
-let dq_compact dead q =
+let compact ~handles ~finished q =
   let live = ref 0 in
   for i = q.head to q.tail - 1 do
-    if not (dead q.buf.(i)) then incr live
+    if not (dead ~handles ~finished q.buf.(i)) then incr live
   done;
   let cap = Array.length q.buf in
-  let buf = if 2 * !live >= cap then Array.make (2 * cap) q.dummy else q.buf in
+  let buf = if 2 * !live >= cap then Array.make (2 * cap) nil else q.buf in
   let j = ref 0 in
   for i = q.head to q.tail - 1 do
-    let x = q.buf.(i) in
-    if not (dead x) then begin
-      buf.(!j) <- x;
+    let h = q.buf.(i) in
+    if not (dead ~handles ~finished h) then begin
+      buf.(!j) <- h;
       incr j
     end
   done;
-  if buf == q.buf then
-    for i = !j to q.tail - 1 do
-      q.buf.(i) <- q.dummy
-    done;
   q.buf <- buf;
   q.head <- 0;
   q.tail <- !j
 
-let dq_push dead q x =
-  if q.tail = Array.length q.buf then dq_compact dead q;
-  q.buf.(q.tail) <- x;
+let push ~handles ~finished q h =
+  if q.tail = Array.length q.buf then compact ~handles ~finished q;
+  q.buf.(q.tail) <- h;
   q.tail <- q.tail + 1
-
-let msg_dead (m : message) = m.consumed
-let req_dead (r : request) = r.completed
 
 (* Every communicator prices its messages and collectives by the one
    network model. *)
 let net = Network.default
 
+(* [Network.transfer_time net bytes], the same operations in the same
+   order, computed here: a call across modules would box the float it
+   returns, once per message. *)
+let[@inline] transfer_time bytes =
+  net.latency +. (float_of_int (if bytes > 0 then bytes else 0) /. net.bandwidth)
+
 type t = {
   nprocs : int;
-  unexpected : message dq array;  (* per destination, send order *)
-  posted : request dq array;  (* per receiver, post order *)
+  unexpected : queue array;  (* per destination, send order *)
+  posted : queue array;  (* per receiver, post order *)
   colls : (int, coll) Hashtbl.t;  (* in-flight instances by sequence *)
-  mutable msg_seq : int;
-  mutable req_seq : int;
-  mutable on_complete : request -> unit;
+  mutable on_complete : int -> unit;
   mutable messages_sent : int;
-  mutable bytes_sent : float;
+  (* requests, by slot *)
+  mutable r_handle : int array;
+  mutable r_recv : bool array;
+  mutable r_held : bool array;  (* the posting rank has not released it *)
+  mutable r_completed : bool array;  (* tombstone in the posted queue *)
+  mutable r_post_time : float array;
+  mutable r_want_src : int array;
+  mutable r_want_tag : int array;
+  mutable r_key : int array;  (* packed exact (src, tag), -1 when wildcarded *)
+  mutable r_loc : Loc.t array;
+  mutable r_completion : float array;
+  mutable r_matched : int array;  (* message handle, [nil] = none *)
+  mutable r_waiter : int array;  (* blocked rank to wake, -1 = none *)
+  mutable r_free : int array;  (* free slots, a stack *)
+  mutable r_nfree : int;
+  (* messages, by slot *)
+  mutable m_handle : int array;
+  mutable m_src : int array;
+  mutable m_tag : int array;
+  mutable m_bytes : int array;
+  mutable m_key : int array;  (* packed (src, tag), -1 when it doesn't pack *)
+  mutable m_send_time : float array;
+  mutable m_arrival : float array;  (* infinity until scheduled (rendezvous) *)
+  mutable m_loc : Loc.t array;
+  mutable m_cctx : int array;  (* sender's calling-context id (0 in bare runs) *)
+  mutable m_eager : bool array;
+  mutable m_consumed : bool array;  (* tombstone in the unexpected queue *)
+  mutable m_sreq : int array;  (* sender's request handle *)
+  mutable m_free : int array;
+  mutable m_nfree : int;
 }
 
 and coll = {
   coll_seq : int;
   coll_kind : Ast.mpi_call;
-  coll_bytes : int;
   mutable n_arrived : int;
-  mutable max_arrival : float;  (* chronologically-latest max so far *)
   mutable finished : bool;
-  mutable start_time : float;
-  mutable finish_time : float;
   mutable last_arrival_rank : int;
-  mutable waiters : int list;  (* blocked ranks, newest first *)
+  mutable waiters : int;  (* newest blocked rank, -1 = none *)
+  times : coll_times;
 }
 
+(* All floats, so stored unboxed: updating one allocates nothing. *)
+and coll_times = {
+  mutable max_arrival : float;  (* chronologically-latest max so far *)
+  mutable start_time : float;
+  mutable finish_time : float;
+}
+
+(* --- slots --- *)
+
+let extend a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Handles for slots [0, n): the old ones kept, generation 0 for the
+   new ones. *)
+let extend_handles a n =
+  let cap = Array.length a in
+  Array.init n (fun i -> if i < cap then a.(i) else i)
+
+(* A free stack holding the new slots [cap, n) only, lowest on top. *)
+let fresh_free ~cap n =
+  let free = Array.make n 0 in
+  for k = 0 to n - cap - 1 do
+    free.(k) <- n - 1 - k
+  done;
+  free
+
+let grow_requests t =
+  let cap = Array.length t.r_handle in
+  let n = 2 * cap in
+  t.r_handle <- extend_handles t.r_handle n;
+  t.r_recv <- extend t.r_recv n false;
+  t.r_held <- extend t.r_held n false;
+  t.r_completed <- extend t.r_completed n false;
+  t.r_post_time <- extend t.r_post_time n 0.0;
+  t.r_want_src <- extend t.r_want_src n any_src;
+  t.r_want_tag <- extend t.r_want_tag n any_tag;
+  t.r_key <- extend t.r_key n (-1);
+  t.r_loc <- extend t.r_loc n Loc.none;
+  t.r_completion <- extend t.r_completion n 0.0;
+  t.r_matched <- extend t.r_matched n nil;
+  t.r_waiter <- extend t.r_waiter n (-1);
+  t.r_free <- fresh_free ~cap n;
+  t.r_nfree <- n - cap
+
+let grow_messages t =
+  let cap = Array.length t.m_handle in
+  let n = 2 * cap in
+  t.m_handle <- extend_handles t.m_handle n;
+  t.m_src <- extend t.m_src n (-1);
+  t.m_tag <- extend t.m_tag n 0;
+  t.m_bytes <- extend t.m_bytes n 0;
+  t.m_key <- extend t.m_key n (-1);
+  t.m_send_time <- extend t.m_send_time n 0.0;
+  t.m_arrival <- extend t.m_arrival n 0.0;
+  t.m_loc <- extend t.m_loc n Loc.none;
+  t.m_cctx <- extend t.m_cctx n 0;
+  t.m_eager <- extend t.m_eager n false;
+  t.m_consumed <- extend t.m_consumed n false;
+  t.m_sreq <- extend t.m_sreq n nil;
+  t.m_free <- fresh_free ~cap n;
+  t.m_nfree <- n - cap
+
+let take_request t =
+  if t.r_nfree = 0 then grow_requests t;
+  t.r_nfree <- t.r_nfree - 1;
+  t.r_free.(t.r_nfree)
+
+let take_message t =
+  if t.m_nfree = 0 then grow_messages t;
+  t.m_nfree <- t.m_nfree - 1;
+  t.m_free.(t.m_nfree)
+
+let free_message t m =
+  t.m_handle.(m) <- t.m_handle.(m) + handle_step;
+  t.m_free.(t.m_nfree) <- m;
+  t.m_nfree <- t.m_nfree + 1
+
+(* A receive takes the message it matched with it: nothing else reads a
+   consumed message. *)
+let free_request t r =
+  let m = t.r_matched.(r) in
+  if m <> nil then free_message t (m land slot_mask);
+  t.r_handle.(r) <- t.r_handle.(r) + handle_step;
+  t.r_free.(t.r_nfree) <- r;
+  t.r_nfree <- t.r_nfree + 1
+
 let create ~nprocs =
+  let n = initial_slots in
   {
     nprocs;
-    unexpected = Array.init nprocs (fun _ -> dq_create nil_message);
-    posted = Array.init nprocs (fun _ -> dq_create nil_request);
+    unexpected = Array.init nprocs (fun _ -> queue_create ());
+    posted = Array.init nprocs (fun _ -> queue_create ());
     colls = Hashtbl.create 64;
-    msg_seq = 0;
-    req_seq = 0;
     on_complete = (fun _ -> ());
     messages_sent = 0;
-    bytes_sent = 0.0;
+    r_handle = Array.init n Fun.id;
+    r_recv = Array.make n false;
+    r_held = Array.make n false;
+    r_completed = Array.make n false;
+    r_post_time = Array.make n 0.0;
+    r_want_src = Array.make n any_src;
+    r_want_tag = Array.make n any_tag;
+    r_key = Array.make n (-1);
+    r_loc = Array.make n Loc.none;
+    r_completion = Array.make n 0.0;
+    r_matched = Array.make n nil;
+    r_waiter = Array.make n (-1);
+    r_free = fresh_free ~cap:0 n;
+    r_nfree = n;
+    m_handle = Array.init n Fun.id;
+    m_src = Array.make n (-1);
+    m_tag = Array.make n 0;
+    m_bytes = Array.make n 0;
+    m_key = Array.make n (-1);
+    m_send_time = Array.make n 0.0;
+    m_arrival = Array.make n 0.0;
+    m_loc = Array.make n Loc.none;
+    m_cctx = Array.make n 0;
+    m_eager = Array.make n false;
+    m_consumed = Array.make n false;
+    m_sreq = Array.make n nil;
+    m_free = fresh_free ~cap:0 n;
+    m_nfree = n;
   }
 
 let set_on_complete t f = t.on_complete <- f
 
-let complete t req ~at =
-  req.completed <- true;
-  req.completion <- at;
-  t.on_complete req
+let release t r =
+  if t.r_completed.(r) then free_request t r else t.r_held.(r) <- false
 
-let matches (req : request) (msg : message) =
-  if req.req_key >= 0 then req.req_key = msg.msg_key
+let matched t r =
+  let m = t.r_matched.(r) in
+  if m = nil then nil else m land slot_mask
+
+(* Inlined so [at] stays unboxed. *)
+let[@inline] complete t r ~at =
+  t.r_completed.(r) <- true;
+  t.r_completion.(r) <- at;
+  t.on_complete r;
+  if not t.r_held.(r) then free_request t r
+
+let[@inline] matches t r m =
+  if t.r_key.(r) >= 0 then t.r_key.(r) = t.m_key.(m)
   else
-    (req.want_src = any_src || req.want_src = msg.msg_src)
-    && (req.want_tag = any_tag || req.want_tag = msg.msg_tag)
+    let src = t.r_want_src.(r) and tag = t.r_want_tag.(r) in
+    (src = any_src || src = t.m_src.(m)) && (tag = any_tag || tag = t.m_tag.(m))
 
 (* Join a message with a posted receive and complete both sides.  The
    message becomes a tombstone in whichever queue holds it. *)
-let consume t (req : request) (msg : message) =
-  msg.consumed <- true;
-  req.matched <- msg;
-  if msg.eager then
+let consume t r m =
+  t.m_consumed.(m) <- true;
+  t.r_matched.(r) <- t.m_handle.(m);
+  if t.m_eager.(m) then
     (* transfer was already in flight; the receive sees it at arrival *)
-    complete t req ~at:(Float.max req.post_time msg.arrival)
+    complete t r ~at:(fmax t.r_post_time.(r) t.m_arrival.(m))
   else begin
     (* rendezvous: transfer starts when both sides are ready *)
-    let start = Float.max req.post_time msg.send_time in
-    let arrival = start +. Network.transfer_time net msg.msg_bytes in
-    msg.arrival <- arrival;
-    let sreq = msg.sender_req in
-    if sreq != nil_request && not sreq.completed then
-      complete t sreq ~at:arrival;
-    complete t req ~at:arrival
+    let start = fmax t.r_post_time.(r) t.m_send_time.(m) in
+    let arrival = start +. transfer_time t.m_bytes.(m) in
+    t.m_arrival.(m) <- arrival;
+    let sh = t.m_sreq.(m) in
+    let s = sh land slot_mask in
+    if t.r_handle.(s) = sh && not t.r_completed.(s) then
+      complete t s ~at:arrival;
+    complete t r ~at:arrival
   end
 
-let fresh_req t =
-  t.req_seq <- t.req_seq + 1;
-  t.req_seq
-
-(* Post a send at [time]; returns the sender-side request (already
-   completed for eager messages). *)
-let send t ~src ~dst ~tag ~bytes ~time ~loc ~cctx =
+(* Post a send at [clock.(src)]; returns the sender-side request
+   (already completed for eager messages). *)
+let send t ~src ~dst ~tag ~bytes ~clock ~loc ~cctx =
   if dst < 0 || dst >= t.nprocs then
     Fmt.invalid_arg "send to rank %d outside 0..%d (%s)" dst (t.nprocs - 1)
       (Loc.to_string loc);
-  t.msg_seq <- t.msg_seq + 1;
   t.messages_sent <- t.messages_sent + 1;
-  t.bytes_sent <- t.bytes_sent +. float_of_int bytes;
+  let time = clock.(src) in
   let eager = Network.is_eager net bytes in
-  let msg =
-    {
-      msg_src = src;
-      msg_dst = dst;
-      msg_tag = tag;
-      msg_bytes = bytes;
-      msg_key = pack_key src tag;
-      send_seq = t.msg_seq;
-      send_time = time;
-      arrival =
-        (if eager then time +. Network.transfer_time net bytes else infinity);
-      send_loc = loc;
-      send_cctx = cctx;
-      eager;
-      sender_req = nil_request;
-      consumed = false;
-    }
-  in
-  let sreq =
-    {
-      req_id = fresh_req t;
-      req_rank = src;
-      req_kind = `Send;
-      post_time = time;
-      want_src = any_src;
-      want_tag = any_tag;
-      req_key = -1;
-      req_bytes = bytes;
-      req_loc = loc;
-      completed = eager;
-      completion = (if eager then time else infinity);
-      matched = msg;
-      waiter = -1;
-    }
-  in
-  msg.sender_req <- sreq;
+  let s = take_request t in
+  t.r_recv.(s) <- false;
+  t.r_held.(s) <- true;
+  t.r_completed.(s) <- eager;
+  t.r_completion.(s) <- (if eager then time else infinity);
+  t.r_matched.(s) <- nil;
+  t.r_waiter.(s) <- -1;
+  let m = take_message t in
+  t.m_src.(m) <- src;
+  t.m_tag.(m) <- tag;
+  t.m_bytes.(m) <- bytes;
+  t.m_key.(m) <- pack_key src tag;
+  t.m_send_time.(m) <- time;
+  t.m_arrival.(m) <-
+    (if eager then time +. transfer_time bytes else infinity);
+  t.m_loc.(m) <- loc;
+  t.m_cctx.(m) <- cctx;
+  t.m_eager.(m) <- eager;
+  t.m_consumed.(m) <- false;
+  t.m_sreq.(m) <- t.r_handle.(s);
   (* match against posted receives of the destination, FIFO *)
   let q = t.posted.(dst) in
-  while q.head < q.tail && (q.buf.(q.head)).completed do
-    q.buf.(q.head) <- nil_request;
+  let handles = t.r_handle and finished = t.r_completed in
+  while q.head < q.tail && dead ~handles ~finished q.buf.(q.head) do
     q.head <- q.head + 1
   done;
   let i = ref q.head in
   let matched = ref false in
   while (not !matched) && !i < q.tail do
-    let r = q.buf.(!i) in
-    if (not r.completed) && matches r msg then begin
-      consume t r msg;
+    let h = q.buf.(!i) in
+    let r = h land slot_mask in
+    if (not (dead ~handles ~finished h)) && matches t r m then begin
+      consume t r m;
       matched := true
     end
     else incr i
   done;
-  if not !matched then dq_push msg_dead t.unexpected.(dst) msg;
-  sreq
+  if not !matched then
+    push ~handles:t.m_handle ~finished:t.m_consumed t.unexpected.(dst)
+      t.m_handle.(m);
+  s
 
-(* Post a receive at [time]; returns the request (already completed when
-   a matching unexpected message was waiting). *)
-let post_recv t ~rank ~src ~tag ~bytes ~time ~loc =
+(* Post a receive at [clock.(rank)]; returns the request (already
+   completed when a matching unexpected message was waiting). *)
+let post_recv t ~rank ~src ~tag ~clock ~loc =
   if src <> any_src && (src < 0 || src >= t.nprocs) then
     Fmt.invalid_arg "recv from rank %d outside 0..%d (%s)" src (t.nprocs - 1)
       (Loc.to_string loc);
-  let req =
-    {
-      req_id = fresh_req t;
-      req_rank = rank;
-      req_kind = `Recv;
-      post_time = time;
-      want_src = src;
-      want_tag = tag;
-      req_key =
-        (if src <> any_src && tag <> any_tag then pack_key src tag else -1);
-      req_bytes = bytes;
-      req_loc = loc;
-      completed = false;
-      completion = infinity;
-      matched = nil_message;
-      waiter = -1;
-    }
-  in
+  let r = take_request t in
+  t.r_recv.(r) <- true;
+  t.r_held.(r) <- true;
+  t.r_completed.(r) <- false;
+  t.r_post_time.(r) <- clock.(rank);
+  t.r_want_src.(r) <- src;
+  t.r_want_tag.(r) <- tag;
+  t.r_key.(r) <-
+    (if src <> any_src && tag <> any_tag then pack_key src tag else -1);
+  t.r_loc.(r) <- loc;
+  t.r_completion.(r) <- infinity;
+  t.r_matched.(r) <- nil;
+  t.r_waiter.(r) <- -1;
   let q = t.unexpected.(rank) in
-  while q.head < q.tail && (q.buf.(q.head)).consumed do
-    q.buf.(q.head) <- nil_message;
+  let handles = t.m_handle and finished = t.m_consumed in
+  while q.head < q.tail && dead ~handles ~finished q.buf.(q.head) do
     q.head <- q.head + 1
   done;
   let i = ref q.head in
   let matched = ref false in
   while (not !matched) && !i < q.tail do
-    let m = q.buf.(!i) in
-    if (not m.consumed) && matches req m then begin
-      consume t req m;
+    let h = q.buf.(!i) in
+    let m = h land slot_mask in
+    if (not (dead ~handles ~finished h)) && matches t r m then begin
+      consume t r m;
       matched := true
     end
     else incr i
   done;
-  if not !matched then dq_push req_dead t.posted.(rank) req;
-  req
+  if not !matched then
+    push ~handles:t.r_handle ~finished:t.r_completed t.posted.(rank)
+      t.r_handle.(r);
+  r
 
 (* Constructor identity of an MPI call, for the cheap collective
    mismatch check (codes are distinct per constructor, so equal codes
@@ -356,50 +453,52 @@ let kind_code : Ast.mpi_call -> int = function
   | Ast.Alltoall _ -> 11
   | Ast.Allgather _ -> 12
 
-(* Register arrival of [rank] at the [seq]-th collective call.  Returns
-   the instance; when this arrival is the last one the instance is
-   finalized (start/finish times set, [finished] = true) and dropped
-   from the in-flight table.  The latest arrival is tracked as a
-   running (count, max, argmax) triple; [>=] keeps the chronologically
-   last rank among ties, matching the historical fold over a
-   newest-first arrival list. *)
-let coll_arrive t ~seq ~rank ~time ~kind ~bytes =
+let open_coll t ~seq ~kind =
   let c =
-    match Hashtbl.find_opt t.colls seq with
-    | Some c ->
+    {
+      coll_seq = seq;
+      coll_kind = kind;
+      n_arrived = 0;
+      finished = false;
+      last_arrival_rank = -1;
+      waiters = -1;
+      times =
+        { max_arrival = neg_infinity; start_time = 0.0; finish_time = 0.0 };
+    }
+  in
+  Hashtbl.replace t.colls seq c;
+  c
+
+(* Register arrival of [rank] at the [seq]-th collective call, at
+   [clock.(rank)].  Returns the instance; when this arrival is the last
+   one the instance is finalized (start/finish times set, [finished] =
+   true) and dropped from the in-flight table.  The latest arrival is
+   tracked as a running (count, max, argmax) triple; [>=] keeps the
+   chronologically last rank among ties, matching the historical fold
+   over a newest-first arrival list. *)
+let coll_arrive t ~seq ~rank ~clock ~kind ~bytes =
+  let c =
+    match Hashtbl.find t.colls seq with
+    | c ->
         if kind_code c.coll_kind <> kind_code kind then
           Fmt.invalid_arg
             "collective mismatch at sequence %d: rank %d calls %s, others %s"
             seq rank (Ast.mpi_name kind)
             (Ast.mpi_name c.coll_kind);
         c
-    | None ->
-        let c =
-          {
-            coll_seq = seq;
-            coll_kind = kind;
-            coll_bytes = bytes;
-            n_arrived = 0;
-            max_arrival = neg_infinity;
-            finished = false;
-            start_time = 0.0;
-            finish_time = 0.0;
-            last_arrival_rank = -1;
-            waiters = [];
-          }
-        in
-        Hashtbl.replace t.colls seq c;
-        c
+    | exception Not_found -> open_coll t ~seq ~kind
   in
+  let time = clock.(rank) in
+  let at = c.times in
   c.n_arrived <- c.n_arrived + 1;
-  if time >= c.max_arrival then begin
-    c.max_arrival <- time;
+  if time >= at.max_arrival then begin
+    at.max_arrival <- time;
     c.last_arrival_rank <- rank
   end;
   if c.n_arrived = t.nprocs then begin
-    c.start_time <- c.max_arrival;
-    c.finish_time <-
-      c.max_arrival +. Network.collective_time net ~nprocs:t.nprocs ~bytes kind;
+    at.start_time <- at.max_arrival;
+    at.finish_time <-
+      at.max_arrival +. Network.collective_time net ~nprocs:t.nprocs ~bytes kind;
     c.finished <- true;
     Hashtbl.remove t.colls seq
   end;
@@ -408,25 +507,30 @@ let coll_arrive t ~seq ~rank ~time ~kind ~bytes =
 let pending_summary t =
   let buf = Buffer.create 128 in
   Array.iteri
-    (fun rank (q : request dq) ->
+    (fun rank q ->
       for i = q.head to q.tail - 1 do
-        let r = q.buf.(i) in
-        if not r.completed then
+        let h = q.buf.(i) in
+        if not (dead ~handles:t.r_handle ~finished:t.r_completed h) then begin
+          let r = h land slot_mask in
+          let src = t.r_want_src.(r) and tag = t.r_want_tag.(r) in
           Buffer.add_string buf
             (Printf.sprintf "  rank %d: recv posted at %s (src=%s tag=%s)\n"
-               rank (Loc.to_string r.req_loc)
-               (if r.want_src = any_src then "any" else string_of_int r.want_src)
-               (if r.want_tag = any_tag then "any" else string_of_int r.want_tag))
+               rank (Loc.to_string t.r_loc.(r))
+               (if src = any_src then "any" else string_of_int src)
+               (if tag = any_tag then "any" else string_of_int tag))
+        end
       done)
     t.posted;
   Array.iteri
-    (fun rank (q : message dq) ->
+    (fun rank q ->
       for i = q.head to q.tail - 1 do
-        let m = q.buf.(i) in
-        if not m.consumed then
+        let h = q.buf.(i) in
+        if not (dead ~handles:t.m_handle ~finished:t.m_consumed h) then begin
+          let m = h land slot_mask in
           Buffer.add_string buf
             (Printf.sprintf "  rank %d: unconsumed msg from %d tag %d (%s)\n"
-               rank m.msg_src m.msg_tag (Loc.to_string m.send_loc))
+               rank t.m_src.(m) t.m_tag.(m) (Loc.to_string t.m_loc.(m)))
+        end
       done)
     t.unexpected;
   Buffer.contents buf

@@ -3,135 +3,139 @@
     with tag/source wildcards and non-overtaking order, eager/rendezvous
     protocols, and sequence-numbered fully-synchronizing collectives.
 
-    The representation is allocation-free on the matching path: flat
-    per-rank queues with tombstoned removal, integer wildcard sentinels
-    ({!any_src}/{!any_tag}) instead of options, cyclic nil message and
-    {!nil_request} sentinels (compare physically, or use {!has_matched})
-    instead of option boxing, and a packed (src, tag)
-    key as the exact-match fast path.  Collective instances keep a
-    running (count, latest-arrival) pair rather than an arrival list. *)
+    Requests and messages are slots (ints) in the communicator's columns,
+    one array per field, read as [t]'s fields.  A request's slot is
+    recycled once its posting rank has {!release}d it and it has
+    completed; a message's once it is consumed and the receive that
+    matched it is recycled.  Queues and cross-links hold slot handles
+    that carry the occupant's generation, so a tombstone never matches a
+    recycled slot.  Posting and matching allocate only when a column or
+    queue doubles, plus the boxed float {!Network.transfer_time} returns
+    once per message; a collective arrival allocates only when it opens
+    an instance. *)
 
 open Scalana_mlang
 
-type message = {
-  msg_src : int;
-  msg_dst : int;
-  msg_tag : int;
-  msg_bytes : int;
-  msg_key : int;  (** packed (src, tag), [-1] when the tag doesn't pack *)
-  send_seq : int;
-  send_time : float;
-  mutable arrival : float;  (** infinity until scheduled (rendezvous) *)
-  send_loc : Loc.t;
-  send_cctx : int;
-      (** the sender's calling-context id ({!Instrument.ctx}); 0 in bare
-          runs *)
-  eager : bool;
-  mutable sender_req : request;  (** [nil_request] = none *)
-  mutable consumed : bool;  (** tombstone in the unexpected queue *)
-}
-
-and request = {
-  req_id : int;
-  req_rank : int;
-  req_kind : [ `Send | `Recv ];
-  post_time : float;
-  want_src : int;  (** [any_src] = MPI_ANY_SOURCE *)
-  want_tag : int;  (** [any_tag] = MPI_ANY_TAG *)
-  req_key : int;  (** packed exact (src, tag), [-1] when wildcarded *)
-  req_bytes : int;
-  req_loc : Loc.t;
-  mutable completed : bool;  (** tombstone in the posted queue *)
-  mutable completion : float;
-  mutable matched : message;  (** [nil_message] = none *)
-  mutable waiter : int;
-      (** rank blocked on this request, [-1] = none; owned by the
-          scheduler *)
-}
-
-(** Wildcard sentinels for [want_src]/[want_tag]. *)
+(** Wildcard sentinels for [r_want_src]/[r_want_tag]. *)
 val any_src : int
 
 val any_tag : int
 
-val nil_request : request
+(** No request or message ([-1]). *)
+val nil : int
 
-(** [matched] is a real message (receive side of a completed match). *)
-val has_matched : request -> bool
-
-(** Flat queue with tombstoned removal; exposed for [pending_summary]
-    consumers and the benchmarks. *)
-type 'a dq = {
-  mutable buf : 'a array;
-  mutable head : int;
-  mutable tail : int;
-  dummy : 'a;
-}
+(** A per-rank queue of handles. *)
+type queue
 
 type t = {
   nprocs : int;
-  unexpected : message dq array;
-  posted : request dq array;
+  unexpected : queue array;
+  posted : queue array;
   colls : (int, coll) Hashtbl.t;  (** in-flight instances only *)
-  mutable msg_seq : int;
-  mutable req_seq : int;
-  mutable on_complete : request -> unit;
+  mutable on_complete : int -> unit;
   mutable messages_sent : int;
-  mutable bytes_sent : float;
+  mutable r_handle : int array;  (** the slot's current handle *)
+  mutable r_recv : bool array;  (** a receive, not a send *)
+  mutable r_held : bool array;  (** not yet {!release}d *)
+  mutable r_completed : bool array;
+  mutable r_post_time : float array;  (** receives only *)
+  mutable r_want_src : int array;  (** {!any_src} = MPI_ANY_SOURCE *)
+  mutable r_want_tag : int array;  (** {!any_tag} = MPI_ANY_TAG *)
+  mutable r_key : int array;
+  mutable r_loc : Loc.t array;  (** receives only *)
+  mutable r_completion : float array;
+  mutable r_matched : int array;
+      (** handle of the message a receive matched, {!nil} = none; read
+          it through {!matched} *)
+  mutable r_waiter : int array;
+      (** rank blocked on the request, [-1] = none; owned by the
+          scheduler *)
+  mutable r_free : int array;
+  mutable r_nfree : int;
+  mutable m_handle : int array;
+  mutable m_src : int array;
+  mutable m_tag : int array;
+  mutable m_bytes : int array;
+  mutable m_key : int array;
+  mutable m_send_time : float array;
+  mutable m_arrival : float array;  (** infinity until scheduled (rendezvous) *)
+  mutable m_loc : Loc.t array;
+  mutable m_cctx : int array;
+      (** the sender's calling-context id ({!Instrument.ctx}); 0 in bare
+          runs *)
+  mutable m_eager : bool array;
+  mutable m_consumed : bool array;
+  mutable m_sreq : int array;  (** handle of the sender's request *)
+  mutable m_free : int array;
+  mutable m_nfree : int;
 }
 
 and coll = {
   coll_seq : int;
   coll_kind : Ast.mpi_call;
-  coll_bytes : int;
   mutable n_arrived : int;
+  mutable finished : bool;
+  mutable last_arrival_rank : int;
+  mutable waiters : int;
+      (** newest rank blocked on the instance, [-1] = none; the
+          scheduler chains the others; owned by the scheduler *)
+  times : coll_times;
+}
+
+and coll_times = {
   mutable max_arrival : float;
       (** latest arrival seen so far (running accumulator) *)
-  mutable finished : bool;
   mutable start_time : float;
   mutable finish_time : float;
-  mutable last_arrival_rank : int;
-  mutable waiters : int list;
-      (** blocked ranks, newest first; owned by the scheduler *)
 }
 
 (** A communicator priced by {!Network.default}. *)
 val create : nprocs:int -> t
 
-(** Install the scheduler callback fired whenever a request completes. *)
-val set_on_complete : t -> (request -> unit) -> unit
+(** Install the scheduler callback fired with a request's slot whenever
+    it completes. *)
+val set_on_complete : t -> (int -> unit) -> unit
 
-(** Post a send; the returned request is already completed for eager
-    messages. Raises [Invalid_argument] on an out-of-range destination. *)
+(** Post a send at [clock.(src)] ([clock] holds every rank's clock);
+    returns the request's slot, already completed for eager messages.
+    Raises [Invalid_argument] on an out-of-range destination. *)
 val send :
   t ->
   src:int ->
   dst:int ->
   tag:int ->
   bytes:int ->
-  time:float ->
+  clock:float array ->
   loc:Loc.t ->
   cctx:int ->
-  request
+  int
 
-(** Post a receive ([src]/[tag] may be {!any_src}/{!any_tag}); already
-    completed when a matching unexpected message was waiting. *)
+(** Post a receive at [clock.(rank)] ([src]/[tag] may be
+    {!any_src}/{!any_tag}); returns the request's slot, already completed
+    when a matching unexpected message was waiting. *)
 val post_recv :
-  t ->
-  rank:int ->
-  src:int ->
-  tag:int ->
-  bytes:int ->
-  time:float ->
-  loc:Loc.t ->
-  request
+  t -> rank:int -> src:int -> tag:int -> clock:float array -> loc:Loc.t -> int
 
-(** Register [rank]'s arrival at its [seq]-th collective; the last
-    arrival finalizes the instance (start/finish set, [finished] true)
-    and drops it from the in-flight table.  Raises [Invalid_argument]
-    on mismatched collective kinds. *)
+(** The posting rank lets go of a request: its slot is recycled now if
+    it completed, else when it completes.  Release each request once,
+    after the last read of its columns. *)
+val release : t -> int -> unit
+
+(** The slot of the message a receive matched, or {!nil}. *)
+val matched : t -> int -> int
+
+(** Register [rank]'s arrival at its [seq]-th collective, at
+    [clock.(rank)]; the last arrival finalizes the instance (start/finish
+    set, [finished] true) and drops it from the in-flight table.  Raises
+    [Invalid_argument] on mismatched collective kinds. *)
 val coll_arrive :
-  t -> seq:int -> rank:int -> time:float -> kind:Ast.mpi_call -> bytes:int -> coll
+  t ->
+  seq:int ->
+  rank:int ->
+  clock:float array ->
+  kind:Ast.mpi_call ->
+  bytes:int ->
+  coll
 
 (** Human-readable dump of pending receives/messages, for deadlock
     reports. *)

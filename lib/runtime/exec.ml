@@ -72,8 +72,9 @@ type result = {
 }
 
 (* Per-function-activation frame: variable slots (inside the compiled
-   env) and request slots. *)
-type frame = { fenv : C.env; freqs : Comm.request array }
+   env) and request slots, each the slot of a request the frame holds
+   in the communicator's columns ([Comm.nil] = none). *)
+type frame = { fenv : C.env; freqs : int array }
 
 let merge_params (program : Ast.program) overrides =
   List.map
@@ -88,16 +89,19 @@ let merge_params (program : Ast.program) overrides =
 
 (* --- scheduler plumbing --- *)
 
-(* What a blocked process is waiting for; [Wake_two] covers sendrecv
-   without an array allocation. *)
-type wake =
-  | Wake_none
-  | Wake_one of Comm.request
-  | Wake_two of Comm.request * Comm.request
-  | Wake_many of Comm.request array
-  | Wake_coll of Comm.coll
+(* What a blocked process is waiting for, in [sched.wake_kind]:
+   [wake_one] the request [wake_a]; [wake_two] (sendrecv) the requests
+   [wake_a] and [wake_b]; [wake_many] the first [wake_a] requests of
+   [wake_reqs]; [wake_coll] the collective instance numbered [wake_a]. *)
+let wake_none = 0
+let wake_one = 1
+let wake_two = 2
+let wake_many = 3
+let wake_coll = 4
 
-type _ Effect.t += Block : float Effect.t
+(* A blocked process resumes at its [resume_at], read once [Block]
+   returns: a float passed through [continue] would be boxed. *)
+type _ Effect.t += Block : unit Effect.t
 
 (* status codes *)
 let st_not_started = 0
@@ -172,9 +176,15 @@ type sched = {
   pmu_fp : float array;
   coll_seqs : int array;
   status : int array;
-  conts : (float, unit) Effect.Deep.continuation option array;
+  conts : (unit, unit) Effect.Deep.continuation option array;
   resume_at : float array;
-  wakes : wake array;
+  wake_kind : int array;
+  wake_a : int array;
+  wake_b : int array;
+  wake_reqs : int array array;  (* per rank, grown to its widest waitall *)
+  coll_next : int array;  (* next older rank blocked on the same collective *)
+  nfuncs : int;
+  spare : frame array;  (* by rank * nfuncs + cf_id, see [take_frame] *)
   cctx : int array;  (* current context id; length 0 without tools *)
   contexts : contexts;
   kill_at : float array;  (* infinity = no kill fault armed *)
@@ -183,54 +193,87 @@ type sched = {
   scratch : float array;  (* Costmodel.comp_cost_into's 6 output slots *)
   ready : Heap.t;
   mutable events : int;
+  mutable running : int;  (* the rank [drive] last started or resumed *)
   mutable killed : int list;  (* ranks terminated by an injected fault *)
 }
 
 (* Internal: unwinds a fiber whose rank an armed fault has terminated. *)
 exception Rank_killed
 
-let make_ready s rank resume =
+(* [Float.max], without its two [sign_bit] C calls when the arguments
+   are ordered; equal to it on every input, NaN and signed zeros
+   included.  Defined here rather than shared: a call across modules
+   would box its result. *)
+let[@inline] fmax x y = if y > x then y else if x > y then x else Float.max x y
+
+(* Inlined, so [resume] is never boxed. *)
+let[@inline] make_ready s rank resume =
   s.status.(rank) <- st_ready;
   s.resume_at.(rank) <- resume;
-  Heap.push s.ready resume rank
+  Heap.push_at s.ready s.resume_at rank
+
+let all_completed (c : Comm.t) (rs : int array) n =
+  let i = ref 0 in
+  while !i < n && c.Comm.r_completed.(rs.(!i)) do
+    incr i
+  done;
+  !i = n
+
+(* The latest completion of the first [n] requests of [rs], folded from
+   [from] in array order. *)
+let[@inline] latest_completion (c : Comm.t) (rs : int array) n ~from =
+  let acc = ref from in
+  for i = 0 to n - 1 do
+    acc := fmax !acc c.Comm.r_completion.(rs.(i))
+  done;
+  !acc
 
 (* Called from Comm whenever a request completes: if the owning process
    is blocked and all of its awaited requests are now complete, wake it
    at the latest completion (but no earlier than when it blocked). *)
-let on_request_complete s (req : Comm.request) =
-  let rank = req.Comm.waiter in
+let on_request_complete s r =
+  let c = s.comm in
+  let rank = c.Comm.r_waiter.(r) in
   if rank >= 0 then begin
-    req.Comm.waiter <- -1;
-    if s.status.(rank) = st_blocked then
-      match s.wakes.(rank) with
-      | Wake_one r ->
-          if r.Comm.completed then
-            make_ready s rank (Float.max s.blocked_since.(rank) r.completion)
-      | Wake_two (r1, r2) ->
-          if r1.Comm.completed && r2.Comm.completed then
-            make_ready s rank
-              (Float.max
-                 (Float.max s.blocked_since.(rank) r1.Comm.completion)
-                 r2.Comm.completion)
-      | Wake_many rs ->
-          if Array.for_all (fun (r : Comm.request) -> r.completed) rs then
-            make_ready s rank
-              (Array.fold_left
-                 (fun acc (r : Comm.request) -> Float.max acc r.completion)
-                 s.blocked_since.(rank) rs)
-      | Wake_coll _ | Wake_none -> ()
+    c.Comm.r_waiter.(r) <- -1;
+    if s.status.(rank) = st_blocked then begin
+      let kind = s.wake_kind.(rank) in
+      if kind = wake_one then begin
+        let a = s.wake_a.(rank) in
+        if c.Comm.r_completed.(a) then
+          make_ready s rank
+            (fmax s.blocked_since.(rank) c.Comm.r_completion.(a))
+      end
+      else if kind = wake_two then begin
+        let a = s.wake_a.(rank) and b = s.wake_b.(rank) in
+        if c.Comm.r_completed.(a) && c.Comm.r_completed.(b) then
+          make_ready s rank
+            (fmax
+               (fmax s.blocked_since.(rank) c.Comm.r_completion.(a))
+               c.Comm.r_completion.(b))
+      end
+      else if kind = wake_many then begin
+        let rs = s.wake_reqs.(rank) and n = s.wake_a.(rank) in
+        if all_completed c rs n then
+          make_ready s rank
+            (latest_completion c rs n ~from:s.blocked_since.(rank))
+      end
+    end
   end
 
+(* Wake the ranks blocked on [c], newest first. *)
 let wake_collective s (c : Comm.coll) =
-  List.iter
-    (fun rank ->
-      if s.status.(rank) = st_blocked then
-        match s.wakes.(rank) with
-        | Wake_coll c' when c'.Comm.coll_seq = c.Comm.coll_seq ->
-            make_ready s rank c.Comm.finish_time
-        | _ -> ())
-    c.Comm.waiters;
-  c.Comm.waiters <- []
+  let rank = ref c.Comm.waiters in
+  while !rank >= 0 do
+    let r = !rank in
+    if
+      s.status.(r) = st_blocked
+      && s.wake_kind.(r) = wake_coll
+      && s.wake_a.(r) = c.Comm.coll_seq
+    then make_ready s r c.Comm.times.finish_time;
+    rank := s.coll_next.(r)
+  done;
+  c.Comm.waiters <- -1
 
 (* --- interpretation --- *)
 
@@ -294,72 +337,100 @@ let icall_overhead s ctx ~target =
   done;
   !acc
 
+(* Suspend [rank] until the scheduler resumes it; returns the time it
+   resumes at.  The caller has set [blocked_since], the wake state and
+   the waiters, which nothing can complete before the handler runs:
+   execution is single-threaded. *)
+let[@inline] block s rank =
+  Effect.perform Block;
+  s.resume_at.(rank)
+
 (* Wait until [r] has completed, advancing the clock to the completion
    (each await computes the same fold the reference engine did). *)
-let await_one s rank (r : Comm.request) =
+let await_one s rank r =
+  let c = s.comm in
   let resume =
-    if r.Comm.completed then Float.max s.clock.(rank) r.Comm.completion
+    if c.Comm.r_completed.(r) then fmax s.clock.(rank) c.Comm.r_completion.(r)
     else begin
       s.blocked_since.(rank) <- s.clock.(rank);
-      s.wakes.(rank) <- Wake_one r;
-      Effect.perform Block
+      s.wake_kind.(rank) <- wake_one;
+      s.wake_a.(rank) <- r;
+      c.Comm.r_waiter.(r) <- rank;
+      block s rank
     end
   in
-  s.clock.(rank) <- Float.max s.clock.(rank) resume
+  s.clock.(rank) <- fmax s.clock.(rank) resume
 
-let await_two s rank (r1 : Comm.request) (r2 : Comm.request) =
+let await_two s rank r1 r2 =
+  let c = s.comm in
   let resume =
-    if r1.Comm.completed && r2.Comm.completed then
-      Float.max
-        (Float.max s.clock.(rank) r1.Comm.completion)
-        r2.Comm.completion
+    if c.Comm.r_completed.(r1) && c.Comm.r_completed.(r2) then
+      fmax
+        (fmax s.clock.(rank) c.Comm.r_completion.(r1))
+        c.Comm.r_completion.(r2)
     else begin
       s.blocked_since.(rank) <- s.clock.(rank);
-      s.wakes.(rank) <- Wake_two (r1, r2);
-      Effect.perform Block
+      s.wake_kind.(rank) <- wake_two;
+      s.wake_a.(rank) <- r1;
+      s.wake_b.(rank) <- r2;
+      if not c.Comm.r_completed.(r1) then c.Comm.r_waiter.(r1) <- rank;
+      if not c.Comm.r_completed.(r2) then c.Comm.r_waiter.(r2) <- rank;
+      block s rank
     end
   in
-  s.clock.(rank) <- Float.max s.clock.(rank) resume
+  s.clock.(rank) <- fmax s.clock.(rank) resume
 
-let await_many s rank (rs : Comm.request array) =
+(* Wait for the first [n] requests of [s.wake_reqs.(rank)]. *)
+let await_many s rank n =
+  let c = s.comm in
+  let rs = s.wake_reqs.(rank) in
   let resume =
-    if Array.for_all (fun (r : Comm.request) -> r.completed) rs then
-      Array.fold_left
-        (fun acc (r : Comm.request) -> Float.max acc r.completion)
-        s.clock.(rank) rs
+    if all_completed c rs n then latest_completion c rs n ~from:s.clock.(rank)
     else begin
       s.blocked_since.(rank) <- s.clock.(rank);
-      s.wakes.(rank) <- Wake_many rs;
-      Effect.perform Block
+      s.wake_kind.(rank) <- wake_many;
+      s.wake_a.(rank) <- n;
+      for i = 0 to n - 1 do
+        let r = rs.(i) in
+        if not c.Comm.r_completed.(r) then c.Comm.r_waiter.(r) <- rank
+      done;
+      block s rank
     end
   in
-  s.clock.(rank) <- Float.max s.clock.(rank) resume
+  s.clock.(rank) <- fmax s.clock.(rank) resume
 
-let dep_of_req s (r : Comm.request) =
-  if Comm.has_matched r && r.Comm.req_kind = `Recv then
-    let m = r.Comm.matched in
+let dep_of_req s r =
+  let c = s.comm in
+  let m = if c.Comm.r_recv.(r) then Comm.matched c r else Comm.nil in
+  if m = Comm.nil then []
+  else
     [
       {
-        Instrument.peer_rank = m.Comm.msg_src;
-        peer_loc = m.Comm.send_loc;
-        peer_cctx = m.Comm.send_cctx;
-        peer_callpath = s.contexts.paths.(m.Comm.send_cctx);
-        dep_tag = m.Comm.msg_tag;
-        dep_bytes = m.Comm.msg_bytes;
-        send_time = m.Comm.send_time;
-        arrival_time = r.Comm.completion;
+        Instrument.peer_rank = c.Comm.m_src.(m);
+        peer_loc = c.Comm.m_loc.(m);
+        peer_cctx = c.Comm.m_cctx.(m);
+        peer_callpath = s.contexts.paths.(c.Comm.m_cctx.(m));
+        dep_tag = c.Comm.m_tag.(m);
+        dep_bytes = c.Comm.m_bytes.(m);
+        send_time = c.Comm.m_send_time.(m);
+        arrival_time = c.Comm.r_completion.(r);
       };
     ]
-  else []
 
 let get_req (frame : frame) ~loc slot name =
   let r = frame.freqs.(slot) in
-  if r == Comm.nil_request then
-    runtime_error ~loc "wait on unposted request %S" name
+  if r = Comm.nil then runtime_error ~loc "wait on unposted request %S" name
   else r
 
+(* A non-blocking request's frame slot takes a new request: the old one
+   is released. *)
+let hold s (frame : frame) slot r =
+  let old = frame.freqs.(slot) in
+  frame.freqs.(slot) <- r;
+  if old <> Comm.nil then Comm.release s.comm old
+
 let no_vars : int array = [||]
-let no_reqs : Comm.request array = [||]
+let no_reqs : int array = [||]
 
 let new_frame rank (f : cfunc) =
   {
@@ -370,10 +441,46 @@ let new_frame rank (f : cfunc) =
         c_bound =
           (if f.cf_nvars = 0 then Bytes.empty else Bytes.make f.cf_nvars '\000');
       };
-    freqs =
-      (if f.cf_nreqs = 0 then no_reqs
-       else Array.make f.cf_nreqs Comm.nil_request);
+    freqs = (if f.cf_nreqs = 0 then no_reqs else Array.make f.cf_nreqs Comm.nil);
   }
+
+(* A call blocks across sweeps of every rank, so a frame made per call
+   outlived the minor heap.  A returned frame instead becomes its rank's
+   spare for the function, taken by the rank's next call to it;
+   [no_frame] marks an empty entry. *)
+let no_frame =
+  {
+    fenv = { C.c_rank = -1; c_vars = no_vars; c_bound = Bytes.empty };
+    freqs = no_reqs;
+  }
+
+let take_frame s rank (f : cfunc) =
+  let i = (rank * s.nfuncs) + f.cf_id in
+  let frame = s.spare.(i) in
+  if frame == no_frame then new_frame rank f
+  else begin
+    s.spare.(i) <- no_frame;
+    frame
+  end
+
+(* A returning frame releases the requests it still holds and, cleared,
+   becomes the spare unless the rank keeps one for [f] already (a
+   recursive call's).  A slot's old value is read only once the slot is
+   bound again. *)
+let return_frame s rank (f : cfunc) (frame : frame) =
+  let reqs = frame.freqs in
+  for i = 0 to Array.length reqs - 1 do
+    if reqs.(i) <> Comm.nil then begin
+      Comm.release s.comm reqs.(i);
+      reqs.(i) <- Comm.nil
+    end
+  done;
+  let i = (rank * s.nfuncs) + f.cf_id in
+  if s.spare.(i) == no_frame then begin
+    Bytes.fill frame.fenv.C.c_bound 0 (Bytes.length frame.fenv.C.c_bound)
+      '\000';
+    s.spare.(i) <- frame
+  end
 
 (* Accumulate one computation interval into the per-rank SoA state.
    Field-by-field addition in [Pmu.t] order — identical float sums to
@@ -476,7 +583,7 @@ and exec_stmt s rank frame (st : cstmt) =
 
 and call_function s rank ~site ~kids (f : cfunc)
     (args : (int * C.expr) array) (caller : frame) =
-  let callee_frame = new_frame rank f in
+  let callee_frame = take_frame s rank f in
   let nargs = Array.length args in
   for i = 0 to nargs - 1 do
     let slot, e = Array.unsafe_get args i in
@@ -490,17 +597,21 @@ and call_function s rank ~site ~kids (f : cfunc)
     exec_block s rank callee_frame f.cf_body;
     s.cctx.(rank) <- parent
   end
-  else exec_block s rank callee_frame f.cf_body
+  else exec_block s rank callee_frame f.cf_body;
+  return_frame s rank f callee_frame
 
 (* MPI execution.  With a tool attached, the reference engine's sequence
    of hook calls, context records and overhead charges (the span record
    only when some tool is due for it); without one, the hook contexts,
    dependence edges, send records and collective record are never built
    (messages carry context 0 and the wait is read before any hook
-   closure captures it), so a bare run allocates only its requests,
-   messages and wake record here.  The
-   clock/wait arithmetic is the same on both, with zero overheads elided
-   when no tool is attached. *)
+   closure captures it).  Requests and messages are slots in the
+   communicator's columns and the wake state is ints, so a bare
+   statement allocates only when it blocks (see the header).  A blocking
+   call releases its requests once the hooks have read its dependences;
+   a non-blocking one's stay with the frame.  The clock/wait arithmetic
+   is the same on both, with zero overheads elided when no tool is
+   attached. *)
 and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
   let enter_time = s.clock.(rank) in
   let env = frame.fenv in
@@ -513,46 +624,42 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       let tag = ceval env ~loc tag in
       let bytes = ceval env ~loc bytes in
       let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~cctx
+        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~clock:s.clock ~loc ~cctx
       in
       s.clock.(rank) <- s.clock.(rank) +. Network.default.send_overhead;
       let t0 = s.clock.(rank) in
       await_one s rank sreq;
       wait := s.clock.(rank) -. t0;
+      Comm.release s.comm sreq;
       if s.has_tools then sends := [ (dst, tag, bytes) ]
   | KRecv { src; tag; bytes } ->
       let src = eval_peer env ~loc src in
       let tag = eval_tag env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let req =
-        Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-      in
+      ignore (ceval env ~loc bytes : int);
+      let req = Comm.post_recv s.comm ~rank ~src ~tag ~clock:s.clock ~loc in
       s.clock.(rank) <- s.clock.(rank) +. Network.default.recv_overhead;
       let t0 = s.clock.(rank) in
       await_one s rank req;
       wait := s.clock.(rank) -. t0;
-      if s.has_tools then deps := dep_of_req s req
+      if s.has_tools then deps := dep_of_req s req;
+      Comm.release s.comm req
   | KIsend { dest; tag; bytes; slot } ->
       let dst = ceval env ~loc dest in
       let tag = ceval env ~loc tag in
       let bytes = ceval env ~loc bytes in
       let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~time:s.clock.(rank) ~loc
-          ~cctx
+        Comm.send s.comm ~src:rank ~dst ~tag ~bytes ~clock:s.clock ~loc ~cctx
       in
       s.clock.(rank) <- s.clock.(rank) +. Network.default.send_overhead;
-      frame.freqs.(slot) <- sreq;
+      hold s frame slot sreq;
       if s.has_tools then sends := [ (dst, tag, bytes) ]
   | KIrecv { src; tag; bytes; slot } ->
       let src = eval_peer env ~loc src in
       let tag = eval_tag env ~loc tag in
-      let bytes = ceval env ~loc bytes in
-      let rreq =
-        Comm.post_recv s.comm ~rank ~src ~tag ~bytes ~time:s.clock.(rank) ~loc
-      in
+      ignore (ceval env ~loc bytes : int);
+      let rreq = Comm.post_recv s.comm ~rank ~src ~tag ~clock:s.clock ~loc in
       s.clock.(rank) <- s.clock.(rank) +. Network.default.recv_overhead;
-      frame.freqs.(slot) <- rreq
+      hold s frame slot rreq
   | KWait { slot; name } ->
       let r = get_req frame ~loc slot name in
       let t0 = s.clock.(rank) in
@@ -560,28 +667,32 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       wait := s.clock.(rank) -. t0;
       if s.has_tools then deps := dep_of_req s r
   | KWaitall { slots } ->
-      let rs =
-        Array.map (fun (slot, name) -> get_req frame ~loc slot name) slots
-      in
+      let n = Array.length slots in
+      if Array.length s.wake_reqs.(rank) < n then
+        s.wake_reqs.(rank) <- Array.make n Comm.nil;
+      let rs = s.wake_reqs.(rank) in
+      for i = 0 to n - 1 do
+        let slot, name = slots.(i) in
+        rs.(i) <- get_req frame ~loc slot name
+      done;
       let t0 = s.clock.(rank) in
-      await_many s rank rs;
+      await_many s rank n;
       wait := s.clock.(rank) -. t0;
       if s.has_tools then
-        deps := List.concat_map (dep_of_req s) (Array.to_list rs)
+        deps := List.concat_map (dep_of_req s) (Array.to_list (Array.sub rs 0 n))
   | KSendrecv { dest; stag; sbytes; src; rtag; rbytes } ->
       let dst = ceval env ~loc dest in
       let stag = ceval env ~loc stag in
       let sbytes = ceval env ~loc sbytes in
       let src = eval_peer env ~loc src in
       let rtag = eval_tag env ~loc rtag in
-      let rbytes = ceval env ~loc rbytes in
+      ignore (ceval env ~loc rbytes : int);
       let sreq =
-        Comm.send s.comm ~src:rank ~dst ~tag:stag ~bytes:sbytes
-          ~time:s.clock.(rank) ~loc ~cctx
+        Comm.send s.comm ~src:rank ~dst ~tag:stag ~bytes:sbytes ~clock:s.clock
+          ~loc ~cctx
       in
       let rreq =
-        Comm.post_recv s.comm ~rank ~src ~tag:rtag ~bytes:rbytes
-          ~time:s.clock.(rank) ~loc
+        Comm.post_recv s.comm ~rank ~src ~tag:rtag ~clock:s.clock ~loc
       in
       s.clock.(rank) <-
         s.clock.(rank) +. Network.default.send_overhead
@@ -592,33 +703,38 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       if s.has_tools then begin
         sends := [ (dst, stag, sbytes) ];
         deps := dep_of_req s rreq
-      end
+      end;
+      Comm.release s.comm sreq;
+      Comm.release s.comm rreq
   | KColl { bytes } ->
       let bytes = ceval env ~loc bytes in
       s.coll_seqs.(rank) <- s.coll_seqs.(rank) + 1;
       let arrive_time = s.clock.(rank) in
       let c =
-        Comm.coll_arrive s.comm ~seq:s.coll_seqs.(rank) ~rank ~time:arrive_time
+        Comm.coll_arrive s.comm ~seq:s.coll_seqs.(rank) ~rank ~clock:s.clock
           ~kind:ast ~bytes
       in
       if c.Comm.finished then wake_collective s c;
       let resume =
-        if c.Comm.finished then c.Comm.finish_time
+        if c.Comm.finished then c.Comm.times.finish_time
         else begin
           s.blocked_since.(rank) <- arrive_time;
-          s.wakes.(rank) <- Wake_coll c;
-          Effect.perform Block
+          s.wake_kind.(rank) <- wake_coll;
+          s.wake_a.(rank) <- c.Comm.coll_seq;
+          s.coll_next.(rank) <- c.Comm.waiters;
+          c.Comm.waiters <- rank;
+          block s rank
         end
       in
-      s.clock.(rank) <- Float.max s.clock.(rank) resume;
-      wait := Float.max 0.0 (c.Comm.start_time -. arrive_time);
+      s.clock.(rank) <- fmax s.clock.(rank) resume;
+      wait := fmax 0.0 (c.Comm.times.start_time -. arrive_time);
       if s.has_tools then
         collective :=
           Some
             {
               Instrument.coll_seq = c.Comm.coll_seq;
               arrive_time;
-              start_time = c.Comm.start_time;
+              start_time = c.Comm.times.start_time;
               last_arrival_rank = c.Comm.last_arrival_rank;
             });
   let exit_time = s.clock.(rank) in
@@ -654,67 +770,62 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
 
 (* --- fibers and the scheduler loop --- *)
 
-let handler s rank =
+(* One handler serves every fiber, built once per run: only [drive]
+   starts or resumes a fiber, and it sets [running] first, so the
+   handler reads the rank there.  Blocking allocates only the
+   continuation and the option [conts] holds it in. *)
+let handler s =
+  let on_block =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        s.status.(s.running) <- st_blocked;
+        s.conts.(s.running) <- Some k)
+  in
   {
-    Effect.Deep.retc = (fun () -> s.status.(rank) <- st_finished);
+    Effect.Deep.retc =
+      (fun () ->
+        let rank = s.running in
+        s.status.(rank) <- st_finished;
+        Array.fill s.spare (rank * s.nfuncs) s.nfuncs no_frame);
     exnc =
       (function
       (* a killed rank stops cleanly: whatever it measured so far stays,
          peers waiting on it are stranded and handled at end of run *)
       | Rank_killed ->
-          s.status.(rank) <- st_finished;
-          s.killed <- rank :: s.killed
+          s.status.(s.running) <- st_finished;
+          s.killed <- s.running :: s.killed
       | e -> raise e);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Block ->
-            Some
-              (fun (k : (a, _) Effect.Deep.continuation) ->
-                s.status.(rank) <- st_blocked;
-                s.conts.(rank) <- Some k;
-                (* registration only: the awaited condition cannot have
-                   completed between the check in await_* and here —
-                   execution is single-threaded and nothing ran in
-                   between *)
-                match s.wakes.(rank) with
-                | Wake_one r ->
-                    if not r.Comm.completed then r.Comm.waiter <- rank
-                | Wake_two (r1, r2) ->
-                    if not r1.Comm.completed then r1.Comm.waiter <- rank;
-                    if not r2.Comm.completed then r2.Comm.waiter <- rank
-                | Wake_many rs ->
-                    Array.iter
-                      (fun (r : Comm.request) ->
-                        if not r.completed then r.waiter <- rank)
-                      rs
-                | Wake_coll c -> c.Comm.waiters <- rank :: c.Comm.waiters
-                | Wake_none -> assert false)
-        | _ -> None);
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with Block -> on_block | _ -> None);
   }
 
-let start_fiber s rank =
-  s.status.(rank) <- st_running;
-  Effect.Deep.match_with
-    (fun () ->
-      let f = s.cmain in
-      exec_block s rank (new_frame rank f) f.cf_body)
-    () (handler s rank)
+(* A fiber's body: [rank] runs main. *)
+let run_rank s rank =
+  let f = s.cmain in
+  let frame = take_frame s rank f in
+  exec_block s rank frame f.cf_body;
+  return_frame s rank f frame
 
-let rec drive s =
+let rec drive s ~main handler =
   let rank = Heap.pop_val s.ready in
   if rank >= 0 then begin
+    s.running <- rank;
     let st = s.status.(rank) in
-    if st = st_not_started then start_fiber s rank
+    if st = st_not_started then begin
+      s.status.(rank) <- st_running;
+      Effect.Deep.match_with main rank handler
+    end
     else if st = st_ready then begin
       s.status.(rank) <- st_running;
       match s.conts.(rank) with
       | Some k ->
           s.conts.(rank) <- None;
-          Effect.Deep.continue k s.resume_at.(rank)
+          Effect.Deep.continue k ()
       | None -> assert false
     end;
-    drive s
+    drive s ~main handler
   end
 
 (* --- top-level run --- *)
@@ -758,7 +869,13 @@ let run_body ~cfg (program : Ast.program) =
       status = Array.make n st_not_started;
       conts = Array.make n None;
       resume_at = Array.make n 0.0;
-      wakes = Array.make n Wake_none;
+      wake_kind = Array.make n wake_none;
+      wake_a = Array.make n 0;
+      wake_b = Array.make n 0;
+      wake_reqs = Array.make n [||];
+      coll_next = Array.make n (-1);
+      nfuncs = Array.length compiled.funcs;
+      spare = Array.make (n * Array.length compiled.funcs) no_frame;
       cctx = Array.make (if has_tools then n else 0) 0;
       contexts = (if has_tools then new_contexts () else no_contexts);
       kill_at =
@@ -771,6 +888,7 @@ let run_body ~cfg (program : Ast.program) =
       scratch = Array.make 6 0.0;
       ready = Heap.create ~capacity:(max 16 n) ();
       events = 0;
+      running = -1;
       killed = [];
     }
   in
@@ -778,7 +896,7 @@ let run_body ~cfg (program : Ast.program) =
   for rank = 0 to n - 1 do
     Heap.push s.ready cfg.clock0 rank
   done;
-  drive s;
+  drive s ~main:(run_rank s) (handler s);
   let stuck = ref [] in
   for rank = n - 1 downto 0 do
     if s.status.(rank) <> st_finished then stuck := rank :: !stuck

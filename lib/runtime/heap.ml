@@ -34,7 +34,7 @@ let swap t i j =
   t.keys.(j) <- k;
   t.vals.(j) <- v
 
-let push t key value =
+let[@inline] push t key value =
   grow t;
   let i = ref t.size in
   t.keys.(!i) <- key;
@@ -59,6 +59,10 @@ let sift_down t =
     end
     else continue_ := false
   done
+
+(* [push t keys.(i) i], reading the key here: a float passed to a
+   function of another module is boxed. *)
+let push_at t keys i = push t keys.(i) i
 
 (* Non-allocating pop for the scheduler hot loop: the payload of the
    minimum entry, or -1 when empty. *)

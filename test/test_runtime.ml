@@ -156,9 +156,14 @@ let test_bare_compute_allocates_nothing () =
 
 (* An MPI statement of a bare run allocates no request, message or wake
    record, only what blocking its fiber takes; measured as above, per
-   iteration of a 16-rank ring.  A slot never recycled would grow the
-   communicator's columns with the iteration count, so the bounds catch
-   a leak too. *)
+   iteration of a 16-rank ring.  In these rings 5 of 16 (8 B) and 8 of 16
+   (800 KB) iterations block, and a block allocates the continuation and
+   the option holding it: 4 words on OCaml 5.1 (1.25 and 2.0 per
+   iteration), 5 where a continuation holds two fields.  A request and
+   message record per statement read 59.0 and 64.0 words per sendrecv,
+   76.8 and 88.5 per irecv+isend+waitall.  A slot never recycled would
+   grow the communicator's columns with the iteration count, so the
+   bounds catch a leak too. *)
 let test_bare_mpi_allocates_no_record () =
   let ring body =
     let open Expr.Infix in
@@ -202,10 +207,10 @@ let test_bare_mpi_allocates_no_record () =
            bound)
         true (per <= bound))
     [
-      ("sendrecv 8 B", sendrecv, 8, 59.0);
-      ("sendrecv 800 KB", sendrecv, 800_000, 64.0);
-      ("irecv+isend+waitall 8 B", triple, 8, 76.9);
-      ("irecv+isend+waitall 800 KB", triple, 800_000, 88.6);
+      ("sendrecv 8 B", sendrecv, 8, 1.6);
+      ("sendrecv 800 KB", sendrecv, 800_000, 2.5);
+      ("irecv+isend+waitall 8 B", triple, 8, 1.6);
+      ("irecv+isend+waitall 800 KB", triple, 800_000, 2.5);
     ]
 
 let test_heterogeneous_speed () =
@@ -216,6 +221,28 @@ let test_heterogeneous_speed () =
   check_bool "minority slow" true (List.length slow < 32);
   check_bool "first four fast" true
     (List.for_all (fun s -> s < 1.2) [ cm.core_speed 0; cm.core_speed 1; cm.core_speed 2; cm.core_speed 3 ])
+
+(* Comm prices a message with its own copy of [Network.transfer_time]
+   (a call across modules would box the float it returns); the two
+   agree bit for bit on both sides of the eager threshold and on a
+   negative size.  The send is posted at 1.5 ms and the receive at 0,
+   so eager and rendezvous messages both complete at 1.5 ms plus the
+   transfer. *)
+let test_message_timing () =
+  let loc = Loc.none and bits = Int64.bits_of_float in
+  List.iter
+    (fun bytes ->
+      let c = Comm.create ~nprocs:2 and clock = [| 1.5e-3; 0.0 |] in
+      let r = Comm.post_recv c ~rank:1 ~src:0 ~tag:0 ~clock ~loc in
+      let s = Comm.send c ~src:0 ~dst:1 ~tag:0 ~bytes ~clock ~loc ~cctx:0 in
+      let expected = 1.5e-3 +. Network.transfer_time Network.default bytes in
+      check_bool (Printf.sprintf "%d B completed" bytes) true
+        (c.Comm.r_completed.(r) && c.Comm.r_completed.(s));
+      check_bool
+        (Printf.sprintf "%d B arrives at the network model's time" bytes)
+        true
+        (Int64.equal (bits expected) (bits c.Comm.r_completion.(r))))
+    [ -5; 0; 1; 8; 65_536; 65_537; 800_000; 1 lsl 40 ]
 
 let test_network_model () =
   let net = Network.default in
@@ -1139,6 +1166,8 @@ let () =
           Alcotest.test_case "heterogeneous cores" `Quick
             test_heterogeneous_speed;
           Alcotest.test_case "network" `Quick test_network_model;
+          Alcotest.test_case "message timing = network model" `Quick
+            test_message_timing;
           Alcotest.test_case "cost model = reference formula" `Quick
             test_costmodel_matches_reference;
           Alcotest.test_case "bare compute allocates nothing" `Quick
