@@ -130,7 +130,8 @@ let make_tests () =
      scheduler's ready heap *)
   @ List.concat_map
       (fun np ->
-        let clock = Array.make np 0.0 in
+        let clock = Array.make np 0.0
+        and keys = Array.init np (fun r -> float_of_int ((r * 7) mod 64)) in
         [
           Test.make ~name:(Printf.sprintf "engine_match_queue_np%d" np)
             (Staged.stage (fun () ->
@@ -153,7 +154,7 @@ let make_tests () =
                  let open Scalana_runtime in
                  let h = Heap.create ~capacity:np () in
                  for r = 0 to np - 1 do
-                   Heap.push h (float_of_int ((r * 7) mod 64)) r
+                   Heap.push h keys r
                  done;
                  let rec drain n =
                    if Heap.pop_val h >= 0 then drain (n + 1) else n

@@ -25,13 +25,14 @@
    exact-match receives carry a packed (src, tag) key so the common
    non-wildcard probe is a single integer comparison.
 
-   Posting and matching allocate nothing but a column doubling, a queue
-   growing and the float [Network.transfer_time] returns (boxed, as
-   every float a call across modules returns).  Collective instances
-   accumulate a count and a running latest-arrival instead of an arrival
-   list, which turns the per-collective cost from O(nprocs^2) to
-   O(nprocs) — the seed engine's dominant term at np >= 4096; an
-   arrival allocates only when it opens an instance. *)
+   Posting and matching allocate only when a column or a queue doubles;
+   no float is boxed on the way (dune's dev profile compiles with
+   [-opaque], so every float passed to or returned from another
+   module's function would be).  Collective instances accumulate a
+   count and a running latest-arrival instead of an arrival list, which
+   turns the per-collective cost from O(nprocs^2) to O(nprocs) — the
+   seed engine's dominant term at np >= 4096; an arrival allocates only
+   when it opens an instance. *)
 
 open Scalana_mlang
 

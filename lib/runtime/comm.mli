@@ -10,9 +10,8 @@
     matched it is recycled.  Queues and cross-links hold slot handles
     that carry the occupant's generation, so a tombstone never matches a
     recycled slot.  Posting and matching allocate only when a column or
-    queue doubles, plus the boxed float {!Network.transfer_time} returns
-    once per message; a collective arrival allocates only when it opens
-    an instance. *)
+    queue doubles; a collective arrival allocates only when it opens an
+    instance. *)
 
 open Scalana_mlang
 

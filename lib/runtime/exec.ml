@@ -17,8 +17,14 @@
    16k records; and a compute, let, loop or branch statement of a bare
    run allocates nothing (test_runtime holds a compute statement to 0
    words): no boxed float crosses a call on that path, and the cost
-   model makes no C or closure call.  A call allocates its frame, and
-   an MPI statement its requests, messages and wake record.  Every
+   model makes no C or closure call.  Nor does an MPI statement
+   allocate a record: requests and messages are slots in [Comm]'s
+   recycled columns, the wake state is int columns, and every float
+   stays unboxed, so a statement that does not block allocates nothing
+   and one that blocks allocates the continuation and the option
+   holding it (test_runtime bounds both).  A call reuses its rank's
+   returned frame of the same function, allocating one only the first
+   time or when the function recurses.  Every
    float operation is sequenced exactly as the original interpreter
    sequenced it — simulated times are preserved to the last ulp, and
    the scheduler-heap tie order is untouched, so results (and the
@@ -210,7 +216,7 @@ let[@inline] fmax x y = if y > x then y else if x > y then x else Float.max x y
 let[@inline] make_ready s rank resume =
   s.status.(rank) <- st_ready;
   s.resume_at.(rank) <- resume;
-  Heap.push_at s.ready s.resume_at rank
+  Heap.push s.ready s.resume_at rank
 
 let all_completed (c : Comm.t) (rs : int array) n =
   let i = ref 0 in
@@ -894,7 +900,7 @@ let run_body ~cfg (program : Ast.program) =
   in
   Comm.set_on_complete comm (on_request_complete s);
   for rank = 0 to n - 1 do
-    Heap.push s.ready cfg.clock0 rank
+    Heap.push s.ready s.clock rank
   done;
   drive s ~main:(run_rank s) (handler s);
   let stuck = ref [] in

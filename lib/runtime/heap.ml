@@ -34,10 +34,12 @@ let swap t i j =
   t.keys.(j) <- k;
   t.vals.(j) <- v
 
-let[@inline] push t key value =
+(* The key is read here, from the caller's array: a float passed to a
+   function of another module would be boxed. *)
+let push t keys value =
   grow t;
   let i = ref t.size in
-  t.keys.(!i) <- key;
+  t.keys.(!i) <- keys.(value);
   t.vals.(!i) <- value;
   t.size <- t.size + 1;
   while !i > 0 && t.keys.((!i - 1) / 2) > t.keys.(!i) do
@@ -59,10 +61,6 @@ let sift_down t =
     end
     else continue_ := false
   done
-
-(* [push t keys.(i) i], reading the key here: a float passed to a
-   function of another module is boxed. *)
-let push_at t keys i = push t keys.(i) i
 
 (* Non-allocating pop for the scheduler hot loop: the payload of the
    minimum entry, or -1 when empty. *)

@@ -10,11 +10,9 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-val push : t -> float -> int -> unit
 
-(** [push_at t keys i] is [push t keys.(i) i], with no float boxed to
-    pass the key. *)
-val push_at : t -> float array -> int -> unit
+(** [push t keys i] adds payload [i] with key [keys.(i)]. *)
+val push : t -> float array -> int -> unit
 
 (** Remove the minimum entry and return its payload, or [-1] when
     the heap is empty (the key is discarded). *)

@@ -12,9 +12,9 @@ let heap_sorted =
     QCheck2.Gen.(list_size (int_range 0 100) (float_bound_exclusive 1000.0))
     (fun keys ->
       let h = Heap.create () in
-      List.iteri (fun i k -> Heap.push h k i) keys;
       (* payloads are the keys' indices, so popped payloads name keys *)
       let key = Array.of_list keys in
+      Array.iteri (fun i _ -> Heap.push h key i) key;
       let rec drain acc =
         match Heap.pop_val h with
         | -1 -> List.rev acc
@@ -27,7 +27,7 @@ let heap_sorted =
 let test_heap_empty () =
   let h = Heap.create () in
   check_int "pop none" (-1) (Heap.pop_val h);
-  Heap.push h 1.0 7;
+  Heap.push h (Array.make 8 1.0) 7;
   check_int "value" 7 (Heap.pop_val h);
   check_int "empty again" (-1) (Heap.pop_val h)
 
