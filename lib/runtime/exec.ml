@@ -96,14 +96,11 @@ let merge_params (program : Ast.program) overrides =
 (* --- scheduler plumbing --- *)
 
 (* What a blocked process is waiting for, in [sched.wake_kind]:
-   [wake_one] the request [wake_a]; [wake_two] (sendrecv) the requests
-   [wake_a] and [wake_b]; [wake_many] the first [wake_a] requests of
-   [wake_reqs]; [wake_coll] the collective instance numbered [wake_a]. *)
+   [wake_reqs] the first [wake_arg] requests of its [awaited] buffer;
+   [wake_coll] the collective instance numbered [wake_arg]. *)
 let wake_none = 0
-let wake_one = 1
-let wake_two = 2
-let wake_many = 3
-let wake_coll = 4
+let wake_reqs = 1
+let wake_coll = 2
 
 (* A blocked process resumes at its [resume_at], read once [Block]
    returns: a float passed through [continue] would be boxed. *)
@@ -185,9 +182,8 @@ type sched = {
   conts : (unit, unit) Effect.Deep.continuation option array;
   resume_at : float array;
   wake_kind : int array;
-  wake_a : int array;
-  wake_b : int array;
-  wake_reqs : int array array;  (* per rank, grown to its widest waitall *)
+  wake_arg : int array;
+  awaited : int array array;  (* per rank, grown to its widest wait *)
   coll_next : int array;  (* next older rank blocked on the same collective *)
   nfuncs : int;
   spare : frame array;  (* by rank * nfuncs + cf_id, see [take_frame] *)
@@ -242,28 +238,11 @@ let on_request_complete s r =
   let rank = c.Comm.r_waiter.(r) in
   if rank >= 0 then begin
     c.Comm.r_waiter.(r) <- -1;
-    if s.status.(rank) = st_blocked then begin
-      let kind = s.wake_kind.(rank) in
-      if kind = wake_one then begin
-        let a = s.wake_a.(rank) in
-        if c.Comm.r_completed.(a) then
-          make_ready s rank
-            (fmax s.blocked_since.(rank) c.Comm.r_completion.(a))
-      end
-      else if kind = wake_two then begin
-        let a = s.wake_a.(rank) and b = s.wake_b.(rank) in
-        if c.Comm.r_completed.(a) && c.Comm.r_completed.(b) then
-          make_ready s rank
-            (fmax
-               (fmax s.blocked_since.(rank) c.Comm.r_completion.(a))
-               c.Comm.r_completion.(b))
-      end
-      else if kind = wake_many then begin
-        let rs = s.wake_reqs.(rank) and n = s.wake_a.(rank) in
-        if all_completed c rs n then
-          make_ready s rank
-            (latest_completion c rs n ~from:s.blocked_since.(rank))
-      end
+    if s.status.(rank) = st_blocked && s.wake_kind.(rank) = wake_reqs then begin
+      let rs = s.awaited.(rank) and n = s.wake_arg.(rank) in
+      if all_completed c rs n then
+        make_ready s rank
+          (latest_completion c rs n ~from:s.blocked_since.(rank))
     end
   end
 
@@ -275,7 +254,7 @@ let wake_collective s (c : Comm.coll) =
     if
       s.status.(r) = st_blocked
       && s.wake_kind.(r) = wake_coll
-      && s.wake_a.(r) = c.Comm.coll_seq
+      && s.wake_arg.(r) = c.Comm.coll_seq
     then make_ready s r c.Comm.times.finish_time;
     rank := s.coll_next.(r)
   done;
@@ -351,51 +330,24 @@ let[@inline] block s rank =
   Effect.perform Block;
   s.resume_at.(rank)
 
-(* Wait until [r] has completed, advancing the clock to the completion
-   (each await computes the same fold the reference engine did). *)
-let await_one s rank r =
-  let c = s.comm in
-  let resume =
-    if c.Comm.r_completed.(r) then fmax s.clock.(rank) c.Comm.r_completion.(r)
-    else begin
-      s.blocked_since.(rank) <- s.clock.(rank);
-      s.wake_kind.(rank) <- wake_one;
-      s.wake_a.(rank) <- r;
-      c.Comm.r_waiter.(r) <- rank;
-      block s rank
-    end
-  in
-  s.clock.(rank) <- fmax s.clock.(rank) resume
+(* [rank]'s buffer of awaited requests, at least [n] long. *)
+let awaited s rank n =
+  if Array.length s.awaited.(rank) < n then
+    s.awaited.(rank) <- Array.make (max 2 n) Comm.nil;
+  s.awaited.(rank)
 
-let await_two s rank r1 r2 =
+(* Wait until the first [n] requests of [rank]'s [awaited] buffer have
+   completed, advancing the clock to the latest completion (the same
+   fold the reference engine computed, in buffer order). *)
+let await s rank n =
   let c = s.comm in
-  let resume =
-    if c.Comm.r_completed.(r1) && c.Comm.r_completed.(r2) then
-      fmax
-        (fmax s.clock.(rank) c.Comm.r_completion.(r1))
-        c.Comm.r_completion.(r2)
-    else begin
-      s.blocked_since.(rank) <- s.clock.(rank);
-      s.wake_kind.(rank) <- wake_two;
-      s.wake_a.(rank) <- r1;
-      s.wake_b.(rank) <- r2;
-      if not c.Comm.r_completed.(r1) then c.Comm.r_waiter.(r1) <- rank;
-      if not c.Comm.r_completed.(r2) then c.Comm.r_waiter.(r2) <- rank;
-      block s rank
-    end
-  in
-  s.clock.(rank) <- fmax s.clock.(rank) resume
-
-(* Wait for the first [n] requests of [s.wake_reqs.(rank)]. *)
-let await_many s rank n =
-  let c = s.comm in
-  let rs = s.wake_reqs.(rank) in
+  let rs = s.awaited.(rank) in
   let resume =
     if all_completed c rs n then latest_completion c rs n ~from:s.clock.(rank)
     else begin
       s.blocked_since.(rank) <- s.clock.(rank);
-      s.wake_kind.(rank) <- wake_many;
-      s.wake_a.(rank) <- n;
+      s.wake_kind.(rank) <- wake_reqs;
+      s.wake_arg.(rank) <- n;
       for i = 0 to n - 1 do
         let r = rs.(i) in
         if not c.Comm.r_completed.(r) then c.Comm.r_waiter.(r) <- rank
@@ -404,6 +356,10 @@ let await_many s rank n =
     end
   in
   s.clock.(rank) <- fmax s.clock.(rank) resume
+
+let await_one s rank r =
+  (awaited s rank 1).(0) <- r;
+  await s rank 1
 
 let dep_of_req s r =
   let c = s.comm in
@@ -674,15 +630,13 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
       if s.has_tools then deps := dep_of_req s r
   | KWaitall { slots } ->
       let n = Array.length slots in
-      if Array.length s.wake_reqs.(rank) < n then
-        s.wake_reqs.(rank) <- Array.make n Comm.nil;
-      let rs = s.wake_reqs.(rank) in
+      let rs = awaited s rank n in
       for i = 0 to n - 1 do
         let slot, name = slots.(i) in
         rs.(i) <- get_req frame ~loc slot name
       done;
       let t0 = s.clock.(rank) in
-      await_many s rank n;
+      await s rank n;
       wait := s.clock.(rank) -. t0;
       if s.has_tools then
         deps := List.concat_map (dep_of_req s) (Array.to_list (Array.sub rs 0 n))
@@ -704,7 +658,10 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
         s.clock.(rank) +. Network.default.send_overhead
         +. Network.default.recv_overhead;
       let t0 = s.clock.(rank) in
-      await_two s rank sreq rreq;
+      let rs = awaited s rank 2 in
+      rs.(0) <- sreq;
+      rs.(1) <- rreq;
+      await s rank 2;
       wait := s.clock.(rank) -. t0;
       if s.has_tools then begin
         sends := [ (dst, stag, sbytes) ];
@@ -726,7 +683,7 @@ and exec_mpi s rank frame ~loc (ast : Ast.mpi_call) (op : cmpi) =
         else begin
           s.blocked_since.(rank) <- arrive_time;
           s.wake_kind.(rank) <- wake_coll;
-          s.wake_a.(rank) <- c.Comm.coll_seq;
+          s.wake_arg.(rank) <- c.Comm.coll_seq;
           s.coll_next.(rank) <- c.Comm.waiters;
           c.Comm.waiters <- rank;
           block s rank
@@ -876,9 +833,8 @@ let run_body ~cfg (program : Ast.program) =
       conts = Array.make n None;
       resume_at = Array.make n 0.0;
       wake_kind = Array.make n wake_none;
-      wake_a = Array.make n 0;
-      wake_b = Array.make n 0;
-      wake_reqs = Array.make n [||];
+      wake_arg = Array.make n 0;
+      awaited = Array.make n [||];
       coll_next = Array.make n (-1);
       nfuncs = Array.length compiled.funcs;
       spare = Array.make (n * Array.length compiled.funcs) no_frame;
