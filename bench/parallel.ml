@@ -66,8 +66,8 @@ type speedup_data = {
 }
 
 (* What one run cost the GC: [Gc.quick_stat] after minus before, but
-   minor words from [Gc.minor_words], since [quick_stat]'s count moves
-   only at a minor collection (a run that fits the minor heap read 0). *)
+   minor words from [Gc.minor_words]: [quick_stat]'s count moves only at
+   a minor collection, and a run that fits the minor heap has none. *)
 type gc_work = {
   minor_collections : int;
   major_collections : int;

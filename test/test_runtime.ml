@@ -159,11 +159,9 @@ let test_bare_compute_allocates_nothing () =
    iteration of a 16-rank ring.  In these rings 5 of 16 (8 B) and 8 of 16
    (800 KB) iterations block, and a block allocates the continuation and
    the option holding it: 4 words on OCaml 5.1 (1.25 and 2.0 per
-   iteration), 5 where a continuation holds two fields.  A request and
-   message record per statement read 59.0 and 64.0 words per sendrecv,
-   76.8 and 88.5 per irecv+isend+waitall.  A slot never recycled would
-   grow the communicator's columns with the iteration count, so the
-   bounds catch a leak too. *)
+   iteration), 5 where a continuation holds two fields.  A slot never
+   recycled would grow the communicator's columns with the iteration
+   count, so the bounds catch a leak too. *)
 let test_bare_mpi_allocates_no_record () =
   let ring body =
     let open Expr.Infix in
@@ -884,8 +882,9 @@ let lifetimes_program () =
       ]);
   Builder.program b
 
-(* Rank 1 dies inside its "overlap" block, with two rendezvous sends and
-   an eager send posted and not yet received. *)
+(* Rank 1 dies at the first statement after its "overlap" block: its two
+   rendezvous sends are not matched yet, and rank 0's two to it are
+   never received. *)
 let lifetimes_kill = Faults.plan [ Faults.kill_rank ~rank:1 ~after:2e-5 () ]
 
 let lifetime_digests =
