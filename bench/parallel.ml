@@ -65,9 +65,7 @@ type speedup_data = {
   phases : (string * int * float) list;
 }
 
-(* What one run cost the GC: [Gc.quick_stat] after minus before, but
-   minor words from [Gc.minor_words]: [quick_stat]'s count moves only at
-   a minor collection, and a run that fits the minor heap has none. *)
+(* What one run cost the GC: [Gc.quick_stat] after minus before. *)
 type gc_work = {
   minor_collections : int;
   major_collections : int;
@@ -77,14 +75,15 @@ type gc_work = {
 
 type engine_row = { np : int; events : int; wall_s : float; gc : gc_work }
 
-let gc_work_of (a : Gc.stat) (b : Gc.stat) ~minor_words =
+let gc_work_of (a : Gc.stat) (b : Gc.stat) =
   let promoted = b.promoted_words -. a.promoted_words in
   {
     minor_collections = b.minor_collections - a.minor_collections;
     major_collections = b.major_collections - a.major_collections;
     promoted_words = promoted;
     allocated_words =
-      minor_words +. (b.major_words -. a.major_words) -. promoted;
+      b.minor_words -. a.minor_words +. (b.major_words -. a.major_words)
+      -. promoted;
   }
 
 type ppg_row = {
@@ -354,10 +353,8 @@ let engine_throughput () =
            point's garbage is collected on its account *)
         Gc.compact ();
         let before = Gc.quick_stat () in
-        let minor0 = Gc.minor_words () in
         let r, wall_s = timed (fun () -> Scalana_runtime.Exec.run ~cfg prog) in
-        let minor_words = Gc.minor_words () -. minor0 in
-        let gc = gc_work_of before (Gc.quick_stat ()) ~minor_words in
+        let gc = gc_work_of before (Gc.quick_stat ()) in
         let row = { np; events = r.Scalana_runtime.Exec.events; wall_s; gc } in
         Printf.printf
           "  np=%-6d %9d events %8.3fs  %10.0f ev/s  (baseline %8.0f, %.1fx)  \

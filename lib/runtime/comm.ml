@@ -121,12 +121,6 @@ let push ~handles ~finished q h =
    network model. *)
 let net = Network.default
 
-(* [Network.transfer_time net bytes], the same operations in the same
-   order, computed here: a call across modules would box the float it
-   returns, once per message. *)
-let[@inline] transfer_time bytes =
-  net.latency +. (float_of_int (if bytes > 0 then bytes else 0) /. net.bandwidth)
-
 type t = {
   nprocs : int;
   unexpected : queue array;  (* per destination, send order *)
@@ -335,9 +329,9 @@ let consume t r m =
     complete t r ~at:(fmax t.r_post_time.(r) t.m_arrival.(m))
   else begin
     (* rendezvous: transfer starts when both sides are ready *)
-    let start = fmax t.r_post_time.(r) t.m_send_time.(m) in
-    let arrival = start +. transfer_time t.m_bytes.(m) in
-    t.m_arrival.(m) <- arrival;
+    t.m_arrival.(m) <- fmax t.r_post_time.(r) t.m_send_time.(m);
+    Network.add_transfer_time net t.m_bytes.(m) t.m_arrival m;
+    let arrival = t.m_arrival.(m) in
     let sh = t.m_sreq.(m) in
     let s = sh land slot_mask in
     if t.r_handle.(s) = sh && not t.r_completed.(s) then
@@ -367,8 +361,11 @@ let send t ~src ~dst ~tag ~bytes ~clock ~loc ~cctx =
   t.m_bytes.(m) <- bytes;
   t.m_key.(m) <- pack_key src tag;
   t.m_send_time.(m) <- time;
-  t.m_arrival.(m) <-
-    (if eager then time +. transfer_time bytes else infinity);
+  if eager then begin
+    t.m_arrival.(m) <- time;
+    Network.add_transfer_time net bytes t.m_arrival m
+  end
+  else t.m_arrival.(m) <- infinity;
   t.m_loc.(m) <- loc;
   t.m_cctx.(m) <- cctx;
   t.m_eager.(m) <- eager;

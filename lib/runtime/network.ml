@@ -24,8 +24,14 @@ let default =
 
 (* Bytes are clamped with an int comparison: a polymorphic [max] is a C
    call, and this runs once per message. *)
-let transfer_time t (bytes : int) =
+let[@inline] transfer_time t (bytes : int) =
   t.latency +. (float_of_int (if bytes > 0 then bytes else 0) /. t.bandwidth)
+
+(* The engine's form: a float returned across modules is boxed (dune's
+   dev profile compiles with [-opaque]), one stored into the caller's
+   array is not. *)
+let add_transfer_time t bytes (a : float array) i =
+  a.(i) <- a.(i) +. transfer_time t bytes
 
 let is_eager t bytes = bytes <= t.eager_threshold
 

@@ -14,6 +14,11 @@ val default : t
 (** End-to-end transfer time of one message. *)
 val transfer_time : t -> int -> float
 
+(** [add_transfer_time t bytes a i] adds [transfer_time t bytes] to
+    [a.(i)], the same float operations as [a.(i) +. transfer_time t
+    bytes] with no float boxed on the way. *)
+val add_transfer_time : t -> int -> float array -> int -> unit
+
 val is_eager : t -> int -> bool
 val log2_ceil : int -> int
 
