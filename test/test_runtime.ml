@@ -155,13 +155,14 @@ let test_bare_compute_allocates_nothing () =
     ((words2 -. words1) /. float_of_int (events2 - events1))
 
 (* An MPI statement of a bare run allocates no request, message or wake
-   record, only what blocking its fiber takes; measured as above, per
-   iteration of a 16-rank ring.  In these rings 5 of 16 (8 B) and 8 of 16
-   (800 KB) iterations block, and a block allocates the continuation and
-   the option holding it: 4 words on OCaml 5.1 (1.25 and 2.0 per
-   iteration), 5 where a continuation holds two fields.  A slot never
-   recycled would grow the communicator's columns with the iteration
-   count, so the bounds catch a leak too. *)
+   record, only what blocking its fiber takes: the continuation and the
+   option holding it, a few words.  Counted per iteration of a 16-rank
+   ring, from n against 2n iterations as above, plus the words allocated
+   straight into the major heap: a column past 256 slots is, so a slot
+   never recycled grows the columns there, out of [Gc.minor_words]'
+   sight.  A record per request and message cost 59 to 89 words per
+   iteration; the bound of 4 separates the two without depending on how
+   many fields the compiler's continuation has. *)
 let test_bare_mpi_allocates_no_record () =
   let ring body =
     let open Expr.Infix in
@@ -190,25 +191,27 @@ let test_bare_mpi_allocates_no_record () =
   let nprocs = 16 in
   let words prog ~bytes n =
     let cfg = Exec.config ~nprocs ~params:[ ("n", n); ("bytes", bytes) ] () in
+    let _, promoted0, major0 = Gc.counters () in
     let w0 = Gc.minor_words () in
     ignore (Exec.run ~cfg prog);
-    Gc.minor_words () -. w0
+    let w1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    w1 -. w0 +. (major1 -. major0 -. (promoted1 -. promoted0))
   in
   List.iter
-    (fun (what, prog, bytes, bound) ->
+    (fun (what, prog, bytes) ->
       ignore (words prog ~bytes 10);
       let n = 2_000 in
       let w1 = words prog ~bytes n and w2 = words prog ~bytes (2 * n) in
       let per = (w2 -. w1) /. float_of_int (nprocs * n) in
       check_bool
-        (Printf.sprintf "%s: %.1f words per iteration, at most %.1f" what per
-           bound)
-        true (per <= bound))
+        (Printf.sprintf "%s: %.1f words per iteration, at most 4" what per)
+        true (per <= 4.0))
     [
-      ("sendrecv 8 B", sendrecv, 8, 1.6);
-      ("sendrecv 800 KB", sendrecv, 800_000, 2.5);
-      ("irecv+isend+waitall 8 B", triple, 8, 1.6);
-      ("irecv+isend+waitall 800 KB", triple, 800_000, 2.5);
+      ("sendrecv 8 B", sendrecv, 8);
+      ("sendrecv 800 KB", sendrecv, 800_000);
+      ("irecv+isend+waitall 8 B", triple, 8);
+      ("irecv+isend+waitall 800 KB", triple, 800_000);
     ]
 
 let test_heterogeneous_speed () =
@@ -219,28 +222,6 @@ let test_heterogeneous_speed () =
   check_bool "minority slow" true (List.length slow < 32);
   check_bool "first four fast" true
     (List.for_all (fun s -> s < 1.2) [ cm.core_speed 0; cm.core_speed 1; cm.core_speed 2; cm.core_speed 3 ])
-
-(* Comm prices a message with its own copy of [Network.transfer_time]
-   (a call across modules would box the float it returns); the two
-   agree bit for bit on both sides of the eager threshold and on a
-   negative size.  The send is posted at 1.5 ms and the receive at 0,
-   so eager and rendezvous messages both complete at 1.5 ms plus the
-   transfer. *)
-let test_message_timing () =
-  let loc = Loc.none and bits = Int64.bits_of_float in
-  List.iter
-    (fun bytes ->
-      let c = Comm.create ~nprocs:2 and clock = [| 1.5e-3; 0.0 |] in
-      let r = Comm.post_recv c ~rank:1 ~src:0 ~tag:0 ~clock ~loc in
-      let s = Comm.send c ~src:0 ~dst:1 ~tag:0 ~bytes ~clock ~loc ~cctx:0 in
-      let expected = 1.5e-3 +. Network.transfer_time Network.default bytes in
-      check_bool (Printf.sprintf "%d B completed" bytes) true
-        (c.Comm.r_completed.(r) && c.Comm.r_completed.(s));
-      check_bool
-        (Printf.sprintf "%d B arrives at the network model's time" bytes)
-        true
-        (Int64.equal (bits expected) (bits c.Comm.r_completion.(r))))
-    [ -5; 0; 1; 8; 65_536; 65_537; 800_000; 1 lsl 40 ]
 
 let test_network_model () =
   let net = Network.default in
@@ -1165,8 +1146,6 @@ let () =
           Alcotest.test_case "heterogeneous cores" `Quick
             test_heterogeneous_speed;
           Alcotest.test_case "network" `Quick test_network_model;
-          Alcotest.test_case "message timing = network model" `Quick
-            test_message_timing;
           Alcotest.test_case "cost model = reference formula" `Quick
             test_costmodel_matches_reference;
           Alcotest.test_case "bare compute allocates nothing" `Quick
